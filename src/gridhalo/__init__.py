@@ -14,13 +14,12 @@ from .maxop import (
     MaxField,
     dyadic_ladder,
     enumerate_shapes,
-    geometric_ladder,
     level_set,
     max_field_brute,
     max_field_fast,
 )
 from .halo import HaloEstimate, HaloProbe, discrete_ball, halo_estimate, halo_fit
-from .rotate import max_field_rotated, rot90_set, rotated_average
+from .rotate import rot90_set, rotated_average
 from .witness import MPhiWitness, build_tile_witness, mphi_witness_for_rotations
 from .resonance import (
     LevelSelection,
@@ -30,7 +29,6 @@ from .resonance import (
     build_rearrangement,
     build_resonance_function,
     check_independence,
-    partition_increasing,
     replicate_configuration,
     select_level_sets,
     synthetic_resonance_input,

@@ -134,13 +134,14 @@ def main(argv=None) -> int:
         return 4
 
     paths = write_report(report, config.out)
-    cache_store(cache_dir, key, report)
     for item in report.verified:
         print(f"{'ok  ' if item['ok'] else 'FAIL'} {item['name']}")
     print(f"report: {paths['json']}")
     if not report.all_verified():
         print("verification failure (bug): a checklist item failed", file=sys.stderr)
         return 4
+    # only verified reports are cached, so a hit never masks a failed run
+    cache_store(cache_dir, key, report)
     return 0
 
 

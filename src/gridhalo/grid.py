@@ -1,4 +1,4 @@
-"""Dyadic grids, exact-measure cell sets, step functions, prefix sums.
+"""Dyadic grids, exact-measure cell sets, step functions.
 
 Everything here is measure bookkeeping for unions of dyadic cells.  Cell
 counts are integers, cell volumes are exact rationals, so all measures and
@@ -21,7 +21,6 @@ __all__ = [
     "GridSet",
     "StepFunction",
     "AxisRect",
-    "IntegralImage",
     "GridMismatchError",
     "ResolutionMismatchError",
     "uniform_distribution_check",
@@ -201,10 +200,6 @@ class GridSet:
         return GridSet(self.grid.refine(extra), mask)
 
 
-def measure(s: GridSet) -> Fraction:
-    return s.measure()
-
-
 def _coarse_counts(mask: np.ndarray, fine_res: Sequence[int], coarse_res: Sequence[int]) -> np.ndarray:
     """Per-coarse-cell popcounts via block reshaping."""
     blocks = []
@@ -352,12 +347,6 @@ class AxisRect:
     def shape(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in zip(self.lo, self.hi))
 
-    def cell_count(self) -> int:
-        c = 1
-        for w in self.shape:
-            c *= w
-        return c
-
     def edge_lengths(self, grid: DyadicGrid) -> tuple[Fraction, ...]:
         return tuple(w * c for w, c in zip(self.shape, grid.cell_size))
 
@@ -372,71 +361,6 @@ class AxisRect:
 
     def contains_index(self, index: Sequence[int]) -> bool:
         return all(a <= i < b for a, i, b in zip(self.lo, index, self.hi))
-
-
-class IntegralImage:
-    """Prefix sums of a step function; any axis rect sum in 2^n lookups.
-
-    Rational mode keeps scaled integers, so rectangle sums are exact.
-    """
-
-    def __init__(self, f: StepFunction):
-        self.grid = f.grid
-        self.mode = f.mode
-        if f.mode == "rational":
-            ints, den = f.scaled_integers()
-            self.den = den
-            flat = ints
-            hi = max((abs(int(v)) for v in ints.ravel()), default=0)
-            # stay in int64 whenever the full-grid sum cannot overflow
-            if hi * f.grid.total_cells < (1 << 62):
-                flat = ints.astype(np.int64)
-            self._prefix = self._build(flat)
-        else:
-            self.den = 1
-            self._prefix = self._build(f.values.astype(np.float64))
-
-    @staticmethod
-    def _build(vals: np.ndarray) -> np.ndarray:
-        p = vals
-        for ax in range(vals.ndim):
-            p = np.cumsum(p, axis=ax)
-        padded = np.zeros(tuple(s + 1 for s in p.shape), dtype=p.dtype)
-        padded[(slice(1, None),) * p.ndim] = p
-        return padded
-
-    def rect_sum_scaled(self, rect: AxisRect):
-        """Sum of the underlying (scaled-integer or float) values over rect∩grid."""
-        shape = self.grid.shape
-        lo = [min(max(a, 0), s) for a, s in zip(rect.lo, shape)]
-        hi = [min(max(b, 0), s) for b, s in zip(rect.hi, shape)]
-        if any(a >= b for a, b in zip(lo, hi)):
-            return self._prefix.dtype.type(0) if self._prefix.dtype != object else 0
-        total = 0
-        n = self.grid.n
-        for corner in range(1 << n):
-            idx = []
-            sign = 1
-            for j in range(n):
-                if corner >> j & 1:
-                    idx.append(lo[j])
-                    sign = -sign
-                else:
-                    idx.append(hi[j])
-            total = total + sign * self._prefix[tuple(idx)]
-        return total
-
-    def rect_sum(self, rect: AxisRect):
-        """Integral of f over rect∩grid (not the average)."""
-        s = self.rect_sum_scaled(rect)
-        cv = self.grid.cell_volume
-        if self.mode == "rational":
-            return Fraction(int(s), self.den) * cv
-        return float(s) * float(cv)
-
-
-def integral_image(f: StepFunction) -> IntegralImage:
-    return IntegralImage(f)
 
 
 # ---------------------------------------------------------------------------

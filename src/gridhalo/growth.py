@@ -48,7 +48,8 @@ def log_power_growth(k: int = 2) -> GrowthFunction:
 def power_growth(p: float) -> GrowthFunction:
     if p <= 0:
         raise ValueError("p > 0 required")
-    return GrowthFunction(f"t^{p}", lambda t: t**p, p <= 1 or True, p > 1)
+    # t^p is doubling for every p > 0: (2t)^p = 2^p t^p
+    return GrowthFunction(f"t^{p}", lambda t: t**p, True, p > 1)
 
 
 def table_growth(

@@ -17,13 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .grid import DyadicGrid, GridSet, StepFunction
-from .maxop import (
-    BasisSpec,
-    dyadic_ladder,
-    level_set,
-    max_field_brute,
-    max_field_fast,
-)
+from .maxop import BasisSpec, dyadic_ladder, level_set, max_field_fast
 
 __all__ = [
     "HaloProbe",
@@ -63,7 +57,6 @@ class HaloProbe:
     min_ball_cells: int = 1
     mode: str = "double"
     use_ladder: bool = True
-    fast: bool = True
 
     def __post_init__(self):
         if self.h <= 1:
@@ -143,7 +136,6 @@ def halo_estimate(
         if probe.basis.kind == "rotated"
         else probe.basis
     )
-    runner = max_field_fast if probe.fast else max_field_brute
     samples = []
     for r_cells in r_list:
         ball = discrete_ball(grid, r_cells)
@@ -160,7 +152,7 @@ def halo_estimate(
             # the truncated level sets increase to the untruncated one)
             r_phys = None if math.isinf(t) else t * r_cells * float(grid.cell_size[0])
             ladder = dyadic_ladder(max(grid.shape)) if probe.use_ladder else None
-            fld = runner(f, basis, r=r_phys, ladder=ladder)
+            fld = max_field_fast(f, basis, r=r_phys, ladder=ladder)
             ls = level_set(fld, 1)
             samples.append(
                 HaloSample(
@@ -229,42 +221,7 @@ class Lemma10Result:
     rect_measure: Fraction
     ratio_exponent_k: float  # |levelset| / (h (1+ln h)^k |I|)
     ratio_exponent_km1: float  # same with exponent k-1
-    analytic_region_measure: float
     normalization_ok: bool  # whether h > 2^n held
-
-
-def _analytic_region_measure(n: int, k: int, deltas, h: float) -> float:
-    """Measure of the proof's region: y_j > delta_j (j<=k), the remaining
-    n-k coordinates bounded by (h|I| / prod y)^{1/(n-k)}, integrated over
-    {prod y_j < (h/2^k) prod delta_j}."""
-    if k >= n:
-        return float("nan")
-    dk = deltas[k]  # the common edge of the last n-k axes
-    vol_I = 1.0
-    for d in deltas[:k]:
-        vol_I *= d
-    vol_I *= dk ** (n - k)
-
-    def inner(prod_so_far: float, depth: int) -> float:
-        if depth == k:
-            top = (h * vol_I / prod_so_far) ** (1.0 / (n - k)) - dk
-            return max(top, 0.0) ** (n - k)
-        d = deltas[depth]
-        upper = (h / 2**k) * vol_I / (prod_so_far * dk ** (n - k))
-        # upper bound for this coordinate so the T-constraint can still hold
-        if upper <= d:
-            return 0.0
-        val, _ = quad(
-            lambda y: inner(prod_so_far * y, depth + 1),
-            d,
-            upper,
-            epsabs=1e-9,
-            epsrel=1e-9,
-            limit=200,
-        )
-        return val
-
-    return inner(1.0, 0)
 
 
 def lemma10_levelset_measure(
@@ -274,13 +231,11 @@ def lemma10_levelset_measure(
     grid: DyadicGrid,
     mode: str = "double",
     ladder=None,
-    fast: bool = True,
 ) -> Lemma10Result:
     """Measured level set {M(h chi_I) > 1} for the <=k-distinct-edges basis.
 
     I must have equal physical edges on axes k..n.  Returns the measured
-    level-set measure, its ratios to both candidate growth models, and the
-    measure of the analytic comparison region.
+    level-set measure and its ratios to both candidate growth models.
     """
     n = grid.n
     edges = I.edge_lengths(grid)
@@ -297,11 +252,8 @@ def lemma10_levelset_measure(
         f = StepFunction.indicator(ind, Fraction(h), "rational")
     else:
         f = StepFunction.indicator(ind, float(h), "double")
-    runner = max_field_fast if fast else max_field_brute
-    fld = runner(f, BasisSpec("axis", max(k, 2) if k < n else n), r=None, ladder=ladder)
-    # basis with <= k distinct edge values; for k=1 fall back to cubes
-    if k == 1:
-        fld = runner(f, BasisSpec("axis", 1), r=None, ladder=ladder)
+    # basis with <= k distinct edge values (k = 1: cubes)
+    fld = max_field_fast(f, BasisSpec("axis", min(k, n)), r=None, ladder=ladder)
     ls = level_set(fld, 1)
     if _boundary_touch(ls.mask):
         raise DomainTooSmallError("level set reaches the grid boundary")
@@ -309,13 +261,10 @@ def lemma10_levelset_measure(
     rect = I.volume(grid)
     model_k = float(h) * (1 + math.log(h)) ** k * float(rect)
     model_km1 = float(h) * (1 + math.log(h)) ** (k - 1) * float(rect)
-    deltas = [float(e) for e in edges]
-    analytic = _analytic_region_measure(n, k, deltas, float(h)) if k < n else float("nan")
     return Lemma10Result(
         levelset_measure=meas,
         rect_measure=rect,
         ratio_exponent_k=float(meas) / model_k,
         ratio_exponent_km1=float(meas) / model_km1,
-        analytic_region_measure=analytic,
         normalization_ok=normalization_ok,
     )

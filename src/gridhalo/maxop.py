@@ -31,7 +31,6 @@ __all__ = [
     "max_field_fast",
     "level_set",
     "dyadic_ladder",
-    "geometric_ladder",
     "save_max_field",
 ]
 
@@ -59,11 +58,6 @@ class BasisSpec:
             raise ValueError("kind must be 'axis' or 'rotated'")
         if self.k < 1:
             raise ValueError("k >= 1 required")
-
-    @property
-    def is_quarter_turn(self) -> bool:
-        q = self.gamma / (math.pi / 2)
-        return abs(q - round(q)) < 1e-12
 
     def describe(self) -> str:
         if self.kind == "axis":
@@ -97,16 +91,6 @@ def dyadic_ladder(maxw: int) -> list[int]:
         out.append(w)
         w *= 2
     return out
-
-
-def geometric_ladder(maxw: int, ratio: float = math.sqrt(2)) -> list[int]:
-    """Approximately geometric widths up to maxw, always including 1 and maxw."""
-    out = {1, maxw}
-    w = 1.0
-    while w < maxw:
-        w *= ratio
-        out.add(min(int(round(w)), maxw))
-    return sorted(out)
 
 
 def _radius_sq(r) -> Fraction | None:
@@ -282,7 +266,8 @@ def _max_field(
 ) -> MaxField:
     if basis.kind != "axis":
         raise NotImplementedError(
-            "direct max fields are axis-basis only; use gridhalo.rotate for rotated bases"
+            "max fields are axis-basis only; rotated bases get certified level "
+            "sets from gridhalo.witness"
         )
     if shapes is None:
         shapes = enumerate_shapes(basis, f.grid, r, ladder)

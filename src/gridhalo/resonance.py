@@ -32,15 +32,12 @@ from .grid import (
     uniform_distribution_check,
 )
 from .growth import GrowthFunction
-from .maxop import BasisSpec, level_set, max_field_fast
-from .rotate import quarter_turns, rot90_set
-from .witness import MPhiWitness, build_tile_witness
+from .witness import MPhiWitness, _within, build_tile_witness
 
 __all__ = [
     "InfeasibleError",
     "ResolutionCapError",
     "VerificationError",
-    "partition_increasing",
     "select_level_sets",
     "LevelSelection",
     "build_divergent_sequences",
@@ -80,62 +77,7 @@ class VerificationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# band partitioning and level-set selection
-
-
-def partition_increasing(phi, a, b, eps, max_points: int = 10000) -> list[float]:
-    """Breakpoints a = h_1 < ... < h_k = b of an increasing function such
-    that the interior oscillation phi(h_{j+1}-) - phi(h_j+) of each piece
-    is at most eps.
-
-    One-sided limits are approximated by evaluation at 1e-12 relative
-    offsets; the greedy rule takes the supremum of admissible next points,
-    located by bisection.
-    """
-    a, b, eps = float(a), float(b), float(eps)
-    if not a < b:
-        raise ValueError("need a < b")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    def off(t: float) -> float:
-        return 1e-12 * max(abs(t), 1.0)
-
-    def left(t: float) -> float:
-        return phi(t - off(t))
-
-    def right(t: float) -> float:
-        return phi(t + off(t))
-
-    points = [a]
-    cur = a
-    while cur < b:
-        if len(points) > max_points:
-            raise InfeasibleError(
-                "breakpoint budget exhausted; the function is effectively "
-                "unbounded on this interval",
-                achieved=points,
-            )
-        base = right(cur)
-        if left(b) - base <= eps:
-            nxt = b
-        else:
-            lo, hi = cur, b
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if left(mid) - base <= eps:
-                    lo = mid
-                else:
-                    hi = mid
-            nxt = lo
-        if nxt <= cur + off(cur):
-            raise InfeasibleError(
-                "no progress past a discontinuity larger than eps", achieved=points
-            )
-        points.append(nxt)
-        cur = nxt
-    points[-1] = b
-    return points
+# level-set selection
 
 
 def _alpha_value(alpha, t: float) -> float:
@@ -262,48 +204,6 @@ def _scaled_shapes(shapes, factor):
     return [tuple(w * f for w, f in zip(s, factor)) for s in shapes]
 
 
-def _tile_mask(mask: np.ndarray, reps) -> np.ndarray:
-    return np.tile(mask, reps)
-
-
-def _directly_checkable(basis: BasisSpec, grid: DyadicGrid) -> bool:
-    """True when the basis level set can be recomputed exactly on ``grid``."""
-    if basis.kind == "axis":
-        return True
-    qt = quarter_turns(basis.gamma)
-    if qt is None:
-        return False
-    if qt % 4 == 0:
-        return True
-    return len(set(grid.resolution)) == 1 and len(set(grid.side)) == 1
-
-
-def _axis_level_set(E: GridSet, amp, trunc, k: int, shapes, cache=None) -> GridSet:
-    """Exact level set {M(amp chi_E) > 1} over the given shape family."""
-    if cache is not None and ("ls", k) in cache:
-        return cache[("ls", k)]
-    f = StepFunction.indicator(E, Fraction(amp), "rational")
-    fld = max_field_fast(f, BasisSpec("axis", k), r=trunc, shapes=list(shapes))
-    ls = level_set(fld, 1)
-    if cache is not None:
-        cache[("ls", k)] = ls
-    return ls
-
-
-def _verify_containment(E, P, amp, trunc, basis, shapes, cache=None) -> bool:
-    """Exact re-check P ⊆ {M(amp chi_E) > 1} restricted to the given shapes.
-
-    For quarter-turn rotated bases on a physically square grid, the
-    rotated level set is exactly the quarter turn of the axis one."""
-    qt = quarter_turns(basis.gamma) if basis.kind == "rotated" else 0
-    if qt is None:
-        raise ValueError("generic rotations are certified per tile, not here")
-    ls = _axis_level_set(E, amp, trunc, basis.k, shapes, cache)
-    if qt % 4:
-        ls = rot90_set(ls, qt)
-    return (P - ls).popcount == 0
-
-
 def replicate_configuration(
     w: MPhiWitness,
     delta,
@@ -319,9 +219,10 @@ def replicate_configuration(
 
     The witness pattern is re-derived on the diluted tile (its level sets
     only grow with the extra room), then replicated; replication cannot
-    shrink level sets either, so the containments survive and are
-    re-checked exactly for axis bases.  Returns sets at the fine
-    resolution j = m + tile exponents.
+    shrink level sets either, so the containments survive.  They are
+    re-checked for every basis: exactly on the replicated grid, or against
+    the tile's certificate for disk-certified rotations.  Returns sets at
+    the fine resolution j = m + tile exponents.
     """
     delta = Fraction(delta)
     n = w.grid.n
@@ -358,19 +259,15 @@ def replicate_configuration(
     j = tuple(mi + tb for mi, tb in zip(m, tile_bits))
     full = DyadicGrid(j)
     reps = tuple(1 << mi for mi in m)
-    E_full = GridSet(full, _tile_mask(tile.E.mask, reps))
+    E_full = GridSet(full, np.tile(tile.E.mask, reps))
     p_full = {}
-    ls_cache = {}
+    memo = {}
     for key, P in tile.p_sets.items():
-        Pf = GridSet(full, _tile_mask(P.mask, reps))
+        Pf = GridSet(full, np.tile(P.mask, reps))
         if not uniform_distribution_check(Pf, m):
             raise VerificationError("replicated set is not uniformly distributed")
-        basis = tile.bases[key]
-        if _directly_checkable(basis, full):
-            if not _verify_containment(
-                E_full, Pf, w.h, Fraction(eps), basis, tile.shapes, ls_cache
-            ):
-                raise VerificationError("level-set containment lost under tiling")
+        if not _within(tile, key, memo, E_full, Pf, tile.shapes):
+            raise VerificationError("level-set containment lost under tiling")
         p_full[key] = Pf
     if not uniform_distribution_check(E_full, m):
         raise VerificationError("replicated E is not uniformly distributed")
@@ -570,23 +467,19 @@ def build_resonance_function(
     # (replicate_configuration raises otherwise).  Refining both sides
     # preserves it: the scaled shapes cover the same physical rectangles, so
     # every average is unchanged.  With deep_verify the level sets are
-    # recomputed from scratch on the final grid anyway.
+    # recomputed from scratch on the final grid anyway.  Disk-certified
+    # sets are re-located against the stage tile's certificate.
     containment_ok = {}
-    stage_caches = [{} for _ in stages]
+    stage_memos = [{} for _ in stages]
     for key in basis_keys:
-        basis = stages[0].tile.bases[key]
         per_stage = []
-        for s, E_f, P_f, cache in zip(stages, e_final, p_final[key], stage_caches):
-            if not _directly_checkable(basis, final_grid):
-                per_stage.append(
-                    (P_f - _refine_to(s.p_sets[key], final_res)).popcount == 0
-                )
-            elif deep_verify and s.j != final_res:
+        for s, E_f, P_f, memo in zip(stages, e_final, p_final[key], stage_memos):
+            if deep_verify and s.j != final_res:
                 factor = tuple(1 << (r - jj) for r, jj in zip(final_res, s.j))
                 shapes = _scaled_shapes(s.tile.shapes, factor)
-                per_stage.append(
-                    _verify_containment(E_f, P_f, s.amp, s.eps, basis, shapes, cache)
-                )
+                per_stage.append(_within(s.tile, key, memo, E_f, P_f, shapes))
+            elif key in s.tile.certificates:
+                per_stage.append(_within(s.tile, key, memo))
             else:
                 per_stage.append(True)  # checked exactly at resolution s.j
         containment_ok[key] = tuple(per_stage)
@@ -783,13 +676,13 @@ def synthetic_resonance_input(
     every tile square (exact quarter-turn symmetry) at the cost of
     saturating late stages.
     """
+    if style not in ("deep", "square"):
+        raise ValueError("style must be 'deep' or 'square'")
     if not 1 <= K <= 4:
         raise InfeasibleError("shipped inputs support depth 1..4")
     deltas, pads = (
         (_DEEP_DELTAS, _DEEP_PADS) if style == "deep" else (_SQUARE_DELTAS, _SQUARE_PADS)
     )
-    if style not in ("deep", "square"):
-        raise ValueError("style must be 'deep' or 'square'")
     grid = DyadicGrid((3, 3))
     cells = grid.total_cells
     values = np.full(grid.shape, Fraction(0), dtype=object).ravel()

@@ -1,31 +1,27 @@
 """Rotated planar rectangles: exact clipping averages and quarter-turn maps.
 
 For a rotation by a multiple of pi/2 on a square grid everything maps
-cell-to-cell, so those paths are exact index permutations.  Generic angles
-go through convex polygon / cell clipping; those averages are floating
-point and the callers treat them as certified only where an analytic
-argument backs them (see gridhalo.witness).
+cell-to-cell, so those paths are exact index permutations.  Averages over
+generic-angle rectangles go through convex polygon / cell clipping; they
+are floating point, a reference only: the certified rotated level sets come
+from gridhalo.witness.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .grid import DyadicGrid, GridSet, StepFunction
-from .maxop import BasisSpec, MaxField, dyadic_ladder, max_field_brute, max_field_fast
 
 __all__ = [
     "polygon_area",
     "clip_polygon_box",
     "rotated_rect_polygon",
     "rotated_average",
-    "max_field_rotated",
     "rot90_set",
-    "rot90_step",
     "quarter_turns",
 ]
 
@@ -147,64 +143,3 @@ def rot90_set(s: GridSet, times: int = 1) -> GridSet:
     """Exact image of a cell set under rotation by times * pi/2 about the box center."""
     _require_square(s.grid)
     return GridSet(s.grid, np.rot90(s.mask, k=times % 4))
-
-
-def rot90_step(f: StepFunction, times: int = 1) -> StepFunction:
-    _require_square(f.grid)
-    return StepFunction(f.grid, np.rot90(f.values, k=times % 4), f.mode)
-
-
-def max_field_rotated(
-    f: StepFunction,
-    basis: BasisSpec,
-    r=None,
-    ladder: Sequence[int] | None = None,
-    fast: bool = True,
-) -> MaxField:
-    """Lower-bound field for a rotated planar interval basis.
-
-    Quarter-turn angles are exact: the field is the coordinate-mapped axis
-    field.  Generic angles sample dyadic side lengths with the rectangle
-    centered on each evaluation cell; the result is a certified lower
-    bound on the true rotated maximal function.
-    """
-    if basis.kind != "rotated":
-        raise ValueError("basis must be rotated")
-    qt = quarter_turns(basis.gamma)
-    axis_basis = BasisSpec("axis", basis.k)
-    runner = max_field_fast if fast else max_field_brute
-    if qt is not None:
-        _require_square(f.grid)
-        base = runner(rot90_step(f, -qt), axis_basis, r, ladder)
-        vals = np.rot90(base.values, k=qt)
-        return MaxField(f.grid, vals, basis, base.r, f.mode)
-    if ladder is None:
-        ladder = dyadic_ladder(max(f.grid.shape))
-    from .maxop import _radius_sq
-
-    r2 = _radius_sq(r)
-    cw = [float(v) for v in f.grid.cell_size]
-    shapes = []
-    for w in ladder:
-        for h in ladder:
-            lens = (w * cw[0], h * cw[1])
-            if len({Fraction(w) * f.grid.cell_size[0], Fraction(h) * f.grid.cell_size[1]}) > basis.k:
-                continue
-            if r2 is not None and lens[0] ** 2 + lens[1] ** 2 >= float(r2):
-                continue
-            shapes.append(lens)
-    if not shapes:
-        from .maxop import EmptyFamilyError
-
-        raise EmptyFamilyError("no admissible rotated shape under this truncation")
-    nx, ny = f.grid.shape
-    vals = np.zeros((nx, ny))
-    for i in range(nx):
-        for j in range(ny):
-            c = tuple(float(v) for v in f.grid.cell_center((i, j)))
-            best = 0.0
-            for sides in shapes:
-                best = max(best, rotated_average(f, c, sides, basis.gamma))
-            vals[i, j] = best
-    # clipping areas are floats, so a generic angle always yields a double field
-    return MaxField(f.grid, vals, basis, None if r is None else Fraction(r), "double")

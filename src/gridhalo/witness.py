@@ -2,8 +2,10 @@
 
 A witness is a set E inside a box Q together with, for each basis in the
 family, a set P contained in the level set {M^(trunc)(h chi_E) > 1}, plus
-the measured constants.  Axis-parallel bases get P as the exact rational
-level set.  Rotated bases get P through a disk reduction that stays
+the measured constants.  Axis-parallel bases (and 0 degrees) get P as the
+exact rational level set, quarter turns on a physically square tile its
+exact coordinate-mapped image.  Every other rotation, quarter turns on
+non-square tiles included, gets P through a disk reduction that stays
 certified without any rotated-measure computation:
 
     E contains a closed disk D about the box center O (radius = the
@@ -126,14 +128,17 @@ def disk_core(grid: DyadicGrid, center, rho_sq: Fraction) -> GridSet:
     return out
 
 
-def axis_level_set_exact(E: GridSet, amp, trunc, basis: BasisSpec, ladder=None):
+def axis_level_set_exact(E: GridSet, amp, trunc, basis: BasisSpec, shapes=None):
     """Exact truncated level set {M(amp chi_E) > 1} and the shape list used.
 
-    A ``ladder`` restricts the rectangle widths; the level set is then a
-    certified subset of the full-family one (still exact per shape)."""
-    shapes = enumerate_shapes(BasisSpec("axis", basis.k), E.grid, r=trunc, ladder=ladder)
+    Explicit ``shapes`` restrict the family (a dyadic ladder, or recorded
+    shapes scaled to a finer grid); the level set is then a certified
+    subset of the full-family one, still exact per shape."""
+    axis = BasisSpec("axis", basis.k)
+    if shapes is None:
+        shapes = enumerate_shapes(axis, E.grid, r=trunc)
     f = StepFunction.indicator(E, Fraction(amp), "rational")
-    fld = max_field_fast(f, BasisSpec("axis", basis.k), r=trunc, shapes=shapes)
+    fld = max_field_fast(f, axis, r=trunc, shapes=list(shapes))
     return level_set(fld, 1), shapes
 
 
@@ -183,6 +188,50 @@ def rotation_preimage(
     return GridSet(tile_grid, mask)
 
 
+def _route(basis: BasisSpec, grid: DyadicGrid) -> int | None:
+    """How ``basis`` gets its level set on a tile ``grid``: 0 is the exact
+    axis level set, 1..3 that many quarter turns of it, None the
+    disk-certified preimage.
+
+    A quarter turn about the box center maps cells to cells only on a
+    physically square planar grid; elsewhere it takes the disk route like
+    any other angle."""
+    if basis.kind == "axis":
+        return 0
+    qt = quarter_turns(basis.gamma)
+    square = grid.n == 2 and len(set(grid.resolution)) == 1 and len(set(grid.side)) == 1
+    return qt if qt == 0 or (qt is not None and square) else None
+
+
+def _level_set(basis, tile_grid, E, amp, trunc, shapes, memo, certificate) -> GridSet:
+    """The certified level set a P for ``basis`` on ``tile_grid`` lies in.
+
+    Exact routes take the axis level set of amp*chi_E, kept in ``memo`` per
+    k, so a basis and its quarter-turn images cost one field; E is the
+    tile's E or a replica or refinement of it, with ``shapes`` to match.
+    The disk route locates the tile cells against the certificate."""
+    qt = _route(basis, tile_grid)
+    if qt is None:
+        return rotation_preimage(tile_grid, certificate.U, certificate.gamma, certificate.margin)
+    if basis.k not in memo:
+        memo[basis.k], _ = axis_level_set_exact(E, amp, trunc, basis, shapes)
+    return rot90_set(memo[basis.k], qt) if qt else memo[basis.k]
+
+
+def _within(w, key, memo, E=None, P=None, shapes=None) -> bool:
+    """Re-check that P lies in the certified level set of w's basis ``key``.
+
+    E and P default to w's own sets; a replica or refinement of them needs
+    ``shapes`` scaled to match.  A set certified on w's tile grid (the disk
+    route, or w's own E) is compared with w's own P."""
+    E = w.E if E is None else E
+    cert = w.certificates.get(key)
+    ls = _level_set(w.bases[key], w.grid, E, w.h, w.trunc, shapes, memo, cert)
+    if ls.grid == w.grid:
+        P = w.p_sets[key]
+    return (P - ls).popcount == 0
+
+
 @dataclass(frozen=True)
 class MPhiWitness:
     """A six-condition configuration (E, {P_B}, Q) on one tile grid.
@@ -211,21 +260,8 @@ class MPhiWitness:
     def verify(self, phi: GrowthFunction) -> dict:
         """Re-check all six conditions; exact except the rotated point maps."""
         results = {}
-        ok1 = True
-        for key, basis in self.bases.items():
-            P = self.p_sets[key]
-            qt = quarter_turns(basis.gamma) if basis.kind == "rotated" else 0
-            if basis.kind == "axis" or qt == 0:
-                ls, _ = axis_level_set_exact(self.E, self.h, self.trunc, basis)
-                ok1 &= (P - ls).popcount == 0
-            elif qt is not None:
-                base, _ = axis_level_set_exact(self.E, self.h, self.trunc, basis)
-                ok1 &= (P - rot90_set(base, qt)).popcount == 0
-            else:
-                cert = self.certificates[key]
-                again = rotation_preimage(self.grid, cert.U, cert.gamma, cert.margin)
-                ok1 &= (P - again).popcount == 0
-        results["levelset_containment"] = ok1
+        memo = {}
+        results["levelset_containment"] = all(_within(self, key, memo) for key in self.p_sets)
         results["common_resolution"] = all(
             P.grid == self.grid for P in self.p_sets.values()
         )
@@ -249,6 +285,57 @@ def _epsilon_for(grid: DyadicGrid, trunc: Fraction) -> Fraction:
     return max(Fraction(trunc), l1)
 
 
+def _witness(E, bases, amp, trunc, epsilon, phi, refine_extra, margin) -> MPhiWitness:
+    """The witness loop: each basis takes its certified level set as P.
+
+    All generic angles share one disk certificate: the inscribed disk of E,
+    its core K on a square-subcell refinement, and the axis level set U of
+    amp*chi_K over dyadic widths (a certified subset that keeps the family
+    small)."""
+    grid = E.grid
+    if len({b.k for b in bases}) != 1:
+        raise ValueError("witness bases must share k: they share one shape family")
+    axis = BasisSpec("axis", bases[0].k)
+    shapes = enumerate_shapes(axis, grid, r=trunc)
+    p_sets, basis_map, certificates, memo = {}, {}, {}, {}
+    disk = None
+    for basis in bases:
+        key = basis.describe()
+        basis_map[key] = basis
+        if _route(basis, grid) is None:
+            if disk is None:
+                center = _box_center(grid)
+                rho_sq = inscribed_radius_sq(E, center)
+                fine = grid.refine(_square_refine_bits(grid, refine_extra))
+                K = disk_core(fine, center, rho_sq)
+                ladder = dyadic_ladder(max(fine.shape))
+                fine_shapes = enumerate_shapes(axis, fine, r=trunc, ladder=ladder)
+                U, _ = axis_level_set_exact(K, amp, trunc, axis, fine_shapes)
+                disk = (U, K, rho_sq)
+            U, K, rho_sq = disk
+            certificates[key] = RotationCertificate(U, K, basis.gamma, rho_sq, margin)
+        P = _level_set(basis, grid, E, amp, trunc, shapes, memo, certificates.get(key))
+        if P.popcount == 0:
+            raise WitnessError(f"empty P set for basis {key}")
+        p_sets[key] = P
+    phi_h = phi(float(amp))
+    c = min(float(P.measure()) / (phi_h * float(E.measure())) for P in p_sets.values())
+    return MPhiWitness(
+        grid=grid,
+        h=amp,
+        epsilon=epsilon,
+        trunc=trunc,
+        E=E,
+        p_sets=p_sets,
+        bases=basis_map,
+        shapes=tuple(tuple(s) for s in shapes),
+        certificates=certificates,
+        c=c,
+        c_of_h=Fraction(E.popcount, grid.total_cells),
+        phi_at_h=phi_h,
+    )
+
+
 def build_tile_witness(
     tile_grid: DyadicGrid,
     bases,
@@ -263,58 +350,15 @@ def build_tile_witness(
     trunc = Fraction(trunc)
     if amp <= 1:
         raise ValueError("amplitude must exceed 1")
-    E = central_block(tile_grid)
-    center = _box_center(tile_grid)
-    p_sets, basis_map, certificates = {}, {}, {}
-    shapes_used = None
-    rot_cache = {}
-    for basis in bases:
-        key = basis.describe()
-        basis_map[key] = basis
-        qt = quarter_turns(basis.gamma) if basis.kind == "rotated" else 0
-        if basis.kind == "axis" or qt == 0:
-            P, shapes = axis_level_set_exact(E, amp, trunc, basis)
-            shapes_used = shapes
-        elif qt is not None:
-            base, shapes = axis_level_set_exact(E, amp, trunc, basis)
-            shapes_used = shapes
-            P = rot90_set(base, qt)
-        else:
-            if "rot" not in rot_cache:
-                rho_sq = inscribed_radius_sq(E, center)
-                bits = _square_refine_bits(tile_grid, refine_extra)
-                fine = tile_grid.refine(bits)
-                K = disk_core(fine, center, rho_sq)
-                # dyadic widths only on the refined grid: still a certified
-                # (subset) level set, but the family stays small
-                U, _ = axis_level_set_exact(
-                    K, amp, trunc, basis, ladder=dyadic_ladder(max(fine.shape))
-                )
-                rot_cache["rot"] = (U, K, rho_sq)
-            U, K, rho_sq = rot_cache["rot"]
-            P = rotation_preimage(tile_grid, U, basis.gamma, margin)
-            certificates[key] = RotationCertificate(U, K, basis.gamma, rho_sq, margin)
-        p_sets[key] = P
-    if shapes_used is None:
-        shapes_used = enumerate_shapes(BasisSpec("axis", bases[0].k), tile_grid, r=trunc)
-    phi_h = phi(float(amp))
-    e_meas = float(E.measure())
-    c = min(float(P.measure()) / (phi_h * e_meas) for P in p_sets.values())
-    if c <= 0:
-        raise WitnessError("some basis received an empty P set")
-    return MPhiWitness(
-        grid=tile_grid,
-        h=amp,
-        epsilon=_epsilon_for(tile_grid, trunc),
-        trunc=trunc,
-        E=E,
-        p_sets=p_sets,
-        bases=basis_map,
-        shapes=tuple(tuple(s) for s in shapes_used),
-        certificates=certificates,
-        c=c,
-        c_of_h=Fraction(E.popcount, tile_grid.total_cells),
-        phi_at_h=phi_h,
+    return _witness(
+        central_block(tile_grid),
+        list(bases),
+        amp,
+        trunc,
+        _epsilon_for(tile_grid, trunc),
+        phi,
+        refine_extra,
+        margin,
     )
 
 
@@ -351,51 +395,5 @@ def mphi_witness_for_rotations(
     E = GridSet(grid, d2 < float(r_cells) ** 2)
     if E.popcount < 4:
         raise WitnessError("ball too small at this resolution")
-    amp = Fraction(h)
-    center = _box_center(grid)
-    p_sets, basis_map, certificates = {}, {}, {}
-    shapes_used = None
-    rot_cache = {}
-    for gamma in gammas:
-        basis = BasisSpec("rotated", k, float(gamma))
-        key = basis.describe()
-        basis_map[key] = basis
-        qt = quarter_turns(basis.gamma)
-        if qt == 0:
-            P, shapes_used = axis_level_set_exact(E, amp, epsilon, basis)
-        elif qt is not None:
-            base, shapes_used = axis_level_set_exact(E, amp, epsilon, basis)
-            P = rot90_set(base, qt)
-        else:
-            if "rot" not in rot_cache:
-                rho_sq = inscribed_radius_sq(E, center)
-                fine = grid.refine((refine_extra, refine_extra))
-                K = disk_core(fine, center, rho_sq)
-                U, _ = axis_level_set_exact(
-                    K, amp, epsilon, basis, ladder=dyadic_ladder(max(fine.shape))
-                )
-                rot_cache["rot"] = (U, K, rho_sq)
-            U, K, rho_sq = rot_cache["rot"]
-            P = rotation_preimage(grid, U, basis.gamma, margin)
-            certificates[key] = RotationCertificate(U, K, basis.gamma, rho_sq, margin)
-        if P.popcount == 0:
-            raise WitnessError(f"empty P for rotation {float(gamma):.6g}")
-        p_sets[key] = P
-    if shapes_used is None:
-        shapes_used = enumerate_shapes(BasisSpec("axis", k), grid, r=epsilon)
-    phi_h = phi(float(amp))
-    c = min(float(P.measure()) / (phi_h * float(E.measure())) for P in p_sets.values())
-    return MPhiWitness(
-        grid=grid,
-        h=amp,
-        epsilon=epsilon,
-        trunc=epsilon,
-        E=E,
-        p_sets=p_sets,
-        bases=basis_map,
-        shapes=tuple(tuple(s) for s in shapes_used),
-        certificates=certificates,
-        c=c,
-        c_of_h=Fraction(E.popcount, grid.total_cells),
-        phi_at_h=phi_h,
-    )
+    bases = [BasisSpec("rotated", k, float(g)) for g in gammas]
+    return _witness(E, bases, Fraction(h), epsilon, epsilon, phi, refine_extra, margin)

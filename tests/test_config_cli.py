@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from gridhalo import cli
 from gridhalo.cli import main
 from gridhalo.config import ConfigError, ExperimentConfig, read_config_file
+from gridhalo.reports import RunReport
 
 
 class TestConfigFile:
@@ -135,6 +137,29 @@ class TestCli:
         capsys.readouterr()
         assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 0
         assert "cache hit" in capsys.readouterr().out
+
+    def test_failed_run_is_not_cached(self, tmp_path, monkeypatch, capsys):
+        def failing(config):
+            report = RunReport("maxfield", {})
+            report.check("always_fails", False)
+            return report
+
+        monkeypatch.setitem(cli._RUNNERS, "maxfield", failing)
+        out = str(tmp_path / "o")
+        assert _run(["maxfield", "--grid", "4", "--out", out]) == 4
+        capsys.readouterr()
+        assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 4
+        assert "cache hit" not in capsys.readouterr().out
+
+    def test_quarter_turn_on_anisotropic_tile_exits_3(self, tmp_path, capsys):
+        # the deep style's first tile is 4x8 cells, so the 90-degree basis
+        # takes the disk route there, which certifies no cell of this tile
+        rc = _run(
+            ["zygmund", "--depth", "1", "--rotations", "0,90", "--out", str(tmp_path)]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "infeasible" in err and "empty P" in err
 
     def test_rearrange_demo_runs_square_default(self, tmp_path):
         out = str(tmp_path / "o")

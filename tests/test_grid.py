@@ -1,4 +1,4 @@
-"""Grid primitives: cells, sets, step functions, rectangles, prefix sums."""
+"""Grid primitives: cells, sets, step functions, rectangles."""
 
 import math
 from fractions import Fraction
@@ -13,7 +13,6 @@ from gridhalo.grid import (
     DyadicGrid,
     GridSet,
     StepFunction,
-    integral_image,
     load_grid_set,
     load_step_function,
     save_grid_set,
@@ -178,22 +177,3 @@ class TestAxisRectAndPrefixSums:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             AxisRect((0, 0), (0, 2))
-
-    @given(
-        st.lists(st.integers(0, 5), min_size=16, max_size=16),
-        st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
-        st.tuples(st.integers(1, 4), st.integers(1, 4)),
-    )
-    @settings(max_examples=80)
-    def test_rect_sum_matches_direct_sum(self, vals, lo, size):
-        g = DyadicGrid((2, 2))
-        arr = np.array(vals, dtype=object).reshape(4, 4)
-        f = StepFunction(g, arr)
-        rect = AxisRect(lo, tuple(a + w for a, w in zip(lo, size)))
-        img = integral_image(f)
-        direct = sum(
-            arr[i, j]
-            for i in range(max(lo[0], 0), min(rect.hi[0], 4))
-            for j in range(max(lo[1], 0), min(rect.hi[1], 4))
-        )
-        assert img.rect_sum(rect) == Fraction(direct) * g.cell_volume

@@ -14,7 +14,6 @@ from gridhalo.maxop import (
     EmptyFamilyError,
     dyadic_ladder,
     enumerate_shapes,
-    geometric_ladder,
     level_set,
     max_field_brute,
     max_field_fast,
@@ -87,10 +86,6 @@ class TestShapeEnumeration:
         g = DyadicGrid((3, 3))
         shapes = enumerate_shapes(BasisSpec("axis", 2), g, ladder=dyadic_ladder(8))
         assert all(w in (1, 2, 4, 8) for s in shapes for w in s)
-
-    def test_geometric_ladder_contains_ends(self):
-        lad = geometric_ladder(11)
-        assert lad[0] == 1 and lad[-1] == 11
 
 
 class TestFieldRoutes:

@@ -1,5 +1,6 @@
 """Staged resonance pipeline: band selection, replication, unions, rearrangement."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -13,52 +14,21 @@ from gridhalo.maxop import BasisSpec
 from gridhalo.resonance import (
     InfeasibleError,
     ResolutionCapError,
+    VerificationError,
     build_divergent_sequences,
     build_rearrangement,
     build_resonance_function,
     check_independence,
-    partition_increasing,
     replicate_configuration,
     save_plan,
     save_rearrangement,
     select_level_sets,
     synthetic_resonance_input,
 )
+from gridhalo import resonance
 from gridhalo.witness import build_tile_witness
 
 PHI = log_power_growth(2)
-
-
-class TestPartitionIncreasing:
-    def test_linear_function_splits_evenly(self):
-        pts = partition_increasing(lambda t: t, 0.0, 1.0, 0.25)
-        assert pts[0] == 0.0 and pts[-1] == 1.0
-        assert len(pts) == 5
-        assert pts == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=1e-6)
-
-    def test_jump_becomes_its_own_breakpoint(self):
-        step = lambda t: 0.0 if t < 0.5 else 10.0
-        pts = partition_increasing(step, 0.0, 1.0, 1.0)
-        assert len(pts) == 3
-        assert pts[1] == pytest.approx(0.5, abs=1e-6)
-
-    def test_oscillation_bound_holds_per_piece(self):
-        phi = lambda t: t**2
-        eps = 0.3
-        pts = partition_increasing(phi, 0.0, 2.0, eps)
-        for a, b in zip(pts, pts[1:]):
-            assert phi(b) - phi(a) <= eps + 1e-6
-
-    def test_budget_exhaustion_reports_progress(self):
-        with pytest.raises(InfeasibleError) as ei:
-            partition_increasing(lambda t: 100 * t, 0.0, 1.0, 0.1, max_points=5)
-        assert len(ei.value.achieved) > 1
-
-    def test_bad_interval_and_eps(self):
-        with pytest.raises(ValueError):
-            partition_increasing(lambda t: t, 1.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            partition_increasing(lambda t: t, 0.0, 1.0, 0.0)
 
 
 def _banded_function(value, count, bits=(2, 2)):
@@ -132,6 +102,22 @@ class TestReplication:
         # every coarse cell holds the same number of E cells
         per_block = rep.E.mask.reshape(2, rep.E.mask.shape[0] // 2, 2, -1).sum((1, 3))
         assert len(set(per_block.ravel().tolist())) == 1
+
+    def test_cell_outside_rotation_certificate_is_caught(self, monkeypatch):
+        def tampered(*args, **kwargs):
+            w = build_tile_witness(*args, **kwargs)
+            p_sets = dict(w.p_sets)
+            for key in w.certificates:
+                mask = p_sets[key].mask.copy()
+                mask[tuple(np.argwhere(~mask)[0])] = True
+                p_sets[key] = GridSet(w.grid, mask)
+            return dataclasses.replace(w, p_sets=p_sets)
+
+        monkeypatch.setattr(resonance, "build_tile_witness", tampered)
+        f, pads = synthetic_resonance_input(PHI, 1, style="square")
+        bases = [BasisSpec("rotated", 2, math.pi / 8)]
+        with pytest.raises(VerificationError, match="containment"):
+            build_resonance_function(f, bases, PHI, 1, pads=pads)
 
     def test_target_above_density_rejected(self):
         w = build_tile_witness(

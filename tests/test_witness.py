@@ -1,8 +1,10 @@
 """Six-condition witness tiles and their rotation certificates."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gridhalo.grid import DyadicGrid, GridSet
@@ -11,6 +13,8 @@ from gridhalo.maxop import BasisSpec
 from gridhalo.rotate import rot90_set
 from gridhalo.witness import (
     WitnessError,
+    _route,
+    _within,
     axis_level_set_exact,
     build_tile_witness,
     central_block,
@@ -77,6 +81,13 @@ class TestAxisWitness:
         assert w.c_of_h == Fraction(4, 32)
         assert w.epsilon >= w.trunc
 
+    def test_bases_must_share_k(self):
+        # a witness records one shape family, which its re-checks reuse
+        g = DyadicGrid((2, 2))
+        bases = [BasisSpec("axis", 1), BasisSpec("axis", 2)]
+        with pytest.raises(ValueError, match="share k"):
+            build_tile_witness(g, bases, Fraction(9, 4), Fraction(1), PHI)
+
     def test_amplitude_must_exceed_one(self):
         g = DyadicGrid((2, 2))
         with pytest.raises(ValueError):
@@ -110,6 +121,38 @@ class TestRotationCertificates:
         assert pr.popcount > 0
         checks = w.verify(PHI)
         assert all(checks.values()), checks
+
+    def test_quarter_turn_route_needs_a_physically_square_tile(self):
+        quarter = BasisSpec("rotated", 2, math.pi / 2)
+        assert _route(quarter, DyadicGrid((3, 3))) == 1
+        assert _route(quarter, DyadicGrid((3, 2))) is None
+        # equal resolutions on a 1 x 1/2 box: a quarter turn about its
+        # center does not map cells to cells
+        wide = DyadicGrid((3, 3), side=(Fraction(1), Fraction(1, 2)))
+        assert _route(quarter, wide) is None
+        assert _route(BasisSpec("rotated", 2, 0.0), wide) == 0
+        assert _route(BasisSpec("axis", 2), wide) == 0
+
+    def test_quarter_turn_on_non_square_tile_is_infeasible_not_a_crash(self):
+        # the disk route locates rotated cell centers on subcell walls here,
+        # so it certifies no cell: an infeasible witness, not a ValueError
+        g = DyadicGrid((2, 3))
+        bases = [BasisSpec("rotated", 2, 0.0), BasisSpec("rotated", 2, math.pi / 2)]
+        with pytest.raises(WitnessError, match="empty P"):
+            build_tile_witness(g, bases, Fraction(5, 2), Fraction(1, 2), PHI)
+
+    def test_extra_cell_outside_certificate_is_rejected(self):
+        g = DyadicGrid((3, 3))
+        basis = BasisSpec("rotated", 2, math.pi / 4)
+        key = basis.describe()
+        w = build_tile_witness(g, [basis], Fraction(5, 2), Fraction(1, 2), PHI)
+        assert _within(w, key, {})
+        P = w.p_sets[key]
+        outside = tuple(np.argwhere(~P.mask)[0])
+        grown = GridSet.from_indices(g, [*map(tuple, np.argwhere(P.mask)), outside])
+        bad = dataclasses.replace(w, p_sets={key: grown})
+        assert not _within(bad, key, {})
+        assert not bad.verify(PHI)["levelset_containment"]
 
     def test_rotation_preimage_deterministic(self):
         g = DyadicGrid((3, 3))
