@@ -128,9 +128,7 @@ def halo_estimate(
         raise ValueError("t/r sample lists must be nonempty")
     if any(t <= 1 for t in t_list) and not weak:
         raise ValueError("truncation multipliers must satisfy t > 1")
-    n = 2 if probe.basis.kind == "rotated" else None
-    bits = probe.grid_bits
-    grid = DyadicGrid((bits, bits) if n in (None, 2) else (bits,) * n)
+    grid = DyadicGrid((probe.grid_bits,) * 2)
     basis = (
         BasisSpec("axis", probe.basis.k)
         if probe.basis.kind == "rotated"

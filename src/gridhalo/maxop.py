@@ -1,9 +1,12 @@
 """Truncated maximal-operator fields over rectangle bases.
 
 Two routes compute the same field: a brute accumulation (per shape, direct
-repeated-addition window sums and a linear scan over placements) and a
-fast one (prefix sums + doubling sliding maximum).  In rational mode both
-work on common-denominator integers, so they must agree bit for bit.
+repeated-addition window sums and a linear scan over placements), kept as
+the oracle, and the production one (prefix sums + sparse-table sliding
+maximum).  In rational mode both work on common-denominator integers
+(int64, or Python ints when int64 could overflow), so they must agree bit
+for bit; a field keeps only that integer payload, and level sets compare
+it cross-multiplied against the threshold.
 
 Evaluation point is the cell center; since admissible rectangles are
 cell-aligned, "contains the center" and "contains the cell" coincide.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -67,20 +71,31 @@ class BasisSpec:
 
 @dataclass(frozen=True, eq=False)
 class MaxField:
-    """Per-cell truncated maximal function values at cell centers."""
+    """Per-cell truncated maximal function values at cell centers.
+
+    Rational mode keeps the exact payload value = num / (den * scale), as
+    int64 arrays or, when int64 could overflow, object arrays of ints.
+    Double mode keeps the averages themselves in ``num`` and ``den`` is None.
+    """
 
     grid: DyadicGrid
-    values: np.ndarray
     basis: BasisSpec
     r: object  # truncation radius (Fraction or None for infinity)
-    mode: str = "rational"
-    # exact int64 payload when available: value = num / (den * scale)
-    num: np.ndarray | None = None
-    den: np.ndarray | None = None
+    mode: str
+    num: np.ndarray
+    den: np.ndarray | None
     scale: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values))
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The field as Fractions (rational mode) or floats, built on first use."""
+        if self.den is None:
+            return self.num
+        pairs = list(zip(self.num.ravel().tolist(), self.den.ravel().tolist()))
+        table = {p: Fraction(p[0], p[1] * self.scale) for p in set(pairs)}
+        out = np.empty(len(pairs), dtype=object)
+        out[:] = [table[p] for p in pairs]
+        return out.reshape(self.grid.shape)
 
 
 def dyadic_ladder(maxw: int) -> list[int]:
@@ -167,18 +182,12 @@ def _prepare_values(f: StepFunction):
 def _window_sums_fast(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
     """Placement sums via prefix sums; output length N + w - 1 along axis."""
     arr = np.moveaxis(arr, axis, -1)
-    n = arr.shape[-1]
-    c = np.concatenate(
-        [np.zeros(arr.shape[:-1] + (1,), dtype=arr.dtype), np.cumsum(arr, axis=-1)],
-        axis=-1,
-    )
-    # placement a has lo = a-w+1; clipped sum = c[min(a+1,n)] - c[max(a-w+1,0)]
-    last = c[..., n:]
-    first = c[..., :1]
-    hi = np.concatenate([c[..., 1:], np.repeat(last, w - 1, axis=-1)], axis=-1) if w > 1 else c[..., 1:]
-    lo = np.concatenate([np.repeat(first, w - 1, axis=-1), c[..., :n]], axis=-1) if w > 1 else c[..., :n]
-    out = hi - lo
-    return np.moveaxis(out, -1, axis)
+    # c[i] = sum of arr[:i] (zeros_like keeps object zeros Python ints);
+    # edge padding clips every window to the box, so placement a (cells
+    # a-w+1 .. a) sums to c[a + w] - c[a] after padding
+    c = np.cumsum(np.concatenate([np.zeros_like(arr[..., :1]), arr], axis=-1), axis=-1)
+    c = np.pad(c, [(0, 0)] * (arr.ndim - 1) + [(w - 1, w - 1)], mode="edge")
+    return np.moveaxis(c[..., w:] - c[..., :-w], -1, axis)
 
 
 def _window_sums_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -194,25 +203,16 @@ def _window_sums_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
 
 
 def _sliding_max_fast(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """max over arr[i : i+w]; output length L-w+1 along axis."""
+    """max over arr[i : i+w] by sparse-table doubling (exact for every
+    dtype); output length L-w+1 along axis."""
     arr = np.moveaxis(arr, axis, -1)
-    L = arr.shape[-1]
     if w > 1:
-        if arr.dtype == object:
-            # sparse-table doubling (dtype-agnostic, exact)
-            p = 1 << (w.bit_length() - 1)
-            step = 1
-            m = arr
-            while step < p:
-                m = np.maximum(m[..., : m.shape[-1] - step], m[..., step:])
-                step *= 2
-            arr = np.maximum(m[..., : m.shape[-1] - (w - p)], m[..., w - p :])
-        else:
-            from scipy.ndimage import maximum_filter1d
-
-            # origin = -(w//2) makes the window for output i equal [i, i+w)
-            arr = maximum_filter1d(arr, size=w, axis=-1, origin=-(w // 2), mode="nearest")
-            arr = arr[..., : L - w + 1]
+        p = 1 << (w.bit_length() - 1)
+        step = 1
+        while step < p:
+            arr = np.maximum(arr[..., :-step], arr[..., step:])
+            step *= 2
+        arr = np.maximum(arr[..., : arr.shape[-1] - (w - p)], arr[..., w - p :])
     return np.moveaxis(arr, -1, axis)
 
 
@@ -226,33 +226,13 @@ def _placement_max_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _field_values(best_num, best_den, den, exact):
-    if not exact:
-        return best_num  # already averages
-    flat_num = best_num.ravel()
-    flat_den = best_den.ravel()
-    if best_num.dtype != object:
-        # few distinct (numerator, denominator) pairs ever occur; build the
-        # Fractions once per pair and broadcast
-        pairs = np.stack([flat_num, flat_den])
-        uniq, inverse = np.unique(pairs, axis=1, return_inverse=True)
-        table = np.empty(uniq.shape[1], dtype=object)
-        table[:] = [Fraction(int(s), int(d) * den) for s, d in zip(*uniq)]
-        return table[inverse].reshape(best_num.shape)
-    vals = np.empty(flat_num.shape, dtype=object)
-    vals[:] = [Fraction(int(s), int(d) * den) for s, d in zip(flat_num, flat_den)]
-    return vals.reshape(best_num.shape)
-
-
-def _accumulate(best_num, best_den, S, d, exact):
+def _accumulate(best_num, best_den, S, d):
     """Pointwise keep the larger average; exact compare is cross-multiplied."""
-    if exact:
-        better = S * best_den > best_num * d
-        best_num = np.where(better, S, best_num)
-        best_den = np.where(better, d, best_den)
-        return best_num, best_den
-    np.maximum(best_num, S / d, out=best_num)
-    return best_num, best_den
+    if best_den is None:
+        np.maximum(best_num, S / d, out=best_num)
+        return best_num, None
+    better = S * best_den > best_num * d
+    return np.where(better, S, best_num), np.where(better, d, best_den)
 
 
 def _max_field(
@@ -274,12 +254,8 @@ def _max_field(
     elif not shapes:
         raise EmptyFamilyError("empty explicit shape list")
     arr, den, exact = _prepare_values(f)
-    if exact:
-        best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
-        best_den = np.ones(f.grid.shape, dtype=np.int64 if arr.dtype != object else object)
-    else:
-        best_num = np.zeros(f.grid.shape)
-        best_den = None
+    best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
+    best_den = np.ones(f.grid.shape, dtype=arr.dtype) if exact else None
     for shape in shapes:
         S = arr
         for ax, w in enumerate(shape):
@@ -289,22 +265,9 @@ def _max_field(
         d = 1
         for w in shape:
             d *= w
-        best_num, best_den = _accumulate(best_num, best_den, S, d, exact)
-    values = _field_values(best_num, best_den, den, exact)
-    num_arr = den_arr = None
-    scale = 1
-    if exact and best_num.dtype != object:
-        num_arr, den_arr, scale = best_num, best_den, den
-    return MaxField(
-        f.grid,
-        values,
-        basis,
-        None if r is None else Fraction(r),
-        f.mode,
-        num=num_arr,
-        den=den_arr,
-        scale=scale,
-    )
+        best_num, best_den = _accumulate(best_num, best_den, S, d)
+    r = None if r is None else Fraction(r)
+    return MaxField(f.grid, basis, r, f.mode, best_num, best_den, den)
 
 
 def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
@@ -325,21 +288,18 @@ def level_set(field: MaxField, lam) -> GridSet:
     """Cells where the field value is strictly greater than lam."""
     if lam < 0:
         raise ValueError("threshold must be >= 0")
-    if field.mode == "rational":
-        lam = Fraction(lam)
-        if field.num is not None:
-            # exact cross-multiplied compare; fall back if it could overflow
-            p, q = lam.numerator, lam.denominator
-            lim = (1 << 62) // max(q, 1)
-            if int(np.abs(field.num).max(initial=0)) < lim and p * int(
-                field.den.max(initial=1)
-            ) * field.scale < (1 << 62):
-                mask = field.num * q > field.den * (p * field.scale)
-                return GridSet(field.grid, mask)
-        mask = np.array([v > lam for v in field.values.ravel()]).reshape(field.grid.shape)
-    else:
-        mask = field.values > float(lam)
-    return GridSet(field.grid, mask)
+    if field.den is None:
+        return GridSet(field.grid, field.num > float(lam))
+    lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
+    num, den, rhs = field.num, field.den, p * field.scale
+    # cross-multiplied compare; widen to Python ints if int64 could overflow
+    if num.dtype != object and not (
+        int(np.abs(num).max(initial=0)) < (1 << 62) // q
+        and rhs * int(den.max(initial=1)) < (1 << 62)
+    ):
+        num, den = num.astype(object), den.astype(object)
+    return GridSet(field.grid, num * q > den * rhs)
 
 
 def save_max_field(field: MaxField, path):

@@ -284,12 +284,12 @@ def replicate_configuration(
 # independence
 
 
-def check_independence(sets, max_subset: int = 3) -> list[dict]:
+def check_independence(sets) -> list[dict]:
     """Product rule |∩ A_i| = ∏|A_i| (relative measures) for every subset
-    of size 2..max_subset, in exact rational arithmetic."""
+    of two or more sets, in exact rational arithmetic."""
     sets = list(sets)
     report = []
-    for size in range(2, min(max_subset, len(sets)) + 1):
+    for size in range(2, len(sets) + 1):
         for combo in itertools.combinations(range(len(sets)), size):
             inter = sets[combo[0]].mask
             rhs = sets[combo[0]].relative_measure()
@@ -485,7 +485,7 @@ def build_resonance_function(
         containment_ok[key] = tuple(per_stage)
 
     independence = {
-        key: check_independence(p_final[key], max_subset=3) for key in basis_keys
+        key: check_independence(p_final[key]) for key in basis_keys
     }
 
     union_masses = {}

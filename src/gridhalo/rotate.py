@@ -1,10 +1,11 @@
 """Rotated planar rectangles: exact clipping averages and quarter-turn maps.
 
 For a rotation by a multiple of pi/2 on a square grid everything maps
-cell-to-cell, so those paths are exact index permutations.  Averages over
+cell-to-cell, so ``rot90_set`` is an exact index permutation.  Averages over
 generic-angle rectangles go through convex polygon / cell clipping; they
-are floating point, a reference only: the certified rotated level sets come
-from gridhalo.witness.
+are floating point.  Both are references for tests only: the certified
+rotated level sets come from gridhalo.witness, where a quarter-turn basis
+is the axis basis itself.
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 A witness is a set E inside a box Q together with, for each basis in the
 family, a set P contained in the level set {M^(trunc)(h chi_E) > 1}, plus
-the measured constants.  Axis-parallel bases (and 0 degrees) get P as the
-exact rational level set, quarter turns on a physically square tile its
-exact coordinate-mapped image.  Every other rotation, quarter turns on
-non-square tiles included, gets P through a disk reduction that stays
-certified without any rotated-measure computation:
+the measured constants.  Axis-parallel bases and every quarter turn get P
+as the exact rational axis level set: turning a rectangle by a multiple of
+90 degrees about its own center swaps its edges, and the family with at
+most k distinct edge lengths is closed under that, so a quarter-turn basis
+is the axis basis itself on any tile.  Every other rotation gets P through
+a disk reduction that stays certified without any rotated-measure
+computation:
 
     E contains a closed disk D about the box center O (radius = the
     inscribed radius of E).  If an axis rectangle R0 satisfies
@@ -34,7 +36,7 @@ import numpy as np
 from .grid import DyadicGrid, GridSet, StepFunction
 from .growth import GrowthFunction
 from .maxop import BasisSpec, dyadic_ladder, enumerate_shapes, level_set, max_field_fast
-from .rotate import quarter_turns, rot90_set
+from .rotate import quarter_turns
 
 __all__ = [
     "MPhiWitness",
@@ -188,34 +190,30 @@ def rotation_preimage(
     return GridSet(tile_grid, mask)
 
 
-def _route(basis: BasisSpec, grid: DyadicGrid) -> int | None:
-    """How ``basis`` gets its level set on a tile ``grid``: 0 is the exact
-    axis level set, 1..3 that many quarter turns of it, None the
-    disk-certified preimage.
+def _route(basis: BasisSpec) -> int | None:
+    """How ``basis`` gets its level set: 0 is the exact axis level set,
+    None the disk-certified preimage.
 
-    A quarter turn about the box center maps cells to cells only on a
-    physically square planar grid; elsewhere it takes the disk route like
-    any other angle."""
-    if basis.kind == "axis":
+    A quarter turn about a rectangle's own center swaps its edges, and the
+    family with at most k distinct edge lengths is closed under that swap,
+    so a quarter-turn basis is the axis basis itself, on any tile."""
+    if basis.kind == "axis" or quarter_turns(basis.gamma) is not None:
         return 0
-    qt = quarter_turns(basis.gamma)
-    square = grid.n == 2 and len(set(grid.resolution)) == 1 and len(set(grid.side)) == 1
-    return qt if qt == 0 or (qt is not None and square) else None
+    return None
 
 
 def _level_set(basis, tile_grid, E, amp, trunc, shapes, memo, certificate) -> GridSet:
     """The certified level set a P for ``basis`` on ``tile_grid`` lies in.
 
-    Exact routes take the axis level set of amp*chi_E, kept in ``memo`` per
-    k, so a basis and its quarter-turn images cost one field; E is the
+    The exact route takes the axis level set of amp*chi_E, kept in ``memo``
+    per k, so an axis basis and its quarter turns cost one field; E is the
     tile's E or a replica or refinement of it, with ``shapes`` to match.
     The disk route locates the tile cells against the certificate."""
-    qt = _route(basis, tile_grid)
-    if qt is None:
+    if _route(basis) is None:
         return rotation_preimage(tile_grid, certificate.U, certificate.gamma, certificate.margin)
     if basis.k not in memo:
         memo[basis.k], _ = axis_level_set_exact(E, amp, trunc, basis, shapes)
-    return rot90_set(memo[basis.k], qt) if qt else memo[basis.k]
+    return memo[basis.k]
 
 
 def _within(w, key, memo, E=None, P=None, shapes=None) -> bool:
@@ -261,7 +259,11 @@ class MPhiWitness:
         """Re-check all six conditions; exact except the rotated point maps."""
         results = {}
         memo = {}
-        results["levelset_containment"] = all(_within(self, key, memo) for key in self.p_sets)
+        # Q is the grid's box: E and every P lie in it iff they are sets of its grid
+        in_box = all(s.grid == self.grid for s in (self.E, *self.p_sets.values()))
+        results["levelset_containment"] = in_box and all(
+            _within(self, key, memo) for key in self.p_sets
+        )
         results["common_resolution"] = all(
             P.grid == self.grid for P in self.p_sets.values()
         )
@@ -270,7 +272,7 @@ class MPhiWitness:
             float(P.measure()) >= self.c * phi_h * float(self.E.measure()) - 1e-12
             for P in self.p_sets.values()
         )
-        results["containment_in_box"] = True  # E and P are grid sets of Q's grid
+        results["containment_in_box"] = in_box
         results["box_diameter"] = self.box_diam_sq() < self.epsilon**2
         results["e_density"] = self.E.measure() >= self.c_of_h * self.grid.box_volume
         return results
@@ -302,7 +304,7 @@ def _witness(E, bases, amp, trunc, epsilon, phi, refine_extra, margin) -> MPhiWi
     for basis in bases:
         key = basis.describe()
         basis_map[key] = basis
-        if _route(basis, grid) is None:
+        if _route(basis) is None:
             if disk is None:
                 center = _box_center(grid)
                 rho_sq = inscribed_radius_sq(E, center)

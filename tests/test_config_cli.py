@@ -1,11 +1,13 @@
 """Configuration parsing and the experiment command line."""
 
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from gridhalo import cli
+from gridhalo import cli, experiments
 from gridhalo.cli import main
 from gridhalo.config import ConfigError, ExperimentConfig, read_config_file
 from gridhalo.reports import RunReport
@@ -151,15 +153,44 @@ class TestCli:
         assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 4
         assert "cache hit" not in capsys.readouterr().out
 
-    def test_quarter_turn_on_anisotropic_tile_exits_3(self, tmp_path, capsys):
-        # the deep style's first tile is 4x8 cells, so the 90-degree basis
-        # takes the disk route there, which certifies no cell of this tile
+    def test_quarter_turn_on_anisotropic_tile_exits_0(self, tmp_path):
+        # the deep style's first tile is 4x8 cells; a 90-degree basis is the
+        # axis basis itself there, so both rotations get the same masses
         rc = _run(
             ["zygmund", "--depth", "1", "--rotations", "0,90", "--out", str(tmp_path)]
         )
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "infeasible" in err and "empty P" in err
+        assert rc == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert all(item["ok"] for item in doc["verified"])
+        by_angle = {}
+        for row in doc["rows"]:
+            by_angle.setdefault(row["gamma_deg"], []).append(row["union_mass_exact"])
+        assert by_angle[0.0] == by_angle[90.0]
+
+    def test_rearrangement_moving_cells_off_the_domain_exits_4(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real = experiments.build_rearrangement
+
+        def swapped(f, plan):
+            # swap two cells that no stage set E_k and no band A_k touches
+            omega = real(f, plan)
+            extra = tuple(r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution))
+            domain = np.zeros(plan.final_grid.shape, dtype=bool)
+            for E in plan.e_final:
+                domain |= E.mask
+            for A, _, _ in plan.selection.entries:
+                domain |= A.refine(extra).mask
+            a, b = np.flatnonzero(~domain.ravel())[:2]
+            perm = omega.perm.copy()
+            perm[[a, b]] = perm[[b, a]]
+            return dataclasses.replace(omega, perm=perm)
+
+        monkeypatch.setattr(experiments, "build_rearrangement", swapped)
+        assert _run(["rearrange", "--out", str(tmp_path / "o")]) == 4
+        out = capsys.readouterr().out
+        assert "FAIL identity_outside_domain" in out
+        assert "ok   is_permutation" in out and "ok   rearranged_dominates_g" in out
 
     def test_rearrange_demo_runs_square_default(self, tmp_path):
         out = str(tmp_path / "o")

@@ -1,5 +1,8 @@
 """Maximal-operator fields: dual-route equality and a from-scratch oracle."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -166,13 +169,53 @@ class TestLevelSet:
 
     def test_int64_and_object_paths_agree(self):
         g = DyadicGrid((2, 2))
+        basis = BasisSpec("axis", 2)
         f = random_step(g, np.random.default_rng(9))
-        fld = max_field_fast(f, BasisSpec("axis", 2))
-        fast_mask = level_set(fld, Fraction(3, 2)).mask
-        slow = np.array(
-            [v > Fraction(3, 2) for v in fld.values.ravel()]
-        ).reshape(g.shape)
-        assert np.array_equal(fast_mask, slow)
+        E = GridSet(g, np.random.default_rng(9).random(g.shape) < 0.3)
+        c = E.popcount
+        # on 16 cells the payload stays int64 while 16 * 1.01 * sum(f) < 2^61
+        # (_prepare_values); heights h with h * c = 2^56 and > 2^57 straddle it
+        cases = [(f, np.int64)]
+        for h, dtype in ((2**56 // c, np.int64), (2**57 // c + 1, object)):
+            cases.append((StepFunction.indicator(E, h), dtype))
+        for f, dtype in cases:
+            fld = max_field_fast(f, basis)
+            assert fld.num.dtype == dtype
+            assert np.array_equal(fld.values, max_field_brute(f, basis).values)
+            top = max(fld.values.ravel())
+            # num * q and p * scale * den below and above level_set's 2^62
+            # guard: small p/q, q = 2^9 against num ~ 2^56, and p = 2^62
+            for lam in (
+                Fraction(3, 2),
+                top / 2,
+                top / 2 + Fraction(1, 2**9),
+                Fraction(1, 2**9),
+                Fraction(2**62),
+            ):
+                fast_mask = level_set(fld, lam).mask
+                slow = np.array([v > lam for v in fld.values.ravel()]).reshape(g.shape)
+                assert np.array_equal(fast_mask, slow)
+            assert 0 < level_set(fld, top / 2).popcount < g.total_cells
+
+    def test_kernel_needs_no_scipy_ndimage(self):
+        import gridhalo
+
+        code = (
+            "import sys\n"
+            "from gridhalo.grid import DyadicGrid, StepFunction\n"
+            "from gridhalo.maxop import BasisSpec, max_field_fast\n"
+            "from gridhalo.witness import central_block\n"
+            "f = StepFunction.indicator(central_block(DyadicGrid((3, 3))), 5)\n"
+            "max_field_fast(f, BasisSpec('axis', 2))\n"
+            "max_field_fast(StepFunction(f.grid, f.values, 'double'), BasisSpec('axis', 2))\n"
+            "print('scipy.ndimage' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(gridhalo.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     @given(st.integers(0, 2**16 - 1))
     @settings(max_examples=20, deadline=None)

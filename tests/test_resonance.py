@@ -137,6 +137,20 @@ class TestIndependence:
         bad = check_independence([rows, rows])
         assert not any(r["ok"] for r in bad)
 
+    def test_every_subset_is_checked(self):
+        # three bit sets of the cell index and their odd-parity set are
+        # 3-wise independent, but all four meet in one cell: 1/8 != 1/16
+        g = DyadicGrid((1, 2))
+        idx = np.arange(8).reshape(g.shape)
+        bits = [GridSet(g, (idx >> b) & 1 == 1) for b in range(3)]
+        parity = GridSet(g, (bits[0].mask ^ bits[1].mask ^ bits[2].mask))
+        report = check_independence([*bits, parity])
+        assert len(report) == 2**4 - 4 - 1
+        assert all(r["ok"] for r in report if len(r["subset"]) < 4)
+        (full,) = [r for r in report if len(r["subset"]) == 4]
+        assert full["intersection"] == Fraction(1, 8) != full["product"]
+        assert not full["ok"]
+
 
 @pytest.fixture(scope="module")
 def square_plan():

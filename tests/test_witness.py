@@ -122,24 +122,35 @@ class TestRotationCertificates:
         checks = w.verify(PHI)
         assert all(checks.values()), checks
 
-    def test_quarter_turn_route_needs_a_physically_square_tile(self):
-        quarter = BasisSpec("rotated", 2, math.pi / 2)
-        assert _route(quarter, DyadicGrid((3, 3))) == 1
-        assert _route(quarter, DyadicGrid((3, 2))) is None
-        # equal resolutions on a 1 x 1/2 box: a quarter turn about its
-        # center does not map cells to cells
-        wide = DyadicGrid((3, 3), side=(Fraction(1), Fraction(1, 2)))
-        assert _route(quarter, wide) is None
-        assert _route(BasisSpec("rotated", 2, 0.0), wide) == 0
-        assert _route(BasisSpec("axis", 2), wide) == 0
+    def test_quarter_turns_take_the_axis_route(self):
+        # a quarter turn about a rectangle's own center swaps its edges, and
+        # the family with <= k distinct edge lengths is closed under that
+        for turns in range(-1, 5):
+            assert _route(BasisSpec("rotated", 2, turns * math.pi / 2)) == 0
+        assert _route(BasisSpec("axis", 2)) == 0
+        assert _route(BasisSpec("rotated", 2, math.pi / 4)) is None
 
-    def test_quarter_turn_on_non_square_tile_is_infeasible_not_a_crash(self):
-        # the disk route locates rotated cell centers on subcell walls here,
-        # so it certifies no cell: an infeasible witness, not a ValueError
-        g = DyadicGrid((2, 3))
+    def test_quarter_turn_on_non_square_tile_is_the_axis_set(self):
         bases = [BasisSpec("rotated", 2, 0.0), BasisSpec("rotated", 2, math.pi / 2)]
-        with pytest.raises(WitnessError, match="empty P"):
-            build_tile_witness(g, bases, Fraction(5, 2), Fraction(1, 2), PHI)
+        wide = DyadicGrid((3, 3), side=(Fraction(1), Fraction(1, 2)))
+        for g in (DyadicGrid((2, 3)), wide):
+            w = build_tile_witness(g, bases, Fraction(5, 2), Fraction(1, 2), PHI)
+            p0, p90 = (w.p_sets[b.describe()] for b in bases)
+            assert p0.popcount > 0 and p0 == p90
+            assert p0 == axis_level_set_exact(
+                w.E, w.h, w.trunc, BasisSpec("axis", 2), w.shapes
+            )[0]
+            assert all(w.verify(PHI).values())
+
+    def test_set_off_the_tile_grid_fails_containment_in_box(self):
+        g = DyadicGrid((2, 2))
+        w = build_tile_witness(g, [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1), PHI)
+        assert w.verify(PHI)["containment_in_box"]
+        beside = DyadicGrid((2, 2), origin=(Fraction(1), Fraction(0)))
+        moved = dataclasses.replace(w, E=GridSet(beside, w.E.mask))
+        checks = moved.verify(PHI)
+        assert not checks["containment_in_box"]
+        assert not checks["levelset_containment"]
 
     def test_extra_cell_outside_certificate_is_rejected(self):
         g = DyadicGrid((3, 3))
