@@ -8,7 +8,7 @@ ones; command-line overrides are merged last.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["ConfigError", "read_config_file", "ExperimentConfig"]
 
@@ -83,7 +83,6 @@ class ExperimentConfig:
     mode: str = "rational"
     seed: int = 0
     use_ladder: bool = True
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -144,15 +143,14 @@ class ExperimentConfig:
             if tok not in ("true", "false", "0", "1"):
                 raise ConfigError("use_ladder must be boolean")
             kw["use_ladder"] = tok in ("true", "1")
-        kw["extras"] = mapping
+        if mapping:
+            raise ConfigError(f"unknown config key(s): {', '.join(sorted(mapping))}")
         return cls(**kw)
 
     def canonical_text(self) -> str:
         """Stable text form, used for content-hash caching."""
         items = []
         for name in sorted(self.__dataclass_fields__):
-            if name in ("out", "extras"):
-                continue
-            items.append(f"{name}={getattr(self, name)!r}")
-        items.extend(f"x.{k}={v!r}" for k, v in sorted(self.extras.items()))
+            if name != "out":
+                items.append(f"{name}={getattr(self, name)!r}")
         return "\n".join(items)

@@ -16,9 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .grid import DyadicGrid, GridSet, StepFunction, save_step_function
+from .grid import DyadicGrid, GridSet, StepFunction, _scaled, save_step_function
 from .growth import log_power_growth
 from .halo import (
+    DomainTooSmallError,
     HaloProbe,
     halo_estimate,
     halo_fit,
@@ -36,6 +37,7 @@ from .maxop import (
 )
 from .reports import RunReport
 from .resonance import (
+    InfeasibleError,
     build_rearrangement,
     build_resonance_function,
     save_plan,
@@ -71,7 +73,6 @@ def run_halo(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     basis = BasisSpec("axis", config.k)
     phis = []
-    clipped_any = False
     for h in config.h_list:
         probe = HaloProbe(
             basis,
@@ -82,7 +83,12 @@ def run_halo(config: ExperimentConfig) -> RunReport:
         )
         est = halo_estimate(probe, config.t_list, config.r_list)
         clipped = any(s.clipped for s in est.samples)
-        clipped_any |= clipped
+        if clipped:
+            # a resolution limit of the sample, not an invariant failure
+            raise DomainTooSmallError(
+                f"level set for h={h:g} reaches the boundary of the grid with "
+                f"2^{config.grid_bits} cells per axis; use a finer grid or smaller h"
+            )
         phis.append(est.phi_hat)
         report.rows.append(
             {
@@ -100,7 +106,7 @@ def run_halo(config: ExperimentConfig) -> RunReport:
     report.check(
         "phi_over_h_monotone", all(a < b for a, b in zip(ratios, ratios[1:]))
     )
-    report.check("no_boundary_clipping", not clipped_any)
+    report.check("no_boundary_clipping", not any(row["clipped"] for row in report.rows))
     report.check("band_positive", lo > 0)
     report.timings["total"] = time.perf_counter() - t0
     return report
@@ -176,6 +182,13 @@ def _partial_unions(plan, key):
     return out
 
 
+def _require_half_union_mass(plan, depth: int) -> None:
+    """A union mass below 1/2 is a limit of the depth (exit 3), not a bug."""
+    short = [f"{key} reaches {u}" for key, (u, _, _) in plan.union_masses.items() if u < 0.5]
+    if short:
+        raise InfeasibleError(f"union mass below 1/2 at depth {depth}: {', '.join(short)}")
+
+
 def run_zygmund(config: ExperimentConfig) -> RunReport:
     """Per-rotation witness + staged divergence masses against Λ = {I(γ)}."""
     if config.n != 2:
@@ -210,6 +223,7 @@ def run_zygmund(config: ExperimentConfig) -> RunReport:
                 }
             )
     report.check("plan_verified", plan.verified())
+    _require_half_union_mass(plan, config.depth)
     report.check(
         "final_masses_at_least_half",
         all(u >= Fraction(1, 2) for u, _, _ in plan.union_masses.values()),
@@ -264,6 +278,7 @@ def run_resonance(config: ExperimentConfig) -> RunReport:
     report.check(
         "union_identity", all(ok for _, _, ok in plan.union_masses.values())
     )
+    _require_half_union_mass(plan, config.depth)
     report.check(
         "union_at_least_half",
         all(u >= Fraction(1, 2) for u, _, _ in plan.union_masses.values()),
@@ -296,28 +311,21 @@ def run_rearrangement_demo(config: ExperimentConfig) -> RunReport:
     extra = tuple(
         r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)
     )
-    f_fine = f.refine(extra) if any(extra) else f
-    before = f_fine.values.ravel()
+    nums = np.unique(f.num)
+    before = np.searchsorted(nums, f.refine(extra).num.ravel())
     after = before[omega.perm]
-    counts_before: dict = {}
-    counts_after: dict = {}
-    for v in before:
-        counts_before[v] = counts_before.get(v, 0) + 1
-    for v in after:
-        counts_after[v] = counts_after.get(v, 0) + 1
-    for v in sorted(counts_before):
+    counts_before = np.bincount(before, minlength=len(nums))
+    counts_after = np.bincount(after, minlength=len(nums))
+    for p, b, a in zip(nums.tolist(), counts_before.tolist(), counts_after.tolist()):
         report.rows.append(
-            {
-                "value": str(v),
-                "cells_before": counts_before[v],
-                "cells_after": counts_after.get(v, 0),
-            }
+            {"value": str(Fraction(p, f.den)), "cells_before": b, "cells_after": a}
         )
     report.check("is_permutation", omega.is_permutation())
-    report.check("histogram_preserved", counts_before == counts_after)
+    report.check("histogram_preserved", np.array_equal(counts_before, counts_after))
+    g = plan.g
     report.check(
         "rearranged_dominates_g",
-        bool(all(a >= g for a, g in zip(after, plan.g.values.ravel()))),
+        bool(np.all(_scaled(nums, g.den)[after] >= _scaled(g.num.ravel(), f.den))),
     )
     # the domain is every cell a stage set E_k or a band A_k touches
     domain = np.zeros(plan.final_grid.shape, dtype=bool)
@@ -343,10 +351,7 @@ def run_maxfield(config: ExperimentConfig) -> RunReport:
     grid = DyadicGrid((config.grid_bits,) * config.n)
     E = central_block(grid)
     amp = config.h_list[0]
-    if config.mode == "rational":
-        f = StepFunction.indicator(E, Fraction(amp), "rational")
-    else:
-        f = StepFunction.indicator(E, float(amp), "double")
+    f = StepFunction.indicator(E, amp, config.mode)
     basis = BasisSpec("axis", config.k)
     fld = max_field_fast(f, basis, r=None)
     ls = level_set(fld, 1)
@@ -361,9 +366,9 @@ def run_maxfield(config: ExperimentConfig) -> RunReport:
     if max(grid.shape) <= 64:
         brute = max_field_brute(f, basis, r=None)
         agree = (
-            bool(np.array_equal(fld.values, brute.values))
+            np.array_equal(fld.num, brute.num) and np.array_equal(fld.den, brute.den)
             if config.mode == "rational"
-            else bool(np.allclose(fld.values, brute.values, rtol=1e-12, atol=1e-12))
+            else bool(np.allclose(fld.num, brute.num, rtol=1e-12, atol=1e-12))
         )
         report.check("routes_agree", agree)
     os.makedirs(config.out, exist_ok=True)

@@ -4,7 +4,9 @@ Everything here is measure bookkeeping for unions of dyadic cells.  Cell
 counts are integers, cell volumes are exact rationals, so all measures and
 distribution identities can be checked with zero tolerance.  Function
 values may be rationals ("rational" mode) or doubles ("double" mode); set
-arithmetic never depends on the value mode.
+arithmetic never depends on the value mode.  A rational step function is
+an integer numerator array over one common denominator; consumers work on
+those integers and per-cell Fractions exist only when ``values`` is read.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -232,98 +235,115 @@ def uniform_distribution_check(s: GridSet, m: Sequence[int]) -> bool:
     return bool(np.all(counts * n_coarse == total))
 
 
-@dataclass(frozen=True, eq=False)
+def _scaled(num: np.ndarray, c: int) -> np.ndarray:
+    """``num * c`` exactly for nonnegative numerators: int64 while the
+    product fits, else object ints."""
+    if num.dtype != object and int(num.max(initial=0)) * c >= 1 << 63:
+        num = num.astype(object)
+    return num * c
+
+
+def _payload(table, codes, mode: str):
+    """(num, den) of the cells that take ``table[codes]``, converting each
+    distinct value once: rational values go onto one common denominator,
+    the lcm of theirs; double values become float64 with ``den`` None."""
+    if mode not in ("rational", "double"):
+        raise ValueError("mode must be 'rational' or 'double'")
+    if any(v < 0 for v in table):
+        raise ValueError("step functions are nonnegative")
+    codes = np.asarray(codes, dtype=np.intp)
+    if mode == "double":
+        return np.array(table, dtype=np.float64)[codes], None
+    table = [Fraction(v) for v in table]
+    den = math.lcm(*(v.denominator for v in table))
+    nums = [v.numerator * (den // v.denominator) for v in table]
+    return np.array(nums, dtype=np.int64 if max(nums) < 1 << 63 else object)[codes], den
+
+
+def _value_table(num: np.ndarray, den, cell_den: np.ndarray | None = None):
+    """(table, codes): the distinct values ``num / (cell_den * den)`` of a
+    payload as Fractions, ``cell_den`` per cell (max fields) or absent
+    (step functions), or its floats when ``den`` is None; the row-major
+    cells are ``table[codes]``."""
+    flat = num.ravel()
+    groups = [(1, slice(None))]
+    if cell_den is not None:
+        dens, which = np.unique(cell_den.ravel(), return_inverse=True)
+        groups = [(d, which == i) for i, d in enumerate(dens.tolist())]
+    table = []
+    codes = np.empty(flat.size, dtype=np.intp)
+    for d, cells in groups:
+        part = flat[cells]
+        nums = np.unique(part)
+        codes[cells] = np.searchsorted(nums, part) + len(table)
+        nums = nums.tolist()
+        table.extend(nums if den is None else (Fraction(p, d * den) for p in nums))
+    return np.array(table), codes
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class StepFunction:
     """A nonnegative cell-constant function on a dyadic grid.
 
-    ``mode`` is "rational" (Fraction values, exact integrals) or "double".
+    Rational mode keeps the exact payload value = num / den: one int
+    ``den`` over int64 numerators, or object ints when a numerator does not
+    fit in int64.  Double mode keeps float64 values in ``num``, ``den``
+    None.  The constructor converts each distinct value of any array once;
+    ``values`` is built on first read.
     """
 
     grid: DyadicGrid
-    values: np.ndarray
-    mode: str = "rational"
+    num: np.ndarray
+    den: int | None
 
-    def __post_init__(self):
-        if self.mode not in ("rational", "double"):
-            raise ValueError("mode must be 'rational' or 'double'")
-        if self.mode == "rational":
-            vals = np.empty(self.grid.shape, dtype=object)
-            src = np.asarray(self.values, dtype=object)
-            if src.shape != self.grid.shape:
-                raise ValueError("values shape does not match grid")
-            flat = [v if type(v) is Fraction else Fraction(v) for v in src.ravel()]
-            if any(v.numerator < 0 for v in flat):
-                raise ValueError("step functions are nonnegative")
-            vals.ravel()[:] = flat
-        else:
-            vals = np.asarray(self.values, dtype=np.float64).copy()
-            if vals.shape != self.grid.shape:
-                raise ValueError("values shape does not match grid")
-            if np.any(vals < 0):
-                raise ValueError("step functions are nonnegative")
-        object.__setattr__(self, "values", _frozen(vals))
+    def __init__(self, grid: DyadicGrid, values, mode: str = "rational"):
+        src = np.asarray(values, dtype=np.float64 if mode == "double" else object)
+        if src.shape != grid.shape:
+            raise ValueError("values shape does not match grid")
+        table, codes = np.unique(src.ravel(), return_inverse=True)
+        self._set(grid, *_payload(table.tolist(), codes, mode))
+
+    def _set(self, grid: DyadicGrid, num: np.ndarray, den) -> "StepFunction":
+        self.__dict__.update(grid=grid, num=_frozen(num.reshape(grid.shape)), den=den)
+        return self
+
+    @classmethod
+    def from_table(cls, grid: DyadicGrid, table, codes, mode: str = "rational") -> "StepFunction":
+        """The function whose row-major cells take ``table[codes]``."""
+        return cls.__new__(cls)._set(grid, *_payload(table, codes, mode))
 
     @classmethod
     def indicator(cls, s: GridSet, height=1, mode: str = "rational") -> "StepFunction":
-        if mode == "rational":
-            vals = np.where(s.mask, Fraction(height), Fraction(0))
-        else:
-            vals = np.where(s.mask, float(height), 0.0)
-        return cls(s.grid, vals, mode)
+        return cls.from_table(s.grid, [0, height], s.mask, mode)
 
-    @classmethod
-    def zeros(cls, grid: DyadicGrid, mode: str = "rational") -> "StepFunction":
-        if mode == "rational":
-            return cls(grid, np.full(grid.shape, Fraction(0), dtype=object), mode)
-        return cls(grid, np.zeros(grid.shape), mode)
+    @property
+    def mode(self) -> str:
+        return "double" if self.den is None else "rational"
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The cells as Fractions (rational mode) or floats, built on first read."""
+        if self.den is None:
+            return self.num
+        table, codes = _value_table(self.num, self.den)
+        return _frozen(table[codes].reshape(self.grid.shape))
 
     def integral(self):
         cv = self.grid.cell_volume
-        if self.mode == "rational":
-            return sum(self.values.ravel(), Fraction(0)) * cv
-        return float(self.values.sum()) * float(cv)
+        if self.den is None:
+            return float(self.num.sum()) * float(cv)
+        nums, counts = np.unique(self.num, return_counts=True)
+        return Fraction(sum(p * c for p, c in zip(nums.tolist(), counts.tolist())), self.den) * cv
 
     def support(self) -> GridSet:
-        if self.mode == "rational":
-            mask = np.array([v != 0 for v in self.values.ravel()]).reshape(self.grid.shape)
-        else:
-            mask = self.values != 0
-        return GridSet(self.grid, mask)
-
-    def scale(self, c) -> "StepFunction":
-        if self.mode == "rational":
-            c = Fraction(c)
-            vals = np.array([v * c for v in self.values.ravel()], dtype=object).reshape(self.grid.shape)
-        else:
-            vals = self.values * float(c)
-        return StepFunction(self.grid, vals, self.mode)
+        return GridSet(self.grid, self.num != 0)
 
     def refine(self, extra: Sequence[int]) -> "StepFunction":
-        vals = self.values
+        num = self.num
         for ax, e in enumerate(extra):
             if e:
-                vals = np.repeat(vals, 1 << e, axis=ax)
-        return StepFunction(self.grid.refine(extra), vals, self.mode)
-
-    def scaled_integers(self) -> tuple[np.ndarray, int]:
-        """Rational values as ``ints / D`` with one common denominator D."""
-        if self.mode != "rational":
-            raise ValueError("only meaningful in rational mode")
-        flat = self.values.ravel()
-        # step functions typically share value objects across many cells;
-        # working per distinct object keeps this linear with a tiny constant
-        by_id = {}
-        for v in flat:
-            by_id.setdefault(id(v), v)
-        d = 1
-        for v in by_id.values():
-            q = v.denominator
-            d = d * q // math.gcd(d, q)
-        scaled = {i: int(v.numerator * (d // v.denominator)) for i, v in by_id.items()}
-        ints = np.array([scaled[id(v)] for v in flat], dtype=object).reshape(
-            self.grid.shape
-        )
-        return ints, d
+                num = np.repeat(num, 1 << e, axis=ax)
+        return StepFunction.__new__(StepFunction)._set(self.grid.refine(extra), num, self.den)
 
 
 @dataclass(frozen=True)
@@ -382,28 +402,34 @@ def _parse_value(tok: str):
     return Fraction(int(tok))
 
 
+def _text_chunks(table, codes, end: str = "\n", chunk: int = 1 << 16):
+    """Row-major cell text in chunks; each distinct value is formatted once."""
+    tokens = np.array([_format_value(v) + end for v in table], dtype=object)
+    for start in range(0, len(codes), chunk):
+        yield "".join(tokens[codes[start : start + chunk]].tolist())
+
+
 def save_step_function(f: StepFunction, path):
     with open(path, "w") as fh:
         fh.write(f"{f.grid.n} " + " ".join(str(m) for m in f.grid.resolution) + "\n")
-        for v in f.values.ravel():
-            fh.write(_format_value(v) + "\n")
+        fh.writelines(_text_chunks(*_value_table(f.num, f.den)))
+
+
+def _read_cells(path) -> tuple[DyadicGrid, np.ndarray]:
+    """The grid named by a saved file's header, and its row-major cell tokens."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        toks = np.array(fh.read().split())
+    grid = DyadicGrid(tuple(int(x) for x in header[1 : 1 + int(header[0])]))
+    if len(toks) != grid.total_cells:
+        raise ValueError("value count does not match grid")
+    return grid, toks
 
 
 def load_step_function(path, mode: str = "rational") -> StepFunction:
-    with open(path) as fh:
-        header = fh.readline().split()
-        n = int(header[0])
-        res = tuple(int(x) for x in header[1 : 1 + n])
-        grid = DyadicGrid(res)
-        toks = fh.read().split()
-    vals = [_parse_value(t) for t in toks]
-    if len(vals) != grid.total_cells:
-        raise ValueError("value count does not match grid")
-    if mode == "rational":
-        arr = np.array([Fraction(v) for v in vals], dtype=object).reshape(grid.shape)
-    else:
-        arr = np.array([float(v) for v in vals]).reshape(grid.shape)
-    return StepFunction(grid, arr, mode)
+    grid, toks = _read_cells(path)
+    table, codes = np.unique(toks, return_inverse=True)
+    return StepFunction.from_table(grid, [_parse_value(t) for t in table.tolist()], codes, mode)
 
 
 def save_grid_set(s: GridSet, path):
@@ -414,11 +440,5 @@ def save_grid_set(s: GridSet, path):
 
 
 def load_grid_set(path) -> GridSet:
-    with open(path) as fh:
-        header = fh.readline().split()
-        n = int(header[0])
-        res = tuple(int(x) for x in header[1 : 1 + n])
-        grid = DyadicGrid(res)
-        toks = fh.read().split()
-    mask = np.array([t == "1" for t in toks]).reshape(grid.shape)
-    return GridSet(grid, mask)
+    grid, toks = _read_cells(path)
+    return GridSet(grid, (toks == "1").reshape(grid.shape))

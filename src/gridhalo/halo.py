@@ -141,10 +141,7 @@ def halo_estimate(
             raise BallTooCoarseError(
                 f"ball of radius {r_cells} cells has only {ball.popcount} cells"
             )
-        if probe.mode == "rational":
-            f = StepFunction.indicator(ball, Fraction(probe.h), "rational")
-        else:
-            f = StepFunction.indicator(ball, float(probe.h), "double")
+        f = StepFunction.indicator(ball, probe.h, probe.mode)
         for t in t_list:
             # t = inf drops the truncation entirely (still a valid sample:
             # the truncated level sets increase to the untruncated one)
@@ -246,10 +243,7 @@ def lemma10_levelset_measure(
     sl = tuple(slice(lo, hi) for lo, hi in zip(I.lo, I.hi))
     mask[sl] = True
     ind = GridSet(grid, mask)
-    if mode == "rational":
-        f = StepFunction.indicator(ind, Fraction(h), "rational")
-    else:
-        f = StepFunction.indicator(ind, float(h), "double")
+    f = StepFunction.indicator(ind, h, mode)
     # basis with <= k distinct edge values (k = 1: cubes)
     fld = max_field_fast(f, BasisSpec("axis", min(k, n)), r=None, ladder=ladder)
     ls = level_set(fld, 1)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import DyadicGrid, GridSet, StepFunction
+from .grid import DyadicGrid, GridSet, StepFunction, _frozen, _text_chunks, _value_table
 
 __all__ = [
     "BasisSpec",
@@ -91,11 +91,8 @@ class MaxField:
         """The field as Fractions (rational mode) or floats, built on first use."""
         if self.den is None:
             return self.num
-        pairs = list(zip(self.num.ravel().tolist(), self.den.ravel().tolist()))
-        table = {p: Fraction(p[0], p[1] * self.scale) for p in set(pairs)}
-        out = np.empty(len(pairs), dtype=object)
-        out[:] = [table[p] for p in pairs]
-        return out.reshape(self.grid.shape)
+        table, codes = _value_table(self.num, self.scale, self.den)
+        return _frozen(table[codes].reshape(self.grid.shape))
 
 
 def dyadic_ladder(maxw: int) -> list[int]:
@@ -163,20 +160,16 @@ def _product(axes: Sequence[Iterable[int]]):
 # shared low-level pieces
 
 
-def _prepare_values(f: StepFunction):
-    """Returns (array, den, exact) where array is int64/object/float64."""
-    if f.mode == "rational":
-        ints, den = f.scaled_integers()
-        total = float(np.abs(ints.astype(np.float64)).sum())
-        maxden = 1
-        for s in f.grid.shape:
-            maxden *= s
-        # float estimate of the worst numerator; the factor-2 headroom
-        # (2^61 instead of 2^62) absorbs its rounding error
-        if (total * 1.01 + 1) * maxden < float(1 << 61):
-            ints = ints.astype(np.int64)
-        return ints, den, True
-    return f.values.astype(np.float64), 1, False
+def _prepare_values(f: StepFunction) -> np.ndarray:
+    """The numerators to sum: int64 or object ints in rational mode, floats
+    in double mode."""
+    if f.den is None:
+        return f.num
+    total = float(f.num.astype(np.float64).sum())
+    # float estimate of the worst numerator (at most total cells of shape
+    # volume); the factor-2 headroom (2^61, not 2^62) absorbs its rounding
+    fits = (total * 1.01 + 1) * f.grid.total_cells < float(1 << 61)
+    return f.num.astype(np.int64 if fits else object, copy=False)
 
 
 def _window_sums_fast(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -253,9 +246,9 @@ def _max_field(
         shapes = enumerate_shapes(basis, f.grid, r, ladder)
     elif not shapes:
         raise EmptyFamilyError("empty explicit shape list")
-    arr, den, exact = _prepare_values(f)
+    arr = _prepare_values(f)
     best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
-    best_den = np.ones(f.grid.shape, dtype=arr.dtype) if exact else None
+    best_den = None if f.den is None else np.ones(f.grid.shape, dtype=arr.dtype)
     for shape in shapes:
         S = arr
         for ax, w in enumerate(shape):
@@ -267,7 +260,7 @@ def _max_field(
             d *= w
         best_num, best_den = _accumulate(best_num, best_den, S, d)
     r = None if r is None else Fraction(r)
-    return MaxField(f.grid, basis, r, f.mode, best_num, best_den, den)
+    return MaxField(f.grid, basis, r, f.mode, best_num, best_den, f.den or 1)
 
 
 def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
@@ -303,8 +296,6 @@ def level_set(field: MaxField, lam) -> GridSet:
 
 
 def save_max_field(field: MaxField, path):
-    from .grid import _format_value
-
     with open(path, "w") as fh:
         r = "inf" if field.r is None else str(field.r)
         fh.write(
@@ -312,5 +303,5 @@ def save_max_field(field: MaxField, path):
             f"gamma={field.basis.gamma!r} r={r} mode={field.mode}\n"
         )
         fh.write(f"{field.grid.n} " + " ".join(str(m) for m in field.grid.resolution) + "\n")
-        for v in field.values.ravel():
-            fh.write(_format_value(v) + "\n")
+        den = None if field.den is None else field.scale
+        fh.writelines(_text_chunks(*_value_table(field.num, den, field.den)))

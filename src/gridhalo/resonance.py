@@ -9,7 +9,9 @@ measure-preserving cell rearrangement.
 
 All measures, containments, independence products and the union identity
 are checked in exact rational arithmetic; rotated-basis level sets are
-certified lower bounds (see gridhalo.witness).
+certified lower bounds (see gridhalo.witness).  Values stay integer
+numerators over one denominator, down to the rearrangement's domination
+proof, one cross-multiplied integer compare.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .grid import (
     DyadicGrid,
     GridSet,
     StepFunction,
+    _scaled,
+    _text_chunks,
+    _value_table,
     save_step_function,
     uniform_distribution_check,
 )
@@ -107,10 +112,11 @@ def select_level_sets(
     cv = grid.cell_volume
     if available is None:
         available = np.ones(grid.shape, dtype=bool)
-    values = sorted({v for v, m in zip(f.values.ravel(), available.ravel()) if m and v > q})
+    nums = np.unique(f.num[available])
     out = []
     mass = 0.0
-    for v in values:
+    for p in nums[nums > q * f.den].tolist():
+        v = Fraction(p, f.den)
         ratio = float(v) / q
         cap = _alpha_value(alpha, ratio)
         cap_cells = int(cap / float(cv))
@@ -118,13 +124,11 @@ def select_level_sets(
             raise InfeasibleError(
                 f"size cap alpha({ratio:.6g}) is below one cell", achieved=mass
             )
-        band = np.array([(x == v) for x in f.values.ravel()]).reshape(grid.shape)
-        band &= available
-        cells = np.argwhere(band)
+        cells = np.argwhere((f.num == p) & available)
         for start in range(0, len(cells), cap_cells):
             chunk = cells[start : start + cap_cells]
             A = GridSet.from_indices(grid, (tuple(c) for c in chunk))
-            out.append((A, Fraction(v)))
+            out.append((A, v))
             mass += phi(ratio) * float(A.measure())
             if mass >= target:
                 return out
@@ -498,16 +502,13 @@ def build_resonance_function(
         union = Fraction(int(acc.sum()), final_grid.total_cells)
         union_masses[key] = (union, 1 - formula, union == 1 - formula)
 
-    # assemble g = sup_k h_k chi_{E_k}; the h_k increase, so later stages win
-    gvals = np.full(final_grid.shape, Fraction(0), dtype=object)
-    integral_g = Fraction(0)
-    covered = np.zeros(final_grid.shape, dtype=bool)
-    for s, E_f in reversed(list(zip(stages, e_final))):
-        fresh = E_f.mask & ~covered
-        gvals[fresh] = s.h
-        covered |= E_f.mask
-        integral_g += Fraction(int(fresh.sum()), final_grid.total_cells) * s.h
-    g = StepFunction(final_grid, gvals, "rational")
+    # assemble g = sup_k h_k chi_{E_k}: each cell takes the code of the
+    # last stage whose E_k holds it (the h_k increase, so later stages win)
+    codes = np.zeros(final_grid.shape, dtype=np.intp)
+    for k, E_f in enumerate(e_final, start=1):
+        codes[E_f.mask] = k
+    g = StepFunction.from_table(final_grid, [0] + [s.h for s in stages], codes)
+    integral_g = g.integral()
     integral_f = f.integral()
     if integral_g > integral_f:
         raise VerificationError("resonance function exceeds the input mass")
@@ -559,19 +560,11 @@ class Rearrangement:
         )
 
 
-def _value_codes(f: StepFunction):
-    """Integer codes per cell, ascending with the value; plus the value table."""
-    table = sorted(set(f.values.ravel()))
-    lookup = {v: i for i, v in enumerate(table)}
-    codes = np.array([lookup[v] for v in f.values.ravel()], dtype=np.int64)
-    return codes, table
-
-
 def _checksum(f: StepFunction) -> str:
     hsh = hashlib.sha256()
     hsh.update(" ".join(map(str, f.grid.resolution)).encode())
-    for v in f.values.ravel():
-        hsh.update(str(v).encode())
+    for text in _text_chunks(*_value_table(f.num, f.den), end=""):
+        hsh.update(text.encode())
     return hsh.hexdigest()
 
 
@@ -587,8 +580,9 @@ def build_rearrangement(f: StepFunction, plan: ResonancePlan) -> Rearrangement:
     extra = tuple(r - m for r, m in zip(final_res, f.grid.resolution))
     if any(e < 0 for e in extra):
         raise ValueError("input lives on a finer grid than the plan")
-    f_fine = f.refine(extra) if any(extra) else f
-    codes, table = _value_codes(f_fine)
+    # per-cell index of f's numerator among its distinct ones, ascending
+    table = np.unique(f.num)
+    codes = np.searchsorted(table, f.refine(extra).num.ravel())
     N = plan.final_grid.total_cells
     perm = np.arange(N, dtype=np.int64)
 
@@ -624,12 +618,8 @@ def build_rearrangement(f: StepFunction, plan: ResonancePlan) -> Rearrangement:
     if not np.array_equal(np.bincount(rearranged, minlength=len(table)),
                           np.bincount(codes, minlength=len(table))):
         raise VerificationError("value histogram changed")
-    glookup = {v: i for i, v in enumerate(table)}
-    try:
-        gcodes = np.array([glookup[v] for v in plan.g.values.ravel()], dtype=np.int64)
-    except KeyError as e:
-        raise VerificationError(f"g takes value {e} outside the input range") from e
-    if not np.all(rearranged >= gcodes):
+    g = plan.g
+    if not np.all(_scaled(table, g.den)[rearranged] >= _scaled(g.num.ravel(), f.den)):
         raise VerificationError("f o omega fails to dominate g somewhere")
     return out
 

@@ -70,10 +70,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_mapping("halo", {"h_list": "4, eight"})
 
-    def test_extras_survive_and_hash(self):
-        c = ExperimentConfig.from_mapping("halo", {"color": "blue"})
-        assert c.extras == {"color": "blue"}
-        assert "x.color" in c.canonical_text()
+    def test_unknown_keys_rejected(self, capsys):
+        # a misspelt key must not silently run the defaults
+        with pytest.raises(ConfigError, match="color"):
+            ExperimentConfig.from_mapping("halo", {"color": "blue"})
+        assert main(["resonance", "--set", "deph=2"]) == 2
+        assert "unknown config key(s): deph" in capsys.readouterr().err
 
     def test_out_excluded_from_cache_identity(self):
         a = ExperimentConfig.from_mapping("halo", {"out": "x"})
@@ -112,6 +114,19 @@ class TestCli:
         )
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
+
+    def test_union_mass_short_of_half_exits_3(self, tmp_path, capsys):
+        # at depth 1 the rotated bases reach 7/16 and 1/4: too shallow, not a bug
+        rc = _run(["zygmund", "--depth", "1", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "below 1/2 at depth 1" in err and "reaches 1/4" in err
+
+    def test_halo_boundary_clipping_exits_3(self, tmp_path, capsys):
+        # on 128x128 cells the h = 256 level set reaches the box edge
+        rc = _run(["halo", "--grid", "7", "--h-list", "4,64,256", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "h=256 reaches the boundary" in capsys.readouterr().err
 
     def test_maxfield_run_writes_report(self, tmp_path):
         out = str(tmp_path / "o")

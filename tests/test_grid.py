@@ -1,11 +1,13 @@
 """Grid primitives: cells, sets, step functions, rectangles."""
 
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridhalo.grid import (
@@ -42,6 +44,14 @@ def sets_on(grid_strategy):
         return GridSet(grid, np.array(bits, dtype=bool).reshape(grid.shape))
 
     return build()
+
+
+@st.composite
+def rational_arrays(draw):
+    grid = DyadicGrid(draw(st.tuples(st.integers(0, 2), st.integers(0, 2))))
+    n = grid.total_cells
+    vals = draw(st.lists(st.fractions(min_value=0, max_value=10), min_size=n, max_size=n))
+    return grid, vals
 
 
 class TestDyadicGrid:
@@ -130,21 +140,37 @@ class TestStepFunction:
         assert f.support() == s
         assert f.integral() == Fraction(7, 3) * s.measure()
 
-    def test_scaled_integers_common_denominator(self):
+    def test_payload_common_denominator(self):
         g = DyadicGrid((1, 0))
         f = StepFunction(g, np.array([[Fraction(1, 6)], [Fraction(3, 4)]], dtype=object))
-        ints, den = f.scaled_integers()
-        assert den == 12
-        assert [int(v) for v in ints.ravel()] == [2, 9]
+        assert f.den == 12
+        assert f.num.dtype == np.int64
+        assert f.num.ravel().tolist() == [2, 9]
 
-    @given(
-        st.lists(st.fractions(min_value=0, max_value=10), min_size=4, max_size=4)
-    )
+    @given(rational_arrays())
+    @example((DyadicGrid((1, 0)), [Fraction(1, 3**40), Fraction(5, 7**23)]))
     @settings(max_examples=50)
-    def test_refine_preserves_integral(self, vals):
-        g = DyadicGrid((1, 1))
-        f = StepFunction(g, np.array(vals, dtype=object).reshape(2, 2))
-        assert f.refine((1, 2)).integral() == f.integral()
+    def test_refine_preserves_integral(self, grid_and_vals):
+        # random nonnegative rationals; large denominators push the common-
+        # denominator numerators past int64, and only then onto object ints
+        grid, vals = grid_and_vals
+        cells = np.array(vals, dtype=object).reshape(grid.shape)
+        f = StepFunction(grid, cells)
+        widest = max(v.numerator * (f.den // v.denominator) for v in vals)
+        assert f.num.dtype == (object if widest >= 2**63 else np.int64)
+        assert all(a == b for a, b in zip(f.values.ravel(), vals))
+        assert f.integral() == sum(vals, Fraction(0)) * grid.cell_volume
+        fine = f.refine((1, 2))
+        expected = np.repeat(np.repeat(cells, 2, axis=0), 4, axis=1)
+        assert all(a == b for a, b in zip(fine.values.ravel(), expected.ravel()))
+        assert fine.integral() == f.integral()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            save_step_function(f, path)
+            back = load_step_function(path)
+        assert back.grid == grid
+        assert all(a == b for a, b in zip(back.values.ravel(), vals))
+        assert back.integral() == f.integral()
 
     def test_double_mode_matches_rational(self):
         g = DyadicGrid((2, 2))

@@ -174,11 +174,13 @@ class TestLevelSet:
         E = GridSet(g, np.random.default_rng(9).random(g.shape) < 0.3)
         c = E.popcount
         # on 16 cells the payload stays int64 while 16 * 1.01 * sum(f) < 2^61
-        # (_prepare_values); heights h with h * c = 2^56 and > 2^57 straddle it
+        # (_prepare_values); heights h with h * c = 2^56 and > 2^57 straddle it;
+        # a height of 2^63 does not fit the step function's own int64 payload
         cases = [(f, np.int64)]
-        for h, dtype in ((2**56 // c, np.int64), (2**57 // c + 1, object)):
+        for h, dtype in ((2**56 // c, np.int64), (2**57 // c + 1, object), (2**63, object)):
             cases.append((StepFunction.indicator(E, h), dtype))
         for f, dtype in cases:
+            assert f.num.dtype == (object if f.num.max() >= 2**63 else np.int64)
             fld = max_field_fast(f, basis)
             assert fld.num.dtype == dtype
             assert np.array_equal(fld.values, max_field_brute(f, basis).values)

@@ -10,7 +10,7 @@ import pytest
 
 from gridhalo.grid import DyadicGrid, GridSet, StepFunction
 from gridhalo.growth import log_power_growth
-from gridhalo.maxop import BasisSpec
+from gridhalo.maxop import BasisSpec, MaxField
 from gridhalo.resonance import (
     InfeasibleError,
     ResolutionCapError,
@@ -225,6 +225,16 @@ class TestRearrangement:
         assert all(a >= b for a, b in zip(moved, gflat))
         assert sorted(map(str, moved)) == sorted(map(str, f_fine.values.ravel()))
 
+    def test_input_without_zero_cells(self, square_plan):
+        # 0 is no value of a positive f, yet every f >= 0 dominates g = 0
+        f, plan = square_plan
+        vals = f.values.copy()
+        vals[vals == 0] = Fraction(1, 2)
+        positive = StepFunction(f.grid, vals)
+        assert positive.support().popcount == f.grid.total_cells
+        omega = build_rearrangement(positive, plan)
+        assert omega.is_permutation()
+
     def test_inverse_composes_to_identity(self, square_plan):
         f, plan = square_plan
         omega = build_rearrangement(f, plan)
@@ -265,3 +275,25 @@ class TestSerialization:
         assert np.array_equal(loaded, omega.perm)
         meta = json.loads((tmp_path / "permutation.json").read_text())
         assert meta["cells"] == plan.final_grid.total_cells
+
+
+def test_pipeline_reads_no_per_cell_fractions(monkeypatch, tmp_path):
+    # every StepFunction payload passes through _set, every MaxField through
+    # __init__; record both and check none of them built ``values``
+    made = []
+
+    def recording(real):
+        def wrapper(self, *args, **kwargs):
+            made.append(self)
+            return real(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(StepFunction, "_set", recording(StepFunction._set))
+    monkeypatch.setattr(MaxField, "__init__", recording(MaxField.__init__))
+    f, pads = synthetic_resonance_input(PHI, 2, style="square")
+    plan = build_resonance_function(f, [BasisSpec("axis", 2)], PHI, 2, pads=pads)
+    build_rearrangement(f, plan)
+    save_plan(plan, str(tmp_path))
+    assert {type(obj) for obj in made} == {StepFunction, MaxField}
+    assert not [obj for obj in made if "values" in obj.__dict__]
