@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     key = cache_key(config.canonical_text())
     cache_dir = f"{config.out}/.cache"
     if args.use_cache:
-        hit = cache_lookup(cache_dir, key)
+        hit = cache_lookup(cache_dir, key, f"{config.out}/report.json")
         if hit is not None:
             print(f"cache hit {key[:12]}; report reused from {cache_dir}")
             return 0

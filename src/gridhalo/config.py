@@ -13,6 +13,8 @@ from dataclasses import dataclass
 __all__ = ["ConfigError", "read_config_file", "ExperimentConfig"]
 
 _KINDS = ("halo", "lemmas", "zygmund", "resonance", "rearrange", "maxfield")
+# the staged constructions compute in rational arithmetic only
+_EXACT_KINDS = ("zygmund", "resonance", "rearrange")
 
 
 class ConfigError(ValueError):
@@ -91,6 +93,10 @@ class ExperimentConfig:
             raise ConfigError("mode must be rational or double")
         if self.n < 1 or self.k < 1:
             raise ConfigError("n and k must be positive")
+        if self.n != 2 and self.kind != "maxfield":
+            raise ConfigError(f"{self.kind} runs are planar: n must be 2")
+        if self.mode == "double" and self.kind in _EXACT_KINDS:
+            raise ConfigError(f"{self.kind} runs are exact: mode must be rational")
         for name in ("h_list", "t_list", "r_list", "rotations_deg"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")

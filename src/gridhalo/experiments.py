@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .grid import DyadicGrid, GridSet, StepFunction, _scaled, save_step_function
 from .growth import log_power_growth
 from .halo import (
@@ -172,14 +172,15 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
     return report
 
 
-def _partial_unions(plan, key):
-    """Exact union measure of the first 1..K stage divergence sets."""
-    acc = np.zeros(plan.final_grid.shape, dtype=bool)
-    out = []
-    for P in plan.p_final[key]:
-        acc |= P.mask
-        out.append(Fraction(int(acc.sum()), plan.final_grid.total_cells))
-    return out
+def _staged_plan(config: ExperimentConfig, bases) -> tuple:
+    """The shipped input for the configured depth and style, and its
+    staged plan against ``bases``."""
+    phi = log_power_growth(config.growth_exponent)
+    f, pads = synthetic_resonance_input(phi, config.depth, style=config.style)
+    plan = build_resonance_function(
+        f, bases, phi, config.depth, pads=pads, resolution_cap=config.resolution_cap
+    )
+    return f, plan
 
 
 def _require_half_union_mass(plan, depth: int) -> None:
@@ -191,8 +192,6 @@ def _require_half_union_mass(plan, depth: int) -> None:
 
 def run_zygmund(config: ExperimentConfig) -> RunReport:
     """Per-rotation witness + staged divergence masses against Λ = {I(γ)}."""
-    if config.n != 2:
-        raise ConfigError("rotated bases need n = 2")
     report = RunReport("zygmund", _meta(config))
     t0 = time.perf_counter()
     phi = log_power_growth(config.growth_exponent)
@@ -206,20 +205,16 @@ def run_zygmund(config: ExperimentConfig) -> RunReport:
     report.timings["witness"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    f, pads = synthetic_resonance_input(phi, config.depth, style=config.style)
-    bases = [BasisSpec("rotated", config.k, g) for g in gammas]
-    plan = build_resonance_function(
-        f, bases, phi, config.depth, pads=pads, resolution_cap=config.resolution_cap
-    )
-    for key in plan.basis_keys:
+    _, plan = _staged_plan(config, [BasisSpec("rotated", config.k, g) for g in gammas])
+    for key, per_depth in plan.unions.items():
         basis = plan.stages[0].tile.bases[key]
-        for depth, mass in enumerate(_partial_unions(plan, key), start=1):
+        for depth, (union, _, _) in enumerate(per_depth, start=1):
             report.rows.append(
                 {
                     "gamma_deg": math.degrees(basis.gamma),
                     "depth": depth,
-                    "union_mass": float(mass),
-                    "union_mass_exact": str(mass),
+                    "union_mass": float(union),
+                    "union_mass_exact": str(union),
                 }
             )
     report.check("plan_verified", plan.verified())
@@ -248,21 +243,12 @@ def run_resonance(config: ExperimentConfig) -> RunReport:
     """Full staged construction for the axis basis."""
     report = RunReport("resonance", _meta(config))
     t0 = time.perf_counter()
-    phi = log_power_growth(config.growth_exponent)
-    f, pads = synthetic_resonance_input(phi, config.depth, style=config.style)
-    plan = build_resonance_function(
-        f,
-        [BasisSpec("axis", config.k)],
-        phi,
-        config.depth,
-        pads=pads,
-        resolution_cap=config.resolution_cap,
-    )
-    for s in plan.stages:
+    _, plan = _staged_plan(config, [BasisSpec("axis", config.k)])
+    for k, ((_, h, q), s) in enumerate(zip(plan.selection.entries, plan.stages), start=1):
         row = {
-            "stage": s.k,
-            "q": s.q,
-            "h": str(s.h),
+            "stage": k,
+            "q": q,
+            "h": str(h),
             "resolution": "x".join(map(str, s.j)),
             "measure_E": str(s.E.relative_measure()),
             "uniform": s.uniform_ok,
@@ -276,7 +262,8 @@ def run_resonance(config: ExperimentConfig) -> RunReport:
         all(r["ok"] for rep in plan.independence.values() for r in rep),
     )
     report.check(
-        "union_identity", all(ok for _, _, ok in plan.union_masses.values())
+        "union_identity",
+        all(ok for seq in plan.unions.values() for _, _, ok in seq),
     )
     _require_half_union_mass(plan, config.depth)
     report.check(
@@ -296,16 +283,7 @@ def run_rearrangement_demo(config: ExperimentConfig) -> RunReport:
     """Build the rearrangement for the shipped input and prove its claims."""
     report = RunReport("rearrange", _meta(config))
     t0 = time.perf_counter()
-    phi = log_power_growth(config.growth_exponent)
-    f, pads = synthetic_resonance_input(phi, config.depth, style=config.style)
-    plan = build_resonance_function(
-        f,
-        [BasisSpec("axis", config.k)],
-        phi,
-        config.depth,
-        pads=pads,
-        resolution_cap=config.resolution_cap,
-    )
+    f, plan = _staged_plan(config, [BasisSpec("axis", config.k)])
     omega = build_rearrangement(f, plan)
 
     extra = tuple(

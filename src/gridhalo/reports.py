@@ -2,9 +2,10 @@
 
 Given the same configuration and seed, the CSV/JSON/gnuplot artifacts are
 byte-identical; wall-clock timings therefore go to a separate sidecar
-that carries no determinism guarantee.  The result cache is advisory: a
-hit is trusted only because runs are deterministic, and a stale or
-missing cache merely costs a recompute.
+that carries no determinism guarantee.  The result cache is advisory: it
+is keyed on the package sources and the configuration, a hit is trusted
+only while the output directory still holds the cached report, and a
+stale or missing cache merely costs a recompute.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-
-from . import __version__
 
 __all__ = [
     "RunReport",
@@ -76,8 +75,7 @@ def write_report(report: RunReport, out_dir: str) -> dict:
     paths = {}
     paths["json"] = os.path.join(out_dir, "report.json")
     with open(paths["json"], "w") as fh:
-        json.dump(report.to_json_doc(), fh, indent=2, sort_keys=True, default=_stringify)
-        fh.write("\n")
+        fh.write(_report_text(report))
     if report.rows:
         paths["csv"] = os.path.join(out_dir, "rows.csv")
         _write_csv(report.rows, paths["csv"])
@@ -97,24 +95,45 @@ def write_report(report: RunReport, out_dir: str) -> dict:
     return paths
 
 
+def _report_text(report: RunReport) -> str:
+    doc = report.to_json_doc()
+    return json.dumps(doc, indent=2, sort_keys=True, default=_stringify) + "\n"
+
+
+def _source_digest() -> str:
+    """sha256 over the package's Python sources, so other code never hits."""
+    digest = hashlib.sha256()
+    root = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), "rb") as fh:
+                digest.update(f"{name}\0".encode() + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
 def cache_key(config_text: str) -> str:
-    return hashlib.sha256(f"{__version__}\n{config_text}".encode()).hexdigest()
+    return hashlib.sha256(f"{_source_digest()}\n{config_text}".encode()).hexdigest()
 
 
 def _cache_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, f"{key}.json")
 
 
-def cache_lookup(cache_dir: str, key: str):
-    path = _cache_path(cache_dir, key)
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
+def cache_lookup(cache_dir: str, key: str, report_path: str):
+    """The cached report text for ``key``, trusted only while the report at
+    ``report_path`` still equals it (another run into the same directory
+    rewrites the artifacts); None otherwise."""
+    texts = []
+    for path in (_cache_path(cache_dir, key), report_path):
+        try:
+            with open(path) as fh:
+                texts.append(fh.read())
+        except OSError:
+            return None
+    return texts[0] if texts[0] == texts[1] else None
 
 
 def cache_store(cache_dir: str, key: str, report: RunReport) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     with open(_cache_path(cache_dir, key), "w") as fh:
-        json.dump(report.to_json_doc(), fh, indent=2, sort_keys=True, default=_stringify)
+        fh.write(_report_text(report))

@@ -4,8 +4,14 @@ From an input step function this module selects level-set bands with
 prescribed growth mass, replicates a tile witness uniformly across every
 coarse cell (which makes the per-stage divergence sets exactly
 independent), assembles the resonance function g, certifies the union
-mass through the closed-form product formula, and finally produces the
-measure-preserving cell rearrangement.
+mass after every stage through the closed-form product formula, and
+finally produces the measure-preserving cell rearrangement.
+
+Each stage is one pass: its dilution pad and fine resolution come first
+(one resolution-cap check), then one tile witness is built on the diluted
+tile and replicated, and uniformity and level-set containment are checked
+once, where the replicated sets are made, with their verdicts recorded
+in the stage's record.
 
 All measures, containments, independence products and the union identity
 are checked in exact rational arithmetic; rotated-basis level sets are
@@ -21,7 +27,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,10 +52,9 @@ __all__ = [
     "select_level_sets",
     "LevelSelection",
     "build_divergent_sequences",
-    "ReplicationResult",
+    "StageRecord",
     "replicate_configuration",
     "check_independence",
-    "StageRecord",
     "ResonancePlan",
     "build_resonance_function",
     "Rearrangement",
@@ -194,14 +199,43 @@ def build_divergent_sequences(phi, f: StepFunction, alpha, K: int) -> LevelSelec
 # ---------------------------------------------------------------------------
 # replication
 
+# Every stage dilutes one base layout: E is the central 2x2 block of a 4x4
+# tile, so the undiluted witness density is 4/16 = 1/4.
+_BASE_BITS = (2, 2)
+_BASE_DENSITY = Fraction(4, 1 << sum(_BASE_BITS))
+
 
 @dataclass(frozen=True)
-class ReplicationResult:
-    E: GridSet
-    p_sets: dict
+class StageRecord:
+    """One stage: the tile witness diluted by ``pad`` and replicated over
+    every coarse cell of resolution m, its sets at the fine resolution j,
+    and the verdicts of the checks made where those sets were built."""
+
+    m: tuple
     j: tuple
-    tile: MPhiWitness
     pad: tuple
+    E: GridSet  # at resolution j
+    p_sets: dict  # at resolution j
+    tile: MPhiWitness  # amplitude tile.h, truncation tile.trunc
+    uniform_ok: bool
+    containment_ok: dict  # key -> containment verdict at resolution j
+
+
+def _dilution_pad(delta, pad=None) -> tuple:
+    """Per-axis dilution exponents of the base tile for target measure
+    delta: ``pad`` as given, else the fewest halvings of the base density
+    that reach delta, spread over the axes."""
+    if not 0 < delta <= _BASE_DENSITY:
+        raise InfeasibleError(
+            f"target measure {delta} exceeds the witness density {_BASE_DENSITY}"
+        )
+    if pad is None:
+        n = len(_BASE_BITS)
+        need = 0
+        while _BASE_DENSITY / (1 << need) > delta:
+            need += 1
+        pad = tuple(need // n + (1 if ax < need % n else 0) for ax in range(n))
+    return tuple(int(p) for p in pad)
 
 
 def _scaled_shapes(shapes, factor):
@@ -209,79 +243,65 @@ def _scaled_shapes(shapes, factor):
 
 
 def replicate_configuration(
-    w: MPhiWitness,
+    bases,
+    amp,
     delta,
     m,
     eps,
     phi: GrowthFunction,
     pad=None,
-    refine_extra: int = 3,
-    margin: float = 1e-9,
-) -> ReplicationResult:
-    """Dilute the witness tile to measure <= delta and tile it over every
-    coarse cell of resolution m.
+) -> StageRecord:
+    """Build the tile witness for ``bases`` at amplitude ``amp`` and
+    truncation eps on the base tile diluted to measure <= delta, and tile
+    it over every coarse cell of resolution m.
 
-    The witness pattern is re-derived on the diluted tile (its level sets
-    only grow with the extra room), then replicated; replication cannot
-    shrink level sets either, so the containments survive.  They are
-    re-checked for every basis: exactly on the replicated grid, or against
-    the tile's certificate for disk-certified rotations.  Returns sets at
-    the fine resolution j = m + tile exponents.
+    Replication cannot shrink level sets, so the tile's containments
+    survive.  Each replicated set is checked once, where it is made: for
+    uniform distribution over the coarse cells, and for containment in its
+    basis's certified level set, exactly on the replicated grid or against
+    the tile's certificate for disk-certified rotations.  A failed check
+    raises; the verdicts are recorded.  Returns the stage at the fine
+    resolution j = m + base bits + pad.
     """
     delta = Fraction(delta)
-    n = w.grid.n
-    if not 0 < delta <= w.c_of_h:
-        raise InfeasibleError(
-            f"target measure {delta} exceeds the witness density {w.c_of_h}"
-        )
-    d = w.c_of_h
-    if pad is None:
-        need = 0
-        while d / (1 << need) > delta:
-            need += 1
-        pad = tuple(need // n + (1 if ax < need % n else 0) for ax in range(n))
-    pad = tuple(int(p) for p in pad)
+    pad = _dilution_pad(delta, pad)
     m = tuple(int(x) for x in m)
-    tile_bits = tuple(b + p for b, p in zip(w.grid.resolution, pad))
-    density = Fraction(w.E.popcount, 1 << sum(tile_bits))
+    n = len(_BASE_BITS)
+    density = _BASE_DENSITY / (1 << sum(pad))
     if not delta / 4**n <= density <= delta:
         raise InfeasibleError(
             f"diluted density {density} outside [{delta / 4**n}, {delta}]"
         )
+    tile_bits = tuple(b + p for b, p in zip(_BASE_BITS, pad))
     tile_grid = DyadicGrid(
         tile_bits, side=tuple(Fraction(1, 1 << mi) for mi in m)
     )
-    tile = build_tile_witness(
-        tile_grid,
-        list(w.bases.values()),
-        w.h,
-        Fraction(eps),
-        phi,
-        refine_extra=refine_extra,
-        margin=margin,
-    )
+    tile = build_tile_witness(tile_grid, bases, amp, Fraction(eps), phi)
     j = tuple(mi + tb for mi, tb in zip(m, tile_bits))
     full = DyadicGrid(j)
     reps = tuple(1 << mi for mi in m)
-    E_full = GridSet(full, np.tile(tile.E.mask, reps))
-    p_full = {}
+    E = GridSet(full, np.tile(tile.E.mask, reps))
+    p_sets = {
+        key: GridSet(full, np.tile(P.mask, reps)) for key, P in tile.p_sets.items()
+    }
+    uniform_ok = all(
+        uniform_distribution_check(s, m) for s in (E, *p_sets.values())
+    )
+    if not uniform_ok:
+        raise VerificationError("replicated set is not uniformly distributed")
     memo = {}
-    for key, P in tile.p_sets.items():
-        Pf = GridSet(full, np.tile(P.mask, reps))
-        if not uniform_distribution_check(Pf, m):
-            raise VerificationError("replicated set is not uniformly distributed")
-        if not _within(tile, key, memo, E_full, Pf, tile.shapes):
-            raise VerificationError("level-set containment lost under tiling")
-        p_full[key] = Pf
-    if not uniform_distribution_check(E_full, m):
-        raise VerificationError("replicated E is not uniformly distributed")
-    e_rel = E_full.relative_measure()
-    if not delta / 4**n <= e_rel <= delta:
-        raise VerificationError("replicated measure escaped its bounds")
-    for P in p_full.values():
+    containment_ok = {
+        key: _within(tile, key, memo, E, P, tile.shapes) for key, P in p_sets.items()
+    }
+    if not all(containment_ok.values()):
+        raise VerificationError("level-set containment lost under tiling")
+    e_rel = E.relative_measure()
+    if e_rel != density:
+        raise VerificationError("replicated E lost the tile density")
+    for P in p_sets.values():
         if float(P.relative_measure()) < tile.c * tile.phi_at_h * float(e_rel) - 1e-12:
             raise VerificationError("replicated P lost its mass bound")
-    return ReplicationResult(E_full, p_full, j, tile, pad)
+    return StageRecord(m, j, pad, E, p_sets, tile, uniform_ok, containment_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -312,46 +332,33 @@ def check_independence(sets) -> list[dict]:
 
 
 @dataclass(frozen=True)
-class StageRecord:
-    k: int
-    q: int
-    h: Fraction
-    amp: Fraction  # h/q: the level sets of amp chi_E at threshold 1 are
-    # exactly those of h chi_E at threshold q
-    delta: Fraction
-    eps: Fraction
-    m: tuple
-    j: tuple
-    pad: tuple
-    E: GridSet  # at resolution j
-    p_sets: dict  # at resolution j
-    tile: MPhiWitness
-    uniform_ok: bool
-
-
-@dataclass(frozen=True)
 class ResonancePlan:
-    stages: tuple
+    stages: tuple  # of StageRecord, one per entry of the selection
     final_grid: DyadicGrid
     g: StepFunction
     basis_keys: tuple
     selection: LevelSelection
-    union_masses: dict  # key -> (union, product_formula, ok)
+    unions: dict  # key -> (union, product_formula, ok) after each stage
     independence: dict  # key -> report list
     containment_ok: dict  # key -> tuple of bools per stage
     integral_f: Fraction
     integral_g: Fraction
-    e_final: tuple = ()  # per-stage E masks refined to the final grid
-    p_final: dict = field(default_factory=dict)
+    e_final: tuple  # per-stage E masks refined to the final grid
+    p_final: dict  # key -> per-stage P masks refined to the final grid
 
     @property
     def depth(self) -> int:
         return len(self.stages)
 
+    @property
+    def union_masses(self) -> dict:
+        """key -> (union, product_formula, ok) over all stages."""
+        return {key: per_depth[-1] for key, per_depth in self.unions.items()}
+
     def verified(self) -> bool:
         return (
             all(s.uniform_ok for s in self.stages)
-            and all(ok for _, _, ok in self.union_masses.values())
+            and all(ok for seq in self.unions.values() for _, _, ok in seq)
             and all(
                 r["ok"] for rep in self.independence.values() for r in rep
             )
@@ -372,12 +379,8 @@ def build_resonance_function(
     bases,
     phi: GrowthFunction,
     K: int,
-    alpha=None,
     pads=None,
     resolution_cap: int = 12,
-    base_bits=(2, 2),
-    refine_extra: int = 3,
-    margin: float = 1e-9,
     deep_verify: bool = False,
 ) -> ResonancePlan:
     """Full staged construction against the basis family.
@@ -385,81 +388,36 @@ def build_resonance_function(
     Per stage k the band (A_k, h_k, q_k) yields a replicated configuration
     for amplitude h_k/q_k at truncation 1/k and target measure |A_k|;
     resolutions chain (the next coarse resolution is this stage's fine
-    one), which is what makes the stages exactly independent.
+    one), which is what makes the stages exactly independent.  Each stage
+    is one pass: its pad and fine resolution (checked against the cap),
+    one tile witness, and its replication with the checks made there.
     """
-    n = f.grid.n
     bases = list(bases)
-    if alpha is None:
-        alpha = 1.0
-    selection = build_divergent_sequences(phi, f, alpha, K)
+    selection = build_divergent_sequences(phi, f, 1.0, K)
     if len(selection.entries) != K:
         raise InfeasibleError(
-            "a stage split into several bands; enlarge alpha so each stage "
-            "is a single configuration"
+            "a stage took several bands; each stage must be a single configuration"
         )
-    m = (0,) * n
+    m = (0,) * f.grid.n
     stages = []
     for k, (A, h, q) in enumerate(selection.entries, start=1):
-        amp = Fraction(h) / q
         delta = A.relative_measure()
-        eps = Fraction(1, k)
-        required = tuple(
-            mi + bb + (pads[k - 1][ax] if pads else 0)
-            for ax, (mi, bb) in enumerate(zip(m, base_bits))
-        )
-        if max(required) > resolution_cap:
+        pad = _dilution_pad(delta, pads[k - 1] if pads else None)
+        j = tuple(mi + b + p for mi, b, p in zip(m, _BASE_BITS, pad))
+        if max(j) > resolution_cap:
             raise ResolutionCapError(
-                f"stage {k} needs resolution {required} beyond cap {resolution_cap}; "
+                f"stage {k} needs resolution {j} beyond cap {resolution_cap}; "
                 f"achievable depth is {k - 1}",
                 achievable_depth=k - 1,
-                required=required,
+                required=j,
             )
-        base_grid = DyadicGrid(
-            base_bits, side=tuple(Fraction(1, 1 << mi) for mi in m)
-        )
-        base_w = build_tile_witness(
-            base_grid, bases, amp, eps, phi, refine_extra=refine_extra, margin=margin
-        )
-        rep = replicate_configuration(
-            base_w,
-            delta,
-            m,
-            eps,
-            phi,
-            pad=pads[k - 1] if pads else None,
-            refine_extra=refine_extra,
-            margin=margin,
-        )
-        if max(rep.j) > resolution_cap:
-            raise ResolutionCapError(
-                f"stage {k} landed at resolution {rep.j} beyond cap {resolution_cap}",
-                achievable_depth=k - 1,
-                required=rep.j,
-            )
-        uniform_ok = uniform_distribution_check(rep.E, m) and all(
-            uniform_distribution_check(P, m) for P in rep.p_sets.values()
-        )
         stages.append(
-            StageRecord(
-                k=k,
-                q=q,
-                h=Fraction(h),
-                amp=amp,
-                delta=delta,
-                eps=eps,
-                m=m,
-                j=rep.j,
-                pad=rep.pad,
-                E=rep.E,
-                p_sets=rep.p_sets,
-                tile=rep.tile,
-                uniform_ok=uniform_ok,
-            )
+            replicate_configuration(bases, Fraction(h) / q, delta, m, Fraction(1, k), phi, pad)
         )
-        m = rep.j
+        m = stages[-1].j
     final_res = stages[-1].j
     final_grid = DyadicGrid(final_res)
-    basis_keys = tuple(stages[0].p_sets.keys())
+    basis_keys = tuple(stages[0].p_sets)
 
     e_final = tuple(_refine_to(s.E, final_res) for s in stages)
     p_final = {
@@ -467,63 +425,63 @@ def build_resonance_function(
         for key in basis_keys
     }
 
-    # Stage containment was proven exactly at each stage's native resolution
-    # (replicate_configuration raises otherwise).  Refining both sides
-    # preserves it: the scaled shapes cover the same physical rectangles, so
-    # every average is unchanged.  With deep_verify the level sets are
-    # recomputed from scratch on the final grid anyway.  Disk-certified
-    # sets are re-located against the stage tile's certificate.
+    # Each stage's containments were checked where its sets were made, at
+    # its own resolution j.  Refining both sides preserves them: the scaled
+    # shapes cover the same physical rectangles, so every average is
+    # unchanged.  With deep_verify the exact-route level sets are
+    # recomputed from scratch on the final grid as an oracle; a
+    # disk-certified set is located against its tile's certificate, which
+    # refinement does not touch.
     containment_ok = {}
     stage_memos = [{} for _ in stages]
     for key in basis_keys:
         per_stage = []
         for s, E_f, P_f, memo in zip(stages, e_final, p_final[key], stage_memos):
-            if deep_verify and s.j != final_res:
+            ok = s.containment_ok[key]
+            if deep_verify and s.j != final_res and key not in s.tile.certificates:
                 factor = tuple(1 << (r - jj) for r, jj in zip(final_res, s.j))
                 shapes = _scaled_shapes(s.tile.shapes, factor)
-                per_stage.append(_within(s.tile, key, memo, E_f, P_f, shapes))
-            elif key in s.tile.certificates:
-                per_stage.append(_within(s.tile, key, memo))
-            else:
-                per_stage.append(True)  # checked exactly at resolution s.j
+                ok = ok and _within(s.tile, key, memo, E_f, P_f, shapes)
+            per_stage.append(ok)
         containment_ok[key] = tuple(per_stage)
 
     independence = {
         key: check_independence(p_final[key]) for key in basis_keys
     }
 
-    union_masses = {}
+    # the union after each stage, accumulated once per basis, and the
+    # product identity 1 - prod(1 - |P_i|) at every depth
+    unions = {}
     for key in basis_keys:
         acc = np.zeros(final_grid.shape, dtype=bool)
-        formula = Fraction(1)
+        rest = Fraction(1)
+        per_depth = []
         for P in p_final[key]:
             acc |= P.mask
-            formula *= 1 - P.relative_measure()
-        union = Fraction(int(acc.sum()), final_grid.total_cells)
-        union_masses[key] = (union, 1 - formula, union == 1 - formula)
+            rest *= 1 - P.relative_measure()
+            union = Fraction(int(acc.sum()), final_grid.total_cells)
+            per_depth.append((union, 1 - rest, union == 1 - rest))
+        unions[key] = tuple(per_depth)
 
     # assemble g = sup_k h_k chi_{E_k}: each cell takes the code of the
     # last stage whose E_k holds it (the h_k increase, so later stages win)
     codes = np.zeros(final_grid.shape, dtype=np.intp)
     for k, E_f in enumerate(e_final, start=1):
         codes[E_f.mask] = k
-    g = StepFunction.from_table(final_grid, [0] + [s.h for s in stages], codes)
-    integral_g = g.integral()
-    integral_f = f.integral()
-    if integral_g > integral_f:
-        raise VerificationError("resonance function exceeds the input mass")
-
+    g = StepFunction.from_table(
+        final_grid, [0] + [h for _, h, _ in selection.entries], codes
+    )
     plan = ResonancePlan(
         stages=tuple(stages),
         final_grid=final_grid,
         g=g,
         basis_keys=basis_keys,
         selection=selection,
-        union_masses=union_masses,
+        unions=unions,
         independence=independence,
         containment_ok=containment_ok,
-        integral_f=integral_f,
-        integral_g=integral_g,
+        integral_f=f.integral(),
+        integral_g=g.integral(),
         e_final=e_final,
         p_final=p_final,
     )
@@ -709,9 +667,9 @@ def save_plan(plan: ResonancePlan, out_dir: str) -> str:
         "integral_g": str(plan.integral_g),
         "stages": [
             {
-                "k": s.k,
-                "q": s.q,
-                "h": str(s.h),
+                "k": k,
+                "q": q,
+                "h": str(h),
                 "m": list(s.m),
                 "j": list(s.j),
                 "pad": list(s.pad),
@@ -720,12 +678,14 @@ def save_plan(plan: ResonancePlan, out_dir: str) -> str:
                 "bases": {
                     key: {
                         "measure_P": str(P.relative_measure()),
-                        "verified": bool(plan.containment_ok[key][s.k - 1]),
+                        "verified": bool(plan.containment_ok[key][k - 1]),
                     }
                     for key, P in s.p_sets.items()
                 },
             }
-            for s in plan.stages
+            for k, ((_, h, q), s) in enumerate(
+                zip(plan.selection.entries, plan.stages), start=1
+            )
         ],
         "union_masses": {
             key: {"union": str(u), "product_formula": str(p), "ok": ok}

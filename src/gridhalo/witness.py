@@ -23,6 +23,11 @@ computation:
     arithmetic on a refined grid; only the final point location uses
     floats, guarded by a boundary margin, so dropped cells are possible
     but wrongly included ones are not (P is a certified lower bound).
+
+The refinement depth of K's grid and the point-location margin are fixed
+constants.  The staged construction (gridhalo.resonance) builds one
+witness per stage, directly on the diluted tile, and re-checks each P
+against it once, where the replicated sets are made.
 """
 
 from __future__ import annotations
@@ -54,6 +59,13 @@ __all__ = [
 
 class WitnessError(RuntimeError):
     """A witness construction could not satisfy its quantitative targets."""
+
+
+# the disk core K lives on a square-subcell refinement of the tile this
+# many levels deep, and a rotated tile-cell center must clear the walls of
+# its subcell by _MARGIN before the cell is certified
+_REFINE_EXTRA = 3
+_MARGIN = 1e-9
 
 
 def central_block(grid: DyadicGrid) -> GridSet:
@@ -287,7 +299,7 @@ def _epsilon_for(grid: DyadicGrid, trunc: Fraction) -> Fraction:
     return max(Fraction(trunc), l1)
 
 
-def _witness(E, bases, amp, trunc, epsilon, phi, refine_extra, margin) -> MPhiWitness:
+def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     """The witness loop: each basis takes its certified level set as P.
 
     All generic angles share one disk certificate: the inscribed disk of E,
@@ -308,14 +320,14 @@ def _witness(E, bases, amp, trunc, epsilon, phi, refine_extra, margin) -> MPhiWi
             if disk is None:
                 center = _box_center(grid)
                 rho_sq = inscribed_radius_sq(E, center)
-                fine = grid.refine(_square_refine_bits(grid, refine_extra))
+                fine = grid.refine(_square_refine_bits(grid, _REFINE_EXTRA))
                 K = disk_core(fine, center, rho_sq)
                 ladder = dyadic_ladder(max(fine.shape))
                 fine_shapes = enumerate_shapes(axis, fine, r=trunc, ladder=ladder)
                 U, _ = axis_level_set_exact(K, amp, trunc, axis, fine_shapes)
                 disk = (U, K, rho_sq)
             U, K, rho_sq = disk
-            certificates[key] = RotationCertificate(U, K, basis.gamma, rho_sq, margin)
+            certificates[key] = RotationCertificate(U, K, basis.gamma, rho_sq, _MARGIN)
         P = _level_set(basis, grid, E, amp, trunc, shapes, memo, certificates.get(key))
         if P.popcount == 0:
             raise WitnessError(f"empty P set for basis {key}")
@@ -344,8 +356,6 @@ def build_tile_witness(
     amp,
     trunc,
     phi: GrowthFunction,
-    refine_extra: int = 3,
-    margin: float = 1e-9,
 ) -> MPhiWitness:
     """Witness with E = central 2x2 block and per-basis certified P sets."""
     amp = Fraction(amp)
@@ -359,8 +369,6 @@ def build_tile_witness(
         trunc,
         _epsilon_for(tile_grid, trunc),
         phi,
-        refine_extra,
-        margin,
     )
 
 
@@ -372,8 +380,6 @@ def mphi_witness_for_rotations(
     grid_bits: int = 5,
     r_cells: int = 2,
     k: int = 2,
-    refine_extra: int = 3,
-    margin: float = 1e-9,
 ) -> MPhiWitness:
     """Ball-centered witness for a finite family of rotations.
 
@@ -398,4 +404,4 @@ def mphi_witness_for_rotations(
     if E.popcount < 4:
         raise WitnessError("ball too small at this resolution")
     bases = [BasisSpec("rotated", k, float(g)) for g in gammas]
-    return _witness(E, bases, Fraction(h), epsilon, epsilon, phi, refine_extra, margin)
+    return _witness(E, bases, Fraction(h), epsilon, epsilon, phi)

@@ -155,6 +155,37 @@ class TestCli:
         assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 0
         assert "cache hit" in capsys.readouterr().out
 
+    def test_cache_hit_needs_the_cached_report_in_out(self, tmp_path, capsys):
+        # a run into the same --out rewrites the artifacts, so the grid 4
+        # report cached first is no longer what --out holds on the third run
+        out = str(tmp_path / "o")
+        for grid in ("4", "5", "4"):
+            capsys.readouterr()
+            assert _run(["maxfield", "--grid", grid, "--out", out, "--use-cache"]) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        assert doc["rows"][0]["grid"] == "16x16"
+        assert open(os.path.join(out, "field.txt")).readlines()[1] == "2 4 4\n"
+        assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 0
+        assert "cache hit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resonance", "--depth", "2", "--set", "n=3"],
+            ["halo", "--set", "n=1"],
+            ["resonance", "--mode", "double"],
+            ["zygmund", "--mode", "double"],
+            ["rearrange", "--mode", "double"],
+        ],
+    )
+    def test_unused_n_and_mode_exit_2(self, argv, tmp_path, capsys):
+        # these runs are planar and exact; they must not report a setting
+        # they did not use
+        assert _run([*argv, "--out", str(tmp_path)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_failed_run_is_not_cached(self, tmp_path, monkeypatch, capsys):
         def failing(config):
             report = RunReport("maxfield", {})

@@ -15,6 +15,7 @@ from gridhalo.grid import (
     DyadicGrid,
     GridSet,
     StepFunction,
+    _scaled,
     load_grid_set,
     load_step_function,
     save_grid_set,
@@ -171,6 +172,19 @@ class TestStepFunction:
         assert back.grid == grid
         assert all(a == b for a, b in zip(back.values.ravel(), vals))
         assert back.integral() == f.integral()
+
+    @pytest.mark.parametrize("c", [2, 8, 3])
+    def test_scaled_overflow_bound(self, c):
+        # the rearrangement's domination compare multiplies numerators by
+        # the other side's denominator: int64 while the largest product is
+        # below 2^63, object ints from 2^63 on, the Python-int product either way
+        below = np.array([0, 1, (2**63 - 1) // c], dtype=np.int64)
+        at = np.array([0, 1, -(-(2**63) // c)], dtype=np.int64)
+        assert int(below.max()) * c < 2**63 <= int(at.max()) * c
+        for num, dtype in ((below, np.int64), (at, object)):
+            out = _scaled(num, c)
+            assert out.dtype == dtype
+            assert [int(v) for v in out] == [int(v) * c for v in num]
 
     def test_double_mode_matches_rational(self):
         g = DyadicGrid((2, 2))

@@ -25,7 +25,7 @@ from gridhalo.resonance import (
     select_level_sets,
     synthetic_resonance_input,
 )
-from gridhalo import resonance
+from gridhalo import resonance, witness
 from gridhalo.witness import build_tile_witness
 
 PHI = log_power_growth(2)
@@ -92,10 +92,10 @@ class TestDivergentSequences:
 
 class TestReplication:
     def test_diluted_tiling_keeps_invariants(self):
-        w = build_tile_witness(
-            DyadicGrid((2, 2)), [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1), PHI
+        rep = replicate_configuration(
+            [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1, 8), (1, 1), Fraction(1), PHI
         )
-        rep = replicate_configuration(w, Fraction(1, 8), (1, 1), Fraction(1), PHI)
+        assert rep.uniform_ok and all(rep.containment_ok.values())
         assert rep.j == (1 + 2 + rep.pad[0], 1 + 2 + rep.pad[1])
         density = rep.E.relative_measure()
         assert Fraction(1, 8) / 16 <= density <= Fraction(1, 8)
@@ -120,11 +120,42 @@ class TestReplication:
             build_resonance_function(f, bases, PHI, 1, pads=pads)
 
     def test_target_above_density_rejected(self):
-        w = build_tile_witness(
-            DyadicGrid((2, 2)), [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1), PHI
-        )
+        # the central 2x2 block of the 4x4 base tile has density 1/4
         with pytest.raises(InfeasibleError):
-            replicate_configuration(w, Fraction(1, 2), (0, 0), Fraction(1), PHI)
+            replicate_configuration(
+                [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1, 2), (0, 0), Fraction(1), PHI
+            )
+
+    def test_one_witness_and_one_recheck_per_stage(self, monkeypatch):
+        # each stage builds its tile witness once, on the diluted tile, and
+        # locates a generic-angle P against the certificate twice: once to
+        # make it and once to re-check it where it is replicated
+        calls = {"witness": 0, "preimage": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            resonance, "build_tile_witness", counting("witness", build_tile_witness)
+        )
+        monkeypatch.setattr(
+            witness, "rotation_preimage", counting("preimage", witness.rotation_preimage)
+        )
+        f, pads = synthetic_resonance_input(PHI, 2, style="square")
+        plan = build_resonance_function(
+            f, [BasisSpec("rotated", 2, math.pi / 8)], PHI, 2, pads=pads
+        )
+        assert plan.depth == 2
+        assert calls["witness"] == 2
+        assert calls["preimage"] <= 2 * 2
+        key = BasisSpec("rotated", 2, math.pi / 8).describe()
+        assert plan.containment_ok[key] == tuple(
+            s.containment_ok[key] for s in plan.stages
+        )
 
 
 class TestIndependence:
@@ -192,7 +223,7 @@ class TestSquarePlan:
     def test_g_dominated_by_input_mass(self, square_plan):
         _, plan = square_plan
         assert plan.integral_g <= plan.integral_f
-        assert max(plan.g.values.ravel()) == plan.stages[-1].h
+        assert max(plan.g.values.ravel()) == plan.selection.entries[-1][1]
 
     def test_deep_verify_confirms_refinement_invariance(self):
         f, pads = synthetic_resonance_input(PHI, 2, style="square")

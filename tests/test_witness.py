@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridhalo.grid import DyadicGrid, GridSet
+from gridhalo.grid import DyadicGrid, GridSet, StepFunction
 from gridhalo.growth import log_power_growth
 from gridhalo.maxop import BasisSpec
-from gridhalo.rotate import rot90_set
+from gridhalo.rotate import rot90_set, rotated_average
 from gridhalo.witness import (
     WitnessError,
     _route,
@@ -201,3 +201,68 @@ class TestRotationFamilyWitness:
     def test_epsilon_shrinks_the_box(self):
         w = mphi_witness_for_rotations([0.0], 4.0, 0.25, PHI)
         assert w.box_diam_sq() < Fraction(1, 16)
+
+
+def _certificate_rectangle(K: GridSet, amp: Fraction, point):
+    """Smallest-diameter axis rectangle R0 of K's grid (any widths) holding
+    ``point`` in one of its cells with amp*|R0 ∩ K|/|R0| > 1, as
+    (lower-left cell, widths), or None."""
+    grid = K.grid
+    nx, ny = grid.shape
+    cw, ch = grid.cell_size
+    i = math.floor((point[0] - float(grid.origin[0])) / float(cw))
+    j = math.floor((point[1] - float(grid.origin[1])) / float(ch))
+    S = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+    S[1:, 1:] = K.mask.cumsum(0).cumsum(1)
+    widths = sorted(
+        ((a, b) for a in range(1, nx + 1) for b in range(1, ny + 1)),
+        key=lambda ab: (ab[0] * cw) ** 2 + (ab[1] * ch) ** 2,
+    )
+    for a, b in widths:
+        # |R0 ∩ K| for every placement (i0, j0) whose cells include (i, j)
+        i0 = np.arange(max(i - a + 1, 0), min(i, nx - a) + 1)[:, None]
+        j0 = np.arange(max(j - b + 1, 0), min(j, ny - b) + 1)[None, :]
+        if not (i0.size and j0.size):
+            continue
+        hits = S[i0 + a, j0 + b] - S[i0, j0 + b] - S[i0 + a, j0] + S[i0, j0]
+        best = np.unravel_index(np.argmax(hits), hits.shape)
+        if amp * int(hits[best]) > a * b:
+            return (int(i0[best[0], 0]), int(j0[0, best[1]])), (a, b)
+    return None
+
+
+@pytest.mark.parametrize(
+    "grid, amp",
+    [
+        (DyadicGrid((3, 3)), Fraction(5, 2)),
+        (DyadicGrid((3, 2), side=(Fraction(1, 4), Fraction(1, 8))), Fraction(37, 10)),
+    ],
+)
+def test_rotated_p_cells_pass_a_sampled_clipping_oracle(grid, amp):
+    # independent of the certificate's level-set kernel: for sampled cells x
+    # of a 22.5-degree P, search K's grid for a rectangle R0 through the
+    # rotated-back center of x with amp*|R0 ∩ K|/|R0| > 1, turn it by gamma
+    # about the box center and average amp*chi_E over it by polygon clipping
+    gamma = math.pi / 8
+    basis = BasisSpec("rotated", 2, gamma)
+    key = basis.describe()
+    w = build_tile_witness(grid, [basis], amp, Fraction(1, 2), PHI)
+    K = w.certificates[key].K
+    f = StepFunction.indicator(w.E, w.h)
+    cx, cy = (float(o + s / 2) for o, s in zip(grid.origin, grid.side))
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    cells = np.argwhere(w.p_sets[key].mask)
+    assert len(cells) > 0
+    for idx in cells[:: -(-len(cells) // 8)]:
+        px, py = (float(v) for v in grid.cell_center(tuple(idx)))
+        dx, dy = px - cx, py - cy
+        back = (cx + cg * dx + sg * dy, cy - sg * dx + cg * dy)
+        found = _certificate_rectangle(K, w.h, back)
+        assert found is not None, tuple(idx)
+        (i0, j0), (a, b) = found
+        sides = (a * K.grid.cell_size[0], b * K.grid.cell_size[1])
+        assert sides[0] ** 2 + sides[1] ** 2 < w.trunc**2
+        ux = float(K.grid.origin[0] + (i0 + Fraction(a, 2)) * K.grid.cell_size[0]) - cx
+        uy = float(K.grid.origin[1] + (j0 + Fraction(b, 2)) * K.grid.cell_size[1]) - cy
+        center = (cx + cg * ux - sg * uy, cy + sg * ux + cg * uy)
+        assert rotated_average(f, center, sides, gamma) > 1 + 1e-9, tuple(idx)
