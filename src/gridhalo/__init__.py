@@ -8,7 +8,7 @@ from .grid import (
     StepFunction,
     uniform_distribution_check,
 )
-from .growth import GrowthFunction, log_power_growth, power_growth, table_growth
+from .growth import GrowthFunction, log_power_growth
 from .maxop import (
     BasisSpec,
     MaxField,

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig, read_config_file
-from .halo import BallTooCoarseError, DomainTooSmallError, QuadratureError
+from .halo import DomainTooSmallError, QuadratureError
 from .maxop import EmptyFamilyError
 from .reports import cache_key, cache_lookup, cache_store, write_report
 from .resonance import InfeasibleError, ResolutionCapError, VerificationError
@@ -35,7 +35,6 @@ _INFEASIBLE = (
     EmptyFamilyError,
     WitnessError,
     DomainTooSmallError,
-    BallTooCoarseError,
     QuadratureError,
 )
 
@@ -43,6 +42,9 @@ _INFEASIBLE = (
 _DEFAULTS = {
     "rearrange": {"style": "square", "depth": "2"},
     "zygmund": {"h_list": "4"},
+    # a grid whose full field finishes in seconds; larger grids are bounded
+    # by experiments.MAXFIELD_SHAPE_CELLS
+    "maxfield": {"grid_bits": "5"},
 }
 
 
@@ -57,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file (supports include)")
         p.add_argument("--grid", type=int, help="grid resolution exponent per axis")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--mode", choices=["rational", "double"])
+        p.add_argument("--mode", help="value arithmetic: rational (the only one)")
         p.add_argument("--seed", type=int)
         p.add_argument("--depth", type=int)
         p.add_argument("--style", choices=["deep", "square"])

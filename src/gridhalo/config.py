@@ -13,8 +13,6 @@ from dataclasses import dataclass
 __all__ = ["ConfigError", "read_config_file", "ExperimentConfig"]
 
 _KINDS = ("halo", "lemmas", "zygmund", "resonance", "rearrange", "maxfield")
-# the staged constructions compute in rational arithmetic only
-_EXACT_KINDS = ("zygmund", "resonance", "rearrange")
 
 
 class ConfigError(ValueError):
@@ -82,21 +80,20 @@ class ExperimentConfig:
     style: str = "deep"
     growth_exponent: int = 2
     out: str = "out"
+    # every run computes in exact rational arithmetic; the key stays because
+    # report.json's meta records it
     mode: str = "rational"
     seed: int = 0
-    use_ladder: bool = True
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.mode not in ("rational", "double"):
-            raise ConfigError("mode must be rational or double")
+        if self.mode != "rational":
+            raise ConfigError(f"mode must be rational, got {self.mode!r}")
         if self.n < 1 or self.k < 1:
             raise ConfigError("n and k must be positive")
         if self.n != 2 and self.kind != "maxfield":
             raise ConfigError(f"{self.kind} runs are planar: n must be 2")
-        if self.mode == "double" and self.kind in _EXACT_KINDS:
-            raise ConfigError(f"{self.kind} runs are exact: mode must be rational")
         for name in ("h_list", "t_list", "r_list", "rotations_deg"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")
@@ -144,11 +141,6 @@ class ExperimentConfig:
         ):
             if name in mapping:
                 kw[name] = conv(str(mapping.pop(name)))
-        if "use_ladder" in mapping:
-            tok = str(mapping.pop("use_ladder")).lower()
-            if tok not in ("true", "false", "0", "1"):
-                raise ConfigError("use_ladder must be boolean")
-            kw["use_ladder"] = tok in ("true", "1")
         if mapping:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(mapping))}")
         return cls(**kw)

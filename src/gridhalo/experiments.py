@@ -30,6 +30,7 @@ from .grid import AxisRect
 from .maxop import (
     BasisSpec,
     dyadic_ladder,
+    enumerate_shapes,
     level_set,
     max_field_brute,
     max_field_fast,
@@ -74,14 +75,9 @@ def run_halo(config: ExperimentConfig) -> RunReport:
     basis = BasisSpec("axis", config.k)
     phis = []
     for h in config.h_list:
-        probe = HaloProbe(
-            basis,
-            float(h),
-            config.grid_bits,
-            mode=config.mode,
-            use_ladder=config.use_ladder,
+        est = halo_estimate(
+            HaloProbe(basis, float(h), config.grid_bits), config.t_list, config.r_list
         )
-        est = halo_estimate(probe, config.t_list, config.r_list)
         clipped = any(s.clipped for s in est.samples)
         if clipped:
             # a resolution limit of the sample, not an invariant failure
@@ -143,7 +139,7 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
     w = max(grid.shape[0] // 64, 1)
     lo = grid.shape[0] // 2 - w // 2
     rect = AxisRect((lo, lo), (lo + w, lo + w))
-    ladder = dyadic_ladder(max(grid.shape)) if config.use_ladder else None
+    ladder = dyadic_ladder(max(grid.shape))
     # keep the level set well inside the box: its arms extend a few h
     # rectangle-lengths from the center
     h_sweep = [h for h in config.h_list if h * w * 8 < grid.shape[0]] or [
@@ -151,9 +147,7 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
     ]
     ok10 = True
     for h in h_sweep[:3]:
-        res = lemma10_levelset_measure(
-            rect, float(h), 2, grid, mode=config.mode, ladder=ladder
-        )
+        res = lemma10_levelset_measure(rect, float(h), 2, grid, ladder=ladder)
         ok10 &= res.ratio_exponent_km1 > 0
         report.rows.append(
             {
@@ -322,16 +316,31 @@ def run_rearrangement_demo(config: ExperimentConfig) -> RunReport:
     return report
 
 
+# Largest shapes x cells product a maxfield run may take: every shape costs
+# a few passes over every cell.  At n = 2, k = 2 the product is 2^28 for
+# --grid 7 (27 s on a 2-vCPU VM) and grows 16-fold per grid bit, so
+# --grid 8 (2^32) and the roughly 30-hour --grid 10 (2^40) are refused.
+MAXFIELD_SHAPE_CELLS = 1 << 30
+
+
 def run_maxfield(config: ExperimentConfig) -> RunReport:
     """One maximal-operator field over a central-block indicator."""
     report = RunReport("maxfield", _meta(config))
     t0 = time.perf_counter()
     grid = DyadicGrid((config.grid_bits,) * config.n)
+    basis = BasisSpec("axis", config.k)
+    shapes = enumerate_shapes(basis, grid)
+    work = len(shapes) * grid.total_cells
+    if work > MAXFIELD_SHAPE_CELLS:
+        raise InfeasibleError(
+            f"maxfield on {'x'.join(map(str, grid.shape))} cells needs "
+            f"{len(shapes)} shapes x {grid.total_cells} cells = {work}, above "
+            f"the bound {MAXFIELD_SHAPE_CELLS}; use a smaller --grid"
+        )
     E = central_block(grid)
     amp = config.h_list[0]
-    f = StepFunction.indicator(E, amp, config.mode)
-    basis = BasisSpec("axis", config.k)
-    fld = max_field_fast(f, basis, r=None)
+    f = StepFunction.indicator(E, amp)
+    fld = max_field_fast(f, basis, r=None, shapes=shapes)
     ls = level_set(fld, 1)
     report.rows.append(
         {
@@ -342,13 +351,11 @@ def run_maxfield(config: ExperimentConfig) -> RunReport:
         }
     )
     if max(grid.shape) <= 64:
-        brute = max_field_brute(f, basis, r=None)
-        agree = (
-            np.array_equal(fld.num, brute.num) and np.array_equal(fld.den, brute.den)
-            if config.mode == "rational"
-            else bool(np.allclose(fld.num, brute.num, rtol=1e-12, atol=1e-12))
+        brute = max_field_brute(f, basis, r=None, shapes=shapes)
+        report.check(
+            "routes_agree",
+            np.array_equal(fld.num, brute.num) and np.array_equal(fld.den, brute.den),
         )
-        report.check("routes_agree", agree)
     os.makedirs(config.out, exist_ok=True)
     save_max_field(fld, os.path.join(config.out, "field.txt"))
     report.timings["total"] = time.perf_counter() - t0

@@ -1,12 +1,11 @@
 """Dyadic grids, exact-measure cell sets, step functions.
 
 Everything here is measure bookkeeping for unions of dyadic cells.  Cell
-counts are integers, cell volumes are exact rationals, so all measures and
-distribution identities can be checked with zero tolerance.  Function
-values may be rationals ("rational" mode) or doubles ("double" mode); set
-arithmetic never depends on the value mode.  A rational step function is
-an integer numerator array over one common denominator; consumers work on
-those integers and per-cell Fractions exist only when ``values`` is read.
+counts are integers, cell volumes and function values are exact rationals,
+so all measures and distribution identities can be checked with zero
+tolerance.  A step function is an integer numerator array over one common
+denominator; consumers work on those integers and per-cell Fractions exist
+only when ``values`` is read.
 """
 
 from __future__ import annotations
@@ -243,28 +242,22 @@ def _scaled(num: np.ndarray, c: int) -> np.ndarray:
     return num * c
 
 
-def _payload(table, codes, mode: str):
+def _payload(table, codes):
     """(num, den) of the cells that take ``table[codes]``, converting each
-    distinct value once: rational values go onto one common denominator,
-    the lcm of theirs; double values become float64 with ``den`` None."""
-    if mode not in ("rational", "double"):
-        raise ValueError("mode must be 'rational' or 'double'")
+    distinct value once onto one common denominator, the lcm of theirs."""
     if any(v < 0 for v in table):
         raise ValueError("step functions are nonnegative")
     codes = np.asarray(codes, dtype=np.intp)
-    if mode == "double":
-        return np.array(table, dtype=np.float64)[codes], None
     table = [Fraction(v) for v in table]
     den = math.lcm(*(v.denominator for v in table))
     nums = [v.numerator * (den // v.denominator) for v in table]
     return np.array(nums, dtype=np.int64 if max(nums) < 1 << 63 else object)[codes], den
 
 
-def _value_table(num: np.ndarray, den, cell_den: np.ndarray | None = None):
+def _value_table(num: np.ndarray, den: int, cell_den: np.ndarray | None = None):
     """(table, codes): the distinct values ``num / (cell_den * den)`` of a
     payload as Fractions, ``cell_den`` per cell (max fields) or absent
-    (step functions), or its floats when ``den`` is None; the row-major
-    cells are ``table[codes]``."""
+    (step functions); the row-major cells are ``table[codes]``."""
     flat = num.ravel()
     groups = [(1, slice(None))]
     if cell_den is not None:
@@ -276,8 +269,7 @@ def _value_table(num: np.ndarray, den, cell_den: np.ndarray | None = None):
         part = flat[cells]
         nums = np.unique(part)
         codes[cells] = np.searchsorted(nums, part) + len(table)
-        nums = nums.tolist()
-        table.extend(nums if den is None else (Fraction(p, d * den) for p in nums))
+        table.extend(Fraction(p, d * den) for p in nums.tolist())
     return np.array(table), codes
 
 
@@ -285,53 +277,49 @@ def _value_table(num: np.ndarray, den, cell_den: np.ndarray | None = None):
 class StepFunction:
     """A nonnegative cell-constant function on a dyadic grid.
 
-    Rational mode keeps the exact payload value = num / den: one int
-    ``den`` over int64 numerators, or object ints when a numerator does not
-    fit in int64.  Double mode keeps float64 values in ``num``, ``den``
-    None.  The constructor converts each distinct value of any array once;
-    ``values`` is built on first read.
+    The exact payload is value = num / den: one int ``den`` over int64
+    numerators, or object ints when a numerator does not fit in int64.  The
+    constructor converts each distinct value of any array once; ``values``
+    is built on first read.
     """
 
     grid: DyadicGrid
     num: np.ndarray
-    den: int | None
+    den: int
 
-    def __init__(self, grid: DyadicGrid, values, mode: str = "rational"):
-        src = np.asarray(values, dtype=np.float64 if mode == "double" else object)
+    def __init__(self, grid: DyadicGrid, values):
+        src = np.asarray(values, dtype=object)
         if src.shape != grid.shape:
             raise ValueError("values shape does not match grid")
         table, codes = np.unique(src.ravel(), return_inverse=True)
-        self._set(grid, *_payload(table.tolist(), codes, mode))
+        self._set(grid, *_payload(table.tolist(), codes))
 
-    def _set(self, grid: DyadicGrid, num: np.ndarray, den) -> "StepFunction":
+    def _set(self, grid: DyadicGrid, num: np.ndarray, den: int) -> "StepFunction":
         self.__dict__.update(grid=grid, num=_frozen(num.reshape(grid.shape)), den=den)
         return self
 
     @classmethod
-    def from_table(cls, grid: DyadicGrid, table, codes, mode: str = "rational") -> "StepFunction":
+    def from_table(cls, grid: DyadicGrid, table, codes) -> "StepFunction":
         """The function whose row-major cells take ``table[codes]``."""
-        return cls.__new__(cls)._set(grid, *_payload(table, codes, mode))
+        return cls.__new__(cls)._set(grid, *_payload(table, codes))
 
     @classmethod
-    def indicator(cls, s: GridSet, height=1, mode: str = "rational") -> "StepFunction":
-        return cls.from_table(s.grid, [0, height], s.mask, mode)
+    def indicator(cls, s: GridSet, height=1) -> "StepFunction":
+        return cls.from_table(s.grid, [0, height], s.mask)
 
     @property
     def mode(self) -> str:
-        return "double" if self.den is None else "rational"
+        """The value arithmetic: always exact, "rational"."""
+        return "rational"
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The cells as Fractions (rational mode) or floats, built on first read."""
-        if self.den is None:
-            return self.num
+        """The cells as Fractions, built on first read."""
         table, codes = _value_table(self.num, self.den)
         return _frozen(table[codes].reshape(self.grid.shape))
 
-    def integral(self):
+    def integral(self) -> Fraction:
         cv = self.grid.cell_volume
-        if self.den is None:
-            return float(self.num.sum()) * float(cv)
         nums, counts = np.unique(self.num, return_counts=True)
         return Fraction(sum(p * c for p, c in zip(nums.tolist(), counts.tolist())), self.den) * cv
 
@@ -387,19 +375,8 @@ class AxisRect:
 # plain-text serialization: "n m_1 ... m_n" header then row-major values
 
 
-def _format_value(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    return repr(float(v))
-
-
-def _parse_value(tok: str):
-    if "/" in tok:
-        p, q = tok.split("/")
-        return Fraction(int(p), int(q))
-    if any(c in tok for c in ".eE"):
-        return float(tok)
-    return Fraction(int(tok))
+def _format_value(v: Fraction) -> str:
+    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
 def _text_chunks(table, codes, end: str = "\n", chunk: int = 1 << 16):
@@ -426,10 +403,11 @@ def _read_cells(path) -> tuple[DyadicGrid, np.ndarray]:
     return grid, toks
 
 
-def load_step_function(path, mode: str = "rational") -> StepFunction:
+def load_step_function(path) -> StepFunction:
+    """Each token is read exactly: ``p/q``, integer and decimal forms alike."""
     grid, toks = _read_cells(path)
     table, codes = np.unique(toks, return_inverse=True)
-    return StepFunction.from_table(grid, [_parse_value(t) for t in table.tolist()], codes, mode)
+    return StepFunction.from_table(grid, [Fraction(t) for t in table.tolist()], codes)
 
 
 def save_grid_set(s: GridSet, path):

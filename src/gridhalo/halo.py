@@ -4,13 +4,15 @@ The halo function of a basis is the limiting normalized measure of
 {M^(tr)(h·chi_ball) > 1} relative to the ball.  The double limit is not
 computable, so the estimator reports the measured ratio on a finite
 (t, r) lattice and aggregates by max; each sample is therefore a certified
-lower bound and convergence can be inspected sample by sample.
+lower bound and convergence can be inspected sample by sample.  Level sets
+are exact: the ball indicator is a rational step function and every
+sample's field is the exact axis-basis field over the dyadic width ladder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,6 @@ __all__ = [
     "HaloEstimate",
     "HaloSample",
     "DomainTooSmallError",
-    "BallTooCoarseError",
     "discrete_ball",
     "halo_estimate",
     "halo_fit",
@@ -39,26 +40,21 @@ class DomainTooSmallError(RuntimeError):
     """The level set reaches the grid boundary; enlarge the domain."""
 
 
-class BallTooCoarseError(ValueError):
-    """The discrete ball has fewer cells than the configured minimum."""
-
-
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
 class HaloProbe:
-    """One halo-estimation setup: basis, amplitude, grid, sampling knobs."""
+    """One halo-estimation setup: an axis basis, amplitude and grid."""
 
     basis: BasisSpec
     h: float
     grid_bits: int
-    min_ball_cells: int = 1
-    mode: str = "double"
-    use_ladder: bool = True
 
     def __post_init__(self):
+        if self.basis.kind != "axis":
+            raise ValueError("halo probes take the axis basis only")
         if self.h <= 1:
             raise ValueError("halo amplitude must satisfy h > 1")
         if self.grid_bits < 2:
@@ -80,7 +76,6 @@ class HaloEstimate:
     h: float
     samples: tuple[HaloSample, ...]
     phi_hat: float
-    weak_variant: bool = False
 
 
 def discrete_ball(grid: DyadicGrid, r_cells: float, center=None) -> GridSet:
@@ -107,47 +102,25 @@ def _boundary_touch(mask: np.ndarray) -> bool:
     )
 
 
-def halo_estimate(
-    probe: HaloProbe,
-    t_list,
-    r_list,
-    weak: bool = False,
-) -> HaloEstimate:
-    """Measured halo ratios over a finite (t, r) lattice, aggregated by max.
-
-    The weak variant replaces every t by h.  Rotated quarter-turn bases and
-    generic rotations reduce to the axis basis: the ball is rotation
-    symmetric, so the rotated level set is a rotation of the axis one and
-    has identical measure.
-    """
-    if weak:
-        t_list = [probe.h]
+def halo_estimate(probe: HaloProbe, t_list, r_list) -> HaloEstimate:
+    """Measured halo ratios over a finite (t, r) lattice, aggregated by max."""
     t_list = [float(t) for t in t_list]
     r_list = [int(r) for r in r_list]
     if not t_list or not r_list:
         raise ValueError("t/r sample lists must be nonempty")
-    if any(t <= 1 for t in t_list) and not weak:
+    if any(t <= 1 for t in t_list):
         raise ValueError("truncation multipliers must satisfy t > 1")
     grid = DyadicGrid((probe.grid_bits,) * 2)
-    basis = (
-        BasisSpec("axis", probe.basis.k)
-        if probe.basis.kind == "rotated"
-        else probe.basis
-    )
+    ladder = dyadic_ladder(max(grid.shape))
     samples = []
     for r_cells in r_list:
         ball = discrete_ball(grid, r_cells)
-        if ball.popcount < probe.min_ball_cells:
-            raise BallTooCoarseError(
-                f"ball of radius {r_cells} cells has only {ball.popcount} cells"
-            )
-        f = StepFunction.indicator(ball, probe.h, probe.mode)
+        f = StepFunction.indicator(ball, probe.h)
         for t in t_list:
             # t = inf drops the truncation entirely (still a valid sample:
             # the truncated level sets increase to the untruncated one)
             r_phys = None if math.isinf(t) else t * r_cells * float(grid.cell_size[0])
-            ladder = dyadic_ladder(max(grid.shape)) if probe.use_ladder else None
-            fld = max_field_fast(f, basis, r=r_phys, ladder=ladder)
+            fld = max_field_fast(f, probe.basis, r=r_phys, ladder=ladder)
             ls = level_set(fld, 1)
             samples.append(
                 HaloSample(
@@ -160,7 +133,7 @@ def halo_estimate(
                 )
             )
     phi_hat = max(s.ratio for s in samples)
-    return HaloEstimate(probe.h, tuple(samples), phi_hat, weak)
+    return HaloEstimate(probe.h, tuple(samples), phi_hat)
 
 
 def halo_fit(h_samples, phi_values, model_exponent: int) -> tuple[float, float]:
@@ -212,7 +185,7 @@ def lemma9_integral(n: int, deltas, h: float, tol: float = 1e-10) -> float:
 
 @dataclass(frozen=True)
 class Lemma10Result:
-    levelset_measure: Fraction | float
+    levelset_measure: Fraction
     rect_measure: Fraction
     ratio_exponent_k: float  # |levelset| / (h (1+ln h)^k |I|)
     ratio_exponent_km1: float  # same with exponent k-1
@@ -224,7 +197,6 @@ def lemma10_levelset_measure(
     h: float,
     k: int,
     grid: DyadicGrid,
-    mode: str = "double",
     ladder=None,
 ) -> Lemma10Result:
     """Measured level set {M(h chi_I) > 1} for the <=k-distinct-edges basis.
@@ -243,7 +215,7 @@ def lemma10_levelset_measure(
     sl = tuple(slice(lo, hi) for lo, hi in zip(I.lo, I.hi))
     mask[sl] = True
     ind = GridSet(grid, mask)
-    f = StepFunction.indicator(ind, h, mode)
+    f = StepFunction.indicator(ind, h)
     # basis with <= k distinct edge values (k = 1: cubes)
     fld = max_field_fast(f, BasisSpec("axis", min(k, n)), r=None, ladder=ladder)
     ls = level_set(fld, 1)

@@ -3,10 +3,10 @@
 Two routes compute the same field: a brute accumulation (per shape, direct
 repeated-addition window sums and a linear scan over placements), kept as
 the oracle, and the production one (prefix sums + sparse-table sliding
-maximum).  In rational mode both work on common-denominator integers
-(int64, or Python ints when int64 could overflow), so they must agree bit
-for bit; a field keeps only that integer payload, and level sets compare
-it cross-multiplied against the threshold.
+maximum).  Both work on common-denominator integers (int64, or Python ints
+when int64 could overflow), so they must agree bit for bit; a field keeps
+only that integer payload, and level sets compare it cross-multiplied
+against the threshold.
 
 Evaluation point is the cell center; since admissible rectangles are
 cell-aligned, "contains the center" and "contains the cell" coincide.
@@ -73,24 +73,20 @@ class BasisSpec:
 class MaxField:
     """Per-cell truncated maximal function values at cell centers.
 
-    Rational mode keeps the exact payload value = num / (den * scale), as
-    int64 arrays or, when int64 could overflow, object arrays of ints.
-    Double mode keeps the averages themselves in ``num`` and ``den`` is None.
+    The exact payload is value = num / (den * scale), as int64 arrays or,
+    when int64 could overflow, object arrays of ints.
     """
 
     grid: DyadicGrid
     basis: BasisSpec
     r: object  # truncation radius (Fraction or None for infinity)
-    mode: str
     num: np.ndarray
-    den: np.ndarray | None
+    den: np.ndarray
     scale: int = 1
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The field as Fractions (rational mode) or floats, built on first use."""
-        if self.den is None:
-            return self.num
+        """The field as Fractions, built on first use."""
         table, codes = _value_table(self.num, self.scale, self.den)
         return _frozen(table[codes].reshape(self.grid.shape))
 
@@ -161,10 +157,8 @@ def _product(axes: Sequence[Iterable[int]]):
 
 
 def _prepare_values(f: StepFunction) -> np.ndarray:
-    """The numerators to sum: int64 or object ints in rational mode, floats
-    in double mode."""
-    if f.den is None:
-        return f.num
+    """The numerators to sum: int64, or object ints when a window sum could
+    overflow int64."""
     total = float(f.num.astype(np.float64).sum())
     # float estimate of the worst numerator (at most total cells of shape
     # volume); the factor-2 headroom (2^61, not 2^62) absorbs its rounding
@@ -221,9 +215,6 @@ def _placement_max_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
 
 def _accumulate(best_num, best_den, S, d):
     """Pointwise keep the larger average; exact compare is cross-multiplied."""
-    if best_den is None:
-        np.maximum(best_num, S / d, out=best_num)
-        return best_num, None
     better = S * best_den > best_num * d
     return np.where(better, S, best_num), np.where(better, d, best_den)
 
@@ -248,7 +239,7 @@ def _max_field(
         raise EmptyFamilyError("empty explicit shape list")
     arr = _prepare_values(f)
     best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
-    best_den = None if f.den is None else np.ones(f.grid.shape, dtype=arr.dtype)
+    best_den = np.ones(f.grid.shape, dtype=arr.dtype)
     for shape in shapes:
         S = arr
         for ax, w in enumerate(shape):
@@ -260,7 +251,7 @@ def _max_field(
             d *= w
         best_num, best_den = _accumulate(best_num, best_den, S, d)
     r = None if r is None else Fraction(r)
-    return MaxField(f.grid, basis, r, f.mode, best_num, best_den, f.den or 1)
+    return MaxField(f.grid, basis, r, best_num, best_den, f.den)
 
 
 def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
@@ -281,8 +272,6 @@ def level_set(field: MaxField, lam) -> GridSet:
     """Cells where the field value is strictly greater than lam."""
     if lam < 0:
         raise ValueError("threshold must be >= 0")
-    if field.den is None:
-        return GridSet(field.grid, field.num > float(lam))
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     num, den, rhs = field.num, field.den, p * field.scale
@@ -300,8 +289,7 @@ def save_max_field(field: MaxField, path):
         r = "inf" if field.r is None else str(field.r)
         fh.write(
             f"basis={field.basis.kind} k={field.basis.k} "
-            f"gamma={field.basis.gamma!r} r={r} mode={field.mode}\n"
+            f"gamma={field.basis.gamma!r} r={r} mode=rational\n"
         )
         fh.write(f"{field.grid.n} " + " ".join(str(m) for m in field.grid.resolution) + "\n")
-        den = None if field.den is None else field.scale
-        fh.writelines(_text_chunks(*_value_table(field.num, den, field.den)))
+        fh.writelines(_text_chunks(*_value_table(field.num, field.scale, field.den)))

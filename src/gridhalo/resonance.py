@@ -109,8 +109,6 @@ def select_level_sets(
     still find mass.  Returns the selected pairs; raises InfeasibleError
     with the achieved mass when f cannot supply the target.
     """
-    if f.mode != "rational":
-        raise ValueError("band selection needs rational values")
     if target <= 0:
         raise ValueError("target mass must be positive")
     grid = f.grid
@@ -650,7 +648,7 @@ def synthetic_resonance_input(
         pos += int(count)
     if pos > cells:
         raise InfeasibleError("bands exceed the unit cube")
-    f = StepFunction(grid, values.reshape(grid.shape), "rational")
+    f = StepFunction(grid, values.reshape(grid.shape))
     return f, pads[:K]
 
 

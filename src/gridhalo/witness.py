@@ -151,7 +151,7 @@ def axis_level_set_exact(E: GridSet, amp, trunc, basis: BasisSpec, shapes=None):
     axis = BasisSpec("axis", basis.k)
     if shapes is None:
         shapes = enumerate_shapes(axis, E.grid, r=trunc)
-    f = StepFunction.indicator(E, Fraction(amp), "rational")
+    f = StepFunction.indicator(E, Fraction(amp))
     fld = max_field_fast(f, axis, r=trunc, shapes=list(shapes))
     return level_set(fld, 1), shapes
 

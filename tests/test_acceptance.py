@@ -49,7 +49,7 @@ def _random_rational(grid: DyadicGrid, rng) -> StepFunction:
     obj = np.array(
         [Fraction(int(v)) for v in vals.ravel()], dtype=object
     ).reshape(grid.shape)
-    return StepFunction(grid, obj, "rational")
+    return StepFunction(grid, obj)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def halo_sweep():
     hs = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
     phis = []
     for h in hs:
-        probe = HaloProbe(BasisSpec("axis", 2), h, 10, mode="double")
+        probe = HaloProbe(BasisSpec("axis", 2), h, 10)
         phis.append(halo_estimate(probe, [math.inf], [1]).phi_hat)
     return hs, phis
 

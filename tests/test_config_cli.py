@@ -76,6 +76,8 @@ class TestExperimentConfig:
             ExperimentConfig.from_mapping("halo", {"color": "blue"})
         assert main(["resonance", "--set", "deph=2"]) == 2
         assert "unknown config key(s): deph" in capsys.readouterr().err
+        assert main(["halo", "--set", "use_ladder=false"]) == 2
+        assert "unknown config key(s): use_ladder" in capsys.readouterr().err
 
     def test_out_excluded_from_cache_identity(self):
         a = ExperimentConfig.from_mapping("halo", {"out": "x"})
@@ -137,6 +139,34 @@ class TestCli:
         assert all(item["ok"] for item in doc["verified"])
         assert os.path.exists(os.path.join(out, "rows.csv"))
 
+    def test_maxfield_default_grid_finishes(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert _run(["maxfield", "--out", out]) == 0
+        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        assert doc["meta"]["grid_bits"] == 5 and doc["rows"][0]["grid"] == "32x32"
+
+    def test_maxfield_grid_7_within_the_work_bound(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def stop(f, basis, r=None, ladder=None, shapes=None):
+            raise Reached(len(shapes) * f.grid.total_cells)
+
+        monkeypatch.setattr(experiments, "max_field_fast", stop)
+        config = ExperimentConfig.from_mapping("maxfield", {"grid_bits": "7"})
+        with pytest.raises(Reached) as hit:
+            experiments.run_maxfield(config)
+        assert hit.value.args[0] == 2**28 <= experiments.MAXFIELD_SHAPE_CELLS
+
+    def test_maxfield_grid_8_refused_before_the_field(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(experiments, "max_field_fast", lambda *a, **kw: calls.append(a))
+        rc = _run(["maxfield", "--grid", "8", "--out", str(tmp_path)])
+        assert rc == 3 and calls == []
+        err = capsys.readouterr().err
+        assert f"= {2**32}, above the bound {experiments.MAXFIELD_SHAPE_CELLS}" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_reports_are_deterministic(self, tmp_path):
         outs = []
         for name in ("one", "two"):
@@ -177,11 +207,14 @@ class TestCli:
             ["resonance", "--mode", "double"],
             ["zygmund", "--mode", "double"],
             ["rearrange", "--mode", "double"],
+            ["halo", "--mode", "double"],
+            ["lemmas", "--mode", "double"],
+            ["maxfield", "--mode", "double"],
         ],
     )
     def test_unused_n_and_mode_exit_2(self, argv, tmp_path, capsys):
-        # these runs are planar and exact; they must not report a setting
-        # they did not use
+        # runs are exact, and all but maxfield are planar; they must not
+        # report a setting they did not use
         assert _run([*argv, "--out", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()

@@ -1,6 +1,5 @@
 """Grid primitives: cells, sets, step functions, rectangles."""
 
-import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -186,12 +185,17 @@ class TestStepFunction:
             assert out.dtype == dtype
             assert [int(v) for v in out] == [int(v) * c for v in num]
 
-    def test_double_mode_matches_rational(self):
-        g = DyadicGrid((2, 2))
-        vals = np.arange(16, dtype=float).reshape(4, 4)
-        fr = StepFunction(g, vals.astype(object))
-        fd = StepFunction(g, vals, "double")
-        assert math.isclose(float(fr.integral()), fd.integral(), rel_tol=1e-12)
+    def test_load_reads_every_token_exactly(self, tmp_path):
+        # decimal tokens are decimal fractions, not the nearest double
+        path = tmp_path / "f.txt"
+        path.write_text("2 1 1\n0.1\n1/3\n2\n1e-3\n")
+        f = load_step_function(path)
+        expected = [Fraction(1, 10), Fraction(1, 3), Fraction(2), Fraction(1, 1000)]
+        assert f.values.ravel().tolist() == expected
+        assert f.den == 3000
+        path.write_text("2 1 1\n0.1\n1/3\n2\n1e-3x\n")
+        with pytest.raises(ValueError):
+            load_step_function(path)
 
     def test_roundtrip(self, tmp_path):
         g = DyadicGrid((1, 2))

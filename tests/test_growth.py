@@ -1,10 +1,10 @@
-"""Growth-function family: shapes, flags, monotonicity."""
+"""The growth function the constructions use."""
 
 import math
 
 import pytest
 
-from gridhalo.growth import log_power_growth, power_growth, table_growth
+from gridhalo.growth import log_power_growth
 
 
 def test_log_power_values():
@@ -12,28 +12,3 @@ def test_log_power_values():
     assert phi(1.0) == pytest.approx(1.0)
     assert phi(math.e) == pytest.approx(2 * math.e)
     assert phi(0.5) == pytest.approx(0.5)  # ln+ vanishes below 1
-
-
-def test_log_power_flags():
-    assert log_power_growth(1).is_non_regular is False
-    assert log_power_growth(2).is_non_regular is True
-    assert log_power_growth(2).satisfies_delta2 is True
-
-
-def test_power_growth():
-    phi = power_growth(2)
-    assert phi(3.0) == pytest.approx(9.0)
-    assert phi.is_non_regular is True
-
-
-def test_table_growth_interpolates_and_checks_monotone():
-    phi = table_growth([(1, 1), (2, 4), (4, 16)])
-    assert phi(3.0) == pytest.approx(10.0)  # linear between (2,4) and (4,16)
-    with pytest.raises(ValueError):
-        table_growth([(1, 5), (2, 4)])
-
-
-def test_monotone_on_samples():
-    assert log_power_growth(2).monotone_on_samples([1, 2, 4, 8])
-    decreasing = table_growth([(1, 1), (2, 1)], is_non_regular=False)
-    assert decreasing.monotone_on_samples([1, 1.5, 2])

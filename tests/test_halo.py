@@ -6,9 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridhalo.grid import AxisRect, DyadicGrid
+from gridhalo.grid import AxisRect, DyadicGrid, GridSet, StepFunction
 from gridhalo.halo import (
-    BallTooCoarseError,
     DomainTooSmallError,
     HaloProbe,
     discrete_ball,
@@ -17,7 +16,7 @@ from gridhalo.halo import (
     lemma9_integral,
     lemma10_levelset_measure,
 )
-from gridhalo.maxop import BasisSpec
+from gridhalo.maxop import BasisSpec, dyadic_ladder, level_set, max_field_brute
 
 
 def mc_log_region(n, h, n_samples, seed):
@@ -52,56 +51,33 @@ class TestHaloEstimate:
     def test_exact_small_instance(self):
         # h=4, one-cell ball, untruncated: the level set is the plus-shaped
         # region of cells whose best dyadic rectangle still averages > 1
-        probe = HaloProbe(BasisSpec("axis", 2), 4.0, 5, mode="rational")
+        probe = HaloProbe(BasisSpec("axis", 2), 4.0, 5)
         est = halo_estimate(probe, [math.inf], [1])
         assert est.phi_hat == pytest.approx(5.0)
 
     def test_truncated_below_untruncated(self):
-        probe = HaloProbe(BasisSpec("axis", 2), 8.0, 5, mode="double")
+        probe = HaloProbe(BasisSpec("axis", 2), 8.0, 5)
         full = halo_estimate(probe, [math.inf], [1]).phi_hat
         trunc = halo_estimate(probe, [2.0], [1]).phi_hat
         assert trunc <= full
 
-    def test_weak_variant_uses_h_as_multiplier(self):
-        probe = HaloProbe(BasisSpec("axis", 2), 4.0, 5, mode="double")
-        est = halo_estimate(probe, [999.0], [1], weak=True)
-        assert [s.t for s in est.samples] == [4.0]
-        assert est.weak_variant
-
-    def test_rotated_basis_reduces_to_axis(self):
-        ax = halo_estimate(
-            HaloProbe(BasisSpec("axis", 2), 4.0, 5, mode="double"), [math.inf], [1]
-        )
-        rot = halo_estimate(
-            HaloProbe(BasisSpec("rotated", 2, 0.61), 4.0, 5, mode="double"),
-            [math.inf],
-            [1],
-        )
-        assert rot.phi_hat == ax.phi_hat
+    def test_rotated_probe_rejected(self):
+        # a discrete ball is not rotation invariant, so the axis ratio is
+        # no measurement of a rotated basis
+        with pytest.raises(ValueError, match="axis basis only"):
+            HaloProbe(BasisSpec("rotated", 2, 0.61), 4.0, 5)
 
     def test_clipped_flag_when_levelset_hits_boundary(self):
         # huge h on a tiny grid: the level set floods to the boundary
-        probe = HaloProbe(BasisSpec("axis", 2), 64.0, 3, mode="double")
+        probe = HaloProbe(BasisSpec("axis", 2), 64.0, 3)
         est = halo_estimate(probe, [math.inf], [1])
         assert any(s.clipped for s in est.samples)
-
-    def test_coarse_ball_rejected(self):
-        probe = HaloProbe(BasisSpec("axis", 2), 4.0, 4, min_ball_cells=100)
-        with pytest.raises(BallTooCoarseError):
-            halo_estimate(probe, [math.inf], [1])
 
     def test_empty_sample_lists_rejected(self):
         probe = HaloProbe(BasisSpec("axis", 2), 4.0, 4)
         with pytest.raises(ValueError):
             halo_estimate(probe, [], [1])
 
-    def test_rational_and_double_agree(self):
-        for h in (4.0, 16.0):
-            pr = HaloProbe(BasisSpec("axis", 2), h, 6, mode="rational")
-            pd = HaloProbe(BasisSpec("axis", 2), h, 6, mode="double")
-            er = halo_estimate(pr, [math.inf], [1])
-            ed = halo_estimate(pd, [math.inf], [1])
-            assert er.phi_hat == pytest.approx(ed.phi_hat, abs=1e-9)
 
 
 class TestHaloFit:
@@ -148,7 +124,7 @@ class TestLevelsetGrowth:
     def test_ratios_and_flags(self):
         grid = DyadicGrid((7, 7))
         rect = AxisRect((62, 62), (66, 66))
-        res = lemma10_levelset_measure(rect, 6.0, 2, grid, mode="double")
+        res = lemma10_levelset_measure(rect, 6.0, 2, grid)
         assert res.rect_measure == Fraction(16, 128 * 128)
         assert res.normalization_ok  # 6 > 2^2
         assert res.ratio_exponent_km1 > 0
@@ -158,21 +134,24 @@ class TestLevelsetGrowth:
     def test_small_h_flagged_not_rejected(self):
         grid = DyadicGrid((6, 6))
         rect = AxisRect((30, 30), (34, 34))
-        res = lemma10_levelset_measure(rect, 3.0, 2, grid, mode="double")
+        res = lemma10_levelset_measure(rect, 3.0, 2, grid)
         assert not res.normalization_ok
 
     def test_boundary_clipping_rejected(self):
         grid = DyadicGrid((4, 4))
         rect = AxisRect((6, 6), (10, 10))
         with pytest.raises(DomainTooSmallError):
-            lemma10_levelset_measure(rect, 64.0, 2, grid, mode="double")
+            lemma10_levelset_measure(rect, 64.0, 2, grid)
 
     def test_rational_mode_exact_measure(self):
         grid = DyadicGrid((6, 6))
         rect = AxisRect((30, 30), (34, 34))
-        res_r = lemma10_levelset_measure(rect, 6.0, 2, grid, mode="rational")
-        res_d = lemma10_levelset_measure(rect, 6.0, 2, grid, mode="double")
-        assert isinstance(res_r.levelset_measure, Fraction)
-        assert float(res_r.levelset_measure) == pytest.approx(
-            float(res_d.levelset_measure), abs=1e-12
-        )
+        ladder = dyadic_ladder(64)
+        res = lemma10_levelset_measure(rect, 6.0, 2, grid, ladder=ladder)
+        assert isinstance(res.levelset_measure, Fraction)
+        # oracle: the brute route's level set of the same indicator
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[30:34, 30:34] = True
+        f = StepFunction.indicator(GridSet(grid, mask), 6)
+        brute = max_field_brute(f, BasisSpec("axis", 2), ladder=ladder)
+        assert res.levelset_measure == level_set(brute, 1).measure()

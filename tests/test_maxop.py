@@ -119,15 +119,6 @@ class TestFieldRoutes:
             max_field_fast(f, basis).values, max_field_brute(f, basis).values
         )
 
-    def test_double_mode_close_to_rational(self):
-        g = DyadicGrid((3, 3))
-        fr = random_step(g, np.random.default_rng(11))
-        fd = StepFunction(g, np.array([float(v) for v in fr.values.ravel()]).reshape(g.shape), "double")
-        basis = BasisSpec("axis", 2)
-        exact = np.array([float(v) for v in max_field_fast(fr, basis).values.ravel()])
-        approx = max_field_fast(fd, basis).values.ravel()
-        assert np.allclose(exact, approx, rtol=1e-12, atol=1e-12)
-
     def test_overhang_keeps_full_denominator(self):
         # one bright corner cell: the 2x2 average at the corner may cover
         # cells outside the box, which contribute zero but still divide
@@ -209,7 +200,6 @@ class TestLevelSet:
             "from gridhalo.witness import central_block\n"
             "f = StepFunction.indicator(central_block(DyadicGrid((3, 3))), 5)\n"
             "max_field_fast(f, BasisSpec('axis', 2))\n"
-            "max_field_fast(StepFunction(f.grid, f.values, 'double'), BasisSpec('axis', 2))\n"
             "print('scipy.ndimage' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(gridhalo.__file__))

@@ -35,7 +35,7 @@ def _banded_function(value, count, bits=(2, 2)):
     grid = DyadicGrid(bits)
     vals = np.full(grid.shape, Fraction(0), dtype=object).ravel()
     vals[:count] = Fraction(value)
-    return StepFunction(grid, vals.reshape(grid.shape), "rational")
+    return StepFunction(grid, vals.reshape(grid.shape))
 
 
 class TestSelectLevelSets:
