@@ -17,6 +17,7 @@ from .maxop import (
     level_set,
     max_field_brute,
     max_field_fast,
+    max_level_set,
 )
 from .halo import HaloEstimate, HaloProbe, discrete_ball, halo_estimate, halo_fit
 from .rotate import rot90_set, rotated_average

@@ -6,7 +6,10 @@ computable, so the estimator reports the measured ratio on a finite
 (t, r) lattice and aggregates by max; each sample is therefore a certified
 lower bound and convergence can be inspected sample by sample.  Level sets
 are exact: the ball indicator is a rational step function and every
-sample's field is the exact axis-basis field over the dyadic width ladder.
+sample's level set comes straight from ``maxop.max_level_set`` over the
+dyadic width ladder, without building the field.  Only shapes small enough
+to average above 1 on the ball's mass are evaluated, and only near the
+ball.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .grid import DyadicGrid, GridSet, StepFunction
-from .maxop import BasisSpec, dyadic_ladder, level_set, max_field_fast
+from .maxop import BasisSpec, dyadic_ladder, max_level_set
 
 __all__ = [
     "HaloProbe",
@@ -120,8 +123,7 @@ def halo_estimate(probe: HaloProbe, t_list, r_list) -> HaloEstimate:
             # t = inf drops the truncation entirely (still a valid sample:
             # the truncated level sets increase to the untruncated one)
             r_phys = None if math.isinf(t) else t * r_cells * float(grid.cell_size[0])
-            fld = max_field_fast(f, probe.basis, r=r_phys, ladder=ladder)
-            ls = level_set(fld, 1)
+            ls = max_level_set(f, probe.basis, 1, r=r_phys, ladder=ladder)
             samples.append(
                 HaloSample(
                     t=t,
@@ -217,8 +219,7 @@ def lemma10_levelset_measure(
     ind = GridSet(grid, mask)
     f = StepFunction.indicator(ind, h)
     # basis with <= k distinct edge values (k = 1: cubes)
-    fld = max_field_fast(f, BasisSpec("axis", min(k, n)), r=None, ladder=ladder)
-    ls = level_set(fld, 1)
+    ls = max_level_set(f, BasisSpec("axis", min(k, n)), 1, ladder=ladder)
     if _boundary_touch(ls.mask):
         raise DomainTooSmallError("level set reaches the grid boundary")
     meas = ls.measure()

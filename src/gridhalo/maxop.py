@@ -1,12 +1,22 @@
-"""Truncated maximal-operator fields over rectangle bases.
+"""Truncated maximal-operator fields and level sets over rectangle bases.
 
-Two routes compute the same field: a brute accumulation (per shape, direct
-repeated-addition window sums and a linear scan over placements), kept as
-the oracle, and the production one (prefix sums + sparse-table sliding
-maximum).  Both work on common-denominator integers (int64, or Python ints
-when int64 could overflow), so they must agree bit for bit; a field keeps
-only that integer payload, and level sets compare it cross-multiplied
-against the threshold.
+One per-shape step (window sums over every placement of the shape) feeds
+two reductions.  The field reduction takes the sliding maximum over the
+placements that contain each cell and keeps the larger average per cell;
+it has two routes, a brute one (direct repeated-addition window sums and a
+linear placement scan), kept as the oracle, and the production one
+(prefix sums and a sparse-table sliding maximum).  Both work on
+common-denominator integers (int64, or Python ints when int64 could
+overflow), so they agree bit for bit; a field keeps only that integer
+payload, and ``level_set`` compares it cross-multiplied with the
+threshold.
+
+The level-set reduction, ``max_level_set``, computes {M f > lam} without
+the field.  It skips every shape whose average cannot exceed lam even
+with the whole mass of f inside (exact, since f is nonnegative), works
+only on the support's bounding box, decides each placement by one
+cross-multiplied integer compare, and dilates the mask of winning
+placements by the shape.
 
 Evaluation point is the cell center; since admissible rectangles are
 cell-aligned, "contains the center" and "contains the cell" coincide.
@@ -16,11 +26,12 @@ and the full rectangle volume stays in the denominator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +45,7 @@ __all__ = [
     "max_field_brute",
     "max_field_fast",
     "level_set",
+    "max_level_set",
     "dyadic_ladder",
     "save_max_field",
 ]
@@ -124,32 +136,36 @@ def enumerate_shapes(
     is then a certified lower bound on the full-family field).
     """
     r2 = _radius_sq(r)
-    cell = grid.cell_size
+    # edge lengths in units of 1/scale are integers (scale is a power of two
+    # for dyadic cells), so both tests run on ints
+    scale = math.lcm(*(c.denominator for c in grid.cell_size))
+    units = [int(c * scale) for c in grid.cell_size]
     if ladder is None:
-        per_axis = [range(1, s + 1) for s in grid.shape]
+        per_axis = [list(range(1, s + 1)) for s in grid.shape]
     else:
         per_axis = [[w for w in ladder if 1 <= w <= s] for s in grid.shape]
+    if not all(per_axis):
+        raise EmptyFamilyError("no admissible rectangle shape under this truncation")
+    top = sum((max(ws) * u) ** 2 for ws, u in zip(per_axis, units))
+    # an integer diameter^2 is < r^2 exactly when it is < ceil(r^2)
+    limit = top + 1 if r2 is None else min(top + 1, math.ceil(r2 * scale * scale))
+    dtype = np.int64 if top < 1 << 62 else object
+    *head, last = per_axis
+    last_w = np.array(last)
+    last_len = np.array([w * units[-1] for w in last], dtype=dtype)
+    # the last axis is vectorised; the product order is that of itertools
     shapes = []
-    for widths in _product(per_axis):
-        lengths = tuple(w * c for w, c in zip(widths, cell))
-        if len(set(lengths)) > basis.k:
+    for prefix in itertools.product(*head):
+        lengths = {w * u for w, u in zip(prefix, units)}
+        if len(lengths) > basis.k:
             continue
-        if r2 is not None and sum((e * e for e in lengths), Fraction(0)) >= r2:
-            continue
-        shapes.append(tuple(widths))
+        ok = sum(w * w * u * u for w, u in zip(prefix, units)) + last_len * last_len < limit
+        if len(lengths) == basis.k:
+            ok &= np.isin(last_len, list(lengths))
+        shapes.extend((*prefix, w) for w in last_w[ok].tolist())
     if not shapes:
         raise EmptyFamilyError("no admissible rectangle shape under this truncation")
     return shapes
-
-
-def _product(axes: Sequence[Iterable[int]]):
-    if not axes:
-        yield ()
-        return
-    head, *rest = axes
-    for w in head:
-        for tail in _product(rest):
-            yield (w, *tail)
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +182,35 @@ def _prepare_values(f: StepFunction) -> np.ndarray:
     return f.num.astype(np.int64 if fits else object, copy=False)
 
 
-def _window_sums_fast(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """Placement sums via prefix sums; output length N + w - 1 along axis."""
-    arr = np.moveaxis(arr, axis, -1)
-    # c[i] = sum of arr[:i] (zeros_like keeps object zeros Python ints);
-    # edge padding clips every window to the box, so placement a (cells
-    # a-w+1 .. a) sums to c[a + w] - c[a] after padding
-    c = np.cumsum(np.concatenate([np.zeros_like(arr[..., :1]), arr], axis=-1), axis=-1)
-    c = np.pad(c, [(0, 0)] * (arr.ndim - 1) + [(w - 1, w - 1)], mode="edge")
-    return np.moveaxis(c[..., w:] - c[..., :-w], -1, axis)
+def _summed_area(arr: np.ndarray) -> np.ndarray:
+    """Prefix sums along every axis: the table ``_window_sums_fast``
+    differences, built once and shared by every shape."""
+    for ax in range(arr.ndim):
+        arr = np.cumsum(arr, axis=ax)
+    return arr
+
+
+def _window_sums_fast(c: np.ndarray, w: int, axis: int) -> np.ndarray:
+    """Placement sums from prefix sums ``c`` along axis (c[i] = sum of
+    cells 0..i); output length N + w - 1 along axis.
+
+    Placement j covers cells j-w+1 .. j clipped to the box, so it sums to
+    c[min(j, N-1)] - c[j-w], with no subtrahend while j < w; the pieces
+    are written straight into one output."""
+    n = c.shape[axis]
+
+    def at(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    out = np.empty(c.shape[:axis] + (n + w - 1,) + c.shape[axis + 1 :], dtype=c.dtype)
+    head, tail = min(w, n), max(n, w)
+    out[at(0, head)] = c[at(0, head)]
+    if w < n:
+        np.subtract(c[at(w, n)], c[at(0, n - w)], out=out[at(w, n)])
+    else:
+        out[at(n, w)] = c[at(n - 1, n)]
+    np.subtract(c[at(n - 1, n)], c[at(tail - w, n - 1)], out=out[at(tail, None)])
+    return out
 
 
 def _window_sums_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -219,53 +255,78 @@ def _accumulate(best_num, best_den, S, d):
     return np.where(better, S, best_num), np.where(better, d, best_den)
 
 
-def _max_field(
-    f: StepFunction,
-    basis: BasisSpec,
-    r,
-    ladder,
-    window_sums,
-    placement_max,
-    shapes=None,
-) -> MaxField:
+def _family(f: StepFunction, basis: BasisSpec, r, ladder, shapes) -> list:
+    """The shapes a kernel runs over: ``shapes`` when given, else every
+    admissible shape."""
     if basis.kind != "axis":
         raise NotImplementedError(
             "max fields are axis-basis only; rotated bases get certified level "
             "sets from gridhalo.witness"
         )
     if shapes is None:
-        shapes = enumerate_shapes(basis, f.grid, r, ladder)
-    elif not shapes:
+        return enumerate_shapes(basis, f.grid, r, ladder)
+    if not shapes:
         raise EmptyFamilyError("empty explicit shape list")
+    return shapes
+
+
+def _placement_sums(table: np.ndarray, shape, window_sums) -> np.ndarray:
+    """The per-shape step: the sum of f over every placement of ``shape``
+    that meets the box, N + w - 1 placements per axis, from a route's table
+    of f."""
+    for ax, w in enumerate(shape):
+        table = window_sums(table, w, ax)
+    return table
+
+
+# a route: the table of f's numerators that its per-axis window sums read,
+# those window sums, and the per-axis max over the placements at a cell
+_BRUTE = (lambda arr: arr, _window_sums_direct, _placement_max_direct)
+_FAST = (_summed_area, _window_sums_fast, _sliding_max_fast)
+
+
+def _max_field(f: StepFunction, basis: BasisSpec, r, ladder, route, shapes=None) -> MaxField:
+    shapes = _family(f, basis, r, ladder, shapes)
+    table, window_sums, placement_max = route
     arr = _prepare_values(f)
     best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
     best_den = np.ones(f.grid.shape, dtype=arr.dtype)
+    tab = table(arr)
     for shape in shapes:
-        S = arr
-        for ax, w in enumerate(shape):
-            S = window_sums(S, w, ax)
+        S = _placement_sums(tab, shape, window_sums)
         for ax, w in enumerate(shape):
             S = placement_max(S, w, ax)
-        d = 1
-        for w in shape:
-            d *= w
-        best_num, best_den = _accumulate(best_num, best_den, S, d)
+        best_num, best_den = _accumulate(best_num, best_den, S, math.prod(shape))
     r = None if r is None else Fraction(r)
     return MaxField(f.grid, basis, r, best_num, best_den, f.den)
 
 
 def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
     """Reference field: direct window accumulation, linear placement scan."""
-    return _max_field(f, basis, r, ladder, _window_sums_direct, _placement_max_direct, shapes)
+    return _max_field(f, basis, r, ladder, _BRUTE, shapes)
 
 
 def max_field_fast(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
-    """Prefix-sum window sums + doubling sliding max; contract-identical to brute.
+    """Summed-area window sums + doubling sliding max; contract-identical
+    to brute.
 
     An explicit ``shapes`` list restricts the family to those cell shapes
     (used to re-verify recorded certificates on refined grids).
     """
-    return _max_field(f, basis, r, ladder, _window_sums_fast, _sliding_max_fast, shapes)
+    return _max_field(f, basis, r, ladder, _FAST, shapes)
+
+
+def _exceeds(num: np.ndarray, q: int, den, c: int, num_max: int) -> np.ndarray:
+    """``num * q > den * c`` elementwise and exactly, given num <= num_max
+    and ``den`` an int or an array: int64 products while num_max * q and
+    c * max(den) stay below 2^62, Python ints past that."""
+    if num.dtype != object and not (
+        num_max * q < 1 << 62 and c * int(np.max(den, initial=1)) < 1 << 62
+    ):
+        num = num.astype(object)
+        if isinstance(den, np.ndarray):
+            den = den.astype(object)
+    return (num if q == 1 else num * q) > den * c
 
 
 def level_set(field: MaxField, lam) -> GridSet:
@@ -273,15 +334,73 @@ def level_set(field: MaxField, lam) -> GridSet:
     if lam < 0:
         raise ValueError("threshold must be >= 0")
     lam = Fraction(lam)
+    num = field.num
+    return GridSet(
+        field.grid,
+        _exceeds(num, lam.denominator, field.den, lam.numerator * field.scale, int(num.max(initial=0))),
+    )
+
+
+def _bounding_box(mask: np.ndarray) -> list[tuple[int, int]] | None:
+    """Per-axis [lo, hi) of the true cells, from one ``any`` reduction per
+    axis; None when no cell is true."""
+    box = []
+    for ax in range(mask.ndim):
+        hit = mask.any(axis=tuple(j for j in range(mask.ndim) if j != ax))
+        lo = int(hit.argmax())
+        if not hit[lo]:
+            return None
+        box.append((lo, len(hit) - int(hit[::-1].argmax())))
+    return box
+
+
+def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes=None) -> GridSet:
+    """{M f > lam} over the same family as ``max_field_fast``, without the
+    field: equal to ``level_set(max_field_fast(...), lam)``.
+
+    A shape R can only win where some placement holds more than
+    lam * |R| of the mass; no placement holds more than the total, so a
+    shape with total * q <= p * |R| * den (lam = p/q, f = num/den) is
+    skipped.  Placements that miss the support sum to zero and never win,
+    so the work runs on the support's bounding box; each winning
+    placement then marks the cells it covers.
+    """
+    if lam < 0:
+        raise ValueError("threshold must be >= 0")
+    lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
-    num, den, rhs = field.num, field.den, p * field.scale
-    # cross-multiplied compare; widen to Python ints if int64 could overflow
-    if num.dtype != object and not (
-        int(np.abs(num).max(initial=0)) < (1 << 62) // q
-        and rhs * int(den.max(initial=1)) < (1 << 62)
-    ):
-        num, den = num.astype(object), den.astype(object)
-    return GridSet(field.grid, num * q > den * rhs)
+    shapes = _family(f, basis, r, ladder, shapes)
+    arr = _prepare_values(f)
+    out = np.zeros(f.grid.shape, dtype=bool)
+    support = _bounding_box(arr != 0)
+    if support is None:
+        return GridSet(f.grid, out)
+    total = int(arr.sum())
+    table = _summed_area(arr[tuple(slice(lo, hi) for lo, hi in support)])
+    for shape in shapes:
+        vol = math.prod(shape)
+        if total * q <= p * vol * f.den:
+            continue
+        # one expression, so the placement sums are freed once compared
+        wins = _exceeds(_placement_sums(table, shape, _window_sums_fast), q, vol, p * f.den, total)
+        placed = _bounding_box(wins)
+        if placed is None:
+            continue
+        # pad by w - 1 zeros, then the sliding max over w placements marks
+        # every cell a winning placement covers
+        m = wins[tuple(slice(lo, hi) for lo, hi in placed)].astype(np.uint8)
+        m = np.pad(m, [(w - 1, w - 1) for w in shape])
+        for ax, w in enumerate(shape):
+            m = _sliding_max_fast(m, w, ax)
+        # placement i covers cells a + i - w + 1 .. a + i, so m starts at
+        # cell a + lo - w + 1; clip it to the box
+        dst, src = [], []
+        for (a, _), (lo, _), w, n, size in zip(support, placed, shape, out.shape, m.shape):
+            start = a + lo - w + 1
+            dst.append(slice(max(start, 0), min(start + size, n)))
+            src.append(slice(max(start, 0) - start, min(start + size, n) - start))
+        out[tuple(dst)] |= m[tuple(src)].astype(bool)
+    return GridSet(f.grid, out)
 
 
 def save_max_field(field: MaxField, path):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .grid import DyadicGrid, GridSet, StepFunction
 from .growth import GrowthFunction
-from .maxop import BasisSpec, dyadic_ladder, enumerate_shapes, level_set, max_field_fast
+from .maxop import BasisSpec, dyadic_ladder, enumerate_shapes, max_level_set
 from .rotate import quarter_turns
 
 __all__ = [
@@ -126,17 +126,29 @@ def _square_refine_bits(grid: DyadicGrid, extra: int) -> tuple[int, ...]:
 
 def disk_core(grid: DyadicGrid, center, rho_sq: Fraction) -> GridSet:
     """Cells of ``grid`` that lie entirely inside the disk of squared radius
-    rho_sq about ``center`` (exact corner test)."""
+    rho_sq about ``center`` (exact corner test).
+
+    A cell is inside when its farthest corner is: sum over axes of
+    max(|lo - c|, |hi - c|)^2 <= rho_sq.  Coordinates are scaled by the
+    common denominator of the cell walls and the center (a power of two
+    on a dyadic grid) so the test runs on integers: int64 while the
+    largest sum fits, Python ints past that."""
     cs = grid.cell_size
-    mask = np.zeros(grid.shape, dtype=bool)
-    for idx in np.ndindex(*grid.shape):
-        d2 = Fraction(0)
-        for j, i in enumerate(idx):
-            lo = grid.origin[j] + i * cs[j]
-            hi = lo + cs[j]
-            d2 += max(abs(lo - center[j]), abs(hi - center[j])) ** 2
-        mask[idx] = d2 <= rho_sq
-    out = GridSet(grid, mask)
+    center = [Fraction(c) for c in center]
+    scale = math.lcm(*(v.denominator for v in (*grid.origin, *cs, *center)))
+    # per axis, the farthest-wall distance of each cell, in units of 1/scale
+    far = []
+    for o, c, x, s in zip(grid.origin, cs, center, grid.shape):
+        walls = [int((o + i * c - x) * scale) for i in range(s + 1)]
+        far.append([max(abs(lo), abs(hi)) for lo, hi in zip(walls, walls[1:])])
+    top = sum(max(d) ** 2 for d in far)
+    limit = min(math.floor(rho_sq * scale * scale), top)
+    dtype = np.int64 if top < 1 << 63 else object
+    d2 = np.zeros(grid.shape, dtype=dtype)
+    for j, d in enumerate(far):
+        d = np.array(d, dtype=dtype)
+        d2 = d2 + (d * d).reshape([-1 if a == j else 1 for a in range(grid.n)])
+    out = GridSet(grid, d2 <= limit)
     if out.popcount == 0:
         raise WitnessError("disk core is empty; refine deeper")
     return out
@@ -152,8 +164,7 @@ def axis_level_set_exact(E: GridSet, amp, trunc, basis: BasisSpec, shapes=None):
     if shapes is None:
         shapes = enumerate_shapes(axis, E.grid, r=trunc)
     f = StepFunction.indicator(E, Fraction(amp))
-    fld = max_field_fast(f, axis, r=trunc, shapes=list(shapes))
-    return level_set(fld, 1), shapes
+    return max_level_set(f, axis, 1, r=trunc, shapes=list(shapes)), shapes
 
 
 @dataclass(frozen=True)

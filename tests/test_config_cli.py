@@ -130,6 +130,18 @@ class TestCli:
         assert rc == 3
         assert "h=256 reaches the boundary" in capsys.readouterr().err
 
+    def test_halo_at_shipped_defaults(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert _run(["halo", "--out", out]) == 0
+        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        assert doc["meta"]["grid_bits"] == 10
+        assert [row["h"] for row in doc["rows"]] == [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
+        assert {item["name"]: item["ok"] for item in doc["verified"]} == {
+            "phi_over_h_monotone": True,
+            "no_boundary_clipping": True,
+            "band_positive": True,
+        }
+
     def test_maxfield_run_writes_report(self, tmp_path):
         out = str(tmp_path / "o")
         rc = _run(["maxfield", "--grid", "4", "--out", out])
@@ -166,6 +178,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"= {2**32}, above the bound {experiments.MAXFIELD_SHAPE_CELLS}" in err
         assert not (tmp_path / "report.json").exists()
+
+    def test_maxfield_grid_10_refused_before_the_field(self, tmp_path, capsys):
+        rc = _run(["maxfield", "--grid", "10", "--out", str(tmp_path)])
+        assert rc == 3
+        assert f"needs {2**20} shapes x {2**20} cells" in capsys.readouterr().err
 
     def test_reports_are_deterministic(self, tmp_path):
         outs = []

@@ -1,5 +1,6 @@
 """Maximal-operator fields: dual-route equality and a from-scratch oracle."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,16 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridhalo.grid import DyadicGrid, GridSet, StepFunction
+from gridhalo import halo, maxop
+from gridhalo.grid import AxisRect, DyadicGrid, GridSet, StepFunction
 from gridhalo.maxop import (
     BasisSpec,
     EmptyFamilyError,
+    _exceeds,
     dyadic_ladder,
     enumerate_shapes,
     level_set,
     max_field_brute,
     max_field_fast,
+    max_level_set,
 )
+from gridhalo.witness import axis_level_set_exact
 
 
 def reference_field(f: StepFunction, basis: BasisSpec, r=None):
@@ -62,7 +67,55 @@ def random_step(grid, rng, max_num=8, max_den=4):
     return StepFunction(grid, vals)
 
 
+def loop_shapes(basis: BasisSpec, grid: DyadicGrid, r=None, ladder=None):
+    """Oracle: every width tuple in product order, tested with Fractions."""
+    r2 = None if r is None else Fraction(r) ** 2
+    if ladder is None:
+        per_axis = [range(1, s + 1) for s in grid.shape]
+    else:
+        per_axis = [[w for w in ladder if 1 <= w <= s] for s in grid.shape]
+    shapes = []
+    for widths in product(*per_axis):
+        lengths = tuple(w * c for w, c in zip(widths, grid.cell_size))
+        if len(set(lengths)) > basis.k:
+            continue
+        if r2 is not None and sum((e * e for e in lengths), Fraction(0)) >= r2:
+            continue
+        shapes.append(widths)
+    return shapes
+
+
 class TestShapeEnumeration:
+    @pytest.mark.parametrize(
+        "bits, side",
+        [
+            ((4, 4), None),
+            ((3, 5), None),
+            ((5, 3), (Fraction(1, 2), Fraction(3))),
+            ((2, 3, 2), None),
+            ((1, 2, 3), (Fraction(1, 4), Fraction(1), Fraction(5, 2))),
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_same_list_as_the_fraction_loop(self, bits, side, k):
+        grid = DyadicGrid(bits, side=side)
+        basis = BasisSpec("axis", k)
+        for r in (None, Fraction(3, 4), Fraction(7, 16), 0.6180339887, Fraction(1, 2)):
+            for ladder in (None, dyadic_ladder(32), [3, 1, 5]):
+                want = loop_shapes(basis, grid, r, ladder)
+                if not want:
+                    with pytest.raises(EmptyFamilyError):
+                        enumerate_shapes(basis, grid, r, ladder)
+                    continue
+                assert enumerate_shapes(basis, grid, r, ladder) == want
+
+    def test_diameter_exactly_at_the_radius_is_excluded(self):
+        # 3x4 cells of side 1/16: diameter 5/16 exactly, excluded at r = 5/16
+        g = DyadicGrid((4, 4))
+        basis = BasisSpec("axis", 2)
+        assert (3, 4) not in enumerate_shapes(basis, g, r=Fraction(5, 16))
+        assert (3, 4) in enumerate_shapes(basis, g, r=Fraction(5, 16) + Fraction(1, 2**40))
+
     def test_distinct_edge_count_filter(self):
         g = DyadicGrid((2, 2))
         cubes = enumerate_shapes(BasisSpec("axis", 1), g)
@@ -229,3 +282,140 @@ class TestLevelSet:
             if prev is not None:
                 assert (prev - ls).popcount == 0
             prev = ls
+
+
+def fraction_level_set(f, basis, lam, r=None, ladder=None, shapes=None):
+    """Oracle: the brute field compared cell by cell as Fractions."""
+    fld = max_field_brute(f, basis, r=r, ladder=ladder, shapes=shapes)
+    return np.array([v > lam for v in fld.values.ravel()]).reshape(f.grid.shape)
+
+
+@st.composite
+def level_set_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    bits = tuple(draw(st.integers(0, 3 if n == 2 else 2)) for _ in range(n))
+    grid = DyadicGrid(bits)
+    value = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=0, max_value=8, max_denominator=6)
+    )
+    f = StepFunction(
+        grid,
+        np.array(
+            draw(st.lists(value, min_size=grid.total_cells, max_size=grid.total_cells)),
+            dtype=object,
+        ).reshape(grid.shape),
+    )
+    basis = BasisSpec("axis", draw(st.integers(1, n)))
+    r = draw(st.one_of(st.none(), st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=16)))
+    ladder = shapes = None
+    family = draw(st.sampled_from(["all", "ladder", "shapes"]))
+    if family == "ladder":
+        ladder = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True))
+    elif family == "shapes":
+        width = st.tuples(*(st.integers(1, s) for s in grid.shape))
+        shapes = draw(st.lists(width, min_size=1, max_size=5))
+    lam = draw(
+        st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=6, max_denominator=7))
+    )
+    return f, basis, lam, r, ladder, shapes
+
+
+class TestMaxLevelSet:
+    @given(level_set_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_brute_field_level_set(self, case):
+        f, basis, lam, r, ladder, shapes = case
+        try:
+            want = level_set(max_field_brute(f, basis, r=r, ladder=ladder, shapes=shapes), lam)
+        except EmptyFamilyError:
+            with pytest.raises(EmptyFamilyError):
+                max_level_set(f, basis, lam, r=r, ladder=ladder, shapes=shapes)
+            return
+        assert max_level_set(f, basis, lam, r=r, ladder=ladder, shapes=shapes) == want
+
+    # f = h on two central cells (den 1), lam = p/q; each case names the side
+    # of the 2^62 guard that total*q and the largest p*|R|*den of an
+    # evaluated shape sit on (int64 wraps at 2^63).  total*q below with
+    # p*|R|*den above cannot occur: such a shape is pruned.  The last two
+    # cases sum object ints (_prepare_values), where the guard is moot.
+    @pytest.mark.parametrize(
+        "bits, h, p, q, total_q_fits, rhs_fits",
+        [
+            ((2, 2), 2**54, 127 * 2**53 + 5, 127, True, True),
+            ((2, 2), 2**54, 2**60 + 5, 128, False, True),
+            ((2, 2), 2**54, 2**61 + 5, 256, False, False),
+            ((2, 2), 2**54, 2**62 - 1, 256, False, False),
+            ((3, 3), 2**52, 3 * 2**56 + 1, 512, False, True),
+            ((2, 2), 2**60, 2**59 + 1, 1, True, True),
+            ((2, 2), 2**62, 3 * 2**61 + 1, 2, False, False),
+        ],
+    )
+    def test_both_sides_of_the_compare_guard(self, bits, h, p, q, total_q_fits, rhs_fits):
+        g = DyadicGrid(bits)
+        c = g.shape[0] // 2
+        f = StepFunction.indicator(GridSet.from_indices(g, [(c - 1, c - 1), (c - 1, c)]), h)
+        lam = Fraction(p, q)
+        assert (lam.numerator, lam.denominator) == (p, q)
+        basis = BasisSpec("axis", 2)
+        total = 2 * h
+        evaluated = [
+            math.prod(s) for s in enumerate_shapes(basis, g) if total * q > p * math.prod(s)
+        ]
+        assert (total * q < 2**62) == total_q_fits
+        assert (p * max(evaluated) < 2**62) == rhs_fits
+        want = fraction_level_set(f, basis, lam)
+        assert 0 < want.sum() < g.total_cells
+        assert np.array_equal(max_level_set(f, basis, lam).mask, want)
+
+    def test_exceeds_guards_each_product(self):
+        # num_max * q just below 2^62 stays int64; at 2^63 int64 would wrap
+        num = np.array([2**60, 2**60 - 1], dtype=np.int64)
+        assert _exceeds(num, 3, 1, 3 * 2**60 - 1, 2**60).tolist() == [True, False]
+        assert _exceeds(num, 8, 1, 2**63 - 8, 2**60).tolist() == [True, False]
+        # c * max(den) just below 2^62 stays int64; at 2^64 - 8 it would wrap
+        num = np.array([2**61, 2**62 - 1], dtype=np.int64)
+        den = np.array([1, 2], dtype=np.int64)
+        assert _exceeds(num, 1, den, 2**61 - 1, 2**62 - 1).tolist() == [True, True]
+        den = np.array([1, 8], dtype=np.int64)
+        assert _exceeds(num, 1, den, 2**61 - 1, 2**62 - 1).tolist() == [True, False]
+
+    def test_shape_at_the_tie_is_pruned_without_changing_the_set(self):
+        # total 3 * 2 = 6, lam = 3/2: the 2x2 shape has total * q == p * |R|,
+        # so no placement can average strictly above lam and it is skipped
+        g = DyadicGrid((3, 3))
+        f = StepFunction.indicator(GridSet.from_indices(g, [(3, 3), (3, 4)]), 3)
+        lam = Fraction(3, 2)
+        basis = BasisSpec("axis", 2)
+        shapes = [(2, 2), (1, 2), (4, 1)]
+        assert 6 * lam.denominator == lam.numerator * 4
+        got = max_level_set(f, basis, lam, shapes=shapes)
+        assert np.array_equal(got.mask, fraction_level_set(f, basis, lam, shapes=shapes))
+        assert got == max_level_set(f, basis, lam, shapes=[(1, 2), (4, 1)])
+
+    @pytest.mark.parametrize("lam", [0, Fraction(1, 3), 2])
+    def test_all_zero_function(self, lam):
+        g = DyadicGrid((2, 3))
+        f = StepFunction(g, np.zeros(g.shape, dtype=object))
+        got = max_level_set(f, BasisSpec("axis", 2), lam)
+        assert got.popcount == 0
+        assert np.array_equal(got.mask, fraction_level_set(f, BasisSpec("axis", 2), lam))
+
+    def test_negative_threshold_rejected(self):
+        g = DyadicGrid((1, 1))
+        with pytest.raises(ValueError):
+            max_level_set(StepFunction(g, np.ones(g.shape, dtype=object)), BasisSpec("axis", 1), -1)
+
+    def test_callers_build_no_field(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a full max field was built")
+
+        monkeypatch.setattr(maxop, "max_field_fast", refuse)
+        monkeypatch.setattr(maxop, "_max_field", refuse)
+        probe = halo.HaloProbe(BasisSpec("axis", 2), 8.0, 6)
+        est = halo.halo_estimate(probe, [math.inf, 2.0], [1, 2])
+        assert est.phi_hat > 1
+        res = halo.lemma10_levelset_measure(AxisRect((30, 30), (34, 34)), 6.0, 2, DyadicGrid((6, 6)))
+        assert res.levelset_measure > res.rect_measure
+        E = GridSet.from_indices(DyadicGrid((3, 3)), [(3, 3), (3, 4), (4, 3), (4, 4)])
+        P, _ = axis_level_set_exact(E, Fraction(9, 4), Fraction(1), BasisSpec("axis", 2))
+        assert (E - P).popcount == 0

@@ -310,7 +310,8 @@ class TestSerialization:
 
 def test_pipeline_reads_no_per_cell_fractions(monkeypatch, tmp_path):
     # every StepFunction payload passes through _set, every MaxField through
-    # __init__; record both and check none of them built ``values``
+    # __init__; record both, check that no MaxField is made at all (level
+    # sets come from max_level_set) and that no step function built ``values``
     made = []
 
     def recording(real):
@@ -326,5 +327,5 @@ def test_pipeline_reads_no_per_cell_fractions(monkeypatch, tmp_path):
     plan = build_resonance_function(f, [BasisSpec("axis", 2)], PHI, 2, pads=pads)
     build_rearrangement(f, plan)
     save_plan(plan, str(tmp_path))
-    assert {type(obj) for obj in made} == {StepFunction, MaxField}
+    assert {type(obj) for obj in made} == {StepFunction}
     assert not [obj for obj in made if "values" in obj.__dict__]

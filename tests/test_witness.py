@@ -27,6 +27,20 @@ from gridhalo.witness import (
 PHI = log_power_growth(2)
 
 
+def loop_disk_core(grid, center, rho_sq):
+    """Oracle: the farthest-corner test cell by cell, in Fractions."""
+    cs = grid.cell_size
+    mask = np.zeros(grid.shape, dtype=bool)
+    for idx in np.ndindex(*grid.shape):
+        d2 = Fraction(0)
+        for j, i in enumerate(idx):
+            lo = grid.origin[j] + i * cs[j]
+            hi = lo + cs[j]
+            d2 += max(abs(lo - center[j]), abs(hi - center[j])) ** 2
+        mask[idx] = d2 <= rho_sq
+    return mask
+
+
 class TestGeometryHelpers:
     def test_central_block_is_two_by_two(self):
         E = central_block(DyadicGrid((2, 3)))
@@ -58,6 +72,28 @@ class TestGeometryHelpers:
                     x = Fraction(int(idx[0]) + dx, 16) - center[0]
                     y = Fraction(int(idx[1]) + dy, 16) - center[1]
                     assert x * x + y * y <= rho_sq
+
+    @pytest.mark.parametrize(
+        "bits, origin, side, center, rho_sq",
+        [
+            # the witness case: square subcells about the box center
+            ((5, 5), None, None, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 16)),
+            # anisotropic, off-center, shifted box; rho^2 exactly at corners
+            ((3, 4), (Fraction(-1, 4), Fraction(3, 8)), (Fraction(1, 2), Fraction(2)),
+             (Fraction(1, 16), Fraction(11, 8)), Fraction(5, 16)),
+            # three axes, a center outside the box
+            ((2, 3, 1), None, (Fraction(1), Fraction(1, 2), Fraction(3, 4)),
+             (Fraction(5, 4), Fraction(0), Fraction(3, 8)), Fraction(2)),
+            # coordinates far beyond int64 once scaled: object ints
+            ((2, 2), (Fraction(2**40), Fraction(0)), (Fraction(1, 2**30), Fraction(2**40)),
+             (Fraction(2**40), Fraction(2**39)), Fraction(2**78)),
+        ],
+    )
+    def test_disk_core_matches_the_cell_loop(self, bits, origin, side, center, rho_sq):
+        g = DyadicGrid(bits, origin, side)
+        want = loop_disk_core(g, center, rho_sq)
+        assert want.any()
+        assert np.array_equal(disk_core(g, center, rho_sq).mask, want)
 
     def test_disk_core_empty_raises(self):
         g = DyadicGrid((1, 1))
