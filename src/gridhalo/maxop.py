@@ -5,7 +5,8 @@ two reductions.  The field reduction takes the sliding maximum over the
 placements that contain each cell and keeps the larger average per cell;
 it has two routes, a brute one (direct repeated-addition window sums and a
 linear placement scan), kept as the oracle, and the production one
-(prefix sums and a sparse-table sliding maximum).  Both work on
+(differences of one summed-area table and a sparse-table sliding
+maximum).  Both work on
 common-denominator integers (int64, or Python ints when int64 could
 overflow), so they agree bit for bit; a field keeps only that integer
 payload, and ``level_set`` compares it cross-multiplied with the
