@@ -329,13 +329,18 @@ def run_maxfield(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     grid = DyadicGrid((config.grid_bits,) * config.n)
     basis = BasisSpec("axis", config.k)
-    shapes = enumerate_shapes(basis, grid)
-    work = len(shapes) * grid.total_cells
+    # the cubes, one per edge length, are admissible on this isotropic grid,
+    # so their count alone may refuse the run before every shape is listed
+    count, shapes = min(grid.shape), None
+    if count * grid.total_cells <= MAXFIELD_SHAPE_CELLS:
+        shapes = enumerate_shapes(basis, grid)
+        count = len(shapes)
+    work = count * grid.total_cells
     if work > MAXFIELD_SHAPE_CELLS:
         raise InfeasibleError(
             f"maxfield on {'x'.join(map(str, grid.shape))} cells needs "
-            f"{len(shapes)} shapes x {grid.total_cells} cells = {work}, above "
-            f"the bound {MAXFIELD_SHAPE_CELLS}; use a smaller --grid"
+            f"{'' if shapes else 'at least '}{count} shapes x {grid.total_cells} cells "
+            f"= {work}, above the bound {MAXFIELD_SHAPE_CELLS}; use a smaller --grid"
         )
     E = central_block(grid)
     amp = config.h_list[0]

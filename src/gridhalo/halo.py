@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import DyadicGrid, GridSet, StepFunction
 from .maxop import BasisSpec, dyadic_ladder, max_level_set
@@ -155,6 +154,7 @@ def halo_fit(h_samples, phi_values, model_exponent: int) -> tuple[float, float]:
 def _log_region_integral(n: int, h: float, tol: float) -> float:
     """Integral of 1/(x_1...x_n) over {x_j > 1, prod x_j < h}, by the
     one-variable Fubini recursion."""
+    from scipy.integrate import quad  # on first use: most of the import time
     if n == 1:
         return math.log(h)
     if h <= 1:

@@ -191,19 +191,24 @@ def _summed_area(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _window_sums_fast(c: np.ndarray, w: int, axis: int) -> np.ndarray:
+def _window_sums_fast(c: np.ndarray, w: int, axis: int, scratch=None) -> np.ndarray:
     """Placement sums from prefix sums ``c`` along axis (c[i] = sum of
     cells 0..i); output length N + w - 1 along axis.
 
     Placement j covers cells j-w+1 .. j clipped to the box, so it sums to
     c[min(j, N-1)] - c[j-w], with no subtrahend while j < w; the pieces
-    are written straight into one output."""
+    are written straight into one output, a new array or the head of the
+    flat ``scratch`` array."""
     n = c.shape[axis]
 
     def at(start, stop):
         return (slice(None),) * axis + (slice(start, stop),)
 
-    out = np.empty(c.shape[:axis] + (n + w - 1,) + c.shape[axis + 1 :], dtype=c.dtype)
+    shape = c.shape[:axis] + (n + w - 1,) + c.shape[axis + 1 :]
+    if scratch is None:
+        out = np.empty(shape, dtype=c.dtype)
+    else:
+        out = scratch[: math.prod(shape)].reshape(shape)
     head, tail = min(w, n), max(n, w)
     out[at(0, head)] = c[at(0, head)]
     if w < n:
@@ -377,13 +382,17 @@ def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, s
     if support is None:
         return GridSet(f.grid, out)
     total = int(arr.sum())
+    shapes = [s for s in shapes if total * q > p * math.prod(s) * f.den]
     table = _summed_area(arr[tuple(slice(lo, hi) for lo, hi in support)])
+    # every shape's placement sums go to two scratch arrays sized for the
+    # largest: fresh arrays per shape would each fault in fresh pages
+    size = max((math.prod(n + w - 1 for n, w in zip(table.shape, s)) for s in shapes), default=0)
+    scratch = [np.empty(size, dtype=table.dtype) for _ in range(2)]
     for shape in shapes:
-        vol = math.prod(shape)
-        if total * q <= p * vol * f.den:
-            continue
-        # one expression, so the placement sums are freed once compared
-        wins = _exceeds(_placement_sums(table, shape, _window_sums_fast), q, vol, p * f.den, total)
+        S = table
+        for ax, w in enumerate(shape):
+            S = _window_sums_fast(S, w, ax, scratch[ax % 2])
+        wins = _exceeds(S, q, math.prod(shape), p * f.den, total)
         placed = _bounding_box(wins)
         if placed is None:
             continue

@@ -43,7 +43,7 @@ from .grid import (
     uniform_distribution_check,
 )
 from .growth import GrowthFunction
-from .witness import MPhiWitness, _within, build_tile_witness
+from .witness import MPhiWitness, build_tile_witness
 
 __all__ = [
     "InfeasibleError",
@@ -236,10 +236,6 @@ def _dilution_pad(delta, pad=None) -> tuple:
     return tuple(int(p) for p in pad)
 
 
-def _scaled_shapes(shapes, factor):
-    return [tuple(w * f for w, f in zip(s, factor)) for s in shapes]
-
-
 def replicate_configuration(
     bases,
     amp,
@@ -256,10 +252,9 @@ def replicate_configuration(
     Replication cannot shrink level sets, so the tile's containments
     survive.  Each replicated set is checked once, where it is made: for
     uniform distribution over the coarse cells, and for containment in its
-    basis's certified level set, exactly on the replicated grid or against
-    the tile's certificate for disk-certified rotations.  A failed check
-    raises; the verdicts are recorded.  Returns the stage at the fine
-    resolution j = m + base bits + pad.
+    basis's certified level set, by the tile witness's own check on the
+    replicated grid.  A failed check raises; the verdicts are recorded.
+    Returns the stage at the fine resolution j = m + base bits + pad.
     """
     delta = Fraction(delta)
     pad = _dilution_pad(delta, pad)
@@ -287,10 +282,7 @@ def replicate_configuration(
     )
     if not uniform_ok:
         raise VerificationError("replicated set is not uniformly distributed")
-    memo = {}
-    containment_ok = {
-        key: _within(tile, key, memo, E, P, tile.shapes) for key, P in p_sets.items()
-    }
+    containment_ok = tile.containment(E, p_sets)
     if not all(containment_ok.values()):
         raise VerificationError("level-set containment lost under tiling")
     e_rel = E.relative_measure()
@@ -338,7 +330,6 @@ class ResonancePlan:
     selection: LevelSelection
     unions: dict  # key -> (union, product_formula, ok) after each stage
     independence: dict  # key -> report list
-    containment_ok: dict  # key -> tuple of bools per stage
     integral_f: Fraction
     integral_g: Fraction
     e_final: tuple  # per-stage E masks refined to the final grid
@@ -347,6 +338,15 @@ class ResonancePlan:
     @property
     def depth(self) -> int:
         return len(self.stages)
+
+    @property
+    def containment_ok(self) -> dict:
+        """key -> the stages' containment verdicts, each checked where its
+        sets were made.  Refining both sides preserves them: the scaled shapes
+        cover the same physical rectangles, and a disk-certified set refines
+        with its tile cells; ``tile.containment`` decides the same on the
+        final grid."""
+        return {key: tuple(s.containment_ok[key] for s in self.stages) for key in self.basis_keys}
 
     @property
     def union_masses(self) -> dict:
@@ -379,7 +379,6 @@ def build_resonance_function(
     K: int,
     pads=None,
     resolution_cap: int = 12,
-    deep_verify: bool = False,
 ) -> ResonancePlan:
     """Full staged construction against the basis family.
 
@@ -423,26 +422,6 @@ def build_resonance_function(
         for key in basis_keys
     }
 
-    # Each stage's containments were checked where its sets were made, at
-    # its own resolution j.  Refining both sides preserves them: the scaled
-    # shapes cover the same physical rectangles, so every average is
-    # unchanged.  With deep_verify the exact-route level sets are
-    # recomputed from scratch on the final grid as an oracle; a
-    # disk-certified set is located against its tile's certificate, which
-    # refinement does not touch.
-    containment_ok = {}
-    stage_memos = [{} for _ in stages]
-    for key in basis_keys:
-        per_stage = []
-        for s, E_f, P_f, memo in zip(stages, e_final, p_final[key], stage_memos):
-            ok = s.containment_ok[key]
-            if deep_verify and s.j != final_res and key not in s.tile.certificates:
-                factor = tuple(1 << (r - jj) for r, jj in zip(final_res, s.j))
-                shapes = _scaled_shapes(s.tile.shapes, factor)
-                ok = ok and _within(s.tile, key, memo, E_f, P_f, shapes)
-            per_stage.append(ok)
-        containment_ok[key] = tuple(per_stage)
-
     independence = {
         key: check_independence(p_final[key]) for key in basis_keys
     }
@@ -477,7 +456,6 @@ def build_resonance_function(
         selection=selection,
         unions=unions,
         independence=independence,
-        containment_ok=containment_ok,
         integral_f=f.integral(),
         integral_g=g.integral(),
         e_final=e_final,

@@ -25,15 +25,17 @@ computation:
     but wrongly included ones are not (P is a certified lower bound).
 
 The refinement depth of K's grid and the point-location margin are fixed
-constants.  The staged construction (gridhalo.resonance) builds one
-witness per stage, directly on the diluted tile, and re-checks each P
-against it once, where the replicated sets are made.
+constants.  ``MPhiWitness.containment`` is the one containment check, on
+the tile, on replicas of it and on refinements of those; it alone knows
+the routes, the certificates and how shapes scale.  The staged
+construction (gridhalo.resonance) builds one witness per stage, directly
+on the diluted tile, and calls it once, where the replicated sets are made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -84,31 +86,43 @@ def _box_center(grid: DyadicGrid) -> tuple[Fraction, ...]:
     return tuple(o + s / 2 for o, s in zip(grid.origin, grid.side))
 
 
+def _cell_distances_sq(grid: DyadicGrid, center):
+    """Squared distances from ``center`` to the nearest point and to the
+    farthest corner of every cell, in units of 1/scale^2, and the scale.
+
+    Scaled by the common denominator of the walls and the center (a power
+    of two on a dyadic grid), a cell's walls sit at integer offsets lo < hi
+    per axis: the nearest point is max(lo, -hi, 0) away, the farthest
+    corner max(-lo, hi).  int64 while the largest sum fits, else Python ints."""
+    cs = grid.cell_size
+    center = [Fraction(c) for c in center]
+    scale = math.lcm(*(v.denominator for v in (*grid.origin, *cs, *center)))
+    walls = []
+    for o, c, x, s in zip(grid.origin, cs, center, grid.shape):
+        lo, step = int((o - x) * scale), int(c * scale)
+        walls.append([lo + i * step for i in range(s + 1)])
+    top = sum(max(-w[0], w[-1]) ** 2 for w in walls)
+    dtype = np.int64 if top < 1 << 63 else object
+    near = far = 0
+    for j, w in enumerate(walls):
+        axis = [-1 if a == j else 1 for a in range(grid.n)]
+        lo, hi = (np.array(v, dtype=dtype).reshape(axis) for v in (w[:-1], w[1:]))
+        near = near + np.maximum(np.maximum(lo, -hi), 0) ** 2
+        far = far + np.maximum(-lo, hi) ** 2
+    return near, far, scale
+
+
 def inscribed_radius_sq(E: GridSet, center) -> Fraction:
     """Exact squared radius of the largest disk about ``center`` inside E.
 
     Computed as the minimum over cells outside E of the squared distance
     from the center to the nearest point of that cell.
     """
-    grid = E.grid
-    cs = grid.cell_size
-    best = None
-    for idx in np.ndindex(*grid.shape):
-        if E.mask[idx]:
-            continue
-        d2 = Fraction(0)
-        for j, i in enumerate(idx):
-            lo = grid.origin[j] + i * cs[j]
-            hi = lo + cs[j]
-            if center[j] < lo:
-                d2 += (lo - center[j]) ** 2
-            elif center[j] > hi:
-                d2 += (center[j] - hi) ** 2
-        if best is None or d2 < best:
-            best = d2
-    if best is None or best == 0:
+    near, _, scale = _cell_distances_sq(E.grid, center)
+    outside = near[~E.mask]
+    if outside.size == 0 or outside.min() == 0:
         raise WitnessError("no disk about the center fits inside E")
-    return best
+    return Fraction(int(outside.min()), scale * scale)
 
 
 def _square_refine_bits(grid: DyadicGrid, extra: int) -> tuple[int, ...]:
@@ -129,88 +143,65 @@ def disk_core(grid: DyadicGrid, center, rho_sq: Fraction) -> GridSet:
     rho_sq about ``center`` (exact corner test).
 
     A cell is inside when its farthest corner is: sum over axes of
-    max(|lo - c|, |hi - c|)^2 <= rho_sq.  Coordinates are scaled by the
-    common denominator of the cell walls and the center (a power of two
-    on a dyadic grid) so the test runs on integers: int64 while the
-    largest sum fits, Python ints past that."""
-    cs = grid.cell_size
-    center = [Fraction(c) for c in center]
-    scale = math.lcm(*(v.denominator for v in (*grid.origin, *cs, *center)))
-    # per axis, the farthest-wall distance of each cell, in units of 1/scale
-    far = []
-    for o, c, x, s in zip(grid.origin, cs, center, grid.shape):
-        walls = [int((o + i * c - x) * scale) for i in range(s + 1)]
-        far.append([max(abs(lo), abs(hi)) for lo, hi in zip(walls, walls[1:])])
-    top = sum(max(d) ** 2 for d in far)
-    limit = min(math.floor(rho_sq * scale * scale), top)
-    dtype = np.int64 if top < 1 << 63 else object
-    d2 = np.zeros(grid.shape, dtype=dtype)
-    for j, d in enumerate(far):
-        d = np.array(d, dtype=dtype)
-        d2 = d2 + (d * d).reshape([-1 if a == j else 1 for a in range(grid.n)])
-    out = GridSet(grid, d2 <= limit)
+    max(|lo - c|, |hi - c|)^2 <= rho_sq, on the scaled integers of
+    ``_cell_distances_sq``."""
+    _, far, scale = _cell_distances_sq(grid, center)
+    limit = min(math.floor(rho_sq * scale * scale), int(far.max()))
+    out = GridSet(grid, far <= limit)
     if out.popcount == 0:
         raise WitnessError("disk core is empty; refine deeper")
     return out
 
 
-def axis_level_set_exact(E: GridSet, amp, trunc, basis: BasisSpec, shapes=None):
-    """Exact truncated level set {M(amp chi_E) > 1} and the shape list used.
-
-    Explicit ``shapes`` restrict the family (a dyadic ladder, or recorded
-    shapes scaled to a finer grid); the level set is then a certified
-    subset of the full-family one, still exact per shape."""
-    axis = BasisSpec("axis", basis.k)
-    if shapes is None:
-        shapes = enumerate_shapes(axis, E.grid, r=trunc)
+def axis_level_set_exact(E: GridSet, amp, trunc, basis: BasisSpec, shapes) -> GridSet:
+    """Exact truncated level set {M(amp chi_E) > 1} of the axis family over
+    ``shapes``: all of them, a dyadic ladder, or recorded shapes scaled to a
+    finer grid.  A restricted family gives a certified subset of the
+    full-family level set, still exact per shape."""
     f = StepFunction.indicator(E, Fraction(amp))
-    return max_level_set(f, axis, 1, r=trunc, shapes=list(shapes)), shapes
+    return max_level_set(f, BasisSpec("axis", basis.k), 1, r=trunc, shapes=list(shapes))
 
 
 @dataclass(frozen=True)
 class RotationCertificate:
     """Everything needed to re-check a rotated P set: the exact axis level
-    set U of amp*chi_K on the refined grid, and the point-location margin."""
+    set U of amp*chi_K on the refined grid, and the angle."""
 
     U: GridSet
     K: GridSet
     gamma: float
-    rho_sq: Fraction
-    margin: float
 
 
 def rotation_preimage(
-    tile_grid: DyadicGrid,
-    U: GridSet,
-    gamma: float,
-    margin: float,
+    tile_grid: DyadicGrid, U: GridSet, gamma: float, margin: float
 ) -> GridSet:
     """Tile cells whose center, rotated by -gamma about the box center,
-    falls inside a cell of U with at least ``margin`` to spare."""
+    falls inside a cell of U with at least ``margin`` to spare.
+
+    Every cell runs the same float operations in the same order (each
+    center rounded once from its exact value, no fused multiply-add), so
+    the set is the one a cell-by-cell evaluation gives."""
     fine = U.grid
     ox, oy = (float(v) for v in fine.origin)
     cw, ch = (float(v) for v in fine.cell_size)
     nx, ny = fine.shape
     ccx, ccy = (float(v) for v in _box_center(tile_grid))
     cg, sg = math.cos(-gamma), math.sin(-gamma)
-    mask = np.zeros(tile_grid.shape, dtype=bool)
-    for idx in np.ndindex(*tile_grid.shape):
-        px, py = (float(v) for v in tile_grid.cell_center(idx))
-        dx, dy = px - ccx, py - ccy
-        x = ccx + cg * dx - sg * dy
-        y = ccy + sg * dx + cg * dy
-        i = math.floor((x - ox) / cw)
-        j = math.floor((y - oy) / ch)
-        if not (0 <= i < nx and 0 <= j < ny):
-            continue
-        if not U.mask[i, j]:
-            continue
-        # stay clear of the subcell walls so float rounding cannot flip cells
-        inx = min(x - (ox + i * cw), ox + (i + 1) * cw - x)
-        iny = min(y - (oy + j * ch), oy + (j + 1) * ch - y)
-        if inx > margin and iny > margin:
-            mask[idx] = True
-    return GridSet(tile_grid, mask)
+    px, py = (
+        np.array([float(o + (2 * i + 1) * c / 2) for i in range(s)])
+        for o, c, s in zip(tile_grid.origin, tile_grid.cell_size, tile_grid.shape)
+    )
+    dx, dy = (px - ccx)[:, None], (py - ccy)[None, :]
+    x = ccx + cg * dx - sg * dy
+    y = ccy + sg * dx + cg * dy
+    i = np.floor((x - ox) / cw)
+    j = np.floor((y - oy) / ch)
+    inside = (0 <= i) & (i < nx) & (0 <= j) & (j < ny)
+    hit = U.mask[np.where(inside, i, 0).astype(np.intp), np.where(inside, j, 0).astype(np.intp)]
+    # stay clear of the subcell walls so float rounding cannot flip cells
+    inx = np.minimum(x - (ox + i * cw), ox + (i + 1) * cw - x)
+    iny = np.minimum(y - (oy + j * ch), oy + (j + 1) * ch - y)
+    return GridSet(tile_grid, inside & hit & (inx > margin) & (iny > margin))
 
 
 def _route(basis: BasisSpec) -> int | None:
@@ -225,32 +216,52 @@ def _route(basis: BasisSpec) -> int | None:
     return None
 
 
-def _level_set(basis, tile_grid, E, amp, trunc, shapes, memo, certificate) -> GridSet:
-    """The certified level set a P for ``basis`` on ``tile_grid`` lies in.
+def _placement(tile: DyadicGrid, grid: DyadicGrid):
+    """Per axis (refinement factor, replica count) taking the tile grid onto
+    ``grid``, or None unless ``grid`` covers whole copies of the tile box,
+    aligned with it, in cells that split the tile's evenly."""
+    ratios = [
+        (c / gc, gs / s, (go - o) / s)
+        for o, s, c, go, gs, gc in zip(
+            tile.origin, tile.side, tile.cell_size, grid.origin, grid.side, grid.cell_size
+        )
+    ]
+    if grid.n != tile.n or any(v.denominator != 1 for r in ratios for v in r):
+        return None
+    return [(factor.numerator, reps.numerator) for factor, reps, _ in ratios]
 
-    The exact route takes the axis level set of amp*chi_E, kept in ``memo``
-    per k, so an axis basis and its quarter turns cost one field; E is the
-    tile's E or a replica or refinement of it, with ``shapes`` to match.
-    The disk route locates the tile cells against the certificate."""
-    if _route(basis) is None:
-        return rotation_preimage(tile_grid, certificate.U, certificate.gamma, certificate.margin)
-    if basis.k not in memo:
-        memo[basis.k], _ = axis_level_set_exact(E, amp, trunc, basis, shapes)
-    return memo[basis.k]
+
+def _place(mask: np.ndarray, placement) -> np.ndarray:
+    """A tile-grid mask refined and tiled onto the grid of ``placement``."""
+    for ax, (factor, _) in enumerate(placement):
+        mask = np.repeat(mask, factor, axis=ax)
+    return np.tile(mask, [reps for _, reps in placement])
 
 
-def _within(w, key, memo, E=None, P=None, shapes=None) -> bool:
-    """Re-check that P lies in the certified level set of w's basis ``key``.
+def _certified_sets(w, E: GridSet) -> dict | None:
+    """Per basis key of w, the certified level set on E's grid, or None
+    when E's grid is no refinement or replica of w's tile grid.
 
-    E and P default to w's own sets; a replica or refinement of them needs
-    ``shapes`` scaled to match.  A set certified on w's tile grid (the disk
-    route, or w's own E) is compared with w's own P."""
-    E = w.E if E is None else E
-    cert = w.certificates.get(key)
-    ls = _level_set(w.bases[key], w.grid, E, w.h, w.trunc, shapes, memo, cert)
-    if ls.grid == w.grid:
-        P = w.p_sets[key]
-    return (P - ls).popcount == 0
+    The exact route takes the axis level set of amp*chi_E over w's shapes
+    scaled to E's cells (the same physical rectangles), once for an axis
+    basis and its quarter turns.  The disk route places the tile preimage
+    onto E's grid; the certificate needs E to hold w's E, else it is empty."""
+    placement = _placement(w.grid, E.grid)
+    if placement is None:
+        return None
+    holds = bool(w.certificates) and not (_place(w.E.mask, placement) & ~E.mask).any()
+    out, exact = {}, None
+    for key, basis in w.bases.items():
+        if _route(basis) is None:
+            cert = w.certificates[key]
+            tile = rotation_preimage(w.grid, cert.U, cert.gamma, _MARGIN)
+            out[key] = GridSet(E.grid, _place(tile.mask, placement) & holds)
+        else:
+            if exact is None:
+                shapes = [tuple(x * f for x, (f, _) in zip(s, placement)) for s in w.shapes]
+                exact = axis_level_set_exact(E, w.h, w.trunc, basis, shapes)
+            out[key] = exact
+    return out
 
 
 @dataclass(frozen=True)
@@ -278,15 +289,27 @@ class MPhiWitness:
     def box_diam_sq(self) -> Fraction:
         return sum((s * s for s in self.grid.side), Fraction(0))
 
+    def containment(self, E: GridSet | None = None, p_sets: dict | None = None) -> dict:
+        """Per key of ``p_sets``, whether that P lies in its basis's
+        certified level set of amp*chi_E.
+
+        E and the P sets default to the witness's own.  They may also live
+        on a replica of the tile over whole copies of its box, a refinement,
+        or both; P must be on E's grid, and any other grid gives False."""
+        E = self.E if E is None else E
+        p_sets = self.p_sets if p_sets is None else p_sets
+        sets = _certified_sets(self, E) or {}
+        return {
+            key: key in sets and P.grid == E.grid and (P - sets[key]).popcount == 0
+            for key, P in p_sets.items()
+        }
+
     def verify(self, phi: GrowthFunction) -> dict:
         """Re-check all six conditions; exact except the rotated point maps."""
         results = {}
-        memo = {}
         # Q is the grid's box: E and every P lie in it iff they are sets of its grid
         in_box = all(s.grid == self.grid for s in (self.E, *self.p_sets.values()))
-        results["levelset_containment"] = in_box and all(
-            _within(self, key, memo) for key in self.p_sets
-        )
+        results["levelset_containment"] = in_box and all(self.containment().values())
         results["common_resolution"] = all(
             P.grid == self.grid for P in self.p_sets.values()
         )
@@ -301,15 +324,6 @@ class MPhiWitness:
         return results
 
 
-def _epsilon_for(grid: DyadicGrid, trunc: Fraction) -> Fraction:
-    """Smallest convenient epsilon with diam Q < epsilon and trunc <= epsilon.
-
-    The l1 norm of the box sides dominates its diameter, so it is a valid
-    rational upper bound."""
-    l1 = sum(grid.side, Fraction(0))
-    return max(Fraction(trunc), l1)
-
-
 def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     """The witness loop: each basis takes its certified level set as P.
 
@@ -321,44 +335,37 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     if len({b.k for b in bases}) != 1:
         raise ValueError("witness bases must share k: they share one shape family")
     axis = BasisSpec("axis", bases[0].k)
-    shapes = enumerate_shapes(axis, grid, r=trunc)
-    p_sets, basis_map, certificates, memo = {}, {}, {}, {}
-    disk = None
-    for basis in bases:
-        key = basis.describe()
-        basis_map[key] = basis
-        if _route(basis) is None:
-            if disk is None:
-                center = _box_center(grid)
-                rho_sq = inscribed_radius_sq(E, center)
-                fine = grid.refine(_square_refine_bits(grid, _REFINE_EXTRA))
-                K = disk_core(fine, center, rho_sq)
-                ladder = dyadic_ladder(max(fine.shape))
-                fine_shapes = enumerate_shapes(axis, fine, r=trunc, ladder=ladder)
-                U, _ = axis_level_set_exact(K, amp, trunc, axis, fine_shapes)
-                disk = (U, K, rho_sq)
-            U, K, rho_sq = disk
-            certificates[key] = RotationCertificate(U, K, basis.gamma, rho_sq, _MARGIN)
-        P = _level_set(basis, grid, E, amp, trunc, shapes, memo, certificates.get(key))
-        if P.popcount == 0:
-            raise WitnessError(f"empty P set for basis {key}")
-        p_sets[key] = P
-    phi_h = phi(float(amp))
-    c = min(float(P.measure()) / (phi_h * float(E.measure())) for P in p_sets.values())
-    return MPhiWitness(
+    basis_map = {b.describe(): b for b in bases}
+    generic = [key for key, b in basis_map.items() if _route(b) is None]
+    certificates = {}
+    if generic:
+        center = _box_center(grid)
+        rho_sq = inscribed_radius_sq(E, center)
+        fine = grid.refine(_square_refine_bits(grid, _REFINE_EXTRA))
+        K = disk_core(fine, center, rho_sq)
+        ladder = dyadic_ladder(max(fine.shape))
+        fine_shapes = enumerate_shapes(axis, fine, r=trunc, ladder=ladder)
+        U = axis_level_set_exact(K, amp, trunc, axis, fine_shapes)
+        certificates = {key: RotationCertificate(U, K, basis_map[key].gamma) for key in generic}
+    w = MPhiWitness(
         grid=grid,
         h=amp,
         epsilon=epsilon,
         trunc=trunc,
         E=E,
-        p_sets=p_sets,
+        p_sets={},
         bases=basis_map,
-        shapes=tuple(tuple(s) for s in shapes),
+        shapes=tuple(tuple(s) for s in enumerate_shapes(axis, grid, r=trunc)),
         certificates=certificates,
-        c=c,
         c_of_h=Fraction(E.popcount, grid.total_cells),
-        phi_at_h=phi_h,
     )
+    p_sets = _certified_sets(w, E)
+    for key, P in p_sets.items():
+        if P.popcount == 0:
+            raise WitnessError(f"empty P set for basis {key}")
+    phi_h = phi(float(amp))
+    c = min(float(P.measure()) / (phi_h * float(E.measure())) for P in p_sets.values())
+    return replace(w, p_sets=p_sets, c=c, phi_at_h=phi_h)
 
 
 def build_tile_witness(
@@ -373,14 +380,9 @@ def build_tile_witness(
     trunc = Fraction(trunc)
     if amp <= 1:
         raise ValueError("amplitude must exceed 1")
-    return _witness(
-        central_block(tile_grid),
-        list(bases),
-        amp,
-        trunc,
-        _epsilon_for(tile_grid, trunc),
-        phi,
-    )
+    # epsilon >= trunc and > diam Q: the l1 norm of the box sides dominates it
+    epsilon = max(trunc, sum(tile_grid.side, Fraction(0)))
+    return _witness(central_block(tile_grid), list(bases), amp, trunc, epsilon, phi)
 
 
 def mphi_witness_for_rotations(

@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gridhalo import cli, experiments
+import gridhalo
+from gridhalo import cli, experiments, maxop
 from gridhalo.cli import main
 from gridhalo.config import ConfigError, ExperimentConfig, read_config_file
 from gridhalo.reports import RunReport
@@ -179,6 +182,20 @@ class TestCli:
         assert f"= {2**32}, above the bound {experiments.MAXFIELD_SHAPE_CELLS}" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_maxfield_cube_count_refuses_before_listing_shapes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 256 cubes x 2^24 cells already pass the bound at n = 3
+        def unreachable(*args, **kwargs):
+            raise AssertionError("every shape was listed")
+
+        monkeypatch.setattr(maxop, "enumerate_shapes", unreachable)
+        monkeypatch.setattr(experiments, "enumerate_shapes", unreachable)
+        rc = _run(["maxfield", "--set", "n=3", "--grid", "8", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"needs at least 256 shapes x {2**24} cells = {2**32}, above" in err
+
     def test_maxfield_grid_10_refused_before_the_field(self, tmp_path, capsys):
         rc = _run(["maxfield", "--grid", "10", "--out", str(tmp_path)])
         assert rc == 3
@@ -296,3 +313,14 @@ class TestCli:
         doc = json.loads(open(os.path.join(out, "report.json")).read())
         assert doc["meta"]["kind"] == "rearrange"
         assert all(item["ok"] for item in doc["verified"])
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the log-region quadrature needs it, and it costs most of start-up
+    code = "import sys, gridhalo.cli\nprint('scipy.integrate' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(gridhalo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -417,5 +417,6 @@ class TestMaxLevelSet:
         res = halo.lemma10_levelset_measure(AxisRect((30, 30), (34, 34)), 6.0, 2, DyadicGrid((6, 6)))
         assert res.levelset_measure > res.rect_measure
         E = GridSet.from_indices(DyadicGrid((3, 3)), [(3, 3), (3, 4), (4, 3), (4, 4)])
-        P, _ = axis_level_set_exact(E, Fraction(9, 4), Fraction(1), BasisSpec("axis", 2))
+        shapes = enumerate_shapes(BasisSpec("axis", 2), E.grid, r=1)
+        P = axis_level_set_exact(E, Fraction(9, 4), Fraction(1), BasisSpec("axis", 2), shapes)
         assert (E - P).popcount == 0

@@ -119,6 +119,26 @@ class TestReplication:
         with pytest.raises(VerificationError, match="containment"):
             build_resonance_function(f, bases, PHI, 1, pads=pads)
 
+    def test_replicated_cell_outside_rotation_certificate_fails(self):
+        # the replicated P itself is compared: one extra cell on the
+        # replicated grid fails, and so does a grid off the tile lattice
+        f, pads = synthetic_resonance_input(PHI, 1, style="square")
+        basis = BasisSpec("rotated", 2, math.pi / 8)
+        key = basis.describe()
+        (stage,) = build_resonance_function(f, [basis], PHI, 1, pads=pads).stages
+        P = stage.p_sets[key]
+        assert stage.tile.containment(stage.E, {key: P}) == {key: True}
+        mask = P.mask.copy()
+        mask[tuple(np.argwhere(~mask)[0])] = True
+        bad = GridSet(P.grid, mask)
+        assert stage.tile.containment(stage.E, {key: bad}) == {key: False}
+        # the disk certificate needs E to hold the tile's E in every copy
+        assert stage.tile.containment(GridSet.empty(P.grid), {key: P}) == {key: False}
+        off = DyadicGrid(stage.j, origin=(Fraction(1, 3), Fraction(0)))
+        moved = {key: GridSet(off, P.mask)}
+        assert stage.tile.containment(GridSet(off, stage.E.mask), moved) == {key: False}
+        assert stage.tile.containment(stage.E, moved) == {key: False}
+
     def test_target_above_density_rejected(self):
         # the central 2x2 block of the 4x4 base tile has density 1/4
         with pytest.raises(InfeasibleError):
@@ -225,13 +245,18 @@ class TestSquarePlan:
         assert plan.integral_g <= plan.integral_f
         assert max(plan.g.values.ravel()) == plan.selection.entries[-1][1]
 
-    def test_deep_verify_confirms_refinement_invariance(self):
+    def test_final_grid_containment_on_both_routes(self):
+        # refinement keeps every stage's containment: each tile re-checks
+        # its sets refined to the final grid, on the exact and disk routes
         f, pads = synthetic_resonance_input(PHI, 2, style="square")
-        plan = build_resonance_function(
-            f, [BasisSpec("axis", 2)], PHI, 2, pads=pads, deep_verify=True
-        )
+        bases = [BasisSpec("axis", 2), BasisSpec("rotated", 2, math.pi / 8)]
+        plan = build_resonance_function(f, bases, PHI, 2, pads=pads)
         assert plan.verified()
-        assert all(all(v) for v in plan.containment_ok.values())
+        assert plan.stages[0].j != plan.final_grid.resolution
+        for i, s in enumerate(plan.stages):
+            p_sets = {key: plan.p_final[key][i] for key in plan.basis_keys}
+            got = s.tile.containment(plan.e_final[i], p_sets)
+            assert got == dict.fromkeys(plan.basis_keys, True)
 
     def test_resolution_cap_names_achievable_depth(self):
         f, pads = synthetic_resonance_input(PHI, 2, style="square")

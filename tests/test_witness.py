@@ -9,12 +9,13 @@ import pytest
 
 from gridhalo.grid import DyadicGrid, GridSet, StepFunction
 from gridhalo.growth import log_power_growth
-from gridhalo.maxop import BasisSpec
-from gridhalo.rotate import rot90_set, rotated_average
+from gridhalo.maxop import BasisSpec, enumerate_shapes
+from gridhalo.rotate import quarter_turns, rot90_set, rotated_average
 from gridhalo.witness import (
+    _MARGIN,
     WitnessError,
+    _box_center,
     _route,
-    _within,
     axis_level_set_exact,
     build_tile_witness,
     central_block,
@@ -38,6 +39,52 @@ def loop_disk_core(grid, center, rho_sq):
             hi = lo + cs[j]
             d2 += max(abs(lo - center[j]), abs(hi - center[j])) ** 2
         mask[idx] = d2 <= rho_sq
+    return mask
+
+
+def loop_inscribed_radius_sq(E, center):
+    """Oracle: the nearest-point distance cell by cell, in Fractions; the
+    least over cells outside E, or None when no cell is outside."""
+    grid = E.grid
+    cs = grid.cell_size
+    best = None
+    for idx in np.ndindex(*grid.shape):
+        if E.mask[idx]:
+            continue
+        d2 = Fraction(0)
+        for j, i in enumerate(idx):
+            lo = grid.origin[j] + i * cs[j]
+            hi = lo + cs[j]
+            if center[j] < lo:
+                d2 += (lo - center[j]) ** 2
+            elif center[j] > hi:
+                d2 += (center[j] - hi) ** 2
+        if best is None or d2 < best:
+            best = d2
+    return best
+
+
+def loop_rotation_preimage(tile_grid, U, gamma, margin):
+    """Oracle: the point location cell by cell, in Python floats."""
+    fine = U.grid
+    ox, oy = (float(v) for v in fine.origin)
+    cw, ch = (float(v) for v in fine.cell_size)
+    nx, ny = fine.shape
+    ccx, ccy = (float(v) for v in _box_center(tile_grid))
+    cg, sg = math.cos(-gamma), math.sin(-gamma)
+    mask = np.zeros(tile_grid.shape, dtype=bool)
+    for idx in np.ndindex(*tile_grid.shape):
+        px, py = (float(v) for v in tile_grid.cell_center(idx))
+        dx, dy = px - ccx, py - ccy
+        x = ccx + cg * dx - sg * dy
+        y = ccy + sg * dx + cg * dy
+        i = math.floor((x - ox) / cw)
+        j = math.floor((y - oy) / ch)
+        if not (0 <= i < nx and 0 <= j < ny) or not U.mask[i, j]:
+            continue
+        inx = min(x - (ox + i * cw), ox + (i + 1) * cw - x)
+        iny = min(y - (oy + j * ch), oy + (j + 1) * ch - y)
+        mask[idx] = inx > margin and iny > margin
     return mask
 
 
@@ -94,6 +141,12 @@ class TestGeometryHelpers:
         want = loop_disk_core(g, center, rho_sq)
         assert want.any()
         assert np.array_equal(disk_core(g, center, rho_sq).mask, want)
+        # the nearest-point distance shares the scaled walls: the largest
+        # disk about the same center that misses the box's corner cells
+        E = np.ones(g.shape, dtype=bool)
+        E[np.ix_(*[[0, -1]] * g.n)] = False
+        E = GridSet(g, E)
+        assert inscribed_radius_sq(E, center) == loop_inscribed_radius_sq(E, center) > 0
 
     def test_disk_core_empty_raises(self):
         g = DyadicGrid((1, 1))
@@ -105,7 +158,8 @@ class TestAxisWitness:
     def test_level_set_contains_e_and_respects_amplitude(self):
         g = DyadicGrid((2, 2))
         E = central_block(g)
-        P, shapes = axis_level_set_exact(E, Fraction(9, 4), Fraction(1), BasisSpec("axis", 2))
+        shapes = enumerate_shapes(BasisSpec("axis", 2), g, r=1)
+        P = axis_level_set_exact(E, Fraction(9, 4), Fraction(1), BasisSpec("axis", 2), shapes)
         assert (E - P).popcount == 0
         assert all(len(set(s)) <= 2 for s in shapes)
 
@@ -173,9 +227,7 @@ class TestRotationCertificates:
             w = build_tile_witness(g, bases, Fraction(5, 2), Fraction(1, 2), PHI)
             p0, p90 = (w.p_sets[b.describe()] for b in bases)
             assert p0.popcount > 0 and p0 == p90
-            assert p0 == axis_level_set_exact(
-                w.E, w.h, w.trunc, BasisSpec("axis", 2), w.shapes
-            )[0]
+            assert p0 == axis_level_set_exact(w.E, w.h, w.trunc, BasisSpec("axis", 2), w.shapes)
             assert all(w.verify(PHI).values())
 
     def test_set_off_the_tile_grid_fails_containment_in_box(self):
@@ -193,18 +245,37 @@ class TestRotationCertificates:
         basis = BasisSpec("rotated", 2, math.pi / 4)
         key = basis.describe()
         w = build_tile_witness(g, [basis], Fraction(5, 2), Fraction(1, 2), PHI)
-        assert _within(w, key, {})
+        assert w.containment() == {key: True}
         P = w.p_sets[key]
         outside = tuple(np.argwhere(~P.mask)[0])
         grown = GridSet.from_indices(g, [*map(tuple, np.argwhere(P.mask)), outside])
+        assert w.containment(p_sets={key: grown}) == {key: False}
         bad = dataclasses.replace(w, p_sets={key: grown})
-        assert not _within(bad, key, {})
         assert not bad.verify(PHI)["levelset_containment"]
+
+    @pytest.mark.parametrize(
+        "grid", [DyadicGrid((3, 3)), DyadicGrid((3, 2), side=(Fraction(1, 4), Fraction(1, 8)))]
+    )
+    @pytest.mark.parametrize("amp", [Fraction(5, 2), Fraction(37, 10), Fraction(4)])
+    def test_rotation_preimage_matches_the_cell_loop(self, grid, amp):
+        basis = BasisSpec("rotated", 2, math.pi / 8)
+        w = build_tile_witness(grid, [basis], amp, Fraction(1, 2), PHI)
+        U = w.certificates[basis.describe()].U
+        turns = [0.0, 1e-12, -1e-12, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
+        gammas = turns + [math.pi * t / 37 for t in range(-37, 75)]
+        for gamma in gammas:
+            want = loop_rotation_preimage(grid, U, gamma, _MARGIN)
+            assert np.array_equal(rotation_preimage(grid, U, gamma, _MARGIN).mask, want), gamma
+            # at a quarter turn every tile center lands on a subcell wall,
+            # which the margin refuses; every other angle certifies cells
+            assert want.any() == (quarter_turns(gamma) is None), gamma
 
     def test_rotation_preimage_deterministic(self):
         g = DyadicGrid((3, 3))
         E = central_block(g)
-        U, _ = axis_level_set_exact(E, Fraction(5, 2), Fraction(1, 2), BasisSpec("axis", 2))
+        axis = BasisSpec("axis", 2)
+        shapes = enumerate_shapes(axis, g, r=Fraction(1, 2))
+        U = axis_level_set_exact(E, Fraction(5, 2), Fraction(1, 2), axis, shapes)
         a = rotation_preimage(g, U, 0.7, 1e-9)
         b = rotation_preimage(g, U, 0.7, 1e-9)
         assert a == b
