@@ -317,9 +317,10 @@ def run_rearrangement_demo(config: ExperimentConfig) -> RunReport:
 
 
 # Largest shapes x cells product a maxfield run may take: every shape costs
-# a few passes over every cell.  At n = 2, k = 2 the product is 2^28 for
-# --grid 7 (27 s on a 2-vCPU VM) and grows 16-fold per grid bit, so
-# --grid 8 (2^32) and the roughly 30-hour --grid 10 (2^40) are refused.
+# a few passes over the cells its placements cover.  At n = 2, k = 2 the
+# product is 2^28 for --grid 7 (12.5 s on a 2-vCPU Xeon VM) and grows
+# 16-fold per grid bit, so --grid 8 (2^32) and --grid 10 (2^40, about 14
+# hours by that growth) are refused.
 MAXFIELD_SHAPE_CELLS = 1 << 30
 
 

@@ -28,8 +28,6 @@ __all__ = [
     "uniform_distribution_check",
     "save_step_function",
     "load_step_function",
-    "save_grid_set",
-    "load_grid_set",
 ]
 
 
@@ -177,9 +175,6 @@ class GridSet:
     def difference(self, other: "GridSet") -> "GridSet":
         self._require_same_grid(other)
         return GridSet(self.grid, self.mask & ~other.mask)
-
-    def complement(self) -> "GridSet":
-        return GridSet(self.grid, ~self.mask)
 
     __and__ = intersection
     __or__ = union
@@ -364,12 +359,6 @@ class AxisRect:
             v *= e
         return v
 
-    def diameter_sq(self, grid: DyadicGrid) -> Fraction:
-        return sum((e * e for e in self.edge_lengths(grid)), Fraction(0))
-
-    def contains_index(self, index: Sequence[int]) -> bool:
-        return all(a <= i < b for a, i, b in zip(self.lo, index, self.hi))
-
 
 # ---------------------------------------------------------------------------
 # plain-text serialization: "n m_1 ... m_n" header then row-major values
@@ -392,31 +381,13 @@ def save_step_function(f: StepFunction, path):
         fh.writelines(_text_chunks(*_value_table(f.num, f.den)))
 
 
-def _read_cells(path) -> tuple[DyadicGrid, np.ndarray]:
-    """The grid named by a saved file's header, and its row-major cell tokens."""
+def load_step_function(path) -> StepFunction:
+    """Each token is read exactly: ``p/q``, integer and decimal forms alike."""
     with open(path) as fh:
         header = fh.readline().split()
         toks = np.array(fh.read().split())
     grid = DyadicGrid(tuple(int(x) for x in header[1 : 1 + int(header[0])]))
     if len(toks) != grid.total_cells:
         raise ValueError("value count does not match grid")
-    return grid, toks
-
-
-def load_step_function(path) -> StepFunction:
-    """Each token is read exactly: ``p/q``, integer and decimal forms alike."""
-    grid, toks = _read_cells(path)
     table, codes = np.unique(toks, return_inverse=True)
     return StepFunction.from_table(grid, [Fraction(t) for t in table.tolist()], codes)
-
-
-def save_grid_set(s: GridSet, path):
-    with open(path, "w") as fh:
-        fh.write(f"{s.grid.n} " + " ".join(str(m) for m in s.grid.resolution) + "\n")
-        for v in s.mask.ravel():
-            fh.write(("1" if v else "0") + "\n")
-
-
-def load_grid_set(path) -> GridSet:
-    grid, toks = _read_cells(path)
-    return GridSet(grid, (toks == "1").reshape(grid.shape))

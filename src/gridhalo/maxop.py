@@ -1,23 +1,20 @@
 """Truncated maximal-operator fields and level sets over rectangle bases.
 
-One per-shape step (window sums over every placement of the shape) feeds
-two reductions.  The field reduction takes the sliding maximum over the
-placements that contain each cell and keeps the larger average per cell;
-it has two routes, a brute one (direct repeated-addition window sums and a
-linear placement scan), kept as the oracle, and the production one
-(differences of one summed-area table and a sparse-table sliding
-maximum).  Both work on
-common-denominator integers (int64, or Python ints when int64 could
-overflow), so they agree bit for bit; a field keeps only that integer
-payload, and ``level_set`` compares it cross-multiplied with the
-threshold.
-
-The level-set reduction, ``max_level_set``, computes {M f > lam} without
-the field.  It skips every shape whose average cannot exceed lam even
-with the whole mass of f inside (exact, since f is nonnegative), works
-only on the support's bounding box, decides each placement by one
-cross-multiplied integer compare, and dilates the mask of winning
-placements by the shape.
+One per-shape step, ``_shape_sums``, crops f to its support's bounding
+box and differences one summed-area table into two scratch arrays: the
+sum over every placement of the shape that meets the support.  It feeds
+two reductions, both of which spread per-placement values to the cells
+the placements cover by a sparse-table sliding maximum.  ``max_field_fast``
+spreads the sums and keeps the larger average per cell;
+``max_level_set`` computes {M f > lam} without the field: it skips every
+shape whose average cannot exceed lam even with the whole mass of f
+inside (exact, since f is nonnegative) and spreads the placements that
+win one cross-multiplied integer compare.  ``max_field_brute`` (direct
+repeated-addition window sums and a linear placement scan on the whole
+grid) is the oracle.  All work on common-denominator integers (int64, or
+Python ints when int64 could overflow), so the fields agree bit for bit;
+a field keeps only that integer payload, and ``level_set`` compares it
+cross-multiplied with the threshold.
 
 Evaluation point is the cell center; since admissible rectangles are
 cell-aligned, "contains the center" and "contains the cell" coincide.
@@ -183,32 +180,20 @@ def _prepare_values(f: StepFunction) -> np.ndarray:
     return f.num.astype(np.int64 if fits else object, copy=False)
 
 
-def _summed_area(arr: np.ndarray) -> np.ndarray:
-    """Prefix sums along every axis: the table ``_window_sums_fast``
-    differences, built once and shared by every shape."""
-    for ax in range(arr.ndim):
-        arr = np.cumsum(arr, axis=ax)
-    return arr
-
-
-def _window_sums_fast(c: np.ndarray, w: int, axis: int, scratch=None) -> np.ndarray:
+def _window_sums_fast(c: np.ndarray, w: int, axis: int, scratch: np.ndarray) -> np.ndarray:
     """Placement sums from prefix sums ``c`` along axis (c[i] = sum of
     cells 0..i); output length N + w - 1 along axis.
 
     Placement j covers cells j-w+1 .. j clipped to the box, so it sums to
     c[min(j, N-1)] - c[j-w], with no subtrahend while j < w; the pieces
-    are written straight into one output, a new array or the head of the
-    flat ``scratch`` array."""
+    are written straight into the head of the flat ``scratch`` array."""
     n = c.shape[axis]
 
     def at(start, stop):
         return (slice(None),) * axis + (slice(start, stop),)
 
     shape = c.shape[:axis] + (n + w - 1,) + c.shape[axis + 1 :]
-    if scratch is None:
-        out = np.empty(shape, dtype=c.dtype)
-    else:
-        out = scratch[: math.prod(shape)].reshape(shape)
+    out = scratch[: math.prod(shape)].reshape(shape)
     head, tail = min(w, n), max(n, w)
     out[at(0, head)] = c[at(0, head)]
     if w < n:
@@ -255,10 +240,48 @@ def _placement_max_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _accumulate(best_num, best_den, S, d):
-    """Pointwise keep the larger average; exact compare is cross-multiplied."""
-    better = S * best_den > best_num * d
-    return np.where(better, S, best_num), np.where(better, d, best_den)
+def _shape_sums(arr: np.ndarray, shapes):
+    """The per-shape step: yields ``(shape, S, corner)``, S the sum of
+    ``arr`` over every placement of ``shape`` that meets the support's
+    bounding box, ``S[i]`` the placement whose last cell is ``corner + i``.
+    The other placements sum to zero; an all-zero ``arr`` yields nothing.
+
+    S is differenced from one summed-area table of the crop into two
+    scratch arrays sized for the largest shape (fresh arrays per shape
+    would each fault in fresh pages), so use S before the next shape."""
+    support = _bounding_box(arr != 0)
+    if support is None:
+        return
+    table = arr[tuple(slice(lo, hi) for lo, hi in support)]
+    for ax in range(table.ndim):
+        table = np.cumsum(table, axis=ax)
+    size = max((math.prod(n + w - 1 for n, w in zip(table.shape, s)) for s in shapes), default=0)
+    scratch = [np.empty(size, dtype=table.dtype) for _ in range(2)]
+    corner = tuple(lo for lo, _ in support)
+    for shape in shapes:
+        S = table
+        for ax, w in enumerate(shape):
+            S = _window_sums_fast(S, w, ax, scratch[ax % 2])
+        yield shape, S, corner
+
+
+def _spread(vals: np.ndarray, shape, corner, box) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The slices of ``box`` that placements of ``shape`` cover, and per
+    cell the max of ``vals`` over the placements covering it: ``vals[i]``
+    is the placement whose last cell is ``corner + i``, and every other
+    placement counts as zero."""
+    # pad by w - 1 zeros (Python ints on the object path); the sliding max
+    # over w placements then starts at cell corner - w + 1
+    pad = np.zeros([n + 2 * (w - 1) for n, w in zip(vals.shape, shape)], dtype=vals.dtype)
+    pad[tuple(slice(w - 1, w - 1 + n) for n, w in zip(vals.shape, shape))] = vals
+    for ax, w in enumerate(shape):
+        pad = _sliding_max_fast(pad, w, ax)
+    dst, src = [], []
+    for c, w, n, size in zip(corner, shape, box, pad.shape):
+        start = c - w + 1
+        dst.append(slice(max(start, 0), min(start + size, n)))
+        src.append(slice(max(start, 0) - start, min(start + size, n) - start))
+    return tuple(dst), pad[tuple(src)]
 
 
 def _family(f: StepFunction, basis: BasisSpec, r, ladder, shapes) -> list:
@@ -276,50 +299,45 @@ def _family(f: StepFunction, basis: BasisSpec, r, ladder, shapes) -> list:
     return shapes
 
 
-def _placement_sums(table: np.ndarray, shape, window_sums) -> np.ndarray:
-    """The per-shape step: the sum of f over every placement of ``shape``
-    that meets the box, N + w - 1 placements per axis, from a route's table
-    of f."""
-    for ax, w in enumerate(shape):
-        table = window_sums(table, w, ax)
-    return table
-
-
-# a route: the table of f's numerators that its per-axis window sums read,
-# those window sums, and the per-axis max over the placements at a cell
-_BRUTE = (lambda arr: arr, _window_sums_direct, _placement_max_direct)
-_FAST = (_summed_area, _window_sums_fast, _sliding_max_fast)
-
-
-def _max_field(f: StepFunction, basis: BasisSpec, r, ladder, route, shapes=None) -> MaxField:
+def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
+    """Reference field: direct window accumulation and a linear placement
+    scan on the whole grid, sharing no step with ``max_field_fast``."""
     shapes = _family(f, basis, r, ladder, shapes)
-    table, window_sums, placement_max = route
     arr = _prepare_values(f)
     best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
     best_den = np.ones(f.grid.shape, dtype=arr.dtype)
-    tab = table(arr)
     for shape in shapes:
-        S = _placement_sums(tab, shape, window_sums)
+        S = arr
         for ax, w in enumerate(shape):
-            S = placement_max(S, w, ax)
-        best_num, best_den = _accumulate(best_num, best_den, S, math.prod(shape))
-    r = None if r is None else Fraction(r)
-    return MaxField(f.grid, basis, r, best_num, best_den, f.den)
-
-
-def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
-    """Reference field: direct window accumulation, linear placement scan."""
-    return _max_field(f, basis, r, ladder, _BRUTE, shapes)
+            S = _window_sums_direct(S, w, ax)
+        for ax, w in enumerate(shape):
+            S = _placement_max_direct(S, w, ax)
+        d = math.prod(shape)
+        better = S * best_den > best_num * d
+        best_num, best_den = np.where(better, S, best_num), np.where(better, d, best_den)
+    return MaxField(f.grid, basis, None if r is None else Fraction(r), best_num, best_den, f.den)
 
 
 def max_field_fast(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
-    """Summed-area window sums + doubling sliding max; contract-identical
-    to brute.
+    """The field from ``_shape_sums``; contract-identical to brute.
 
-    An explicit ``shapes`` list restricts the family to those cell shapes
-    (used to re-verify recorded certificates on refined grids).
+    Each shape's placement maxima go to the cells its placements cover,
+    where the larger average is kept (a strict cross-multiplied compare,
+    so ties keep the earlier shape).  An explicit ``shapes`` list
+    restricts the family to those cell shapes.
     """
-    return _max_field(f, basis, r, ladder, _FAST, shapes)
+    shapes = _family(f, basis, r, ladder, shapes)
+    arr = _prepare_values(f)
+    best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
+    best_den = np.ones(f.grid.shape, dtype=arr.dtype)
+    for shape, S, corner in _shape_sums(arr, shapes):
+        dst, top = _spread(S, shape, corner, f.grid.shape)
+        num, den = best_num[dst], best_den[dst]
+        d = math.prod(shape)
+        better = top * den > num * d
+        np.copyto(num, top, where=better)
+        den[better] = d
+    return MaxField(f.grid, basis, None if r is None else Fraction(r), best_num, best_den, f.den)
 
 
 def _exceeds(num: np.ndarray, q: int, den, c: int, num_max: int) -> np.ndarray:
@@ -367,9 +385,9 @@ def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, s
     A shape R can only win where some placement holds more than
     lam * |R| of the mass; no placement holds more than the total, so a
     shape with total * q <= p * |R| * den (lam = p/q, f = num/den) is
-    skipped.  Placements that miss the support sum to zero and never win,
-    so the work runs on the support's bounding box; each winning
-    placement then marks the cells it covers.
+    skipped.  Each placement is decided by one cross-multiplied compare,
+    and the winners, cropped to their bounding box, mark the cells they
+    cover.
     """
     if lam < 0:
         raise ValueError("threshold must be >= 0")
@@ -378,38 +396,17 @@ def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, s
     shapes = _family(f, basis, r, ladder, shapes)
     arr = _prepare_values(f)
     out = np.zeros(f.grid.shape, dtype=bool)
-    support = _bounding_box(arr != 0)
-    if support is None:
-        return GridSet(f.grid, out)
     total = int(arr.sum())
     shapes = [s for s in shapes if total * q > p * math.prod(s) * f.den]
-    table = _summed_area(arr[tuple(slice(lo, hi) for lo, hi in support)])
-    # every shape's placement sums go to two scratch arrays sized for the
-    # largest: fresh arrays per shape would each fault in fresh pages
-    size = max((math.prod(n + w - 1 for n, w in zip(table.shape, s)) for s in shapes), default=0)
-    scratch = [np.empty(size, dtype=table.dtype) for _ in range(2)]
-    for shape in shapes:
-        S = table
-        for ax, w in enumerate(shape):
-            S = _window_sums_fast(S, w, ax, scratch[ax % 2])
+    for shape, S, corner in _shape_sums(arr, shapes):
         wins = _exceeds(S, q, math.prod(shape), p * f.den, total)
         placed = _bounding_box(wins)
         if placed is None:
             continue
-        # pad by w - 1 zeros, then the sliding max over w placements marks
-        # every cell a winning placement covers
-        m = wins[tuple(slice(lo, hi) for lo, hi in placed)].astype(np.uint8)
-        m = np.pad(m, [(w - 1, w - 1) for w in shape])
-        for ax, w in enumerate(shape):
-            m = _sliding_max_fast(m, w, ax)
-        # placement i covers cells a + i - w + 1 .. a + i, so m starts at
-        # cell a + lo - w + 1; clip it to the box
-        dst, src = [], []
-        for (a, _), (lo, _), w, n, size in zip(support, placed, shape, out.shape, m.shape):
-            start = a + lo - w + 1
-            dst.append(slice(max(start, 0), min(start + size, n)))
-            src.append(slice(max(start, 0) - start, min(start + size, n) - start))
-        out[tuple(dst)] |= m[tuple(src)].astype(bool)
+        crop = tuple(slice(lo, hi) for lo, hi in placed)
+        last = [c + lo for c, (lo, _) in zip(corner, placed)]
+        dst, covered = _spread(wins[crop], shape, last, out.shape)
+        out[dst] |= covered
     return GridSet(f.grid, out)
 
 

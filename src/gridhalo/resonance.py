@@ -482,11 +482,6 @@ class Rearrangement:
     def __post_init__(self):
         object.__setattr__(self, "perm", np.asarray(self.perm, dtype=np.int64))
 
-    def inverse(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm), dtype=np.int64)
-        return inv
-
     def is_permutation(self) -> bool:
         return bool(
             len(self.perm) == self.grid.total_cells

@@ -298,13 +298,20 @@ def level_set_cases(draw):
     value = st.one_of(
         st.just(Fraction(0)), st.fractions(min_value=0, max_value=8, max_denominator=6)
     )
-    f = StepFunction(
-        grid,
-        np.array(
-            draw(st.lists(value, min_size=grid.total_cells, max_size=grid.total_cells)),
-            dtype=object,
-        ).reshape(grid.shape),
-    )
+    values = np.array(
+        draw(st.lists(value, min_size=grid.total_cells, max_size=grid.total_cells)),
+        dtype=object,
+    ).reshape(grid.shape)
+    if draw(st.booleans()):
+        # confine f's support to a random sub-box, at an edge or inside
+        box = []
+        for s in grid.shape:
+            lo = draw(st.integers(0, s - 1))
+            box.append(slice(lo, draw(st.integers(lo + 1, s))))
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[tuple(box)] = True
+        values[~inside] = Fraction(0)
+    f = StepFunction(grid, values)
     basis = BasisSpec("axis", draw(st.integers(1, n)))
     r = draw(st.one_of(st.none(), st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=16)))
     ladder = shapes = None
@@ -325,13 +332,18 @@ class TestMaxLevelSet:
     @settings(max_examples=150, deadline=None)
     def test_equals_the_brute_field_level_set(self, case):
         f, basis, lam, r, ladder, shapes = case
+        family = dict(r=r, ladder=ladder, shapes=shapes)
         try:
-            want = level_set(max_field_brute(f, basis, r=r, ladder=ladder, shapes=shapes), lam)
+            brute = max_field_brute(f, basis, **family)
         except EmptyFamilyError:
             with pytest.raises(EmptyFamilyError):
-                max_level_set(f, basis, lam, r=r, ladder=ladder, shapes=shapes)
+                max_level_set(f, basis, lam, **family)
+            with pytest.raises(EmptyFamilyError):
+                max_field_fast(f, basis, **family)
             return
-        assert max_level_set(f, basis, lam, r=r, ladder=ladder, shapes=shapes) == want
+        fast = max_field_fast(f, basis, **family)
+        assert np.array_equal(fast.num, brute.num) and np.array_equal(fast.den, brute.den)
+        assert max_level_set(f, basis, lam, **family) == level_set(brute, lam)
 
     # f = h on two central cells (den 1), lam = p/q; each case names the side
     # of the 2^62 guard that total*q and the largest p*|R|*den of an
@@ -409,8 +421,7 @@ class TestMaxLevelSet:
         def refuse(*args, **kwargs):
             raise AssertionError("a full max field was built")
 
-        monkeypatch.setattr(maxop, "max_field_fast", refuse)
-        monkeypatch.setattr(maxop, "_max_field", refuse)
+        monkeypatch.setattr(maxop.MaxField, "__init__", refuse)
         probe = halo.HaloProbe(BasisSpec("axis", 2), 8.0, 6)
         est = halo.halo_estimate(probe, [math.inf, 2.0], [1, 2])
         assert est.phi_hat > 1

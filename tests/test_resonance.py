@@ -291,13 +291,6 @@ class TestRearrangement:
         omega = build_rearrangement(positive, plan)
         assert omega.is_permutation()
 
-    def test_inverse_composes_to_identity(self, square_plan):
-        f, plan = square_plan
-        omega = build_rearrangement(f, plan)
-        assert np.array_equal(
-            omega.perm[omega.inverse()], np.arange(len(omega.perm))
-        )
-
 
 class TestSyntheticInput:
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
