@@ -31,7 +31,6 @@ from .resonance import (
     build_resonance_function,
     check_independence,
     replicate_configuration,
-    select_level_sets,
     synthetic_resonance_input,
 )
 

@@ -150,8 +150,10 @@ class GridSet:
             mask[tuple(idx)] = True
         return cls(grid, mask)
 
-    @property
+    @cached_property
     def popcount(self) -> int:
+        """The cell count; the mask is a private read-only copy, so it is
+        counted once."""
         return int(self.mask.sum())
 
     def measure(self) -> Fraction:
@@ -190,11 +192,15 @@ class GridSet:
 
     def refine(self, extra: Sequence[int]) -> "GridSet":
         """Re-represent on a finer grid; measure is preserved exactly."""
-        mask = self.mask
-        for ax, e in enumerate(extra):
-            if e:
-                mask = np.repeat(mask, 1 << e, axis=ax)
-        return GridSet(self.grid.refine(extra), mask)
+        return GridSet(self.grid.refine(extra), _repeat(self.mask, extra))
+
+
+def _repeat(arr: np.ndarray, extra: Sequence[int]) -> np.ndarray:
+    """Each cell of ``arr`` as its 2**extra[ax] subcells along every axis."""
+    for ax, e in enumerate(extra):
+        if e:
+            arr = np.repeat(arr, 1 << e, axis=ax)
+    return arr
 
 
 def _coarse_counts(mask: np.ndarray, fine_res: Sequence[int], coarse_res: Sequence[int]) -> np.ndarray:
@@ -262,7 +268,11 @@ def _value_table(num: np.ndarray, den: int, cell_den: np.ndarray | None = None):
     codes = np.empty(flat.size, dtype=np.intp)
     for d, cells in groups:
         part = flat[cells]
-        nums = np.unique(part)
+        # distinct values by one vectorised sort: on 2048^2 payloads about
+        # twice as fast as np.unique's hash table (which imports numpy.ma),
+        # and without the argsort-sized arrays of its return_inverse
+        nums = np.sort(part)
+        nums = nums[np.append(True, nums[1:] != nums[:-1])]
         codes[cells] = np.searchsorted(nums, part) + len(table)
         table.extend(Fraction(p, d * den) for p in nums.tolist())
     return np.array(table), codes
@@ -322,11 +332,8 @@ class StepFunction:
         return GridSet(self.grid, self.num != 0)
 
     def refine(self, extra: Sequence[int]) -> "StepFunction":
-        num = self.num
-        for ax, e in enumerate(extra):
-            if e:
-                num = np.repeat(num, 1 << e, axis=ax)
-        return StepFunction.__new__(StepFunction)._set(self.grid.refine(extra), num, self.den)
+        grid = self.grid.refine(extra)
+        return StepFunction.__new__(StepFunction)._set(grid, _repeat(self.num, extra), self.den)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Sequence
 
@@ -180,6 +180,11 @@ def _prepare_values(f: StepFunction) -> np.ndarray:
     return f.num.astype(np.int64 if fits else object, copy=False)
 
 
+def _along(axis: int, start, stop) -> tuple:
+    """The index selecting ``start:stop`` along ``axis`` only."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
 def _window_sums_fast(c: np.ndarray, w: int, axis: int, scratch: np.ndarray) -> np.ndarray:
     """Placement sums from prefix sums ``c`` along axis (c[i] = sum of
     cells 0..i); output length N + w - 1 along axis.
@@ -188,10 +193,7 @@ def _window_sums_fast(c: np.ndarray, w: int, axis: int, scratch: np.ndarray) -> 
     c[min(j, N-1)] - c[j-w], with no subtrahend while j < w; the pieces
     are written straight into the head of the flat ``scratch`` array."""
     n = c.shape[axis]
-
-    def at(start, stop):
-        return (slice(None),) * axis + (slice(start, stop),)
-
+    at = partial(_along, axis)
     shape = c.shape[:axis] + (n + w - 1,) + c.shape[axis + 1 :]
     out = scratch[: math.prod(shape)].reshape(shape)
     head, tail = min(w, n), max(n, w)
@@ -219,15 +221,15 @@ def _window_sums_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
 def _sliding_max_fast(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
     """max over arr[i : i+w] by sparse-table doubling (exact for every
     dtype); output length L-w+1 along axis."""
-    arr = np.moveaxis(arr, axis, -1)
+    at = partial(_along, axis)
     if w > 1:
         p = 1 << (w.bit_length() - 1)
         step = 1
         while step < p:
-            arr = np.maximum(arr[..., :-step], arr[..., step:])
+            arr = np.maximum(arr[at(None, -step)], arr[at(step, None)])
             step *= 2
-        arr = np.maximum(arr[..., : arr.shape[-1] - (w - p)], arr[..., w - p :])
-    return np.moveaxis(arr, -1, axis)
+        arr = np.maximum(arr[at(None, arr.shape[axis] - (w - p))], arr[at(w - p, None)])
+    return arr
 
 
 def _placement_max_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:

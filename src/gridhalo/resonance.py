@@ -1,11 +1,11 @@
 """Staged resonance pipeline on dyadic grids.
 
-From an input step function this module selects level-set bands with
-prescribed growth mass, replicates a tile witness uniformly across every
-coarse cell (which makes the per-stage divergence sets exactly
-independent), assembles the resonance function g, certifies the union
-mass after every stage through the closed-form product formula, and
-finally produces the measure-preserving cell rearrangement.
+From an input step function this module selects one level-set band per
+stage with prescribed growth mass, replicates a tile witness uniformly
+across every coarse cell (which makes the per-stage divergence sets
+exactly independent), assembles the resonance function g, certifies the
+union mass after every stage through the closed-form product formula, and
+finally produces the measure-preserving cell rearrangement with its proof.
 
 Each stage is one pass: its dilution pad and fine resolution come first
 (one resolution-cap check), then one tile witness is built on the diluted
@@ -36,6 +36,7 @@ from .grid import (
     DyadicGrid,
     GridSet,
     StepFunction,
+    _repeat,
     _scaled,
     _text_chunks,
     _value_table,
@@ -49,7 +50,6 @@ __all__ = [
     "InfeasibleError",
     "ResolutionCapError",
     "VerificationError",
-    "select_level_sets",
     "LevelSelection",
     "build_divergent_sequences",
     "StageRecord",
@@ -90,108 +90,39 @@ class VerificationError(RuntimeError):
 # level-set selection
 
 
-def _alpha_value(alpha, t: float) -> float:
-    return float(alpha(t)) if callable(alpha) else float(alpha)
-
-
-def select_level_sets(
-    phi,
-    f: StepFunction,
-    q: int,
-    alpha,
-    target,
-    available: np.ndarray | None = None,
-):
-    """Bands (A_j, h_j) of f with q < h_j = f|_{A_j}, each |A_j| capped by
-    alpha(h_j/q), accumulating sum phi(h_j/q)|A_j| >= target.
-
-    Values are consumed in increasing order so later (larger-q) stages can
-    still find mass.  Returns the selected pairs; raises InfeasibleError
-    with the achieved mass when f cannot supply the target.
-    """
-    if target <= 0:
-        raise ValueError("target mass must be positive")
-    grid = f.grid
-    cv = grid.cell_volume
-    if available is None:
-        available = np.ones(grid.shape, dtype=bool)
-    nums = np.unique(f.num[available])
-    out = []
-    mass = 0.0
-    for p in nums[nums > q * f.den].tolist():
-        v = Fraction(p, f.den)
-        ratio = float(v) / q
-        cap = _alpha_value(alpha, ratio)
-        cap_cells = int(cap / float(cv))
-        if cap_cells < 1:
-            raise InfeasibleError(
-                f"size cap alpha({ratio:.6g}) is below one cell", achieved=mass
-            )
-        cells = np.argwhere((f.num == p) & available)
-        for start in range(0, len(cells), cap_cells):
-            chunk = cells[start : start + cap_cells]
-            A = GridSet.from_indices(grid, (tuple(c) for c in chunk))
-            out.append((A, v))
-            mass += phi(ratio) * float(A.measure())
-            if mass >= target:
-                return out
-    raise InfeasibleError(
-        f"input supplies growth mass {mass:.6g} < target {target:.6g}", achieved=mass
-    )
-
-
 @dataclass(frozen=True)
 class LevelSelection:
-    """Per-stage bands: entries (A_k, h_k, q_k) with disjoint A_k and
-    nondecreasing divisors q_k."""
+    """Per-stage bands: entries (A_k, h_k, k), one per stage k.  Each A_k
+    is the set where f equals h_k, and the h_k strictly increase, so the
+    bands are disjoint."""
 
     entries: tuple  # of (GridSet, Fraction, int)
-    targets: tuple
-
-    def validate(self, phi) -> None:
-        acc = None
-        prev_q = 0
-        for A, h, q in self.entries:
-            if q < prev_q:
-                raise VerificationError("divisors must be nondecreasing")
-            prev_q = q
-            if not Fraction(h) > q:
-                raise VerificationError("need q < h on every band")
-            inter = A.mask if acc is None else (acc & A.mask)
-            if acc is not None and inter.any():
-                raise VerificationError("bands are not pairwise disjoint")
-            acc = A.mask if acc is None else (acc | A.mask)
-        for stage, target in enumerate(self.targets, start=1):
-            mass = sum(
-                phi(float(h) / q) * float(A.measure())
-                for A, h, q in self.entries
-                if q == stage
-            )
-            if mass < target:
-                raise VerificationError(f"stage {stage} mass {mass} below {target}")
 
 
-def build_divergent_sequences(phi, f: StepFunction, alpha, K: int) -> LevelSelection:
-    """Concatenated stage selections i = 1..K with per-stage target i."""
+def build_divergent_sequences(phi, f: StepFunction, K: int) -> LevelSelection:
+    """One band per stage k = 1..K: the cells where f equals its smallest
+    value above both k and the previous stage's value.  A stage whose band
+    has growth mass phi(h_k/k)|A_k| below k is infeasible."""
     if K < 1:
         raise ValueError("depth must be >= 1")
-    available = np.ones(f.grid.shape, dtype=bool)
     entries = []
-    for i in range(1, K + 1):
-        try:
-            picked = select_level_sets(phi, f, i, alpha, i, available)
-        except InfeasibleError as e:
+    floor = 0
+    for k in range(1, K + 1):
+        above = f.num[f.num > max(k * f.den, floor)]
+        mass = 0.0
+        if above.size:
+            floor = int(above.min())
+            A = GridSet(f.grid, f.num == floor)
+            h = Fraction(floor, f.den)
+            mass = phi(float(h) / k) * float(A.measure())
+        if mass < k:
             raise InfeasibleError(
-                f"stage {i} infeasible (achieved mass {e.achieved}); "
-                f"largest achievable depth is {i - 1}",
-                achieved=i - 1,
-            ) from e
-        for A, h in picked:
-            entries.append((A, h, i))
-            available &= ~A.mask
-    sel = LevelSelection(tuple(entries), tuple(range(1, K + 1)))
-    sel.validate(phi)
-    return sel
+                f"stage {k} infeasible: its band has growth mass {mass:.6g} < {k}; "
+                f"largest achievable depth is {k - 1}",
+                achieved=k - 1,
+            )
+        entries.append((A, h, k))
+    return LevelSelection(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +313,18 @@ def build_resonance_function(
 ) -> ResonancePlan:
     """Full staged construction against the basis family.
 
-    Per stage k the band (A_k, h_k, q_k) yields a replicated configuration
-    for amplitude h_k/q_k at truncation 1/k and target measure |A_k|;
+    Per stage k the band (A_k, h_k) yields a replicated configuration for
+    amplitude h_k/k at truncation 1/k and target measure |A_k|;
     resolutions chain (the next coarse resolution is this stage's fine
     one), which is what makes the stages exactly independent.  Each stage
     is one pass: its pad and fine resolution (checked against the cap),
     one tile witness, and its replication with the checks made there.
     """
     bases = list(bases)
-    selection = build_divergent_sequences(phi, f, 1.0, K)
-    if len(selection.entries) != K:
-        raise InfeasibleError(
-            "a stage took several bands; each stage must be a single configuration"
-        )
+    selection = build_divergent_sequences(phi, f, K)
     m = (0,) * f.grid.n
     stages = []
-    for k, (A, h, q) in enumerate(selection.entries, start=1):
+    for A, h, k in selection.entries:
         delta = A.relative_measure()
         pad = _dilution_pad(delta, pads[k - 1] if pads else None)
         j = tuple(mi + b + p for mi, b, p in zip(m, _BASE_BITS, pad))
@@ -409,7 +336,7 @@ def build_resonance_function(
                 required=j,
             )
         stages.append(
-            replicate_configuration(bases, Fraction(h) / q, delta, m, Fraction(1, k), phi, pad)
+            replicate_configuration(bases, h / k, delta, m, Fraction(1, k), phi, pad)
         )
         m = stages[-1].j
     final_res = stages[-1].j
@@ -473,20 +400,14 @@ def build_resonance_function(
 @dataclass(frozen=True)
 class Rearrangement:
     """A permutation of the cells of ``grid`` (identity off the box is
-    implicit: the grid is the whole domain)."""
+    implicit: the grid is the whole domain), the verdicts of its proof by
+    name, and per value of f its cell counts (value, before, after)."""
 
     grid: DyadicGrid
     perm: np.ndarray
     source_checksum: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm", np.asarray(self.perm, dtype=np.int64))
-
-    def is_permutation(self) -> bool:
-        return bool(
-            len(self.perm) == self.grid.total_cells
-            and np.array_equal(np.sort(self.perm), np.arange(len(self.perm)))
-        )
+    checks: dict
+    histogram: tuple
 
 
 def _checksum(f: StepFunction) -> str:
@@ -497,60 +418,77 @@ def _checksum(f: StepFunction) -> str:
     return hsh.hexdigest()
 
 
-def build_rearrangement(f: StepFunction, plan: ResonancePlan) -> Rearrangement:
-    """Cell permutation omega with (f o omega) >= g everywhere.
-
-    Cells of E'_k = E_k minus all later E_j are sent into the band A_k
-    (where f equals h_k = g on E'_k); the displaced band cells absorb the
-    vacated ones.  Histogram preservation is automatic for a permutation
-    and re-checked as a multiset identity.
-    """
-    final_res = plan.final_grid.resolution
-    extra = tuple(r - m for r, m in zip(final_res, f.grid.resolution))
-    if any(e < 0 for e in extra):
-        raise ValueError("input lives on a finer grid than the plan")
-    # per-cell index of f's numerator among its distinct ones, ascending
-    table = np.unique(f.num)
-    codes = np.searchsorted(table, f.refine(extra).num.ravel())
-    N = plan.final_grid.total_cells
-    perm = np.arange(N, dtype=np.int64)
-
-    later = np.zeros(plan.final_grid.shape, dtype=bool)
-    eprimes = []
-    for E_f in reversed(plan.e_final):
-        eprimes.append(E_f.mask & ~later)
-        later |= E_f.mask
-    eprimes.reverse()
-
-    src_used = np.zeros(N, dtype=bool)
-    tgt_used = np.zeros(N, dtype=bool)
-    for (A, h, q), ep in zip(plan.selection.entries, eprimes):
-        src = np.flatnonzero(ep.ravel())
-        tgt = np.flatnonzero(_refine_to(A, final_res).mask.ravel())
+def _permutation(e_final, bands) -> np.ndarray:
+    """Cells of E'_k = E_k minus all later E_j go into the band A_k (the
+    refined band masks ``bands``), the displaced band cells into the
+    vacated ones; every other cell stays."""
+    perm = np.arange(bands[0].size, dtype=np.int64)
+    src_used = np.zeros(perm.size, dtype=bool)
+    tgt_used = np.zeros(perm.size, dtype=bool)
+    later = np.zeros(bands[0].shape, dtype=bool)
+    for k in reversed(range(len(bands))):
+        src = np.flatnonzero(e_final[k].mask & ~later)
+        later |= e_final[k].mask
+        tgt = np.flatnonzero(bands[k])
         if len(tgt) < len(src):
             raise InfeasibleError(
-                f"band for q={q} holds {len(tgt)} cells < {len(src)} needed; "
+                f"band for q={k + 1} holds {len(tgt)} cells < {len(src)} needed; "
                 "refine the input first"
             )
         tgt = tgt[: len(src)]
         perm[src] = tgt
         src_used[src] = True
         tgt_used[tgt] = True
-    displaced = np.flatnonzero(tgt_used & ~src_used)
-    vacated = np.flatnonzero(src_used & ~tgt_used)
-    perm[displaced] = vacated
-    out = Rearrangement(plan.final_grid, perm, _checksum(f))
+    perm[tgt_used & ~src_used] = np.flatnonzero(src_used & ~tgt_used)
+    return perm
 
-    if not out.is_permutation():
-        raise VerificationError("rearrangement is not a bijection")
-    rearranged = codes[perm]
-    if not np.array_equal(np.bincount(rearranged, minlength=len(table)),
-                          np.bincount(codes, minlength=len(table))):
-        raise VerificationError("value histogram changed")
+
+def build_rearrangement(f: StepFunction, plan: ResonancePlan) -> Rearrangement:
+    """Cell permutation omega with (f o omega) >= g everywhere.
+
+    Its four invariants are proved here, once, in this order:
+    is_permutation (every cell is hit), histogram_preserved (f o omega
+    takes each value on as many cells as f), rearranged_dominates_g (one
+    cross-multiplied integer compare) and identity_outside_domain (omega
+    fixes every cell outside all E_k and bands A_k).  The verdicts are
+    recorded, and any that fails raises VerificationError naming it.
+    """
+    final_res = plan.final_grid.resolution
+    extra = tuple(r - m for r, m in zip(final_res, f.grid.resolution))
+    if any(e < 0 for e in extra):
+        raise ValueError("input lives on a finer grid than the plan")
+    bands = [_refine_to(A, final_res).mask for A, _, _ in plan.selection.entries]
+    perm = _permutation(plan.e_final, bands)
+    N = plan.final_grid.total_cells
+    seen = np.zeros(N, dtype=bool)
+    seen[perm] = True
+    # per-cell index of f's numerator among its distinct ones, ascending
+    nums, inv = np.unique(f.num, return_inverse=True)
+    codes = _repeat(inv.reshape(f.grid.shape), extra).ravel()
+    moved = codes[perm]
+    before = np.bincount(codes, minlength=len(nums))
+    after = np.bincount(moved, minlength=len(nums))
     g = plan.g
-    if not np.all(_scaled(table, g.den)[rearranged] >= _scaled(g.num.ravel(), f.den)):
-        raise VerificationError("f o omega fails to dominate g somewhere")
-    return out
+    domain = np.zeros(plan.final_grid.shape, dtype=bool)
+    for mask in (*(E.mask for E in plan.e_final), *bands):
+        domain |= mask
+    outside = np.flatnonzero(~domain)
+    checks = {
+        "is_permutation": len(perm) == N and bool(seen.all()),
+        "histogram_preserved": bool(np.array_equal(before, after)),
+        "rearranged_dominates_g": bool(
+            np.all(_scaled(nums, g.den)[moved] >= _scaled(g.num.ravel(), f.den))
+        ),
+        "identity_outside_domain": bool(np.array_equal(perm[outside], outside)),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise VerificationError(f"rearrangement fails {', '.join(failed)}")
+    histogram = tuple(
+        (Fraction(p, f.den), b, a)
+        for p, b, a in zip(nums.tolist(), before.tolist(), after.tolist())
+    )
+    return Rearrangement(plan.final_grid, perm, _checksum(f), checks, histogram)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +503,8 @@ _SQUARE_DELTAS = (Fraction(1, 4),) * 4
 _SQUARE_PADS = ((0, 0), (1, 1), (1, 1), (1, 1))
 
 
-def _amp_for(phi, need: float, grain: int = 64) -> Fraction:
-    """Smallest multiple of 1/grain with phi(amp) >= need (amp > 1)."""
+def _amp_for(phi, need: float) -> Fraction:
+    """Smallest multiple of 1/64 with phi(amp) >= need (amp > 1)."""
     lo, hi = 1.0, 2.0
     while phi(hi) < need:
         hi *= 2
@@ -578,9 +516,9 @@ def _amp_for(phi, need: float, grain: int = 64) -> Fraction:
             hi = mid
         else:
             lo = mid
-    amp = Fraction(math.ceil(hi * grain), grain)
+    amp = Fraction(math.ceil(hi * 64), 64)
     while phi(float(amp)) < need:
-        amp += Fraction(1, grain)
+        amp += Fraction(1, 64)
     return amp
 
 

@@ -175,9 +175,11 @@ def test_criterion_6_divergence_masses(deep_plan, _report):
 
 
 def test_criterion_7_rearrangement(deep_plan, _report):
+    # each claim is recomputed here from the plan, apart from omega.checks
     f, plan = deep_plan
     omega = build_rearrangement(f, plan)
-    perm_ok = omega.is_permutation()
+    cells = plan.final_grid.total_cells
+    perm_ok = np.array_equal(np.sort(omega.perm), np.arange(cells))
     extra = tuple(
         r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)
     )
@@ -185,13 +187,18 @@ def test_criterion_7_rearrangement(deep_plan, _report):
     moved = np.array(f_fine.values.ravel(), dtype=object)[omega.perm]
     hist_ok = sorted(map(str, moved)) == sorted(map(str, f_fine.values.ravel()))
     dom_ok = bool(all(a >= g for a, g in zip(moved, plan.g.values.ravel())))
-    # the permutation is defined on the cells of the unit box and nowhere
-    # else, so it is the identity outside by construction
-    domain_ok = len(omega.perm) == plan.final_grid.total_cells
+    # omega fixes every cell outside all refined stage sets E_k and bands A_k
+    domain = np.zeros(plan.final_grid.shape, dtype=bool)
+    for E in plan.e_final:
+        domain |= E.mask
+    for A, _, _ in plan.selection.entries:
+        domain |= A.refine(extra).mask
+    outside = np.flatnonzero(~domain)
+    domain_ok = len(outside) > 0 and np.array_equal(omega.perm[outside], outside)
     _report(
         "criterion-7 rearrangement permutes, preserves histogram, dominates g",
         perm_ok and hist_ok and dom_ok and domain_ok,
-        f"{len(omega.perm)} cells",
+        f"{len(omega.perm)} cells, {len(outside)} fixed outside the domain",
     )
 
 

@@ -22,7 +22,6 @@ from gridhalo.resonance import (
     replicate_configuration,
     save_plan,
     save_rearrangement,
-    select_level_sets,
     synthetic_resonance_input,
 )
 from gridhalo import resonance, witness
@@ -31,61 +30,65 @@ from gridhalo.witness import build_tile_witness
 PHI = log_power_growth(2)
 
 
-def _banded_function(value, count, bits=(2, 2)):
+def _banded_function(*bands, bits=(2, 2)):
+    """Consecutive row-major runs of ``count`` cells of ``value``, one per
+    band (value, count), and zero on the remaining cells."""
     grid = DyadicGrid(bits)
-    vals = np.full(grid.shape, Fraction(0), dtype=object).ravel()
-    vals[:count] = Fraction(value)
+    vals = np.full(grid.total_cells, Fraction(0), dtype=object)
+    pos = 0
+    for value, count in bands:
+        vals[pos : pos + count] = Fraction(value)
+        pos += count
     return StepFunction(grid, vals.reshape(grid.shape))
 
 
 class TestSelectLevelSets:
     def test_single_band_meets_target(self):
-        f = _banded_function(3, 8)
-        target = PHI(3.0) * 0.4  # below the available 0.5 * phi(3)
-        out = select_level_sets(PHI, f, 1, 1.0, target)
-        assert len(out) == 1
-        A, h = out[0]
-        assert h == 3 and float(A.measure()) * PHI(3.0) >= target
-
-    def test_alpha_cap_splits_bands(self):
-        f = _banded_function(3, 8)
-        out = select_level_sets(PHI, f, 1, lambda t: 0.25, PHI(3.0) * 0.49)
-        assert len(out) == 2
-        assert all(A.popcount == 4 for A, _ in out)
+        f = _banded_function((3, 8))  # phi(3) * 1/2 >= 1
+        (entry,) = build_divergent_sequences(PHI, f, 1).entries
+        A, h, q = entry
+        assert (h, q) == (3, 1) and A == GridSet(f.grid, f.num == 3 * f.den)
+        assert PHI(3.0) * float(A.measure()) >= 1
 
     def test_values_at_or_below_q_are_skipped(self):
-        f = _banded_function(2, 16)
-        with pytest.raises(InfeasibleError) as ei:
-            select_level_sets(PHI, f, 2, 1.0, 1.0)
-        assert ei.value.achieved == 0.0
+        # stage 1 passes over the value 1 (not above 1); stage 2 then finds
+        # nothing above 3 and names depth 1 as the largest achievable
+        f = _banded_function((1, 8), (3, 8))
+        (A, h, q), = build_divergent_sequences(PHI, f, 1).entries
+        assert (h, q, A.popcount) == (3, 1, 8)
+        with pytest.raises(InfeasibleError, match="largest achievable depth is 1") as ei:
+            build_divergent_sequences(PHI, f, 2)
+        assert ei.value.achieved == 1
 
-    def test_infeasible_carries_achieved_mass(self):
-        f = _banded_function(3, 8)
-        have = PHI(3.0) * 0.5
+    def test_short_first_band_is_infeasible(self):
+        # one cell of value 3 has growth mass phi(3)/16 < 1; the larger band
+        # of 5 behind it would suffice, but a stage takes one band only
+        f = _banded_function((3, 1), (5, 15))
         with pytest.raises(InfeasibleError) as ei:
-            select_level_sets(PHI, f, 1, 1.0, have * 10)
-        assert ei.value.achieved == pytest.approx(have)
-
-    def test_sub_cell_cap_rejected(self):
-        f = _banded_function(3, 8)
-        with pytest.raises(InfeasibleError):
-            select_level_sets(PHI, f, 1, lambda t: 1e-6, 0.1)
+            build_divergent_sequences(PHI, f, 1)
+        assert f"growth mass {PHI(3.0) / 16:.6g} < 1" in str(ei.value)
+        assert "largest achievable depth is 0" in str(ei.value)
+        assert ei.value.achieved == 0
 
 
 class TestDivergentSequences:
     def test_shipped_input_selects_one_band_per_stage(self):
         f, _ = synthetic_resonance_input(PHI, 3)
-        sel = build_divergent_sequences(PHI, f, 1.0, 3)
-        assert len(sel.entries) == 3
+        sel = build_divergent_sequences(PHI, f, 3)
         assert [q for _, _, q in sel.entries] == [1, 2, 3]
         hs = [h for _, h, _ in sel.entries]
-        assert hs == sorted(hs)
-        sel.validate(PHI)
+        assert hs == sorted(set(hs)) and all(h > q for _, h, q in sel.entries)
+        taken = np.zeros(f.grid.shape, dtype=int)
+        for A, h, q in sel.entries:
+            assert A == GridSet(f.grid, f.values == h)
+            assert PHI(float(h) / q) * float(A.measure()) >= q
+            taken += A.mask
+        assert taken.max() == 1  # the bands are disjoint
 
     def test_depth_failure_names_achievable_depth(self):
-        f = _banded_function(3, 8)  # supplies stage 1 but not stage 4
+        f = _banded_function((3, 8))  # supplies stage 1 but not stage 4
         with pytest.raises(InfeasibleError) as ei:
-            build_divergent_sequences(PHI, f, 1.0, 4)
+            build_divergent_sequences(PHI, f, 4)
         assert isinstance(ei.value.achieved, int)
         assert ei.value.achieved < 4
 
@@ -271,7 +274,10 @@ class TestRearrangement:
     def test_permutation_histogram_and_domination(self, square_plan):
         f, plan = square_plan
         omega = build_rearrangement(f, plan)
-        assert omega.is_permutation()
+        names = ["is_permutation", "histogram_preserved", "rearranged_dominates_g",
+                 "identity_outside_domain"]
+        assert omega.checks == dict.fromkeys(names, True)
+        assert np.array_equal(np.sort(omega.perm), np.arange(plan.final_grid.total_cells))
         extra = tuple(
             r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)
         )
@@ -289,7 +295,16 @@ class TestRearrangement:
         positive = StepFunction(f.grid, vals)
         assert positive.support().popcount == f.grid.total_cells
         omega = build_rearrangement(positive, plan)
-        assert omega.is_permutation()
+        assert np.array_equal(np.sort(omega.perm), np.arange(plan.final_grid.total_cells))
+        # 32 zero cells of the 8x8 input became 1/2, each band holds 16; the
+        # final grid splits every input cell into 16
+        bands = [(h, 256, 256) for _, h, _ in plan.selection.entries]
+        assert list(omega.histogram) == [(Fraction(1, 2), 512, 512), *bands]
+
+    def test_moving_a_cell_off_the_domain_raises(self, square_plan, domain_breach):
+        f, plan = square_plan
+        with pytest.raises(VerificationError, match="fails identity_outside_domain$"):
+            build_rearrangement(f, plan)
 
 
 class TestSyntheticInput:
@@ -297,7 +312,7 @@ class TestSyntheticInput:
     def test_depths_one_to_four(self, K):
         f, pads = synthetic_resonance_input(PHI, K)
         assert len(pads) == K
-        sel = build_divergent_sequences(PHI, f, 1.0, K)
+        sel = build_divergent_sequences(PHI, f, K)
         assert len(sel.entries) == K
 
     def test_depth_beyond_shipping_rejected(self):
