@@ -208,14 +208,17 @@ def _window_sums_fast(c: np.ndarray, w: int, axis: int, scratch: np.ndarray) -> 
 
 def _window_sums_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
     """Placement sums by direct repeated addition (brute route)."""
-    arr = np.moveaxis(arr, axis, -1)
-    n = arr.shape[-1]
-    pad = np.zeros(arr.shape[:-1] + (n + 2 * (w - 1),), dtype=arr.dtype)
-    pad[..., w - 1 : w - 1 + n] = arr
-    out = np.zeros(arr.shape[:-1] + (n + w - 1,), dtype=arr.dtype)
+    at = partial(_along, axis)
+    n = arr.shape[axis]
+    shape = list(arr.shape)
+    shape[axis] = n + 2 * (w - 1)
+    pad = np.zeros(shape, dtype=arr.dtype)
+    pad[at(w - 1, w - 1 + n)] = arr
+    shape[axis] = n + w - 1
+    out = np.zeros(shape, dtype=arr.dtype)
     for o in range(w):
-        out = out + pad[..., o : o + n + w - 1]
-    return np.moveaxis(out, -1, axis)
+        out += pad[at(o, o + n + w - 1)]
+    return out
 
 
 def _sliding_max_fast(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -234,12 +237,12 @@ def _sliding_max_fast(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
 
 def _placement_max_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
     """Same reduction as _sliding_max_fast but by a plain linear scan."""
-    arr = np.moveaxis(arr, axis, -1)
-    L = arr.shape[-1]
-    out = arr[..., : L - w + 1].copy()
+    at = partial(_along, axis)
+    L = arr.shape[axis]
+    out = arr[at(0, L - w + 1)].copy()
     for t in range(1, w):
-        out = np.maximum(out, arr[..., t : t + L - w + 1])
-    return np.moveaxis(out, -1, axis)
+        np.maximum(out, arr[at(t, t + L - w + 1)], out=out)
+    return out
 
 
 def _shape_sums(arr: np.ndarray, shapes):

@@ -180,11 +180,13 @@ def replicate_configuration(
     truncation eps on the base tile diluted to measure <= delta, and tile
     it over every coarse cell of resolution m.
 
-    Replication cannot shrink level sets, so the tile's containments
-    survive.  Each replicated set is checked once, where it is made: for
-    uniform distribution over the coarse cells, and for containment in its
-    basis's certified level set, by the tile witness's own check on the
-    replicated grid.  A failed check raises; the verdicts are recorded.
+    Each replicated set is checked once, where it is made: for uniform
+    distribution over the coarse cells, and for containment in its basis's
+    certified level set, by the tile witness's own check on the replicated
+    grid.  On the exact route that check reads the replicated E through
+    the tile's certificates, one rectangle per certificate in every copy,
+    instead of recomputing the level set of the whole grid.  A failed
+    check raises; the verdicts are recorded.
     Returns the stage at the fine resolution j = m + base bits + pad.
     """
     delta = Fraction(delta)
@@ -273,10 +275,11 @@ class ResonancePlan:
     @property
     def containment_ok(self) -> dict:
         """key -> the stages' containment verdicts, each checked where its
-        sets were made.  Refining both sides preserves them: the scaled shapes
-        cover the same physical rectangles, and a disk-certified set refines
-        with its tile cells; ``tile.containment`` decides the same on the
-        final grid."""
+        sets were made.  Refining both sides preserves them: a tile
+        certificate scaled to finer cells covers the same physical rectangle
+        and the same part of E, and a disk-certified set refines with its
+        tile cells; ``tile.containment`` decides the same on the final
+        grid."""
         return {key: tuple(s.containment_ok[key] for s in self.stages) for key in self.basis_keys}
 
     @property

@@ -24,6 +24,19 @@ computation:
     floats, guarded by a boundary margin, so dropped cells are possible
     but wrongly included ones are not (P is a certified lower bound).
 
+The exact route is a certifying algorithm.  Next to the tile's P the
+witness records one certificate per P cell: an admissible shape and the
+lower corner of a placement of it (which may overhang the box) that
+covers the cell and holds count cells of E with
+count * amp.num > |R| * amp.den.  On a replica or refinement of the tile,
+a P passes when it lies in the certified cells placed on that grid and
+every certificate, scaled to the grid's cells and moved into every copy
+of the tile, still clears the threshold on the E given: its counts come
+from one summed-area table of that E, a handful of strided views per
+certificate, and never from the level set of the whole grid.  The check
+reads E itself, so it needs no lemma about replication and a wrong
+certificate can only fail it.
+
 The refinement depth of K's grid and the point-location margin are fixed
 constants.  ``MPhiWitness.containment`` is the one containment check, on
 the tile, on replicas of it and on refinements of those; it alone knows
@@ -34,6 +47,7 @@ on the diluted tile, and calls it once, where the replicated sets are made.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -42,7 +56,7 @@ import numpy as np
 
 from .grid import DyadicGrid, GridSet, StepFunction
 from .growth import GrowthFunction
-from .maxop import BasisSpec, dyadic_ladder, enumerate_shapes, max_level_set
+from .maxop import BasisSpec, _along, _exceeds, dyadic_ladder, enumerate_shapes, max_level_set
 from .rotate import quarter_turns
 
 __all__ = [
@@ -238,14 +252,143 @@ def _place(mask: np.ndarray, placement) -> np.ndarray:
     return np.tile(mask, [reps for _, reps in placement])
 
 
+def _summed_area(mask: np.ndarray, lo, hi) -> np.ndarray:
+    """Summed-area table of ``mask``, edge-padded: per axis, index i + lo
+    holds the number of true cells below cell i, read as 0 for i <= 0 and
+    as the count of the whole box past its far end (``lo`` and ``hi``
+    extra entries), so a rectangle overhanging the box counts zeros
+    there."""
+    table = np.zeros([n + 1 + a + b for n, a, b in zip(mask.shape, lo, hi)], dtype=np.int64)
+    inner = table[tuple(slice(a + 1, a + 1 + n) for n, a in zip(mask.shape, lo))]
+    # the contiguous last axis first: numpy accumulates it several times faster
+    np.cumsum(mask, axis=-1, dtype=np.int64, out=inner)
+    for ax in reversed(range(mask.ndim - 1)):
+        np.cumsum(inner, axis=ax, out=inner)
+    for ax, (n, a) in enumerate(zip(mask.shape, lo)):
+        table[_along(ax, a + n + 1, None)] = table[_along(ax, a + n, a + n + 1)]
+    return table
+
+
+def _rect_counts(table: np.ndarray, start, size, step, reps) -> np.ndarray | None:
+    """Cell counts of the rectangles [start + t*step, start + t*step + size)
+    per axis, t = 0 .. reps - 1, in table indices, as an array of shape
+    ``reps``: one strided view of ``table`` per corner, by
+    inclusion-exclusion.  None when a view would leave the table."""
+    if min(start) < 0:
+        return None
+    out = None
+    for corner in itertools.product((1, 0), repeat=len(reps)):
+        view = table[
+            tuple(
+                slice(a + c * w, a + c * w + t * (r - 1) + 1, t)
+                for a, c, w, t, r in zip(start, corner, size, step, reps)
+            )
+        ]
+        if view.shape != tuple(reps):
+            return None
+        if out is None:
+            out = view.copy()
+        elif (len(reps) - sum(corner)) % 2:
+            out -= view
+        else:
+            out += view
+    return out
+
+
+def _certify(E: GridSet, amp: Fraction, shapes, P: GridSet) -> np.ndarray:
+    """One certificate per cell of P, as rows (cell, shape index, lower
+    corner): a placement of ``shapes[index]`` with that lower corner (it
+    may overhang the box) covers the cell and holds ``count`` cells of E
+    with count * amp.num > |R| * amp.den.
+
+    Larger shapes go first, and each cell takes the winning placement that
+    covers the most cells of P, so neighbouring cells share certificates
+    and the check on a replicated grid reads few rectangles.  A shape that
+    cannot win even with all of E inside is skipped, as in the kernel."""
+    n = E.grid.n
+    cells = np.argwhere(P.mask)
+    found = np.full(len(cells), -1)
+    corners = np.zeros_like(cells)
+    pad = np.max(shapes, axis=0) - 1
+    table, cover_table = (_summed_area(m, pad, pad) for m in (E.mask, P.mask))
+    total = E.popcount
+    for index in sorted(range(len(shapes)), key=lambda i: -math.prod(shapes[i])):
+        shape, area = np.array(shapes[index]), math.prod(shapes[index])
+        todo = np.flatnonzero(found < 0)
+        if not todo.size:
+            break
+        if total * amp.numerator <= area * amp.denominator:
+            continue
+        # the placement with lower corner c is entry c + shape - 1
+        args = (pad + 1 - shape, shape, (1,) * n, E.grid.shape + shape - 1)
+        wins = _exceeds(_rect_counts(table, *args), amp.numerator, area, amp.denominator, total)
+        score = np.where(wins, _rect_counts(cover_table, *args), 0)
+        # every placement covering each cell, by the cell's offset in it
+        low = cells[todo, None, :] - np.argwhere(np.ones(shape, dtype=bool))[None]
+        hit = score[tuple(np.moveaxis(low + shape - 1, -1, 0))]
+        got = hit.max(axis=1) > 0
+        best = hit.argmax(axis=1)[got]
+        found[todo[got]] = index
+        corners[todo[got]] = low[got, best]
+    if (found < 0).any():
+        raise WitnessError("a level-set cell has no certificate")
+    return np.column_stack([cells, found, corners])
+
+
+def _certificates_hold(w, E: GridSet, placement) -> bool:
+    """Whether every certificate of w proves its cell, in every copy, on
+    E's grid: the cell is a tile cell, its shape is admissible (at most k
+    distinct edge lengths, diameter < trunc), its rectangle covers the
+    cell, and scaled to E's cells and moved into each copy of the tile
+    that rectangle holds enough of E's cells.  Reads E only, so it is
+    sound for any E."""
+    cert = w.cell_certificates
+    n = w.grid.n
+    cells, index, corners = cert[:, :n], cert[:, n], cert[:, n + 1 :]
+    if not ((0 <= cells) & (cells < w.grid.shape)).all():
+        return False
+    if not ((0 <= index) & (index < len(w.shapes))).all():
+        return False
+    k = next(iter(w.bases.values())).k
+    for i in set(index.tolist()):
+        lengths = [x * c for x, c in zip(w.shapes[i], w.grid.cell_size)]
+        if min(w.shapes[i]) < 1 or len(set(lengths)) > k:
+            return False
+        if sum(x * x for x in lengths) >= w.trunc * w.trunc:
+            return False
+    shapes = np.array(w.shapes, dtype=np.int64).reshape(-1, n)[index]
+    if not ((corners <= cells) & (cells < corners + shapes)).all():
+        return False
+    factor, reps = (np.array(v) for v in zip(*placement))
+    step = factor * w.grid.shape
+    # one check per distinct rectangle (np.unique would import numpy.ma)
+    distinct = sorted(set(map(tuple, np.column_stack([shapes, corners]).tolist())))
+    if not distinct:
+        return True
+    rects = np.array(distinct) * np.tile(factor, 2)
+    low = rects[:, n:]
+    high = low + rects[:, :n] + (reps - 1) * step
+    lo = np.maximum(-low.min(axis=0), 0)
+    hi = np.maximum(high.max(axis=0) - E.grid.shape, 0)
+    table = _summed_area(E.mask, lo, hi)
+    num, den = w.h.numerator, w.h.denominator
+    for rect in rects:
+        counts = _rect_counts(table, rect[n:] + lo, rect[:n], step, reps)
+        if counts is None or not _exceeds(
+            counts, num, math.prod(rect[:n].tolist()), den, E.popcount
+        ).all():
+            return False
+    return True
+
+
 def _certified_sets(w, E: GridSet) -> dict | None:
     """Per basis key of w, the certified level set on E's grid, or None
     when E's grid is no refinement or replica of w's tile grid.
 
-    The exact route takes the axis level set of amp*chi_E over w's shapes
-    scaled to E's cells (the same physical rectangles), once for an axis
-    basis and its quarter turns.  The disk route places the tile preimage
-    onto E's grid; the certificate needs E to hold w's E, else it is empty."""
+    The exact route places the tile's certified cells onto E's grid, empty
+    unless every certificate holds on E (one check for an axis basis and
+    its quarter turns).  The disk route places the tile preimage onto E's
+    grid; the certificate needs E to hold w's E, else it is empty."""
     placement = _placement(w.grid, E.grid)
     if placement is None:
         return None
@@ -258,8 +401,10 @@ def _certified_sets(w, E: GridSet) -> dict | None:
             out[key] = GridSet(E.grid, _place(tile.mask, placement) & holds)
         else:
             if exact is None:
-                shapes = [tuple(x * f for x, (f, _) in zip(s, placement)) for s in w.shapes]
-                exact = axis_level_set_exact(E, w.h, w.trunc, basis, shapes)
+                cells = np.zeros(w.grid.shape, dtype=bool)
+                if _certificates_hold(w, E, placement):
+                    cells[tuple(w.cell_certificates[:, : w.grid.n].T)] = True
+                exact = GridSet(E.grid, _place(cells, placement))
             out[key] = exact
     return out
 
@@ -281,6 +426,7 @@ class MPhiWitness:
     p_sets: dict
     bases: dict
     shapes: tuple
+    cell_certificates: np.ndarray  # rows (cell, shape index, lower corner)
     certificates: dict = field(default_factory=dict)
     c: float = 0.0
     c_of_h: Fraction = Fraction(0)
@@ -295,7 +441,9 @@ class MPhiWitness:
 
         E and the P sets default to the witness's own.  They may also live
         on a replica of the tile over whole copies of its box, a refinement,
-        or both; P must be on E's grid, and any other grid gives False."""
+        or both; P must be on E's grid, and any other grid gives False.
+        An exact-route P passes when its cells are certified tile cells and
+        their certificates hold on E; the level set of E is never computed."""
         E = self.E if E is None else E
         p_sets = self.p_sets if p_sets is None else p_sets
         sets = _certified_sets(self, E) or {}
@@ -337,6 +485,11 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     axis = BasisSpec("axis", bases[0].k)
     basis_map = {b.describe(): b for b in bases}
     generic = [key for key, b in basis_map.items() if _route(b) is None]
+    shapes = enumerate_shapes(axis, grid, r=trunc)
+    cells = np.zeros((0, 2 * grid.n + 1), dtype=np.int64)
+    if len(generic) < len(basis_map):
+        P = axis_level_set_exact(E, amp, trunc, axis, shapes)
+        cells = _certify(E, amp, shapes, P)
     certificates = {}
     if generic:
         center = _box_center(grid)
@@ -355,7 +508,8 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         E=E,
         p_sets={},
         bases=basis_map,
-        shapes=tuple(tuple(s) for s in enumerate_shapes(axis, grid, r=trunc)),
+        shapes=tuple(tuple(s) for s in shapes),
+        cell_certificates=cells,
         certificates=certificates,
         c_of_h=Fraction(E.popcount, grid.total_cells),
     )

@@ -183,10 +183,14 @@ def test_criterion_7_rearrangement(deep_plan, _report):
     extra = tuple(
         r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)
     )
+    # on the integer numerators: f = num/den and g = g.num/g.den per cell
     f_fine = f.refine(extra) if any(extra) else f
-    moved = np.array(f_fine.values.ravel(), dtype=object)[omega.perm]
-    hist_ok = sorted(map(str, moved)) == sorted(map(str, f_fine.values.ravel()))
-    dom_ok = bool(all(a >= g for a, g in zip(moved, plan.g.values.ravel())))
+    num = f_fine.num.ravel()
+    moved = num[omega.perm]
+    hist_ok = np.array_equal(np.sort(moved), np.sort(num))
+    g_num = plan.g.num.ravel()
+    assert max(int(num.max()) * plan.g.den, int(g_num.max()) * f_fine.den) < 2**62
+    dom_ok = bool(np.all(moved * plan.g.den >= g_num * f_fine.den))
     # omega fixes every cell outside all refined stage sets E_k and bands A_k
     domain = np.zeros(plan.final_grid.shape, dtype=bool)
     for E in plan.e_final:

@@ -24,7 +24,7 @@ from gridhalo.resonance import (
     save_rearrangement,
     synthetic_resonance_input,
 )
-from gridhalo import resonance, witness
+from gridhalo import maxop, resonance, witness
 from gridhalo.witness import build_tile_witness
 
 PHI = log_power_growth(2)
@@ -179,6 +179,43 @@ class TestReplication:
         assert plan.containment_ok[key] == tuple(
             s.containment_ok[key] for s in plan.stages
         )
+
+
+    def test_no_level_set_beyond_the_stage_tile(self, monkeypatch):
+        # the replicated sets are checked from the tile's certificates, so
+        # every level set a depth-3 build computes lives on its stage's tile
+        # box: the exact-route P on the tile grid, the disk certificate's U
+        # on a refinement of it; never on the replicated grid
+        stages = []
+
+        def replicating(*args, **kwargs):
+            stages.append([])
+            stage = replicate_configuration(*args, **kwargs)
+            stages[-1].insert(0, stage.tile.grid)
+            return stage
+
+        def level_set(f, *args, **kwargs):
+            stages[-1].append(f.grid)
+            return real(f, *args, **kwargs)
+
+        real = maxop.max_level_set
+        monkeypatch.setattr(resonance, "replicate_configuration", replicating)
+        monkeypatch.setattr(maxop, "max_level_set", level_set)
+        monkeypatch.setattr(witness, "max_level_set", level_set)
+        f, pads = synthetic_resonance_input(PHI, 3, style="deep")
+        bases = [
+            BasisSpec("axis", 2),
+            BasisSpec("rotated", 2, math.pi / 2),
+            BasisSpec("rotated", 2, math.pi / 8),
+        ]
+        plan = build_resonance_function(f, bases, PHI, 3, pads=pads)
+        assert [s.tile.grid for s in plan.stages] == [tile for tile, *_ in stages]
+        assert [s.E.grid.shape for s in plan.stages] == [(4, 8), (32, 32), (256, 256)]
+        for tile, *grids in stages:
+            assert grids.count(tile) == 1 and len(grids) == 2
+            for grid in grids:
+                assert (grid.origin, grid.side) == (tile.origin, tile.side)
+                assert all(g >= t for g, t in zip(grid.resolution, tile.resolution))
 
 
 class TestIndependence:

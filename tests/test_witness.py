@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gridhalo import witness
 from gridhalo.grid import DyadicGrid, GridSet, StepFunction
 from gridhalo.growth import log_power_growth
 from gridhalo.maxop import BasisSpec, enumerate_shapes
+from gridhalo.resonance import build_resonance_function, synthetic_resonance_input
 from gridhalo.rotate import quarter_turns, rot90_set, rotated_average
 from gridhalo.witness import (
     _MARGIN,
@@ -373,3 +375,161 @@ def test_rotated_p_cells_pass_a_sampled_clipping_oracle(grid, amp):
         uy = float(K.grid.origin[1] + (j0 + Fraction(b, 2)) * K.grid.cell_size[1]) - cy
         center = (cx + cg * ux - sg * uy, cy + sg * ux + cg * uy)
         assert rotated_average(f, center, sides, gamma) > 1 + 1e-9, tuple(idx)
+
+
+def kernel_containment(w, E, p_sets):
+    """Oracle: per exact-route key, whether P lies in the level set of
+    amp*chi_E that the kernel recomputes on E's grid over w's shapes scaled
+    to E's cells (the same physical rectangles)."""
+    placement = witness._placement(w.grid, E.grid)
+    shapes = [tuple(x * f for x, (f, _) in zip(s, placement)) for s in w.shapes]
+    k = next(iter(w.bases.values())).k
+    level = axis_level_set_exact(E, w.h, w.trunc, BasisSpec("axis", k), shapes)
+    return {
+        key: P.grid == E.grid and (P - level).popcount == 0
+        for key, P in p_sets.items()
+        if _route(w.bases[key]) == 0
+    }
+
+
+def tile_certificate_ok(w, cell, shape, corner):
+    """Oracle: whether the rectangle of ``shape`` at lower ``corner`` covers
+    ``cell`` and, with E zero outside the tile, holds more than |R|/amp of
+    E's cells, counted by slicing a zero-padded copy of the tile's E."""
+    pad = max(w.grid.shape) * 2
+    E = np.pad(w.E.mask, pad)
+    count = int(E[tuple(slice(c + pad, c + pad + s) for c, s in zip(corner, shape))].sum())
+    covers = all(c <= x < c + s for x, c, s in zip(cell, corner, shape))
+    return covers and count * w.h > math.prod(shape)
+
+
+_CERT_BASES = [
+    BasisSpec("axis", 2),
+    BasisSpec("rotated", 2, math.pi / 2),
+    BasisSpec("rotated", 2, math.pi / 8),
+]
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def cert_plan(request):
+    """Deep-style plans of depth 1-3 against an axis basis, a quarter turn
+    and pi/8 (stage grids 4x8, 32x32 and 256x256)."""
+    f, pads = synthetic_resonance_input(PHI, request.param, style="deep")
+    return build_resonance_function(f, _CERT_BASES, PHI, request.param, pads=pads)
+
+
+def _exact_keys(w):
+    return sorted(key for key, b in w.bases.items() if _route(b) == 0)
+
+
+class TestCellCertificates:
+    def test_verdicts_equal_the_kernel_recomputation(self, cert_plan):
+        # on every stage grid and on the final grid, where every stage's E
+        # holds its tile's E in every copy
+        for i, s in enumerate(cert_plan.stages):
+            final = {key: cert_plan.p_final[key][i] for key in cert_plan.basis_keys}
+            for E, p_sets in ((s.E, s.p_sets), (cert_plan.e_final[i], final)):
+                want = kernel_containment(s.tile, E, p_sets)
+                got = s.tile.containment(E, p_sets)
+                assert len(want) == 2 and all(want.values())
+                assert {key: got[key] for key in want} == want
+
+    def test_sound_for_an_e_without_the_tile_e(self, cert_plan):
+        # E loses cells, so the replication argument no longer applies; a
+        # passing verdict must still mean P lies in E's kernel level set
+        rng = np.random.default_rng(7)
+        failed = 0
+        for s in cert_plan.stages:
+            for drop in (1, 4, s.E.popcount // 3):
+                mask = s.E.mask.copy()
+                cells = np.argwhere(mask)
+                mask[tuple(cells[rng.choice(len(cells), drop, replace=False)].T)] = False
+                E = GridSet(s.E.grid, mask)
+                want = kernel_containment(s.tile, E, s.p_sets)
+                got = s.tile.containment(E, s.p_sets)
+                assert all(want[key] for key in want if got[key])
+                failed += sum(not got[key] for key in want)
+        assert failed > 0
+
+    def test_dropped_certificate_fails(self, cert_plan):
+        for s in cert_plan.stages:
+            cert = s.tile.cell_certificates
+            for row in (0, len(cert) - 1):
+                w = dataclasses.replace(s.tile, cell_certificates=np.delete(cert, row, axis=0))
+                got = w.containment(s.E, s.p_sets)
+                assert not any(got[key] for key in _exact_keys(w))
+
+    def test_shifted_certificate_passes_only_when_it_still_proves_its_cell(self, cert_plan):
+        # each distinct rectangle, moved by one cell along either axis and
+        # by (7, 7): the verdict is the direct count on the tile, since E is
+        # the replicated tile E and the outermost copy of an overhanging
+        # rectangle reads zeros where the tile would
+        for s in cert_plan.stages:
+            w, n = s.tile, s.tile.grid.n
+            cert = w.cell_certificates
+            _, rows = np.unique(cert[:, n:], axis=0, return_index=True)
+            verdicts = set()
+            for row in rows:
+                cell, index, corner = cert[row, :n], cert[row, n], cert[row, n + 1 :]
+                for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (7, 7)):
+                    moved = cert.copy()
+                    moved[row, n + 1 :] = corner + shift
+                    want = tile_certificate_ok(w, cell, w.shapes[index], corner + shift)
+                    mutant = dataclasses.replace(w, cell_certificates=moved)
+                    got = mutant.containment(s.E, s.p_sets)
+                    assert all(got[key] == want for key in _exact_keys(w)), (row, shift)
+                    verdicts.add(want)
+            # the 4x8 stage-1 tile included, some shifts must fail
+            assert False in verdicts
+
+    def test_grown_p_fails(self, cert_plan):
+        for s in cert_plan.stages:
+            for key in _exact_keys(s.tile):
+                P = s.p_sets[key]
+                mask = P.mask.copy()
+                mask[tuple(np.argwhere(~mask)[0])] = True
+                got = s.tile.containment(s.E, {key: GridSet(P.grid, mask)})
+                assert got == {key: False}
+
+    def test_inadmissible_shape_fails(self):
+        # at trunc 1/4 on 1/8 cells only 1x1 rectangles are admissible; a
+        # 2x2 rectangle over E covers its cell and clears the threshold,
+        # but its diameter is too long
+        g = DyadicGrid((3, 3))
+        w = build_tile_witness(g, [BasisSpec("axis", 2)], Fraction(40), Fraction(1, 4), PHI)
+        assert w.shapes == ((1, 1),) and w.containment() == {"I^2": True}
+        cert = w.cell_certificates.copy()
+        cert[0, 2:] = (1, *np.argwhere(w.E.mask).min(axis=0))
+        assert tile_certificate_ok(w, cert[0, :2], (2, 2), cert[0, 3:])
+        mutant = dataclasses.replace(w, shapes=((1, 1), (2, 2)), cell_certificates=cert)
+        assert mutant.containment() == {"I^2": False}
+        # with an admissible truncation the same certificate passes
+        wide = dataclasses.replace(mutant, trunc=Fraction(1, 2))
+        assert wide.containment() == {"I^2": True}
+
+    def test_certificate_for_a_cell_off_the_tile_fails(self):
+        # a rectangle overhanging the tile may clear the threshold for a
+        # cell outside it; that cell must not stand in for a tile cell
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[0, 1] = True
+        E = GridSet(DyadicGrid((2, 2)), mask)
+        w = witness._witness(E, [BasisSpec("axis", 2)], Fraction(3), Fraction(1), Fraction(2), PHI)
+        P = w.p_sets["I^2"]
+        assert not P.mask[3, 1] and w.containment() == {"I^2": True}
+        grown = P.mask.copy()
+        grown[3, 1] = True
+        grown = {"I^2": GridSet(E.grid, grown)}
+        assert kernel_containment(w, E, grown) == {"I^2": False}
+        index = w.shapes.index((2, 1))
+        assert tile_certificate_ok(w, (-1, 1), (2, 1), (-1, 1))
+        cert = np.vstack([w.cell_certificates, [-1, 1, index, -1, 1]])
+        mutant = dataclasses.replace(w, cell_certificates=cert)
+        assert mutant.containment(p_sets=grown) == {"I^2": False}
+
+    def test_rect_counts_refuse_views_off_the_table(self):
+        table = witness._summed_area(np.ones((4, 4), dtype=bool), (0, 0), (0, 0))
+        counts = witness._rect_counts(table, (0, 0), (2, 2), (2, 2), (2, 2))
+        assert counts.tolist() == [[4, 4], [4, 4]]
+        assert witness._rect_counts(table, (-1, 0), (2, 2), (2, 2), (2, 2)) is None
+        assert witness._rect_counts(table, (1, 0), (2, 2), (2, 2), (2, 2)) is None
+        assert witness._rect_counts(table, (9, 0), (1, 1), (1, 1), (1, 1)) is None
