@@ -49,33 +49,32 @@ _DEFAULTS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one parser: every subcommand takes the same options
     parser = argparse.ArgumentParser(
         prog="gridhalo",
         description="Exact maximal-operator and resonance experiments on dyadic grids",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file (supports include)")
-        p.add_argument("--grid", type=int, help="grid resolution exponent per axis")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--mode", help="value arithmetic: rational (the only one)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--depth", type=int)
-        p.add_argument("--style", choices=["deep", "square"])
-        p.add_argument("--h-list", help="comma-separated h samples")
-        p.add_argument("--t-list", help="comma-separated truncation multipliers")
-        p.add_argument("--r-list", help="comma-separated ball radii in cells")
-        p.add_argument("--rotations", help="comma-separated rotations in degrees")
-        p.add_argument("--resolution-cap", type=int)
-        p.add_argument("--use-cache", action="store_true")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override any config key",
-        )
+    parser.add_argument("command", choices=_RUNNERS, help="experiment to run")
+    parser.add_argument("--config", help="key=value config file (supports include)")
+    parser.add_argument("--grid", type=int, help="grid resolution exponent per axis")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--mode", help="value arithmetic: rational (the only one)")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--depth", type=int)
+    parser.add_argument("--style", choices=["deep", "square"])
+    parser.add_argument("--h-list", help="comma-separated h samples")
+    parser.add_argument("--t-list", help="comma-separated truncation multipliers")
+    parser.add_argument("--r-list", help="comma-separated ball radii in cells")
+    parser.add_argument("--rotations", help="comma-separated rotations in degrees")
+    parser.add_argument("--resolution-cap", type=int)
+    parser.add_argument("--use-cache", action="store_true")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override any config key",
+    )
     return parser
 
 

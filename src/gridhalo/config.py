@@ -99,6 +99,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be nonempty")
         if any(h <= 1 for h in self.h_list):
             raise ConfigError("h samples must exceed 1")
+        if not all(t > 1 for t in self.t_list):
+            raise ConfigError("truncation multipliers t must exceed 1")
+        if any(r < 1 for r in self.r_list):
+            raise ConfigError("ball radii must be at least 1 cell")
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
         if self.grid_bits < 2 or self.resolution_cap < 2:

@@ -310,7 +310,10 @@ class StepFunction:
 
     @classmethod
     def indicator(cls, s: GridSet, height=1) -> "StepFunction":
-        return cls.from_table(s.grid, [0, height], s.mask)
+        top, den = _payload([0, height], [1])
+        num = np.zeros(s.grid.shape, dtype=top.dtype)
+        num[s.mask] = top
+        return cls.__new__(cls)._set(s.grid, num, den)
 
     @property
     def mode(self) -> str:

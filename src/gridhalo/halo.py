@@ -84,17 +84,32 @@ def discrete_ball(grid: DyadicGrid, r_cells: float, center=None) -> GridSet:
     """Cells whose centers lie within Euclidean distance r of the center.
 
     Distances are in cell units of axis 0; the grid must be isotropic.
+    Only the ball's bounding box is computed: a float sum of nonnegative
+    terms is at least each term, so a cell whose offset along one axis
+    already squares to r^2 or more lies outside.  Inside the box the
+    terms are summed in axis order, as a whole-grid sum adds them, so the
+    mask is the same bit for bit.
     """
     if len(set(grid.cell_size)) != 1:
         raise ValueError("discrete balls need an isotropic grid")
     shape = grid.shape
     if center is None:
         center = tuple(s / 2.0 for s in shape)
-    grids = np.indices(shape).astype(np.float64) + 0.5
-    d2 = np.zeros(shape)
-    for ax in range(grid.n):
-        d2 += (grids[ax] - center[ax]) ** 2
-    return GridSet(grid, d2 < float(r_cells) ** 2)
+    if len(center) != grid.n:
+        raise ValueError(f"center needs {grid.n} coordinates, got {len(center)}")
+    r2 = float(r_cells) ** 2
+    mask = np.zeros(shape, dtype=bool)
+    box, d2 = [], 0.0
+    for ax, (m, c) in enumerate(zip(shape, center)):
+        term = (np.arange(m, dtype=np.float64) + 0.5 - float(c)) ** 2
+        near = np.flatnonzero(term < r2)
+        if not near.size:
+            return GridSet(grid, mask)
+        lo, hi = int(near[0]), int(near[-1]) + 1
+        box.append(slice(lo, hi))
+        d2 = d2 + term[lo:hi].reshape((-1,) + (1,) * (grid.n - 1 - ax))
+    mask[tuple(box)] = d2 < r2
+    return GridSet(grid, mask)
 
 
 def _boundary_touch(mask: np.ndarray) -> bool:
@@ -110,8 +125,10 @@ def halo_estimate(probe: HaloProbe, t_list, r_list) -> HaloEstimate:
     r_list = [int(r) for r in r_list]
     if not t_list or not r_list:
         raise ValueError("t/r sample lists must be nonempty")
-    if any(t <= 1 for t in t_list):
+    if not all(t > 1 for t in t_list):
         raise ValueError("truncation multipliers must satisfy t > 1")
+    if any(r < 1 for r in r_list):
+        raise ValueError("ball radii must be at least 1 cell")
     grid = DyadicGrid((probe.grid_bits,) * 2)
     ladder = dyadic_ladder(max(grid.shape))
     samples = []

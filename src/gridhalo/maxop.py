@@ -173,7 +173,7 @@ def enumerate_shapes(
 def _prepare_values(f: StepFunction) -> np.ndarray:
     """The numerators to sum: int64, or object ints when a window sum could
     overflow int64."""
-    total = float(f.num.astype(np.float64).sum())
+    total = float(f.num.sum(dtype=np.float64))
     # float estimate of the worst numerator (at most total cells of shape
     # volume); the factor-2 headroom (2^61, not 2^62) absorbs its rounding
     fits = (total * 1.01 + 1) * f.grid.total_cells < float(1 << 61)

@@ -296,6 +296,75 @@ class TestCli:
         assert all(item["ok"] for item in doc["verified"])
 
 
+# every option once: its argv and the Namespace attribute it sets, typed
+_FLAGS = [
+    (["--config", "a.cfg"], "config", "a.cfg"),
+    (["--grid", "9"], "grid", 9),
+    (["--out", "o"], "out", "o"),
+    (["--mode", "rational"], "mode", "rational"),
+    (["--seed", "3"], "seed", 3),
+    (["--depth", "2"], "depth", 2),
+    (["--style", "square"], "style", "square"),
+    (["--h-list", "4,8"], "h_list", "4,8"),
+    (["--t-list", "2,inf"], "t_list", "2,inf"),
+    (["--r-list", "1,2"], "r_list", "1,2"),
+    (["--rotations", "0,45"], "rotations", "0,45"),
+    (["--resolution-cap", "12"], "resolution_cap", 12),
+    (["--use-cache"], "use_cache", True),
+    (["--set", "k=2", "--set", "n=2"], "set", ["k=2", "n=2"]),
+]
+_UNSET = {
+    "config": None, "grid": None, "out": None, "mode": None, "seed": None,
+    "depth": None, "style": None, "h_list": None, "t_list": None,
+    "r_list": None, "rotations": None, "resolution_cap": None,
+    "use_cache": False, "set": [],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+    @pytest.mark.parametrize("argv,attr,value", _FLAGS)
+    def test_each_flag_of_each_command(self, command, argv, attr, value):
+        args = cli._build_parser().parse_args([command, *argv])
+        assert vars(args) == dict(_UNSET, command=command, **{attr: value})
+
+    @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+    def test_bare_command(self, command):
+        assert vars(cli._build_parser().parse_args([command])) == dict(_UNSET, command=command)
+
+    @pytest.mark.parametrize(
+        "argv", [["mystery"], [], ["halo", "--style", "round"], ["halo", "--grid", "x"]]
+    )
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+class TestHaloSampleLists:
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--r-list", "0"),
+            ("--r-list", "-1"),
+            ("--r-list", "1,0"),
+            ("--t-list", "0.5"),
+            ("--t-list", "1"),
+            ("--t-list", "nan"),
+        ],
+    )
+    def test_bad_sample_list_exits_2(self, flag, value, tmp_path, capsys):
+        assert main(["halo", "--grid", "4", flag, value, "--out", str(tmp_path)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_config_rejects_bad_samples(self):
+        with pytest.raises(ConfigError, match="at least 1 cell"):
+            ExperimentConfig.from_mapping("halo", {"r_list": "0"})
+        with pytest.raises(ConfigError, match="t must exceed 1"):
+            ExperimentConfig.from_mapping("halo", {"t_list": "2, 1"})
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # only the log-region quadrature needs it, and it costs most of start-up
     code = "import sys, gridhalo.cli\nprint('scipy.integrate' in sys.modules)\n"

@@ -125,6 +125,25 @@ class TestStepFunction:
         assert f.support() == s
         assert f.integral() == Fraction(7, 3) * s.measure()
 
+    @pytest.mark.parametrize("height", [5, Fraction(7, 3), 64.0, 2**63])
+    @pytest.mark.parametrize("fill", ["empty", "full", "random"])
+    def test_indicator_equals_the_table_route(self, height, fill):
+        # the scatter of one converted height against the general
+        # table-and-codes constructor; 2^63 takes the object path
+        g = DyadicGrid((3, 2))
+        mask = {
+            "empty": np.zeros(g.shape, dtype=bool),
+            "full": np.ones(g.shape, dtype=bool),
+            "random": np.random.default_rng(4).random(g.shape) < 0.4,
+        }[fill]
+        s = GridSet(g, mask)
+        f = StepFunction.indicator(s, height)
+        ref = StepFunction.from_table(g, [0, height], s.mask)
+        assert f.num.dtype == ref.num.dtype == (object if height == 2**63 else np.int64)
+        assert np.array_equal(f.num, ref.num) and f.den == ref.den
+        assert [type(v) for v in f.num.ravel()] == [type(v) for v in ref.num.ravel()]
+        assert f.integral() == Fraction(height) * s.measure()
+
     def test_payload_common_denominator(self):
         g = DyadicGrid((1, 0))
         f = StepFunction(g, np.array([[Fraction(1, 6)], [Fraction(3, 4)]], dtype=object))
