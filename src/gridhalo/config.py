@@ -7,6 +7,7 @@ ones; command-line overrides are merged last.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -97,8 +98,8 @@ class ExperimentConfig:
         for name in ("h_list", "t_list", "r_list", "rotations_deg"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")
-        if any(h <= 1 for h in self.h_list):
-            raise ConfigError("h samples must exceed 1")
+        if not all(1 < h < math.inf for h in self.h_list):
+            raise ConfigError("h samples must be finite and exceed 1")
         if not all(t > 1 for t in self.t_list):
             raise ConfigError("truncation multipliers t must exceed 1")
         if any(r < 1 for r in self.r_list):
