@@ -20,7 +20,6 @@ from .maxop import (
     max_level_set,
 )
 from .halo import HaloEstimate, HaloProbe, discrete_ball, halo_estimate, halo_fit
-from .rotate import rot90_set, rotated_average
 from .witness import MPhiWitness, build_tile_witness, mphi_witness_for_rotations
 from .resonance import (
     LevelSelection,

@@ -100,10 +100,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be nonempty")
         if not all(1 < h < math.inf for h in self.h_list):
             raise ConfigError("h samples must be finite and exceed 1")
+        if self.kind == "halo" and len(self.h_list) < 3:
+            raise ConfigError("the halo band fit needs at least three h samples")
         if not all(t > 1 for t in self.t_list):
             raise ConfigError("truncation multipliers t must exceed 1")
         if any(r < 1 for r in self.r_list):
             raise ConfigError("ball radii must be at least 1 cell")
+        if not all(math.isfinite(g) for g in self.rotations_deg):
+            raise ConfigError("rotations must be finite")
+        if self.growth_exponent < 1:
+            raise ConfigError("growth_exponent must be >= 1")
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
         if self.grid_bits < 2 or self.resolution_cap < 2:

@@ -142,9 +142,16 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
     ladder = dyadic_ladder(max(grid.shape))
     # keep the level set well inside the box: its arms extend a few h
     # rectangle-lengths from the center
-    h_sweep = [h for h in config.h_list if h * w * 8 < grid.shape[0]] or [
-        grid.shape[0] / (16 * w)
-    ]
+    h_sweep = [h for h in config.h_list if h * w * 8 < grid.shape[0]]
+    if not h_sweep:
+        fallback = grid.shape[0] / (16 * w)
+        if fallback <= 1:
+            raise DomainTooSmallError(
+                f"the grid with 2^{config.grid_bits} cells per axis is too small for "
+                f"the level-set growth check: its sweep value h = {fallback:g} is not "
+                f"above 1; use a finer grid"
+            )
+        h_sweep = [fallback]
     ok10 = True
     for h in h_sweep[:3]:
         res = lemma10_levelset_measure(rect, float(h), 2, grid, ladder=ladder)

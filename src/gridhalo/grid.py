@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "ResolutionMismatchError",
     "uniform_distribution_check",
     "save_step_function",
-    "load_step_function",
 ]
 
 
@@ -103,10 +102,6 @@ class DyadicGrid:
             v *= s
         return v
 
-    def cell_center(self, index: Sequence[int]) -> tuple[Fraction, ...]:
-        cs = self.cell_size
-        return tuple(o + (2 * i + 1) * c / 2 for o, i, c in zip(self.origin, index, cs))
-
     def refine(self, extra: Sequence[int]) -> "DyadicGrid":
         if len(extra) != self.n or any(e < 0 for e in extra):
             raise ValueError("bad refinement vector")
@@ -135,21 +130,6 @@ class GridSet:
             raise ValueError("mask shape does not match grid")
         object.__setattr__(self, "mask", _frozen(mask.copy()))
 
-    @classmethod
-    def empty(cls, grid: DyadicGrid) -> "GridSet":
-        return cls(grid, np.zeros(grid.shape, dtype=bool))
-
-    @classmethod
-    def full(cls, grid: DyadicGrid) -> "GridSet":
-        return cls(grid, np.ones(grid.shape, dtype=bool))
-
-    @classmethod
-    def from_indices(cls, grid: DyadicGrid, indices: Iterable[Sequence[int]]) -> "GridSet":
-        mask = np.zeros(grid.shape, dtype=bool)
-        for idx in indices:
-            mask[tuple(idx)] = True
-        return cls(grid, mask)
-
     @cached_property
     def popcount(self) -> int:
         """The cell count; the mask is a private read-only copy, so it is
@@ -166,29 +146,11 @@ class GridSet:
         if self.grid != other.grid:
             raise GridMismatchError("operands live on different grids")
 
-    def intersection(self, other: "GridSet") -> "GridSet":
-        self._require_same_grid(other)
-        return GridSet(self.grid, self.mask & other.mask)
-
-    def union(self, other: "GridSet") -> "GridSet":
-        self._require_same_grid(other)
-        return GridSet(self.grid, self.mask | other.mask)
-
     def difference(self, other: "GridSet") -> "GridSet":
         self._require_same_grid(other)
         return GridSet(self.grid, self.mask & ~other.mask)
 
-    __and__ = intersection
-    __or__ = union
     __sub__ = difference
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GridSet):
-            return NotImplemented
-        return self.grid == other.grid and bool(np.array_equal(self.mask, other.mask))
-
-    def __hash__(self):
-        return hash((self.grid, self.mask.tobytes()))
 
     def refine(self, extra: Sequence[int]) -> "GridSet":
         """Re-represent on a finer grid; measure is preserved exactly."""
@@ -331,13 +293,6 @@ class StepFunction:
         nums, counts = np.unique(self.num, return_counts=True)
         return Fraction(sum(p * c for p, c in zip(nums.tolist(), counts.tolist())), self.den) * cv
 
-    def support(self) -> GridSet:
-        return GridSet(self.grid, self.num != 0)
-
-    def refine(self, extra: Sequence[int]) -> "StepFunction":
-        grid = self.grid.refine(extra)
-        return StepFunction.__new__(StepFunction)._set(grid, _repeat(self.num, extra), self.den)
-
 
 @dataclass(frozen=True)
 class AxisRect:
@@ -389,15 +344,3 @@ def save_step_function(f: StepFunction, path):
     with open(path, "w") as fh:
         fh.write(f"{f.grid.n} " + " ".join(str(m) for m in f.grid.resolution) + "\n")
         fh.writelines(_text_chunks(*_value_table(f.num, f.den)))
-
-
-def load_step_function(path) -> StepFunction:
-    """Each token is read exactly: ``p/q``, integer and decimal forms alike."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        toks = np.array(fh.read().split())
-    grid = DyadicGrid(tuple(int(x) for x in header[1 : 1 + int(header[0])]))
-    if len(toks) != grid.total_cells:
-        raise ValueError("value count does not match grid")
-    table, codes = np.unique(toks, return_inverse=True)
-    return StepFunction.from_table(grid, [Fraction(t) for t in table.tolist()], codes)

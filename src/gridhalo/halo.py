@@ -39,7 +39,8 @@ __all__ = [
 
 
 class DomainTooSmallError(RuntimeError):
-    """The level set reaches the grid boundary; enlarge the domain."""
+    """The grid is too small for the sample (a level set reaches its
+    boundary, or no sweep value fits); enlarge the domain."""
 
 
 class QuadratureError(RuntimeError):

@@ -27,13 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .grid import DyadicGrid, GridSet, StepFunction, _frozen, _text_chunks, _value_table
+from .grid import DyadicGrid, GridSet, StepFunction, _text_chunks, _value_table
 
 __all__ = [
     "BasisSpec",
@@ -93,12 +93,6 @@ class MaxField:
     num: np.ndarray
     den: np.ndarray
     scale: int = 1
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The field as Fractions, built on first use."""
-        table, codes = _value_table(self.num, self.scale, self.den)
-        return _frozen(table[codes].reshape(self.grid.shape))
 
 
 def dyadic_ladder(maxw: int) -> list[int]:

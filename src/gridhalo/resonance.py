@@ -269,10 +269,6 @@ class ResonancePlan:
     p_final: dict  # key -> per-stage P masks refined to the final grid
 
     @property
-    def depth(self) -> int:
-        return len(self.stages)
-
-    @property
     def containment_ok(self) -> dict:
         """key -> the stages' containment verdicts, each checked where its
         sets were made.  Refining both sides preserves them: a tile

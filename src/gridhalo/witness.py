@@ -85,14 +85,12 @@ _MARGIN = 1e-9
 
 
 def central_block(grid: DyadicGrid) -> GridSet:
-    """The 2x2 block of cells around the box center (per-axis shape even, >= 2)."""
-    if grid.n != 2:
-        raise ValueError("tile witnesses are planar")
+    """The block of 2 cells per axis around the box center (per-axis shape
+    even, >= 2), in any dimension."""
     if any(s < 2 or s % 2 for s in grid.shape):
         raise ValueError("need an even number of cells (>= 2) per axis")
     mask = np.zeros(grid.shape, dtype=bool)
-    cx, cy = (s // 2 for s in grid.shape)
-    mask[cx - 1 : cx + 1, cy - 1 : cy + 1] = True
+    mask[tuple(slice(s // 2 - 1, s // 2 + 1) for s in grid.shape)] = True
     return GridSet(grid, mask)
 
 
@@ -530,6 +528,8 @@ def build_tile_witness(
     phi: GrowthFunction,
 ) -> MPhiWitness:
     """Witness with E = central 2x2 block and per-basis certified P sets."""
+    if tile_grid.n != 2:
+        raise ValueError("tile witnesses are planar")
     amp = Fraction(amp)
     trunc = Fraction(trunc)
     if amp <= 1:

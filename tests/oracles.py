@@ -1,0 +1,136 @@
+"""Reference implementations the tests compare the package against.
+
+Polygon clipping gives float averages over rotated rectangles,
+independent of the witness's disk certificates; ``load_step_function``
+reads a saved step function back exactly; ``field_values`` spells a max
+field out as per-cell Fractions.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from gridhalo.grid import DyadicGrid, StepFunction, _value_table
+from gridhalo.maxop import MaxField
+
+
+def polygon_area(poly: Sequence[tuple[float, float]]) -> float:
+    """Shoelace area of a simple polygon (positive for CCW order)."""
+    a = 0.0
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        a += x0 * y1 - x1 * y0
+    return a / 2.0
+
+
+def _clip_halfplane(poly, inside, intersect):
+    out = []
+    n = len(poly)
+    for i in range(n):
+        cur, nxt = poly[i], poly[(i + 1) % n]
+        cin, nin = inside(cur), inside(nxt)
+        if cin:
+            out.append(cur)
+            if not nin:
+                out.append(intersect(cur, nxt))
+        elif nin:
+            out.append(intersect(cur, nxt))
+    return out
+
+
+def clip_polygon_box(poly, x0, y0, x1, y1):
+    """Sutherland-Hodgman clip of a convex polygon to [x0,x1] x [y0,y1]."""
+
+    def x_cut(bound):
+        def inter(p, q):
+            t = (bound - p[0]) / (q[0] - p[0])
+            return (bound, p[1] + t * (q[1] - p[1]))
+
+        return inter
+
+    def y_cut(bound):
+        def inter(p, q):
+            t = (bound - p[1]) / (q[1] - p[1])
+            return (p[0] + t * (q[0] - p[0]), bound)
+
+        return inter
+
+    edges = [
+        (lambda p: p[0] >= x0, x_cut(x0)),
+        (lambda p: p[0] <= x1, x_cut(x1)),
+        (lambda p: p[1] >= y0, y_cut(y0)),
+        (lambda p: p[1] <= y1, y_cut(y1)),
+    ]
+    for inside, inter in edges:
+        if not poly:
+            return []
+        poly = _clip_halfplane(poly, inside, inter)
+    return poly
+
+
+def rotated_rect_polygon(center, sides, gamma: float):
+    """Corner list (CCW) of the rectangle with given center/sides rotated by gamma."""
+    cx, cy = float(center[0]), float(center[1])
+    a, b = float(sides[0]) / 2.0, float(sides[1]) / 2.0
+    if a <= 0 or b <= 0:
+        raise ValueError("degenerate rectangle")
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    corners = [(-a, -b), (a, -b), (a, b), (-a, b)]
+    return [(cx + cg * u - sg * v, cy + sg * u + cg * v) for u, v in corners]
+
+
+def rotated_average(f: StepFunction, center, sides, gamma: float) -> float:
+    """Average of f over the gamma-rotated rectangle.
+
+    Computed as sum_cells f(cell) * area(cell ∩ rect) / |rect| with areas
+    from convex polygon clipping; cells outside the grid contribute zero
+    while the full rectangle area stays in the denominator.
+    """
+    if f.grid.n != 2:
+        raise ValueError("rotated averages are planar")
+    poly = rotated_rect_polygon(center, sides, gamma)
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    ox, oy = (float(v) for v in f.grid.origin)
+    cw, ch = (float(v) for v in f.grid.cell_size)
+    nx, ny = f.grid.shape
+    i0 = max(int(math.floor((min(xs) - ox) / cw)), 0)
+    i1 = min(int(math.ceil((max(xs) - ox) / cw)), nx)
+    j0 = max(int(math.floor((min(ys) - oy) / ch)), 0)
+    j1 = min(int(math.ceil((max(ys) - oy) / ch)), ny)
+    total = 0.0
+    for i in range(i0, i1):
+        for j in range(j0, j1):
+            v = f.values[i, j]
+            if v == 0:
+                continue
+            cell = clip_polygon_box(
+                poly, ox + i * cw, oy + j * ch, ox + (i + 1) * cw, oy + (j + 1) * ch
+            )
+            if len(cell) >= 3:
+                total += float(v) * abs(polygon_area(cell))
+    return total / (float(sides[0]) * float(sides[1]))
+
+
+def load_step_function(path) -> StepFunction:
+    """Each token is read exactly: ``p/q``, integer and decimal forms alike."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        toks = np.array(fh.read().split())
+    grid = DyadicGrid(tuple(int(x) for x in header[1 : 1 + int(header[0])]))
+    if len(toks) != grid.total_cells:
+        raise ValueError("value count does not match grid")
+    table, codes = np.unique(toks, return_inverse=True)
+    return StepFunction.from_table(grid, [Fraction(t) for t in table.tolist()], codes)
+
+
+def field_values(fld: MaxField) -> np.ndarray:
+    """The field as per-cell Fractions, num / (den * scale)."""
+    table, codes = _value_table(fld.num, fld.scale, fld.den)
+    return table[codes].reshape(fld.grid.shape)

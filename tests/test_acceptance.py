@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridhalo.grid import DyadicGrid, StepFunction
+from gridhalo.grid import DyadicGrid, StepFunction, _repeat
 from gridhalo.growth import log_power_growth
 from gridhalo.halo import HaloProbe, halo_estimate, lemma9_integral
 from gridhalo.maxop import BasisSpec, max_field_brute, max_field_fast
@@ -21,7 +21,7 @@ from gridhalo.resonance import (
     build_resonance_function,
     synthetic_resonance_input,
 )
-from gridhalo.rotate import rot90_set
+from oracles import field_values
 
 PHI = log_power_growth(2)
 
@@ -85,7 +85,7 @@ def test_criterion_1_dual_route_exact_equality(_report):
         f = _random_rational(DyadicGrid(bits), rng)
         basis = BasisSpec("axis", k)
         ok &= np.array_equal(
-            max_field_fast(f, basis).values, max_field_brute(f, basis).values
+            field_values(max_field_fast(f, basis)), field_values(max_field_brute(f, basis))
         )
     elapsed = time.perf_counter() - t0
     _report(
@@ -157,7 +157,7 @@ def test_criterion_5_replication_and_independence_exact(deep_plan, _report):
     n_checks = sum(len(rep) for rep in plan.independence.values())
     _report(
         "criterion-5 stage uniformity and exact product rule",
-        uniform_ok and indep_ok and plan.depth == 4,
+        uniform_ok and indep_ok and len(plan.stages) == 4,
         f"4 stages, {n_checks} subset checks, zero tolerance",
     )
 
@@ -184,13 +184,12 @@ def test_criterion_7_rearrangement(deep_plan, _report):
         r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)
     )
     # on the integer numerators: f = num/den and g = g.num/g.den per cell
-    f_fine = f.refine(extra) if any(extra) else f
-    num = f_fine.num.ravel()
+    num = _repeat(f.num, extra).ravel()
     moved = num[omega.perm]
     hist_ok = np.array_equal(np.sort(moved), np.sort(num))
     g_num = plan.g.num.ravel()
-    assert max(int(num.max()) * plan.g.den, int(g_num.max()) * f_fine.den) < 2**62
-    dom_ok = bool(np.all(moved * plan.g.den >= g_num * f_fine.den))
+    assert max(int(num.max()) * plan.g.den, int(g_num.max()) * f.den) < 2**62
+    dom_ok = bool(np.all(moved * plan.g.den >= g_num * f.den))
     # omega fixes every cell outside all refined stage sets E_k and bands A_k
     domain = np.zeros(plan.final_grid.shape, dtype=bool)
     for E in plan.e_final:
@@ -212,7 +211,7 @@ def test_criterion_8_quarter_turn_symmetry(_report):
     plan = build_resonance_function(f, bases, PHI, 2, pads=pads)
     k0, k90 = (b.describe() for b in bases)
     mapped_ok = all(
-        rot90_set(p0, 1) == p90
+        np.array_equal(np.rot90(p0.mask), p90.mask)
         for p0, p90 in zip(plan.p_final[k0], plan.p_final[k90])
     )
     mass_ok = (

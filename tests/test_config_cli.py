@@ -251,6 +251,35 @@ class TestCli:
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zygmund", "--depth", "1", "--rotations", "nan"],
+            ["zygmund", "--depth", "1", "--rotations", "0,inf"],
+            ["zygmund", "--depth", "1", "--rotations=-inf"],
+            ["resonance", "--depth", "1", "--set", "growth_exponent=0"],
+        ],
+    )
+    def test_non_finite_rotation_and_growth_exponent_below_1_exit_2(self, argv, tmp_path, capsys):
+        assert _run([*argv, "--out", str(tmp_path)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("bits", [3, 4])
+    def test_lemmas_on_a_small_grid_exits_3(self, bits, tmp_path, capsys):
+        # the fallback sweep value 2^bits / 16 is not above 1 there
+        assert _run(["lemmas", "--grid", str(bits), "--out", str(tmp_path)]) == 3
+        assert f"grid with 2^{bits} cells per axis is too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,bits", [(1, 5), (3, 3)])
+    def test_maxfield_off_the_plane(self, n, bits, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert _run(["maxfield", "--set", f"n={n}", "--grid", str(bits), "--out", str(out)]) == 0
+        assert "ok   routes_agree" in capsys.readouterr().out
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["rows"][0]["grid"] == "x".join([str(2**bits)] * n)
+        assert doc["rows"][0]["levelset_cells"] > 0
+
     def test_failed_run_is_not_cached(self, tmp_path, monkeypatch, capsys):
         def failing(config):
             report = RunReport("maxfield", {})
@@ -353,6 +382,7 @@ class TestHaloSampleLists:
             ("--t-list", "nan"),
             ("--h-list", "4,nan"),
             ("--h-list", "4,inf"),
+            ("--h-list", "4,8"),
         ],
     )
     def test_bad_sample_list_exits_2(self, flag, value, tmp_path, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridhalo.grid import DyadicGrid, GridSet, StepFunction
+from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _repeat
 from gridhalo.growth import log_power_growth
 from gridhalo.maxop import BasisSpec, MaxField
 from gridhalo.resonance import (
@@ -47,7 +47,7 @@ class TestSelectLevelSets:
         f = _banded_function((3, 8))  # phi(3) * 1/2 >= 1
         (entry,) = build_divergent_sequences(PHI, f, 1).entries
         A, h, q = entry
-        assert (h, q) == (3, 1) and A == GridSet(f.grid, f.num == 3 * f.den)
+        assert (h, q) == (3, 1) and np.array_equal(A.mask, f.num == 3 * f.den)
         assert PHI(3.0) * float(A.measure()) >= 1
 
     def test_values_at_or_below_q_are_skipped(self):
@@ -80,7 +80,7 @@ class TestDivergentSequences:
         assert hs == sorted(set(hs)) and all(h > q for _, h, q in sel.entries)
         taken = np.zeros(f.grid.shape, dtype=int)
         for A, h, q in sel.entries:
-            assert A == GridSet(f.grid, f.values == h)
+            assert np.array_equal(A.mask, f.values == h)
             assert PHI(float(h) / q) * float(A.measure()) >= q
             taken += A.mask
         assert taken.max() == 1  # the bands are disjoint
@@ -136,7 +136,8 @@ class TestReplication:
         bad = GridSet(P.grid, mask)
         assert stage.tile.containment(stage.E, {key: bad}) == {key: False}
         # the disk certificate needs E to hold the tile's E in every copy
-        assert stage.tile.containment(GridSet.empty(P.grid), {key: P}) == {key: False}
+        empty = GridSet(P.grid, np.zeros(P.grid.shape, dtype=bool))
+        assert stage.tile.containment(empty, {key: P}) == {key: False}
         off = DyadicGrid(stage.j, origin=(Fraction(1, 3), Fraction(0)))
         moved = {key: GridSet(off, P.mask)}
         assert stage.tile.containment(GridSet(off, stage.E.mask), moved) == {key: False}
@@ -172,7 +173,7 @@ class TestReplication:
         plan = build_resonance_function(
             f, [BasisSpec("rotated", 2, math.pi / 8)], PHI, 2, pads=pads
         )
-        assert plan.depth == 2
+        assert len(plan.stages) == 2
         assert calls["witness"] == 2
         assert calls["preimage"] <= 2 * 2
         key = BasisSpec("rotated", 2, math.pi / 8).describe()
@@ -318,11 +319,11 @@ class TestRearrangement:
         extra = tuple(
             r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)
         )
-        f_fine = f.refine(extra)
-        moved = np.array(f_fine.values.ravel())[omega.perm]
+        fine = _repeat(f.values, extra).ravel()
+        moved = fine[omega.perm]
         gflat = plan.g.values.ravel()
         assert all(a >= b for a, b in zip(moved, gflat))
-        assert sorted(map(str, moved)) == sorted(map(str, f_fine.values.ravel()))
+        assert sorted(map(str, moved)) == sorted(map(str, fine))
 
     def test_input_without_zero_cells(self, square_plan):
         # 0 is no value of a positive f, yet every f >= 0 dominates g = 0
@@ -330,7 +331,7 @@ class TestRearrangement:
         vals = f.values.copy()
         vals[vals == 0] = Fraction(1, 2)
         positive = StepFunction(f.grid, vals)
-        assert positive.support().popcount == f.grid.total_cells
+        assert np.count_nonzero(positive.num) == f.grid.total_cells
         omega = build_rearrangement(positive, plan)
         assert np.array_equal(np.sort(omega.perm), np.arange(plan.final_grid.total_cells))
         # 32 zero cells of the 8x8 input became 1/2, each band holds 16; the

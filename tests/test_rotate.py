@@ -1,4 +1,4 @@
-"""Rotated rectangles: clipping areas and quarter-turn exactness."""
+"""Rotated rectangles: the clipping oracle and quarter-turn exactness."""
 
 import math
 
@@ -7,11 +7,11 @@ import pytest
 
 from gridhalo.grid import DyadicGrid, GridSet, StepFunction
 from gridhalo.maxop import BasisSpec, level_set, max_field_fast
-from gridhalo.rotate import (
+from gridhalo.rotate import quarter_turns
+from oracles import (
     clip_polygon_box,
+    field_values,
     polygon_area,
-    quarter_turns,
-    rot90_set,
     rotated_average,
     rotated_rect_polygon,
 )
@@ -60,8 +60,9 @@ class TestPolygonPrimitives:
 class TestRotatedAverage:
     def test_axis_aligned_matches_exact_average(self):
         g = DyadicGrid((2, 2))
-        s = GridSet.from_indices(g, [(1, 1), (1, 2), (2, 1), (2, 2)])
-        f = StepFunction.indicator(s, 2)
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[1:3, 1:3] = True
+        f = StepFunction.indicator(GridSet(g, mask), 2)
         # the central half-box covers exactly the four chosen cells
         avg = rotated_average(f, (0.5, 0.5), (0.5, 0.5), 0.0)
         assert avg == pytest.approx(2.0, abs=1e-12)
@@ -78,27 +79,16 @@ class TestRotatedAverage:
 
     def test_overhang_counts_as_zero_with_full_denominator(self):
         g = DyadicGrid((1, 1))
-        f = StepFunction.indicator(GridSet.full(g), 3)
+        f = StepFunction.indicator(GridSet(g, np.ones(g.shape, dtype=bool)), 3)
         # rectangle centered at the corner: only a quarter lies inside
         avg = rotated_average(f, (0.0, 0.0), (0.5, 0.5), 0.0)
         assert avg == pytest.approx(0.75, abs=1e-12)
 
 
 class TestQuarterTurnExactness:
-    def test_rot90_set_is_exact_involution(self):
-        g = DyadicGrid((2, 2))
-        s = GridSet.from_indices(g, [(0, 0), (1, 3), (2, 2)])
-        assert rot90_set(rot90_set(s, 1), 3) == s
-        assert rot90_set(s, 4) == s
-
-    def test_rot90_requires_square_grid(self):
-        s = GridSet.empty(DyadicGrid((1, 2)))
-        with pytest.raises(ValueError):
-            rot90_set(s)
-
     # the axis family is closed under swapping edges, so on a square grid
     # the field of a quarter-turned function is the quarter-turned field:
-    # the fact behind taking rot90_set of an axis level set
+    # the fact behind taking the quarter-turned axis level set
     def test_rotated_field_at_quarter_turn_is_coordinate_mapped(self):
         g = DyadicGrid((3, 3))
         rng = np.random.default_rng(5)
@@ -106,13 +96,15 @@ class TestQuarterTurnExactness:
         axis = max_field_fast(f, BasisSpec("axis", 2))
         turned = StepFunction(g, np.rot90(f.values, k=1))
         rot = max_field_fast(turned, BasisSpec("axis", 2))
-        assert np.array_equal(np.rot90(axis.values, k=1), rot.values)
+        assert np.array_equal(np.rot90(field_values(axis), k=1), field_values(rot))
 
     def test_level_sets_coordinate_mapped(self):
         g = DyadicGrid((3, 3))
-        s = GridSet.from_indices(g, [(3, 4), (4, 3)])
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[3, 4] = mask[4, 3] = True
+        s = GridSet(g, mask)
         axis_ls = level_set(max_field_fast(StepFunction.indicator(s, 6), BasisSpec("axis", 2)), 1)
-        turned = StepFunction.indicator(rot90_set(s, 1), 6)
+        turned = StepFunction.indicator(GridSet(g, np.rot90(mask)), 6)
         rot_ls = level_set(max_field_fast(turned, BasisSpec("axis", 2)), 1)
-        assert rot90_set(axis_ls, 1) == rot_ls
+        assert np.array_equal(np.rot90(axis_ls.mask), rot_ls.mask)
         assert axis_ls.measure() == rot_ls.measure()
