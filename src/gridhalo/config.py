@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError("h samples must be finite and exceed 1")
         if self.kind == "halo" and len(self.h_list) < 3:
             raise ConfigError("the halo band fit needs at least three h samples")
+        if self.kind == "halo" and sorted(set(self.h_list)) != list(self.h_list):
+            raise ConfigError("halo h samples must be strictly increasing")
         if not all(t > 1 for t in self.t_list):
             raise ConfigError("truncation multipliers t must exceed 1")
         if any(r < 1 for r in self.r_list):

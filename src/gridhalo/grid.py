@@ -84,7 +84,7 @@ class DyadicGrid:
     def total_cells(self) -> int:
         return int(np.prod([1 << m for m in self.resolution], dtype=object))
 
-    @property
+    @cached_property
     def cell_size(self) -> tuple[Fraction, ...]:
         return tuple(s / (1 << m) for s, m in zip(self.side, self.resolution))
 

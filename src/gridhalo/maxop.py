@@ -1,15 +1,17 @@
 """Truncated maximal-operator fields and level sets over rectangle bases.
 
-One per-shape step, ``_shape_sums``, crops f to its support's bounding
-box and differences one summed-area table into two scratch arrays: the
-sum over every placement of the shape that meets the support.  It feeds
-two reductions, both of which spread per-placement values to the cells
-the placements cover by a sparse-table sliding maximum.  ``max_field_fast``
-spreads the sums and keeps the larger average per cell;
-``max_level_set`` computes {M f > lam} without the field: it skips every
-shape whose average cannot exceed lam even with the whole mass of f
-inside (exact, since f is nonnegative) and spreads the placements that
-win one cross-multiplied integer compare.  ``max_field_brute`` (direct
+Both kernels crop f to its support's bounding box and read placement sums
+from one summed-area table of the crop.  ``max_field_fast`` takes each
+shape's sums as strided views of the table (``_shape_sums``), spreads them
+to the cells the placements cover by a sparse-table sliding maximum and
+keeps the larger average per cell.  ``max_level_set`` computes
+{M f > lam} without the field, in one placement pass (``_winners``): it
+skips every shape whose average cannot exceed lam even with the whole mass
+of f inside (exact, since f is nonnegative), lays the other shapes'
+placements out as flat index arrays in batches of a fixed size, decides
+each batch with one cross-multiplied integer compare, and paints the
+union of the winning runs once (``_paint``).  The tile witness takes its
+certificates from the same winners.  ``max_field_brute`` (direct
 repeated-addition window sums and a linear placement scan on the whole
 grid) is the oracle.  All work on common-denominator integers (int64, or
 Python ints when int64 could overflow), so the fields agree bit for bit;
@@ -163,15 +165,21 @@ def enumerate_shapes(
 # ---------------------------------------------------------------------------
 # shared low-level pieces
 
+# placements one batch of the level-set pass evaluates at once: enough to
+# spread numpy's per-call cost thin, few enough that a batch's arrays stay
+# in cache and its memory small
+_PLACEMENT_BUDGET = 1 << 12
 
-def _prepare_values(f: StepFunction) -> np.ndarray:
+
+def _prepare_values(num: np.ndarray, cells: int) -> np.ndarray:
     """The numerators to sum: int64, or object ints when a window sum could
-    overflow int64."""
-    total = float(f.num.sum(dtype=np.float64))
-    # float estimate of the worst numerator (at most total cells of shape
-    # volume); the factor-2 headroom (2^61, not 2^62) absorbs its rounding
-    fits = (total * 1.01 + 1) * f.grid.total_cells < float(1 << 61)
-    return f.num.astype(np.int64 if fits else object, copy=False)
+    overflow int64 (its numerator times a shape volume of at most ``cells``
+    cells)."""
+    total = float(num.sum(dtype=np.float64))
+    # float estimate of the worst numerator; the factor-2 headroom (2^61,
+    # not 2^62) absorbs its rounding
+    fits = (total * 1.01 + 1) * cells < float(1 << 61)
+    return num.astype(np.int64 if fits else object, copy=False)
 
 
 def _along(axis: int, start, stop) -> tuple:
@@ -179,25 +187,39 @@ def _along(axis: int, start, stop) -> tuple:
     return (slice(None),) * axis + (slice(start, stop),)
 
 
-def _window_sums_fast(c: np.ndarray, w: int, axis: int, scratch: np.ndarray) -> np.ndarray:
-    """Placement sums from prefix sums ``c`` along axis (c[i] = sum of
-    cells 0..i); output length N + w - 1 along axis.
+def _support(f: StepFunction):
+    """f's numerators on the bounding box of their support, prepared as by
+    ``_prepare_values``, and the box's lower corner; None when f is zero.
 
-    Placement j covers cells j-w+1 .. j clipped to the box, so it sums to
-    c[min(j, N-1)] - c[j-w], with no subtrahend while j < w; the pieces
-    are written straight into the head of the flat ``scratch`` array."""
-    n = c.shape[axis]
-    at = partial(_along, axis)
-    shape = c.shape[:axis] + (n + w - 1,) + c.shape[axis + 1 :]
-    out = scratch[: math.prod(shape)].reshape(shape)
-    head, tail = min(w, n), max(n, w)
-    out[at(0, head)] = c[at(0, head)]
-    if w < n:
-        np.subtract(c[at(w, n)], c[at(0, n - w)], out=out[at(w, n)])
-    else:
-        out[at(n, w)] = c[at(n - 1, n)]
-    np.subtract(c[at(n - 1, n)], c[at(tail - w, n - 1)], out=out[at(tail, None)])
-    return out
+    One ``any`` reduction per axis, each on what the axes before it left,
+    so only the first reads the whole grid."""
+    crop, corner = f.num, []
+    for ax in range(crop.ndim):
+        hit = crop.any(axis=tuple(j for j in range(crop.ndim) if j != ax))
+        lo = int(hit.argmax())
+        if not hit[lo]:
+            return None
+        crop = crop[_along(ax, lo, len(hit) - int(hit[::-1].argmax()))]
+        corner.append(lo)
+    return _prepare_values(crop, f.grid.total_cells), tuple(corner)
+
+
+def _summed_area(arr: np.ndarray, lo, hi) -> np.ndarray:
+    """Summed-area table of ``arr`` (int64 for bool or int64 cells, else
+    Python ints), edge-padded: per axis, index i + lo holds the sum of the
+    cells below cell i, read as 0 for i <= 0 and as the sum of the whole box
+    past its far end (``lo`` and ``hi`` extra entries), so a rectangle
+    overhanging the box sums zeros there."""
+    dtype = object if arr.dtype == object else np.int64
+    table = np.zeros([n + 1 + a + b for n, a, b in zip(arr.shape, lo, hi)], dtype=dtype)
+    inner = table[tuple(slice(a + 1, a + 1 + n) for n, a in zip(arr.shape, lo))]
+    # the contiguous last axis first: numpy accumulates it several times faster
+    np.cumsum(arr, axis=-1, dtype=dtype, out=inner)
+    for ax in reversed(range(arr.ndim - 1)):
+        np.cumsum(inner, axis=ax, out=inner)
+    for ax, (n, a) in enumerate(zip(arr.shape, lo)):
+        table[_along(ax, a + n + 1, None)] = table[_along(ax, a + n, a + n + 1)]
+    return table
 
 
 def _window_sums_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -239,29 +261,53 @@ def _placement_max_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
     return out
 
 
-def _shape_sums(arr: np.ndarray, shapes):
-    """The per-shape step: yields ``(shape, S, corner)``, S the sum of
-    ``arr`` over every placement of ``shape`` that meets the support's
-    bounding box, ``S[i]`` the placement whose last cell is ``corner + i``.
-    The other placements sum to zero; an all-zero ``arr`` yields nothing.
+def _rect_sums(table: np.ndarray, start, size, step, reps, out=None) -> np.ndarray | None:
+    """Sums of the rectangles [start + t*step, start + t*step + size) per
+    axis, t = 0 .. reps - 1, in indices of a summed-area ``table``, as an
+    array of shape ``reps`` (``out`` when given): one strided view of the
+    table per corner, by inclusion-exclusion.  None when a view would leave
+    the table."""
+    if min(start) < 0:
+        return None
+    out = np.empty(reps, dtype=table.dtype) if out is None else out
+    for k, corner in enumerate(itertools.product((1, 0), repeat=len(reps))):
+        view = table[
+            tuple(
+                slice(a + c * w, a + c * w + t * (r - 1) + 1, t)
+                for a, c, w, t, r in zip(start, corner, size, step, reps)
+            )
+        ]
+        if view.shape != tuple(reps):
+            return None
+        if not k:
+            np.copyto(out, view)
+        elif (len(reps) - sum(corner)) % 2:
+            np.subtract(out, view, out=out)
+        else:
+            np.add(out, view, out=out)
+    return out
 
-    S is differenced from one summed-area table of the crop into two
-    scratch arrays sized for the largest shape (fresh arrays per shape
-    would each fault in fresh pages), so use S before the next shape."""
-    support = _bounding_box(arr != 0)
-    if support is None:
-        return
-    table = arr[tuple(slice(lo, hi) for lo, hi in support)]
-    for ax in range(table.ndim):
-        table = np.cumsum(table, axis=ax)
-    size = max((math.prod(n + w - 1 for n, w in zip(table.shape, s)) for s in shapes), default=0)
-    scratch = [np.empty(size, dtype=table.dtype) for _ in range(2)]
-    corner = tuple(lo for lo, _ in support)
+
+def _shape_sums(crop: np.ndarray, corner, shapes):
+    """The per-shape step of the field: yields ``(shape, S, corner)``, S the
+    sum of ``crop`` (f's numerators on its support's bounding box, lower
+    corner ``corner``) over every placement of ``shape`` that meets the
+    box, ``S[i]`` the placement whose last cell is ``corner + i``.
+
+    S is read from one summed-area table, edge-padded for the widest
+    shape, into one scratch array sized for the largest shape (fresh
+    arrays per shape would each fault in fresh pages), so use S before the
+    next shape."""
+    pad = (np.max(shapes, axis=0) - 1).tolist()
+    table = _summed_area(crop, pad, pad)
+    size = max(math.prod(n + w - 1 for n, w in zip(crop.shape, s)) for s in shapes)
+    scratch = np.empty(size, dtype=table.dtype)
     for shape in shapes:
-        S = table
-        for ax, w in enumerate(shape):
-            S = _window_sums_fast(S, w, ax, scratch[ax % 2])
-        yield shape, S, corner
+        # placement j spans table entries a + j - w + 1 to a + j + 1 per axis
+        dims = [n + w - 1 for n, w in zip(crop.shape, shape)]
+        start = [a - w + 1 for a, w in zip(pad, shape)]
+        out = scratch[: math.prod(dims)].reshape(dims)
+        yield shape, _rect_sums(table, start, shape, [1] * len(dims), dims, out), corner
 
 
 def _spread(vals: np.ndarray, shape, corner, box) -> tuple[tuple[slice, ...], np.ndarray]:
@@ -302,7 +348,7 @@ def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shap
     """Reference field: direct window accumulation and a linear placement
     scan on the whole grid, sharing no step with ``max_field_fast``."""
     shapes = _family(f, basis, r, ladder, shapes)
-    arr = _prepare_values(f)
+    arr = _prepare_values(f.num, f.grid.total_cells)
     best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
     best_den = np.ones(f.grid.shape, dtype=arr.dtype)
     for shape in shapes:
@@ -326,10 +372,11 @@ def max_field_fast(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shape
     restricts the family to those cell shapes.
     """
     shapes = _family(f, basis, r, ladder, shapes)
-    arr = _prepare_values(f)
-    best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
-    best_den = np.ones(f.grid.shape, dtype=arr.dtype)
-    for shape, S, corner in _shape_sums(arr, shapes):
+    support = _support(f)
+    dtype = np.int64 if support is None else support[0].dtype
+    best_num = np.zeros(f.grid.shape, dtype=dtype)
+    best_den = np.ones(f.grid.shape, dtype=dtype)
+    for shape, S, corner in () if support is None else _shape_sums(*support, shapes):
         dst, top = _spread(S, shape, corner, f.grid.shape)
         num, den = best_num[dst], best_den[dst]
         d = math.prod(shape)
@@ -343,12 +390,12 @@ def _exceeds(num: np.ndarray, q: int, den, c: int, num_max: int) -> np.ndarray:
     """``num * q > den * c`` elementwise and exactly, given num <= num_max
     and ``den`` an int or an array: int64 products while num_max * q and
     c * max(den) stay below 2^62, Python ints past that."""
-    if num.dtype != object and not (
+    if num.dtype == object or not (
         num_max * q < 1 << 62 and c * int(np.max(den, initial=1)) < 1 << 62
     ):
-        num = num.astype(object)
+        num = num.astype(object, copy=False)
         if isinstance(den, np.ndarray):
-            den = den.astype(object)
+            den = den.astype(object, copy=False)
     return (num if q == 1 else num * q) > den * c
 
 
@@ -364,49 +411,146 @@ def level_set(field: MaxField, lam) -> GridSet:
     )
 
 
-def _bounding_box(mask: np.ndarray) -> list[tuple[int, int]] | None:
-    """Per-axis [lo, hi) of the true cells, from one ``any`` reduction per
-    axis; None when no cell is true."""
-    box = []
-    for ax in range(mask.ndim):
-        hit = mask.any(axis=tuple(j for j in range(mask.ndim) if j != ax))
-        lo = int(hit.argmax())
-        if not hit[lo]:
-            return None
-        box.append((lo, len(hit) - int(hit[::-1].argmax())))
-    return box
+def _corner_sum(flat: np.ndarray, corners, rows, at) -> np.ndarray:
+    """The inclusion-exclusion sum over ``corners``, a list of (base,
+    minus): each gathers ``flat`` at ``base[rows] + at`` and adds, or
+    subtracts where minus is 1 (the first adds).  Two index and value
+    buffers serve every corner."""
+    out = idx = vals = None
+    for base, minus in corners:
+        idx = np.take(base, rows, out=idx)
+        idx += at
+        vals = np.take(flat, idx, out=vals)
+        if out is None:
+            out, vals = vals, None
+        elif minus:
+            out -= vals
+        else:
+            out += vals
+    return out
 
 
-def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes=None) -> GridSet:
-    """{M f > lam} over the same family as ``max_field_fast``, without the
-    field: equal to ``level_set(max_field_fast(...), lam)``.
+def _winners(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes=None):
+    """The placement pass: the placements of family shapes whose average of
+    f exceeds lam, as runs ``(widths, index, low, count)``: run i is row
+    ``widths[index[i]]`` placed with lower corners ``low[i]`` to ``low[i]``
+    + ``count[i] - 1`` along the last axis (in cells; a placement may
+    overhang the box), in family order and, per shape, in row-major order
+    of the corner.
 
-    A shape R can only win where some placement holds more than
-    lam * |R| of the mass; no placement holds more than the total, so a
-    shape with total * q <= p * |R| * den (lam = p/q, f = num/den) is
-    skipped.  Each placement is decided by one cross-multiplied compare,
-    and the winners, cropped to their bounding box, mark the cells they
-    cover.
+    A shape R can only win where some placement holds more than lam * |R|
+    of the mass; no placement holds more than the total, so a shape with
+    total * q <= p * |R| * den (lam = p/q, f = num/den) is skipped.  The
+    kept shapes' placements that meet the support's bounding box are laid
+    out in rows along the last axis, whole rows to a batch of at most
+    ``_PLACEMENT_BUDGET`` placements (or one row).  Each placement sum is
+    2^n gathers from one summed-area table of the crop, and one
+    cross-multiplied compare decides a batch.
     """
     if lam < 0:
         raise ValueError("threshold must be >= 0")
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     shapes = _family(f, basis, r, ladder, shapes)
-    arr = _prepare_values(f)
-    out = np.zeros(f.grid.shape, dtype=bool)
-    total = int(arr.sum())
-    shapes = [s for s in shapes if total * q > p * math.prod(s) * f.den]
-    for shape, S, corner in _shape_sums(arr, shapes):
-        wins = _exceeds(S, q, math.prod(shape), p * f.den, total)
-        placed = _bounding_box(wins)
-        if placed is None:
-            continue
-        crop = tuple(slice(lo, hi) for lo, hi in placed)
-        last = [c + lo for c, (lo, _) in zip(corner, placed)]
-        dst, covered = _spread(wins[crop], shape, last, out.shape)
-        out[dst] |= covered
-    return GridSet(f.grid, out)
+    n = f.grid.n
+    widths = np.array(shapes, dtype=np.int64).reshape(len(shapes), n)
+    crop, corner = _support(f) or (np.zeros((0,) * n, dtype=np.int64), (0,) * n)
+    total = int(crop.sum())
+    area = widths.prod(axis=1)
+    kept = np.flatnonzero([total * q > p * a * f.den for a in area.tolist()])
+    # a row is a kept shape with the lower corner of its placements on
+    # every axis but the last; its placements meeting the crop follow
+    # along the last axis
+    per = (widths[kept] + crop.shape - 1)[:, :-1].prod(axis=1)
+    k = np.repeat(kept, per)
+    rest = np.arange(len(k)) - np.repeat(np.cumsum(per) - per, per)
+    w = widths[k]
+    lo = np.zeros((len(k), n), dtype=np.int64)
+    for ax in reversed(range(n - 1)):
+        rest, lo[:, ax] = np.divmod(rest, w[:, ax] + crop.shape[ax] - 1)
+    lo -= w - 1
+    # the table pads the last axis for the widest shape; the other axes
+    # clip per row, so a row's corner entries sit at fixed offsets
+    pad = [0] * (n - 1) + [int(w[:, -1].max(initial=1)) - 1]
+    table = _summed_area(crop, pad, pad)
+    flat = table.ravel()
+    walls = []
+    for near in itertools.product((1, 0), repeat=n - 1):
+        off = np.zeros(len(k), dtype=np.int64)
+        for ax, c in enumerate(near):
+            wall = np.clip(lo[:, ax] + c * w[:, ax], 0, crop.shape[ax])
+            off += wall * (table.strides[ax] // table.itemsize)
+        walls.append((off, (n - 1 - sum(near)) % 2))
+    # a row whose band holds too little of the mass cannot win anywhere
+    band = _corner_sum(flat, walls, np.arange(len(k)), table.shape[-1] - 1)
+    rows = np.flatnonzero(_exceeds(band, q, area[k], p * f.den, total))
+    k, w, lo = k[rows], w[rows], lo[rows]
+    need = area[k]
+    length = w[:, -1] + crop.shape[-1] - 1
+    ends = np.cumsum(length)
+    starts = ends - length
+    # placement j of a row reads its corners at base + j
+    bases = [
+        (off[rows] + pad[-1] + 1 - starts - (w[:, -1] if lower else 0), minus ^ lower)
+        for off, minus in walls
+        for lower in (0, 1)
+    ]
+    row, runs = 0, [np.zeros((3, 0), dtype=np.int64)]
+    while row < len(k):
+        stop = max(int(np.searchsorted(ends, starts[row] + _PLACEMENT_BUDGET, "right")), row + 1)
+        rows = np.repeat(np.arange(row, stop), length[row:stop])
+        at = np.arange(starts[row], ends[stop - 1])
+        wins = np.flatnonzero(_exceeds(_corner_sum(flat, bases, rows, at), q, need[rows], p * f.den, total))
+        # a run is winners one after another in one row
+        head = np.flatnonzero((np.diff(wins, prepend=-2) != 1) | (np.diff(rows[wins], prepend=-1) != 0))
+        runs.append(np.stack([rows[wins[head]], at[wins[head]], np.diff(head, append=len(wins))]))
+        row = stop
+    run, at, count = np.concatenate(runs, axis=1)
+    low = lo[run] + corner
+    low[:, -1] += at - starts[run]
+    return widths, k[run], low, count
+
+
+def _paint(shape, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The union of the runs of ``_winners`` on a grid of ``shape``, as a
+    bool mask: run i covers the box from ``low[i]`` to ``low[i] +
+    widths[index[i]]``, stretched by ``count[i] - 1`` along the last axis.
+
+    Per axis the runs' walls and the grid's cut it into slabs, and the
+    runs go into one difference array over those slabs (int32 while fewer
+    than 2^31 runs can cover a cell), whose prefix sums count the runs over
+    each slab cell; the painted slab cells are then stretched back to
+    cells."""
+    if not len(low):
+        return np.zeros(shape, dtype=bool)
+    lo, hi = low, low + widths[index]
+    hi[:, -1] += count - 1
+    walls, slab = [], []
+    for ax, size in enumerate(shape):
+        bounds = np.clip(np.stack([lo[:, ax], hi[:, ax]]), 0, size)
+        mark = np.zeros(size + 1, dtype=bool)
+        mark[[0, size]] = mark[bounds] = True
+        walls.append(np.flatnonzero(mark))
+        slab.append(np.cumsum(mark)[bounds] - 1)
+    diff = np.zeros([len(cut) for cut in walls], dtype=np.int32 if len(lo) < 1 << 31 else np.int64)
+    strides = [s // diff.itemsize for s in diff.strides]
+    for far in itertools.product((0, 1), repeat=len(shape)):
+        at = sum(slab[ax][c] * st for ax, (c, st) in enumerate(zip(far, strides)))
+        np.add.at(diff.reshape(-1), at, diff.dtype.type(-1 if sum(far) % 2 else 1))
+    for ax in reversed(range(diff.ndim)):
+        np.add.accumulate(diff, axis=ax, out=diff)
+    cells = diff[tuple(slice(0, -1) for _ in shape)] > 0
+    for ax, cut in enumerate(walls):
+        if len(cut) <= shape[ax]:
+            cells = np.repeat(cells, np.diff(cut), axis=ax)
+    return cells
+
+
+def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes=None) -> GridSet:
+    """{M f > lam} over the same family as ``max_field_fast``, without the
+    field: equal to ``level_set(max_field_fast(...), lam)``.  The union of
+    the winning runs of ``_winners``, painted once."""
+    return GridSet(f.grid, _paint(f.grid.shape, *_winners(f, basis, lam, r, ladder, shapes)))
 
 
 def save_max_field(field: MaxField, path):

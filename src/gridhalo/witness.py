@@ -24,10 +24,11 @@ computation:
     floats, guarded by a boundary margin, so dropped cells are possible
     but wrongly included ones are not (P is a certified lower bound).
 
-The exact route is a certifying algorithm.  Next to the tile's P the
-witness records one certificate per P cell: an admissible shape and the
-lower corner of a placement of it (which may overhang the box) that
-covers the cell and holds count cells of E with
+The exact route is a certifying algorithm.  One placement pass of the
+kernel (``maxop._winners``) gives the tile's P, the union of the winning
+placements, and from the same winners one certificate per P cell: an
+admissible shape and the lower corner of a placement of it (which may
+overhang the box) that covers the cell and holds count cells of E with
 count * amp.num > |R| * amp.den.  On a replica or refinement of the tile,
 a P passes when it lies in the certified cells placed on that grid and
 every certificate, scaled to the grid's cells and moved into every copy
@@ -47,7 +48,6 @@ on the diluted tile, and calls it once, where the replicated sets are made.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -56,7 +56,17 @@ import numpy as np
 
 from .grid import DyadicGrid, GridSet, StepFunction
 from .growth import GrowthFunction
-from .maxop import BasisSpec, _along, _exceeds, dyadic_ladder, enumerate_shapes, max_level_set
+from .maxop import (
+    BasisSpec,
+    _exceeds,
+    _paint,
+    _rect_sums,
+    _summed_area,
+    _winners,
+    dyadic_ladder,
+    enumerate_shapes,
+    max_level_set,
+)
 from .rotate import quarter_turns
 
 __all__ = [
@@ -250,87 +260,36 @@ def _place(mask: np.ndarray, placement) -> np.ndarray:
     return np.tile(mask, [reps for _, reps in placement])
 
 
-def _summed_area(mask: np.ndarray, lo, hi) -> np.ndarray:
-    """Summed-area table of ``mask``, edge-padded: per axis, index i + lo
-    holds the number of true cells below cell i, read as 0 for i <= 0 and
-    as the count of the whole box past its far end (``lo`` and ``hi``
-    extra entries), so a rectangle overhanging the box counts zeros
-    there."""
-    table = np.zeros([n + 1 + a + b for n, a, b in zip(mask.shape, lo, hi)], dtype=np.int64)
-    inner = table[tuple(slice(a + 1, a + 1 + n) for n, a in zip(mask.shape, lo))]
-    # the contiguous last axis first: numpy accumulates it several times faster
-    np.cumsum(mask, axis=-1, dtype=np.int64, out=inner)
-    for ax in reversed(range(mask.ndim - 1)):
-        np.cumsum(inner, axis=ax, out=inner)
-    for ax, (n, a) in enumerate(zip(mask.shape, lo)):
-        table[_along(ax, a + n + 1, None)] = table[_along(ax, a + n, a + n + 1)]
-    return table
-
-
-def _rect_counts(table: np.ndarray, start, size, step, reps) -> np.ndarray | None:
-    """Cell counts of the rectangles [start + t*step, start + t*step + size)
-    per axis, t = 0 .. reps - 1, in table indices, as an array of shape
-    ``reps``: one strided view of ``table`` per corner, by
-    inclusion-exclusion.  None when a view would leave the table."""
-    if min(start) < 0:
-        return None
-    out = None
-    for corner in itertools.product((1, 0), repeat=len(reps)):
-        view = table[
-            tuple(
-                slice(a + c * w, a + c * w + t * (r - 1) + 1, t)
-                for a, c, w, t, r in zip(start, corner, size, step, reps)
-            )
-        ]
-        if view.shape != tuple(reps):
-            return None
-        if out is None:
-            out = view.copy()
-        elif (len(reps) - sum(corner)) % 2:
-            out -= view
-        else:
-            out += view
-    return out
-
-
-def _certify(E: GridSet, amp: Fraction, shapes, P: GridSet) -> np.ndarray:
+def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count) -> np.ndarray:
     """One certificate per cell of P, as rows (cell, shape index, lower
-    corner): a placement of ``shapes[index]`` with that lower corner (it
-    may overhang the box) covers the cell and holds ``count`` cells of E
-    with count * amp.num > |R| * amp.den.
+    corner), from the winning runs of ``_winners`` whose union P is: each
+    placement holds count cells of E with count * amp.num > |R| * amp.den.
 
     Larger shapes go first, and each cell takes the winning placement that
-    covers the most cells of P, so neighbouring cells share certificates
-    and the check on a replicated grid reads few rectangles.  A shape that
-    cannot win even with all of E inside is skipped, as in the kernel."""
-    n = E.grid.n
-    cells = np.argwhere(P.mask)
-    found = np.full(len(cells), -1)
-    corners = np.zeros_like(cells)
-    pad = np.max(shapes, axis=0) - 1
-    table, cover_table = (_summed_area(m, pad, pad) for m in (E.mask, P.mask))
-    total = E.popcount
-    for index in sorted(range(len(shapes)), key=lambda i: -math.prod(shapes[i])):
-        shape, area = np.array(shapes[index]), math.prod(shapes[index])
-        todo = np.flatnonzero(found < 0)
-        if not todo.size:
-            break
-        if total * amp.numerator <= area * amp.denominator:
-            continue
-        # the placement with lower corner c is entry c + shape - 1
-        args = (pad + 1 - shape, shape, (1,) * n, E.grid.shape + shape - 1)
-        wins = _exceeds(_rect_counts(table, *args), amp.numerator, area, amp.denominator, total)
-        score = np.where(wins, _rect_counts(cover_table, *args), 0)
-        # every placement covering each cell, by the cell's offset in it
-        low = cells[todo, None, :] - np.argwhere(np.ones(shape, dtype=bool))[None]
-        hit = score[tuple(np.moveaxis(low + shape - 1, -1, 0))]
-        got = hit.max(axis=1) > 0
-        best = hit.argmax(axis=1)[got]
-        found[todo[got]] = index
-        corners[todo[got]] = low[got, best]
-    if (found < 0).any():
+    covers the most cells of P (ties to the higher corner), so neighbouring
+    cells share certificates and the check on a replicated grid reads few
+    rectangles.  Every (placement, covered cell) pair is laid out in that
+    order, and each cell keeps its first."""
+    run = np.repeat(np.arange(len(low)), count)
+    index, low = index[run], low[run]
+    low[:, -1] += np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
+    # P holds every cell a winner covers, so its P cells are its grid cells
+    lo, hi = np.maximum(low, 0), np.minimum(low + widths[index], P.grid.shape)
+    size = (hi - lo).prod(axis=1)
+    order = np.lexsort((*(-low.T[::-1]), -size, index, -widths.prod(axis=1)[index]))
+    index, low, lo, hi, size = (a[order] for a in (index, low, lo, hi, size))
+    owner = np.repeat(np.arange(len(order)), size)
+    rest = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
+    cell = lo[owner]
+    for ax in reversed(range(P.grid.n)):
+        rest, offset = np.divmod(rest, (hi - lo)[owner, ax])
+        cell[:, ax] += offset
+    first = np.full(P.grid.total_cells, len(cell))
+    np.minimum.at(first, np.ravel_multi_index(tuple(cell.T), P.grid.shape), np.arange(len(cell)))
+    keep = first[P.mask.ravel()]
+    if (keep == len(cell)).any():
         raise WitnessError("a level-set cell has no certificate")
-    return np.column_stack([cells, found, corners])
+    return np.column_stack([cell[keep], index[owner[keep]], low[owner[keep]]])
 
 
 def _certificates_hold(w, E: GridSet, placement) -> bool:
@@ -371,7 +330,7 @@ def _certificates_hold(w, E: GridSet, placement) -> bool:
     table = _summed_area(E.mask, lo, hi)
     num, den = w.h.numerator, w.h.denominator
     for rect in rects:
-        counts = _rect_counts(table, rect[n:] + lo, rect[:n], step, reps)
+        counts = _rect_sums(table, rect[n:] + lo, rect[:n], step, reps)
         if counts is None or not _exceeds(
             counts, num, math.prod(rect[:n].tolist()), den, E.popcount
         ).all():
@@ -486,8 +445,9 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     shapes = enumerate_shapes(axis, grid, r=trunc)
     cells = np.zeros((0, 2 * grid.n + 1), dtype=np.int64)
     if len(generic) < len(basis_map):
-        P = axis_level_set_exact(E, amp, trunc, axis, shapes)
-        cells = _certify(E, amp, shapes, P)
+        # one placement pass gives both P and its certificates
+        wins = _winners(StepFunction.indicator(E, amp), axis, 1, r=trunc, shapes=shapes)
+        cells = _certify(GridSet(grid, _paint(grid.shape, *wins)), *wins)
     certificates = {}
     if generic:
         center = _box_center(grid)

@@ -3,7 +3,9 @@
 Polygon clipping gives float averages over rotated rectangles,
 independent of the witness's disk certificates; ``load_step_function``
 reads a saved step function back exactly; ``field_values`` spells a max
-field out as per-cell Fractions.
+field out as per-cell Fractions; ``kernel_containment`` and
+``tile_certificate_ok`` recompute what a witness's certificates claim,
+from the kernel's level set and from a direct count.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from gridhalo import witness
 from gridhalo.grid import DyadicGrid, StepFunction, _value_table
-from gridhalo.maxop import MaxField
+from gridhalo.maxop import BasisSpec, MaxField
 
 
 def polygon_area(poly: Sequence[tuple[float, float]]) -> float:
@@ -134,3 +137,29 @@ def field_values(fld: MaxField) -> np.ndarray:
     """The field as per-cell Fractions, num / (den * scale)."""
     table, codes = _value_table(fld.num, fld.scale, fld.den)
     return table[codes].reshape(fld.grid.shape)
+
+
+def kernel_containment(w, E, p_sets):
+    """Oracle: per exact-route key, whether P lies in the level set of
+    amp*chi_E that the kernel recomputes on E's grid over w's shapes scaled
+    to E's cells (the same physical rectangles)."""
+    placement = witness._placement(w.grid, E.grid)
+    shapes = [tuple(x * f for x, (f, _) in zip(s, placement)) for s in w.shapes]
+    k = next(iter(w.bases.values())).k
+    level = witness.axis_level_set_exact(E, w.h, w.trunc, BasisSpec("axis", k), shapes)
+    return {
+        key: P.grid == E.grid and (P - level).popcount == 0
+        for key, P in p_sets.items()
+        if witness._route(w.bases[key]) == 0
+    }
+
+
+def tile_certificate_ok(w, cell, shape, corner):
+    """Oracle: whether the rectangle of ``shape`` at lower ``corner`` covers
+    ``cell`` and, with E zero outside the tile, holds more than |R|/amp of
+    E's cells, counted by slicing a zero-padded copy of the tile's E."""
+    pad = max(w.grid.shape) * 2
+    E = np.pad(w.E.mask, pad)
+    count = int(E[tuple(slice(c + pad, c + pad + s) for c, s in zip(corner, shape))].sum())
+    covers = all(c <= x < c + s for x, c, s in zip(cell, corner, shape))
+    return covers and count * w.h > math.prod(shape)

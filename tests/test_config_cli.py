@@ -383,6 +383,8 @@ class TestHaloSampleLists:
             ("--h-list", "4,nan"),
             ("--h-list", "4,inf"),
             ("--h-list", "4,8"),
+            ("--h-list", "8,4,16"),
+            ("--h-list", "4,4,8"),
         ],
     )
     def test_bad_sample_list_exits_2(self, flag, value, tmp_path, capsys):

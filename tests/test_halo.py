@@ -150,10 +150,12 @@ class TestHaloEstimate:
         with pytest.raises(ValueError, match="t > 1|at least 1 cell"):
             halo_estimate(probe, [t], [r])
 
-    def test_one_sample_allocates_less_than_4_mb(self):
+    @pytest.mark.parametrize("h", [64.0, 256.0])
+    def test_one_sample_allocates_less_than_4_mb(self, h):
         # on 512^2 cells one float64 or intp grid is 2 MB; a sample keeps to
-        # the ball's box plus the int64 payload and a few bool masks
-        probe = HaloProbe(BasisSpec("axis", 2), 64.0, 9)
+        # the ball's box plus the int64 payload and a few bool masks, and
+        # h = 256 has the widest level set of the halo-sparse samples
+        probe = HaloProbe(BasisSpec("axis", 2), h, 9)
         halo_estimate(probe, [math.inf], [1])
         tracemalloc.start()
         try:

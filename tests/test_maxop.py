@@ -328,7 +328,68 @@ def level_set_cases(draw):
     return f, basis, lam, r, ladder, shapes
 
 
+@st.composite
+def placement_pass_cases(draw):
+    """f, basis, r and shapes for the placement pass: 1-3 axes, supports up
+    to the whole grid (a 128-cell line or a 16x16 square spans several
+    batches), payloads from zero to past the int64 guard, truncation radii
+    or explicit shapes out of product order."""
+    n = draw(st.integers(1, 3))
+    wide = draw(st.booleans())
+    top = (7, 4, 2)[n - 1]
+    bits = tuple(top if wide else draw(st.integers(0, top)) for _ in range(n))
+    grid = DyadicGrid(bits)
+    scale = draw(st.sampled_from([0, 1, 1, 1, 2**40, 2**62]))
+    cells = st.integers(1 if wide else 0, 3) if draw(st.booleans()) else st.just(1)
+    values = np.array(
+        draw(st.lists(cells, min_size=grid.total_cells, max_size=grid.total_cells)),
+        dtype=object,
+    ).reshape(grid.shape)
+    values *= scale
+    f = StepFunction(grid, values * Fraction(1, draw(st.integers(1, 4))))
+    basis = BasisSpec("axis", draw(st.integers(1, n)))
+    r = shapes = None
+    if wide:
+        pass
+    elif draw(st.booleans()):
+        r = draw(st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=16))
+    else:
+        shapes = draw(st.permutations(loop_shapes(basis, grid)))[: draw(st.integers(1, 12))]
+    return f, basis, r, shapes
+
+
 class TestMaxLevelSet:
+    @given(placement_pass_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_placement_pass_equals_the_brute_level_set(self, case, data):
+        f, basis, r, shapes = case
+        try:
+            brute = max_field_brute(f, basis, r=r, shapes=shapes)
+        except EmptyFamilyError:
+            with pytest.raises(EmptyFamilyError):
+                max_level_set(f, basis, 1, r=r, shapes=shapes)
+            return
+        # a value the field takes is an exact tie on the cells that hold it
+        ties = sorted(set(field_values(brute).ravel()))
+        lam = data.draw(st.one_of(st.sampled_from(ties), st.fractions(0, 4 * int(f.num.max()) + 1)))
+        got = max_level_set(f, basis, lam, r=r, shapes=shapes)
+        assert np.array_equal(got.mask, level_set(brute, lam).mask)
+
+    def test_a_support_over_several_batches(self):
+        g = DyadicGrid((4, 4))
+        f = random_step(g, np.random.default_rng(11))
+        basis = BasisSpec("axis", 2)
+        shapes = enumerate_shapes(basis, g)
+        lam = Fraction(9, 2)
+        total, p, q = f.integral() / g.cell_volume, lam.numerator, lam.denominator
+        kept = [s for s in shapes if total * q > p * math.prod(s)]
+        placements = sum(math.prod(w + 15 for w in s) for s in kept)
+        assert np.count_nonzero(f.num[[0, -1]]) and np.count_nonzero(f.num[:, [0, -1]])
+        assert placements > 10 * maxop._PLACEMENT_BUDGET
+        want = level_set(max_field_brute(f, basis), lam).mask
+        assert 0 < want.sum() < g.total_cells
+        assert np.array_equal(max_level_set(f, basis, lam).mask, want)
+
     @given(level_set_cases())
     @settings(max_examples=150, deadline=None)
     def test_equals_the_brute_field_level_set(self, case):

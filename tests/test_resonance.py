@@ -184,9 +184,10 @@ class TestReplication:
 
     def test_no_level_set_beyond_the_stage_tile(self, monkeypatch):
         # the replicated sets are checked from the tile's certificates, so
-        # every level set a depth-3 build computes lives on its stage's tile
-        # box: the exact-route P on the tile grid, the disk certificate's U
-        # on a refinement of it; never on the replicated grid
+        # every placement pass a depth-3 build runs lives on its stage's
+        # tile box: the exact-route P and its certificates on the tile grid,
+        # the disk certificate's U on a refinement of it; never on the
+        # replicated grid
         stages = []
 
         def replicating(*args, **kwargs):
@@ -195,14 +196,14 @@ class TestReplication:
             stages[-1].insert(0, stage.tile.grid)
             return stage
 
-        def level_set(f, *args, **kwargs):
+        def placements(f, *args, **kwargs):
             stages[-1].append(f.grid)
             return real(f, *args, **kwargs)
 
-        real = maxop.max_level_set
+        real = maxop._winners
         monkeypatch.setattr(resonance, "replicate_configuration", replicating)
-        monkeypatch.setattr(maxop, "max_level_set", level_set)
-        monkeypatch.setattr(witness, "max_level_set", level_set)
+        monkeypatch.setattr(maxop, "_winners", placements)
+        monkeypatch.setattr(witness, "_winners", placements)
         f, pads = synthetic_resonance_input(PHI, 3, style="deep")
         bases = [
             BasisSpec("axis", 2),

@@ -26,7 +26,7 @@ from gridhalo.witness import (
     mphi_witness_for_rotations,
     rotation_preimage,
 )
-from oracles import rotated_average
+from oracles import kernel_containment, rotated_average, tile_certificate_ok
 
 PHI = log_power_growth(2)
 
@@ -399,32 +399,6 @@ def test_rotated_p_cells_pass_a_sampled_clipping_oracle(grid, amp):
         assert rotated_average(f, center, sides, gamma) > 1 + 1e-9, tuple(idx)
 
 
-def kernel_containment(w, E, p_sets):
-    """Oracle: per exact-route key, whether P lies in the level set of
-    amp*chi_E that the kernel recomputes on E's grid over w's shapes scaled
-    to E's cells (the same physical rectangles)."""
-    placement = witness._placement(w.grid, E.grid)
-    shapes = [tuple(x * f for x, (f, _) in zip(s, placement)) for s in w.shapes]
-    k = next(iter(w.bases.values())).k
-    level = axis_level_set_exact(E, w.h, w.trunc, BasisSpec("axis", k), shapes)
-    return {
-        key: P.grid == E.grid and (P - level).popcount == 0
-        for key, P in p_sets.items()
-        if _route(w.bases[key]) == 0
-    }
-
-
-def tile_certificate_ok(w, cell, shape, corner):
-    """Oracle: whether the rectangle of ``shape`` at lower ``corner`` covers
-    ``cell`` and, with E zero outside the tile, holds more than |R|/amp of
-    E's cells, counted by slicing a zero-padded copy of the tile's E."""
-    pad = max(w.grid.shape) * 2
-    E = np.pad(w.E.mask, pad)
-    count = int(E[tuple(slice(c + pad, c + pad + s) for c, s in zip(corner, shape))].sum())
-    covers = all(c <= x < c + s for x, c, s in zip(cell, corner, shape))
-    return covers and count * w.h > math.prod(shape)
-
-
 _CERT_BASES = [
     BasisSpec("axis", 2),
     BasisSpec("rotated", 2, math.pi / 2),
@@ -550,8 +524,24 @@ class TestCellCertificates:
 
     def test_rect_counts_refuse_views_off_the_table(self):
         table = witness._summed_area(np.ones((4, 4), dtype=bool), (0, 0), (0, 0))
-        counts = witness._rect_counts(table, (0, 0), (2, 2), (2, 2), (2, 2))
+        counts = witness._rect_sums(table, (0, 0), (2, 2), (2, 2), (2, 2))
         assert counts.tolist() == [[4, 4], [4, 4]]
-        assert witness._rect_counts(table, (-1, 0), (2, 2), (2, 2), (2, 2)) is None
-        assert witness._rect_counts(table, (1, 0), (2, 2), (2, 2), (2, 2)) is None
-        assert witness._rect_counts(table, (9, 0), (1, 1), (1, 1), (1, 1)) is None
+        assert witness._rect_sums(table, (-1, 0), (2, 2), (2, 2), (2, 2)) is None
+        assert witness._rect_sums(table, (1, 0), (2, 2), (2, 2), (2, 2)) is None
+        assert witness._rect_sums(table, (9, 0), (1, 1), (1, 1), (1, 1)) is None
+
+    def test_no_more_certificate_rectangles_than_the_per_shape_search(self):
+        # larger shapes first, then the winner covering the most P cells:
+        # the counts the separate per-shape certificate search gave on the
+        # deep depth-4 tiles (4x8, 8x4, 8x8, 8x8) and on zygmund's 32x32
+        # ball witness, which the containment check reads one by one
+        f, pads = synthetic_resonance_input(PHI, 4, style="deep")
+        plan = build_resonance_function(f, [BasisSpec("axis", 2)], PHI, 4, pads=pads)
+        gammas = [math.radians(d) for d in (0.0, 22.5, 45.0, 67.5)]
+        ball = mphi_witness_for_rotations(gammas, 4.0, 1.0, PHI)
+        tiles = [s.tile for s in plan.stages] + [ball]
+        assert [w.grid.shape for w in tiles] == [(4, 8), (8, 4), (8, 8), (8, 8), (32, 32)]
+        for w, most in zip(tiles, (8, 8, 14, 14, 56)):
+            rects = {tuple(row) for row in w.cell_certificates[:, w.grid.n :].tolist()}
+            assert len(rects) <= most
+            assert len(w.cell_certificates) == w.p_sets[_exact_keys(w)[0]].popcount
