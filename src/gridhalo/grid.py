@@ -130,6 +130,14 @@ class GridSet:
             raise ValueError("mask shape does not match grid")
         object.__setattr__(self, "mask", _frozen(mask.copy()))
 
+    @classmethod
+    def _own(cls, grid: DyadicGrid, mask: np.ndarray) -> "GridSet":
+        """The set of a fresh bool ``mask`` of the grid's shape that no
+        caller keeps, frozen in place instead of copied."""
+        out = cls.__new__(cls)
+        out.__dict__.update(grid=grid, mask=_frozen(mask))
+        return out
+
     @cached_property
     def popcount(self) -> int:
         """The cell count; the mask is a private read-only copy, so it is

@@ -261,53 +261,22 @@ def _placement_max_direct(arr: np.ndarray, w: int, axis: int) -> np.ndarray:
     return out
 
 
-def _rect_sums(table: np.ndarray, start, size, step, reps, out=None) -> np.ndarray | None:
-    """Sums of the rectangles [start + t*step, start + t*step + size) per
-    axis, t = 0 .. reps - 1, in indices of a summed-area ``table``, as an
-    array of shape ``reps`` (``out`` when given): one strided view of the
-    table per corner, by inclusion-exclusion.  None when a view would leave
-    the table."""
-    if min(start) < 0:
-        return None
-    out = np.empty(reps, dtype=table.dtype) if out is None else out
-    for k, corner in enumerate(itertools.product((1, 0), repeat=len(reps))):
-        view = table[
-            tuple(
-                slice(a + c * w, a + c * w + t * (r - 1) + 1, t)
-                for a, c, w, t, r in zip(start, corner, size, step, reps)
-            )
-        ]
-        if view.shape != tuple(reps):
-            return None
-        if not k:
-            np.copyto(out, view)
-        elif (len(reps) - sum(corner)) % 2:
-            np.subtract(out, view, out=out)
-        else:
-            np.add(out, view, out=out)
-    return out
-
-
 def _shape_sums(crop: np.ndarray, corner, shapes):
     """The per-shape step of the field: yields ``(shape, S, corner)``, S the
     sum of ``crop`` (f's numerators on its support's bounding box, lower
     corner ``corner``) over every placement of ``shape`` that meets the
     box, ``S[i]`` the placement whose last cell is ``corner + i``.
 
-    S is read from one summed-area table, edge-padded for the widest
-    shape, into one scratch array sized for the largest shape (fresh
-    arrays per shape would each fault in fresh pages), so use S before the
-    next shape."""
+    S is a strided view of one summed-area table of the crop, edge-padded
+    for the widest shape, differenced along each axis in turn."""
     pad = (np.max(shapes, axis=0) - 1).tolist()
     table = _summed_area(crop, pad, pad)
-    size = max(math.prod(n + w - 1 for n, w in zip(crop.shape, s)) for s in shapes)
-    scratch = np.empty(size, dtype=table.dtype)
     for shape in shapes:
-        # placement j spans table entries a + j - w + 1 to a + j + 1 per axis
-        dims = [n + w - 1 for n, w in zip(crop.shape, shape)]
-        start = [a - w + 1 for a, w in zip(pad, shape)]
-        out = scratch[: math.prod(dims)].reshape(dims)
-        yield shape, _rect_sums(table, start, shape, [1] * len(dims), dims, out), corner
+        # placement j reads table entries a + j - w + 1 and a + j + 1 per axis
+        S = table[tuple(slice(a - w + 1, a + n + w) for a, w, n in zip(pad, shape, crop.shape))]
+        for ax, w in enumerate(shape):
+            S = S[_along(ax, w, None)] - S[_along(ax, 0, -w)]
+        yield shape, S, corner
 
 
 def _spread(vals: np.ndarray, shape, corner, box) -> tuple[tuple[slice, ...], np.ndarray]:
@@ -388,10 +357,10 @@ def max_field_fast(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shape
 
 def _exceeds(num: np.ndarray, q: int, den, c: int, num_max: int) -> np.ndarray:
     """``num * q > den * c`` elementwise and exactly, given num <= num_max
-    and ``den`` an int or an array: int64 products while num_max * q and
+    and ``den`` an int or an array: int64 products while q, num_max * q and
     c * max(den) stay below 2^62, Python ints past that."""
     if num.dtype == object or not (
-        num_max * q < 1 << 62 and c * int(np.max(den, initial=1)) < 1 << 62
+        max(num_max, 1) * q < 1 << 62 and c * int(np.max(den, initial=1)) < 1 << 62
     ):
         num = num.astype(object, copy=False)
         if isinstance(den, np.ndarray):
@@ -550,7 +519,7 @@ def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, s
     """{M f > lam} over the same family as ``max_field_fast``, without the
     field: equal to ``level_set(max_field_fast(...), lam)``.  The union of
     the winning runs of ``_winners``, painted once."""
-    return GridSet(f.grid, _paint(f.grid.shape, *_winners(f, basis, lam, r, ladder, shapes)))
+    return GridSet._own(f.grid, _paint(f.grid.shape, *_winners(f, basis, lam, r, ladder, shapes)))
 
 
 def save_max_field(field: MaxField, path):

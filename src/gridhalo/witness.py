@@ -48,6 +48,7 @@ on the diluted tile, and calls it once, where the replicated sets are made.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -60,7 +61,6 @@ from .maxop import (
     BasisSpec,
     _exceeds,
     _paint,
-    _rect_sums,
     _summed_area,
     _winners,
     dyadic_ladder,
@@ -260,6 +260,32 @@ def _place(mask: np.ndarray, placement) -> np.ndarray:
     return np.tile(mask, [reps for _, reps in placement])
 
 
+def _rect_counts(table: np.ndarray, start, size, step, reps) -> np.ndarray | None:
+    """Cell counts of the rectangles [start + t*step, start + t*step + size)
+    per axis, t = 0 .. reps - 1, in table indices, as an array of shape
+    ``reps``: one strided view of ``table`` per corner, by
+    inclusion-exclusion.  None when a view would leave the table."""
+    if min(start) < 0:
+        return None
+    out = None
+    for corner in itertools.product((1, 0), repeat=len(reps)):
+        view = table[
+            tuple(
+                slice(a + c * w, a + c * w + t * (r - 1) + 1, t)
+                for a, c, w, t, r in zip(start, corner, size, step, reps)
+            )
+        ]
+        if view.shape != tuple(reps):
+            return None
+        if out is None:
+            out = view.copy()
+        elif (len(reps) - sum(corner)) % 2:
+            out -= view
+        else:
+            out += view
+    return out
+
+
 def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count) -> np.ndarray:
     """One certificate per cell of P, as rows (cell, shape index, lower
     corner), from the winning runs of ``_winners`` whose union P is: each
@@ -330,7 +356,7 @@ def _certificates_hold(w, E: GridSet, placement) -> bool:
     table = _summed_area(E.mask, lo, hi)
     num, den = w.h.numerator, w.h.denominator
     for rect in rects:
-        counts = _rect_sums(table, rect[n:] + lo, rect[:n], step, reps)
+        counts = _rect_counts(table, rect[n:] + lo, rect[:n], step, reps)
         if counts is None or not _exceeds(
             counts, num, math.prod(rect[:n].tolist()), den, E.popcount
         ).all():
@@ -447,7 +473,7 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     if len(generic) < len(basis_map):
         # one placement pass gives both P and its certificates
         wins = _winners(StepFunction.indicator(E, amp), axis, 1, r=trunc, shapes=shapes)
-        cells = _certify(GridSet(grid, _paint(grid.shape, *wins)), *wins)
+        cells = _certify(GridSet._own(grid, _paint(grid.shape, *wins)), *wins)
     certificates = {}
     if generic:
         center = _box_center(grid)

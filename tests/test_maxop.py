@@ -455,6 +455,8 @@ class TestMaxLevelSet:
         assert _exceeds(num, 1, den, 2**61 - 1, 2**62 - 1).tolist() == [True, True]
         den = np.array([1, 8], dtype=np.int64)
         assert _exceeds(num, 1, den, 2**61 - 1, 2**62 - 1).tolist() == [True, False]
+        # q alone past int64 with all-zero numerators (an empty or zero field)
+        assert _exceeds(np.zeros(2, dtype=np.int64), 2**63, 1, 1, 0).tolist() == [False, False]
 
     def test_shape_at_the_tie_is_pruned_without_changing_the_set(self):
         # total 3 * 2 = 6, lam = 3/2: the 2x2 shape has total * q == p * |R|,

@@ -524,11 +524,11 @@ class TestCellCertificates:
 
     def test_rect_counts_refuse_views_off_the_table(self):
         table = witness._summed_area(np.ones((4, 4), dtype=bool), (0, 0), (0, 0))
-        counts = witness._rect_sums(table, (0, 0), (2, 2), (2, 2), (2, 2))
+        counts = witness._rect_counts(table, (0, 0), (2, 2), (2, 2), (2, 2))
         assert counts.tolist() == [[4, 4], [4, 4]]
-        assert witness._rect_sums(table, (-1, 0), (2, 2), (2, 2), (2, 2)) is None
-        assert witness._rect_sums(table, (1, 0), (2, 2), (2, 2), (2, 2)) is None
-        assert witness._rect_sums(table, (9, 0), (1, 1), (1, 1), (1, 1)) is None
+        assert witness._rect_counts(table, (-1, 0), (2, 2), (2, 2), (2, 2)) is None
+        assert witness._rect_counts(table, (1, 0), (2, 2), (2, 2), (2, 2)) is None
+        assert witness._rect_counts(table, (9, 0), (1, 1), (1, 1), (1, 1)) is None
 
     def test_no_more_certificate_rectangles_than_the_per_shape_search(self):
         # larger shapes first, then the winner covering the most P cells:
