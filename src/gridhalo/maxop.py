@@ -452,15 +452,15 @@ def _winners(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes
         walls.append((off, (n - 1 - sum(near)) % 2))
     # a row whose band holds too little of the mass cannot win anywhere
     band = _corner_sum(flat, walls, np.arange(len(k)), table.shape[-1] - 1)
-    rows = np.flatnonzero(_exceeds(band, q, area[k], p * f.den, total))
-    k, w, lo = k[rows], w[rows], lo[rows]
+    live = np.flatnonzero(_exceeds(band, q, area[k], p * f.den, total))
+    k, w, lo = k[live], w[live], lo[live]
     need = area[k]
     length = w[:, -1] + crop.shape[-1] - 1
     ends = np.cumsum(length)
     starts = ends - length
     # placement j of a row reads its corners at base + j
     bases = [
-        (off[rows] + pad[-1] + 1 - starts - (w[:, -1] if lower else 0), minus ^ lower)
+        (off[live] + pad[-1] + 1 - starts - (w[:, -1] if lower else 0), minus ^ lower)
         for off, minus in walls
         for lower in (0, 1)
     ]

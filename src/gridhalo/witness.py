@@ -58,6 +58,7 @@ import numpy as np
 from .grid import DyadicGrid, GridSet, StepFunction
 from .growth import GrowthFunction
 from .maxop import (
+    _PLACEMENT_BUDGET,
     BasisSpec,
     _exceeds,
     _paint,
@@ -289,13 +290,14 @@ def _rect_counts(table: np.ndarray, start, size, step, reps) -> np.ndarray | Non
 def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count) -> np.ndarray:
     """One certificate per cell of P, as rows (cell, shape index, lower
     corner), from the winning runs of ``_winners`` whose union P is: each
-    placement holds count cells of E with count * amp.num > |R| * amp.den.
+    of their placements holds c cells of E with c * amp.num > |R| * amp.den.
 
     Larger shapes go first, and each cell takes the winning placement that
     covers the most cells of P (ties to the higher corner), so neighbouring
     cells share certificates and the check on a replicated grid reads few
-    rectangles.  Every (placement, covered cell) pair is laid out in that
-    order, and each cell keeps its first."""
+    rectangles.  The (placement, covered cell) pairs are laid out in that
+    order, a budget of them at a time until every cell of P has one, and
+    each cell keeps its first."""
     run = np.repeat(np.arange(len(low)), count)
     index, low = index[run], low[run]
     low[:, -1] += np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
@@ -303,19 +305,23 @@ def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray,
     lo, hi = np.maximum(low, 0), np.minimum(low + widths[index], P.grid.shape)
     size = (hi - lo).prod(axis=1)
     order = np.lexsort((*(-low.T[::-1]), -size, index, -widths.prod(axis=1)[index]))
-    index, low, lo, hi, size = (a[order] for a in (index, low, lo, hi, size))
-    owner = np.repeat(np.arange(len(order)), size)
-    rest = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
-    cell = lo[owner]
-    for ax in reversed(range(P.grid.n)):
-        rest, offset = np.divmod(rest, (hi - lo)[owner, ax])
-        cell[:, ax] += offset
-    first = np.full(P.grid.total_cells, len(cell))
-    np.minimum.at(first, np.ravel_multi_index(tuple(cell.T), P.grid.shape), np.arange(len(cell)))
+    index, low, lo, span, size = (a[order] for a in (index, low, lo, hi - lo, size))
+    begin = np.cumsum(size) - size
+    first, start = np.full(P.grid.total_cells, len(size)), 0
+    while start < len(size) and (first[P.mask.ravel()] == len(size)).any():
+        stop = max(int(np.searchsorted(begin, begin[start] + _PLACEMENT_BUDGET)), start + 1)
+        owner = np.repeat(np.arange(start, stop), size[start:stop])
+        rest = begin[start] + np.arange(len(owner)) - begin[owner]
+        cell = lo[owner]
+        for ax in reversed(range(P.grid.n)):
+            rest, offset = np.divmod(rest, span[owner, ax])
+            cell[:, ax] += offset
+        np.minimum.at(first, np.ravel_multi_index(tuple(cell.T), P.grid.shape), owner)
+        start = stop
     keep = first[P.mask.ravel()]
-    if (keep == len(cell)).any():
+    if (keep == len(size)).any():
         raise WitnessError("a level-set cell has no certificate")
-    return np.column_stack([cell[keep], index[owner[keep]], low[owner[keep]]])
+    return np.column_stack([np.argwhere(P.mask), index[keep], low[keep]])
 
 
 def _certificates_hold(w, E: GridSet, placement) -> bool:
