@@ -181,11 +181,9 @@ def _coarse_counts(mask: np.ndarray, fine_res: Sequence[int], coarse_res: Sequen
         if c > m:
             raise ResolutionMismatchError("coarse resolution exceeds grid resolution")
         newshape.extend([1 << c, 1 << (m - c)])
-    counts = mask.astype(np.int64).reshape(newshape)
-    # sum out every second (intra-block) axis
-    for ax in reversed(range(1, 2 * len(fine_res), 2)):
-        counts = counts.sum(axis=ax)
-    return counts
+    # sum out every second (intra-block) axis, counting in int64 without
+    # an int64 copy of the mask
+    return mask.reshape(newshape).sum(axis=tuple(range(1, 2 * len(fine_res), 2)), dtype=np.int64)
 
 
 def uniform_distribution_check(s: GridSet, m: Sequence[int]) -> bool:

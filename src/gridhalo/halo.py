@@ -5,11 +5,14 @@ The halo function of a basis is the limiting normalized measure of
 computable, so the estimator reports the measured ratio on a finite
 (t, r) lattice and aggregates by max; each sample is therefore a certified
 lower bound and convergence can be inspected sample by sample.  Level sets
-are exact: the ball indicator is a rational step function and every
-sample's level set comes straight from ``maxop.max_level_set`` over the
-dyadic width ladder, without building the field.  Only shapes small enough
-to average above 1 on the ball's mass are evaluated, and only near the
-ball.
+are exact, over the dyadic width ladder and without building the field,
+and a sample (a halo or Lemma-10 one) runs on the support box from input to
+verdict: h·chi_ball, or h·chi_I, is a rational numerator crop of its
+bounding box, one placement pass of ``maxop`` finds the rectangles that
+average above 1, and one paint draws their union on the runs' bounding box,
+where the cells are counted and boundary contact is read off the box's
+walls.  No array spans the grid.  Only shapes small enough to average above
+1 on the ball's mass are evaluated, and only near the ball.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import DyadicGrid, GridSet, StepFunction
-from .maxop import BasisSpec, dyadic_ladder, max_level_set
+from .grid import DyadicGrid, GridSet, _payload
+from .maxop import BasisSpec, _embed, _paint, _placement_pass, _support, dyadic_ladder
 
 __all__ = [
     "HaloProbe",
@@ -81,47 +84,58 @@ class HaloEstimate:
     phi_hat: float
 
 
+def _ball_box(grid: DyadicGrid, r_cells: float, center=None):
+    """``discrete_ball`` on the ball's bounding box: the box's lower corner
+    and its cells inside the ball, as a bool mask of the box.
+
+    A float sum of nonnegative terms is at least each term, so a cell whose
+    offset along one axis already squares to r^2 or more lies outside.
+    Inside the box the terms are summed in axis order, as a whole-grid sum
+    adds them, so the mask is the same bit for bit."""
+    if len(set(grid.cell_size)) != 1:
+        raise ValueError("discrete balls need an isotropic grid")
+    if center is None:
+        center = tuple(s / 2.0 for s in grid.shape)
+    if len(center) != grid.n:
+        raise ValueError(f"center needs {grid.n} coordinates, got {len(center)}")
+    r2 = float(r_cells) ** 2
+    corner, d2 = [], 0.0
+    for ax, (m, c) in enumerate(zip(grid.shape, center)):
+        term = (np.arange(m, dtype=np.float64) + 0.5 - float(c)) ** 2
+        near = np.flatnonzero(term < r2)
+        if not near.size:
+            return (0,) * grid.n, np.zeros((0,) * grid.n, dtype=bool)
+        corner.append(int(near[0]))
+        d2 = d2 + term[near[0] : near[-1] + 1].reshape((-1,) + (1,) * (grid.n - 1 - ax))
+    return tuple(corner), d2 < r2
+
+
 def discrete_ball(grid: DyadicGrid, r_cells: float, center=None) -> GridSet:
     """Cells whose centers lie within Euclidean distance r of the center.
 
     Distances are in cell units of axis 0; the grid must be isotropic.
-    Only the ball's bounding box is computed: a float sum of nonnegative
-    terms is at least each term, so a cell whose offset along one axis
-    already squares to r^2 or more lies outside.  Inside the box the
-    terms are summed in axis order, as a whole-grid sum adds them, so the
-    mask is the same bit for bit.
-    """
-    if len(set(grid.cell_size)) != 1:
-        raise ValueError("discrete balls need an isotropic grid")
-    shape = grid.shape
-    if center is None:
-        center = tuple(s / 2.0 for s in shape)
-    if len(center) != grid.n:
-        raise ValueError(f"center needs {grid.n} coordinates, got {len(center)}")
-    r2 = float(r_cells) ** 2
-    mask = np.zeros(shape, dtype=bool)
-    box, d2 = [], 0.0
-    for ax, (m, c) in enumerate(zip(shape, center)):
-        term = (np.arange(m, dtype=np.float64) + 0.5 - float(c)) ** 2
-        near = np.flatnonzero(term < r2)
-        if not near.size:
-            return GridSet(grid, mask)
-        lo, hi = int(near[0]), int(near[-1]) + 1
-        box.append(slice(lo, hi))
-        d2 = d2 + term[lo:hi].reshape((-1,) + (1,) * (grid.n - 1 - ax))
-    mask[tuple(box)] = d2 < r2
-    return GridSet(grid, mask)
+    Only the ball's bounding box is computed (``_ball_box``)."""
+    corner, inside = _ball_box(grid, r_cells, center)
+    return GridSet._own(grid, _embed(grid.shape, inside, corner))
 
 
-def _boundary_touch(mask: np.ndarray) -> bool:
-    return any(
-        bool(mask.take(0, axis=ax).any() or mask.take(-1, axis=ax).any())
-        for ax in range(mask.ndim)
-    )
+def _level_set_box(grid: DyadicGrid, den: int, support, basis: BasisSpec, r=None, ladder=None):
+    """The cell count of {M f > 1} for f = crop / den at ``support = (crop,
+    corner)`` (``maxop._placement_pass``), and whether the set reaches the
+    grid boundary: one placement pass and one paint, on the winning runs'
+    bounding box, which is tight, so the set touches the boundary exactly
+    when the box starts at 0 or ends at the grid size on some axis."""
+    box, corner = _paint(grid.shape, *_placement_pass(grid, den, support, basis, 1, r, ladder))
+    ends = zip(corner, box.shape, grid.shape)
+    return int(box.sum()), box.size > 0 and any(c == 0 or c + s == m for c, s, m in ends)
 
 
 def halo_estimate(probe: HaloProbe, t_list, r_list) -> HaloEstimate:
-    """Measured halo ratios over a finite (t, r) lattice, aggregated by max."""
+    """Measured halo ratios over a finite (t, r) lattice, aggregated by max.
+
+    Each sample runs on the ball's bounding box: the indicator h * chi_ball
+    is a numerator crop of that box, and the level set is counted on the
+    bounding box of its winning runs, so no array spans the grid."""
     t_list = [float(t) for t in t_list]
     r_list = [int(r) for r in r_list]
     if not t_list or not r_list:
@@ -132,25 +146,19 @@ def halo_estimate(probe: HaloProbe, t_list, r_list) -> HaloEstimate:
         raise ValueError("ball radii must be at least 1 cell")
     grid = DyadicGrid((probe.grid_bits,) * 2)
     ladder = dyadic_ladder(max(grid.shape))
+    top, den = _payload([0, probe.h], [1])
     samples = []
     for r_cells in r_list:
-        ball = discrete_ball(grid, r_cells)
-        f = StepFunction.indicator(ball, probe.h)
+        corner, inside = _ball_box(grid, r_cells)
+        crop = np.zeros(inside.shape, dtype=top.dtype)
+        crop[inside] = top
+        support, ball_cells = _support(crop, corner), int(inside.sum())
         for t in t_list:
             # t = inf drops the truncation entirely (still a valid sample:
             # the truncated level sets increase to the untruncated one)
             r_phys = None if math.isinf(t) else t * r_cells * float(grid.cell_size[0])
-            ls = max_level_set(f, probe.basis, 1, r=r_phys, ladder=ladder)
-            samples.append(
-                HaloSample(
-                    t=t,
-                    r_cells=r_cells,
-                    ball_cells=ball.popcount,
-                    levelset_cells=ls.popcount,
-                    ratio=ls.popcount / ball.popcount,
-                    clipped=_boundary_touch(ls.mask),
-                )
-            )
+            cells, clipped = _level_set_box(grid, den, support, probe.basis, r_phys, ladder)
+            samples.append(HaloSample(t, r_cells, ball_cells, cells, cells / ball_cells, clipped))
     phi_hat = max(s.ratio for s in samples)
     return HaloEstimate(probe.h, tuple(samples), phi_hat)
 
@@ -231,16 +239,16 @@ def lemma10_levelset_measure(
     if h <= 1:
         raise ValueError("h > 1 required")
     normalization_ok = h > 2**n
-    mask = np.zeros(grid.shape, dtype=bool)
-    sl = tuple(slice(lo, hi) for lo, hi in zip(I.lo, I.hi))
-    mask[sl] = True
-    ind = GridSet(grid, mask)
-    f = StepFunction.indicator(ind, h)
+    # I's cells on the grid (the function is zero past its walls)
+    lo = [max(a, 0) for a in I.lo]
+    top, den = _payload([0, h], [1])
+    size = [max(min(b, m) - a, 0) for a, b, m in zip(lo, I.hi, grid.shape)]
+    support = _support(np.full(size, top[0], dtype=top.dtype), lo)
     # basis with <= k distinct edge values (k = 1: cubes)
-    ls = max_level_set(f, BasisSpec("axis", min(k, n)), 1, ladder=ladder)
-    if _boundary_touch(ls.mask):
+    cells, touch = _level_set_box(grid, den, support, BasisSpec("axis", min(k, n)), ladder=ladder)
+    if touch:
         raise DomainTooSmallError("level set reaches the grid boundary")
-    meas = ls.measure()
+    meas = cells * grid.cell_volume
     rect = I.volume(grid)
     model_k = float(h) * (1 + math.log(h)) ** k * float(rect)
     model_km1 = float(h) * (1 + math.log(h)) ** (k - 1) * float(rect)

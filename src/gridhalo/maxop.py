@@ -5,12 +5,15 @@ from one summed-area table of the crop.  ``max_field_fast`` takes each
 shape's sums as strided views of the table (``_shape_sums``), spreads them
 to the cells the placements cover by a sparse-table sliding maximum and
 keeps the larger average per cell.  ``max_level_set`` computes
-{M f > lam} without the field, in one placement pass (``_winners``): it
-skips every shape whose average cannot exceed lam even with the whole mass
-of f inside (exact, since f is nonnegative), lays the other shapes'
-placements out as flat index arrays in batches of a fixed size, decides
-each batch with one cross-multiplied integer compare, and paints the
-union of the winning runs once (``_paint``).  The tile witness takes its
+{M f > lam} without the field, in one placement pass over a support, a
+numerator crop and its lower corner (``_placement_pass``; ``_winners``
+passes f's own): it skips every shape whose average cannot exceed lam
+even with the whole mass of f inside (exact, since f is nonnegative), lays
+the other shapes' placements out as flat index arrays in batches of a
+fixed size, decides each batch with one cross-multiplied integer compare,
+and paints the union of the winning runs once, on their bounding box
+(``_paint``), which it embeds in the grid.  Halo samples build their crop
+and count their cells on that box alone.  The tile witness takes its
 certificates from the same winners.  ``max_field_brute`` (direct
 repeated-addition window sums and a linear placement scan on the whole
 grid) is the oracle.  All work on common-denominator integers (int64, or
@@ -187,30 +190,34 @@ def _along(axis: int, start, stop) -> tuple:
     return (slice(None),) * axis + (slice(start, stop),)
 
 
-def _support(f: StepFunction):
-    """f's numerators on the bounding box of their support, prepared as by
-    ``_prepare_values``, and the box's lower corner; None when f is zero.
+def _support(crop: np.ndarray, corner=None):
+    """``crop``, lying at ``corner`` (the origin when None), trimmed to the
+    bounding box of its nonzero cells, and that box's lower corner; None
+    when every cell is zero.
 
     One ``any`` reduction per axis, each on what the axes before it left,
-    so only the first reads the whole grid."""
-    crop, corner = f.num, []
+    so only the first reads the whole of ``crop``."""
+    corner = [0] * crop.ndim if corner is None else list(corner)
     for ax in range(crop.ndim):
         hit = crop.any(axis=tuple(j for j in range(crop.ndim) if j != ax))
-        lo = int(hit.argmax())
-        if not hit[lo]:
+        if not hit.any():
             return None
+        lo = int(hit.argmax())
         crop = crop[_along(ax, lo, len(hit) - int(hit[::-1].argmax()))]
-        corner.append(lo)
-    return _prepare_values(crop, f.grid.total_cells), tuple(corner)
+        corner[ax] += lo
+    return crop, tuple(corner)
 
 
 def _summed_area(arr: np.ndarray, lo, hi) -> np.ndarray:
-    """Summed-area table of ``arr`` (int64 for bool or int64 cells, else
-    Python ints), edge-padded: per axis, index i + lo holds the sum of the
-    cells below cell i, read as 0 for i <= 0 and as the sum of the whole box
-    past its far end (``lo`` and ``hi`` extra entries), so a rectangle
+    """Summed-area table of ``arr`` (int32 for bool cells while any sum of
+    2^n entries fits it, int64 for other bool or int64 cells, else Python
+    ints), edge-padded: per axis, index i + lo holds the sum of the cells
+    below cell i, read as 0 for i <= 0 and as the sum of the whole box past
+    its far end (``lo`` and ``hi`` extra entries), so a rectangle
     overhanging the box sums zeros there."""
     dtype = object if arr.dtype == object else np.int64
+    if arr.dtype == bool and arr.size << arr.ndim < 1 << 31:
+        dtype = np.int32
     table = np.zeros([n + 1 + a + b for n, a, b in zip(arr.shape, lo, hi)], dtype=dtype)
     inner = table[tuple(slice(a + 1, a + 1 + n) for n, a in zip(arr.shape, lo))]
     # the contiguous last axis first: numpy accumulates it several times faster
@@ -298,7 +305,7 @@ def _spread(vals: np.ndarray, shape, corner, box) -> tuple[tuple[slice, ...], np
     return tuple(dst), pad[tuple(src)]
 
 
-def _family(f: StepFunction, basis: BasisSpec, r, ladder, shapes) -> list:
+def _family(grid: DyadicGrid, basis: BasisSpec, r, ladder, shapes) -> list:
     """The shapes a kernel runs over: ``shapes`` when given, else every
     admissible shape."""
     if basis.kind != "axis":
@@ -307,7 +314,7 @@ def _family(f: StepFunction, basis: BasisSpec, r, ladder, shapes) -> list:
             "sets from gridhalo.witness"
         )
     if shapes is None:
-        return enumerate_shapes(basis, f.grid, r, ladder)
+        return enumerate_shapes(basis, grid, r, ladder)
     if not shapes:
         raise EmptyFamilyError("empty explicit shape list")
     return shapes
@@ -316,7 +323,7 @@ def _family(f: StepFunction, basis: BasisSpec, r, ladder, shapes) -> list:
 def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
     """Reference field: direct window accumulation and a linear placement
     scan on the whole grid, sharing no step with ``max_field_fast``."""
-    shapes = _family(f, basis, r, ladder, shapes)
+    shapes = _family(f.grid, basis, r, ladder, shapes)
     arr = _prepare_values(f.num, f.grid.total_cells)
     best_num = np.zeros(f.grid.shape, dtype=arr.dtype)
     best_den = np.ones(f.grid.shape, dtype=arr.dtype)
@@ -340,12 +347,12 @@ def max_field_fast(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shape
     so ties keep the earlier shape).  An explicit ``shapes`` list
     restricts the family to those cell shapes.
     """
-    shapes = _family(f, basis, r, ladder, shapes)
-    support = _support(f)
-    dtype = np.int64 if support is None else support[0].dtype
-    best_num = np.zeros(f.grid.shape, dtype=dtype)
-    best_den = np.ones(f.grid.shape, dtype=dtype)
-    for shape, S, corner in () if support is None else _shape_sums(*support, shapes):
+    shapes = _family(f.grid, basis, r, ladder, shapes)
+    crop, corner = _support(f.num) or (np.zeros((0,) * f.grid.n, dtype=np.int64), None)
+    crop = _prepare_values(crop, f.grid.total_cells)
+    best_num = np.zeros(f.grid.shape, dtype=crop.dtype)
+    best_den = np.ones(f.grid.shape, dtype=crop.dtype)
+    for shape, S, corner in _shape_sums(crop, corner, shapes) if crop.size else ():
         dst, top = _spread(S, shape, corner, f.grid.shape)
         num, den = best_num[dst], best_den[dst]
         d = math.prod(shape)
@@ -400,18 +407,27 @@ def _corner_sum(flat: np.ndarray, corners, rows, at) -> np.ndarray:
 
 
 def _winners(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes=None):
+    """``_placement_pass`` over the support of f."""
+    return _placement_pass(f.grid, f.den, _support(f.num), basis, lam, r, ladder, shapes)
+
+
+def _placement_pass(
+    grid: DyadicGrid, den: int, support, basis: BasisSpec, lam, r=None, ladder=None, shapes=None
+):
     """The placement pass: the placements of family shapes whose average of
-    f exceeds lam, as runs ``(widths, index, low, count)``: run i is row
-    ``widths[index[i]]`` placed with lower corners ``low[i]`` to ``low[i]``
-    + ``count[i] - 1`` along the last axis (in cells; a placement may
-    overhang the box), in family order and, per shape, in row-major order
-    of the corner.
+    f exceeds lam, for f = crop / den at ``support = (crop, corner)``, the
+    nonzero bounding box of its numerators on ``grid`` and the box's lower
+    corner (None when f is zero), zero elsewhere.  The placements come as
+    runs ``(widths, index, low, count)``: run i is row ``widths[index[i]]``
+    placed with lower corners ``low[i]`` to ``low[i]`` + ``count[i] - 1``
+    along the last axis (in cells; a placement may overhang the box), in
+    family order and, per shape, in row-major order of the corner.
 
     A shape R can only win where some placement holds more than lam * |R|
     of the mass; no placement holds more than the total, so a shape with
-    total * q <= p * |R| * den (lam = p/q, f = num/den) is skipped.  The
-    kept shapes' placements that meet the support's bounding box are laid
-    out in rows along the last axis, whole rows to a batch of at most
+    total * q <= p * |R| * den (lam = p/q) is skipped.  The kept shapes'
+    placements that meet the support's bounding box are laid out in rows
+    along the last axis, whole rows to a batch of at most
     ``_PLACEMENT_BUDGET`` placements (or one row).  Each placement sum is
     2^n gathers from one summed-area table of the crop, and one
     cross-multiplied compare decides a batch.
@@ -420,13 +436,14 @@ def _winners(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes
         raise ValueError("threshold must be >= 0")
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
-    shapes = _family(f, basis, r, ladder, shapes)
-    n = f.grid.n
+    shapes = _family(grid, basis, r, ladder, shapes)
+    n = grid.n
     widths = np.array(shapes, dtype=np.int64).reshape(len(shapes), n)
-    crop, corner = _support(f) or (np.zeros((0,) * n, dtype=np.int64), (0,) * n)
+    crop, corner = support or (np.zeros((0,) * n, dtype=np.int64), (0,) * n)
+    crop = _prepare_values(crop, grid.total_cells)
     total = int(crop.sum())
     area = widths.prod(axis=1)
-    kept = np.flatnonzero([total * q > p * a * f.den for a in area.tolist()])
+    kept = np.flatnonzero([total * q > p * a * den for a in area.tolist()])
     # a row is a kept shape with the lower corner of its placements on
     # every axis but the last; its placements meeting the crop follow
     # along the last axis
@@ -452,7 +469,7 @@ def _winners(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes
         walls.append((off, (n - 1 - sum(near)) % 2))
     # a row whose band holds too little of the mass cannot win anywhere
     band = _corner_sum(flat, walls, np.arange(len(k)), table.shape[-1] - 1)
-    live = np.flatnonzero(_exceeds(band, q, area[k], p * f.den, total))
+    live = np.flatnonzero(_exceeds(band, q, area[k], p * den, total))
     k, w, lo = k[live], w[live], lo[live]
     need = area[k]
     length = w[:, -1] + crop.shape[-1] - 1
@@ -469,7 +486,7 @@ def _winners(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes
         stop = max(int(np.searchsorted(ends, starts[row] + _PLACEMENT_BUDGET, "right")), row + 1)
         rows = np.repeat(np.arange(row, stop), length[row:stop])
         at = np.arange(starts[row], ends[stop - 1])
-        wins = np.flatnonzero(_exceeds(_corner_sum(flat, bases, rows, at), q, need[rows], p * f.den, total))
+        wins = np.flatnonzero(_exceeds(_corner_sum(flat, bases, rows, at), q, need[rows], p * den, total))
         # a run is winners one after another in one row
         head = np.flatnonzero((np.diff(wins, prepend=-2) != 1) | (np.diff(rows[wins], prepend=-1) != 0))
         runs.append(np.stack([rows[wins[head]], at[wins[head]], np.diff(head, append=len(wins))]))
@@ -480,23 +497,27 @@ def _winners(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes
     return widths, k[run], low, count
 
 
-def _paint(shape, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The union of the runs of ``_winners`` on a grid of ``shape``, as a
-    bool mask: run i covers the box from ``low[i]`` to ``low[i] +
-    widths[index[i]]``, stretched by ``count[i] - 1`` along the last axis.
+def _paint(shape, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count: np.ndarray):
+    """The union of the runs of ``_placement_pass`` on a grid of ``shape``,
+    as a bool mask of the union's bounding box and the box's lower corner:
+    run i covers the box from ``low[i]`` to ``low[i] + widths[index[i]]``,
+    stretched by ``count[i] - 1`` along the last axis, clipped to the grid.
+    Every run meets the support, so the box is tight.
 
-    Per axis the runs' walls and the grid's cut it into slabs, and the
-    runs go into one difference array over those slabs (int32 while fewer
-    than 2^31 runs can cover a cell), whose prefix sums count the runs over
-    each slab cell; the painted slab cells are then stretched back to
-    cells."""
+    Per axis the runs' walls cut the box into slabs, and the runs go into
+    one difference array over those slabs (int32 while fewer than 2^31
+    runs can cover a cell), whose prefix sums count the runs over each slab
+    cell; the painted slab cells are then stretched back to cells."""
     if not len(low):
-        return np.zeros(shape, dtype=bool)
-    lo, hi = low, low + widths[index]
+        return np.zeros((0,) * len(shape), dtype=bool), (0,) * len(shape)
+    hi = low + widths[index]
     hi[:, -1] += count - 1
+    lo, hi = np.clip(low, 0, shape), np.clip(hi, 0, shape)
+    base = lo.min(axis=0)
+    sizes = (hi.max(axis=0) - base).tolist()
     walls, slab = [], []
-    for ax, size in enumerate(shape):
-        bounds = np.clip(np.stack([lo[:, ax], hi[:, ax]]), 0, size)
+    for ax, size in enumerate(sizes):
+        bounds = np.stack([lo[:, ax], hi[:, ax]]) - base[ax]
         mark = np.zeros(size + 1, dtype=bool)
         mark[[0, size]] = mark[bounds] = True
         walls.append(np.flatnonzero(mark))
@@ -510,16 +531,25 @@ def _paint(shape, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count:
         np.add.accumulate(diff, axis=ax, out=diff)
     cells = diff[tuple(slice(0, -1) for _ in shape)] > 0
     for ax, cut in enumerate(walls):
-        if len(cut) <= shape[ax]:
+        if len(cut) <= sizes[ax]:
             cells = np.repeat(cells, np.diff(cut), axis=ax)
-    return cells
+    return cells, tuple(base.tolist())
+
+
+def _embed(shape, box: np.ndarray, corner) -> np.ndarray:
+    """A bool mask of ``shape`` holding ``box`` at ``corner``, False
+    elsewhere."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(slice(c, c + s) for c, s in zip(corner, box.shape))] = box
+    return mask
 
 
 def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes=None) -> GridSet:
     """{M f > lam} over the same family as ``max_field_fast``, without the
     field: equal to ``level_set(max_field_fast(...), lam)``.  The union of
-    the winning runs of ``_winners``, painted once."""
-    return GridSet._own(f.grid, _paint(f.grid.shape, *_winners(f, basis, lam, r, ladder, shapes)))
+    the winning runs of ``_winners``, painted once on its bounding box."""
+    box, corner = _paint(f.grid.shape, *_winners(f, basis, lam, r, ladder, shapes))
+    return GridSet._own(f.grid, _embed(f.grid.shape, box, corner))
 
 
 def save_max_field(field: MaxField, path):

@@ -33,8 +33,9 @@ count * amp.num > |R| * amp.den.  On a replica or refinement of the tile,
 a P passes when it lies in the certified cells placed on that grid and
 every certificate, scaled to the grid's cells and moved into every copy
 of the tile, still clears the threshold on the E given: its counts come
-from one summed-area table of that E, a handful of strided views per
-certificate, and never from the level set of the whole grid.  The check
+from one summed-area table of that E, in one gather of every distinct
+rectangle's corners over all copies, and never from the level set of the
+whole grid.  The check
 reads E itself, so it needs no lemma about replication and a wrong
 certificate can only fail it.
 
@@ -60,6 +61,7 @@ from .growth import GrowthFunction
 from .maxop import (
     _PLACEMENT_BUDGET,
     BasisSpec,
+    _embed,
     _exceeds,
     _paint,
     _summed_area,
@@ -262,29 +264,25 @@ def _place(mask: np.ndarray, placement) -> np.ndarray:
 
 
 def _rect_counts(table: np.ndarray, start, size, step, reps) -> np.ndarray | None:
-    """Cell counts of the rectangles [start + t*step, start + t*step + size)
-    per axis, t = 0 .. reps - 1, in table indices, as an array of shape
-    ``reps``: one strided view of ``table`` per corner, by
-    inclusion-exclusion.  None when a view would leave the table."""
-    if min(start) < 0:
+    """Cell counts of the rectangles [start[i] + t*step, start[i] + t*step +
+    size[i]) per axis, t = 0 .. reps - 1, in table indices, as an array of
+    shape (len(start), *reps), by inclusion-exclusion over one gather of
+    every rectangle's 2^n corners from a strided view of ``table`` whose
+    last n axes step through the copies.  None when a corner would leave
+    the table."""
+    start, size = np.atleast_2d(start), np.atleast_2d(size)
+    step, reps = np.asarray(step), np.asarray(reps)
+    n = len(reps)
+    # the corners a first copy may take with its last copy still inside
+    fits = table.shape - (reps - 1) * step
+    if start.min(initial=0) < 0 or ((start + size).max(axis=0, initial=0) >= fits).any():
         return None
-    out = None
-    for corner in itertools.product((1, 0), repeat=len(reps)):
-        view = table[
-            tuple(
-                slice(a + c * w, a + c * w + t * (r - 1) + 1, t)
-                for a, c, w, t, r in zip(start, corner, size, step, reps)
-            )
-        ]
-        if view.shape != tuple(reps):
-            return None
-        if out is None:
-            out = view.copy()
-        elif (len(reps) - sum(corner)) % 2:
-            out -= view
-        else:
-            out += view
-    return out
+    strides = (*table.strides, *(step * table.strides).tolist())
+    view = np.lib.stride_tricks.as_strided(table, (*fits, *reps), strides, writeable=False)
+    far = np.array(list(itertools.product((1, 0), repeat=n)))
+    at = start + far[:, None] * size
+    sign = np.where((n - far.sum(axis=1)) % 2, -1, 1).astype(table.dtype)
+    return np.tensordot(sign, view[tuple(at[..., ax] for ax in range(n))], axes=1)
 
 
 def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count) -> np.ndarray:
@@ -350,24 +348,26 @@ def _certificates_hold(w, E: GridSet, placement) -> bool:
         return False
     factor, reps = (np.array(v) for v in zip(*placement))
     step = factor * w.grid.shape
-    # one check per distinct rectangle (np.unique would import numpy.ma)
-    distinct = sorted(set(map(tuple, np.column_stack([shapes, corners]).tolist())))
-    if not distinct:
+    # each distinct rectangle once, by one sort (np.unique would import numpy.ma)
+    rects = np.column_stack([shapes, corners])
+    rects = rects[np.lexsort(rects.T[::-1])]
+    rects = rects[np.append(True, (rects[1:] != rects[:-1]).any(axis=1))]
+    if not len(rects):
         return True
-    rects = np.array(distinct) * np.tile(factor, 2)
+    rects = rects * np.tile(factor, 2)
     low = rects[:, n:]
     high = low + rects[:, :n] + (reps - 1) * step
     lo = np.maximum(-low.min(axis=0), 0)
     hi = np.maximum(high.max(axis=0) - E.grid.shape, 0)
     table = _summed_area(E.mask, lo, hi)
-    num, den = w.h.numerator, w.h.denominator
-    for rect in rects:
-        counts = _rect_counts(table, rect[n:] + lo, rect[:n], step, reps)
-        if counts is None or not _exceeds(
-            counts, num, math.prod(rect[:n].tolist()), den, E.popcount
-        ).all():
-            return False
-    return True
+    counts = _rect_counts(table, low + lo, rects[:, :n], step, reps)
+    if counts is None:
+        return False
+    # count * amp.num > |R| * amp.den rises with the count, so each
+    # rectangle's fewest cells over the copies decide
+    fewest = counts.reshape(len(rects), -1).min(axis=1).astype(np.int64)
+    area = rects[:, :n].prod(axis=1)
+    return bool(_exceeds(fewest, w.h.numerator, area, w.h.denominator, E.popcount).all())
 
 
 def _certified_sets(w, E: GridSet) -> dict | None:
@@ -479,7 +479,7 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     if len(generic) < len(basis_map):
         # one placement pass gives both P and its certificates
         wins = _winners(StepFunction.indicator(E, amp), axis, 1, r=trunc, shapes=shapes)
-        cells = _certify(GridSet._own(grid, _paint(grid.shape, *wins)), *wins)
+        cells = _certify(GridSet._own(grid, _embed(grid.shape, *_paint(grid.shape, *wins))), *wins)
     certificates = {}
     if generic:
         center = _box_center(grid)

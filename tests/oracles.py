@@ -5,7 +5,8 @@ independent of the witness's disk certificates; ``load_step_function``
 reads a saved step function back exactly; ``field_values`` spells a max
 field out as per-cell Fractions; ``kernel_containment`` and
 ``tile_certificate_ok`` recompute what a witness's certificates claim,
-from the kernel's level set and from a direct count.
+from the kernel's level set and from a direct count; ``boundary_touch``
+reads boundary contact off a whole-grid mask.
 """
 
 from __future__ import annotations
@@ -137,6 +138,14 @@ def field_values(fld: MaxField) -> np.ndarray:
     """The field as per-cell Fractions, num / (den * scale)."""
     table, codes = _value_table(fld.num, fld.scale, fld.den)
     return table[codes].reshape(fld.grid.shape)
+
+
+def boundary_touch(mask: np.ndarray) -> bool:
+    """Whether the mask holds a cell on the first or last slice of some axis."""
+    return any(
+        bool(mask.take(0, axis=ax).any() or mask.take(-1, axis=ax).any())
+        for ax in range(mask.ndim)
+    )
 
 
 def kernel_containment(w, E, p_sets):

@@ -20,7 +20,8 @@ from gridhalo.halo import (
     lemma9_integral,
     lemma10_levelset_measure,
 )
-from gridhalo.maxop import BasisSpec, dyadic_ladder, level_set, max_field_brute
+from gridhalo.maxop import BasisSpec, dyadic_ladder, level_set, max_field_brute, max_level_set
+from oracles import boundary_touch
 
 
 def mc_log_region(n, h, n_samples, seed):
@@ -165,6 +166,56 @@ class TestHaloEstimate:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_one_sample_on_a_4096_grid_allocates_less_than_1_mb(self):
+        # one int64 array of 4096^2 cells is 128 MiB and one bool mask
+        # 16 MiB: a sample keeps to the ball's box and the runs' box
+        probe = HaloProbe(BasisSpec("axis", 2), 64.0, 12)
+        halo_estimate(probe, [math.inf], [1])
+        tracemalloc.start()
+        try:
+            est = halo_estimate(probe, [math.inf], [1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.samples[0].levelset_cells > est.samples[0].ball_cells
+        assert peak < 2**20
+
+    @given(
+        st.integers(3, 7).flatmap(
+            lambda bits: st.tuples(
+                st.just(bits),
+                # small balls, and balls reaching (or passing) the grid edge
+                st.one_of(st.integers(1, 3), st.integers(2 ** (bits - 1) - 1, 2 ** (bits - 1) + 1)),
+            )
+        ),
+        st.sampled_from([math.inf, 1.5, 2.0, 4.0]),
+        st.sampled_from([2.0, 4.0, 16.0, 64.0, 256.0, 1024.0]),
+    )
+    @example((3, 1), math.inf, 64.0)  # the level set floods to the boundary
+    @example((3, 4), math.inf, 2.0)  # the ball reaches the grid edge
+    @example((7, 2), 2.0, 256.0)  # finite t on the largest grid
+    @settings(max_examples=60, deadline=None)
+    def test_box_sample_equals_the_whole_grid_route(self, bits_r, t, h):
+        # oracle: the ball mask, its whole-grid indicator, the level set
+        # painted on the grid, its popcount and a scan of the grid's faces
+        bits, r = bits_r
+        probe = HaloProbe(BasisSpec("axis", 2), h, bits)
+        (sample,) = halo_estimate(probe, [t], [r]).samples
+        grid = DyadicGrid((bits, bits))
+        ball = discrete_ball(grid, r)
+        r_phys = None if math.isinf(t) else t * r * float(grid.cell_size[0])
+        f = StepFunction.indicator(ball, h)
+        ls = max_level_set(f, probe.basis, 1, r=r_phys, ladder=dyadic_ladder(grid.shape[0]))
+        want = (ball.popcount, ls.popcount, ls.popcount / ball.popcount, boundary_touch(ls.mask))
+        assert (sample.ball_cells, sample.levelset_cells, sample.ratio, sample.clipped) == want
+
+    def test_the_route_cases_reach_the_edge_and_clip(self):
+        # the explicit examples above cover both a ball on the grid edge
+        # and a clipped level set
+        assert boundary_touch(discrete_ball(DyadicGrid((3, 3)), 4).mask)
+        probe = HaloProbe(BasisSpec("axis", 2), 64.0, 3)
+        assert halo_estimate(probe, [math.inf], [1]).samples[0].clipped
+
 
 
 class TestHaloFit:
@@ -229,6 +280,35 @@ class TestLevelsetGrowth:
         rect = AxisRect((6, 6), (10, 10))
         with pytest.raises(DomainTooSmallError):
             lemma10_levelset_measure(rect, 64.0, 2, grid)
+
+    @given(
+        st.integers(3, 6),
+        st.integers(1, 2),
+        st.lists(st.integers(-3, 11), min_size=2, max_size=2),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.sampled_from([1.5, 3.0, 6.0, 20.0, 64.0]),
+    )
+    @example(4, 2, [6, 6], 4, 4, 64.0)  # the level set reaches the boundary
+    @example(5, 1, [-2, 30], 4, 4, 6.0)  # the rectangle overhangs two walls
+    @settings(max_examples=60, deadline=None)
+    def test_box_route_equals_the_whole_grid_route(self, bits, k, lo, w0, w1, h):
+        # oracle: the rectangle's whole-grid mask (clipped to the grid, as
+        # the function is zero past its walls), its indicator and the level
+        # set painted on the grid; a face scan decides the boundary case
+        grid = DyadicGrid((bits, bits))
+        rect = AxisRect(tuple(lo), (lo[0] + w0, lo[1] + (w0 if k == 1 else w1)))
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(rect.lo, rect.hi))] = True
+        f = StepFunction.indicator(GridSet(grid, mask), h)
+        ladder = dyadic_ladder(grid.shape[0])
+        ls = max_level_set(f, BasisSpec("axis", k), 1, ladder=ladder)
+        if boundary_touch(ls.mask):
+            with pytest.raises(DomainTooSmallError):
+                lemma10_levelset_measure(rect, h, k, grid, ladder=ladder)
+        else:
+            res = lemma10_levelset_measure(rect, h, k, grid, ladder=ladder)
+            assert res.levelset_measure == ls.measure()
 
     def test_rational_mode_exact_measure(self):
         grid = DyadicGrid((6, 6))

@@ -474,6 +474,25 @@ class TestMaxLevelSet:
         fewer = max_level_set(f, basis, lam, shapes=[(1, 2), (4, 1)])
         assert np.array_equal(got.mask, fewer.mask)
 
+    @pytest.mark.parametrize("corner", list(product((0, -1), repeat=2)))
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), 2, Fraction(9, 2)])
+    def test_runs_boxed_at_a_grid_corner(self, corner, lam):
+        # f on a 2x1 pair in one corner of a 16x8 grid: the runs' box, on
+        # which the set is painted, starts at 0 or ends at the grid size on
+        # both axes
+        g = DyadicGrid((4, 3))
+        pair = np.zeros(g.shape, dtype=bool)
+        pair[corner] = True
+        pair[corner[0] + (1 if corner[0] == 0 else -1), corner[1]] = True
+        f = StepFunction.indicator(GridSet(g, pair), 5)
+        basis = BasisSpec("axis", 2)
+        box, at = maxop._paint(g.shape, *maxop._winners(f, basis, lam))
+        for a, s, m, c in zip(at, box.shape, g.shape, corner):
+            assert (a == 0) if c == 0 else (a + s == m)
+        want = level_set(max_field_brute(f, basis), lam).mask
+        assert np.array_equal(max_level_set(f, basis, lam).mask, want)
+        assert 0 < int(box.sum()) == want.sum()
+
     @pytest.mark.parametrize("lam", [0, Fraction(1, 3), 2])
     def test_all_zero_function(self, lam):
         g = DyadicGrid((2, 3))

@@ -1,6 +1,7 @@
 """Six-condition witness tiles and their rotation certificates."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -478,6 +479,47 @@ class TestCellCertificates:
             # the 4x8 stage-1 tile included, some shifts must fail
             assert False in verdicts
 
+    def test_one_e_cell_lost_in_the_last_copy_fails(self, cert_plan):
+        # the last stage's E (256x256 at depth 3, 32 x 32 copies of its
+        # tile) minus one cell of its last copy: the counts are read in
+        # every copy, so the exact route must notice
+        s = cert_plan.stages[-1]
+        w = s.tile
+        placement = witness._placement(w.grid, s.E.grid)
+        step = [f * m for (f, _), m in zip(placement, w.grid.shape)]
+        last = [(r - 1) * t for (_, r), t in zip(placement, step)]
+        block = tuple(slice(a, a + t) for a, t in zip(last, step))
+        mask = s.E.mask.copy()
+        mask[tuple(np.argwhere(mask[block])[0] + last)] = False
+        E = GridSet(s.E.grid, mask)
+        got = w.containment(E, s.p_sets)
+        assert kernel_containment(w, E, s.p_sets) == {key: False for key in _exact_keys(w)}
+        assert not any(got[key] for key in _exact_keys(w))
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_shifted_corner_fails_on_the_tile_and_its_refinement(self, factor):
+        # a certificate moved by one cell that still covers its cell but
+        # no longer clears the threshold: refusing it at reps = 1, on the
+        # tile and on its refinement by 2, takes the count, not the cover
+        w = build_tile_witness(DyadicGrid((2, 3)), _CERT_BASES[:2], 4, Fraction(1, 2), PHI)
+        n, cert = w.grid.n, w.cell_certificates
+        mutants = []
+        for row, shift in itertools.product(range(len(cert)), ((1, 0), (-1, 0), (0, 1), (0, -1))):
+            cell, index, corner = cert[row, :n], cert[row, n], cert[row, n + 1 :] + shift
+            shape = w.shapes[index]
+            covers = all(c <= x < c + s for x, c, s in zip(cell, corner, shape))
+            if covers and not tile_certificate_ok(w, cell, shape, corner):
+                moved = cert.copy()
+                moved[row, n + 1 :] = corner
+                mutants.append(dataclasses.replace(w, cell_certificates=moved))
+        assert mutants
+        extra = (factor.bit_length() - 1,) * n
+        E = w.E.refine(extra)
+        p_sets = {key: P.refine(extra) for key, P in w.p_sets.items()}
+        assert w.containment(E, p_sets) == {key: True for key in w.p_sets}
+        for mutant in mutants:
+            assert mutant.containment(E, p_sets) == {key: False for key in w.p_sets}
+
     def test_grown_p_fails(self, cert_plan):
         for s in cert_plan.stages:
             for key in _exact_keys(s.tile):
@@ -525,7 +567,9 @@ class TestCellCertificates:
     def test_rect_counts_refuse_views_off_the_table(self):
         table = witness._summed_area(np.ones((4, 4), dtype=bool), (0, 0), (0, 0))
         counts = witness._rect_counts(table, (0, 0), (2, 2), (2, 2), (2, 2))
-        assert counts.tolist() == [[4, 4], [4, 4]]
+        assert counts.tolist() == [[[4, 4], [4, 4]]]
+        counts = witness._rect_counts(table, [(0, 0), (1, 0)], [(2, 2), (1, 2)], (2, 2), (2, 2))
+        assert counts.tolist() == [[[4, 4], [4, 4]], [[2, 2], [2, 2]]]
         assert witness._rect_counts(table, (-1, 0), (2, 2), (2, 2), (2, 2)) is None
         assert witness._rect_counts(table, (1, 0), (2, 2), (2, 2), (2, 2)) is None
         assert witness._rect_counts(table, (9, 0), (1, 1), (1, 1), (1, 1)) is None
