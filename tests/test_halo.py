@@ -209,13 +209,6 @@ class TestHaloEstimate:
         want = (ball.popcount, ls.popcount, ls.popcount / ball.popcount, boundary_touch(ls.mask))
         assert (sample.ball_cells, sample.levelset_cells, sample.ratio, sample.clipped) == want
 
-    def test_the_route_cases_reach_the_edge_and_clip(self):
-        # the explicit examples above cover both a ball on the grid edge
-        # and a clipped level set
-        assert boundary_touch(discrete_ball(DyadicGrid((3, 3)), 4).mask)
-        probe = HaloProbe(BasisSpec("axis", 2), 64.0, 3)
-        assert halo_estimate(probe, [math.inf], [1]).samples[0].clipped
-
 
 
 class TestHaloFit:
