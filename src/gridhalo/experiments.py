@@ -308,25 +308,33 @@ def run_rearrangement_demo(config: ExperimentConfig) -> RunReport:
 MAXFIELD_SHAPE_CELLS = 1 << 30
 
 
+def _shape_count(n: int, widths: int, k: int) -> int:
+    """The shapes ``enumerate_shapes`` lists on an isotropic grid of
+    ``widths`` cells per axis without truncation: the n-tuples of widths
+    with at most k distinct entries.  For each j <= k, C(widths, j) sets of
+    j widths, times the surjections of the n axes onto them."""
+    def surjections(j):
+        return sum((-1) ** i * math.comb(j, i) * (j - i) ** n for i in range(j + 1))
+
+    return sum(math.comb(widths, j) * surjections(j) for j in range(1, min(k, n) + 1))
+
+
 def run_maxfield(config: ExperimentConfig) -> RunReport:
     """One maximal-operator field over a central-block indicator."""
     report = RunReport("maxfield", _meta(config))
     t0 = time.perf_counter()
     grid = DyadicGrid((config.grid_bits,) * config.n)
     basis = BasisSpec("axis", config.k)
-    # the cubes, one per edge length, are admissible on this isotropic grid,
-    # so their count alone may refuse the run before every shape is listed
-    count, shapes = min(grid.shape), None
-    if count * grid.total_cells <= MAXFIELD_SHAPE_CELLS:
-        shapes = enumerate_shapes(basis, grid)
-        count = len(shapes)
+    # counted, not listed, so a refused run lists no shape
+    count = _shape_count(config.n, grid.shape[0], config.k)
     work = count * grid.total_cells
     if work > MAXFIELD_SHAPE_CELLS:
         raise InfeasibleError(
             f"maxfield on {'x'.join(map(str, grid.shape))} cells needs "
-            f"{'' if shapes else 'at least '}{count} shapes x {grid.total_cells} cells "
+            f"{count} shapes x {grid.total_cells} cells "
             f"= {work}, above the bound {MAXFIELD_SHAPE_CELLS}; use a smaller --grid"
         )
+    shapes = enumerate_shapes(basis, grid)
     E = central_block(grid)
     amp = config.h_list[0]
     f = StepFunction.indicator(E, amp)

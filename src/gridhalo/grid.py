@@ -3,9 +3,9 @@
 Everything here is measure bookkeeping for unions of dyadic cells.  Cell
 counts are integers, cell volumes and function values are exact rationals,
 so all measures and distribution identities can be checked with zero
-tolerance.  A step function is an integer numerator array over one common
-denominator; consumers work on those integers and per-cell Fractions exist
-only when ``values`` is read.
+tolerance.  A step function is its table of distinct values and one small
+code per cell; the common-denominator numerators the summing kernels read
+and per-cell Fractions exist only once ``num`` or ``values`` is read.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class GridSet:
 
     def refine(self, extra: Sequence[int]) -> "GridSet":
         """Re-represent on a finer grid; measure is preserved exactly."""
-        return GridSet(self.grid.refine(extra), _repeat(self.mask, extra))
+        return GridSet._own(self.grid.refine(extra), _repeat(self.mask, extra))
 
 
 def _repeat(arr: np.ndarray, extra: Sequence[int]) -> np.ndarray:
@@ -203,38 +203,25 @@ def uniform_distribution_check(s: GridSet, m: Sequence[int]) -> bool:
     return bool(np.all(counts * n_coarse == total))
 
 
-def _scaled(num: np.ndarray, c: int) -> np.ndarray:
-    """``num * c`` exactly for nonnegative numerators: int64 while the
-    product fits, else object ints."""
-    if num.dtype != object and int(num.max(initial=0)) * c >= 1 << 63:
-        num = num.astype(object)
-    return num * c
-
-
 def _payload(table, codes):
     """(num, den) of the cells that take ``table[codes]``, converting each
     distinct value once onto one common denominator, the lcm of theirs."""
-    if any(v < 0 for v in table):
-        raise ValueError("step functions are nonnegative")
-    codes = np.asarray(codes, dtype=np.intp)
     table = [Fraction(v) for v in table]
     den = math.lcm(*(v.denominator for v in table))
     nums = [v.numerator * (den // v.denominator) for v in table]
     return np.array(nums, dtype=np.int64 if max(nums) < 1 << 63 else object)[codes], den
 
 
-def _value_table(num: np.ndarray, den: int, cell_den: np.ndarray | None = None):
+def _value_table(num: np.ndarray, den: int, cell_den: np.ndarray):
     """(table, codes): the distinct values ``num / (cell_den * den)`` of a
-    payload as Fractions, ``cell_den`` per cell (max fields) or absent
-    (step functions); the row-major cells are ``table[codes]``."""
+    max field's payload as Fractions; the row-major cells are
+    ``table[codes]``."""
     flat = num.ravel()
-    groups = [(1, slice(None))]
-    if cell_den is not None:
-        dens, which = np.unique(cell_den.ravel(), return_inverse=True)
-        groups = [(d, which == i) for i, d in enumerate(dens.tolist())]
+    dens, which = np.unique(cell_den.ravel(), return_inverse=True)
     table = []
     codes = np.empty(flat.size, dtype=np.intp)
-    for d, cells in groups:
+    for i, d in enumerate(dens.tolist()):
+        cells = which == i
         part = flat[cells]
         # distinct values by one vectorised sort: on 2048^2 payloads about
         # twice as fast as np.unique's hash table (which imports numpy.ma),
@@ -246,42 +233,60 @@ def _value_table(num: np.ndarray, den: int, cell_den: np.ndarray | None = None):
     return np.array(table), codes
 
 
+def _counts(codes: np.ndarray, size: int, chunk: int = 1 << 20) -> np.ndarray:
+    """How many cells take each code ``0 .. size - 1``, a chunk at a time:
+    bincount copies its input as intp, 32 MB for 2048^2 small codes."""
+    flat = codes.ravel()
+    parts = (np.bincount(flat[i : i + chunk], minlength=size) for i in range(0, flat.size, chunk))
+    return sum(parts, np.zeros(size, dtype=np.int64))
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class StepFunction:
     """A nonnegative cell-constant function on a dyadic grid.
 
-    The exact payload is value = num / den: one int ``den`` over int64
-    numerators, or object ints when a numerator does not fit in int64.  The
-    constructor converts each distinct value of any array once; ``values``
-    is built on first read.
+    ``table`` holds the distinct values as Fractions, ascending (a value
+    no cell takes may stay), and ``codes`` one index into it per cell, in
+    the smallest unsigned dtype that fits.  The kernels' payload num / den
+    (int64, or object ints past int64) and ``values`` are built on read.
     """
 
     grid: DyadicGrid
-    num: np.ndarray
-    den: int
+    table: tuple
+    codes: np.ndarray
 
     def __init__(self, grid: DyadicGrid, values):
         src = np.asarray(values, dtype=object)
         if src.shape != grid.shape:
             raise ValueError("values shape does not match grid")
         table, codes = np.unique(src.ravel(), return_inverse=True)
-        self._set(grid, *_payload(table.tolist(), codes))
+        self._set(grid, table.tolist(), codes)
 
-    def _set(self, grid: DyadicGrid, num: np.ndarray, den: int) -> "StepFunction":
-        self.__dict__.update(grid=grid, num=_frozen(num.reshape(grid.shape)), den=den)
+    def _set(self, grid: DyadicGrid, table, codes) -> "StepFunction":
+        """Sort and deduplicate ``table`` in O(table) work; ``codes`` are
+        remapped only when that changed it, and kept if of the code dtype."""
+        table = [Fraction(v) for v in table]
+        if any(v < 0 for v in table):
+            raise ValueError("step functions are nonnegative")
+        codes = np.asarray(codes).reshape(grid.shape)
+        if codes.size and (codes.min() < 0 or codes.max() >= len(table)):
+            raise ValueError("codes outside the value table")
+        distinct = sorted(set(table))
+        if distinct != table:
+            index = {v: i for i, v in enumerate(distinct)}
+            codes = np.array([index[v] for v in table])[codes]
+        codes = codes.astype(np.min_scalar_type(len(distinct) - 1), copy=False)
+        self.__dict__.update(grid=grid, table=tuple(distinct), codes=_frozen(codes))
         return self
 
     @classmethod
     def from_table(cls, grid: DyadicGrid, table, codes) -> "StepFunction":
         """The function whose row-major cells take ``table[codes]``."""
-        return cls.__new__(cls)._set(grid, *_payload(table, codes))
+        return cls.__new__(cls)._set(grid, table, codes)
 
     @classmethod
     def indicator(cls, s: GridSet, height=1) -> "StepFunction":
-        top, den = _payload([0, height], [1])
-        num = np.zeros(s.grid.shape, dtype=top.dtype)
-        num[s.mask] = top
-        return cls.__new__(cls)._set(s.grid, num, den)
+        return cls.from_table(s.grid, [0, height], s.mask)
 
     @property
     def mode(self) -> str:
@@ -289,15 +294,21 @@ class StepFunction:
         return "rational"
 
     @cached_property
+    def den(self) -> int:
+        return math.lcm(*(v.denominator for v in self.table))
+
+    @cached_property
+    def num(self) -> np.ndarray:
+        return _frozen(_payload(self.table, self.codes)[0])
+
+    @cached_property
     def values(self) -> np.ndarray:
         """The cells as Fractions, built on first read."""
-        table, codes = _value_table(self.num, self.den)
-        return _frozen(table[codes].reshape(self.grid.shape))
+        return _frozen(np.array(self.table, dtype=object)[self.codes])
 
     def integral(self) -> Fraction:
-        cv = self.grid.cell_volume
-        nums, counts = np.unique(self.num, return_counts=True)
-        return Fraction(sum(p * c for p, c in zip(nums.tolist(), counts.tolist())), self.den) * cv
+        counts = _counts(self.codes, len(self.table)).tolist()
+        return sum((v * c for v, c in zip(self.table, counts)), Fraction(0)) * self.grid.cell_volume
 
 
 @dataclass(frozen=True)
@@ -349,4 +360,4 @@ def _text_chunks(table, codes, end: str = "\n", chunk: int = 1 << 16):
 def save_step_function(f: StepFunction, path):
     with open(path, "w") as fh:
         fh.write(f"{f.grid.n} " + " ".join(str(m) for m in f.grid.resolution) + "\n")
-        fh.writelines(_text_chunks(*_value_table(f.num, f.den)))
+        fh.writelines(_text_chunks(f.table, f.codes.ravel()))

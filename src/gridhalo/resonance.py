@@ -15,9 +15,9 @@ in the stage's record.
 
 All measures, containments, independence products and the union identity
 are checked in exact rational arithmetic; rotated-basis level sets are
-certified lower bounds (see gridhalo.witness).  Values stay integer
-numerators over one denominator, down to the rearrangement's domination
-proof, one cross-multiplied integer compare.
+certified lower bounds (see gridhalo.witness).  g is one uint8 stage code
+per final-grid cell, and the rearrangement's domination proof is one
+gather from an exact table over the pairs (value of f, value of g).
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from .grid import (
     DyadicGrid,
     GridSet,
     StepFunction,
+    _counts,
     _repeat,
-    _scaled,
     _text_chunks,
-    _value_table,
     save_step_function,
     uniform_distribution_check,
 )
@@ -106,14 +105,15 @@ def build_divergent_sequences(phi, f: StepFunction, K: int) -> LevelSelection:
     if K < 1:
         raise ValueError("depth must be >= 1")
     entries = []
-    floor = 0
+    taken = _counts(f.codes, len(f.table))
+    h = 0
     for k in range(1, K + 1):
-        above = f.num[f.num > max(k * f.den, floor)]
+        # the table ascends, so the first value taken above k and h is next
+        i = next((i for i, v in enumerate(f.table) if v > max(k, h) and taken[i]), None)
         mass = 0.0
-        if above.size:
-            floor = int(above.min())
-            A = GridSet(f.grid, f.num == floor)
-            h = Fraction(floor, f.den)
+        if i is not None:
+            h = f.table[i]
+            A = GridSet._own(f.grid, f.codes == i)
             mass = phi(float(h) / k) * float(A.measure())
         if mass < k:
             raise InfeasibleError(
@@ -265,7 +265,6 @@ class ResonancePlan:
     independence: dict  # key -> report list
     integral_f: Fraction
     integral_g: Fraction
-    e_final: tuple  # per-stage E masks refined to the final grid
     p_final: dict  # key -> per-stage P masks refined to the final grid
 
     @property
@@ -293,13 +292,6 @@ class ResonancePlan:
             and all(all(v) for v in self.containment_ok.values())
             and self.integral_g <= self.integral_f
         )
-
-
-def _refine_to(s: GridSet, res: tuple) -> GridSet:
-    extra = tuple(r - m for r, m in zip(res, s.grid.resolution))
-    if any(e < 0 for e in extra):
-        raise ValueError("cannot coarsen")
-    return s.refine(extra) if any(extra) else s
 
 
 def build_resonance_function(
@@ -342,9 +334,8 @@ def build_resonance_function(
     final_grid = DyadicGrid(final_res)
     basis_keys = tuple(stages[0].p_sets)
 
-    e_final = tuple(_refine_to(s.E, final_res) for s in stages)
     p_final = {
-        key: tuple(_refine_to(s.p_sets[key], final_res) for s in stages)
+        key: tuple(s.p_sets[key].refine([r - j for r, j in zip(final_res, s.j)]) for s in stages)
         for key in basis_keys
     }
 
@@ -368,9 +359,9 @@ def build_resonance_function(
 
     # assemble g = sup_k h_k chi_{E_k}: each cell takes the code of the
     # last stage whose E_k holds it (the h_k increase, so later stages win)
-    codes = np.zeros(final_grid.shape, dtype=np.intp)
-    for k, E_f in enumerate(e_final, start=1):
-        codes[E_f.mask] = k
+    codes = np.zeros(final_grid.shape, dtype=np.uint8)
+    for k, s in enumerate(stages, start=1):
+        codes[_repeat(s.E.mask, [r - j for r, j in zip(final_res, s.j)])] = k
     g = StepFunction.from_table(
         final_grid, [0] + [h for _, h, _ in selection.entries], codes
     )
@@ -384,7 +375,6 @@ def build_resonance_function(
         independence=independence,
         integral_f=f.integral(),
         integral_g=g.integral(),
-        e_final=e_final,
         p_final=p_final,
     )
     if not plan.verified():
@@ -412,26 +402,24 @@ class Rearrangement:
 def _checksum(f: StepFunction) -> str:
     hsh = hashlib.sha256()
     hsh.update(" ".join(map(str, f.grid.resolution)).encode())
-    for text in _text_chunks(*_value_table(f.num, f.den), end=""):
+    for text in _text_chunks(f.table, f.codes.ravel(), end=""):
         hsh.update(text.encode())
     return hsh.hexdigest()
 
 
-def _permutation(e_final, bands) -> np.ndarray:
-    """Cells of E'_k = E_k minus all later E_j go into the band A_k (the
-    refined band masks ``bands``), the displaced band cells into the
-    vacated ones; every other cell stays."""
-    perm = np.arange(bands[0].size, dtype=np.int64)
+def _permutation(stage_codes: np.ndarray, band_codes: np.ndarray, depth: int) -> np.ndarray:
+    """Cells of E'_k = E_k minus all later E_j (g's code k) go into the
+    band A_k (band code k), k = 1 .. depth, the displaced band cells into
+    the vacated ones; every other cell stays."""
+    perm = np.arange(stage_codes.size, dtype=np.int64)
     src_used = np.zeros(perm.size, dtype=bool)
     tgt_used = np.zeros(perm.size, dtype=bool)
-    later = np.zeros(bands[0].shape, dtype=bool)
-    for k in reversed(range(len(bands))):
-        src = np.flatnonzero(e_final[k].mask & ~later)
-        later |= e_final[k].mask
-        tgt = np.flatnonzero(bands[k])
+    for k in range(depth, 0, -1):
+        src = np.flatnonzero(stage_codes == k)
+        tgt = np.flatnonzero(band_codes == k)
         if len(tgt) < len(src):
             raise InfeasibleError(
-                f"band for q={k + 1} holds {len(tgt)} cells < {len(src)} needed; "
+                f"band for q={k} holds {len(tgt)} cells < {len(src)} needed; "
                 "refine the input first"
             )
         tgt = tgt[: len(src)]
@@ -442,50 +430,50 @@ def _permutation(e_final, bands) -> np.ndarray:
     return perm
 
 
+def _dominance(f_table, g_table) -> np.ndarray:
+    """Exact ``f_table[i] >= g_table[j]`` for every pair of values."""
+    return np.array([[a >= b for b in g_table] for a in f_table], dtype=bool)
+
+
 def build_rearrangement(f: StepFunction, plan: ResonancePlan) -> Rearrangement:
     """Cell permutation omega with (f o omega) >= g everywhere.
 
     Its four invariants are proved here, once, in this order:
     is_permutation (every cell is hit), histogram_preserved (f o omega
     takes each value on as many cells as f), rearranged_dominates_g (one
-    cross-multiplied integer compare) and identity_outside_domain (omega
-    fixes every cell outside all E_k and bands A_k).  The verdicts are
-    recorded, and any that fails raises VerificationError naming it.
+    gather from the table of f value >= g value) and identity_outside_domain
+    (omega fixes every cell outside all E_k and bands A_k).  The verdicts
+    are recorded, and any that fails raises VerificationError naming it.
     """
     final_res = plan.final_grid.resolution
     extra = tuple(r - m for r, m in zip(final_res, f.grid.resolution))
     if any(e < 0 for e in extra):
         raise ValueError("input lives on a finer grid than the plan")
-    bands = [_refine_to(A, final_res).mask for A, _, _ in plan.selection.entries]
-    perm = _permutation(plan.e_final, bands)
+    # the bands are disjoint: band k as code k on the input grid, refined
+    masks = [A.mask for A, _, _ in plan.selection.entries]
+    bands = _repeat(np.select(masks, range(1, len(masks) + 1)).astype(np.uint8), extra).ravel()
+    g_codes = plan.g.codes.ravel()
+    perm = _permutation(g_codes, bands, len(masks))
     N = plan.final_grid.total_cells
     seen = np.zeros(N, dtype=bool)
     seen[perm] = True
-    # per-cell index of f's numerator among its distinct ones, ascending
-    nums, inv = np.unique(f.num, return_inverse=True)
-    codes = _repeat(inv.reshape(f.grid.shape), extra).ravel()
+    codes = _repeat(f.codes, extra).ravel()
     moved = codes[perm]
-    before = np.bincount(codes, minlength=len(nums))
-    after = np.bincount(moved, minlength=len(nums))
-    g = plan.g
-    domain = np.zeros(plan.final_grid.shape, dtype=bool)
-    for mask in (*(E.mask for E in plan.e_final), *bands):
-        domain |= mask
-    outside = np.flatnonzero(~domain)
+    before = _counts(codes, len(f.table))
+    after = _counts(moved, len(f.table))
+    dominates = _dominance(f.table, plan.g.table)
+    outside = np.flatnonzero((g_codes == 0) & (bands == 0))
     checks = {
         "is_permutation": len(perm) == N and bool(seen.all()),
         "histogram_preserved": bool(np.array_equal(before, after)),
-        "rearranged_dominates_g": bool(
-            np.all(_scaled(nums, g.den)[moved] >= _scaled(g.num.ravel(), f.den))
-        ),
+        "rearranged_dominates_g": bool(dominates[moved, g_codes].all()),
         "identity_outside_domain": bool(np.array_equal(perm[outside], outside)),
     }
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise VerificationError(f"rearrangement fails {', '.join(failed)}")
     histogram = tuple(
-        (Fraction(p, f.den), b, a)
-        for p, b, a in zip(nums.tolist(), before.tolist(), after.tolist())
+        (v, b, a) for v, b, a in zip(f.table, before.tolist(), after.tolist()) if b
     )
     return Rearrangement(plan.final_grid, perm, _checksum(f), checks, histogram)
 

@@ -387,13 +387,13 @@ def _certified_sets(w, E: GridSet) -> dict | None:
         if _route(basis) is None:
             cert = w.certificates[key]
             tile = rotation_preimage(w.grid, cert.U, cert.gamma, _MARGIN)
-            out[key] = GridSet(E.grid, _place(tile.mask, placement) & holds)
+            out[key] = GridSet._own(E.grid, _place(tile.mask, placement) & holds)
         else:
             if exact is None:
                 cells = np.zeros(w.grid.shape, dtype=bool)
                 if _certificates_hold(w, E, placement):
                     cells[tuple(w.cell_certificates[:, : w.grid.n].T)] = True
-                exact = GridSet(E.grid, _place(cells, placement))
+                exact = GridSet._own(E.grid, _place(cells, placement))
             out[key] = exact
     return out
 
@@ -437,7 +437,7 @@ class MPhiWitness:
         p_sets = self.p_sets if p_sets is None else p_sets
         sets = _certified_sets(self, E) or {}
         return {
-            key: key in sets and P.grid == E.grid and (P - sets[key]).popcount == 0
+            key: key in sets and P.grid == E.grid and not (P.mask & ~sets[key].mask).any()
             for key, P in p_sets.items()
         }
 

@@ -2,8 +2,12 @@
 
 Polygon clipping gives float averages over rotated rectangles,
 independent of the witness's disk certificates; ``load_step_function``
-reads a saved step function back exactly; ``field_values`` spells a max
-field out as per-cell Fractions; ``kernel_containment`` and
+reads a saved step function back exactly, and ``save_by_numerators``
+writes one from a sort of its numerators; ``field_values`` spells a max
+field out as per-cell Fractions; ``stage_sets_on_final_grid``,
+``permutation_by_stage_sets`` and ``dominates_by_numerators`` rebuild the
+rearrangement from bool masks and cross-multiplied integers;
+``kernel_containment`` and
 ``tile_certificate_ok`` recompute what a witness's certificates claim,
 from the kernel's level set and from a direct count; ``boundary_touch``
 reads boundary contact off a whole-grid mask.
@@ -18,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from gridhalo import witness
-from gridhalo.grid import DyadicGrid, StepFunction, _value_table
+from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _repeat, _text_chunks, _value_table
 from gridhalo.maxop import BasisSpec, MaxField
 
 
@@ -132,6 +136,60 @@ def load_step_function(path) -> StepFunction:
         raise ValueError("value count does not match grid")
     table, codes = np.unique(toks, return_inverse=True)
     return StepFunction.from_table(grid, [Fraction(t) for t in table.tolist()], codes)
+
+
+def numerator_table(f: StepFunction):
+    """(table, codes) of f's cells from one sort of its numerators."""
+    flat = f.num.ravel()
+    nums = np.sort(flat)
+    nums = nums[np.append(True, nums[1:] != nums[:-1])]
+    return [Fraction(p, f.den) for p in nums.tolist()], np.searchsorted(nums, flat)
+
+
+def save_by_numerators(f: StepFunction, path):
+    """The text format of ``save_step_function``, written from the
+    numerator route."""
+    with open(path, "w") as fh:
+        fh.write(f"{f.grid.n} " + " ".join(str(m) for m in f.grid.resolution) + "\n")
+        fh.writelines(_text_chunks(*numerator_table(f)))
+
+
+def stage_sets_on_final_grid(plan) -> list:
+    """Each stage's E_k refined to the plan's final grid."""
+    res = plan.final_grid.resolution
+    return [
+        GridSet(plan.final_grid, _repeat(s.E.mask, [r - j for r, j in zip(res, s.j)]))
+        for s in plan.stages
+    ]
+
+
+def permutation_by_stage_sets(e_final, bands) -> np.ndarray:
+    """The rearrangement's permutation from the refined stage sets and
+    band masks: E'_k = E_k minus all later E_j, by a running mask of the
+    later stages, goes into A_k, the displaced band cells into the vacated
+    ones."""
+    perm = np.arange(bands[0].size, dtype=np.int64)
+    src_used = np.zeros(perm.size, dtype=bool)
+    tgt_used = np.zeros(perm.size, dtype=bool)
+    later = np.zeros(bands[0].shape, dtype=bool)
+    for k in reversed(range(len(bands))):
+        src = np.flatnonzero(e_final[k].mask & ~later)
+        later |= e_final[k].mask
+        tgt = np.flatnonzero(bands[k])[: len(src)]
+        assert len(tgt) == len(src)
+        perm[src] = tgt
+        src_used[src] = True
+        tgt_used[tgt] = True
+    perm[tgt_used & ~src_used] = np.flatnonzero(src_used & ~tgt_used)
+    return perm
+
+
+def dominates_by_numerators(f: StepFunction, g: StepFunction, perm) -> bool:
+    """Whether f o perm >= g in every cell of g's grid, as one
+    cross-multiplied compare of Python-int numerators."""
+    extra = [r - m for r, m in zip(g.grid.resolution, f.grid.resolution)]
+    moved = _repeat(f.num, extra).ravel().astype(object)[perm]
+    return bool(np.all(moved * g.den >= g.num.ravel().astype(object) * f.den))
 
 
 def field_values(fld: MaxField) -> np.ndarray:

@@ -11,6 +11,7 @@ import gridhalo
 from gridhalo import cli, experiments, maxop
 from gridhalo.cli import main
 from gridhalo.config import ConfigError, ExperimentConfig, read_config_file
+from gridhalo.grid import DyadicGrid
 from gridhalo.reports import RunReport
 
 
@@ -171,6 +172,14 @@ class TestCli:
             experiments.run_maxfield(config)
         assert hit.value.args[0] == 2**28 <= experiments.MAXFIELD_SHAPE_CELLS
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_shape_count_equals_the_listed_shapes(self, n, k):
+        for bits in range(4):
+            grid = DyadicGrid((bits,) * n)
+            shapes = maxop.enumerate_shapes(maxop.BasisSpec("axis", k), grid)
+            assert experiments._shape_count(n, 1 << bits, k) == len(shapes)
+
     def test_maxfield_grid_8_refused_before_the_field(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(experiments, "max_field_fast", lambda *a, **kw: calls.append(a))
@@ -183,7 +192,7 @@ class TestCli:
     def test_maxfield_cube_count_refuses_before_listing_shapes(
         self, tmp_path, monkeypatch, capsys
     ):
-        # 256 cubes x 2^24 cells already pass the bound at n = 3
+        # the exact count, 196096 shapes x 2^24 cells, refuses at n = 3
         def unreachable(*args, **kwargs):
             raise AssertionError("every shape was listed")
 
@@ -192,9 +201,13 @@ class TestCli:
         rc = _run(["maxfield", "--set", "n=3", "--grid", "8", "--out", str(tmp_path)])
         assert rc == 3
         err = capsys.readouterr().err
-        assert f"needs at least 256 shapes x {2**24} cells = {2**32}, above" in err
+        assert f"needs 196096 shapes x {2**24} cells = {196096 * 2**24}, above" in err
 
-    def test_maxfield_grid_10_refused_before_the_field(self, tmp_path, capsys):
+    def test_maxfield_grid_10_refused_before_the_field(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("every shape was listed")
+
+        monkeypatch.setattr(experiments, "enumerate_shapes", unreachable)
         rc = _run(["maxfield", "--grid", "10", "--out", str(tmp_path)])
         assert rc == 3
         assert f"needs {2**20} shapes x {2**20} cells" in capsys.readouterr().err

@@ -15,11 +15,10 @@ from gridhalo.grid import (
     GridMismatchError,
     GridSet,
     StepFunction,
-    _scaled,
     save_step_function,
     uniform_distribution_check,
 )
-from oracles import load_step_function
+from oracles import load_step_function, save_by_numerators
 
 
 def small_grids():
@@ -51,6 +50,23 @@ def rational_arrays(draw):
     n = grid.total_cells
     vals = draw(st.lists(st.fractions(min_value=0, max_value=10), min_size=n, max_size=n))
     return grid, vals
+
+
+@st.composite
+def value_tables(draw):
+    """(grid, table, codes): a table with repeated values in any order,
+    heights from 2^63 on among them, and codes that may skip values."""
+    grid = DyadicGrid(draw(st.tuples(st.integers(0, 2), st.integers(0, 2))))
+    heights = st.one_of(
+        st.fractions(min_value=0, max_value=10),
+        st.integers(2**63 - 2, 2**65).map(Fraction),
+        st.builds(Fraction, st.integers(2**63, 2**65), st.integers(1, 7)),
+    )
+    table = draw(st.lists(heights, min_size=1, max_size=5))
+    table = draw(st.permutations(table + draw(st.lists(st.sampled_from(table), max_size=3))))
+    n = grid.total_cells
+    codes = draw(st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n))
+    return grid, table, codes
 
 
 class TestDyadicGrid:
@@ -179,18 +195,48 @@ class TestStepFunction:
         assert all(a == b for a, b in zip(back.values.ravel(), vals))
         assert back.integral() == f.integral()
 
-    @pytest.mark.parametrize("c", [2, 8, 3])
-    def test_scaled_overflow_bound(self, c):
-        # the rearrangement's domination compare multiplies numerators by
-        # the other side's denominator: int64 while the largest product is
-        # below 2^63, object ints from 2^63 on, the Python-int product either way
-        below = np.array([0, 1, (2**63 - 1) // c], dtype=np.int64)
-        at = np.array([0, 1, -(-(2**63) // c)], dtype=np.int64)
-        assert int(below.max()) * c < 2**63 <= int(at.max()) * c
-        for num, dtype in ((below, np.int64), (at, object)):
-            out = _scaled(num, c)
-            assert out.dtype == dtype
-            assert [int(v) for v in out] == [int(v) * c for v in num]
+    @given(value_tables())
+    @example((DyadicGrid((1, 1)), [Fraction(2**63), Fraction(1, 3), Fraction(2**63)], [0, 0, 2, 0]))
+    @example((DyadicGrid((0, 1)), [Fraction(5), Fraction(0), Fraction(2**64, 3)], [1, 0]))
+    @settings(max_examples=80, deadline=None)
+    def test_from_table_equals_the_unique_route(self, case):
+        # unsorted, repeated and unused values are canonicalised without
+        # looking at the cells; np.unique over the table is the reference
+        grid, table, codes = case
+        codes = np.array(codes).reshape(grid.shape)
+        f = StepFunction.from_table(grid, table, codes)
+        uniq, inv = np.unique(np.array(table, dtype=object), return_inverse=True)
+        ref = StepFunction.from_table(grid, uniq.tolist(), inv.ravel()[codes])
+        assert f.table == ref.table == tuple(sorted(set(table)))
+        assert f.codes.dtype == ref.codes.dtype == np.uint8
+        assert np.array_equal(f.codes, ref.codes)
+        widest = max(v.numerator * (f.den // v.denominator) for v in table)
+        assert f.den == ref.den
+        assert f.num.dtype == ref.num.dtype == (object if widest >= 2**63 else np.int64)
+        assert np.array_equal(f.num, ref.num)
+        cells = [table[c] for c in codes.ravel()]
+        assert f.values.ravel().tolist() == ref.values.ravel().tolist() == cells
+        assert f.integral() == ref.integral() == sum(cells, Fraction(0)) * grid.cell_volume
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / name for name in ("f", "ref", "oracle")]
+            save_step_function(f, paths[0])
+            save_step_function(ref, paths[1])
+            save_by_numerators(f, paths[2])
+            assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+    @pytest.mark.parametrize("size, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_codes_take_the_smallest_unsigned_dtype(self, size, dtype):
+        g = DyadicGrid((9,))
+        codes = np.arange(g.total_cells) % size
+        f = StepFunction.from_table(g, range(size), codes)
+        assert f.codes.dtype == dtype
+        assert np.array_equal(f.codes, codes)
+
+    @pytest.mark.parametrize("code", [-1, 3, 256])
+    def test_codes_outside_the_table_rejected(self, code):
+        g = DyadicGrid((1, 1))
+        with pytest.raises(ValueError, match="outside the value table"):
+            StepFunction.from_table(g, [0, 1, 2], [[0, 1], [2, code]])
 
     def test_load_reads_every_token_exactly(self, tmp_path):
         # decimal tokens are decimal fractions, not the nearest double

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _repeat
+from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _repeat, save_step_function
 from gridhalo.growth import log_power_growth
 from gridhalo.maxop import BasisSpec, MaxField
 from gridhalo.resonance import (
@@ -26,6 +26,12 @@ from gridhalo.resonance import (
 )
 from gridhalo import maxop, resonance, witness
 from gridhalo.witness import build_tile_witness
+from oracles import (
+    dominates_by_numerators,
+    permutation_by_stage_sets,
+    save_by_numerators,
+    stage_sets_on_final_grid,
+)
 
 PHI = log_power_growth(2)
 
@@ -59,6 +65,17 @@ class TestSelectLevelSets:
         with pytest.raises(InfeasibleError, match="largest achievable depth is 1") as ei:
             build_divergent_sequences(PHI, f, 2)
         assert ei.value.achieved == 1
+
+    def test_values_no_cell_takes_are_skipped(self):
+        # 2 and 4 sit in the table between the bands but on no cell; the
+        # selection is that of the function without them
+        f = _banded_function((1, 8), (3, 8))
+        padded = StepFunction.from_table(f.grid, [*f.table, 4, 2], f.codes)
+        assert padded.table == (1, 2, 3, 4)
+        (A, h, q), = build_divergent_sequences(PHI, padded, 1).entries
+        assert (h, q) == (3, 1) and np.array_equal(A.mask, f.num == 3 * f.den)
+        with pytest.raises(InfeasibleError, match="largest achievable depth is 1"):
+            build_divergent_sequences(PHI, padded, 2)
 
     def test_short_first_band_is_infeasible(self):
         # one cell of value 3 has growth mass phi(3)/16 < 1; the larger band
@@ -295,9 +312,10 @@ class TestSquarePlan:
         plan = build_resonance_function(f, bases, PHI, 2, pads=pads)
         assert plan.verified()
         assert plan.stages[0].j != plan.final_grid.resolution
+        e_final = stage_sets_on_final_grid(plan)
         for i, s in enumerate(plan.stages):
             p_sets = {key: plan.p_final[key][i] for key in plan.basis_keys}
-            got = s.tile.containment(plan.e_final[i], p_sets)
+            got = s.tile.containment(e_final[i], p_sets)
             assert got == dict.fromkeys(plan.basis_keys, True)
 
     def test_resolution_cap_names_achievable_depth(self):
@@ -345,6 +363,48 @@ class TestRearrangement:
         with pytest.raises(VerificationError, match="fails identity_outside_domain$"):
             build_rearrangement(f, plan)
 
+    @pytest.mark.parametrize(
+        "style, depth", [("square", 2), ("square", 3), ("deep", 2), ("deep", 3)]
+    )
+    def test_codes_equal_the_mask_and_numerator_routes(self, style, depth, tmp_path):
+        # E'_k is g's code k, the permutation is the one the refined stage
+        # masks give, domination holds on cross-multiplied numerators, and
+        # g.txt is the text the numerator sort writes
+        f, pads = synthetic_resonance_input(PHI, depth, style=style)
+        plan = build_resonance_function(f, [BasisSpec("axis", 2)], PHI, depth, pads=pads)
+        omega = build_rearrangement(f, plan)
+        e_final = stage_sets_on_final_grid(plan)
+        later = np.zeros(plan.final_grid.shape, dtype=bool)
+        for k in reversed(range(depth)):
+            assert np.array_equal(plan.g.codes == k + 1, e_final[k].mask & ~later)
+            later |= e_final[k].mask
+        assert np.array_equal(plan.g.codes != 0, later)
+        extra = [r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)]
+        bands = [_repeat(A.mask, extra) for A, _, _ in plan.selection.entries]
+        assert np.array_equal(omega.perm, permutation_by_stage_sets(e_final, bands))
+        assert dominates_by_numerators(f, plan.g, omega.perm)
+        save_step_function(plan.g, tmp_path / "g.txt")
+        save_by_numerators(plan.g, tmp_path / "oracle.txt")
+        assert (tmp_path / "g.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_a_flipped_dominance_entry_raises(self, square_plan, monkeypatch, k):
+        # every cell pairs g's value with the f value moved there; flipping
+        # the entry for g's code k and f's own value there (h_k, or 0 off
+        # every stage set) must fail the proof
+        f, plan = square_plan
+        real = resonance._dominance
+
+        def flipped(f_table, g_table):
+            table = real(f_table, g_table)
+            i = f_table.index(g_table[k])
+            table[i, k] = not table[i, k]
+            return table
+
+        monkeypatch.setattr(resonance, "_dominance", flipped)
+        with pytest.raises(VerificationError, match="fails rearranged_dominates_g$"):
+            build_rearrangement(f, plan)
+
 
 class TestSyntheticInput:
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -383,7 +443,8 @@ class TestSerialization:
 def test_pipeline_reads_no_per_cell_fractions(monkeypatch, tmp_path):
     # every StepFunction payload passes through _set, every MaxField through
     # __init__; record both, check that no MaxField is made at all (level
-    # sets come from max_level_set) and that no step function built ``values``
+    # sets come from max_level_set), that no step function built ``values``
+    # and that g, uint8 codes on the final grid, never built its numerators
     made = []
 
     def recording(real):
@@ -401,3 +462,5 @@ def test_pipeline_reads_no_per_cell_fractions(monkeypatch, tmp_path):
     save_plan(plan, str(tmp_path))
     assert {type(obj) for obj in made} == {StepFunction}
     assert not [obj for obj in made if "values" in obj.__dict__]
+    assert plan.g in made and "num" not in plan.g.__dict__
+    assert plan.g.codes.dtype == np.uint8

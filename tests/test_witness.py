@@ -27,7 +27,12 @@ from gridhalo.witness import (
     mphi_witness_for_rotations,
     rotation_preimage,
 )
-from oracles import kernel_containment, rotated_average, tile_certificate_ok
+from oracles import (
+    kernel_containment,
+    rotated_average,
+    stage_sets_on_final_grid,
+    tile_certificate_ok,
+)
 
 PHI = log_power_growth(2)
 
@@ -423,9 +428,10 @@ class TestCellCertificates:
     def test_verdicts_equal_the_kernel_recomputation(self, cert_plan):
         # on every stage grid and on the final grid, where every stage's E
         # holds its tile's E in every copy
+        e_final = stage_sets_on_final_grid(cert_plan)
         for i, s in enumerate(cert_plan.stages):
             final = {key: cert_plan.p_final[key][i] for key in cert_plan.basis_keys}
-            for E, p_sets in ((s.E, s.p_sets), (cert_plan.e_final[i], final)):
+            for E, p_sets in ((s.E, s.p_sets), (e_final[i], final)):
                 want = kernel_containment(s.tile, E, p_sets)
                 got = s.tile.containment(E, p_sets)
                 assert len(want) == 2 and all(want.values())
