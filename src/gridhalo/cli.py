@@ -114,9 +114,10 @@ def main(argv=None) -> int:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
 
-    key = cache_key(config.canonical_text())
-    cache_dir = f"{config.out}/.cache"
+    # the cache is opt-in: a plain run computes no key and stores nothing
     if args.use_cache:
+        key = cache_key(config.canonical_text())
+        cache_dir = f"{config.out}/.cache"
         hit = cache_lookup(cache_dir, key, f"{config.out}/report.json")
         if hit is not None:
             print(f"cache hit {key[:12]}; report reused from {cache_dir}")
@@ -142,7 +143,8 @@ def main(argv=None) -> int:
         print("verification failure (bug): a checklist item failed", file=sys.stderr)
         return 4
     # only verified reports are cached, so a hit never masks a failed run
-    cache_store(cache_dir, key, report)
+    if args.use_cache:
+        cache_store(cache_dir, key, paths["json"])
     return 0
 
 

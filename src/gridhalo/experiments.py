@@ -43,6 +43,7 @@ from .resonance import (
     build_resonance_function,
     save_plan,
     save_rearrangement,
+    shipped_rearrangement_depth,
     synthetic_resonance_input,
 )
 from .witness import central_block, mphi_witness_for_rotations
@@ -285,6 +286,12 @@ def run_rearrangement_demo(config: ExperimentConfig) -> RunReport:
     verdicts of its proof."""
     report = RunReport("rearrange", _meta(config))
     t0 = time.perf_counter()
+    need = shipped_rearrangement_depth(config.style)
+    if config.depth < need:
+        raise InfeasibleError(
+            f"rearrange needs --depth {need} or more for the {config.style} input: "
+            f"a depth-{config.depth} plan ends on a grid coarser than the input's"
+        )
     f, plan = _staged_plan(config, [BasisSpec("axis", config.k)])
     omega = build_rearrangement(f, plan)
     for value, before, after in omega.histogram:

@@ -23,15 +23,10 @@ __all__ = [
     "GridSet",
     "StepFunction",
     "AxisRect",
-    "GridMismatchError",
     "ResolutionMismatchError",
     "uniform_distribution_check",
     "save_step_function",
 ]
-
-
-class GridMismatchError(ValueError):
-    """Two operands live on different grids."""
 
 
 class ResolutionMismatchError(ValueError):
@@ -150,16 +145,6 @@ class GridSet:
     def relative_measure(self) -> Fraction:
         return Fraction(self.popcount, self.grid.total_cells)
 
-    def _require_same_grid(self, other: "GridSet"):
-        if self.grid != other.grid:
-            raise GridMismatchError("operands live on different grids")
-
-    def difference(self, other: "GridSet") -> "GridSet":
-        self._require_same_grid(other)
-        return GridSet(self.grid, self.mask & ~other.mask)
-
-    __sub__ = difference
-
     def refine(self, extra: Sequence[int]) -> "GridSet":
         """Re-represent on a finer grid; measure is preserved exactly."""
         return GridSet._own(self.grid.refine(extra), _repeat(self.mask, extra))
@@ -233,9 +218,10 @@ def _value_table(num: np.ndarray, den: int, cell_den: np.ndarray):
     return np.array(table), codes
 
 
-def _counts(codes: np.ndarray, size: int, chunk: int = 1 << 20) -> np.ndarray:
+def _counts(codes: np.ndarray, size: int, chunk: int = 1 << 14) -> np.ndarray:
     """How many cells take each code ``0 .. size - 1``, a chunk at a time:
-    bincount copies its input as intp, 32 MB for 2048^2 small codes."""
+    bincount copies its input as intp (32 MB for 2048^2 small codes), so
+    a chunk copies 128 KB."""
     flat = codes.ravel()
     parts = (np.bincount(flat[i : i + chunk], minlength=size) for i in range(0, flat.size, chunk))
     return sum(parts, np.zeros(size, dtype=np.int64))
@@ -350,8 +336,10 @@ def _format_value(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
-def _text_chunks(table, codes, end: str = "\n", chunk: int = 1 << 16):
-    """Row-major cell text in chunks; each distinct value is formatted once."""
+def _text_chunks(table, codes, end: str = "\n", chunk: int = 1 << 13):
+    """Row-major cell text in chunks; each distinct value is formatted once.
+    A chunk's object gather, list and joined text are the writer's peak,
+    so a chunk is a few thousand cells."""
     tokens = np.array([_format_value(v) + end for v in table], dtype=object)
     for start in range(0, len(codes), chunk):
         yield "".join(tokens[codes[start : start + chunk]].tolist())

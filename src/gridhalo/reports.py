@@ -2,16 +2,17 @@
 
 Given the same configuration and seed, the CSV/JSON/gnuplot artifacts are
 byte-identical; wall-clock timings therefore go to a separate sidecar
-that carries no determinism guarantee.  The result cache is advisory: it
-is keyed on the package sources and the configuration, a hit is trusted
-only while the output directory still holds the cached report, and a
-stale or missing cache merely costs a recompute.
+that carries no determinism guarantee.  The result cache is opt-in
+(``--use-cache``) and advisory: it is keyed on a sha256 of the package
+sources and the configuration, a hit is trusted only while the output
+directory still holds the cached report, and a stale or missing cache
+merely costs a recompute.  A run without the cache hashes nothing, so
+``hashlib`` (and the OpenSSL it loads) is imported only here, on use.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -102,6 +103,8 @@ def _report_text(report: RunReport) -> str:
 
 def _source_digest() -> str:
     """sha256 over the package's Python sources, so other code never hits."""
+    import hashlib
+
     digest = hashlib.sha256()
     root = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(root)):
@@ -112,6 +115,8 @@ def _source_digest() -> str:
 
 
 def cache_key(config_text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(f"{_source_digest()}\n{config_text}".encode()).hexdigest()
 
 
@@ -133,7 +138,11 @@ def cache_lookup(cache_dir: str, key: str, report_path: str):
     return texts[0] if texts[0] == texts[1] else None
 
 
-def cache_store(cache_dir: str, key: str, report: RunReport) -> None:
+def cache_store(cache_dir: str, key: str, report_path: str) -> None:
+    """Cache the report ``write_report`` wrote to ``report_path`` under
+    ``key``, as its bytes, which is what ``cache_lookup`` compares."""
+    with open(report_path) as fh:
+        text = fh.read()
     os.makedirs(cache_dir, exist_ok=True)
     with open(_cache_path(cache_dir, key), "w") as fh:
-        fh.write(_report_text(report))
+        fh.write(text)

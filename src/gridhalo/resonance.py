@@ -22,7 +22,6 @@ gather from an exact table over the pairs (value of f, value of g).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -59,6 +58,7 @@ __all__ = [
     "Rearrangement",
     "build_rearrangement",
     "synthetic_resonance_input",
+    "shipped_rearrangement_depth",
     "save_plan",
     "save_rearrangement",
 ]
@@ -400,6 +400,8 @@ class Rearrangement:
 
 
 def _checksum(f: StepFunction) -> str:
+    import hashlib  # only the rearrangement hashes, so only it loads OpenSSL
+
     hsh = hashlib.sha256()
     hsh.update(" ".join(map(str, f.grid.resolution)).encode())
     for text in _text_chunks(f.table, f.codes.ravel(), end=""):
@@ -407,26 +409,56 @@ def _checksum(f: StepFunction) -> str:
     return hsh.hexdigest()
 
 
+# cells per chunk of the rearrangement's walks over the final grid
+_CHUNK = 1 << 16
+
+
+def _slices(size: int):
+    return (slice(start, start + _CHUNK) for start in range(0, size, _CHUNK))
+
+
+def _send(perm: np.ndarray, sources, targets, taken=None) -> None:
+    """``perm`` sends the cells where ``sources`` holds, in order, to as
+    many of the cells where ``targets`` holds, in order, and marks those in
+    ``taken``.  ``sources(sl)`` and ``targets(sl)`` are the bool masks of
+    the cells in slice ``sl``, and there must be enough targets.  Both are
+    walked a chunk at a time, so no whole-grid mask or index array is made:
+    the targets not yet sent to are at most about two chunks."""
+    found = (np.flatnonzero(targets(sl)) + sl.start for sl in _slices(perm.size))
+    free = np.empty(0, dtype=np.int64)
+    for sl in _slices(perm.size):
+        mask = sources(sl)
+        n = int(np.count_nonzero(mask))
+        while len(free) < n:
+            free = np.concatenate([free, next(found)])
+        perm[sl][mask] = free[:n]
+        if taken is not None:
+            taken[free[:n]] = True
+        free = free[n:]
+
+
 def _permutation(stage_codes: np.ndarray, band_codes: np.ndarray, depth: int) -> np.ndarray:
     """Cells of E'_k = E_k minus all later E_j (g's code k) go into the
     band A_k (band code k), k = 1 .. depth, the displaced band cells into
     the vacated ones; every other cell stays."""
     perm = np.arange(stage_codes.size, dtype=np.int64)
-    src_used = np.zeros(perm.size, dtype=bool)
-    tgt_used = np.zeros(perm.size, dtype=bool)
+    need = _counts(stage_codes, depth + 1).tolist()
+    have = _counts(band_codes, depth + 1).tolist()
+    taken = np.zeros(perm.size, dtype=bool)
     for k in range(depth, 0, -1):
-        src = np.flatnonzero(stage_codes == k)
-        tgt = np.flatnonzero(band_codes == k)
-        if len(tgt) < len(src):
+        if have[k] < need[k]:
             raise InfeasibleError(
-                f"band for q={k} holds {len(tgt)} cells < {len(src)} needed; "
+                f"band for q={k} holds {have[k]} cells < {need[k]} needed; "
                 "refine the input first"
             )
-        tgt = tgt[: len(src)]
-        perm[src] = tgt
-        src_used[src] = True
-        tgt_used[tgt] = True
-    perm[tgt_used & ~src_used] = np.flatnonzero(src_used & ~tgt_used)
+        _send(perm, lambda sl: stage_codes[sl] == k, lambda sl: band_codes[sl] == k, taken)
+    # every cell of some E'_k is a source: the targets that are not go to
+    # the sources that are not targets, in order
+    _send(
+        perm,
+        lambda sl: taken[sl] & (stage_codes[sl] == 0),
+        lambda sl: (stage_codes[sl] != 0) & ~taken[sl],
+    )
     return perm
 
 
@@ -457,17 +489,27 @@ def build_rearrangement(f: StepFunction, plan: ResonancePlan) -> Rearrangement:
     N = plan.final_grid.total_cells
     seen = np.zeros(N, dtype=bool)
     seen[perm] = True
+    is_permutation = len(perm) == N and bool(seen.all())
+    del seen
     codes = _repeat(f.codes, extra).ravel()
-    moved = codes[perm]
     before = _counts(codes, len(f.table))
-    after = _counts(moved, len(f.table))
     dominates = _dominance(f.table, plan.g.table)
-    outside = np.flatnonzero((g_codes == 0) & (bands == 0))
+    # omega a chunk at a time: the histogram of f o omega, its domination
+    # of g, and that omega fixes every cell outside all E_k and bands A_k
+    after = np.zeros_like(before)
+    dominated = fixed = True
+    for sl in _slices(N):
+        part = perm[sl]
+        moved = codes[part]
+        after += np.bincount(moved, minlength=len(f.table))
+        dominated = dominated and bool(dominates[moved, g_codes[sl]].all())
+        outside = (g_codes[sl] == 0) & (bands[sl] == 0)
+        fixed = fixed and np.array_equal(part[outside], np.flatnonzero(outside) + sl.start)
     checks = {
-        "is_permutation": len(perm) == N and bool(seen.all()),
+        "is_permutation": is_permutation,
         "histogram_preserved": bool(np.array_equal(before, after)),
-        "rearranged_dominates_g": bool(dominates[moved, g_codes].all()),
-        "identity_outside_domain": bool(np.array_equal(perm[outside], outside)),
+        "rearranged_dominates_g": dominated,
+        "identity_outside_domain": fixed,
     }
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
@@ -488,6 +530,8 @@ _SQUARE_DELTAS = (Fraction(1, 4),) * 4
 # stage 1 replicates undiluted; later stages dilute isotropically so the
 # largest admissible rectangle cannot saturate the whole tile
 _SQUARE_PADS = ((0, 0), (1, 1), (1, 1), (1, 1))
+# the shipped input lives on 2^3 cells per axis
+_INPUT_BITS = 3
 
 
 def _amp_for(phi, need: float) -> Fraction:
@@ -527,9 +571,11 @@ def synthetic_resonance_input(
     deltas, pads = (
         (_DEEP_DELTAS, _DEEP_PADS) if style == "deep" else (_SQUARE_DELTAS, _SQUARE_PADS)
     )
-    grid = DyadicGrid((3, 3))
+    grid = DyadicGrid((_INPUT_BITS,) * len(_BASE_BITS))
     cells = grid.total_cells
-    values = np.full(grid.shape, Fraction(0), dtype=object).ravel()
+    # band k is code k of the value table [0, h_1, .., h_K]
+    codes = np.zeros(cells, dtype=np.uint8)
+    table = [Fraction(0)]
     pos = 0
     prev_h = Fraction(0)
     for k in range(1, K + 1):
@@ -542,12 +588,21 @@ def synthetic_resonance_input(
         if not h > k:
             h = Fraction(k) + Fraction(1, 64)
         prev_h = h
-        values[pos : pos + int(count)] = h
+        codes[pos : pos + int(count)] = k
+        table.append(h)
         pos += int(count)
     if pos > cells:
         raise InfeasibleError("bands exceed the unit cube")
-    f = StepFunction(grid, values.reshape(grid.shape))
-    return f, pads[:K]
+    return StepFunction.from_table(grid, table, codes), pads[:K]
+
+
+def shipped_rearrangement_depth(style: str) -> int:
+    """The least depth whose plan for the shipped input of ``style`` ends
+    on a grid at least as fine as the input's, as its rearrangement needs:
+    stage resolutions chain, each stage adding the base bits and its pad."""
+    pads = _DEEP_PADS if style == "deep" else _SQUARE_PADS
+    finals = itertools.accumulate(np.add(_BASE_BITS, pads))
+    return next(d for d, j in enumerate(finals, start=1) if min(j) >= _INPUT_BITS)
 
 
 # ---------------------------------------------------------------------------

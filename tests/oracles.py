@@ -10,7 +10,8 @@ rearrangement from bool masks and cross-multiplied integers;
 ``kernel_containment`` and
 ``tile_certificate_ok`` recompute what a witness's certificates claim,
 from the kernel's level set and from a direct count; ``boundary_touch``
-reads boundary contact off a whole-grid mask.
+reads boundary contact off a whole-grid mask; ``difference`` is the set
+difference of two cell sets on one grid.
 """
 
 from __future__ import annotations
@@ -206,6 +207,13 @@ def boundary_touch(mask: np.ndarray) -> bool:
     )
 
 
+def difference(a: GridSet, b: GridSet) -> GridSet:
+    """Oracle: the cells of ``a`` outside ``b``; both on one grid."""
+    if a.grid != b.grid:
+        raise ValueError("operands live on different grids")
+    return GridSet(a.grid, a.mask & ~b.mask)
+
+
 def kernel_containment(w, E, p_sets):
     """Oracle: per exact-route key, whether P lies in the level set of
     amp*chi_E that the kernel recomputes on E's grid over w's shapes scaled
@@ -215,7 +223,7 @@ def kernel_containment(w, E, p_sets):
     k = next(iter(w.bases.values())).k
     level = witness.axis_level_set_exact(E, w.h, w.trunc, BasisSpec("axis", k), shapes)
     return {
-        key: P.grid == E.grid and (P - level).popcount == 0
+        key: P.grid == E.grid and difference(P, level).popcount == 0
         for key, P in p_sets.items()
         if witness._route(w.bases[key]) == 0
     }

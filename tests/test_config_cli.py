@@ -225,7 +225,7 @@ class TestCli:
 
     def test_cache_hit_short_circuits(self, tmp_path, capsys):
         out = str(tmp_path / "o")
-        assert _run(["maxfield", "--grid", "4", "--out", out]) == 0
+        assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 0
         capsys.readouterr()
         assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 0
         assert "cache hit" in capsys.readouterr().out
@@ -301,10 +301,33 @@ class TestCli:
 
         monkeypatch.setitem(cli._RUNNERS, "maxfield", failing)
         out = str(tmp_path / "o")
-        assert _run(["maxfield", "--grid", "4", "--out", out]) == 4
+        assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 4
         capsys.readouterr()
+        assert not os.path.exists(os.path.join(out, ".cache"))
         assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 4
         assert "cache hit" not in capsys.readouterr().out
+
+    def test_cache_stores_then_hits_and_a_plain_run_stores_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["maxfield", "--grid", "4", "--out", str(out)]
+        assert _run(argv) == 0
+        assert not (out / ".cache").exists()
+        capsys.readouterr()
+        assert _run([*argv, "--use-cache"]) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        (stored,) = (out / ".cache").iterdir()
+        assert stored.read_bytes() == (out / "report.json").read_bytes()
+        assert _run([*argv, "--use-cache"]) == 0
+        assert f"cache hit {stored.stem[:12]}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("style", ["square", "deep"])
+    def test_rearrange_depth_1_is_infeasible(self, style, tmp_path, capsys):
+        # a depth-1 plan ends on 4x4 (square) or 4x8 (deep) cells, coarser
+        # than the 8x8 input
+        rc = _run(["rearrange", "--style", style, "--depth", "1", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "rearrange needs --depth 2 or more" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_quarter_turn_on_anisotropic_tile_exits_0(self, tmp_path):
         # the deep style's first tile is 4x8 cells; a 90-degree basis is the
@@ -415,3 +438,20 @@ def test_cli_import_leaves_out_scipy_integrate():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_plain_run_imports_no_hashlib_and_writes_no_cache(tmp_path):
+    # only --use-cache hashes, and hashlib loads OpenSSL into every process
+    code = (
+        "import sys\nfrom gridhalo import cli\n"
+        f"rc = cli.main(['halo', '--grid', '4', '--h-list', '2,4,8', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, '_hashlib' in sys.modules, 'hashlib' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gridhalo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 False False"
+    assert (tmp_path / "report.json").exists()
+    assert not (tmp_path / ".cache").exists()

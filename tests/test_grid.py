@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from gridhalo.grid import (
     AxisRect,
     DyadicGrid,
-    GridMismatchError,
     GridSet,
     StepFunction,
+    _counts,
+    _text_chunks,
     save_step_function,
     uniform_distribution_check,
 )
-from oracles import load_step_function, save_by_numerators
+from oracles import difference, load_step_function, save_by_numerators
 
 
 def small_grids():
@@ -107,9 +108,9 @@ class TestGridSet:
         g = DyadicGrid((1, 1))
         a = GridSet(g, np.array([[True, True], [False, False]]))
         b = GridSet(g, np.array([[False, True], [False, True]]))
-        assert np.array_equal((a - b).mask, [[True, False], [False, False]])
-        with pytest.raises(GridMismatchError):
-            a - GridSet(DyadicGrid((1, 0)), np.ones((2, 1), dtype=bool))
+        assert np.array_equal(difference(a, b).mask, [[True, False], [False, False]])
+        with pytest.raises(ValueError):
+            difference(a, GridSet(DyadicGrid((1, 0)), np.ones((2, 1), dtype=bool)))
 
     @given(sets_on(small_grids()), st.tuples(st.integers(0, 2), st.integers(0, 2)))
     @settings(max_examples=50)
@@ -237,6 +238,20 @@ class TestStepFunction:
         g = DyadicGrid((1, 1))
         with pytest.raises(ValueError, match="outside the value table"):
             StepFunction.from_table(g, [0, 1, 2], [[0, 1], [2, code]])
+
+    @pytest.mark.parametrize("cells", [1, 1000, 4096])
+    @pytest.mark.parametrize("chunk", [1, 7, 512, 1000, 1 << 13, 1 << 14])
+    def test_chunked_counts_and_text_equal_one_chunk(self, cells, chunk):
+        # chunks that do and do not divide the cell count, and one past it
+        table = [Fraction(0), Fraction(1, 3), Fraction(5), Fraction(7, 2)]
+        codes = (np.arange(cells) * 7919 % 5 % 4).astype(np.uint8)
+        whole = _counts(codes, len(table), chunk=cells)
+        assert np.array_equal(_counts(codes, len(table), chunk=chunk), whole)
+        assert whole.tolist() == [int((codes == c).sum()) for c in range(len(table))]
+        for end in ("\n", ""):
+            one = list(_text_chunks(table, codes, end=end, chunk=cells))
+            assert len(one) == 1
+            assert "".join(_text_chunks(table, codes, end=end, chunk=chunk)) == one[0]
 
     def test_load_reads_every_token_exactly(self, tmp_path):
         # decimal tokens are decimal fractions, not the nearest double

@@ -387,6 +387,62 @@ class TestRearrangement:
         save_by_numerators(plan.g, tmp_path / "oracle.txt")
         assert (tmp_path / "g.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
+    @pytest.mark.parametrize("chunk", [1000, 1 << 12, 1 << 20])
+    @pytest.mark.parametrize("style", ["square", "deep"])
+    def test_chunked_walks_equal_the_mask_route(self, style, chunk, monkeypatch):
+        # the index walks go a chunk at a time: chunks that do and do not
+        # divide the 2^16 final cells, and one past them
+        monkeypatch.setattr(resonance, "_CHUNK", chunk)
+        f, pads = synthetic_resonance_input(PHI, 3, style=style)
+        plan = build_resonance_function(f, [BasisSpec("axis", 2)], PHI, 3, pads=pads)
+        omega = build_rearrangement(f, plan)
+        extra = [r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)]
+        bands = [_repeat(A.mask, extra) for A, _, _ in plan.selection.entries]
+        expected = permutation_by_stage_sets(stage_sets_on_final_grid(plan), bands)
+        assert omega.perm.dtype == np.int64
+        assert np.array_equal(omega.perm, expected)
+        assert all(omega.checks.values())
+
+    @pytest.mark.parametrize("where", [0.0, 0.3, 0.6, 0.99])
+    def test_chunked_proof_sees_every_chunk(self, square_plan, monkeypatch, where):
+        # one cell of g's top stage and one cell off every band and stage
+        # set (where f is 0), each in any of 16 chunks, swap images
+        monkeypatch.setattr(resonance, "_CHUNK", 64)
+        real = resonance._permutation
+
+        def swapped(stage_codes, band_codes, depth):
+            perm = real(stage_codes, band_codes, depth)
+            top = np.flatnonzero(stage_codes == depth)
+            off = np.flatnonzero((stage_codes == 0) & (band_codes == 0))
+            a, b = top[int(where * len(top))], off[int((1 - where) * (len(off) - 1))]
+            perm[[a, b]] = perm[[b, a]]
+            return perm
+
+        monkeypatch.setattr(resonance, "_permutation", swapped)
+        f, plan = square_plan
+        with pytest.raises(
+            VerificationError, match="fails rearranged_dominates_g, identity_outside_domain$"
+        ):
+            build_rearrangement(f, plan)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_chunked_send(self, chunk, monkeypatch):
+        # sources dense where targets are sparse and the other way round,
+        # so the targets not yet sent to span several chunks
+        monkeypatch.setattr(resonance, "_CHUNK", chunk)
+        cells = np.arange(1000)
+        sources = (cells < 300) | (cells % 7 == 0)
+        targets = (cells % 2 == 0) | (cells > 900)
+        src, tgt = np.flatnonzero(sources), np.flatnonzero(targets)
+        assert len(tgt) > len(src)
+        expected = cells.copy()
+        expected[src] = tgt[: len(src)]
+        perm = cells.copy()
+        taken = np.zeros(cells.size, dtype=bool)
+        resonance._send(perm, lambda sl: sources[sl], lambda sl: targets[sl], taken)
+        assert np.array_equal(perm, expected)
+        assert np.array_equal(np.flatnonzero(taken), tgt[: len(src)])
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_a_flipped_dominance_entry_raises(self, square_plan, monkeypatch, k):
         # every cell pairs g's value with the f value moved there; flipping

@@ -28,6 +28,7 @@ from gridhalo.witness import (
     rotation_preimage,
 )
 from oracles import (
+    difference,
     kernel_containment,
     rotated_average,
     stage_sets_on_final_grid,
@@ -181,7 +182,7 @@ class TestAxisWitness:
         E = central_block(g)
         shapes = enumerate_shapes(BasisSpec("axis", 2), g, r=1)
         P = axis_level_set_exact(E, Fraction(9, 4), Fraction(1), BasisSpec("axis", 2), shapes)
-        assert (E - P).popcount == 0
+        assert difference(E, P).popcount == 0
         assert all(len(set(s)) <= 2 for s in shapes)
 
     def test_tile_witness_conditions(self):
