@@ -100,9 +100,14 @@ def run_halo(config: ExperimentConfig) -> RunReport:
     report.meta["band_low"] = lo
     report.meta["band_high"] = hi
     ratios = [row["phi_over_h"] for row in report.rows]
-    report.check(
-        "phi_over_h_monotone", all(a < b for a, b in zip(ratios, ratios[1:]))
-    )
+    rises = [a < b for a, b in zip(ratios, ratios[1:])]
+    if not all(rises):  # a flat estimate from balls of a few cells, not a bug
+        h0, h1 = config.h_list[rises.index(False) :][:2]
+        raise DomainTooSmallError(
+            f"phi_hat/h does not increase from h={h0:g} to h={h1:g} on the grid "
+            f"with 2^{config.grid_bits} cells per axis; use a finer grid"
+        )
+    report.check("phi_over_h_monotone", all(rises))
     report.check("no_boundary_clipping", not any(row["clipped"] for row in report.rows))
     report.check("band_positive", lo > 0)
     report.timings["total"] = time.perf_counter() - t0

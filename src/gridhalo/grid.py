@@ -145,10 +145,6 @@ class GridSet:
     def relative_measure(self) -> Fraction:
         return Fraction(self.popcount, self.grid.total_cells)
 
-    def refine(self, extra: Sequence[int]) -> "GridSet":
-        """Re-represent on a finer grid; measure is preserved exactly."""
-        return GridSet._own(self.grid.refine(extra), _repeat(self.mask, extra))
-
 
 def _repeat(arr: np.ndarray, extra: Sequence[int]) -> np.ndarray:
     """Each cell of ``arr`` as its 2**extra[ax] subcells along every axis."""

@@ -15,9 +15,11 @@ in the stage's record.
 
 All measures, containments, independence products and the union identity
 are checked in exact rational arithmetic; rotated-basis level sets are
-certified lower bounds (see gridhalo.witness).  g is one uint8 stage code
-per final-grid cell, and the rearrangement's domination proof is one
-gather from an exact table over the pairs (value of f, value of g).
+certified lower bounds (see gridhalo.witness).  Independence and the
+union identity read the histogram of one code per final-grid cell and
+basis, bit k-1 set in P_k; g is one stage code per cell, and the
+rearrangement's domination proof is one gather from an exact table over
+the pairs (value of f, value of g).
 """
 
 from __future__ import annotations
@@ -231,23 +233,37 @@ def replicate_configuration(
 # independence
 
 
-def check_independence(sets) -> list[dict]:
-    """Product rule |∩ A_i| = ∏|A_i| (relative measures) for every subset
-    of two or more sets, in exact rational arithmetic."""
-    sets = list(sets)
+def check_independence(atoms) -> list[dict]:
+    """Product rule |∩ P_i| = ∏|P_i| (relative measures) for every subset
+    of two or more sets, exactly, from their atom histogram: ``atoms[c]``
+    counts the cells whose code is c, with bit i set in set i."""
+    codes = np.arange(len(atoms))
+    # the measure of the intersection of every bit set s (all cells for s = 0)
+    inter = [Fraction(int(atoms[codes & s == s].sum()), int(atoms.sum())) for s in codes]
+    n = len(atoms).bit_length() - 1
     report = []
-    for size in range(2, len(sets) + 1):
-        for combo in itertools.combinations(range(len(sets)), size):
-            inter = sets[combo[0]].mask
-            rhs = sets[combo[0]].relative_measure()
-            for i in combo[1:]:
-                inter = inter & sets[i].mask
-                rhs *= sets[i].relative_measure()
-            lhs = Fraction(int(inter.sum()), sets[0].grid.total_cells)
+    for size in range(2, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            lhs = inter[sum(1 << i for i in combo)]
+            rhs = math.prod(inter[1 << i] for i in combo)
             report.append(
                 {"subset": combo, "intersection": lhs, "product": rhs, "ok": lhs == rhs}
             )
     return report
+
+
+def _stage_code(stages, key=None) -> np.ndarray:
+    """One code per final-grid cell, walked up the stages without refining
+    a stage's set: bit k-1 says the cell is in P_k of basis ``key``; with no
+    key the code is g's, the last k whose E_k holds the cell."""
+    code = np.zeros([1 << m for m in stages[0].m], np.min_scalar_type((1 << len(stages)) - 1))
+    for k, s in enumerate(stages, start=1):
+        code = _repeat(code, [j - m for j, m in zip(s.j, s.m)])
+        if key is None:
+            code[s.E.mask] = k
+        else:
+            np.bitwise_or(code, 1 << (k - 1), out=code, where=s.p_sets[key].mask)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +281,6 @@ class ResonancePlan:
     independence: dict  # key -> report list
     integral_f: Fraction
     integral_g: Fraction
-    p_final: dict  # key -> per-stage P masks refined to the final grid
 
     @property
     def containment_ok(self) -> dict:
@@ -330,40 +345,24 @@ def build_resonance_function(
             replicate_configuration(bases, h / k, delta, m, Fraction(1, k), phi, pad)
         )
         m = stages[-1].j
-    final_res = stages[-1].j
-    final_grid = DyadicGrid(final_res)
+    final_grid = DyadicGrid(stages[-1].j)
     basis_keys = tuple(stages[0].p_sets)
 
-    p_final = {
-        key: tuple(s.p_sets[key].refine([r - j for r, j in zip(final_res, s.j)]) for s in stages)
-        for key in basis_keys
-    }
-
-    independence = {
-        key: check_independence(p_final[key]) for key in basis_keys
-    }
-
-    # the union after each stage, accumulated once per basis, and the
-    # product identity 1 - prod(1 - |P_i|) at every depth
+    # per basis, the counts of its 2^K stage codes are the atoms of the P_k;
+    # the union of P_1..P_d is every code that is not a multiple of 2^d
+    atoms = {key: _counts(_stage_code(stages, key), 1 << len(stages)) for key in basis_keys}
+    independence = {key: check_independence(a) for key, a in atoms.items()}
     unions = {}
-    for key in basis_keys:
-        acc = np.zeros(final_grid.shape, dtype=bool)
-        rest = Fraction(1)
+    for key, a in atoms.items():
         per_depth = []
-        for P in p_final[key]:
-            acc |= P.mask
-            rest *= 1 - P.relative_measure()
-            union = Fraction(int(acc.sum()), final_grid.total_cells)
-            per_depth.append((union, 1 - rest, union == 1 - rest))
+        for d in range(1, len(stages) + 1):
+            union = Fraction(int(a.sum() - a[:: 1 << d].sum()), final_grid.total_cells)
+            formula = 1 - math.prod(1 - s.p_sets[key].relative_measure() for s in stages[:d])
+            per_depth.append((union, formula, union == formula))
         unions[key] = tuple(per_depth)
-
-    # assemble g = sup_k h_k chi_{E_k}: each cell takes the code of the
-    # last stage whose E_k holds it (the h_k increase, so later stages win)
-    codes = np.zeros(final_grid.shape, dtype=np.uint8)
-    for k, s in enumerate(stages, start=1):
-        codes[_repeat(s.E.mask, [r - j for r, j in zip(final_res, s.j)])] = k
+    # g = sup_k h_k chi_{E_k}: the h_k increase, so later stages win
     g = StepFunction.from_table(
-        final_grid, [0] + [h for _, h, _ in selection.entries], codes
+        final_grid, [0] + [h for _, h, _ in selection.entries], _stage_code(stages)
     )
     plan = ResonancePlan(
         stages=tuple(stages),
@@ -375,7 +374,6 @@ def build_resonance_function(
         independence=independence,
         integral_f=f.integral(),
         integral_g=g.integral(),
-        p_final=p_final,
     )
     if not plan.verified():
         raise VerificationError("an exact invariant failed after assembly")

@@ -4,9 +4,13 @@ Polygon clipping gives float averages over rotated rectangles,
 independent of the witness's disk certificates; ``load_step_function``
 reads a saved step function back exactly, and ``save_by_numerators``
 writes one from a sort of its numerators; ``field_values`` spells a max
-field out as per-cell Fractions; ``stage_sets_on_final_grid``,
+field out as per-cell Fractions; ``refine`` re-represents a cell set on
+a finer grid; ``stage_sets_on_final_grid``,
 ``permutation_by_stage_sets`` and ``dominates_by_numerators`` rebuild the
 rearrangement from bool masks and cross-multiplied integers;
+``p_sets_on_final_grid``, ``independence_by_masks`` and
+``unions_by_masks`` recheck exact independence and the union identity by
+ANDing and ORing the refined stage sets;
 ``kernel_containment`` and
 ``tile_certificate_ok`` recompute what a witness's certificates claim,
 from the kernel's level set and from a direct count; ``boundary_touch``
@@ -16,6 +20,7 @@ difference of two cell sets on one grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -155,13 +160,59 @@ def save_by_numerators(f: StepFunction, path):
         fh.writelines(_text_chunks(*numerator_table(f)))
 
 
+def refine(s: GridSet, extra) -> GridSet:
+    """The set re-represented on its grid refined by ``extra``."""
+    return GridSet(s.grid.refine(extra), _repeat(s.mask, extra))
+
+
+def _on_final_grid(plan, s, stage_set) -> GridSet:
+    return refine(stage_set, [r - j for r, j in zip(plan.final_grid.resolution, s.j)])
+
+
 def stage_sets_on_final_grid(plan) -> list:
     """Each stage's E_k refined to the plan's final grid."""
-    res = plan.final_grid.resolution
-    return [
-        GridSet(plan.final_grid, _repeat(s.E.mask, [r - j for r, j in zip(res, s.j)]))
-        for s in plan.stages
-    ]
+    return [_on_final_grid(plan, s, s.E) for s in plan.stages]
+
+
+def p_sets_on_final_grid(plan) -> dict:
+    """key -> each stage's P_k of that basis refined to the final grid."""
+    return {
+        key: [_on_final_grid(plan, s, s.p_sets[key]) for s in plan.stages]
+        for key in plan.basis_keys
+    }
+
+
+def independence_by_masks(sets) -> list[dict]:
+    """The product rule |∩ A_i| = ∏|A_i| for every subset of two or more
+    sets of one grid, by ANDing and counting their masks."""
+    sets = list(sets)
+    report = []
+    for size in range(2, len(sets) + 1):
+        for combo in itertools.combinations(range(len(sets)), size):
+            inter = sets[combo[0]].mask
+            rhs = sets[combo[0]].relative_measure()
+            for i in combo[1:]:
+                inter = inter & sets[i].mask
+                rhs *= sets[i].relative_measure()
+            lhs = Fraction(int(inter.sum()), sets[0].grid.total_cells)
+            report.append(
+                {"subset": combo, "intersection": lhs, "product": rhs, "ok": lhs == rhs}
+            )
+    return report
+
+
+def unions_by_masks(sets) -> tuple:
+    """(union, 1 - prod(1 - |A_i|), ok) after each of the sets of one grid,
+    from a running OR of their masks."""
+    acc = np.zeros(sets[0].grid.shape, dtype=bool)
+    rest = Fraction(1)
+    per_depth = []
+    for A in sets:
+        acc |= A.mask
+        rest *= 1 - A.relative_measure()
+        union = Fraction(int(acc.sum()), A.grid.total_cells)
+        per_depth.append((union, 1 - rest, union == 1 - rest))
+    return tuple(per_depth)
 
 
 def permutation_by_stage_sets(e_final, bands) -> np.ndarray:

@@ -132,6 +132,13 @@ class TestCli:
         assert rc == 3
         assert "h=256 reaches the boundary" in capsys.readouterr().err
 
+    def test_halo_flat_estimate_exits_3(self, tmp_path, capsys):
+        # on 16x16 cells the sample balls hold a cell or a few, so phi_hat
+        # reads 1, 5, 5: too coarse to tell h = 3 from h = 4, not a bug
+        rc = _run(["halo", "--grid", "4", "--h-list", "2,3,4", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "from h=3 to h=4" in capsys.readouterr().err
+
     def test_halo_at_shipped_defaults(self, tmp_path):
         out = str(tmp_path / "o")
         assert _run(["halo", "--out", out]) == 0

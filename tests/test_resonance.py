@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _repeat, save_step_function
+from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _counts, _repeat, save_step_function
 from gridhalo.growth import log_power_growth
 from gridhalo.maxop import BasisSpec, MaxField
 from gridhalo.resonance import (
     InfeasibleError,
     ResolutionCapError,
+    StageRecord,
     VerificationError,
     build_divergent_sequences,
     build_rearrangement,
@@ -28,9 +29,12 @@ from gridhalo import maxop, resonance, witness
 from gridhalo.witness import build_tile_witness
 from oracles import (
     dominates_by_numerators,
+    independence_by_masks,
+    p_sets_on_final_grid,
     permutation_by_stage_sets,
     save_by_numerators,
     stage_sets_on_final_grid,
+    unions_by_masks,
 )
 
 PHI = log_power_growth(2)
@@ -237,29 +241,146 @@ class TestReplication:
                 assert all(g >= t for g, t in zip(grid.resolution, tile.resolution))
 
 
+def _atoms(sets):
+    """Cells per code, bit i of a cell's code set when it is in sets[i]."""
+    code = sum(s.mask.astype(np.int64) << i for i, s in enumerate(sets))
+    return np.bincount(code.ravel(), minlength=1 << len(sets))
+
+
+_ORACLE_BASES = [BasisSpec("axis", 2), BasisSpec("rotated", 2, math.pi / 2)]
+
+
 class TestIndependence:
     def test_product_rule_detects_both_cases(self):
         g = DyadicGrid((2, 2))
         rows = GridSet(g, np.arange(4)[:, None] < 2 * np.ones(4, dtype=int))
         cols = GridSet(g, np.ones(4, dtype=int)[:, None] * (np.arange(4) < 2))
-        ok = check_independence([rows, cols])
+        ok = check_independence(_atoms([rows, cols]))
         assert all(r["ok"] for r in ok)
-        bad = check_independence([rows, rows])
+        bad = check_independence(_atoms([rows, rows]))
         assert not any(r["ok"] for r in bad)
+        assert ok == independence_by_masks([rows, cols])
+        assert bad == independence_by_masks([rows, rows])
 
     def test_every_subset_is_checked(self):
-        # three bit sets of the cell index and their odd-parity set are
-        # 3-wise independent, but all four meet in one cell: 1/8 != 1/16
-        g = DyadicGrid((1, 2))
-        idx = np.arange(8).reshape(g.shape)
-        bits = [GridSet(g, (idx >> b) & 1 == 1) for b in range(3)]
-        parity = GridSet(g, (bits[0].mask ^ bits[1].mask ^ bits[2].mask))
-        report = check_independence([*bits, parity])
-        assert len(report) == 2**4 - 4 - 1
-        assert all(r["ok"] for r in report if len(r["subset"]) < 4)
-        (full,) = [r for r in report if len(r["subset"]) == 4]
-        assert full["intersection"] == Fraction(1, 8) != full["product"]
-        assert not full["ok"]
+        # n bit sets of the cell index and their odd-parity set are n-wise
+        # independent, but all n + 1 meet in the one cell with every bit set
+        # when n is odd and in none when n is even: never 1/2^(n+1)
+        for n, res in ((3, (1, 2)), (8, (4, 4))):
+            g = DyadicGrid(res)
+            idx = np.arange(1 << n).reshape(g.shape)
+            bits = [GridSet(g, (idx >> b) & 1 == 1) for b in range(n)]
+            parity = GridSet(g, np.bitwise_xor.reduce([b.mask for b in bits]))
+            report = check_independence(_atoms([*bits, parity]))
+            assert len(report) == 2 ** (n + 1) - (n + 1) - 1
+            assert report == independence_by_masks([*bits, parity])
+            assert all(r["ok"] for r in report if len(r["subset"]) <= n)
+            (full,) = [r for r in report if len(r["subset"]) == n + 1]
+            assert full["intersection"] == Fraction(n % 2, 1 << n) != full["product"]
+            assert not full["ok"]
+
+    def test_nine_stages_take_uint16_codes(self):
+        # stage k holds the odd cells of 2^k cells, which on the final
+        # 2^9 cells is bit 9 - k of the cell index: nine independent sets
+        # whose codes need nine bits
+        stages = [
+            StageRecord(
+                (k - 1,), (k,), None, None,
+                {"b": GridSet(DyadicGrid((k,)), np.arange(1 << k) % 2 == 1)}, None, True, {},
+            )
+            for k in range(1, 10)
+        ]
+        code = resonance._stage_code(stages, "b")
+        assert code.dtype == np.uint16 and code.shape == (1 << 9,)
+        idx = np.arange(1 << 9)
+        final = [GridSet(DyadicGrid((9,)), (idx >> (9 - k)) & 1 == 1) for k in range(1, 10)]
+        report = check_independence(_counts(code, 1 << 9))
+        assert report == independence_by_masks(final)
+        assert len(report) == 2**9 - 9 - 1 and all(r["ok"] for r in report)
+
+    @pytest.mark.parametrize("style", ["deep", "square"])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_atoms_equal_the_mask_oracles(self, style, depth):
+        f, pads = synthetic_resonance_input(PHI, depth, style=style)
+        plan = build_resonance_function(f, _ORACLE_BASES, PHI, depth, pads=pads)
+        for key, sets in p_sets_on_final_grid(plan).items():
+            code = resonance._stage_code(plan.stages, key)
+            for k, P in enumerate(sets):
+                assert np.array_equal((code >> k) & 1 == 1, P.mask)
+            assert plan.independence[key] == independence_by_masks(sets)
+            assert plan.unions[key] == unions_by_masks(sets)
+
+    def test_a_flipped_stage_bit_fails(self, monkeypatch):
+        # one cell moved in or out of one P_k breaks independence or the
+        # union identity, wherever it is
+        f, pads = synthetic_resonance_input(PHI, 3, style="deep")
+        plan = build_resonance_function(f, _ORACLE_BASES[:1], PHI, 3, pads=pads)
+        cells = plan.final_grid.total_cells
+        stage_code = resonance._stage_code
+        for cell in (0, cells - 1, *np.random.default_rng(3).integers(cells, size=3).tolist()):
+            for k in range(3):
+                def flipped(stages, key=None, cell=cell, k=k):
+                    code = stage_code(stages, key)
+                    if key is not None:
+                        code.reshape(-1)[cell] ^= 1 << k
+                    return code
+
+                monkeypatch.setattr(resonance, "_stage_code", flipped)
+                with pytest.raises(VerificationError, match="invariant failed after assembly"):
+                    build_resonance_function(f, _ORACLE_BASES[:1], PHI, 3, pads=pads)
+
+    def test_a_dropped_stage_fails_the_union_identity(self, monkeypatch):
+        # with P_2's bit cleared in every cell the atoms stay independent
+        # (P_2 is empty), so only the union identity, which reads the
+        # stage's own measure, can refuse the plan
+        f, pads = synthetic_resonance_input(PHI, 3, style="deep")
+        stage_code = resonance._stage_code
+
+        def dropped(stages, key=None):
+            code = stage_code(stages, key)
+            return code if key is None else code & ~np.uint8(2)
+
+        plan = build_resonance_function(f, _ORACLE_BASES[:1], PHI, 3, pads=pads)
+        (key,) = plan.basis_keys
+        atoms = _counts(dropped(plan.stages, key), 8)
+        assert all(r["ok"] for r in check_independence(atoms))
+        monkeypatch.setattr(resonance, "_stage_code", dropped)
+        with pytest.raises(VerificationError, match="invariant failed after assembly"):
+            build_resonance_function(f, _ORACLE_BASES[:1], PHI, 3, pads=pads)
+
+
+def _arrays(*roots) -> dict:
+    """id -> array for every ndarray reachable from ``roots`` through
+    attributes, dict keys and values, and sequence items."""
+    seen, found, todo = set(), {}, list(roots)
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (type, str, int, float, Fraction)):
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            found[id(x)] = x
+        elif isinstance(x, dict):
+            todo.extend([*x.keys(), *x.values()])
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            todo.extend(x)
+        elif hasattr(x, "__dict__"):
+            todo.extend(vars(x).values())
+    return found
+
+
+def test_plan_holds_no_final_grid_copy_of_the_stage_sets():
+    # apart from what the tiles and the input's bands hold on their own
+    # grids, a plan's arrays are its stage sets and g's codes
+    f, pads = synthetic_resonance_input(PHI, 3, style="deep")
+    plan = build_resonance_function(f, _ORACLE_BASES, PHI, 3, pads=pads)
+    own = [plan.g.codes] + [
+        a for s in plan.stages for a in (s.E.mask, *(P.mask for P in s.p_sets.values()))
+    ]
+    small = _arrays([s.tile for s in plan.stages], plan.selection)
+    rest = [a for i, a in _arrays(plan).items() if i not in small]
+    assert {id(a) for a in rest} == {id(a) for a in own}
+    assert sum(a.nbytes for a in rest) == sum(a.nbytes for a in own) > 0
 
 
 @pytest.fixture(scope="module")
@@ -282,16 +403,17 @@ class TestSquarePlan:
         key = BasisSpec("axis", 2).describe()
         union, formula, ok = plan.union_masses[key]
         assert ok and union == Fraction(29, 32)
-        masses = [P.relative_measure() for P in plan.p_final[key]]
+        masses = [P.relative_measure() for P in p_sets_on_final_grid(plan)[key]]
         assert masses == [Fraction(3, 4), Fraction(5, 8)]
 
     def test_quarter_turn_masses_match_axis(self, square_plan):
         _, plan = square_plan
         k0 = BasisSpec("rotated", 2, 0.0).describe()
         k90 = BasisSpec("rotated", 2, math.pi / 2).describe()
+        p_final = p_sets_on_final_grid(plan)
         for i in range(2):
-            m0 = plan.p_final[k0][i].relative_measure()
-            m90 = plan.p_final[k90][i].relative_measure()
+            m0 = p_final[k0][i].relative_measure()
+            m90 = p_final[k90][i].relative_measure()
             assert m0 == m90
         assert plan.union_masses[k0][0] == plan.union_masses[k90][0]
 
@@ -313,8 +435,9 @@ class TestSquarePlan:
         assert plan.verified()
         assert plan.stages[0].j != plan.final_grid.resolution
         e_final = stage_sets_on_final_grid(plan)
+        p_final = p_sets_on_final_grid(plan)
         for i, s in enumerate(plan.stages):
-            p_sets = {key: plan.p_final[key][i] for key in plan.basis_keys}
+            p_sets = {key: p_final[key][i] for key in plan.basis_keys}
             got = s.tile.containment(e_final[i], p_sets)
             assert got == dict.fromkeys(plan.basis_keys, True)
 

@@ -30,6 +30,8 @@ from gridhalo.witness import (
 from oracles import (
     difference,
     kernel_containment,
+    p_sets_on_final_grid,
+    refine,
     rotated_average,
     stage_sets_on_final_grid,
     tile_certificate_ok,
@@ -430,8 +432,9 @@ class TestCellCertificates:
         # on every stage grid and on the final grid, where every stage's E
         # holds its tile's E in every copy
         e_final = stage_sets_on_final_grid(cert_plan)
+        p_final = p_sets_on_final_grid(cert_plan)
         for i, s in enumerate(cert_plan.stages):
-            final = {key: cert_plan.p_final[key][i] for key in cert_plan.basis_keys}
+            final = {key: p_final[key][i] for key in cert_plan.basis_keys}
             for E, p_sets in ((s.E, s.p_sets), (e_final[i], final)):
                 want = kernel_containment(s.tile, E, p_sets)
                 got = s.tile.containment(E, p_sets)
@@ -521,8 +524,8 @@ class TestCellCertificates:
                 mutants.append(dataclasses.replace(w, cell_certificates=moved))
         assert mutants
         extra = (factor.bit_length() - 1,) * n
-        E = w.E.refine(extra)
-        p_sets = {key: P.refine(extra) for key, P in w.p_sets.items()}
+        E = refine(w.E, extra)
+        p_sets = {key: refine(P, extra) for key, P in w.p_sets.items()}
         assert w.containment(E, p_sets) == {key: True for key in w.p_sets}
         for mutant in mutants:
             assert mutant.containment(E, p_sets) == {key: False for key in w.p_sets}
