@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .grid import DyadicGrid, StepFunction, save_step_function
 from .growth import log_power_growth
 from .halo import (
@@ -203,6 +203,14 @@ def run_zygmund(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     phi = log_power_growth(config.growth_exponent)
     gammas = [math.radians(d) for d in config.rotations_deg]
+    bases = [BasisSpec("rotated", config.k, g) for g in gammas]
+    # every basis is keyed by its description, which rounds gamma
+    seen = {}
+    for d, basis in zip(config.rotations_deg, bases):
+        key = basis.describe()
+        if key in seen:
+            raise ConfigError(f"rotations {seen[key]} and {d} degrees share the basis key {key}")
+        seen[key] = d
 
     witness = mphi_witness_for_rotations(
         gammas, float(config.h_list[0]), 1.0, phi, k=config.k
@@ -212,7 +220,7 @@ def run_zygmund(config: ExperimentConfig) -> RunReport:
     report.timings["witness"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    _, plan = _staged_plan(config, [BasisSpec("rotated", config.k, g) for g in gammas])
+    _, plan = _staged_plan(config, bases)
     for key, per_depth in plan.unions.items():
         basis = plan.stages[0].tile.bases[key]
         for depth, (union, _, _) in enumerate(per_depth, start=1):

@@ -44,7 +44,7 @@ from .grid import (
     uniform_distribution_check,
 )
 from .growth import GrowthFunction
-from .witness import MPhiWitness, build_tile_witness
+from .witness import MPhiWitness, VerificationError, build_tile_witness
 
 __all__ = [
     "InfeasibleError",
@@ -81,10 +81,6 @@ class ResolutionCapError(RuntimeError):
         super().__init__(message)
         self.achievable_depth = achievable_depth
         self.required = required
-
-
-class VerificationError(RuntimeError):
-    """An exact invariant re-check failed; this always indicates a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +181,10 @@ def replicate_configuration(
     Each replicated set is checked once, where it is made: for uniform
     distribution over the coarse cells, and for containment in its basis's
     certified level set, by the tile witness's own check on the replicated
-    grid.  On the exact route that check reads the replicated E through
-    the tile's certificates, one rectangle per certificate in every copy,
-    instead of recomputing the level set of the whole grid.  A failed
-    check raises; the verdicts are recorded.
+    grid.  That check folds the replicated E and P onto the tile grid and
+    counts the tile's certificates on at most three copies of the tile E
+    per axis, instead of recomputing the level set of the whole grid.  A
+    failed check raises; the verdicts are recorded.
     Returns the stage at the fine resolution j = m + base bits + pad.
     """
     delta = Fraction(delta)

@@ -30,14 +30,18 @@ placements, and from the same winners one certificate per P cell: an
 admissible shape and the lower corner of a placement of it (which may
 overhang the box) that covers the cell and holds count cells of E with
 count * amp.num > |R| * amp.den.  On a replica or refinement of the tile,
-a P passes when it lies in the certified cells placed on that grid and
-every certificate, scaled to the grid's cells and moved into every copy
-of the tile, still clears the threshold on the E given: its counts come
-from one summed-area table of that E, in one gather of every distinct
-rectangle's corners over all copies, and never from the level set of the
-whole grid.  The check
-reads E itself, so it needs no lemma about replication and a wrong
-certificate can only fail it.
+a P passes when the E given holds the placed tile E, P lies in the
+certified cells placed on that grid, and every certificate, scaled to the
+grid's cells and moved into every copy of the tile, clears the threshold
+on the placed tile E.  A certificate is no wider than the tile, so it
+reaches at most one copy past its own on either side, and each copy reads
+as the first, an inner or the last one does: the counts come from one
+summed-area table of at most three copies per axis of the refined tile E.
+They bound E's counts from below, so a pass proves that P lies in E's
+level set, and a wrong certificate can only fail.  E and P are each read
+once, folded onto the tile grid through views over their copies (a
+logical-and of E, a logical-or of P), so the check builds no array larger
+than a few tiles and never the level set of the whole grid.
 
 The refinement depth of K's grid and the point-location margin are fixed
 constants.  ``MPhiWitness.containment`` is the one containment check, on
@@ -75,6 +79,7 @@ from .rotate import quarter_turns
 __all__ = [
     "MPhiWitness",
     "RotationCertificate",
+    "VerificationError",
     "WitnessError",
     "central_block",
     "inscribed_radius_sq",
@@ -88,6 +93,10 @@ __all__ = [
 
 class WitnessError(RuntimeError):
     """A witness construction could not satisfy its quantitative targets."""
+
+
+class VerificationError(RuntimeError):
+    """An exact invariant re-check failed; this always indicates a bug."""
 
 
 # the disk core K lives on a square-subcell refinement of the tile this
@@ -263,6 +272,23 @@ def _place(mask: np.ndarray, placement) -> np.ndarray:
     return np.tile(mask, [reps for _, reps in placement])
 
 
+def _fold(mask: np.ndarray, placement, tile_shape, op) -> np.ndarray:
+    """The tile-grid mask that ``op`` (np.logical_and or np.logical_or)
+    makes of a mask on the grid of ``placement``, over every copy of the
+    tile and every subcell of a tile cell, through a view of the mask.
+
+    The copy axes go first, outermost first, then the subcell axes: each
+    reduction over one axis is a pass over whole rows, where one call over
+    several axes walks the view element by element (about 60 times slower
+    on a (256, 8, 256, 8) view), and the first pass already leaves an
+    array one copy count smaller than the grid."""
+    view = mask.reshape([v for (f, r), t in zip(placement, tile_shape) for v in (r, t, f)])
+    for ax in (*range(0, view.ndim, 3), *range(2, view.ndim, 3)):
+        if view.shape[ax] > 1:
+            view = op.reduce(view, axis=ax, keepdims=True)
+    return view.reshape(tile_shape)
+
+
 def _rect_counts(table: np.ndarray, start, size, step, reps) -> np.ndarray | None:
     """Cell counts of the rectangles [start[i] + t*step, start[i] + t*step +
     size[i]) per axis, t = 0 .. reps - 1, in table indices, as an array of
@@ -322,13 +348,20 @@ def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray,
     return np.column_stack([np.argwhere(P.mask), index[keep], low[keep]])
 
 
-def _certificates_hold(w, E: GridSet, placement) -> bool:
-    """Whether every certificate of w proves its cell, in every copy, on
-    E's grid: the cell is a tile cell, its shape is admissible (at most k
-    distinct edge lengths, diameter < trunc), its rectangle covers the
-    cell, and scaled to E's cells and moved into each copy of the tile
-    that rectangle holds enough of E's cells.  Reads E only, so it is
-    sound for any E."""
+def _certificates_hold(w, placement) -> bool:
+    """Whether every certificate of w proves its cell in every copy of the
+    tile that ``placement`` lays out: the cell is a tile cell, its shape is
+    admissible (at most k distinct edge lengths, diameter < trunc) and no
+    wider than the tile, its rectangle covers the cell, and scaled to the
+    placement's cells and moved into each copy that rectangle holds enough
+    cells of the placed tile E.
+
+    A rectangle no wider than the tile reaches at most one copy past its
+    own on either side, and the placed tile E repeats, so each copy reads
+    as the first, an inner or the last one does: the counts come from one
+    summed-area table of min(reps, 3) copies of the refined tile E, in one
+    gather of every distinct rectangle's corners over those copies.  They
+    bound the counts of any E holding the placed tile E from below."""
     cert = w.cell_certificates
     n = w.grid.n
     cells, index, corners = cert[:, :n], cert[:, n], cert[:, n + 1 :]
@@ -341,59 +374,63 @@ def _certificates_hold(w, E: GridSet, placement) -> bool:
         lengths = [x * c for x, c in zip(w.shapes[i], w.grid.cell_size)]
         if min(w.shapes[i]) < 1 or len(set(lengths)) > k:
             return False
+        if any(x > t for x, t in zip(w.shapes[i], w.grid.shape)):
+            return False
         if sum(x * x for x in lengths) >= w.trunc * w.trunc:
             return False
     shapes = np.array(w.shapes, dtype=np.int64).reshape(-1, n)[index]
     if not ((corners <= cells) & (cells < corners + shapes)).all():
         return False
+    if not len(cert):
+        return True
     factor, reps = (np.array(v) for v in zip(*placement))
+    copies = np.minimum(reps, 3)
+    E = _place(w.E.mask, list(zip(factor, copies)))
     step = factor * w.grid.shape
     # each distinct rectangle once, by one sort (np.unique would import numpy.ma)
     rects = np.column_stack([shapes, corners])
     rects = rects[np.lexsort(rects.T[::-1])]
     rects = rects[np.append(True, (rects[1:] != rects[:-1]).any(axis=1))]
-    if not len(rects):
-        return True
     rects = rects * np.tile(factor, 2)
     low = rects[:, n:]
-    high = low + rects[:, :n] + (reps - 1) * step
+    high = low + rects[:, :n] + (copies - 1) * step
     lo = np.maximum(-low.min(axis=0), 0)
-    hi = np.maximum(high.max(axis=0) - E.grid.shape, 0)
-    table = _summed_area(E.mask, lo, hi)
-    counts = _rect_counts(table, low + lo, rects[:, :n], step, reps)
+    hi = np.maximum(high.max(axis=0) - E.shape, 0)
+    table = _summed_area(E, lo, hi)
+    counts = _rect_counts(table, low + lo, rects[:, :n], step, copies)
     if counts is None:
         return False
     # count * amp.num > |R| * amp.den rises with the count, so each
     # rectangle's fewest cells over the copies decide
     fewest = counts.reshape(len(rects), -1).min(axis=1).astype(np.int64)
     area = rects[:, :n].prod(axis=1)
-    return bool(_exceeds(fewest, w.h.numerator, area, w.h.denominator, E.popcount).all())
+    return bool(
+        _exceeds(fewest, w.h.numerator, area, w.h.denominator, int(np.count_nonzero(E))).all()
+    )
 
 
-def _certified_sets(w, E: GridSet) -> dict | None:
-    """Per basis key of w, the certified level set on E's grid, or None
-    when E's grid is no refinement or replica of w's tile grid.
+def _certified_sets(w, E: np.ndarray, placement) -> dict:
+    """Per basis key of w, the tile-grid mask of its certified cells, to
+    be placed on every copy and subcell that ``placement`` lays out, given
+    the mask E on that grid.
 
-    The exact route places the tile's certified cells onto E's grid, empty
-    unless every certificate holds on E (one check for an axis basis and
-    its quarter turns).  The disk route places the tile preimage onto E's
-    grid; the certificate needs E to hold w's E, else it is empty."""
-    placement = _placement(w.grid, E.grid)
-    if placement is None:
-        return None
-    holds = bool(w.certificates) and not (_place(w.E.mask, placement) & ~E.mask).any()
+    Both routes need E to hold the placed tile E, checked once on E folded
+    by a logical-and over its copies and subcells.  The exact route then
+    takes the tile's certified cells, empty unless every certificate holds
+    (one check for an axis basis and its quarter turns); the disk route
+    takes the tile preimage of its rotation certificate."""
+    holds = not (w.E.mask & ~_fold(E, placement, w.grid.shape, np.logical_and)).any()
     out, exact = {}, None
     for key, basis in w.bases.items():
         if _route(basis) is None:
             cert = w.certificates[key]
             tile = rotation_preimage(w.grid, cert.U, cert.gamma, _MARGIN)
-            out[key] = GridSet._own(E.grid, _place(tile.mask, placement) & holds)
+            out[key] = tile.mask & holds
         else:
             if exact is None:
-                cells = np.zeros(w.grid.shape, dtype=bool)
-                if _certificates_hold(w, E, placement):
-                    cells[tuple(w.cell_certificates[:, : w.grid.n].T)] = True
-                exact = GridSet._own(E.grid, _place(cells, placement))
+                exact = np.zeros(w.grid.shape, dtype=bool)
+                if holds and _certificates_hold(w, placement):
+                    exact[tuple(w.cell_certificates[:, : w.grid.n].T)] = True
             out[key] = exact
     return out
 
@@ -431,13 +468,22 @@ class MPhiWitness:
         E and the P sets default to the witness's own.  They may also live
         on a replica of the tile over whole copies of its box, a refinement,
         or both; P must be on E's grid, and any other grid gives False.
-        An exact-route P passes when its cells are certified tile cells and
-        their certificates hold on E; the level set of E is never computed."""
+        Every P needs E to hold the tile's E in every copy.  An exact-route
+        P passes when its cells are certified tile cells and their
+        certificates hold on the placed tile E, which bounds E's counts
+        from below; the level set of E is never computed.  E and each P
+        are folded onto the tile grid through views over their copies, so
+        a replica costs a pass over its masks and a few tiles of memory."""
         E = self.E if E is None else E
         p_sets = self.p_sets if p_sets is None else p_sets
-        sets = _certified_sets(self, E) or {}
+        placement = _placement(self.grid, E.grid)
+        if placement is None:
+            return {key: False for key in p_sets}
+        sets = _certified_sets(self, E.mask, placement)
         return {
-            key: key in sets and P.grid == E.grid and not (P.mask & ~sets[key].mask).any()
+            key: key in sets
+            and P.grid == E.grid
+            and not (_fold(P.mask, placement, self.grid.shape, np.logical_or) & ~sets[key]).any()
             for key, P in p_sets.items()
         }
 
@@ -473,6 +519,8 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         raise ValueError("witness bases must share k: they share one shape family")
     axis = BasisSpec("axis", bases[0].k)
     basis_map = {b.describe(): b for b in bases}
+    if len(basis_map) < len(bases):
+        raise ValueError("two bases share a key; their P sets would merge")
     generic = [key for key, b in basis_map.items() if _route(b) is None]
     shapes = enumerate_shapes(axis, grid, r=trunc)
     cells = np.zeros((0, 2 * grid.n + 1), dtype=np.int64)
@@ -503,8 +551,11 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         certificates=certificates,
         c_of_h=Fraction(E.popcount, grid.total_cells),
     )
-    p_sets = _certified_sets(w, E)
+    sets = _certified_sets(w, E.mask, [(1, 1)] * grid.n)
+    p_sets = {key: GridSet._own(grid, mask) for key, mask in sets.items()}
     for key, P in p_sets.items():
+        if P.popcount == 0 and key not in generic and len(cells):
+            raise VerificationError(f"the tile's own certificates fail for basis {key}")
         if P.popcount == 0:
             raise WitnessError(f"empty P set for basis {key}")
     phi_h = phi(float(amp))

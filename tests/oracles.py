@@ -13,7 +13,9 @@ rearrangement from bool masks and cross-multiplied integers;
 ANDing and ORing the refined stage sets;
 ``kernel_containment`` and
 ``tile_certificate_ok`` recompute what a witness's certificates claim,
-from the kernel's level set and from a direct count; ``boundary_touch``
+from the kernel's level set and from a direct count, and
+``certified_sets_on_grid`` places a witness's certified sets on a whole
+replica grid, counting the certificates on E itself in every copy; ``boundary_touch``
 reads boundary contact off a whole-grid mask; ``difference`` is the set
 difference of two cell sets on one grid.
 """
@@ -289,3 +291,50 @@ def tile_certificate_ok(w, cell, shape, corner):
     count = int(E[tuple(slice(c + pad, c + pad + s) for c, s in zip(corner, shape))].sum())
     covers = all(c <= x < c + s for x, c, s in zip(cell, corner, shape))
     return covers and count * w.h > math.prod(shape)
+
+
+def certified_sets_on_grid(w, E: np.ndarray, placement) -> dict:
+    """Oracle: per basis key of w, its certified cells placed on the whole
+    grid of ``placement``, given the mask E there.  The disk route places
+    the tile preimage, empty unless E holds the placed tile E; the exact
+    route places the tile's certified cells, empty unless every
+    certificate, scaled to E's cells and moved into every copy of the
+    tile, holds enough cells of E itself, counted through one summed-area
+    table of the whole grid."""
+    n = w.grid.n
+    cert = w.cell_certificates
+    cells, index, corners = cert[:, :n], cert[:, n], cert[:, n + 1 :]
+    k = next(iter(w.bases.values())).k
+    shapes = np.array(w.shapes, dtype=np.int64).reshape(-1, n)[index]
+    ok = bool(((0 <= cells) & (cells < w.grid.shape)).all())
+    for i in set(index.tolist()):
+        lengths = [x * c for x, c in zip(w.shapes[i], w.grid.cell_size)]
+        ok &= min(w.shapes[i]) >= 1 and len(set(lengths)) <= k
+        ok &= sum(x * x for x in lengths) < w.trunc * w.trunc
+    ok &= bool(((corners <= cells) & (cells < corners + shapes)).all())
+    factor, reps = (np.array(v) for v in zip(*placement))
+    step = factor * w.grid.shape
+    if ok and len(cert):
+        rects = np.unique(np.column_stack([shapes, corners]), axis=0) * np.tile(factor, 2)
+        low = rects[:, n:]
+        high = low + rects[:, :n] + (reps - 1) * step
+        lo = np.maximum(-low.min(axis=0), 0)
+        hi = np.maximum(high.max(axis=0) - E.shape, 0)
+        table = witness._summed_area(E, lo, hi)
+        counts = witness._rect_counts(table, low + lo, rects[:, :n], step, reps)
+        fewest = counts.reshape(len(rects), -1).min(axis=1)
+        area = rects[:, :n].prod(axis=1)
+        ok = all(int(c) * w.h.numerator > int(a) * w.h.denominator for c, a in zip(fewest, area))
+    holds = not (witness._place(w.E.mask, placement) & ~E).any()
+    exact = np.zeros(w.grid.shape, dtype=bool)
+    if ok:
+        exact[tuple(cells.T)] = True
+    out = {}
+    for key, basis in w.bases.items():
+        if witness._route(basis) is None:
+            cert = w.certificates[key]
+            tile = witness.rotation_preimage(w.grid, cert.U, cert.gamma, witness._MARGIN).mask & holds
+        else:
+            tile = exact
+        out[key] = witness._place(tile, placement)
+    return out

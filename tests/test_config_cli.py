@@ -139,6 +139,20 @@ class TestCli:
         assert rc == 3
         assert "from h=3 to h=4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rotations, named",
+        [("22.5,22.50001", ("22.5 and 22.50001", "I^2(gamma=0.392699)")), ("0,0", ("0.0 and 0.0", "I^2(gamma=0)"))],
+    )
+    def test_rotations_sharing_a_basis_key_exit_2(self, rotations, named, tmp_path, capsys):
+        # bases are keyed by their description, which prints gamma to 6
+        # significant digits: two angles with one key would merge into one
+        # basis, so the run is refused before any witness is built
+        rc = _run(["zygmund", "--depth", "2", "--rotations", rotations, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and all(text in err for text in named)
+        assert not (tmp_path / "report.json").exists()
+
     def test_halo_at_shipped_defaults(self, tmp_path):
         out = str(tmp_path / "o")
         assert _run(["halo", "--out", out]) == 0

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from gridhalo.resonance import build_resonance_function, synthetic_resonance_inp
 from gridhalo.rotate import quarter_turns
 from gridhalo.witness import (
     _MARGIN,
+    VerificationError,
     WitnessError,
     _box_center,
     _route,
@@ -28,6 +30,7 @@ from gridhalo.witness import (
     rotation_preimage,
 )
 from oracles import (
+    certified_sets_on_grid,
     difference,
     kernel_containment,
     p_sets_on_final_grid,
@@ -458,6 +461,16 @@ class TestCellCertificates:
                 failed += sum(not got[key] for key in want)
         assert failed > 0
 
+    def test_sound_for_an_e_holding_more_than_the_tile_e(self, cert_plan):
+        # extra cells only raise the counts: every verdict still passes,
+        # and so does the kernel's recomputation on that E
+        rng = np.random.default_rng(11)
+        for s in cert_plan.stages:
+            E = GridSet(s.E.grid, s.E.mask | (rng.random(s.E.grid.shape) < 0.1))
+            want = kernel_containment(s.tile, E, s.p_sets)
+            assert all(want.values())
+            assert s.tile.containment(E, s.p_sets) == {key: True for key in s.p_sets}
+
     def test_dropped_certificate_fails(self, cert_plan):
         for s in cert_plan.stages:
             cert = s.tile.cell_certificates
@@ -491,8 +504,8 @@ class TestCellCertificates:
 
     def test_one_e_cell_lost_in_the_last_copy_fails(self, cert_plan):
         # the last stage's E (256x256 at depth 3, 32 x 32 copies of its
-        # tile) minus one cell of its last copy: the counts are read in
-        # every copy, so the exact route must notice
+        # tile) minus one cell of its last copy: E no longer holds the
+        # placed tile E, so both routes must notice
         s = cert_plan.stages[-1]
         w = s.tile
         placement = witness._placement(w.grid, s.E.grid)
@@ -504,7 +517,7 @@ class TestCellCertificates:
         E = GridSet(s.E.grid, mask)
         got = w.containment(E, s.p_sets)
         assert kernel_containment(w, E, s.p_sets) == {key: False for key in _exact_keys(w)}
-        assert not any(got[key] for key in _exact_keys(w))
+        assert got == {key: False for key in s.p_sets}
 
     @pytest.mark.parametrize("factor", [1, 2])
     def test_shifted_corner_fails_on_the_tile_and_its_refinement(self, factor):
@@ -599,3 +612,149 @@ class TestCellCertificates:
             rects = {tuple(row) for row in w.cell_certificates[:, w.grid.n :].tolist()}
             assert len(rects) <= most
             assert len(w.cell_certificates) == w.p_sets[_exact_keys(w)[0]].popcount
+
+
+@pytest.fixture(scope="module")
+def replica_tile():
+    """An 8x8 tile against an axis basis, a quarter turn and pi/8, whose
+    certificates come in two shapes and share no corner."""
+    return build_tile_witness(DyadicGrid((3, 3)), _CERT_BASES, 4, Fraction(2), PHI)
+
+
+_REPS = [(1, 1), (2, 2), (3, 3), (5, 5), (1, 5), (3, 2)]
+
+
+class TestReplicaCounts:
+    """The three-copy counts against the full-grid route of
+    ``oracles.certified_sets_on_grid``, on placements that no dyadic grid
+    takes (3 and 5 copies) as well as on those that one does."""
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("reps", _REPS)
+    def test_verdicts_equal_the_full_grid_route(self, replica_tile, reps, factor):
+        # on the placed tile E the copies read as their class does, so the
+        # verdicts equal the whole-grid counts, for the witness's own
+        # certificates and for each distinct rectangle moved by one cell
+        # or by (7, 7), overhanging its copy
+        w, n = replica_tile, replica_tile.grid.n
+        placement = [(factor, r) for r in reps]
+        E = witness._place(w.E.mask, placement)
+        cert = w.cell_certificates
+        _, rows = np.unique(cert[:, n:], axis=0, return_index=True)
+        mutants = [w]
+        for row, shift in itertools.product(rows, ((1, 0), (-1, 0), (0, 1), (0, -1), (7, 7))):
+            moved = cert.copy()
+            moved[row, n + 1 :] += shift
+            mutants.append(dataclasses.replace(w, cell_certificates=moved))
+        verdicts = set()
+        for mutant in mutants:
+            want = certified_sets_on_grid(mutant, E, placement)
+            got = witness._certified_sets(mutant, E, placement)
+            assert got.keys() == want.keys()
+            for key, mask in got.items():
+                assert (witness._place(mask, placement) == want[key]).all(), (key, reps, factor)
+            verdicts.add(bool(got["I^2"].any()))
+        assert verdicts == {False, True}
+        assert all(m.any() for m in witness._certified_sets(w, E, placement).values())
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("reps", _REPS)
+    def test_a_superset_of_the_placed_tile_e_still_passes(self, replica_tile, reps, factor):
+        # more E only raises the counts: both routes keep every cell, and a
+        # pass still proves what the whole-grid counts prove
+        w = replica_tile
+        placement = [(factor, r) for r in reps]
+        E = witness._place(w.E.mask, placement)
+        E |= np.random.default_rng(sum(reps) + factor).random(E.shape) < 0.2
+        got = witness._certified_sets(w, E, placement)
+        want = certified_sets_on_grid(w, E, placement)
+        for key, mask in got.items():
+            assert (mask == w.p_sets[key].mask).all()
+            assert (witness._place(mask, placement) == want[key]).all()
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("reps", [(3, 3), (5, 5), (3, 2)])
+    def test_a_tile_e_cell_dropped_in_an_inner_copy_fails_both_routes(self, replica_tile, reps, factor):
+        # a superset of the placed tile E, minus one subcell of a tile-E
+        # cell in the middle copy along the first axis: every basis loses
+        # its certified cells, on the exact route as on the disk route
+        w = replica_tile
+        placement = [(factor, r) for r in reps]
+        E = witness._place(w.E.mask, placement)
+        E |= np.random.default_rng(1).random(E.shape) < 0.2
+        step = [factor * t for t in w.grid.shape]
+        inner = np.argwhere(w.E.mask)[-1] * factor + [(r // 2) * t for r, t in zip(reps, step)]
+        E[tuple(inner)] = False
+        got = witness._certified_sets(w, E, placement)
+        assert {key: bool(m.any()) for key, m in got.items()} == {key: False for key in w.bases}
+        want = certified_sets_on_grid(w, E, placement)
+        assert not any(want[key].any() for key, b in w.bases.items() if _route(b) is None)
+
+    @pytest.mark.parametrize("reps", [(1, 1), (3, 3)])
+    def test_a_certificate_wider_than_the_tile_is_refused(self, reps):
+        # on a 4x8 tile of cells 1/4 x 1/8, a 5x2 rectangle from row -1
+        # holds the four cells of E: 4 * 4 > 10, admissible at trunc 2,
+        # but it could reach two copies past its own
+        w = build_tile_witness(DyadicGrid((2, 3)), [BasisSpec("axis", 2)], 4, Fraction(2), PHI)
+        assert w.shapes == tuple(sorted(w.shapes)) and max(w.shapes) <= w.grid.shape
+        n = w.grid.n
+        cell = np.argwhere(w.E.mask)[0]
+        cert = w.cell_certificates.copy()
+        row = np.flatnonzero((cert[:, :n] == cell).all(axis=1))[0]
+        cert[row, n:] = (len(w.shapes), cell[0] - 1, cell[1])
+        wide = dataclasses.replace(w, shapes=(*w.shapes, (5, 2)), cell_certificates=cert)
+        assert tile_certificate_ok(wide, cell, (5, 2), (cell[0] - 1, cell[1]))
+        placement = [(1, r) for r in reps]
+        E = witness._place(w.E.mask, placement)
+        assert certified_sets_on_grid(wide, E, placement)["I^2"].any()
+        assert not witness._certified_sets(wide, E, placement)["I^2"].any()
+        assert wide.containment() == {"I^2": False}
+
+    def test_replica_containment_stays_within_a_tile_of_memory(self):
+        # 256 x 256 copies of an 8x8 tile on a 2048^2 grid: the check folds
+        # E and P through views and counts on 3 x 3 copies, so its peak
+        # stays far below one grid-sized mask (4 MB)
+        tile = DyadicGrid((3, 3), side=(Fraction(1, 256),) * 2)
+        w = build_tile_witness(tile, _CERT_BASES, 4, Fraction(1, 128), PHI)
+        full = DyadicGrid((11, 11))
+        E = GridSet(full, np.tile(w.E.mask, (256, 256)))
+        p_sets = {key: GridSet(full, np.tile(P.mask, (256, 256))) for key, P in w.p_sets.items()}
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            got = w.containment(E, p_sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == {key: True for key in w.bases}
+        assert peak - entry < 1 << 20
+
+
+class TestFreshCertificates:
+    def test_a_failing_fresh_certificate_is_a_bug(self, monkeypatch, tmp_path):
+        # one corner moved a whole tile away: the rectangle no longer
+        # covers its cell, so the tile's own check fails and P comes out
+        # empty, which is a verification failure, not infeasibility
+        certify = witness._certify
+
+        def shifted(P, *wins):
+            cells = certify(P, *wins)
+            cells[0, P.grid.n + 1 :] += P.grid.shape
+            return cells
+
+        monkeypatch.setattr(witness, "_certify", shifted)
+        with pytest.raises(VerificationError, match="own certificates"):
+            build_tile_witness(DyadicGrid((3, 3)), _CERT_BASES, 4, Fraction(2), PHI)
+        from gridhalo.cli import main
+
+        assert main(["resonance", "--depth", "1", "--out", str(tmp_path)]) == 4
+
+    def test_a_pass_with_no_winners_is_infeasible(self):
+        E = GridSet(DyadicGrid((2, 2)), np.zeros((4, 4), dtype=bool))
+        with pytest.raises(WitnessError, match="empty P set"):
+            witness._witness(E, [BasisSpec("axis", 2)], Fraction(3), Fraction(1), Fraction(2), PHI)
+
+    def test_bases_with_one_key_are_refused(self):
+        bases = [BasisSpec("rotated", 2, math.radians(d)) for d in (22.5, 22.50001)]
+        with pytest.raises(ValueError, match="share a key"):
+            build_tile_witness(DyadicGrid((3, 3)), bases, 4, Fraction(2), PHI)
