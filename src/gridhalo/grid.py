@@ -237,13 +237,6 @@ class StepFunction:
     table: tuple
     codes: np.ndarray
 
-    def __init__(self, grid: DyadicGrid, values):
-        src = np.asarray(values, dtype=object)
-        if src.shape != grid.shape:
-            raise ValueError("values shape does not match grid")
-        table, codes = np.unique(src.ravel(), return_inverse=True)
-        self._set(grid, table.tolist(), codes)
-
     def _set(self, grid: DyadicGrid, table, codes) -> "StepFunction":
         """Sort and deduplicate ``table`` in O(table) work; ``codes`` are
         remapped only when that changed it, and kept if of the code dtype."""

@@ -182,8 +182,8 @@ def replicate_configuration(
     distribution over the coarse cells, and for containment in its basis's
     certified level set, by the tile witness's own check on the replicated
     grid.  That check folds the replicated E and P onto the tile grid and
-    counts the tile's certificates on at most three copies of the tile E
-    per axis, instead of recomputing the level set of the whole grid.  A
+    compares them with the tile's E and certified cells, proved once on
+    the tile, instead of recomputing the level set of the whole grid.  A
     failed check raises; the verdicts are recorded.
     Returns the stage at the fine resolution j = m + base bits + pad.
     """
@@ -281,11 +281,11 @@ class ResonancePlan:
     @property
     def containment_ok(self) -> dict:
         """key -> the stages' containment verdicts, each checked where its
-        sets were made.  Refining both sides preserves them: a tile
-        certificate scaled to finer cells covers the same physical rectangle
-        and the same part of E, and a disk-certified set refines with its
-        tile cells; ``tile.containment`` decides the same on the final
-        grid."""
+        sets were made.  Refining both sides preserves them: the tile's
+        certified cells are proved once on the tile, a certificate scaled
+        to finer cells covers the same physical rectangle and the same part
+        of E, and a disk-certified set refines with its tile cells;
+        ``tile.containment`` decides the same on the final grid."""
         return {key: tuple(s.containment_ok[key] for s in self.stages) for key in self.basis_keys}
 
     @property

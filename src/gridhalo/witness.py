@@ -29,24 +29,24 @@ kernel (``maxop._winners``) gives the tile's P, the union of the winning
 placements, and from the same winners one certificate per P cell: an
 admissible shape and the lower corner of a placement of it (which may
 overhang the box) that covers the cell and holds count cells of E with
-count * amp.num > |R| * amp.den.  On a replica or refinement of the tile,
-a P passes when the E given holds the placed tile E, P lies in the
-certified cells placed on that grid, and every certificate, scaled to the
-grid's cells and moved into every copy of the tile, clears the threshold
-on the placed tile E.  A certificate is no wider than the tile, so it
-reaches at most one copy past its own on either side, and each copy reads
-as the first, an inner or the last one does: the counts come from one
-summed-area table of at most three copies per axis of the refined tile E.
-They bound E's counts from below, so a pass proves that P lies in E's
-level set, and a wrong certificate can only fail.  E and P are each read
-once, folded onto the tile grid through views over their copies (a
-logical-and of E, a logical-or of P), so the check builds no array larger
-than a few tiles and never the level set of the whole grid.
+count * amp.num > |R| * amp.den.  The certificates are proved once, on
+the tile, counted on its E with zeros outside it; the tile cells they
+prove are the basis's certified cells.  The bases are translation
+invariant, so a certificate moved into any copy of the tile on a replica
+stays a member, and there it holds at least the cells of that copy's tile
+E; refined by f per axis, its count and its area both scale by f^n.  So
+on a replica or refinement of the tile a P passes when the E given holds
+the tile E in every copy and every cell of P lies in a certified tile
+cell: a pass proves that P lies in E's level set, and a wrong certificate
+can only fail.  E and P are each read once, folded onto the tile grid
+through views over their copies (a logical-and of E, a logical-or of P),
+so the check builds no array larger than a tile and never the level set
+of the whole grid.
 
 The refinement depth of K's grid and the point-location margin are fixed
 constants.  ``MPhiWitness.containment`` is the one containment check, on
 the tile, on replicas of it and on refinements of those; it alone knows
-the routes, the certificates and how shapes scale.  The staged
+the routes and the certified cells.  The staged
 construction (gridhalo.resonance) builds one witness per stage, directly
 on the diluted tile, and calls it once, where the replicated sets are made.
 """
@@ -57,6 +57,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -265,13 +266,6 @@ def _placement(tile: DyadicGrid, grid: DyadicGrid):
     return [(factor.numerator, reps.numerator) for factor, reps, _ in ratios]
 
 
-def _place(mask: np.ndarray, placement) -> np.ndarray:
-    """A tile-grid mask refined and tiled onto the grid of ``placement``."""
-    for ax, (factor, _) in enumerate(placement):
-        mask = np.repeat(mask, factor, axis=ax)
-    return np.tile(mask, [reps for _, reps in placement])
-
-
 def _fold(mask: np.ndarray, placement, tile_shape, op) -> np.ndarray:
     """The tile-grid mask that ``op`` (np.logical_and or np.logical_or)
     makes of a mask on the grid of ``placement``, over every copy of the
@@ -289,26 +283,19 @@ def _fold(mask: np.ndarray, placement, tile_shape, op) -> np.ndarray:
     return view.reshape(tile_shape)
 
 
-def _rect_counts(table: np.ndarray, start, size, step, reps) -> np.ndarray | None:
-    """Cell counts of the rectangles [start[i] + t*step, start[i] + t*step +
-    size[i]) per axis, t = 0 .. reps - 1, in table indices, as an array of
-    shape (len(start), *reps), by inclusion-exclusion over one gather of
-    every rectangle's 2^n corners from a strided view of ``table`` whose
-    last n axes step through the copies.  None when a corner would leave
-    the table."""
+def _rect_counts(table: np.ndarray, start, size) -> np.ndarray | None:
+    """Cell counts of the rectangles [start[i], start[i] + size[i]) in
+    table indices, by inclusion-exclusion over one gather of every
+    rectangle's 2^n corners.  None when a corner would leave the table,
+    where fancy indexing would wrap a negative index round silently."""
     start, size = np.atleast_2d(start), np.atleast_2d(size)
-    step, reps = np.asarray(step), np.asarray(reps)
-    n = len(reps)
-    # the corners a first copy may take with its last copy still inside
-    fits = table.shape - (reps - 1) * step
-    if start.min(initial=0) < 0 or ((start + size).max(axis=0, initial=0) >= fits).any():
+    n = start.shape[1]
+    if start.min(initial=0) < 0 or ((start + size).max(axis=0, initial=0) >= table.shape).any():
         return None
-    strides = (*table.strides, *(step * table.strides).tolist())
-    view = np.lib.stride_tricks.as_strided(table, (*fits, *reps), strides, writeable=False)
     far = np.array(list(itertools.product((1, 0), repeat=n)))
     at = start + far[:, None] * size
     sign = np.where((n - far.sum(axis=1)) % 2, -1, 1).astype(table.dtype)
-    return np.tensordot(sign, view[tuple(at[..., ax] for ax in range(n))], axes=1)
+    return np.tensordot(sign, table[tuple(at[..., ax] for ax in range(n))], axes=1)
 
 
 def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count) -> np.ndarray:
@@ -348,20 +335,19 @@ def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray,
     return np.column_stack([np.argwhere(P.mask), index[keep], low[keep]])
 
 
-def _certificates_hold(w, placement) -> bool:
-    """Whether every certificate of w proves its cell in every copy of the
-    tile that ``placement`` lays out: the cell is a tile cell, its shape is
-    admissible (at most k distinct edge lengths, diameter < trunc) and no
-    wider than the tile, its rectangle covers the cell, and scaled to the
-    placement's cells and moved into each copy that rectangle holds enough
-    cells of the placed tile E.
+def _certificates_hold(w) -> bool:
+    """Whether every certificate of w proves its cell on the tile: the cell
+    is a tile cell, its shape is admissible (at most k distinct edge
+    lengths, diameter < trunc) and no wider than the tile, its rectangle
+    covers the cell, and it holds enough cells of the tile E, read as zero
+    outside the tile.
 
-    A rectangle no wider than the tile reaches at most one copy past its
-    own on either side, and the placed tile E repeats, so each copy reads
-    as the first, an inner or the last one does: the counts come from one
-    summed-area table of min(reps, 3) copies of the refined tile E, in one
-    gather of every distinct rectangle's corners over those copies.  They
-    bound the counts of any E holding the placed tile E from below."""
+    The counts come from one summed-area table of the tile E, padded for
+    the rectangles' overhang, in one gather of every distinct rectangle's
+    corners.  Moved into any copy of the tile on a replica, and scaled to
+    a refinement, a rectangle that passes here holds at least as many
+    cells of any E that holds that copy's tile E, against an area scaled
+    by the same factor, so the tile's verdict is every copy's."""
     cert = w.cell_certificates
     n = w.grid.n
     cells, index, corners = cert[:, :n], cert[:, n], cert[:, n + 1 :]
@@ -383,54 +369,37 @@ def _certificates_hold(w, placement) -> bool:
         return False
     if not len(cert):
         return True
-    factor, reps = (np.array(v) for v in zip(*placement))
-    copies = np.minimum(reps, 3)
-    E = _place(w.E.mask, list(zip(factor, copies)))
-    step = factor * w.grid.shape
     # each distinct rectangle once, by one sort (np.unique would import numpy.ma)
     rects = np.column_stack([shapes, corners])
     rects = rects[np.lexsort(rects.T[::-1])]
     rects = rects[np.append(True, (rects[1:] != rects[:-1]).any(axis=1))]
-    rects = rects * np.tile(factor, 2)
-    low = rects[:, n:]
-    high = low + rects[:, :n] + (copies - 1) * step
+    size, low = rects[:, :n], rects[:, n:]
     lo = np.maximum(-low.min(axis=0), 0)
-    hi = np.maximum(high.max(axis=0) - E.shape, 0)
-    table = _summed_area(E, lo, hi)
-    counts = _rect_counts(table, low + lo, rects[:, :n], step, copies)
-    if counts is None:
-        return False
-    # count * amp.num > |R| * amp.den rises with the count, so each
-    # rectangle's fewest cells over the copies decide
-    fewest = counts.reshape(len(rects), -1).min(axis=1).astype(np.int64)
-    area = rects[:, :n].prod(axis=1)
-    return bool(
-        _exceeds(fewest, w.h.numerator, area, w.h.denominator, int(np.count_nonzero(E))).all()
+    hi = np.maximum((low + size).max(axis=0) - w.grid.shape, 0)
+    counts = _rect_counts(_summed_area(w.E.mask, lo, hi), low + lo, size)
+    area = size.prod(axis=1)
+    return counts is not None and bool(
+        _exceeds(counts.astype(np.int64), w.h.numerator, area, w.h.denominator, w.E.popcount).all()
     )
 
 
-def _certified_sets(w, E: np.ndarray, placement) -> dict:
-    """Per basis key of w, the tile-grid mask of its certified cells, to
-    be placed on every copy and subcell that ``placement`` lays out, given
-    the mask E on that grid.
-
-    Both routes need E to hold the placed tile E, checked once on E folded
-    by a logical-and over its copies and subcells.  The exact route then
-    takes the tile's certified cells, empty unless every certificate holds
-    (one check for an axis basis and its quarter turns); the disk route
-    takes the tile preimage of its rotation certificate."""
-    holds = not (w.E.mask & ~_fold(E, placement, w.grid.shape, np.logical_and)).any()
+def _certified_sets(w) -> dict:
+    """Per basis key of w, the read-only tile-grid mask of its certified
+    cells: on the exact route the tile's certificate cells, empty unless
+    every certificate holds (one check for an axis basis and its quarter
+    turns); on the disk route the tile preimage of its rotation
+    certificate.  ``MPhiWitness._certified`` keeps them, computed once."""
     out, exact = {}, None
     for key, basis in w.bases.items():
         if _route(basis) is None:
             cert = w.certificates[key]
-            tile = rotation_preimage(w.grid, cert.U, cert.gamma, _MARGIN)
-            out[key] = tile.mask & holds
+            out[key] = rotation_preimage(w.grid, cert.U, cert.gamma, _MARGIN).mask
         else:
             if exact is None:
                 exact = np.zeros(w.grid.shape, dtype=bool)
-                if holds and _certificates_hold(w, placement):
+                if _certificates_hold(w):
                     exact[tuple(w.cell_certificates[:, : w.grid.n].T)] = True
+                exact.setflags(write=False)
             out[key] = exact
     return out
 
@@ -461,6 +430,8 @@ class MPhiWitness:
     def box_diam_sq(self) -> Fraction:
         return sum((s * s for s in self.grid.side), Fraction(0))
 
+    _certified = cached_property(_certified_sets)
+
     def containment(self, E: GridSet | None = None, p_sets: dict | None = None) -> dict:
         """Per key of ``p_sets``, whether that P lies in its basis's
         certified level set of amp*chi_E.
@@ -468,20 +439,22 @@ class MPhiWitness:
         E and the P sets default to the witness's own.  They may also live
         on a replica of the tile over whole copies of its box, a refinement,
         or both; P must be on E's grid, and any other grid gives False.
-        Every P needs E to hold the tile's E in every copy.  An exact-route
-        P passes when its cells are certified tile cells and their
-        certificates hold on the placed tile E, which bounds E's counts
-        from below; the level set of E is never computed.  E and each P
-        are folded onto the tile grid through views over their copies, so
-        a replica costs a pass over its masks and a few tiles of memory."""
+        A P passes when E holds the tile's E in every copy and every cell
+        of P lies in a certified tile cell: the certificates, proved on the
+        tile, hold in every copy of any such E, so the level set of E is
+        never computed.  E and each P are folded onto the tile grid through
+        views over their copies, so a replica costs a pass over its masks
+        and a tile of memory."""
         E = self.E if E is None else E
         p_sets = self.p_sets if p_sets is None else p_sets
         placement = _placement(self.grid, E.grid)
-        if placement is None:
-            return {key: False for key in p_sets}
-        sets = _certified_sets(self, E.mask, placement)
+        holds = placement is not None and not (
+            self.E.mask & ~_fold(E.mask, placement, self.grid.shape, np.logical_and)
+        ).any()
+        sets = self._certified
         return {
-            key: key in sets
+            key: holds
+            and key in sets
             and P.grid == E.grid
             and not (_fold(P.mask, placement, self.grid.shape, np.logical_or) & ~sets[key]).any()
             for key, P in p_sets.items()
@@ -528,6 +501,7 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         # one placement pass gives both P and its certificates
         wins = _winners(StepFunction.indicator(E, amp), axis, 1, r=trunc, shapes=shapes)
         cells = _certify(GridSet._own(grid, _embed(grid.shape, *_paint(grid.shape, *wins))), *wins)
+    cells.setflags(write=False)
     certificates = {}
     if generic:
         center = _box_center(grid)
@@ -551,8 +525,7 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         certificates=certificates,
         c_of_h=Fraction(E.popcount, grid.total_cells),
     )
-    sets = _certified_sets(w, E.mask, [(1, 1)] * grid.n)
-    p_sets = {key: GridSet._own(grid, mask) for key, mask in sets.items()}
+    p_sets = {key: GridSet._own(grid, mask) for key, mask in w._certified.items()}
     for key, P in p_sets.items():
         if P.popcount == 0 and key not in generic and len(cells):
             raise VerificationError(f"the tile's own certificates fail for basis {key}")
@@ -560,7 +533,10 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
             raise WitnessError(f"empty P set for basis {key}")
     phi_h = phi(float(amp))
     c = min(float(P.measure()) / (phi_h * float(E.measure())) for P in p_sets.values())
-    return replace(w, p_sets=p_sets, c=c, phi_at_h=phi_h)
+    out = replace(w, p_sets=p_sets, c=c, phi_at_h=phi_h)
+    # the certified masks read none of the fields replace changes
+    vars(out)["_certified"] = w._certified
+    return out
 
 
 def build_tile_witness(

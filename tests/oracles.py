@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 Polygon clipping gives float averages over rotated rectangles,
-independent of the witness's disk certificates; ``load_step_function``
+independent of the witness's disk certificates; ``step_function`` builds
+a step function from its per-cell values; ``load_step_function``
 reads a saved step function back exactly, and ``save_by_numerators``
 writes one from a sort of its numerators; ``field_values`` spells a max
 field out as per-cell Fractions; ``refine`` re-represents a cell set on
@@ -15,7 +16,8 @@ ANDing and ORing the refined stage sets;
 ``tile_certificate_ok`` recompute what a witness's certificates claim,
 from the kernel's level set and from a direct count, and
 ``certified_sets_on_grid`` places a witness's certified sets on a whole
-replica grid, counting the certificates on E itself in every copy; ``boundary_touch``
+replica grid (``place`` refines and tiles a tile mask), counting the
+certificates on E itself in every copy by slice sums; ``boundary_touch``
 reads boundary contact off a whole-grid mask; ``difference`` is the set
 difference of two cell sets on one grid.
 """
@@ -132,6 +134,16 @@ def rotated_average(f: StepFunction, center, sides, gamma: float) -> float:
             if len(cell) >= 3:
                 total += float(v) * abs(polygon_area(cell))
     return total / (float(sides[0]) * float(sides[1]))
+
+
+def step_function(grid: DyadicGrid, values) -> StepFunction:
+    """Oracle: the step function taking ``values`` (an array of the grid's
+    shape) cell by cell, its table from np.unique over the cells."""
+    src = np.asarray(values, dtype=object)
+    if src.shape != grid.shape:
+        raise ValueError("values shape does not match grid")
+    table, codes = np.unique(src.ravel(), return_inverse=True)
+    return StepFunction.from_table(grid, table.tolist(), codes)
 
 
 def load_step_function(path) -> StepFunction:
@@ -293,14 +305,22 @@ def tile_certificate_ok(w, cell, shape, corner):
     return covers and count * w.h > math.prod(shape)
 
 
+def place(mask: np.ndarray, placement) -> np.ndarray:
+    """Oracle: a tile-grid mask refined by each axis's factor and tiled
+    into its copies, for a ``witness._placement`` of (factor, copies)."""
+    for ax, (factor, _) in enumerate(placement):
+        mask = np.repeat(mask, factor, axis=ax)
+    return np.tile(mask, [reps for _, reps in placement])
+
+
 def certified_sets_on_grid(w, E: np.ndarray, placement) -> dict:
     """Oracle: per basis key of w, its certified cells placed on the whole
     grid of ``placement``, given the mask E there.  The disk route places
     the tile preimage, empty unless E holds the placed tile E; the exact
     route places the tile's certified cells, empty unless every
     certificate, scaled to E's cells and moved into every copy of the
-    tile, holds enough cells of E itself, counted through one summed-area
-    table of the whole grid."""
+    tile, holds enough cells of E itself, each count a slice sum of E
+    clipped to the grid."""
     n = w.grid.n
     cert = w.cell_certificates
     cells, index, corners = cert[:, :n], cert[:, n], cert[:, n + 1 :]
@@ -314,18 +334,14 @@ def certified_sets_on_grid(w, E: np.ndarray, placement) -> dict:
     ok &= bool(((corners <= cells) & (cells < corners + shapes)).all())
     factor, reps = (np.array(v) for v in zip(*placement))
     step = factor * w.grid.shape
-    if ok and len(cert):
-        rects = np.unique(np.column_stack([shapes, corners]), axis=0) * np.tile(factor, 2)
-        low = rects[:, n:]
-        high = low + rects[:, :n] + (reps - 1) * step
-        lo = np.maximum(-low.min(axis=0), 0)
-        hi = np.maximum(high.max(axis=0) - E.shape, 0)
-        table = witness._summed_area(E, lo, hi)
-        counts = witness._rect_counts(table, low + lo, rects[:, :n], step, reps)
-        fewest = counts.reshape(len(rects), -1).min(axis=1)
-        area = rects[:, :n].prod(axis=1)
-        ok = all(int(c) * w.h.numerator > int(a) * w.h.denominator for c, a in zip(fewest, area))
-    holds = not (witness._place(w.E.mask, placement) & ~E).any()
+    rects = {(tuple(s), tuple(c)) for s, c in zip(shapes.tolist(), corners.tolist())}
+    for shape, corner in rects if ok else ():
+        size = np.multiply(shape, factor)
+        for copy in itertools.product(*(range(r) for r in reps)):
+            low = np.multiply(corner, factor) + np.multiply(copy, step)
+            count = int(E[tuple(slice(max(a, 0), max(a + s, 0)) for a, s in zip(low, size))].sum())
+            ok &= count * w.h > math.prod(size.tolist())
+    holds = not (place(w.E.mask, placement) & ~E).any()
     exact = np.zeros(w.grid.shape, dtype=bool)
     if ok:
         exact[tuple(cells.T)] = True
@@ -336,5 +352,5 @@ def certified_sets_on_grid(w, E: np.ndarray, placement) -> dict:
             tile = witness.rotation_preimage(w.grid, cert.U, cert.gamma, witness._MARGIN).mask & holds
         else:
             tile = exact
-        out[key] = witness._place(tile, placement)
+        out[key] = place(tile, placement)
     return out

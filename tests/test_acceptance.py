@@ -21,7 +21,13 @@ from gridhalo.resonance import (
     build_resonance_function,
     synthetic_resonance_input,
 )
-from oracles import field_values, p_sets_on_final_grid, refine, stage_sets_on_final_grid
+from oracles import (
+    field_values,
+    p_sets_on_final_grid,
+    refine,
+    stage_sets_on_final_grid,
+    step_function,
+)
 
 PHI = log_power_growth(2)
 
@@ -49,7 +55,7 @@ def _random_rational(grid: DyadicGrid, rng) -> StepFunction:
     obj = np.array(
         [Fraction(int(v)) for v in vals.ravel()], dtype=object
     ).reshape(grid.shape)
-    return StepFunction(grid, obj)
+    return step_function(grid, obj)
 
 
 @pytest.fixture(scope="module")

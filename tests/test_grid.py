@@ -19,7 +19,7 @@ from gridhalo.grid import (
     save_step_function,
     uniform_distribution_check,
 )
-from oracles import difference, load_step_function, refine, save_by_numerators
+from oracles import difference, load_step_function, refine, save_by_numerators, step_function
 
 
 def small_grids():
@@ -130,13 +130,13 @@ class TestGridSet:
 class TestStepFunction:
     def test_rational_integral_exact(self):
         g = DyadicGrid((1, 1))
-        f = StepFunction(g, np.array([[1, 2], [3, 4]], dtype=object))
+        f = step_function(g, np.array([[1, 2], [3, 4]], dtype=object))
         assert f.integral() == Fraction(10, 4)
 
     def test_negative_rejected(self):
         g = DyadicGrid((1, 1))
         with pytest.raises(ValueError):
-            StepFunction(g, np.array([[1, -2], [3, 4]], dtype=object))
+            step_function(g, np.array([[1, -2], [3, 4]], dtype=object))
 
     def test_indicator_support_roundtrip(self):
         g = DyadicGrid((2, 2))
@@ -168,7 +168,7 @@ class TestStepFunction:
 
     def test_payload_common_denominator(self):
         g = DyadicGrid((1, 0))
-        f = StepFunction(g, np.array([[Fraction(1, 6)], [Fraction(3, 4)]], dtype=object))
+        f = step_function(g, np.array([[Fraction(1, 6)], [Fraction(3, 4)]], dtype=object))
         assert f.den == 12
         assert f.num.dtype == np.int64
         assert f.num.ravel().tolist() == [2, 9]
@@ -181,13 +181,13 @@ class TestStepFunction:
         # denominator numerators past int64, and only then onto object ints
         grid, vals = grid_and_vals
         cells = np.array(vals, dtype=object).reshape(grid.shape)
-        f = StepFunction(grid, cells)
+        f = step_function(grid, cells)
         widest = max(v.numerator * (f.den // v.denominator) for v in vals)
         assert f.num.dtype == (object if widest >= 2**63 else np.int64)
         assert all(a == b for a, b in zip(f.values.ravel(), vals))
         assert f.integral() == sum(vals, Fraction(0)) * grid.cell_volume
         expected = np.repeat(np.repeat(cells, 2, axis=0), 4, axis=1)
-        assert StepFunction(grid.refine((1, 2)), expected).integral() == f.integral()
+        assert step_function(grid.refine((1, 2)), expected).integral() == f.integral()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.txt"
             save_step_function(f, path)
@@ -267,7 +267,7 @@ class TestStepFunction:
 
     def test_roundtrip(self, tmp_path):
         g = DyadicGrid((1, 2))
-        f = StepFunction(
+        f = step_function(
             g, np.array([Fraction(i, 7) for i in range(8)], dtype=object).reshape(2, 4)
         )
         path = tmp_path / "f.txt"

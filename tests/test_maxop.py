@@ -26,7 +26,7 @@ from gridhalo.maxop import (
     max_level_set,
 )
 from gridhalo.witness import axis_level_set_exact, central_block
-from oracles import difference, field_values
+from oracles import difference, field_values, step_function
 
 
 def reference_field(f: StepFunction, basis: BasisSpec, r=None):
@@ -65,7 +65,7 @@ def random_step(grid, rng, max_num=8, max_den=4):
         ],
         dtype=object,
     ).reshape(grid.shape)
-    return StepFunction(grid, vals)
+    return step_function(grid, vals)
 
 
 def loop_shapes(basis: BasisSpec, grid: DyadicGrid, r=None, ladder=None):
@@ -207,7 +207,7 @@ class TestFieldRoutes:
 class TestLevelSet:
     def test_strictly_greater(self):
         g = DyadicGrid((1, 1))
-        f = StepFunction(g, np.array([[1, 2], [3, 4]], dtype=object))
+        f = step_function(g, np.array([[1, 2], [3, 4]], dtype=object))
         fld = max_field_fast(f, BasisSpec("axis", 2), shapes=[(1, 1)])
         assert level_set(fld, 1).popcount == 3  # the value-1 cell is out
         assert level_set(fld, Fraction(7, 2)).popcount == 1
@@ -312,7 +312,7 @@ def level_set_cases(draw):
         inside = np.zeros(grid.shape, dtype=bool)
         inside[tuple(box)] = True
         values[~inside] = Fraction(0)
-    f = StepFunction(grid, values)
+    f = step_function(grid, values)
     basis = BasisSpec("axis", draw(st.integers(1, n)))
     r = draw(st.one_of(st.none(), st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=16)))
     ladder = shapes = None
@@ -346,7 +346,7 @@ def placement_pass_cases(draw):
         dtype=object,
     ).reshape(grid.shape)
     values *= scale
-    f = StepFunction(grid, values * Fraction(1, draw(st.integers(1, 4))))
+    f = step_function(grid, values * Fraction(1, draw(st.integers(1, 4))))
     basis = BasisSpec("axis", draw(st.integers(1, n)))
     r = shapes = None
     if wide:
@@ -496,7 +496,7 @@ class TestMaxLevelSet:
     @pytest.mark.parametrize("lam", [0, Fraction(1, 3), 2])
     def test_all_zero_function(self, lam):
         g = DyadicGrid((2, 3))
-        f = StepFunction(g, np.zeros(g.shape, dtype=object))
+        f = step_function(g, np.zeros(g.shape, dtype=object))
         got = max_level_set(f, BasisSpec("axis", 2), lam)
         assert got.popcount == 0
         assert np.array_equal(got.mask, fraction_level_set(f, BasisSpec("axis", 2), lam))
@@ -504,7 +504,7 @@ class TestMaxLevelSet:
     def test_negative_threshold_rejected(self):
         g = DyadicGrid((1, 1))
         with pytest.raises(ValueError):
-            max_level_set(StepFunction(g, np.ones(g.shape, dtype=object)), BasisSpec("axis", 1), -1)
+            max_level_set(step_function(g, np.ones(g.shape, dtype=object)), BasisSpec("axis", 1), -1)
 
     def test_callers_build_no_field(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -34,6 +34,7 @@ from oracles import (
     permutation_by_stage_sets,
     save_by_numerators,
     stage_sets_on_final_grid,
+    step_function,
     unions_by_masks,
 )
 
@@ -49,7 +50,7 @@ def _banded_function(*bands, bits=(2, 2)):
     for value, count in bands:
         vals[pos : pos + count] = Fraction(value)
         pos += count
-    return StepFunction(grid, vals.reshape(grid.shape))
+    return step_function(grid, vals.reshape(grid.shape))
 
 
 class TestSelectLevelSets:
@@ -472,7 +473,7 @@ class TestRearrangement:
         f, plan = square_plan
         vals = f.values.copy()
         vals[vals == 0] = Fraction(1, 2)
-        positive = StepFunction(f.grid, vals)
+        positive = step_function(f.grid, vals)
         assert np.count_nonzero(positive.num) == f.grid.total_cells
         omega = build_rearrangement(positive, plan)
         assert np.array_equal(np.sort(omega.perm), np.arange(plan.final_grid.total_cells))

@@ -14,6 +14,7 @@ from oracles import (
     polygon_area,
     rotated_average,
     rotated_rect_polygon,
+    step_function,
 )
 
 
@@ -71,7 +72,7 @@ class TestRotatedAverage:
         g = DyadicGrid((3, 3))
         rng = np.random.default_rng(42)
         vals = rng.integers(0, 5, g.shape).astype(object)
-        f = StepFunction(g, vals)
+        f = step_function(g, vals)
         gamma = math.pi / 4
         exact = rotated_average(f, (0.5, 0.5), (0.6, 0.3), gamma)
         mc = mc_rotated_average(f, (0.5, 0.5), (0.6, 0.3), gamma, 400_000, seed=0)
@@ -92,9 +93,9 @@ class TestQuarterTurnExactness:
     def test_rotated_field_at_quarter_turn_is_coordinate_mapped(self):
         g = DyadicGrid((3, 3))
         rng = np.random.default_rng(5)
-        f = StepFunction(g, rng.integers(0, 4, g.shape).astype(object))
+        f = step_function(g, rng.integers(0, 4, g.shape).astype(object))
         axis = max_field_fast(f, BasisSpec("axis", 2))
-        turned = StepFunction(g, np.rot90(f.values, k=1))
+        turned = step_function(g, np.rot90(f.values, k=1))
         rot = max_field_fast(turned, BasisSpec("axis", 2))
         assert np.array_equal(np.rot90(field_values(axis), k=1), field_values(rot))
 

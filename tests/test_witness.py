@@ -34,6 +34,7 @@ from oracles import (
     difference,
     kernel_containment,
     p_sets_on_final_grid,
+    place,
     refine,
     rotated_average,
     stage_sets_on_final_grid,
@@ -588,14 +589,14 @@ class TestCellCertificates:
         assert mutant.containment(p_sets=grown) == {"I^2": False}
 
     def test_rect_counts_refuse_views_off_the_table(self):
+        # a negative corner would wrap round under fancy indexing
         table = witness._summed_area(np.ones((4, 4), dtype=bool), (0, 0), (0, 0))
-        counts = witness._rect_counts(table, (0, 0), (2, 2), (2, 2), (2, 2))
-        assert counts.tolist() == [[[4, 4], [4, 4]]]
-        counts = witness._rect_counts(table, [(0, 0), (1, 0)], [(2, 2), (1, 2)], (2, 2), (2, 2))
-        assert counts.tolist() == [[[4, 4], [4, 4]], [[2, 2], [2, 2]]]
-        assert witness._rect_counts(table, (-1, 0), (2, 2), (2, 2), (2, 2)) is None
-        assert witness._rect_counts(table, (1, 0), (2, 2), (2, 2), (2, 2)) is None
-        assert witness._rect_counts(table, (9, 0), (1, 1), (1, 1), (1, 1)) is None
+        assert witness._rect_counts(table, (0, 0), (2, 2)).tolist() == [4]
+        counts = witness._rect_counts(table, [(0, 0), (1, 0)], [(2, 2), (1, 2)])
+        assert counts.tolist() == [4, 2]
+        assert witness._rect_counts(table, (-1, 0), (2, 2)) is None
+        assert witness._rect_counts(table, (3, 0), (2, 2)) is None
+        assert witness._rect_counts(table, (9, 0), (1, 1)) is None
 
     def test_no_more_certificate_rectangles_than_the_per_shape_search(self):
         # larger shapes first, then the winner covering the most P cells:
@@ -624,21 +625,37 @@ def replica_tile():
 _REPS = [(1, 1), (2, 2), (3, 3), (5, 5), (1, 5), (3, 2)]
 
 
+def _replica(w, placement, E):
+    """The mask E and w's P sets placed, as sets of the replica grid of
+    ``placement``, or None when no dyadic grid has that many cells."""
+    cells = [f * r for f, r in placement]
+    if any(v & (v - 1) for v in cells):
+        return None
+    grid = DyadicGrid(
+        tuple(m + v.bit_length() - 1 for m, v in zip(w.grid.resolution, cells)),
+        w.grid.origin,
+        tuple(s * r for s, (_, r) in zip(w.grid.side, placement)),
+    )
+    p_sets = {key: GridSet(grid, place(P.mask, placement)) for key, P in w.p_sets.items()}
+    return GridSet(grid, E), p_sets
+
+
 class TestReplicaCounts:
-    """The three-copy counts against the full-grid route of
+    """The certificates proved on the tile against the full-grid route of
     ``oracles.certified_sets_on_grid``, on placements that no dyadic grid
     takes (3 and 5 copies) as well as on those that one does."""
 
     @pytest.mark.parametrize("factor", [1, 2])
     @pytest.mark.parametrize("reps", _REPS)
     def test_verdicts_equal_the_full_grid_route(self, replica_tile, reps, factor):
-        # on the placed tile E the copies read as their class does, so the
-        # verdicts equal the whole-grid counts, for the witness's own
-        # certificates and for each distinct rectangle moved by one cell
-        # or by (7, 7), overhanging its copy
+        # on the placed tile E the tile's verdicts equal the whole-grid
+        # counts in every copy, for the witness's own certificates and for
+        # each distinct rectangle moved by one cell or by (7, 7),
+        # overhanging its copy
         w, n = replica_tile, replica_tile.grid.n
         placement = [(factor, r) for r in reps]
-        E = witness._place(w.E.mask, placement)
+        E = place(w.E.mask, placement)
+        replica = _replica(w, placement, E)
         cert = w.cell_certificates
         _, rows = np.unique(cert[:, n:], axis=0, return_index=True)
         mutants = [w]
@@ -649,46 +666,60 @@ class TestReplicaCounts:
         verdicts = set()
         for mutant in mutants:
             want = certified_sets_on_grid(mutant, E, placement)
-            got = witness._certified_sets(mutant, E, placement)
+            got = witness._certified_sets(mutant)
             assert got.keys() == want.keys()
             for key, mask in got.items():
-                assert (witness._place(mask, placement) == want[key]).all(), (key, reps, factor)
-            verdicts.add(bool(got["I^2"].any()))
+                assert (place(mask, placement) == want[key]).all(), (key, reps, factor)
+            # the replica's verdict is the tile's
+            tile = witness._certificates_hold(mutant)
+            assert bool(want["I^2"].any()) == tile
+            if replica is not None:
+                assert mutant.containment(*replica) == mutant.containment()
+            verdicts.add(tile)
         assert verdicts == {False, True}
-        assert all(m.any() for m in witness._certified_sets(w, E, placement).values())
+        assert all(m.any() for m in witness._certified_sets(w).values())
 
     @pytest.mark.parametrize("factor", [1, 2])
     @pytest.mark.parametrize("reps", _REPS)
     def test_a_superset_of_the_placed_tile_e_still_passes(self, replica_tile, reps, factor):
-        # more E only raises the counts: both routes keep every cell, and a
-        # pass still proves what the whole-grid counts prove
+        # more E only raises the counts: E still holds the tile E in every
+        # copy, the whole-grid counts keep every certified cell, and so
+        # does the check on a replica grid
         w = replica_tile
         placement = [(factor, r) for r in reps]
-        E = witness._place(w.E.mask, placement)
+        E = place(w.E.mask, placement)
         E |= np.random.default_rng(sum(reps) + factor).random(E.shape) < 0.2
-        got = witness._certified_sets(w, E, placement)
+        assert not (w.E.mask & ~witness._fold(E, placement, w.grid.shape, np.logical_and)).any()
+        got = witness._certified_sets(w)
         want = certified_sets_on_grid(w, E, placement)
         for key, mask in got.items():
             assert (mask == w.p_sets[key].mask).all()
-            assert (witness._place(mask, placement) == want[key]).all()
+            assert (place(mask, placement) == want[key]).all()
+        replica = _replica(w, placement, E)
+        if replica is not None:
+            assert w.containment(*replica) == {key: True for key in w.bases}
 
     @pytest.mark.parametrize("factor", [1, 2])
-    @pytest.mark.parametrize("reps", [(3, 3), (5, 5), (3, 2)])
+    @pytest.mark.parametrize("reps", [(3, 3), (5, 5), (3, 2), (4, 4)])
     def test_a_tile_e_cell_dropped_in_an_inner_copy_fails_both_routes(self, replica_tile, reps, factor):
         # a superset of the placed tile E, minus one subcell of a tile-E
-        # cell in the middle copy along the first axis: every basis loses
-        # its certified cells, on the exact route as on the disk route
+        # cell in the middle copy along the first axis: the fold of E loses
+        # that tile-E cell, so every basis fails, on the exact route as on
+        # the disk route
         w = replica_tile
         placement = [(factor, r) for r in reps]
-        E = witness._place(w.E.mask, placement)
+        E = place(w.E.mask, placement)
         E |= np.random.default_rng(1).random(E.shape) < 0.2
         step = [factor * t for t in w.grid.shape]
         inner = np.argwhere(w.E.mask)[-1] * factor + [(r // 2) * t for r, t in zip(reps, step)]
         E[tuple(inner)] = False
-        got = witness._certified_sets(w, E, placement)
-        assert {key: bool(m.any()) for key, m in got.items()} == {key: False for key in w.bases}
+        lost = w.E.mask & ~witness._fold(E, placement, w.grid.shape, np.logical_and)
+        assert np.argwhere(lost).tolist() == [np.argwhere(w.E.mask)[-1].tolist()]
         want = certified_sets_on_grid(w, E, placement)
         assert not any(want[key].any() for key, b in w.bases.items() if _route(b) is None)
+        replica = _replica(w, placement, E)
+        if replica is not None:
+            assert w.containment(*replica) == {key: False for key in w.bases}
 
     @pytest.mark.parametrize("reps", [(1, 1), (3, 3)])
     def test_a_certificate_wider_than_the_tile_is_refused(self, reps):
@@ -705,15 +736,16 @@ class TestReplicaCounts:
         wide = dataclasses.replace(w, shapes=(*w.shapes, (5, 2)), cell_certificates=cert)
         assert tile_certificate_ok(wide, cell, (5, 2), (cell[0] - 1, cell[1]))
         placement = [(1, r) for r in reps]
-        E = witness._place(w.E.mask, placement)
+        E = place(w.E.mask, placement)
         assert certified_sets_on_grid(wide, E, placement)["I^2"].any()
-        assert not witness._certified_sets(wide, E, placement)["I^2"].any()
+        assert not witness._certified_sets(wide)["I^2"].any()
         assert wide.containment() == {"I^2": False}
 
     def test_replica_containment_stays_within_a_tile_of_memory(self):
         # 256 x 256 copies of an 8x8 tile on a 2048^2 grid: the check folds
-        # E and P through views and counts on 3 x 3 copies, so its peak
-        # stays far below one grid-sized mask (4 MB)
+        # E and P through views onto the tile, whose certificates were
+        # counted when it was built, so its peak stays far below one
+        # grid-sized mask (4 MB)
         tile = DyadicGrid((3, 3), side=(Fraction(1, 256),) * 2)
         w = build_tile_witness(tile, _CERT_BASES, 4, Fraction(1, 128), PHI)
         full = DyadicGrid((11, 11))
@@ -731,6 +763,36 @@ class TestReplicaCounts:
 
 
 class TestFreshCertificates:
+    def test_certificates_and_certified_masks_are_read_only(self):
+        # the certified masks are computed from the certificates once per
+        # witness, so neither may change under them
+        w = build_tile_witness(DyadicGrid((2, 3)), _CERT_BASES, 4, Fraction(1, 2), PHI)
+        with pytest.raises(ValueError):
+            w.cell_certificates[0, -1] += 1
+        for mask in witness._certified_sets(w).values():
+            with pytest.raises(ValueError):
+                mask[0, 0] = True
+
+    def test_one_rotation_preimage_per_witness_and_generic_basis(self, monkeypatch):
+        # the disk route's certified cells are computed when the witness is
+        # built and reused by every containment check after that
+        calls = []
+        preimage = witness.rotation_preimage
+
+        def counted(*args):
+            calls.append(args[2])
+            return preimage(*args)
+
+        monkeypatch.setattr(witness, "rotation_preimage", counted)
+        f, pads = synthetic_resonance_input(PHI, 2, style="deep")
+        plan = build_resonance_function(f, _CERT_BASES, PHI, 2, pads=pads)
+        assert calls == [math.pi / 8] * len(plan.stages) == [math.pi / 8] * 2
+        calls.clear()
+        gammas = [math.radians(d) for d in (0.0, 22.5, 45.0, 67.5)]
+        ball = mphi_witness_for_rotations(gammas, 4.0, 1.0, PHI)
+        assert ball.verify(PHI)["levelset_containment"]
+        assert calls == gammas[1:]
+
     def test_a_failing_fresh_certificate_is_a_bug(self, monkeypatch, tmp_path):
         # one corner moved a whole tile away: the rectangle no longer
         # covers its cell, so the tile's own check fails and P comes out
