@@ -104,6 +104,10 @@ class ExperimentConfig:
             raise ConfigError("the halo band fit needs at least three h samples")
         if self.kind == "halo" and sorted(set(self.h_list)) != list(self.h_list):
             raise ConfigError("halo h samples must be strictly increasing")
+        for name in ("t_list", "r_list"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} repeats a value: {values}")
         if not all(t > 1 for t in self.t_list):
             raise ConfigError("truncation multipliers t must exceed 1")
         if any(r < 1 for r in self.r_list):

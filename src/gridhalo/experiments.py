@@ -74,11 +74,9 @@ def run_halo(config: ExperimentConfig) -> RunReport:
     report = RunReport("halo", _meta(config))
     t0 = time.perf_counter()
     basis = BasisSpec("axis", config.k)
+    probes = [HaloProbe(basis, float(h), config.grid_bits) for h in config.h_list]
     phis = []
-    for h in config.h_list:
-        est = halo_estimate(
-            HaloProbe(basis, float(h), config.grid_bits), config.t_list, config.r_list
-        )
+    for h, est in zip(config.h_list, halo_estimate(probes, config.t_list, config.r_list)):
         clipped = any(s.clipped for s in est.samples)
         if clipped:
             # a resolution limit of the sample, not an invariant failure
@@ -158,15 +156,15 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
                 f"above 1; use a finer grid"
             )
         h_sweep = [fallback]
+    h_sweep = [float(h) for h in h_sweep[:3]]
     ok10 = True
-    for h in h_sweep[:3]:
-        res = lemma10_levelset_measure(rect, float(h), 2, grid, ladder=ladder)
+    for h, res in zip(h_sweep, lemma10_levelset_measure(rect, h_sweep, 2, grid, ladder=ladder)):
         ok10 &= res.ratio_exponent_km1 > 0
         report.rows.append(
             {
                 "check": "levelset_growth",
                 "n": 2,
-                "h": float(h),
+                "h": h,
                 "value": float(res.levelset_measure),
                 "closed_form": float("nan"),
                 "rel_err": float("nan"),

@@ -5,14 +5,18 @@ The halo function of a basis is the limiting normalized measure of
 computable, so the estimator reports the measured ratio on a finite
 (t, r) lattice and aggregates by max; each sample is therefore a certified
 lower bound and convergence can be inspected sample by sample.  Level sets
-are exact, over the dyadic width ladder and without building the field,
-and a sample (a halo or Lemma-10 one) runs on the support box from input to
-verdict: h·chi_ball, or h·chi_I, is a rational numerator crop of its
-bounding box, one placement pass of ``maxop`` finds the rectangles that
-average above 1, and one paint draws their union on the runs' bounding box,
-where the cells are counted and boundary contact is read off the box's
-walls.  No array spans the grid.  Only shapes small enough to average above
-1 on the ball's mass are evaluated, and only near the ball.
+are exact, over the dyadic width ladder and without building the field.
+The maximal operator is positively homogeneous, so {M(h·chi) > 1} =
+{M chi > 1/h}: h only moves the threshold, and a sweep over h (halo, or
+Lemma 10's amplitudes on one rectangle) is one placement pass per ball
+and truncation.  Such a pass runs on the support box from input to
+verdict: chi_ball, or chi_I, is a numerator crop of its bounding box, one
+placement pass of ``maxop`` finds, for every h at once, the rectangles
+that average above 1/h, and one paint per h draws their union on the
+runs' bounding box, where the cells are counted and boundary contact is
+read off the box's walls.  No array spans the grid.  Only shapes small
+enough to average above the smallest threshold on the ball's mass are
+evaluated, and only near the ball.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import DyadicGrid, GridSet, _payload
+from .grid import DyadicGrid, GridSet
 from .maxop import BasisSpec, _embed, _paint, _placement_pass, _support, dyadic_ladder
 
 __all__ = [
@@ -119,48 +123,64 @@ def discrete_ball(grid: DyadicGrid, r_cells: float, center=None) -> GridSet:
     return GridSet._own(grid, _embed(grid.shape, inside, corner))
 
 
-def _level_set_box(grid: DyadicGrid, den: int, support, basis: BasisSpec, r=None, ladder=None):
-    """The cell count of {M f > 1} for f = crop / den at ``support = (crop,
-    corner)`` (``maxop._placement_pass``), and whether the set reaches the
-    grid boundary: one placement pass and one paint, on the winning runs'
-    bounding box, which is tight, so the set touches the boundary exactly
-    when the box starts at 0 or ends at the grid size on some axis."""
-    box, corner = _paint(grid.shape, *_placement_pass(grid, den, support, basis, 1, r, ladder))
-    ends = zip(corner, box.shape, grid.shape)
-    return int(box.sum()), box.size > 0 and any(c == 0 or c + s == m for c, s, m in ends)
+def _level_set_box(grid: DyadicGrid, support, basis: BasisSpec, hs, r=None, ladder=None):
+    """Per amplitude h of ``hs``, the cell count of {M(h f) > 1} for the
+    indicator f at ``support = (crop, corner)`` (``maxop._placement_pass``,
+    den 1), and whether the set reaches the grid boundary.
+
+    M is positively homogeneous, so {M(h f) > 1} = {M f > 1/h}: one
+    placement pass at the thresholds 1/h serves every h, and one paint per
+    h, on its winning runs' bounding box, which is tight, so the set
+    touches the boundary exactly when the box starts at 0 or ends at the
+    grid size on some axis.  The compare S * h_num > h_den * |R| is the
+    one a pass over the numerators h * f makes."""
+    out = []
+    for runs in _placement_pass(grid, 1, support, basis, [1 / Fraction(h) for h in hs], r, ladder):
+        box, corner = _paint(grid.shape, *runs)
+        ends = zip(corner, box.shape, grid.shape)
+        out.append((int(box.sum()), box.size > 0 and any(c == 0 or c + s == m for c, s, m in ends)))
+    return out
 
 
-def halo_estimate(probe: HaloProbe, t_list, r_list) -> HaloEstimate:
-    """Measured halo ratios over a finite (t, r) lattice, aggregated by max.
+def halo_estimate(probes, t_list, r_list) -> tuple[HaloEstimate, ...]:
+    """Measured halo ratios over a finite (t, r) lattice, aggregated by max,
+    one estimate per probe of the sweep ``probes`` (a sequence of probes
+    sharing the basis and the grid, so differing only in h).
 
-    Each sample runs on the ball's bounding box: the indicator h * chi_ball
-    is a numerator crop of that box, and the level set is counted on the
-    bounding box of its winning runs, so no array spans the grid."""
+    Each sample runs on the ball's bounding box: the indicator chi_ball is
+    a numerator crop of that box, one placement pass per (ball, t) serves
+    every h, and each level set is counted on the bounding box of its
+    winning runs, so no array spans the grid."""
+    probes = list(probes)
     t_list = [float(t) for t in t_list]
     r_list = [int(r) for r in r_list]
+    if not probes:
+        raise ValueError("the h sweep needs at least one probe")
+    if len({(p.basis, p.grid_bits) for p in probes}) != 1:
+        raise ValueError("the probes of one sweep must share the basis and the grid")
     if not t_list or not r_list:
         raise ValueError("t/r sample lists must be nonempty")
     if not all(t > 1 for t in t_list):
         raise ValueError("truncation multipliers must satisfy t > 1")
     if any(r < 1 for r in r_list):
         raise ValueError("ball radii must be at least 1 cell")
-    grid = DyadicGrid((probe.grid_bits,) * 2)
+    basis = probes[0].basis
+    grid = DyadicGrid((probes[0].grid_bits,) * 2)
     ladder = dyadic_ladder(max(grid.shape))
-    top, den = _payload([0, probe.h], [1])
-    samples = []
+    samples = [[] for _ in probes]
     for r_cells in r_list:
         corner, inside = _ball_box(grid, r_cells)
-        crop = np.zeros(inside.shape, dtype=top.dtype)
-        crop[inside] = top
-        support, ball_cells = _support(crop, corner), int(inside.sum())
+        support, ball_cells = _support(inside, corner), int(inside.sum())
         for t in t_list:
             # t = inf drops the truncation entirely (still a valid sample:
             # the truncated level sets increase to the untruncated one)
             r_phys = None if math.isinf(t) else t * r_cells * float(grid.cell_size[0])
-            cells, clipped = _level_set_box(grid, den, support, probe.basis, r_phys, ladder)
-            samples.append(HaloSample(t, r_cells, ball_cells, cells, cells / ball_cells, clipped))
-    phi_hat = max(s.ratio for s in samples)
-    return HaloEstimate(probe.h, tuple(samples), phi_hat)
+            sets = _level_set_box(grid, support, basis, [p.h for p in probes], r_phys, ladder)
+            for out, (cells, clipped) in zip(samples, sets):
+                out.append(HaloSample(t, r_cells, ball_cells, cells, cells / ball_cells, clipped))
+    return tuple(
+        HaloEstimate(p.h, tuple(s), max(x.ratio for x in s)) for p, s in zip(probes, samples)
+    )
 
 
 def halo_fit(h_samples, phi_values, model_exponent: int) -> tuple[float, float]:
@@ -222,40 +242,47 @@ class Lemma10Result:
 
 def lemma10_levelset_measure(
     I,
-    h: float,
+    hs,
     k: int,
     grid: DyadicGrid,
     ladder=None,
-) -> Lemma10Result:
-    """Measured level set {M(h chi_I) > 1} for the <=k-distinct-edges basis.
+) -> tuple[Lemma10Result, ...]:
+    """Measured level sets {M(h chi_I) > 1} for the <=k-distinct-edges
+    basis, one result per amplitude h of ``hs``, all from one placement
+    pass (``_level_set_box``).
 
-    I must have equal physical edges on axes k..n.  Returns the measured
-    level-set measure and its ratios to both candidate growth models.
+    I must have equal physical edges on axes k..n.  Each result holds the
+    measured level-set measure and its ratios to both candidate growth
+    models.
     """
     n = grid.n
+    hs = list(hs)
     edges = I.edge_lengths(grid)
     if len(set(edges[k - 1 :])) != 1:
         raise ValueError("edges k..n of I must be equal")
-    if h <= 1:
+    if not hs or any(h <= 1 for h in hs):
         raise ValueError("h > 1 required")
-    normalization_ok = h > 2**n
     # I's cells on the grid (the function is zero past its walls)
     lo = [max(a, 0) for a in I.lo]
-    top, den = _payload([0, h], [1])
     size = [max(min(b, m) - a, 0) for a, b, m in zip(lo, I.hi, grid.shape)]
-    support = _support(np.full(size, top[0], dtype=top.dtype), lo)
+    support = _support(np.ones(size, dtype=bool), lo)
     # basis with <= k distinct edge values (k = 1: cubes)
-    cells, touch = _level_set_box(grid, den, support, BasisSpec("axis", min(k, n)), ladder=ladder)
-    if touch:
+    sets = _level_set_box(grid, support, BasisSpec("axis", min(k, n)), hs, ladder=ladder)
+    if any(touch for _, touch in sets):
         raise DomainTooSmallError("level set reaches the grid boundary")
-    meas = cells * grid.cell_volume
     rect = I.volume(grid)
-    model_k = float(h) * (1 + math.log(h)) ** k * float(rect)
-    model_km1 = float(h) * (1 + math.log(h)) ** (k - 1) * float(rect)
-    return Lemma10Result(
-        levelset_measure=meas,
-        rect_measure=rect,
-        ratio_exponent_k=float(meas) / model_k,
-        ratio_exponent_km1=float(meas) / model_km1,
-        normalization_ok=normalization_ok,
-    )
+    out = []
+    for h, (cells, _) in zip(hs, sets):
+        meas = cells * grid.cell_volume
+        model_k = float(h) * (1 + math.log(h)) ** k * float(rect)
+        model_km1 = float(h) * (1 + math.log(h)) ** (k - 1) * float(rect)
+        out.append(
+            Lemma10Result(
+                levelset_measure=meas,
+                rect_measure=rect,
+                ratio_exponent_k=float(meas) / model_k,
+                ratio_exponent_km1=float(meas) / model_km1,
+                normalization_ok=h > 2**n,
+            )
+        )
+    return tuple(out)

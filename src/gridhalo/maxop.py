@@ -7,19 +7,21 @@ to the cells the placements cover by a sparse-table sliding maximum and
 keeps the larger average per cell.  ``max_level_set`` computes
 {M f > lam} without the field, in one placement pass over a support, a
 numerator crop and its lower corner (``_placement_pass``; ``_winners``
-passes f's own): it skips every shape whose average cannot exceed lam
-even with the whole mass of f inside (exact, since f is nonnegative), lays
-the other shapes' placements out as flat index arrays in batches of a
-fixed size, decides each batch with one cross-multiplied integer compare,
-and paints the union of the winning runs once, on their bounding box
-(``_paint``), which it embeds in the grid.  Halo samples build their crop
-and count their cells on that box alone.  The tile witness takes its
-certificates from the same winners.  ``max_field_brute`` (direct
-repeated-addition window sums and a linear placement scan on the whole
-grid) is the oracle.  All work on common-denominator integers (int64, or
-Python ints when int64 could overflow), so the fields agree bit for bit;
-a field keeps only that integer payload, and ``level_set`` compares it
-cross-multiplied with the threshold.
+passes f's own and one threshold): it skips every shape whose average
+cannot exceed the smallest threshold even with the whole mass of f inside
+(exact, since f is nonnegative), lays the other shapes' placements out as
+flat index arrays in batches of a fixed size, decides each batch with one
+cross-multiplied integer compare per threshold, and paints the union of a
+threshold's winning runs once, on their bounding box (``_paint``), which
+it embeds in the grid.  Halo samples build their crop and count their
+cells on that box alone, every amplitude of a sweep a threshold of one
+pass.  The tile witness takes its certificates from the same winners.
+``max_field_brute`` (direct repeated-addition window sums and a linear
+placement scan on the whole grid) is the oracle.  All work on
+common-denominator integers (int64, or Python ints when int64 could
+overflow), so the fields agree bit for bit; a field keeps only that
+integer payload, and ``level_set`` compares it cross-multiplied with the
+threshold.
 
 Evaluation point is the cell center; since admissible rectangles are
 cell-aligned, "contains the center" and "contains the cell" coincide.
@@ -407,35 +409,43 @@ def _corner_sum(flat: np.ndarray, corners, rows, at) -> np.ndarray:
 
 
 def _winners(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes=None):
-    """``_placement_pass`` over the support of f."""
-    return _placement_pass(f.grid, f.den, _support(f.num), basis, lam, r, ladder, shapes)
+    """``_placement_pass`` over the support of f at the one threshold lam."""
+    (runs,) = _placement_pass(f.grid, f.den, _support(f.num), basis, [lam], r, ladder, shapes)
+    return runs
 
 
 def _placement_pass(
-    grid: DyadicGrid, den: int, support, basis: BasisSpec, lam, r=None, ladder=None, shapes=None
+    grid: DyadicGrid, den: int, support, basis: BasisSpec, lams, r=None, ladder=None, shapes=None
 ):
-    """The placement pass: the placements of family shapes whose average of
-    f exceeds lam, for f = crop / den at ``support = (crop, corner)``, the
-    nonzero bounding box of its numerators on ``grid`` and the box's lower
-    corner (None when f is zero), zero elsewhere.  The placements come as
-    runs ``(widths, index, low, count)``: run i is row ``widths[index[i]]``
+    """The placement pass: per threshold lam of ``lams``, in order, the
+    placements of family shapes whose average of f exceeds lam, for f =
+    crop / den at ``support = (crop, corner)``, the nonzero bounding box of
+    its numerators on ``grid`` and the box's lower corner (None when f is
+    zero), zero elsewhere.  A threshold's placements come as runs
+    ``(widths, index, low, count)``: run i is row ``widths[index[i]]``
     placed with lower corners ``low[i]`` to ``low[i]`` + ``count[i] - 1``
     along the last axis (in cells; a placement may overhang the box), in
     family order and, per shape, in row-major order of the corner.
 
     A shape R can only win where some placement holds more than lam * |R|
     of the mass; no placement holds more than the total, so a shape with
-    total * q <= p * |R| * den (lam = p/q) is skipped.  The kept shapes'
-    placements that meet the support's bounding box are laid out in rows
-    along the last axis, whole rows to a batch of at most
+    total * q <= p * |R| * den (lam = p/q the smallest threshold) is
+    skipped, and so is a row whose band holds too little.  The kept
+    shapes' placements that meet the support's bounding box are laid out
+    in rows along the last axis, whole rows to a batch of at most
     ``_PLACEMENT_BUDGET`` placements (or one row).  Each placement sum is
     2^n gathers from one summed-area table of the crop, and one
-    cross-multiplied compare decides a batch.
+    cross-multiplied compare per threshold decides a batch.  Both skips
+    only drop placements that no threshold can pass, so each threshold's
+    runs are those of a pass at that threshold alone.  M is positively
+    homogeneous, {M(h f) > lam} = {M f > lam / h}: a sweep over
+    amplitudes of one f is one pass over its thresholds.
     """
-    if lam < 0:
+    lams = [Fraction(lam) for lam in lams]
+    if any(lam < 0 for lam in lams):
         raise ValueError("threshold must be >= 0")
-    lam = Fraction(lam)
-    p, q = lam.numerator, lam.denominator
+    least = min(lams)
+    p, q = least.numerator, least.denominator
     shapes = _family(grid, basis, r, ladder, shapes)
     n = grid.n
     widths = np.array(shapes, dtype=np.int64).reshape(len(shapes), n)
@@ -481,20 +491,32 @@ def _placement_pass(
         for off, minus in walls
         for lower in (0, 1)
     ]
-    row, runs = 0, [np.zeros((3, 0), dtype=np.int64)]
+    row, runs = 0, [[np.zeros((3, 0), dtype=np.int64)] for _ in lams]
     while row < len(k):
         stop = max(int(np.searchsorted(ends, starts[row] + _PLACEMENT_BUDGET, "right")), row + 1)
         rows = np.repeat(np.arange(row, stop), length[row:stop])
         at = np.arange(starts[row], ends[stop - 1])
-        wins = np.flatnonzero(_exceeds(_corner_sum(flat, bases, rows, at), q, need[rows], p * den, total))
-        # a run is winners one after another in one row
-        head = np.flatnonzero((np.diff(wins, prepend=-2) != 1) | (np.diff(rows[wins], prepend=-1) != 0))
-        runs.append(np.stack([rows[wins[head]], at[wins[head]], np.diff(head, append=len(wins))]))
+        sums, areas = _corner_sum(flat, bases, rows, at), need[rows]
+        same = rows[1:] == rows[:-1]
+        for lam, out in zip(lams, runs):
+            win = _exceeds(sums, lam.denominator, areas, lam.numerator * den, total)
+            # a run is winners one after another in one row: it starts at a
+            # winner not linked to the one before, and ends at one not
+            # linked to the one after
+            link = win[1:] & win[:-1] & same
+            head, tail = win.copy(), win
+            head[1:] &= ~link
+            tail[:-1] &= ~link
+            head, tail = np.flatnonzero(head), np.flatnonzero(tail)
+            out.append(np.stack([rows[head], at[head], tail - head + 1]))
         row = stop
-    run, at, count = np.concatenate(runs, axis=1)
-    low = lo[run] + corner
-    low[:, -1] += at - starts[run]
-    return widths, k[run], low, count
+    passes = []
+    for out in runs:
+        run, at, count = np.concatenate(out, axis=1)
+        low = lo[run] + corner
+        low[:, -1] += at - starts[run]
+        passes.append((widths, k[run], low, count))
+    return passes
 
 
 def _paint(shape, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count: np.ndarray):

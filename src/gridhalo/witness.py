@@ -207,6 +207,21 @@ class RotationCertificate:
     gamma: float
 
 
+def _cell_centres(grid: DyadicGrid, ax: int) -> np.ndarray:
+    """The cell centres of ``grid`` along axis ``ax``, each its exact value
+    o + (i + 1/2) c rounded once to a float, as ``float(Fraction)`` rounds.
+
+    On the common denominator D of o and c/2 the centres are the integers
+    A + (2i + 1) B, exact in float64 while they and D stay below 2^53, so
+    one correctly rounded division per centre gives that float."""
+    o, half = grid.origin[ax], grid.cell_size[ax] / 2
+    den = math.lcm(o.denominator, half.denominator)
+    a, b = int(o * den), int(half * den)
+    odd = np.arange(1, 2 * grid.shape[ax], 2, dtype=np.int64)
+    assert max(abs(a), abs(a + b * int(odd[-1])), den) < 1 << 53, "centres past exact float64"
+    return (a + b * odd).astype(np.float64) / den
+
+
 def rotation_preimage(
     tile_grid: DyadicGrid, U: GridSet, gamma: float, margin: float
 ) -> GridSet:
@@ -214,18 +229,16 @@ def rotation_preimage(
     falls inside a cell of U with at least ``margin`` to spare.
 
     Every cell runs the same float operations in the same order (each
-    center rounded once from its exact value, no fused multiply-add), so
-    the set is the one a cell-by-cell evaluation gives."""
+    center rounded once from its exact value, ``_cell_centres``, no fused
+    multiply-add), so the set is the one a cell-by-cell evaluation
+    gives."""
     fine = U.grid
     ox, oy = (float(v) for v in fine.origin)
     cw, ch = (float(v) for v in fine.cell_size)
     nx, ny = fine.shape
     ccx, ccy = (float(v) for v in _box_center(tile_grid))
     cg, sg = math.cos(-gamma), math.sin(-gamma)
-    px, py = (
-        np.array([float(o + (2 * i + 1) * c / 2) for i in range(s)])
-        for o, c, s in zip(tile_grid.origin, tile_grid.cell_size, tile_grid.shape)
-    )
+    px, py = _cell_centres(tile_grid, 0), _cell_centres(tile_grid, 1)
     dx, dy = (px - ccx)[:, None], (py - ccy)[None, :]
     x = ccx + cg * dx - sg * dy
     y = ccy + sg * dx + cg * dy

@@ -62,11 +62,8 @@ def _random_rational(grid: DyadicGrid, rng) -> StepFunction:
 def halo_sweep():
     """phi-hat over h = 4..256 on a 1024^2 grid, axis pairs basis."""
     hs = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
-    phis = []
-    for h in hs:
-        probe = HaloProbe(BasisSpec("axis", 2), h, 10)
-        phis.append(halo_estimate(probe, [math.inf], [1]).phi_hat)
-    return hs, phis
+    probes = [HaloProbe(BasisSpec("axis", 2), h, 10) for h in hs]
+    return hs, [est.phi_hat for est in halo_estimate(probes, [math.inf], [1])]
 
 
 @pytest.fixture(scope="module")

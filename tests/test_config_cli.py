@@ -449,6 +449,24 @@ class TestHaloSampleLists:
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,named",
+        [
+            ("--r-list", "1,1", "r_list"),
+            ("--r-list", "2,1,2", "r_list"),
+            ("--t-list", "2,inf,2.0", "t_list"),
+            ("--t-list", "inf,inf", "t_list"),
+        ],
+    )
+    def test_repeated_t_or_r_exits_2(self, flag, value, named, tmp_path, capsys):
+        # a repeated value would be sampled twice and counted twice in
+        # rows.csv's "samples"
+        argv = ["halo", "--grid", "9", "--h-list", "4,64,256", flag, value, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and f"{named} repeats a value" in err
+        assert not (tmp_path / "report.json").exists()
+
 
 def test_cli_import_leaves_out_scipy_integrate():
     # only the log-region quadrature needs it, and it costs most of start-up

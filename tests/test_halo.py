@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridhalo.config import ExperimentConfig
+from gridhalo.experiments import run_halo
 from gridhalo.grid import AxisRect, DyadicGrid, GridSet, StepFunction
 from gridhalo.halo import (
     DomainTooSmallError,
@@ -119,13 +121,13 @@ class TestHaloEstimate:
         # h=4, one-cell ball, untruncated: the level set is the plus-shaped
         # region of cells whose best dyadic rectangle still averages > 1
         probe = HaloProbe(BasisSpec("axis", 2), 4.0, 5)
-        est = halo_estimate(probe, [math.inf], [1])
+        (est,) = halo_estimate([probe], [math.inf], [1])
         assert est.phi_hat == pytest.approx(5.0)
 
     def test_truncated_below_untruncated(self):
         probe = HaloProbe(BasisSpec("axis", 2), 8.0, 5)
-        full = halo_estimate(probe, [math.inf], [1]).phi_hat
-        trunc = halo_estimate(probe, [2.0], [1]).phi_hat
+        full = halo_estimate([probe], [math.inf], [1])[0].phi_hat
+        trunc = halo_estimate([probe], [2.0], [1])[0].phi_hat
         assert trunc <= full
 
     def test_rotated_probe_rejected(self):
@@ -137,30 +139,31 @@ class TestHaloEstimate:
     def test_clipped_flag_when_levelset_hits_boundary(self):
         # huge h on a tiny grid: the level set floods to the boundary
         probe = HaloProbe(BasisSpec("axis", 2), 64.0, 3)
-        est = halo_estimate(probe, [math.inf], [1])
+        (est,) = halo_estimate([probe], [math.inf], [1])
         assert any(s.clipped for s in est.samples)
 
     def test_empty_sample_lists_rejected(self):
         probe = HaloProbe(BasisSpec("axis", 2), 4.0, 4)
         with pytest.raises(ValueError):
-            halo_estimate(probe, [], [1])
+            halo_estimate([probe], [], [1])
 
     @pytest.mark.parametrize("t,r", [(0.5, 1), (1.0, 1), (math.nan, 1), (2.0, 0), (2.0, -1)])
     def test_bad_samples_rejected(self, t, r):
         probe = HaloProbe(BasisSpec("axis", 2), 4.0, 4)
         with pytest.raises(ValueError, match="t > 1|at least 1 cell"):
-            halo_estimate(probe, [t], [r])
+            halo_estimate([probe], [t], [r])
 
     @pytest.mark.parametrize("h", [64.0, 256.0])
     def test_one_sample_allocates_less_than_4_mb(self, h):
-        # on 512^2 cells one float64 or intp grid is 2 MB; a sample keeps to
-        # the ball's box plus the int64 payload and a few bool masks, and
-        # h = 256 has the widest level set of the halo-sparse samples
-        probe = HaloProbe(BasisSpec("axis", 2), h, 9)
-        halo_estimate(probe, [math.inf], [1])
+        # on 512^2 cells one float64 or intp grid is 2 MB; a sample of a
+        # three-h sweep, up to h, is one pass and keeps to the ball's box,
+        # a few bool masks and three sets of runs, and h = 256 has the
+        # widest level set of the halo-sparse samples
+        probes = [HaloProbe(BasisSpec("axis", 2), x, 9) for x in (h / 16, h / 4, h)]
+        halo_estimate(probes, [math.inf], [1])
         tracemalloc.start()
         try:
-            halo_estimate(probe, [math.inf], [1])
+            halo_estimate(probes, [math.inf], [1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -168,16 +171,17 @@ class TestHaloEstimate:
 
     def test_one_sample_on_a_4096_grid_allocates_less_than_1_mb(self):
         # one int64 array of 4096^2 cells is 128 MiB and one bool mask
-        # 16 MiB: a sample keeps to the ball's box and the runs' box
-        probe = HaloProbe(BasisSpec("axis", 2), 64.0, 12)
-        halo_estimate(probe, [math.inf], [1])
+        # 16 MiB: a sample of a three-h sweep keeps to the ball's box and
+        # each h's runs' box
+        probes = [HaloProbe(BasisSpec("axis", 2), h, 12) for h in (4.0, 16.0, 64.0)]
+        halo_estimate(probes, [math.inf], [1])
         tracemalloc.start()
         try:
-            est = halo_estimate(probe, [math.inf], [1])
+            ests = halo_estimate(probes, [math.inf], [1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert est.samples[0].levelset_cells > est.samples[0].ball_cells
+        assert all(e.samples[0].levelset_cells > e.samples[0].ball_cells for e in ests)
         assert peak < 2**20
 
     @given(
@@ -200,7 +204,7 @@ class TestHaloEstimate:
         # painted on the grid, its popcount and a scan of the grid's faces
         bits, r = bits_r
         probe = HaloProbe(BasisSpec("axis", 2), h, bits)
-        (sample,) = halo_estimate(probe, [t], [r]).samples
+        (sample,) = halo_estimate([probe], [t], [r])[0].samples
         grid = DyadicGrid((bits, bits))
         ball = discrete_ball(grid, r)
         r_phys = None if math.isinf(t) else t * r * float(grid.cell_size[0])
@@ -208,6 +212,57 @@ class TestHaloEstimate:
         ls = max_level_set(f, probe.basis, 1, r=r_phys, ladder=dyadic_ladder(grid.shape[0]))
         want = (ball.popcount, ls.popcount, ls.popcount / ball.popcount, boundary_touch(ls.mask))
         assert (sample.ball_cells, sample.levelset_cells, sample.ratio, sample.clipped) == want
+
+    @given(
+        st.integers(3, 7),
+        st.lists(st.sampled_from([math.inf, 1.5, 2.0, 4.0, 8.0]), min_size=1, max_size=3, unique=True),
+        st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
+        st.lists(st.sampled_from([1.5, 2.0, 4.0, 16.0, 64.0, 256.0, 1e20]), min_size=1, max_size=4),
+    )
+    @example(3, [math.inf], [1], [4.0, 64.0, 2.0])  # 64 floods the 8x8 grid, 2 and 4 do not
+    @example(5, [2.0, math.inf], [1, 3], [1e20, 4.0, 4.0])  # repeated h, and the object path
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_equals_per_h_samples(self, bits, ts, rs, hs):
+        # the shared pass at thresholds 1/h against one pass per h, on the
+        # (t, r) lattice, clipped samples included
+        probes = [HaloProbe(BasisSpec("axis", 2), h, bits) for h in hs]
+        sweep = halo_estimate(probes, ts, rs)
+        assert [e.h for e in sweep] == hs
+        for probe, est in zip(probes, sweep):
+            assert est == halo_estimate([probe], ts, rs)[0]
+            assert [(s.t, s.r_cells) for s in est.samples] == [(t, r) for r in rs for t in ts]
+
+    def test_sweep_keeps_the_clipped_samples_apart(self):
+        # on 32x32 cells h = 256 floods to the boundary and h = 4 does not
+        probes = [HaloProbe(BasisSpec("axis", 2), h, 5) for h in (4.0, 256.0)]
+        small, big = halo_estimate(probes, [math.inf, 2.0], [1, 2])
+        assert not any(s.clipped for s in small.samples)
+        assert any(s.clipped for s in big.samples)
+
+    @pytest.mark.parametrize(
+        "bits, hs, named",
+        [(5, "4,64,256", "h=64"), (6, "2,3,1e20", "h=1e+20"), (6, "2,1e20,1e300", "h=1e+20")],
+    )
+    def test_run_halo_names_the_first_clipped_h(self, bits, hs, named, tmp_path):
+        # every h of the sweep is sampled before any is checked; the error
+        # still names the first h, in sweep order, whose level set clips
+        config = ExperimentConfig.from_mapping(
+            "halo", {"grid_bits": bits, "h_list": hs, "out": str(tmp_path)}
+        )
+        with pytest.raises(DomainTooSmallError) as exc:
+            run_halo(config)
+        assert str(exc.value) == (
+            f"level set for {named} reaches the boundary of the grid with 2^{bits} cells "
+            "per axis; use a finer grid or smaller h"
+        )
+
+    def test_probes_of_one_sweep_share_basis_and_grid(self):
+        basis = BasisSpec("axis", 2)
+        for other in (HaloProbe(basis, 8.0, 6), HaloProbe(BasisSpec("axis", 1), 8.0, 5)):
+            with pytest.raises(ValueError, match="share the basis and the grid"):
+                halo_estimate([HaloProbe(basis, 4.0, 5), other], [math.inf], [1])
+        with pytest.raises(ValueError, match="at least one probe"):
+            halo_estimate([], [math.inf], [1])
 
 
 
@@ -255,7 +310,7 @@ class TestLevelsetGrowth:
     def test_ratios_and_flags(self):
         grid = DyadicGrid((7, 7))
         rect = AxisRect((62, 62), (66, 66))
-        res = lemma10_levelset_measure(rect, 6.0, 2, grid)
+        (res,) = lemma10_levelset_measure(rect, [6.0], 2, grid)
         assert res.rect_measure == Fraction(16, 128 * 128)
         assert res.normalization_ok  # 6 > 2^2
         assert res.ratio_exponent_km1 > 0
@@ -265,14 +320,14 @@ class TestLevelsetGrowth:
     def test_small_h_flagged_not_rejected(self):
         grid = DyadicGrid((6, 6))
         rect = AxisRect((30, 30), (34, 34))
-        res = lemma10_levelset_measure(rect, 3.0, 2, grid)
+        (res,) = lemma10_levelset_measure(rect, [3.0], 2, grid)
         assert not res.normalization_ok
 
     def test_boundary_clipping_rejected(self):
         grid = DyadicGrid((4, 4))
         rect = AxisRect((6, 6), (10, 10))
         with pytest.raises(DomainTooSmallError):
-            lemma10_levelset_measure(rect, 64.0, 2, grid)
+            lemma10_levelset_measure(rect, [64.0], 2, grid)
 
     @given(
         st.integers(3, 6),
@@ -298,16 +353,16 @@ class TestLevelsetGrowth:
         ls = max_level_set(f, BasisSpec("axis", k), 1, ladder=ladder)
         if boundary_touch(ls.mask):
             with pytest.raises(DomainTooSmallError):
-                lemma10_levelset_measure(rect, h, k, grid, ladder=ladder)
+                lemma10_levelset_measure(rect, [h], k, grid, ladder=ladder)
         else:
-            res = lemma10_levelset_measure(rect, h, k, grid, ladder=ladder)
+            (res,) = lemma10_levelset_measure(rect, [h], k, grid, ladder=ladder)
             assert res.levelset_measure == ls.measure()
 
     def test_rational_mode_exact_measure(self):
         grid = DyadicGrid((6, 6))
         rect = AxisRect((30, 30), (34, 34))
         ladder = dyadic_ladder(64)
-        res = lemma10_levelset_measure(rect, 6.0, 2, grid, ladder=ladder)
+        (res,) = lemma10_levelset_measure(rect, [6.0], 2, grid, ladder=ladder)
         assert isinstance(res.levelset_measure, Fraction)
         # oracle: the brute route's level set of the same indicator
         mask = np.zeros(grid.shape, dtype=bool)

@@ -375,6 +375,51 @@ class TestMaxLevelSet:
         got = max_level_set(f, basis, lam, r=r, shapes=shapes)
         assert np.array_equal(got.mask, level_set(brute, lam).mask)
 
+    @given(placement_pass_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_threshold_list_equals_one_pass_per_threshold(self, case, data):
+        # 1-4 thresholds, unsorted, repeated, and ties: a value the field
+        # takes is an exact tie S * q == p * |R| on the cells that hold it
+        f, basis, r, shapes = case
+        try:
+            brute = max_field_brute(f, basis, r=r, shapes=shapes)
+        except EmptyFamilyError:
+            return
+        ties = sorted(set(field_values(brute).ravel()))
+        lam = st.one_of(st.sampled_from(ties), st.fractions(0, 4 * int(f.num.max()) + 1))
+        lams = data.draw(st.lists(lam, min_size=1, max_size=4))
+        if len(lams) < 4 and data.draw(st.booleans()):
+            lams = data.draw(st.permutations(lams + [lams[0]]))
+        support = maxop._support(f.num)
+        passes = maxop._placement_pass(f.grid, f.den, support, basis, lams, r, None, shapes)
+        assert len(passes) == len(lams)
+        for lam, runs in zip(lams, passes):
+            alone = maxop._winners(f, basis, lam, r=r, shapes=shapes)
+            assert all(np.array_equal(a, b) for a, b in zip(runs, alone))
+            box, corner = maxop._paint(f.grid.shape, *runs)
+            painted = maxop._embed(f.grid.shape, box, corner)
+            assert np.array_equal(painted, level_set(brute, lam).mask)
+
+    @pytest.mark.parametrize("hs", [[1e20, 4.0], [2.0, 1e300, 1e20], [3.0, 1e300, 3.0]])
+    def test_amplitudes_as_thresholds_on_the_object_path(self, hs):
+        # {M(h chi_E) > 1} = {M chi_E > 1/h}: one pass over chi_E at the
+        # thresholds 1/h against the brute field of h chi_E at 1; the
+        # numerator of 1e20 or 1e300 is past 2^62, so those compares run on
+        # Python ints
+        g = DyadicGrid((3, 3))
+        E = np.zeros(g.shape, dtype=bool)
+        E[3, 2:5] = E[4, 3] = True
+        basis = BasisSpec("axis", 2)
+        lams = [1 / Fraction(h) for h in hs]
+        assert any(lam.denominator >= 2**62 for lam in lams)
+        passes = maxop._placement_pass(g, 1, maxop._support(E), basis, lams)
+        for h, runs in zip(hs, passes):
+            box, corner = maxop._paint(g.shape, *runs)
+            f = StepFunction.indicator(GridSet(g, E), h)
+            want = level_set(max_field_brute(f, basis), 1).mask
+            assert np.array_equal(maxop._embed(g.shape, box, corner), want)
+            assert np.array_equal(max_level_set(f, basis, 1).mask, want)
+
     def test_a_support_over_several_batches(self):
         g = DyadicGrid((4, 4))
         f = random_step(g, np.random.default_rng(11))
@@ -512,9 +557,9 @@ class TestMaxLevelSet:
 
         monkeypatch.setattr(maxop.MaxField, "__init__", refuse)
         probe = halo.HaloProbe(BasisSpec("axis", 2), 8.0, 6)
-        est = halo.halo_estimate(probe, [math.inf, 2.0], [1, 2])
+        (est,) = halo.halo_estimate([probe], [math.inf, 2.0], [1, 2])
         assert est.phi_hat > 1
-        res = halo.lemma10_levelset_measure(AxisRect((30, 30), (34, 34)), 6.0, 2, DyadicGrid((6, 6)))
+        (res,) = halo.lemma10_levelset_measure(AxisRect((30, 30), (34, 34)), [6.0], 2, DyadicGrid((6, 6)))
         assert res.levelset_measure > res.rect_measure
         E = central_block(DyadicGrid((3, 3)))
         shapes = enumerate_shapes(BasisSpec("axis", 2), E.grid, r=1)

@@ -307,6 +307,20 @@ class TestRotationCertificates:
             # which the margin refuses; every other angle certifies cells
             assert want.any() == (quarter_turns(gamma) is None), gamma
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            DyadicGrid((5, 3)),
+            DyadicGrid((3, 2), side=(Fraction(1, 4), Fraction(1, 8))),
+            DyadicGrid((4, 6), origin=(Fraction(-3, 8), Fraction(1, 3)), side=(Fraction(5, 7), 3)),
+        ],
+    )
+    def test_cell_centres_are_the_exact_centres_rounded_once(self, grid):
+        # the vectorised centres against the Fraction of every centre
+        for ax, (o, c, s) in enumerate(zip(grid.origin, grid.cell_size, grid.shape)):
+            want = [float(o + (2 * i + 1) * c / 2) for i in range(s)]
+            assert witness._cell_centres(grid, ax).tolist() == want
+
     def test_rotation_preimage_deterministic(self):
         g = DyadicGrid((3, 3))
         E = central_block(g)
