@@ -8,7 +8,7 @@ from .grid import (
     StepFunction,
     uniform_distribution_check,
 )
-from .growth import GrowthFunction, log_power_growth
+from .growth import log_power_growth
 from .maxop import (
     BasisSpec,
     MaxField,
@@ -19,10 +19,9 @@ from .maxop import (
     max_field_fast,
     max_level_set,
 )
-from .halo import HaloEstimate, HaloProbe, discrete_ball, halo_estimate, halo_fit
+from .halo import HaloEstimate, discrete_ball, halo_estimate, halo_fit
 from .witness import MPhiWitness, build_tile_witness, mphi_witness_for_rotations
 from .resonance import (
-    LevelSelection,
     Rearrangement,
     ResonancePlan,
     build_divergent_sequences,

@@ -15,6 +15,10 @@ __all__ = ["ConfigError", "read_config_file", "ExperimentConfig"]
 
 _KINDS = ("halo", "lemmas", "zygmund", "resonance", "rearrange", "maxfield")
 
+# the finest grid: cell indices along an axis, and the grid size 2^bits,
+# must fit int64
+MAX_GRID_BITS = 62
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -81,16 +85,11 @@ class ExperimentConfig:
     style: str = "deep"
     growth_exponent: int = 2
     out: str = "out"
-    # every run computes in exact rational arithmetic; the key stays because
-    # report.json's meta records it
-    mode: str = "rational"
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.mode != "rational":
-            raise ConfigError(f"mode must be rational, got {self.mode!r}")
         if self.n < 1 or self.k < 1:
             raise ConfigError("n and k must be positive")
         if self.n != 2 and self.kind != "maxfield":
@@ -120,6 +119,11 @@ class ExperimentConfig:
             raise ConfigError("depth must be >= 1")
         if self.grid_bits < 2 or self.resolution_cap < 2:
             raise ConfigError("grid resolution too small to hold one tile")
+        if self.grid_bits > MAX_GRID_BITS:
+            raise ConfigError(
+                f"grid {self.grid_bits} above {MAX_GRID_BITS} bits per axis: "
+                "cell indices are int64"
+            )
         if self.resolution_cap < 2 + 3 * (self.depth - 1):
             raise ConfigError(
                 f"resolution cap {self.resolution_cap} below the minimum "
@@ -141,7 +145,6 @@ class ExperimentConfig:
             "seed": int,
             "growth_exponent": int,
             "out": str,
-            "mode": str,
             "style": str,
         }
         for name, conv in simple.items():

@@ -20,7 +20,6 @@ from .grid import DyadicGrid, StepFunction, save_step_function
 from .growth import log_power_growth
 from .halo import (
     DomainTooSmallError,
-    HaloProbe,
     halo_estimate,
     halo_fit,
     lemma9_integral,
@@ -63,7 +62,8 @@ def _meta(config: ExperimentConfig) -> dict:
         "kind": config.kind,
         "n": config.n,
         "k": config.k,
-        "mode": config.mode,
+        # every run computes in exact rational arithmetic
+        "mode": "rational",
         "seed": config.seed,
         "grid_bits": config.grid_bits,
     }
@@ -74,9 +74,9 @@ def run_halo(config: ExperimentConfig) -> RunReport:
     report = RunReport("halo", _meta(config))
     t0 = time.perf_counter()
     basis = BasisSpec("axis", config.k)
-    probes = [HaloProbe(basis, float(h), config.grid_bits) for h in config.h_list]
+    ests = halo_estimate(basis, config.grid_bits, config.h_list, config.t_list, config.r_list)
     phis = []
-    for h, est in zip(config.h_list, halo_estimate(probes, config.t_list, config.r_list)):
+    for h, est in zip(config.h_list, ests):
         clipped = any(s.clipped for s in est.samples)
         if clipped:
             # a resolution limit of the sample, not an invariant failure
@@ -117,13 +117,29 @@ _L9_CASES = tuple(
 )
 
 
+# Largest rectangle, in cells, of the lemmas level-set growth check: its
+# side is the grid's over 64, so --grid 14 (256 x 256 cells, 3.0 s and
+# 189 MB as a process on a 2-vCPU VM) is the finest grid under the bound;
+# --grid 16 took 53 s and 1.7 GB, and --grid 40 (2^68 cells) cannot be
+# allocated at all.
+LEMMAS_RECT_CELLS = 1 << 16
+
+
 def run_lemma_checks(config: ExperimentConfig) -> RunReport:
     """Log-region integral vs its closed form, and level-set growth ratios."""
     report = RunReport("lemmas", _meta(config))
     t0 = time.perf_counter()
+    grid = DyadicGrid((config.grid_bits,) * 2)
+    w = max(grid.shape[0] // 64, 1)
+    if w * w > LEMMAS_RECT_CELLS:
+        raise InfeasibleError(
+            f"the level-set growth check on the grid with 2^{config.grid_bits} cells per "
+            f"axis needs a rectangle of {w}x{w} cells, above the bound "
+            f"{LEMMAS_RECT_CELLS}; use a smaller --grid"
+        )
     all_close = True
     for n, h in _L9_CASES:
-        value = lemma9_integral(n, [1.0] * n, h)
+        value = lemma9_integral(n, h)
         closed = math.log(h) ** n / math.factorial(n)
         rel = abs(value - closed) / closed
         all_close &= rel < 1e-6
@@ -139,8 +155,6 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
         )
     report.check("log_region_matches_closed_form", all_close)
 
-    grid = DyadicGrid((config.grid_bits,) * 2)
-    w = max(grid.shape[0] // 64, 1)
     lo = grid.shape[0] // 2 - w // 2
     rect = AxisRect((lo, lo), (lo + w, lo + w))
     ladder = dyadic_ladder(max(grid.shape))
@@ -257,7 +271,7 @@ def run_resonance(config: ExperimentConfig) -> RunReport:
     report = RunReport("resonance", _meta(config))
     t0 = time.perf_counter()
     _, plan = _staged_plan(config, [BasisSpec("axis", config.k)])
-    for k, ((_, h, q), s) in enumerate(zip(plan.selection.entries, plan.stages), start=1):
+    for k, ((_, h, q), s) in enumerate(zip(plan.selection, plan.stages), start=1):
         row = {
             "stage": k,
             "q": q,

@@ -31,7 +31,6 @@ from .grid import DyadicGrid, GridSet
 from .maxop import BasisSpec, _embed, _paint, _placement_pass, _support, dyadic_ladder
 
 __all__ = [
-    "HaloProbe",
     "HaloEstimate",
     "HaloSample",
     "DomainTooSmallError",
@@ -52,23 +51,6 @@ class DomainTooSmallError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class HaloProbe:
-    """One halo-estimation setup: an axis basis, amplitude and grid."""
-
-    basis: BasisSpec
-    h: float
-    grid_bits: int
-
-    def __post_init__(self):
-        if self.basis.kind != "axis":
-            raise ValueError("halo probes take the axis basis only")
-        if self.h <= 1:
-            raise ValueError("halo amplitude must satisfy h > 1")
-        if self.grid_bits < 2:
-            raise ValueError("grid too small")
 
 
 @dataclass(frozen=True)
@@ -93,9 +75,14 @@ def _ball_box(grid: DyadicGrid, r_cells: float, center=None):
     and its cells inside the ball, as a bool mask of the box.
 
     A float sum of nonnegative terms is at least each term, so a cell whose
-    offset along one axis already squares to r^2 or more lies outside.
-    Inside the box the terms are summed in axis order, as a whole-grid sum
-    adds them, so the mask is the same bit for bit."""
+    offset along one axis already squares to r^2 or more lies outside, and
+    only the cells within r + 2 of the center are looked at, so the work
+    does not grow with the grid.  A cell i's offset is (i - floor(c)) + 0.5
+    - (c - floor(c)): the same real number as i + 0.5 - c, rounded once,
+    so while i + 0.5 is exact in float64 it is the offset a whole-axis
+    array gives, and past that it is still the cell's true offset, rounded
+    once.  Inside the box the terms are summed in axis order, as a
+    whole-grid sum adds them, so the mask is the same bit for bit."""
     if len(set(grid.cell_size)) != 1:
         raise ValueError("discrete balls need an isotropic grid")
     if center is None:
@@ -103,13 +90,17 @@ def _ball_box(grid: DyadicGrid, r_cells: float, center=None):
     if len(center) != grid.n:
         raise ValueError(f"center needs {grid.n} coordinates, got {len(center)}")
     r2 = float(r_cells) ** 2
+    reach = math.ceil(abs(float(r_cells))) + 2
     corner, d2 = [], 0.0
     for ax, (m, c) in enumerate(zip(grid.shape, center)):
-        term = (np.arange(m, dtype=np.float64) + 0.5 - float(c)) ** 2
+        c = float(c)
+        base = math.floor(c)
+        lo, hi = max(base - reach, 0), max(min(base + reach, m), 0)
+        term = (np.arange(lo - base, hi - base, dtype=np.float64) + 0.5 - (c - base)) ** 2
         near = np.flatnonzero(term < r2)
         if not near.size:
             return (0,) * grid.n, np.zeros((0,) * grid.n, dtype=bool)
-        corner.append(int(near[0]))
+        corner.append(lo + int(near[0]))
         d2 = d2 + term[near[0] : near[-1] + 1].reshape((-1,) + (1,) * (grid.n - 1 - ax))
     return tuple(corner), d2 < r2
 
@@ -142,32 +133,35 @@ def _level_set_box(grid: DyadicGrid, support, basis: BasisSpec, hs, r=None, ladd
     return out
 
 
-def halo_estimate(probes, t_list, r_list) -> tuple[HaloEstimate, ...]:
-    """Measured halo ratios over a finite (t, r) lattice, aggregated by max,
-    one estimate per probe of the sweep ``probes`` (a sequence of probes
-    sharing the basis and the grid, so differing only in h).
+def halo_estimate(basis: BasisSpec, grid_bits: int, hs, t_list, r_list) -> tuple[HaloEstimate, ...]:
+    """Measured halo ratios of the axis ``basis`` on the grid with
+    2^grid_bits cells per axis, over a finite (t, r) lattice, aggregated by
+    max, one estimate per amplitude h of the sweep ``hs``.
 
     Each sample runs on the ball's bounding box: the indicator chi_ball is
     a numerator crop of that box, one placement pass per (ball, t) serves
     every h, and each level set is counted on the bounding box of its
     winning runs, so no array spans the grid."""
-    probes = list(probes)
+    hs = [float(h) for h in hs]
     t_list = [float(t) for t in t_list]
     r_list = [int(r) for r in r_list]
-    if not probes:
-        raise ValueError("the h sweep needs at least one probe")
-    if len({(p.basis, p.grid_bits) for p in probes}) != 1:
-        raise ValueError("the probes of one sweep must share the basis and the grid")
+    if basis.kind != "axis":
+        raise ValueError("halo estimates take the axis basis only")
+    if not hs:
+        raise ValueError("the h sweep needs at least one amplitude")
+    if not all(h > 1 for h in hs):
+        raise ValueError("halo amplitudes must satisfy h > 1")
+    if grid_bits < 2:
+        raise ValueError("grid too small")
     if not t_list or not r_list:
         raise ValueError("t/r sample lists must be nonempty")
     if not all(t > 1 for t in t_list):
         raise ValueError("truncation multipliers must satisfy t > 1")
     if any(r < 1 for r in r_list):
         raise ValueError("ball radii must be at least 1 cell")
-    basis = probes[0].basis
-    grid = DyadicGrid((probes[0].grid_bits,) * 2)
+    grid = DyadicGrid((grid_bits,) * 2)
     ladder = dyadic_ladder(max(grid.shape))
-    samples = [[] for _ in probes]
+    samples = [[] for _ in hs]
     for r_cells in r_list:
         corner, inside = _ball_box(grid, r_cells)
         support, ball_cells = _support(inside, corner), int(inside.sum())
@@ -175,12 +169,10 @@ def halo_estimate(probes, t_list, r_list) -> tuple[HaloEstimate, ...]:
             # t = inf drops the truncation entirely (still a valid sample:
             # the truncated level sets increase to the untruncated one)
             r_phys = None if math.isinf(t) else t * r_cells * float(grid.cell_size[0])
-            sets = _level_set_box(grid, support, basis, [p.h for p in probes], r_phys, ladder)
+            sets = _level_set_box(grid, support, basis, hs, r_phys, ladder)
             for out, (cells, clipped) in zip(samples, sets):
                 out.append(HaloSample(t, r_cells, ball_cells, cells, cells / ball_cells, clipped))
-    return tuple(
-        HaloEstimate(p.h, tuple(s), max(x.ratio for x in s)) for p, s in zip(probes, samples)
-    )
+    return tuple(HaloEstimate(h, tuple(s), max(x.ratio for x in s)) for h, s in zip(hs, samples))
 
 
 def halo_fit(h_samples, phi_values, model_exponent: int) -> tuple[float, float]:
@@ -215,17 +207,12 @@ def _log_region_integral(n: int, h: float, tol: float) -> float:
     return val
 
 
-def lemma9_integral(n: int, deltas, h: float, tol: float = 1e-10) -> float:
-    """Integral of 1/(x_1...x_n) over {x_j > delta_j, prod x_j < h prod delta_j}.
-
-    The substitution y_j = x_j / delta_j removes the deltas exactly, so the
-    value depends on h alone; deltas are validated and then cancel.
-    """
-    deltas = [float(d) for d in deltas]
-    if len(deltas) != n:
-        raise ValueError("need one delta per axis")
-    if any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
+def lemma9_integral(n: int, h: float, tol: float = 1e-10) -> float:
+    """Integral of 1/(x_1...x_n) over {x_j > delta_j, prod x_j < h prod delta_j}
+    for any positive deltas: the substitution y_j = x_j / delta_j removes
+    them exactly, so the value depends on n and h alone."""
+    if n < 1:
+        raise ValueError("need at least one axis")
     if h <= 1:
         raise ValueError("h > 1 required")
     return _log_region_integral(n, float(h), tol)

@@ -452,7 +452,9 @@ def _placement_pass(
     crop, corner = support or (np.zeros((0,) * n, dtype=np.int64), (0,) * n)
     crop = _prepare_values(crop, grid.total_cells)
     total = int(crop.sum())
-    area = widths.prod(axis=1)
+    # int64 areas while the widest box fits (a 2^32 x 2^32 shape wraps to 0)
+    fits = math.prod(widths.max(axis=0, initial=1).tolist()) < 1 << 63
+    area = widths.astype(np.int64 if fits else object).prod(axis=1)
     kept = np.flatnonzero([total * q > p * a * den for a in area.tolist()])
     # a row is a kept shape with the lower corner of its placements on
     # every axis but the last; its placements meeting the crop follow

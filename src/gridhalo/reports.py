@@ -52,10 +52,20 @@ def _stringify(value):
     return str(value)
 
 
+def _columns(rows) -> dict:
+    """Every key of ``rows``, in the order the rows first name them, with
+    the value of the first row that has it."""
+    first = {}
+    for row in rows:
+        for key, value in row.items():
+            first.setdefault(key, value)
+    return first
+
+
 def _write_csv(rows, path: str) -> None:
     if not rows:
         return
-    headers = list(rows[0])
+    headers = list(_columns(rows))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(headers)
@@ -82,7 +92,7 @@ def write_report(report: RunReport, out_dir: str) -> dict:
         _write_csv(report.rows, paths["csv"])
         numeric = [
             key
-            for key, value in report.rows[0].items()
+            for key, value in _columns(report.rows).items()
             if isinstance(value, (int, float)) and not isinstance(value, bool)
         ]
         if numeric:

@@ -43,14 +43,12 @@ from .grid import (
     save_step_function,
     uniform_distribution_check,
 )
-from .growth import GrowthFunction
 from .witness import MPhiWitness, VerificationError, build_tile_witness
 
 __all__ = [
     "InfeasibleError",
     "ResolutionCapError",
     "VerificationError",
-    "LevelSelection",
     "build_divergent_sequences",
     "StageRecord",
     "replicate_configuration",
@@ -87,19 +85,12 @@ class ResolutionCapError(RuntimeError):
 # level-set selection
 
 
-@dataclass(frozen=True)
-class LevelSelection:
-    """Per-stage bands: entries (A_k, h_k, k), one per stage k.  Each A_k
-    is the set where f equals h_k, and the h_k strictly increase, so the
-    bands are disjoint."""
-
-    entries: tuple  # of (GridSet, Fraction, int)
-
-
-def build_divergent_sequences(phi, f: StepFunction, K: int) -> LevelSelection:
-    """One band per stage k = 1..K: the cells where f equals its smallest
-    value above both k and the previous stage's value.  A stage whose band
-    has growth mass phi(h_k/k)|A_k| below k is infeasible."""
+def build_divergent_sequences(phi, f: StepFunction, K: int) -> tuple:
+    """One band per stage k = 1..K, as the tuple of (A_k, h_k, k): A_k is
+    the set where f equals h_k, its smallest value above both k and the
+    previous stage's value, so the h_k strictly increase and the bands are
+    disjoint.  A stage whose band has growth mass phi(h_k/k)|A_k| below k
+    is infeasible."""
     if K < 1:
         raise ValueError("depth must be >= 1")
     entries = []
@@ -120,7 +111,7 @@ def build_divergent_sequences(phi, f: StepFunction, K: int) -> LevelSelection:
                 achieved=k - 1,
             )
         entries.append((A, h, k))
-    return LevelSelection(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +162,7 @@ def replicate_configuration(
     delta,
     m,
     eps,
-    phi: GrowthFunction,
+    phi,
     pad=None,
 ) -> StageRecord:
     """Build the tile witness for ``bases`` at amplitude ``amp`` and
@@ -272,7 +263,7 @@ class ResonancePlan:
     final_grid: DyadicGrid
     g: StepFunction
     basis_keys: tuple
-    selection: LevelSelection
+    selection: tuple  # of (A_k, h_k, k), from build_divergent_sequences
     unions: dict  # key -> (union, product_formula, ok) after each stage
     independence: dict  # key -> report list
     integral_f: Fraction
@@ -308,7 +299,7 @@ class ResonancePlan:
 def build_resonance_function(
     f: StepFunction,
     bases,
-    phi: GrowthFunction,
+    phi,
     K: int,
     pads=None,
     resolution_cap: int = 12,
@@ -326,7 +317,7 @@ def build_resonance_function(
     selection = build_divergent_sequences(phi, f, K)
     m = (0,) * f.grid.n
     stages = []
-    for A, h, k in selection.entries:
+    for A, h, k in selection:
         delta = A.relative_measure()
         pad = _dilution_pad(delta, pads[k - 1] if pads else None)
         j = tuple(mi + b + p for mi, b, p in zip(m, _BASE_BITS, pad))
@@ -358,7 +349,7 @@ def build_resonance_function(
         unions[key] = tuple(per_depth)
     # g = sup_k h_k chi_{E_k}: the h_k increase, so later stages win
     g = StepFunction.from_table(
-        final_grid, [0] + [h for _, h, _ in selection.entries], _stage_code(stages)
+        final_grid, [0] + [h for _, h, _ in selection], _stage_code(stages)
     )
     plan = ResonancePlan(
         stages=tuple(stages),
@@ -476,7 +467,7 @@ def build_rearrangement(f: StepFunction, plan: ResonancePlan) -> Rearrangement:
     if any(e < 0 for e in extra):
         raise ValueError("input lives on a finer grid than the plan")
     # the bands are disjoint: band k as code k on the input grid, refined
-    masks = [A.mask for A, _, _ in plan.selection.entries]
+    masks = [A.mask for A, _, _ in plan.selection]
     bands = _repeat(np.select(masks, range(1, len(masks) + 1)).astype(np.uint8), extra).ravel()
     g_codes = plan.g.codes.ravel()
     perm = _permutation(g_codes, bands, len(masks))
@@ -548,7 +539,7 @@ def _amp_for(phi, need: float) -> Fraction:
 
 
 def synthetic_resonance_input(
-    phi: GrowthFunction, K: int, style: str = "deep"
+    phi, K: int, style: str = "deep"
 ) -> tuple[StepFunction, tuple]:
     """A step function whose bands make depth-K selection feasible, plus
     the matching per-stage dilution pads.
@@ -629,7 +620,7 @@ def save_plan(plan: ResonancePlan, out_dir: str) -> str:
                 },
             }
             for k, ((_, h, q), s) in enumerate(
-                zip(plan.selection.entries, plan.stages), start=1
+                zip(plan.selection, plan.stages), start=1
             )
         ],
         "union_masses": {

@@ -55,14 +55,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .grid import DyadicGrid, GridSet, StepFunction
-from .growth import GrowthFunction
 from .maxop import (
     _PLACEMENT_BUDGET,
     BasisSpec,
@@ -75,11 +74,11 @@ from .maxop import (
     enumerate_shapes,
     max_level_set,
 )
+from .halo import discrete_ball
 from .rotate import quarter_turns
 
 __all__ = [
     "MPhiWitness",
-    "RotationCertificate",
     "VerificationError",
     "WitnessError",
     "central_block",
@@ -197,16 +196,6 @@ def axis_level_set_exact(E: GridSet, amp, trunc, basis: BasisSpec, shapes) -> Gr
     return max_level_set(f, BasisSpec("axis", basis.k), 1, r=trunc, shapes=list(shapes))
 
 
-@dataclass(frozen=True)
-class RotationCertificate:
-    """Everything needed to re-check a rotated P set: the exact axis level
-    set U of amp*chi_K on the refined grid, and the angle."""
-
-    U: GridSet
-    K: GridSet
-    gamma: float
-
-
 def _cell_centres(grid: DyadicGrid, ax: int) -> np.ndarray:
     """The cell centres of ``grid`` along axis ``ax``, each its exact value
     o + (i + 1/2) c rounded once to a float, as ``float(Fraction)`` rounds.
@@ -318,7 +307,8 @@ def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray,
 
     Larger shapes go first, and each cell takes the winning placement that
     covers the most cells of P (ties to the higher corner), so neighbouring
-    cells share certificates and the check on a replicated grid reads few
+    cells share certificates and their proof, made once on the tile
+    (``_certificates_hold``, one gather per distinct rectangle), reads few
     rectangles.  The (placement, covered cell) pairs are laid out in that
     order, a budget of them at a time until every cell of P has one, and
     each cell keeps its first."""
@@ -400,13 +390,13 @@ def _certified_sets(w) -> dict:
     """Per basis key of w, the read-only tile-grid mask of its certified
     cells: on the exact route the tile's certificate cells, empty unless
     every certificate holds (one check for an axis basis and its quarter
-    turns); on the disk route the tile preimage of its rotation
-    certificate.  ``MPhiWitness._certified`` keeps them, computed once."""
+    turns); on the disk route the tile preimage, at the basis's angle, of
+    the shared disk certificate ``w.disk``.  ``MPhiWitness._certified``
+    keeps them, computed once."""
     out, exact = {}, None
     for key, basis in w.bases.items():
         if _route(basis) is None:
-            cert = w.certificates[key]
-            out[key] = rotation_preimage(w.grid, cert.U, cert.gamma, _MARGIN).mask
+            out[key] = rotation_preimage(w.grid, w.disk, basis.gamma, _MARGIN).mask
         else:
             if exact is None:
                 exact = np.zeros(w.grid.shape, dtype=bool)
@@ -435,7 +425,7 @@ class MPhiWitness:
     bases: dict
     shapes: tuple
     cell_certificates: np.ndarray  # rows (cell, shape index, lower corner)
-    certificates: dict = field(default_factory=dict)
+    disk: GridSet | None = None  # U, shared by every generic angle
     c: float = 0.0
     c_of_h: Fraction = Fraction(0)
     phi_at_h: float = 0.0
@@ -473,7 +463,7 @@ class MPhiWitness:
             for key, P in p_sets.items()
         }
 
-    def verify(self, phi: GrowthFunction) -> dict:
+    def verify(self, phi) -> dict:
         """Re-check all six conditions; exact except the rotated point maps."""
         results = {}
         # Q is the grid's box: E and every P lie in it iff they are sets of its grid
@@ -515,7 +505,7 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         wins = _winners(StepFunction.indicator(E, amp), axis, 1, r=trunc, shapes=shapes)
         cells = _certify(GridSet._own(grid, _embed(grid.shape, *_paint(grid.shape, *wins))), *wins)
     cells.setflags(write=False)
-    certificates = {}
+    U = None
     if generic:
         center = _box_center(grid)
         rho_sq = inscribed_radius_sq(E, center)
@@ -524,7 +514,6 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         ladder = dyadic_ladder(max(fine.shape))
         fine_shapes = enumerate_shapes(axis, fine, r=trunc, ladder=ladder)
         U = axis_level_set_exact(K, amp, trunc, axis, fine_shapes)
-        certificates = {key: RotationCertificate(U, K, basis_map[key].gamma) for key in generic}
     w = MPhiWitness(
         grid=grid,
         h=amp,
@@ -535,7 +524,7 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         bases=basis_map,
         shapes=tuple(tuple(s) for s in shapes),
         cell_certificates=cells,
-        certificates=certificates,
+        disk=U,
         c_of_h=Fraction(E.popcount, grid.total_cells),
     )
     p_sets = {key: GridSet._own(grid, mask) for key, mask in w._certified.items()}
@@ -557,7 +546,7 @@ def build_tile_witness(
     bases,
     amp,
     trunc,
-    phi: GrowthFunction,
+    phi,
 ) -> MPhiWitness:
     """Witness with E = central 2x2 block and per-basis certified P sets."""
     if tile_grid.n != 2:
@@ -575,7 +564,7 @@ def mphi_witness_for_rotations(
     gammas,
     h,
     epsilon,
-    phi: GrowthFunction,
+    phi,
     grid_bits: int = 5,
     r_cells: int = 2,
     k: int = 2,
@@ -595,11 +584,7 @@ def mphi_witness_for_rotations(
     while 2 * side * side >= epsilon * epsilon:
         side /= 2
     grid = DyadicGrid((grid_bits, grid_bits), side=(side, side))
-    shape = grid.shape
-    center_cells = tuple(s / 2.0 for s in shape)
-    ii, jj = np.indices(shape).astype(float) + 0.5
-    d2 = (ii - center_cells[0]) ** 2 + (jj - center_cells[1]) ** 2
-    E = GridSet(grid, d2 < float(r_cells) ** 2)
+    E = discrete_ball(grid, r_cells)
     if E.popcount < 4:
         raise WitnessError("ball too small at this resolution")
     bases = [BasisSpec("rotated", k, float(g)) for g in gammas]

@@ -348,8 +348,8 @@ def certified_sets_on_grid(w, E: np.ndarray, placement) -> dict:
     out = {}
     for key, basis in w.bases.items():
         if witness._route(basis) is None:
-            cert = w.certificates[key]
-            tile = witness.rotation_preimage(w.grid, cert.U, cert.gamma, witness._MARGIN).mask & holds
+            pre = witness.rotation_preimage(w.grid, w.disk, basis.gamma, witness._MARGIN)
+            tile = pre.mask & holds
         else:
             tile = exact
         out[key] = place(tile, placement)

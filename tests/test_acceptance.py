@@ -14,7 +14,7 @@ import pytest
 
 from gridhalo.grid import DyadicGrid, StepFunction, _repeat
 from gridhalo.growth import log_power_growth
-from gridhalo.halo import HaloProbe, halo_estimate, lemma9_integral
+from gridhalo.halo import halo_estimate, lemma9_integral
 from gridhalo.maxop import BasisSpec, max_field_brute, max_field_fast
 from gridhalo.resonance import (
     build_rearrangement,
@@ -62,8 +62,7 @@ def _random_rational(grid: DyadicGrid, rng) -> StepFunction:
 def halo_sweep():
     """phi-hat over h = 4..256 on a 1024^2 grid, axis pairs basis."""
     hs = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
-    probes = [HaloProbe(BasisSpec("axis", 2), h, 10) for h in hs]
-    return hs, [est.phi_hat for est in halo_estimate(probes, [math.inf], [1])]
+    return hs, [est.phi_hat for est in halo_estimate(BasisSpec("axis", 2), 10, hs, [math.inf], [1])]
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +117,7 @@ def test_criterion_2_log_region_integral(_report):
     worst = 0.0
     for n in (1, 2, 3):
         for h in (math.e, math.e**2, 10.0):
-            value = lemma9_integral(n, [1.0] * n, h)
+            value = lemma9_integral(n, h)
             closed = math.log(h) ** n / math.factorial(n)
             rel = abs(value - closed) / closed
             worst = max(worst, rel)
@@ -201,7 +200,7 @@ def test_criterion_7_rearrangement(deep_plan, _report):
     domain = np.zeros(plan.final_grid.shape, dtype=bool)
     for E in stage_sets_on_final_grid(plan):
         domain |= E.mask
-    for A, _, _ in plan.selection.entries:
+    for A, _, _ in plan.selection:
         domain |= refine(A, extra).mask
     outside = np.flatnonzero(~domain)
     domain_ok = len(outside) > 0 and np.array_equal(omega.perm[outside], outside)

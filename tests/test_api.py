@@ -1,11 +1,19 @@
-"""Every name a module exports resolves, so deletions leave no dead exports."""
+"""Every name a module exports resolves, so deletions leave no dead
+exports, and every name the benchmark tracer reads is still there."""
 
 import importlib
+import importlib.util
+import inspect
 import pkgutil
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gridhalo
+from gridhalo import maxop
+from gridhalo.grid import DyadicGrid, GridSet, StepFunction
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gridhalo.__path__))
 
@@ -15,3 +23,30 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"gridhalo.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"gridhalo.{name}.__all__ names missing attributes: {missing}"
+
+
+def _tracer():
+    """``perfbench/tracer.py``, loaded from its path (perfbench is no package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_finds_what_it_reads():
+    # perfbench/run.py --trace 1 wraps every module of LAYERS and counts a
+    # step function's mass through StepFunction.mode and .values, so a
+    # deletion of any of them breaks the traced benchmark
+    tracer = _tracer()
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"gridhalo.{layer}")
+    grid = DyadicGrid((2, 2))
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[1:3, 1:3] = True
+    f = StepFunction.indicator(GridSet(grid, mask), Fraction(5, 2))
+    assert f.mode == "rational" and f.values.shape == grid.shape
+    assert tracer._cell_mass(f) == 10
+    hooked = {"f", "shapes", "basis", "r", "ladder"}
+    for name in ("max_field_fast", "max_field_brute"):
+        assert hooked <= set(inspect.signature(getattr(maxop, name)).parameters)

@@ -18,16 +18,16 @@ from gridhalo.reports import RunReport
 class TestConfigFile:
     def test_key_value_comments_and_override(self, tmp_path):
         p = tmp_path / "a.cfg"
-        p.write_text("# comment\ngrid_bits = 6\nmode=double # trailing\ngrid_bits=7\n")
-        assert read_config_file(str(p)) == {"grid_bits": "7", "mode": "double"}
+        p.write_text("# comment\ngrid_bits = 6\nstyle=square # trailing\ngrid_bits=7\n")
+        assert read_config_file(str(p)) == {"grid_bits": "7", "style": "square"}
 
     def test_include_is_relative_to_including_file(self, tmp_path):
         sub = tmp_path / "sub"
         sub.mkdir()
         (sub / "base.cfg").write_text("depth = 2\n")
         top = tmp_path / "top.cfg"
-        top.write_text("include sub/base.cfg\nmode = rational\n")
-        assert read_config_file(str(top)) == {"depth": "2", "mode": "rational"}
+        top.write_text("include sub/base.cfg\nstyle = deep\n")
+        assert read_config_file(str(top)) == {"depth": "2", "style": "deep"}
 
     def test_include_cycle_rejected(self, tmp_path):
         a = tmp_path / "a.cfg"
@@ -51,7 +51,7 @@ class TestConfigFile:
 class TestExperimentConfig:
     def test_defaults_and_round_trip(self):
         c = ExperimentConfig.from_mapping("halo", {"grid_bits": "6"})
-        assert c.grid_bits == 6 and c.mode == "rational"
+        assert c.grid_bits == 6
         assert "grid_bits=6" in c.canonical_text()
 
     def test_unknown_kind(self):
@@ -165,6 +165,15 @@ class TestCli:
             "band_positive": True,
         }
 
+    def test_resonance_run_writes_one_row_per_stage(self, tmp_path):
+        # the rows read the plan's band selection, stage by stage
+        out = tmp_path / "o"
+        assert _run(["resonance", "--depth", "2", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["meta"]["mode"] == "rational"
+        assert [(row["stage"], row["q"]) for row in doc["rows"]] == [(1, 1), (2, 2)]
+        assert all(item["ok"] for item in doc["verified"])
+
     def test_maxfield_run_writes_report(self, tmp_path):
         out = str(tmp_path / "o")
         rc = _run(["maxfield", "--grid", "4", "--out", out])
@@ -270,17 +279,18 @@ class TestCli:
         [
             ["resonance", "--depth", "2", "--set", "n=3"],
             ["halo", "--set", "n=1"],
-            ["resonance", "--mode", "double"],
-            ["zygmund", "--mode", "double"],
-            ["rearrange", "--mode", "double"],
-            ["halo", "--mode", "double"],
-            ["lemmas", "--mode", "double"],
-            ["maxfield", "--mode", "double"],
+            ["resonance", "--set", "mode=rational"],
+            ["zygmund", "--set", "mode=rational"],
+            ["rearrange", "--set", "mode=rational"],
+            ["halo", "--set", "mode=rational"],
+            ["lemmas", "--set", "mode=rational"],
+            ["maxfield", "--set", "mode=rational"],
         ],
     )
     def test_unused_n_and_mode_exit_2(self, argv, tmp_path, capsys):
-        # runs are exact, and all but maxfield are planar; they must not
-        # report a setting they did not use
+        # all but maxfield are planar, and every run is exact, so there is
+        # no mode key, not even for its one value; a run must not report a
+        # setting it did not use
         assert _run([*argv, "--out", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
@@ -304,6 +314,50 @@ class TestCli:
         # the fallback sweep value 2^bits / 16 is not above 1 there
         assert _run(["lemmas", "--grid", str(bits), "--out", str(tmp_path)]) == 3
         assert f"grid with 2^{bits} cells per axis is too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bits", [15, 40])
+    def test_lemmas_past_the_rectangle_bound_exits_3(self, bits, tmp_path, capsys):
+        # the rectangle is 2^(bits - 6) cells per side; --grid 40 asked numpy
+        # for 2^68 cells, and the run is refused before any work
+        assert _run(["lemmas", "--grid", str(bits), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        side = 2 ** (bits - 6)
+        assert f"rectangle of {side}x{side} cells, above the bound 65536" in err
+        assert experiments.LEMMAS_RECT_CELLS == 65536
+        assert not (tmp_path / "report.json").exists()
+
+    def test_lemmas_rows_keep_every_column(self, tmp_path):
+        # the level-set rows carry two columns the integral rows lack;
+        # rows.csv and rows.dat take their columns from every row
+        assert _run(["lemmas", "--grid", "8", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        csv_head = (tmp_path / "rows.csv").read_text().splitlines()[0].split(",")
+        assert set(csv_head) == {k for row in doc["rows"] for k in row}
+        assert csv_head == [
+            "check", "n", "h", "value", "closed_form", "rel_err",
+            "ratio_exponent_km1", "normalization_ok",
+        ]
+        dat = (tmp_path / "rows.dat").read_text().splitlines()
+        assert dat[0] == "# n h value closed_form rel_err ratio_exponent_km1"
+        assert all(line.split()[-1] == "nan" for line in dat[1:10])
+        assert all(line.split()[-1] != "nan" for line in dat[10:])
+
+    @pytest.mark.parametrize("bits", ["32", "62"])
+    def test_halo_past_32_bits_equals_the_10_bit_run(self, bits, tmp_path):
+        # no array spans the grid, and shape areas past int64 stay exact
+        rows = {}
+        for grid in ("10", bits):
+            assert _run(["halo", "--grid", grid, "--out", str(tmp_path / grid)]) == 0
+            rows[grid] = (tmp_path / grid / "rows.csv").read_text()
+        assert rows[bits] == rows["10"]
+
+    @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+    def test_grid_past_62_bits_exits_2(self, command, tmp_path, capsys):
+        # cell indices are int64; halo --grid 63 overflowed there (exit 1)
+        assert ExperimentConfig.from_mapping(command, {"grid_bits": "62"}).grid_bits == 62
+        assert _run([command, "--grid", "63", "--out", str(tmp_path)]) == 2
+        assert "above 62 bits per axis" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("n,bits", [(1, 5), (3, 3)])
     def test_maxfield_off_the_plane(self, n, bits, tmp_path, capsys):
@@ -387,7 +441,8 @@ _FLAGS = [
     (["--config", "a.cfg"], "config", "a.cfg"),
     (["--grid", "9"], "grid", 9),
     (["--out", "o"], "out", "o"),
-    (["--mode", "rational"], "mode", "rational"),
+    # a negative value reads as an option unless it is joined by "="
+    (["--rotations=-22.5"], "rotations", "-22.5"),
     (["--seed", "3"], "seed", 3),
     (["--depth", "2"], "depth", 2),
     (["--style", "square"], "style", "square"),
@@ -400,7 +455,7 @@ _FLAGS = [
     (["--set", "k=2", "--set", "n=2"], "set", ["k=2", "n=2"]),
 ]
 _UNSET = {
-    "config": None, "grid": None, "out": None, "mode": None, "seed": None,
+    "config": None, "grid": None, "out": None, "seed": None,
     "depth": None, "style": None, "h_list": None, "t_list": None,
     "r_list": None, "rotations": None, "resolution_cap": None,
     "use_cache": False, "set": [],
@@ -419,7 +474,15 @@ class TestParser:
         assert vars(cli._build_parser().parse_args([command])) == dict(_UNSET, command=command)
 
     @pytest.mark.parametrize(
-        "argv", [["mystery"], [], ["halo", "--style", "round"], ["halo", "--grid", "x"]]
+        "argv",
+        [
+            ["mystery"],
+            [],
+            ["halo", "--style", "round"],
+            ["halo", "--grid", "x"],
+            # every run is exact, so there is no arithmetic to choose
+            ["halo", "--mode", "rational"],
+        ],
     )
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

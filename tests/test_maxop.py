@@ -420,6 +420,25 @@ class TestMaxLevelSet:
             assert np.array_equal(maxop._embed(g.shape, box, corner), want)
             assert np.array_equal(max_level_set(f, basis, 1).mask, want)
 
+    @pytest.mark.parametrize("bits", [33, 62])
+    def test_areas_past_int64_are_skipped_exactly(self, bits):
+        # a 2^32 x 2^32 shape has area 2^64, which int64 wraps to 0: the
+        # mass skip then kept it and laid out its 2^32 x 2^32 placements.
+        # With exact areas it is skipped, and the pass is the 3x3 one
+        g = DyadicGrid((bits, bits))
+        E = np.ones((1, 2), dtype=bool)
+        support = maxop._support(E, (2**bits // 2, 2**bits // 2))
+        wide = 2**32 if bits == 33 else 2**61
+        shapes = [(1, 1), (1, 2), (2, 2), (wide, wide), (wide, 1)]
+        basis, lams = BasisSpec("axis", 2), [Fraction(1, 4)]
+        (runs,) = maxop._placement_pass(g, 1, support, basis, lams, shapes=shapes)
+        small = maxop._support(E, (4, 4))
+        (want,) = maxop._placement_pass(DyadicGrid((3, 3)), 1, small, basis, lams, shapes=shapes[:3])
+        widths, index, low, count = runs
+        assert set(index.tolist()) <= {0, 1, 2}
+        assert np.array_equal(index, want[1]) and np.array_equal(count, want[3])
+        assert np.array_equal(low - 2**bits // 2, want[2] - 4)
+
     def test_a_support_over_several_batches(self):
         g = DyadicGrid((4, 4))
         f = random_step(g, np.random.default_rng(11))
@@ -556,8 +575,7 @@ class TestMaxLevelSet:
             raise AssertionError("a full max field was built")
 
         monkeypatch.setattr(maxop.MaxField, "__init__", refuse)
-        probe = halo.HaloProbe(BasisSpec("axis", 2), 8.0, 6)
-        (est,) = halo.halo_estimate([probe], [math.inf, 2.0], [1, 2])
+        (est,) = halo.halo_estimate(BasisSpec("axis", 2), 6, [8.0], [math.inf, 2.0], [1, 2])
         assert est.phi_hat > 1
         (res,) = halo.lemma10_levelset_measure(AxisRect((30, 30), (34, 34)), [6.0], 2, DyadicGrid((6, 6)))
         assert res.levelset_measure > res.rect_measure

@@ -56,7 +56,7 @@ def _banded_function(*bands, bits=(2, 2)):
 class TestSelectLevelSets:
     def test_single_band_meets_target(self):
         f = _banded_function((3, 8))  # phi(3) * 1/2 >= 1
-        (entry,) = build_divergent_sequences(PHI, f, 1).entries
+        (entry,) = build_divergent_sequences(PHI, f, 1)
         A, h, q = entry
         assert (h, q) == (3, 1) and np.array_equal(A.mask, f.num == 3 * f.den)
         assert PHI(3.0) * float(A.measure()) >= 1
@@ -65,7 +65,7 @@ class TestSelectLevelSets:
         # stage 1 passes over the value 1 (not above 1); stage 2 then finds
         # nothing above 3 and names depth 1 as the largest achievable
         f = _banded_function((1, 8), (3, 8))
-        (A, h, q), = build_divergent_sequences(PHI, f, 1).entries
+        (A, h, q), = build_divergent_sequences(PHI, f, 1)
         assert (h, q, A.popcount) == (3, 1, 8)
         with pytest.raises(InfeasibleError, match="largest achievable depth is 1") as ei:
             build_divergent_sequences(PHI, f, 2)
@@ -77,7 +77,7 @@ class TestSelectLevelSets:
         f = _banded_function((1, 8), (3, 8))
         padded = StepFunction.from_table(f.grid, [*f.table, 4, 2], f.codes)
         assert padded.table == (1, 2, 3, 4)
-        (A, h, q), = build_divergent_sequences(PHI, padded, 1).entries
+        (A, h, q), = build_divergent_sequences(PHI, padded, 1)
         assert (h, q) == (3, 1) and np.array_equal(A.mask, f.num == 3 * f.den)
         with pytest.raises(InfeasibleError, match="largest achievable depth is 1"):
             build_divergent_sequences(PHI, padded, 2)
@@ -97,11 +97,11 @@ class TestDivergentSequences:
     def test_shipped_input_selects_one_band_per_stage(self):
         f, _ = synthetic_resonance_input(PHI, 3)
         sel = build_divergent_sequences(PHI, f, 3)
-        assert [q for _, _, q in sel.entries] == [1, 2, 3]
-        hs = [h for _, h, _ in sel.entries]
-        assert hs == sorted(set(hs)) and all(h > q for _, h, q in sel.entries)
+        assert [q for _, _, q in sel] == [1, 2, 3]
+        hs = [h for _, h, _ in sel]
+        assert hs == sorted(set(hs)) and all(h > q for _, h, q in sel)
         taken = np.zeros(f.grid.shape, dtype=int)
-        for A, h, q in sel.entries:
+        for A, h, q in sel:
             assert np.array_equal(A.mask, f.values == h)
             assert PHI(float(h) / q) * float(A.measure()) >= q
             taken += A.mask
@@ -132,7 +132,7 @@ class TestReplication:
         def tampered(*args, **kwargs):
             w = build_tile_witness(*args, **kwargs)
             p_sets = dict(w.p_sets)
-            for key in w.certificates:
+            for key in w.p_sets:  # every basis here takes the disk route
                 mask = p_sets[key].mask.copy()
                 mask[tuple(np.argwhere(~mask)[0])] = True
                 p_sets[key] = GridSet(w.grid, mask)
@@ -425,7 +425,7 @@ class TestSquarePlan:
     def test_g_dominated_by_input_mass(self, square_plan):
         _, plan = square_plan
         assert plan.integral_g <= plan.integral_f
-        assert max(plan.g.values.ravel()) == plan.selection.entries[-1][1]
+        assert max(plan.g.values.ravel()) == plan.selection[-1][1]
 
     def test_final_grid_containment_on_both_routes(self):
         # refinement keeps every stage's containment: each tile re-checks
@@ -479,7 +479,7 @@ class TestRearrangement:
         assert np.array_equal(np.sort(omega.perm), np.arange(plan.final_grid.total_cells))
         # 32 zero cells of the 8x8 input became 1/2, each band holds 16; the
         # final grid splits every input cell into 16
-        bands = [(h, 256, 256) for _, h, _ in plan.selection.entries]
+        bands = [(h, 256, 256) for _, h, _ in plan.selection]
         assert list(omega.histogram) == [(Fraction(1, 2), 512, 512), *bands]
 
     def test_moving_a_cell_off_the_domain_raises(self, square_plan, domain_breach):
@@ -504,7 +504,7 @@ class TestRearrangement:
             later |= e_final[k].mask
         assert np.array_equal(plan.g.codes != 0, later)
         extra = [r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)]
-        bands = [_repeat(A.mask, extra) for A, _, _ in plan.selection.entries]
+        bands = [_repeat(A.mask, extra) for A, _, _ in plan.selection]
         assert np.array_equal(omega.perm, permutation_by_stage_sets(e_final, bands))
         assert dominates_by_numerators(f, plan.g, omega.perm)
         save_step_function(plan.g, tmp_path / "g.txt")
@@ -521,7 +521,7 @@ class TestRearrangement:
         plan = build_resonance_function(f, [BasisSpec("axis", 2)], PHI, 3, pads=pads)
         omega = build_rearrangement(f, plan)
         extra = [r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)]
-        bands = [_repeat(A.mask, extra) for A, _, _ in plan.selection.entries]
+        bands = [_repeat(A.mask, extra) for A, _, _ in plan.selection]
         expected = permutation_by_stage_sets(stage_sets_on_final_grid(plan), bands)
         assert omega.perm.dtype == np.int64
         assert np.array_equal(omega.perm, expected)
@@ -592,7 +592,7 @@ class TestSyntheticInput:
         f, pads = synthetic_resonance_input(PHI, K)
         assert len(pads) == K
         sel = build_divergent_sequences(PHI, f, K)
-        assert len(sel.entries) == K
+        assert len(sel) == K
 
     def test_depth_beyond_shipping_rejected(self):
         with pytest.raises(InfeasibleError):

@@ -297,7 +297,7 @@ class TestRotationCertificates:
     def test_rotation_preimage_matches_the_cell_loop(self, grid, amp):
         basis = BasisSpec("rotated", 2, math.pi / 8)
         w = build_tile_witness(grid, [basis], amp, Fraction(1, 2), PHI)
-        U = w.certificates[basis.describe()].U
+        U = w.disk
         turns = [0.0, 1e-12, -1e-12, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
         gammas = turns + [math.pi * t / 37 for t in range(-37, 75)]
         for gamma in gammas:
@@ -405,7 +405,10 @@ def test_rotated_p_cells_pass_a_sampled_clipping_oracle(grid, amp):
     basis = BasisSpec("rotated", 2, gamma)
     key = basis.describe()
     w = build_tile_witness(grid, [basis], amp, Fraction(1, 2), PHI)
-    K = w.certificates[key].K
+    # the disk core the witness's U was computed from, rebuilt from E
+    center = _box_center(grid)
+    fine = grid.refine(witness._square_refine_bits(grid, witness._REFINE_EXTRA))
+    K = disk_core(fine, center, inscribed_radius_sq(w.E, center))
     f = StepFunction.indicator(w.E, w.h)
     cx, cy = (float(o + s / 2) for o, s in zip(grid.origin, grid.side))
     cg, sg = math.cos(gamma), math.sin(gamma)
