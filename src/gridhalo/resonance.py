@@ -195,10 +195,8 @@ def replicate_configuration(
     j = tuple(mi + tb for mi, tb in zip(m, tile_bits))
     full = DyadicGrid(j)
     reps = tuple(1 << mi for mi in m)
-    E = GridSet(full, np.tile(tile.E.mask, reps))
-    p_sets = {
-        key: GridSet(full, np.tile(P.mask, reps)) for key, P in tile.p_sets.items()
-    }
+    E = GridSet._own(full, np.tile(tile.E.mask, reps))
+    p_sets = {key: GridSet._own(full, np.tile(P.mask, reps)) for key, P in tile.p_sets.items()}
     uniform_ok = all(
         uniform_distribution_check(s, m) for s in (E, *p_sets.values())
     )

@@ -24,24 +24,23 @@ computation:
     floats, guarded by a boundary margin, so dropped cells are possible
     but wrongly included ones are not (P is a certified lower bound).
 
-The exact route is a certifying algorithm.  One placement pass of the
-kernel (``maxop._winners``) gives the tile's P, the union of the winning
-placements, and from the same winners one certificate per P cell: an
-admissible shape and the lower corner of a placement of it (which may
-overhang the box) that covers the cell and holds count cells of E with
-count * amp.num > |R| * amp.den.  The certificates are proved once, on
-the tile, counted on its E with zeros outside it; the tile cells they
-prove are the basis's certified cells.  The bases are translation
-invariant, so a certificate moved into any copy of the tile on a replica
-stays a member, and there it holds at least the cells of that copy's tile
-E; refined by f per axis, its count and its area both scale by f^n.  So
-on a replica or refinement of the tile a P passes when the E given holds
-the tile E in every copy and every cell of P lies in a certified tile
-cell: a pass proves that P lies in E's level set, and a wrong certificate
-can only fail.  E and P are each read once, folded onto the tile grid
-through views over their copies (a logical-and of E, a logical-or of P),
-so the check builds no array larger than a tile and never the level set
-of the whole grid.
+The exact route is a certifying algorithm.  Its certificates are the
+winning placements of one placement pass of the kernel
+(``maxop._winners``): each is an admissible shape and a lower corner
+(the placement may overhang the box) whose rectangle holds count cells of
+E with count * amp.num > |R| * amp.den.  They are proved once, on the
+tile, counted on its E with zeros outside it; the tile cells the proved
+placements cover are the basis's certified cells, and the tile's P.  The
+bases are translation invariant, so a placement moved into any copy of
+the tile on a replica stays a member, and there it holds at least the
+cells of that copy's tile E; refined by f per axis, its count and its
+area both scale by f^n.  So on a replica or refinement of the tile a P
+passes when the E given holds the tile E in every copy and every cell of
+P lies in a certified tile cell: a pass proves that P lies in E's level
+set, and a wrong certificate can only fail.  E and P are each read once,
+folded onto the tile grid through views over their copies (a logical-and
+of E, a logical-or of P), so the check builds no array larger than a
+tile and never the level set of the whole grid.
 
 The refinement depth of K's grid and the point-location margin are fixed
 constants.  ``MPhiWitness.containment`` is the one containment check, on
@@ -63,11 +62,8 @@ import numpy as np
 
 from .grid import DyadicGrid, GridSet, StepFunction
 from .maxop import (
-    _PLACEMENT_BUDGET,
     BasisSpec,
-    _embed,
     _exceeds,
-    _paint,
     _summed_area,
     _winners,
     dyadic_ladder,
@@ -113,7 +109,7 @@ def central_block(grid: DyadicGrid) -> GridSet:
         raise ValueError("need an even number of cells (>= 2) per axis")
     mask = np.zeros(grid.shape, dtype=bool)
     mask[tuple(slice(s // 2 - 1, s // 2 + 1) for s in grid.shape)] = True
-    return GridSet(grid, mask)
+    return GridSet._own(grid, mask)
 
 
 def _box_center(grid: DyadicGrid) -> tuple[Fraction, ...]:
@@ -181,7 +177,7 @@ def disk_core(grid: DyadicGrid, center, rho_sq: Fraction) -> GridSet:
     ``_cell_distances_sq``."""
     _, far, scale = _cell_distances_sq(grid, center)
     limit = min(math.floor(rho_sq * scale * scale), int(far.max()))
-    out = GridSet(grid, far <= limit)
+    out = GridSet._own(grid, far <= limit)
     if out.popcount == 0:
         raise WitnessError("disk core is empty; refine deeper")
     return out
@@ -211,11 +207,9 @@ def _cell_centres(grid: DyadicGrid, ax: int) -> np.ndarray:
     return (a + b * odd).astype(np.float64) / den
 
 
-def rotation_preimage(
-    tile_grid: DyadicGrid, U: GridSet, gamma: float, margin: float
-) -> GridSet:
+def rotation_preimage(tile_grid: DyadicGrid, U: GridSet, gamma: float) -> GridSet:
     """Tile cells whose center, rotated by -gamma about the box center,
-    falls inside a cell of U with at least ``margin`` to spare.
+    falls inside a cell of U with at least ``_MARGIN`` to spare.
 
     Every cell runs the same float operations in the same order (each
     center rounded once from its exact value, ``_cell_centres``, no fused
@@ -238,7 +232,7 @@ def rotation_preimage(
     # stay clear of the subcell walls so float rounding cannot flip cells
     inx = np.minimum(x - (ox + i * cw), ox + (i + 1) * cw - x)
     iny = np.minimum(y - (oy + j * ch), oy + (j + 1) * ch - y)
-    return GridSet(tile_grid, inside & hit & (inx > margin) & (iny > margin))
+    return GridSet._own(tile_grid, inside & hit & (inx > _MARGIN) & (iny > _MARGIN))
 
 
 def _route(basis: BasisSpec) -> int | None:
@@ -300,85 +294,52 @@ def _rect_counts(table: np.ndarray, start, size) -> np.ndarray | None:
     return np.tensordot(sign, table[tuple(at[..., ax] for ax in range(n))], axes=1)
 
 
-def _certify(P: GridSet, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count) -> np.ndarray:
-    """One certificate per cell of P, as rows (cell, shape index, lower
-    corner), from the winning runs of ``_winners`` whose union P is: each
-    of their placements holds c cells of E with c * amp.num > |R| * amp.den.
-
-    Larger shapes go first, and each cell takes the winning placement that
-    covers the most cells of P (ties to the higher corner), so neighbouring
-    cells share certificates and their proof, made once on the tile
-    (``_certificates_hold``, one gather per distinct rectangle), reads few
-    rectangles.  The (placement, covered cell) pairs are laid out in that
-    order, a budget of them at a time until every cell of P has one, and
-    each cell keeps its first."""
+def _placements(index: np.ndarray, low: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The winning runs of ``_winners`` a placement per row (shape index,
+    lower corner): run i is ``count[i]`` placements of shape ``index[i]``,
+    from ``low[i]`` on along the last axis."""
     run = np.repeat(np.arange(len(low)), count)
-    index, low = index[run], low[run]
+    low = low[run]
     low[:, -1] += np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
-    # P holds every cell a winner covers, so its P cells are its grid cells
-    lo, hi = np.maximum(low, 0), np.minimum(low + widths[index], P.grid.shape)
-    size = (hi - lo).prod(axis=1)
-    order = np.lexsort((*(-low.T[::-1]), -size, index, -widths.prod(axis=1)[index]))
-    index, low, lo, span, size = (a[order] for a in (index, low, lo, hi - lo, size))
-    begin = np.cumsum(size) - size
-    first, start = np.full(P.grid.total_cells, len(size)), 0
-    while start < len(size) and (first[P.mask.ravel()] == len(size)).any():
-        stop = max(int(np.searchsorted(begin, begin[start] + _PLACEMENT_BUDGET)), start + 1)
-        owner = np.repeat(np.arange(start, stop), size[start:stop])
-        rest = begin[start] + np.arange(len(owner)) - begin[owner]
-        cell = lo[owner]
-        for ax in reversed(range(P.grid.n)):
-            rest, offset = np.divmod(rest, span[owner, ax])
-            cell[:, ax] += offset
-        np.minimum.at(first, np.ravel_multi_index(tuple(cell.T), P.grid.shape), owner)
-        start = stop
-    keep = first[P.mask.ravel()]
-    if (keep == len(size)).any():
-        raise WitnessError("a level-set cell has no certificate")
-    return np.column_stack([np.argwhere(P.mask), index[keep], low[keep]])
+    return np.column_stack([index[run], low])
 
 
-def _certificates_hold(w) -> bool:
-    """Whether every certificate of w proves its cell on the tile: the cell
-    is a tile cell, its shape is admissible (at most k distinct edge
-    lengths, diameter < trunc) and no wider than the tile, its rectangle
-    covers the cell, and it holds enough cells of the tile E, read as zero
-    outside the tile.
+def _placements_hold(w) -> bool:
+    """Whether every placement of w proves its rectangle on the tile: its
+    shape is admissible (at most k distinct edge lengths, diameter < trunc)
+    and no wider than the tile, and the rectangle holds c cells of the tile
+    E, read as zero outside the tile, with c * amp.num > |R| * amp.den.
 
-    The counts come from one summed-area table of the tile E, padded for
-    the rectangles' overhang, in one gather of every distinct rectangle's
-    corners.  Moved into any copy of the tile on a replica, and scaled to
-    a refinement, a rectangle that passes here holds at least as many
-    cells of any E that holds that copy's tile E, against an area scaled
-    by the same factor, so the tile's verdict is every copy's."""
-    cert = w.cell_certificates
-    n = w.grid.n
-    cells, index, corners = cert[:, :n], cert[:, n], cert[:, n + 1 :]
-    if not ((0 <= cells) & (cells < w.grid.shape)).all():
-        return False
+    Admissibility is read off the edge lengths in units of the cells'
+    common denominator, integers on a dyadic grid, so the check never
+    consults the shape family it checks.  The counts come from one
+    summed-area table of the tile E, padded for the rectangles' overhang,
+    in one gather of every placement's corners.  Moved into any copy of the
+    tile on a replica, and scaled to a refinement, a rectangle that passes
+    here holds at least as many cells of any E that holds that copy's tile
+    E, against an area scaled by the same factor, so the tile's verdict is
+    every copy's."""
+    n, shape = w.grid.n, w.grid.shape
+    index, low = w.placements[:, 0], w.placements[:, 1:]
     if not ((0 <= index) & (index < len(w.shapes))).all():
         return False
-    k = next(iter(w.bases.values())).k
-    for i in set(index.tolist()):
-        lengths = [x * c for x, c in zip(w.shapes[i], w.grid.cell_size)]
-        if min(w.shapes[i]) < 1 or len(set(lengths)) > k:
-            return False
-        if any(x > t for x, t in zip(w.shapes[i], w.grid.shape)):
-            return False
-        if sum(x * x for x in lengths) >= w.trunc * w.trunc:
-            return False
-    shapes = np.array(w.shapes, dtype=np.int64).reshape(-1, n)[index]
-    if not ((corners <= cells) & (cells < corners + shapes)).all():
+    size = np.array(w.shapes, dtype=np.int64).reshape(-1, n)[index]
+    # widths from 1 to the tile's; a rectangle that misses the tile holds
+    # no cell of E
+    if not ((1 <= size) & (size <= shape) & (low < shape) & (low + size > 0)).all():
         return False
-    if not len(cert):
-        return True
-    # each distinct rectangle once, by one sort (np.unique would import numpy.ma)
-    rects = np.column_stack([shapes, corners])
-    rects = rects[np.lexsort(rects.T[::-1])]
-    rects = rects[np.append(True, (rects[1:] != rects[:-1]).any(axis=1))]
-    size, low = rects[:, :n], rects[:, n:]
-    lo = np.maximum(-low.min(axis=0), 0)
-    hi = np.maximum((low + size).max(axis=0) - w.grid.shape, 0)
+    scale = math.lcm(*(c.denominator for c in w.grid.cell_size))
+    units = [int(c * scale) for c in w.grid.cell_size]
+    top = sum((s * u) ** 2 for s, u in zip(shape, units))
+    lengths = np.sort(size.astype(np.int64 if top < 1 << 62 else object) * units, axis=1)
+    k = next(iter(w.bases.values())).k
+    if ((lengths[:, 1:] != lengths[:, :-1]).sum(axis=1) >= k).any():
+        return False
+    # an integer diameter^2 is < trunc^2 exactly when it is < ceil(trunc^2)
+    if ((lengths * lengths).sum(axis=1) >= min(top + 1, math.ceil(w.trunc**2 * scale**2))).any():
+        return False
+    lo = np.maximum(-low.min(axis=0, initial=0), 0)
+    hi = np.maximum((low + size).max(axis=0, initial=0) - shape, 0)
     counts = _rect_counts(_summed_area(w.E.mask, lo, hi), low + lo, size)
     area = size.prod(axis=1)
     return counts is not None and bool(
@@ -386,22 +347,37 @@ def _certificates_hold(w) -> bool:
     )
 
 
+def _cover(w) -> np.ndarray:
+    """The tile cells that w's placements cover, from a difference array on
+    the tile: each rectangle, clipped to the tile, adds +-1 at its 2^n
+    corners, and prefix sums along every axis count the rectangles over
+    each cell."""
+    n, shape = w.grid.n, w.grid.shape
+    index, low = w.placements[:, 0], w.placements[:, 1:]
+    size = np.array(w.shapes, dtype=np.int64).reshape(-1, n)[index]
+    walls = np.clip(low, 0, shape), np.clip(low + size, 0, shape)
+    diff = np.zeros([s + 1 for s in shape], dtype=np.int64)
+    for far in itertools.product((0, 1), repeat=n):
+        np.add.at(diff, tuple(walls[f][:, ax] for ax, f in enumerate(far)), (-1) ** sum(far))
+    for ax in range(n):
+        np.cumsum(diff, axis=ax, out=diff)
+    return diff[tuple(slice(0, s) for s in shape)] > 0
+
+
 def _certified_sets(w) -> dict:
     """Per basis key of w, the read-only tile-grid mask of its certified
-    cells: on the exact route the tile's certificate cells, empty unless
-    every certificate holds (one check for an axis basis and its quarter
-    turns); on the disk route the tile preimage, at the basis's angle, of
-    the shared disk certificate ``w.disk``.  ``MPhiWitness._certified``
-    keeps them, computed once."""
+    cells: on the exact route the tile cells that w's placements cover,
+    empty unless every placement holds (one check for an axis basis and its
+    quarter turns); on the disk route the tile preimage, at the basis's
+    angle, of the shared disk certificate ``w.disk``.
+    ``MPhiWitness._certified`` keeps them, computed once."""
     out, exact = {}, None
     for key, basis in w.bases.items():
         if _route(basis) is None:
-            out[key] = rotation_preimage(w.grid, w.disk, basis.gamma, _MARGIN).mask
+            out[key] = rotation_preimage(w.grid, w.disk, basis.gamma).mask
         else:
             if exact is None:
-                exact = np.zeros(w.grid.shape, dtype=bool)
-                if _certificates_hold(w):
-                    exact[tuple(w.cell_certificates[:, : w.grid.n].T)] = True
+                exact = _cover(w) if _placements_hold(w) else np.zeros(w.grid.shape, dtype=bool)
                 exact.setflags(write=False)
             out[key] = exact
     return out
@@ -424,7 +400,7 @@ class MPhiWitness:
     p_sets: dict
     bases: dict
     shapes: tuple
-    cell_certificates: np.ndarray  # rows (cell, shape index, lower corner)
+    placements: np.ndarray  # rows (shape index, lower corner)
     disk: GridSet | None = None  # U, shared by every generic angle
     c: float = 0.0
     c_of_h: Fraction = Fraction(0)
@@ -443,11 +419,11 @@ class MPhiWitness:
         on a replica of the tile over whole copies of its box, a refinement,
         or both; P must be on E's grid, and any other grid gives False.
         A P passes when E holds the tile's E in every copy and every cell
-        of P lies in a certified tile cell: the certificates, proved on the
-        tile, hold in every copy of any such E, so the level set of E is
-        never computed.  E and each P are folded onto the tile grid through
-        views over their copies, so a replica costs a pass over its masks
-        and a tile of memory."""
+        of P lies in a certified tile cell: the winning placements, proved
+        on the tile, hold in every copy of any such E, so the level set of
+        E is never computed.  E and each P are folded onto the tile grid
+        through views over their copies, so a replica costs a pass over its
+        masks and a tile of memory."""
         E = self.E if E is None else E
         p_sets = self.p_sets if p_sets is None else p_sets
         placement = _placement(self.grid, E.grid)
@@ -499,12 +475,12 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         raise ValueError("two bases share a key; their P sets would merge")
     generic = [key for key, b in basis_map.items() if _route(b) is None]
     shapes = enumerate_shapes(axis, grid, r=trunc)
-    cells = np.zeros((0, 2 * grid.n + 1), dtype=np.int64)
+    placements = np.zeros((0, grid.n + 1), dtype=np.int64)
     if len(generic) < len(basis_map):
-        # one placement pass gives both P and its certificates
-        wins = _winners(StepFunction.indicator(E, amp), axis, 1, r=trunc, shapes=shapes)
-        cells = _certify(GridSet._own(grid, _embed(grid.shape, *_paint(grid.shape, *wins))), *wins)
-    cells.setflags(write=False)
+        # one placement pass: its winners are the certificates, P their cover
+        _, *runs = _winners(StepFunction.indicator(E, amp), axis, 1, r=trunc, shapes=shapes)
+        placements = _placements(*runs)
+    placements.setflags(write=False)
     U = None
     if generic:
         center = _box_center(grid)
@@ -523,13 +499,13 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         p_sets={},
         bases=basis_map,
         shapes=tuple(tuple(s) for s in shapes),
-        cell_certificates=cells,
+        placements=placements,
         disk=U,
         c_of_h=Fraction(E.popcount, grid.total_cells),
     )
     p_sets = {key: GridSet._own(grid, mask) for key, mask in w._certified.items()}
     for key, P in p_sets.items():
-        if P.popcount == 0 and key not in generic and len(cells):
+        if P.popcount == 0 and key not in generic and len(placements):
             raise VerificationError(f"the tile's own certificates fail for basis {key}")
         if P.popcount == 0:
             raise WitnessError(f"empty P set for basis {key}")

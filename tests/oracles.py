@@ -13,17 +13,19 @@ rearrangement from bool masks and cross-multiplied integers;
 ``unions_by_masks`` recheck exact independence and the union identity by
 ANDing and ORing the refined stage sets;
 ``kernel_containment`` and
-``tile_certificate_ok`` recompute what a witness's certificates claim,
-from the kernel's level set and from a direct count, and
+``tile_certificate_ok`` recompute what a witness's winning placements
+claim, from the kernel's level set and from a direct count,
+``placement_cover`` paints the tile cells they cover, and
 ``certified_sets_on_grid`` places a witness's certified sets on a whole
 replica grid (``place`` refines and tiles a tile mask), counting the
-certificates on E itself in every copy by slice sums; ``boundary_touch``
+placements on E itself in every copy (``box_counts``); ``boundary_touch``
 reads boundary contact off a whole-grid mask; ``difference`` is the set
 difference of two cell sets on one grid.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -294,15 +296,41 @@ def kernel_containment(w, E, p_sets):
     }
 
 
-def tile_certificate_ok(w, cell, shape, corner):
-    """Oracle: whether the rectangle of ``shape`` at lower ``corner`` covers
-    ``cell`` and, with E zero outside the tile, holds more than |R|/amp of
-    E's cells, counted by slicing a zero-padded copy of the tile's E."""
+def tile_certificate_ok(w, shape, corner):
+    """Oracle: whether the rectangle of ``shape`` at lower ``corner``, with
+    E zero outside the tile, holds more than |R|/amp of E's cells, counted
+    by slicing a zero-padded copy of the tile's E."""
     pad = max(w.grid.shape) * 2
     E = np.pad(w.E.mask, pad)
     count = int(E[tuple(slice(c + pad, c + pad + s) for c, s in zip(corner, shape))].sum())
-    covers = all(c <= x < c + s for x, c, s in zip(cell, corner, shape))
-    return covers and count * w.h > math.prod(shape)
+    return count * w.h > math.prod(shape)
+
+
+def placement_cover(w) -> np.ndarray:
+    """Oracle: the tile cells that w's placements cover, every cell tested
+    against every rectangle."""
+    n = w.grid.n
+    cells = np.indices(w.grid.shape).reshape(n, -1).T
+    low = w.placements[:, None, 1:]
+    high = low + np.array(w.shapes, dtype=np.int64).reshape(-1, n)[w.placements[:, 0], None]
+    return ((low <= cells) & (cells < high)).all(axis=2).any(axis=0).reshape(w.grid.shape)
+
+
+def box_counts(E: np.ndarray, low: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Oracle: the cells of the mask E in each box [low, low + size),
+    clipped to E's grid (the leading axes of ``low`` and ``size``
+    broadcast), by inclusion-exclusion on a prefix-sum table of the whole
+    grid."""
+    n = E.ndim
+    table = np.pad(E, [(1, 0)] * n).astype(np.int64)
+    for ax in range(n):
+        table = np.cumsum(table, axis=ax)
+    lo, hi = np.clip(low, 0, E.shape), np.clip(low + size, 0, E.shape)
+    out = 0
+    for far in itertools.product((0, 1), repeat=n):
+        at = tuple((hi if f else lo)[..., ax] for ax, f in enumerate(far))
+        out = out + (-1) ** (n - sum(far)) * table[at]
+    return out
 
 
 def place(mask: np.ndarray, placement) -> np.ndarray:
@@ -313,42 +341,42 @@ def place(mask: np.ndarray, placement) -> np.ndarray:
     return np.tile(mask, [reps for _, reps in placement])
 
 
+@functools.lru_cache(maxsize=None)
+def _admissible(shapes, cell_size, k, trunc) -> tuple:
+    """Oracle: per shape of ``shapes`` (in cells of ``cell_size``), whether
+    it has at most k distinct edge lengths and diameter < trunc, in
+    Fractions."""
+    out = []
+    for shape in shapes:
+        lengths = [x * c for x, c in zip(shape, cell_size)]
+        diameter_sq = sum(x * x for x in lengths)
+        out.append(min(shape) >= 1 and len(set(lengths)) <= k and diameter_sq < trunc * trunc)
+    return tuple(out)
+
+
 def certified_sets_on_grid(w, E: np.ndarray, placement) -> dict:
     """Oracle: per basis key of w, its certified cells placed on the whole
     grid of ``placement``, given the mask E there.  The disk route places
     the tile preimage, empty unless E holds the placed tile E; the exact
-    route places the tile's certified cells, empty unless every
-    certificate, scaled to E's cells and moved into every copy of the
-    tile, holds enough cells of E itself, each count a slice sum of E
-    clipped to the grid."""
+    route places the tile cells w's placements cover, empty unless every
+    placement, scaled to E's cells and moved into every copy of the tile,
+    holds enough cells of E itself, clipped to the grid."""
     n = w.grid.n
-    cert = w.cell_certificates
-    cells, index, corners = cert[:, :n], cert[:, n], cert[:, n + 1 :]
+    index, corners = w.placements[:, 0], w.placements[:, 1:]
     k = next(iter(w.bases.values())).k
-    shapes = np.array(w.shapes, dtype=np.int64).reshape(-1, n)[index]
-    ok = bool(((0 <= cells) & (cells < w.grid.shape)).all())
-    for i in set(index.tolist()):
-        lengths = [x * c for x, c in zip(w.shapes[i], w.grid.cell_size)]
-        ok &= min(w.shapes[i]) >= 1 and len(set(lengths)) <= k
-        ok &= sum(x * x for x in lengths) < w.trunc * w.trunc
-    ok &= bool(((corners <= cells) & (cells < corners + shapes)).all())
+    admissible = _admissible(w.shapes, w.grid.cell_size, k, w.trunc)
+    ok = all(admissible[i] for i in set(index.tolist()))
     factor, reps = (np.array(v) for v in zip(*placement))
-    step = factor * w.grid.shape
-    rects = {(tuple(s), tuple(c)) for s, c in zip(shapes.tolist(), corners.tolist())}
-    for shape, corner in rects if ok else ():
-        size = np.multiply(shape, factor)
-        for copy in itertools.product(*(range(r) for r in reps)):
-            low = np.multiply(corner, factor) + np.multiply(copy, step)
-            count = int(E[tuple(slice(max(a, 0), max(a + s, 0)) for a, s in zip(low, size))].sum())
-            ok &= count * w.h > math.prod(size.tolist())
+    copies = np.array(list(itertools.product(*(range(r) for r in reps)))) * factor * w.grid.shape
+    size = np.array(w.shapes, dtype=np.int64).reshape(-1, n)[index] * factor
+    counts = box_counts(E, corners[:, None] * factor + copies, size[:, None])
+    ok &= bool((counts * w.h.numerator > size.prod(axis=1)[:, None] * w.h.denominator).all())
     holds = not (place(w.E.mask, placement) & ~E).any()
-    exact = np.zeros(w.grid.shape, dtype=bool)
-    if ok:
-        exact[tuple(cells.T)] = True
+    exact = placement_cover(w) if ok else np.zeros(w.grid.shape, dtype=bool)
     out = {}
     for key, basis in w.bases.items():
         if witness._route(basis) is None:
-            pre = witness.rotation_preimage(w.grid, w.disk, basis.gamma, witness._MARGIN)
+            pre = witness.rotation_preimage(w.grid, w.disk, basis.gamma)
             tile = pre.mask & holds
         else:
             tile = exact

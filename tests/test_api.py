@@ -1,6 +1,8 @@
 """Every name a module exports resolves, so deletions leave no dead
-exports, and every name the benchmark tracer reads is still there."""
+exports, no module imports a name it never reads, and every name the
+benchmark tracer reads is still there."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -23,6 +25,25 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"gridhalo.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"gridhalo.{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_read(name):
+    # a name bound by an import must be read somewhere in the module, or
+    # re-exported through __all__; a deletion that leaves its import behind
+    # fails here (the package's __init__ imports only to re-export)
+    module = importlib.import_module(f"gridhalo.{name}")
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unread = imported - read - set(getattr(module, "__all__", ()))
+    assert not unread, f"gridhalo.{name} imports names it never reads: {sorted(unread)}"
 
 
 def _tracer():

@@ -165,6 +165,23 @@ class TestReplication:
         assert stage.tile.containment(GridSet(off, stage.E.mask), moved) == {key: False}
         assert stage.tile.containment(stage.E, moved) == {key: False}
 
+    def test_fresh_masks_are_frozen_in_place(self, monkeypatch):
+        # the replicated E and P sets, the central block, the disk core and
+        # its rotation preimage are fresh masks: each is frozen where it is
+        # made, never copied through GridSet's constructor
+        copied = []
+        post_init = GridSet.__post_init__
+
+        def counted(self):
+            copied.append(self.grid)
+            post_init(self)
+
+        monkeypatch.setattr(GridSet, "__post_init__", counted)
+        bases = [BasisSpec("axis", 2), BasisSpec("rotated", 2, math.pi / 8)]
+        rep = replicate_configuration(bases, Fraction(9, 4), Fraction(1, 8), (1, 1), Fraction(1), PHI)
+        assert rep.tile.disk is not None and all(rep.containment_ok.values())
+        assert copied == []
+
     def test_target_above_density_rejected(self):
         # the central 2x2 block of the 4x4 base tile has density 1/4
         with pytest.raises(InfeasibleError):

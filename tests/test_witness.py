@@ -35,6 +35,7 @@ from oracles import (
     kernel_containment,
     p_sets_on_final_grid,
     place,
+    placement_cover,
     refine,
     rotated_average,
     stage_sets_on_final_grid,
@@ -302,7 +303,7 @@ class TestRotationCertificates:
         gammas = turns + [math.pi * t / 37 for t in range(-37, 75)]
         for gamma in gammas:
             want = loop_rotation_preimage(grid, U, gamma, _MARGIN)
-            assert np.array_equal(rotation_preimage(grid, U, gamma, _MARGIN).mask, want), gamma
+            assert np.array_equal(rotation_preimage(grid, U, gamma).mask, want), gamma
             # at a quarter turn every tile center lands on a subcell wall,
             # which the margin refuses; every other angle certifies cells
             assert want.any() == (quarter_turns(gamma) is None), gamma
@@ -327,8 +328,8 @@ class TestRotationCertificates:
         axis = BasisSpec("axis", 2)
         shapes = enumerate_shapes(axis, g, r=Fraction(1, 2))
         U = axis_level_set_exact(E, Fraction(5, 2), Fraction(1, 2), axis, shapes)
-        a = rotation_preimage(g, U, 0.7, 1e-9)
-        b = rotation_preimage(g, U, 0.7, 1e-9)
+        a = rotation_preimage(g, U, 0.7)
+        b = rotation_preimage(g, U, 0.7)
         assert a.grid == b.grid and np.array_equal(a.mask, b.mask)
 
     def test_anisotropic_tile_certificate_nonempty(self):
@@ -448,6 +449,16 @@ def _exact_keys(w):
     return sorted(key for key, b in w.bases.items() if _route(b) == 0)
 
 
+def _sample(rows):
+    """A fixed sample of a witness's placement rows: the first placement
+    of each shape, and the first and last rows."""
+    _, first = np.unique(rows[:, 0], return_index=True)
+    return sorted({0, len(rows) - 1, *first.tolist()})
+
+
+_SHIFTS = ((1, 0), (-1, 0), (0, 1), (0, -1), (7, 7))
+
+
 class TestCellCertificates:
     def test_verdicts_equal_the_kernel_recomputation(self, cert_plan):
         # on every stage grid and on the final grid, where every stage's E
@@ -490,35 +501,48 @@ class TestCellCertificates:
             assert s.tile.containment(E, s.p_sets) == {key: True for key in s.p_sets}
 
     def test_dropped_certificate_fails(self, cert_plan):
+        # dropping every placement that covers one P cell leaves that cell
+        # uncertified; dropping one whose cells other placements also
+        # cover still passes
         for s in cert_plan.stages:
-            cert = s.tile.cell_certificates
-            for row in (0, len(cert) - 1):
-                w = dataclasses.replace(s.tile, cell_certificates=np.delete(cert, row, axis=0))
-                got = w.containment(s.E, s.p_sets)
-                assert not any(got[key] for key in _exact_keys(w))
+            w, rows = s.tile, s.tile.placements
+            size = np.array(w.shapes)[rows[:, 0]]
+            cell = np.argwhere(w.p_sets[_exact_keys(w)[0]].mask)[0]
+            covers = ((rows[:, 1:] <= cell) & (cell < rows[:, 1:] + size)).all(axis=1)
+            got = dataclasses.replace(w, placements=rows[~covers]).containment(s.E, s.p_sets)
+            assert not any(got[key] for key in _exact_keys(w))
+            depth = np.zeros(w.grid.shape, dtype=int)
+            boxes = [
+                tuple(slice(max(c, 0), max(c + z, 0)) for c, z in zip(corner, shape))
+                for corner, shape in zip(rows[:, 1:].tolist(), size.tolist())
+            ]
+            for box in boxes:
+                depth[box] += 1
+            redundant = next(i for i, box in enumerate(boxes) if (depth[box] > 1).all())
+            mutant = dataclasses.replace(w, placements=np.delete(rows, redundant, axis=0))
+            assert mutant.containment(s.E, s.p_sets) == {key: True for key in s.p_sets}
 
     def test_shifted_certificate_passes_only_when_it_still_proves_its_cell(self, cert_plan):
-        # each distinct rectangle, moved by one cell along either axis and
-        # by (7, 7): the verdict is the direct count on the tile, since E is
-        # the replicated tile E and the outermost copy of an overhanging
-        # rectangle reads zeros where the tile would
+        # a sample of placements, each moved by one cell along either axis
+        # and by (7, 7): the verdict is the direct count on the tile, since
+        # E is the replicated tile E and the outermost copy of an
+        # overhanging rectangle reads zeros where the tile would, and the
+        # moved placements must still cover P
         for s in cert_plan.stages:
-            w, n = s.tile, s.tile.grid.n
-            cert = w.cell_certificates
-            _, rows = np.unique(cert[:, n:], axis=0, return_index=True)
+            w, rows = s.tile, s.tile.placements
+            P = w.p_sets[_exact_keys(w)[0]].mask
             verdicts = set()
-            for row in rows:
-                cell, index, corner = cert[row, :n], cert[row, n], cert[row, n + 1 :]
-                for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (7, 7)):
-                    moved = cert.copy()
-                    moved[row, n + 1 :] = corner + shift
-                    want = tile_certificate_ok(w, cell, w.shapes[index], corner + shift)
-                    mutant = dataclasses.replace(w, cell_certificates=moved)
-                    got = mutant.containment(s.E, s.p_sets)
-                    assert all(got[key] == want for key in _exact_keys(w)), (row, shift)
-                    verdicts.add(want)
-            # the 4x8 stage-1 tile included, some shifts must fail
-            assert False in verdicts
+            for row, shift in itertools.product(_sample(rows), _SHIFTS):
+                moved = rows.copy()
+                moved[row, 1:] += shift
+                mutant = dataclasses.replace(w, placements=moved)
+                want = tile_certificate_ok(w, w.shapes[moved[row, 0]], moved[row, 1:])
+                want &= not (P & ~placement_cover(mutant)).any()
+                got = mutant.containment(s.E, s.p_sets)
+                assert all(got[key] == want for key in _exact_keys(w)), (row, shift)
+                verdicts.add(want)
+            # the 4x8 stage-1 tile included, some shifts pass and some fail
+            assert verdicts == {False, True}
 
     def test_one_e_cell_lost_in_the_last_copy_fails(self, cert_plan):
         # the last stage's E (256x256 at depth 3, 32 x 32 copies of its
@@ -539,20 +563,20 @@ class TestCellCertificates:
 
     @pytest.mark.parametrize("factor", [1, 2])
     def test_shifted_corner_fails_on_the_tile_and_its_refinement(self, factor):
-        # a certificate moved by one cell that still covers its cell but
-        # no longer clears the threshold: refusing it at reps = 1, on the
-        # tile and on its refinement by 2, takes the count, not the cover
+        # a placement moved by one cell that still meets the tile but no
+        # longer clears the threshold: refusing it at reps = 1, on the tile
+        # and on its refinement by 2, takes the count
         w = build_tile_witness(DyadicGrid((2, 3)), _CERT_BASES[:2], 4, Fraction(1, 2), PHI)
-        n, cert = w.grid.n, w.cell_certificates
+        n, rows = w.grid.n, w.placements
         mutants = []
-        for row, shift in itertools.product(range(len(cert)), ((1, 0), (-1, 0), (0, 1), (0, -1))):
-            cell, index, corner = cert[row, :n], cert[row, n], cert[row, n + 1 :] + shift
+        for row, shift in itertools.product(range(len(rows)), _SHIFTS[:4]):
+            index, corner = rows[row, 0], rows[row, 1:] + shift
             shape = w.shapes[index]
-            covers = all(c <= x < c + s for x, c, s in zip(cell, corner, shape))
-            if covers and not tile_certificate_ok(w, cell, shape, corner):
-                moved = cert.copy()
-                moved[row, n + 1 :] = corner
-                mutants.append(dataclasses.replace(w, cell_certificates=moved))
+            meets = all(c < t and c + z > 0 for c, z, t in zip(corner, shape, w.grid.shape))
+            if meets and not tile_certificate_ok(w, shape, corner):
+                moved = rows.copy()
+                moved[row, 1:] = corner
+                mutants.append(dataclasses.replace(w, placements=moved))
         assert mutants
         extra = (factor.bit_length() - 1,) * n
         E = refine(w.E, extra)
@@ -572,23 +596,56 @@ class TestCellCertificates:
 
     def test_inadmissible_shape_fails(self):
         # at trunc 1/4 on 1/8 cells only 1x1 rectangles are admissible; a
-        # 2x2 rectangle over E covers its cell and clears the threshold,
-        # but its diameter is too long
+        # 2x2 rectangle over E clears the threshold, but its diameter is
+        # too long
         g = DyadicGrid((3, 3))
         w = build_tile_witness(g, [BasisSpec("axis", 2)], Fraction(40), Fraction(1, 4), PHI)
         assert w.shapes == ((1, 1),) and w.containment() == {"I^2": True}
-        cert = w.cell_certificates.copy()
-        cert[0, 2:] = (1, *np.argwhere(w.E.mask).min(axis=0))
-        assert tile_certificate_ok(w, cert[0, :2], (2, 2), cert[0, 3:])
-        mutant = dataclasses.replace(w, shapes=((1, 1), (2, 2)), cell_certificates=cert)
+        rows = w.placements.copy()
+        rows[0] = (1, *np.argwhere(w.E.mask).min(axis=0))
+        assert tile_certificate_ok(w, (2, 2), rows[0, 1:])
+        mutant = dataclasses.replace(w, shapes=((1, 1), (2, 2)), placements=rows)
         assert mutant.containment() == {"I^2": False}
         # with an admissible truncation the same certificate passes
         wide = dataclasses.replace(mutant, trunc=Fraction(1, 2))
         assert wide.containment() == {"I^2": True}
+        # an index off the shape list names no shape (-1 must not wrap round)
+        for index in (-1, len(w.shapes)):
+            rows = w.placements.copy()
+            rows[0, 0] = index
+            assert dataclasses.replace(w, placements=rows).containment() == {"I^2": False}
+
+    def test_cover_equals_the_cell_by_cell_oracle(self, replica_tile):
+        # random placements of the tile's shapes, overhanging any side of
+        # the tile or meeting it in one cell, against every cell tested
+        # against every rectangle
+        w = replica_tile
+        rng = np.random.default_rng(5)
+        for count in (1, 2, 7, 40):
+            index = rng.integers(0, len(w.shapes), count)
+            size = np.array(w.shapes)[index]
+            low = rng.integers(1 - size, w.grid.shape)
+            mutant = dataclasses.replace(w, placements=np.column_stack([index, low]))
+            assert np.array_equal(witness._cover(mutant), placement_cover(mutant))
+
+    def test_a_shape_with_more_than_k_edge_lengths_fails(self):
+        # against I^1 only squares are admissible; a 2x1 rectangle over E
+        # clears the threshold, but it has two edge lengths
+        g = DyadicGrid((3, 3))
+        w = build_tile_witness(g, [BasisSpec("axis", 1)], Fraction(4), Fraction(1), PHI)
+        assert all(len(set(shape)) == 1 for shape in w.shapes)
+        assert w.containment() == {"I^1": True}
+        corner = np.argwhere(w.E.mask).min(axis=0)
+        assert tile_certificate_ok(w, (2, 1), corner)
+        rows = np.vstack([w.placements, [len(w.shapes), *corner]])
+        mutant = dataclasses.replace(w, shapes=(*w.shapes, (2, 1)), placements=rows)
+        assert mutant.containment() == {"I^1": False}
+        assert not certified_sets_on_grid(mutant, w.E.mask, [(1, 1), (1, 1)])["I^1"].any()
 
     def test_certificate_for_a_cell_off_the_tile_fails(self):
-        # a rectangle overhanging the tile may clear the threshold for a
-        # cell outside it; that cell must not stand in for a tile cell
+        # a placement overhanging the tile may clear the threshold; the
+        # cell it covers outside the tile must not stand in for a tile cell
+        # (row -1 wrapping round to row 3)
         mask = np.zeros((4, 4), dtype=bool)
         mask[0, 1] = True
         E = GridSet(DyadicGrid((2, 2)), mask)
@@ -600,9 +657,9 @@ class TestCellCertificates:
         grown = {"I^2": GridSet(E.grid, grown)}
         assert kernel_containment(w, E, grown) == {"I^2": False}
         index = w.shapes.index((2, 1))
-        assert tile_certificate_ok(w, (-1, 1), (2, 1), (-1, 1))
-        cert = np.vstack([w.cell_certificates, [-1, 1, index, -1, 1]])
-        mutant = dataclasses.replace(w, cell_certificates=cert)
+        assert tile_certificate_ok(w, (2, 1), (-1, 1))
+        mutant = dataclasses.replace(w, placements=np.vstack([w.placements, [index, -1, 1]]))
+        assert mutant.containment() == {"I^2": True}
         assert mutant.containment(p_sets=grown) == {"I^2": False}
 
     def test_rect_counts_refuse_views_off_the_table(self):
@@ -615,28 +672,40 @@ class TestCellCertificates:
         assert witness._rect_counts(table, (3, 0), (2, 2)) is None
         assert witness._rect_counts(table, (9, 0), (1, 1)) is None
 
-    def test_no_more_certificate_rectangles_than_the_per_shape_search(self):
-        # larger shapes first, then the winner covering the most P cells:
-        # the counts the separate per-shape certificate search gave on the
-        # deep depth-4 tiles (4x8, 8x4, 8x8, 8x8) and on zygmund's 32x32
-        # ball witness, which the containment check reads one by one
+    def test_exact_route_p_is_the_kernel_level_set(self):
+        # the tile cells the proved winning placements cover are the whole
+        # level set of the tile E, on the deep depth-4 tiles (4x8, 8x4,
+        # 8x8, 8x8) and on zygmund's 32x32 ball witness
         f, pads = synthetic_resonance_input(PHI, 4, style="deep")
         plan = build_resonance_function(f, [BasisSpec("axis", 2)], PHI, 4, pads=pads)
         gammas = [math.radians(d) for d in (0.0, 22.5, 45.0, 67.5)]
         ball = mphi_witness_for_rotations(gammas, 4.0, 1.0, PHI)
         tiles = [s.tile for s in plan.stages] + [ball]
         assert [w.grid.shape for w in tiles] == [(4, 8), (8, 4), (8, 8), (8, 8), (32, 32)]
-        for w, most in zip(tiles, (8, 8, 14, 14, 56)):
-            rects = {tuple(row) for row in w.cell_certificates[:, w.grid.n :].tolist()}
-            assert len(rects) <= most
-            assert len(w.cell_certificates) == w.p_sets[_exact_keys(w)[0]].popcount
+        for w in tiles:
+            level = axis_level_set_exact(w.E, w.h, w.trunc, BasisSpec("axis", 2), w.shapes)
+            assert np.array_equal(w.p_sets[_exact_keys(w)[0]].mask, level.mask)
 
 
 @pytest.fixture(scope="module")
 def replica_tile():
-    """An 8x8 tile against an axis basis, a quarter turn and pi/8, whose
-    certificates come in two shapes and share no corner."""
+    """An 8x8 tile against an axis basis, a quarter turn and pi/8, with
+    193 winning placements of 29 shapes."""
     return build_tile_witness(DyadicGrid((3, 3)), _CERT_BASES, 4, Fraction(2), PHI)
+
+
+@pytest.fixture(scope="module")
+def replica_mutants(replica_tile):
+    """The replica tile and, per sampled placement and shift, the tile
+    with that placement moved, each with its verdict on the tile; built
+    once, so each keeps its certified masks across the replicas."""
+    w, rows = replica_tile, replica_tile.placements
+    mutants = [w]
+    for row, shift in itertools.product(_sample(rows), _SHIFTS):
+        moved = rows.copy()
+        moved[row, 1:] += shift
+        mutants.append(dataclasses.replace(w, placements=moved))
+    return [(mutant, witness._placements_hold(mutant)) for mutant in mutants]
 
 
 _REPS = [(1, 1), (2, 2), (3, 3), (5, 5), (1, 5), (3, 2)]
@@ -658,42 +727,32 @@ def _replica(w, placement, E):
 
 
 class TestReplicaCounts:
-    """The certificates proved on the tile against the full-grid route of
+    """The placements proved on the tile against the full-grid route of
     ``oracles.certified_sets_on_grid``, on placements that no dyadic grid
     takes (3 and 5 copies) as well as on those that one does."""
 
     @pytest.mark.parametrize("factor", [1, 2])
     @pytest.mark.parametrize("reps", _REPS)
-    def test_verdicts_equal_the_full_grid_route(self, replica_tile, reps, factor):
+    def test_verdicts_equal_the_full_grid_route(self, replica_tile, replica_mutants, reps, factor):
         # on the placed tile E the tile's verdicts equal the whole-grid
-        # counts in every copy, for the witness's own certificates and for
-        # each distinct rectangle moved by one cell or by (7, 7),
-        # overhanging its copy
-        w, n = replica_tile, replica_tile.grid.n
+        # counts in every copy, for the witness's own placements and for a
+        # sample of them, each moved by one cell or by (7, 7), overhanging
+        # its copy
+        w = replica_tile
         placement = [(factor, r) for r in reps]
         E = place(w.E.mask, placement)
         replica = _replica(w, placement, E)
-        cert = w.cell_certificates
-        _, rows = np.unique(cert[:, n:], axis=0, return_index=True)
-        mutants = [w]
-        for row, shift in itertools.product(rows, ((1, 0), (-1, 0), (0, 1), (0, -1), (7, 7))):
-            moved = cert.copy()
-            moved[row, n + 1 :] += shift
-            mutants.append(dataclasses.replace(w, cell_certificates=moved))
-        verdicts = set()
-        for mutant in mutants:
+        for mutant, tile in replica_mutants:
             want = certified_sets_on_grid(mutant, E, placement)
-            got = witness._certified_sets(mutant)
+            got = mutant._certified
             assert got.keys() == want.keys()
             for key, mask in got.items():
                 assert (place(mask, placement) == want[key]).all(), (key, reps, factor)
             # the replica's verdict is the tile's
-            tile = witness._certificates_hold(mutant)
             assert bool(want["I^2"].any()) == tile
             if replica is not None:
                 assert mutant.containment(*replica) == mutant.containment()
-            verdicts.add(tile)
-        assert verdicts == {False, True}
+        assert {tile for _, tile in replica_mutants} == {False, True}
         assert all(m.any() for m in witness._certified_sets(w).values())
 
     @pytest.mark.parametrize("factor", [1, 2])
@@ -745,13 +804,10 @@ class TestReplicaCounts:
         # but it could reach two copies past its own
         w = build_tile_witness(DyadicGrid((2, 3)), [BasisSpec("axis", 2)], 4, Fraction(2), PHI)
         assert w.shapes == tuple(sorted(w.shapes)) and max(w.shapes) <= w.grid.shape
-        n = w.grid.n
         cell = np.argwhere(w.E.mask)[0]
-        cert = w.cell_certificates.copy()
-        row = np.flatnonzero((cert[:, :n] == cell).all(axis=1))[0]
-        cert[row, n:] = (len(w.shapes), cell[0] - 1, cell[1])
-        wide = dataclasses.replace(w, shapes=(*w.shapes, (5, 2)), cell_certificates=cert)
-        assert tile_certificate_ok(wide, cell, (5, 2), (cell[0] - 1, cell[1]))
+        rows = np.vstack([w.placements, [len(w.shapes), cell[0] - 1, cell[1]]])
+        wide = dataclasses.replace(w, shapes=(*w.shapes, (5, 2)), placements=rows)
+        assert tile_certificate_ok(wide, (5, 2), (cell[0] - 1, cell[1]))
         placement = [(1, r) for r in reps]
         E = place(w.E.mask, placement)
         assert certified_sets_on_grid(wide, E, placement)["I^2"].any()
@@ -761,7 +817,7 @@ class TestReplicaCounts:
     def test_replica_containment_stays_within_a_tile_of_memory(self):
         # 256 x 256 copies of an 8x8 tile on a 2048^2 grid: the check folds
         # E and P through views onto the tile, whose certificates were
-        # counted when it was built, so its peak stays far below one
+        # proved when it was built, so its peak stays far below one
         # grid-sized mask (4 MB)
         tile = DyadicGrid((3, 3), side=(Fraction(1, 256),) * 2)
         w = build_tile_witness(tile, _CERT_BASES, 4, Fraction(1, 128), PHI)
@@ -781,11 +837,11 @@ class TestReplicaCounts:
 
 class TestFreshCertificates:
     def test_certificates_and_certified_masks_are_read_only(self):
-        # the certified masks are computed from the certificates once per
+        # the certified masks are computed from the placements once per
         # witness, so neither may change under them
         w = build_tile_witness(DyadicGrid((2, 3)), _CERT_BASES, 4, Fraction(1, 2), PHI)
         with pytest.raises(ValueError):
-            w.cell_certificates[0, -1] += 1
+            w.placements[0, -1] += 1
         for mask in witness._certified_sets(w).values():
             with pytest.raises(ValueError):
                 mask[0, 0] = True
@@ -811,17 +867,18 @@ class TestFreshCertificates:
         assert calls == gammas[1:]
 
     def test_a_failing_fresh_certificate_is_a_bug(self, monkeypatch, tmp_path):
-        # one corner moved a whole tile away: the rectangle no longer
-        # covers its cell, so the tile's own check fails and P comes out
-        # empty, which is a verification failure, not infeasibility
-        certify = witness._certify
+        # one corner moved 8 cells per axis, a whole tile or more away:
+        # the rectangle holds no cell of E there, so the tile's own check
+        # fails and P comes out empty, which is a verification failure,
+        # not infeasibility
+        placements = witness._placements
 
-        def shifted(P, *wins):
-            cells = certify(P, *wins)
-            cells[0, P.grid.n + 1 :] += P.grid.shape
-            return cells
+        def shifted(*runs):
+            rows = placements(*runs)
+            rows[0, 1:] += 8
+            return rows
 
-        monkeypatch.setattr(witness, "_certify", shifted)
+        monkeypatch.setattr(witness, "_placements", shifted)
         with pytest.raises(VerificationError, match="own certificates"):
             build_tile_witness(DyadicGrid((3, 3)), _CERT_BASES, 4, Fraction(2), PHI)
         from gridhalo.cli import main
