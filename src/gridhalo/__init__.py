@@ -11,7 +11,6 @@ from .grid import (
 from .growth import log_power_growth
 from .maxop import (
     BasisSpec,
-    MaxField,
     dyadic_ladder,
     enumerate_shapes,
     level_set,

@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file (supports include)")
     parser.add_argument("--grid", type=int, help="grid resolution exponent per axis")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--depth", type=int)
     parser.add_argument("--style", choices=["deep", "square"])
     parser.add_argument("--h-list", help="comma-separated h samples")
@@ -84,7 +83,6 @@ def _merged_mapping(args) -> dict:
     flat = {
         "grid_bits": args.grid,
         "out": args.out,
-        "seed": args.seed,
         "depth": args.depth,
         "style": args.style,
         "h_list": args.h_list,

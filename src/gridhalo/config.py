@@ -85,7 +85,6 @@ class ExperimentConfig:
     style: str = "deep"
     growth_exponent: int = 2
     out: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -142,7 +141,6 @@ class ExperimentConfig:
             "grid_bits": int,
             "resolution_cap": int,
             "depth": int,
-            "seed": int,
             "growth_exponent": int,
             "out": str,
             "style": str,

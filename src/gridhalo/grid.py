@@ -194,9 +194,9 @@ def _payload(table, codes):
 
 
 def _value_table(num: np.ndarray, den: int, cell_den: np.ndarray):
-    """(table, codes): the distinct values ``num / (cell_den * den)`` of a
-    max field's payload as Fractions; the row-major cells are
-    ``table[codes]``."""
+    """(table, codes): the distinct values ``num / (cell_den * den)`` of
+    per-cell numerators and denominators, such as a max field's best
+    averages, as Fractions; the row-major cells are ``table[codes]``."""
     flat = num.ravel()
     dens, which = np.unique(cell_den.ravel(), return_inverse=True)
     table = []
@@ -334,7 +334,12 @@ def _text_chunks(table, codes, end: str = "\n", chunk: int = 1 << 13):
         yield "".join(tokens[codes[start : start + chunk]].tolist())
 
 
+def _step_text(f: StepFunction):
+    """The text of ``f``: its header line, then its cells in chunks."""
+    yield f"{f.grid.n} " + " ".join(str(m) for m in f.grid.resolution) + "\n"
+    yield from _text_chunks(f.table, f.codes.ravel())
+
+
 def save_step_function(f: StepFunction, path):
     with open(path, "w") as fh:
-        fh.write(f"{f.grid.n} " + " ".join(str(m) for m in f.grid.resolution) + "\n")
-        fh.writelines(_text_chunks(f.table, f.codes.ravel()))
+        fh.writelines(_step_text(f))

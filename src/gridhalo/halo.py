@@ -189,9 +189,13 @@ def halo_fit(h_samples, phi_values, model_exponent: int) -> tuple[float, float]:
     return min(ratios), max(ratios)
 
 
-def _log_region_integral(n: int, h: float, tol: float) -> float:
+# absolute and relative tolerance of each quadrature step of Lemma 9
+_LEMMA9_TOL = 1e-10
+
+
+def _log_region_integral(n: int, h: float) -> float:
     """Integral of 1/(x_1...x_n) over {x_j > 1, prod x_j < h}, by the
-    one-variable Fubini recursion."""
+    one-variable Fubini recursion, to ``_LEMMA9_TOL``."""
     from scipy.integrate import quad  # on first use: most of the import time
     if n == 1:
         return math.log(h)
@@ -199,15 +203,15 @@ def _log_region_integral(n: int, h: float, tol: float) -> float:
         return 0.0
 
     def integrand(t: float) -> float:
-        return _log_region_integral(n - 1, h / t, tol) / t
+        return _log_region_integral(n - 1, h / t) / t
 
-    val, err = quad(integrand, 1.0, h, epsabs=tol, epsrel=tol, limit=200)
-    if err > max(tol * 100, abs(val) * 1e-6):
-        raise QuadratureError(f"estimated error {err} too large for tolerance {tol}")
+    val, err = quad(integrand, 1.0, h, epsabs=_LEMMA9_TOL, epsrel=_LEMMA9_TOL, limit=200)
+    if err > max(_LEMMA9_TOL * 100, abs(val) * 1e-6):
+        raise QuadratureError(f"estimated error {err} too large for tolerance {_LEMMA9_TOL}")
     return val
 
 
-def lemma9_integral(n: int, h: float, tol: float = 1e-10) -> float:
+def lemma9_integral(n: int, h: float) -> float:
     """Integral of 1/(x_1...x_n) over {x_j > delta_j, prod x_j < h prod delta_j}
     for any positive deltas: the substitution y_j = x_j / delta_j removes
     them exactly, so the value depends on n and h alone."""
@@ -215,7 +219,7 @@ def lemma9_integral(n: int, h: float, tol: float = 1e-10) -> float:
         raise ValueError("need at least one axis")
     if h <= 1:
         raise ValueError("h > 1 required")
-    return _log_region_integral(n, float(h), tol)
+    return _log_region_integral(n, float(h))
 
 
 @dataclass(frozen=True)

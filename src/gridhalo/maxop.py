@@ -17,11 +17,11 @@ it embeds in the grid.  Halo samples build their crop and count their
 cells on that box alone, every amplitude of a sweep a threshold of one
 pass.  The tile witness takes its certificates from the same winners.
 ``max_field_brute`` (direct repeated-addition window sums and a linear
-placement scan on the whole grid) is the oracle.  All work on
-common-denominator integers (int64, or Python ints when int64 could
-overflow), so the fields agree bit for bit; a field keeps only that
-integer payload, and ``level_set`` compares it cross-multiplied with the
-threshold.
+placement scan on the whole grid) is the oracle.  Both compare averages
+cross-multiplied on common-denominator integers (int64, or Python ints
+when int64 could overflow) and convert the winners once, at the end, to
+a ``StepFunction``: M f at cell centers is cell-constant, so a field is a
+step function like f, and ``level_set`` cuts its sorted value table.
 
 Evaluation point is the cell center; since admissible rectangles are
 cell-aligned, "contains the center" and "contains the cell" coincide.
@@ -31,6 +31,7 @@ and the full rectangle volume stays in the denominator.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,11 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import DyadicGrid, GridSet, StepFunction, _text_chunks, _value_table
+from .grid import DyadicGrid, GridSet, StepFunction, _step_text, _value_table
 
 __all__ = [
     "BasisSpec",
-    "MaxField",
     "EmptyFamilyError",
     "enumerate_shapes",
     "max_field_brute",
@@ -84,22 +84,6 @@ class BasisSpec:
         if self.kind == "axis":
             return f"I^{self.k}"
         return f"I^{self.k}(gamma={self.gamma:.6g})"
-
-
-@dataclass(frozen=True, eq=False)
-class MaxField:
-    """Per-cell truncated maximal function values at cell centers.
-
-    The exact payload is value = num / (den * scale), as int64 arrays or,
-    when int64 could overflow, object arrays of ints.
-    """
-
-    grid: DyadicGrid
-    basis: BasisSpec
-    r: object  # truncation radius (Fraction or None for infinity)
-    num: np.ndarray
-    den: np.ndarray
-    scale: int = 1
 
 
 def dyadic_ladder(maxw: int) -> list[int]:
@@ -322,7 +306,9 @@ def _family(grid: DyadicGrid, basis: BasisSpec, r, ladder, shapes) -> list:
     return shapes
 
 
-def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
+def max_field_brute(
+    f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None
+) -> StepFunction:
     """Reference field: direct window accumulation and a linear placement
     scan on the whole grid, sharing no step with ``max_field_fast``."""
     shapes = _family(f.grid, basis, r, ladder, shapes)
@@ -338,15 +324,18 @@ def max_field_brute(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shap
         d = math.prod(shape)
         better = S * best_den > best_num * d
         best_num, best_den = np.where(better, S, best_num), np.where(better, d, best_den)
-    return MaxField(f.grid, basis, None if r is None else Fraction(r), best_num, best_den, f.den)
+    return StepFunction.from_table(f.grid, *_value_table(best_num, f.den, best_den))
 
 
-def max_field_fast(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None) -> MaxField:
-    """The field from ``_shape_sums``; contract-identical to brute.
+def max_field_fast(
+    f: StepFunction, basis: BasisSpec, r=None, ladder=None, shapes=None
+) -> StepFunction:
+    """The field from ``_shape_sums``, equal to brute's.
 
     Each shape's placement maxima go to the cells its placements cover,
-    where the larger average is kept (a strict cross-multiplied compare,
-    so ties keep the earlier shape).  An explicit ``shapes`` list
+    where the larger average is kept, as a numerator and a shape area per
+    cell under a strict cross-multiplied compare.  The winners become the
+    field's value table once, at the end.  An explicit ``shapes`` list
     restricts the family to those cell shapes.
     """
     shapes = _family(f.grid, basis, r, ladder, shapes)
@@ -361,7 +350,7 @@ def max_field_fast(f: StepFunction, basis: BasisSpec, r=None, ladder=None, shape
         better = top * den > num * d
         np.copyto(num, top, where=better)
         den[better] = d
-    return MaxField(f.grid, basis, None if r is None else Fraction(r), best_num, best_den, f.den)
+    return StepFunction.from_table(f.grid, *_value_table(best_num, f.den, best_den))
 
 
 def _exceeds(num: np.ndarray, q: int, den, c: int, num_max: int) -> np.ndarray:
@@ -377,16 +366,13 @@ def _exceeds(num: np.ndarray, q: int, den, c: int, num_max: int) -> np.ndarray:
     return (num if q == 1 else num * q) > den * c
 
 
-def level_set(field: MaxField, lam) -> GridSet:
-    """Cells where the field value is strictly greater than lam."""
+def level_set(f: StepFunction, lam) -> GridSet:
+    """Cells where f is strictly greater than lam: the cells whose code
+    lies past every table value <= lam."""
     if lam < 0:
         raise ValueError("threshold must be >= 0")
-    lam = Fraction(lam)
-    num = field.num
-    return GridSet(
-        field.grid,
-        _exceeds(num, lam.denominator, field.den, lam.numerator * field.scale, int(num.max(initial=0))),
-    )
+    cut = bisect.bisect_right(f.table, Fraction(lam))
+    return GridSet._own(f.grid, f.codes >= cut)
 
 
 def _corner_sum(flat: np.ndarray, corners, rows, at) -> np.ndarray:
@@ -450,12 +436,19 @@ def _placement_pass(
     n = grid.n
     widths = np.array(shapes, dtype=np.int64).reshape(len(shapes), n)
     crop, corner = support or (np.zeros((0,) * n, dtype=np.int64), (0,) * n)
-    crop = _prepare_values(crop, grid.total_cells)
+    # every placement sum is at most the total, and a sum of 2^n signed
+    # table entries, each at most the total, is built from partial sums
+    # below 2^n times it
+    crop = _prepare_values(crop, 1 << n)
     total = int(crop.sum())
     # int64 areas while the widest box fits (a 2^32 x 2^32 shape wraps to 0)
     fits = math.prod(widths.max(axis=0, initial=1).tolist()) < 1 << 63
     area = widths.astype(np.int64 if fits else object).prod(axis=1)
     kept = np.flatnonzero([total * q > p * a * den for a in area.tolist()])
+    if not fits and p and total * q <= (p * den) << 63:
+        # past the mass skip every area is below total * q / (p * den)
+        area = np.zeros(len(area), dtype=np.int64)
+        area[kept] = widths[kept].astype(object).prod(axis=1)
     # a row is a kept shape with the lower corner of its placements on
     # every axis but the last; its placements meeting the crop follow
     # along the last axis
@@ -576,12 +569,10 @@ def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, s
     return GridSet._own(f.grid, _embed(f.grid.shape, box, corner))
 
 
-def save_max_field(field: MaxField, path):
+def save_max_field(field: StepFunction, basis: BasisSpec, r, path):
+    """The field of ``basis`` truncated at r (None for none): one header
+    line, then the step-function text of ``grid.save_step_function``."""
     with open(path, "w") as fh:
-        r = "inf" if field.r is None else str(field.r)
-        fh.write(
-            f"basis={field.basis.kind} k={field.basis.k} "
-            f"gamma={field.basis.gamma!r} r={r} mode=rational\n"
-        )
-        fh.write(f"{field.grid.n} " + " ".join(str(m) for m in field.grid.resolution) + "\n")
-        fh.writelines(_text_chunks(*_value_table(field.num, field.scale, field.den)))
+        r = "inf" if r is None else str(Fraction(r))
+        fh.write(f"basis={basis.kind} k={basis.k} gamma={basis.gamma!r} r={r} mode=rational\n")
+        fh.writelines(_step_text(field))

@@ -1,6 +1,6 @@
 """Run reports and deterministic artifact emission.
 
-Given the same configuration and seed, the CSV/JSON/gnuplot artifacts are
+Given the same configuration, the CSV/JSON/gnuplot artifacts are
 byte-identical; wall-clock timings therefore go to a separate sidecar
 that carries no determinism guarantee.  The result cache is opt-in
 (``--use-cache``) and advisory: it is keyed on a sha256 of the package

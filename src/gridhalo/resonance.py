@@ -139,20 +139,14 @@ class StageRecord:
     containment_ok: dict  # key -> containment verdict at resolution j
 
 
-def _dilution_pad(delta, pad=None) -> tuple:
-    """Per-axis dilution exponents of the base tile for target measure
-    delta: ``pad`` as given, else the fewest halvings of the base density
-    that reach delta, spread over the axes."""
+def _dilution_pad(delta, pad) -> tuple:
+    """``pad``, the per-axis dilution exponents of the base tile, as ints,
+    once the target measure delta is checked to be one the base tile can
+    be diluted to."""
     if not 0 < delta <= _BASE_DENSITY:
         raise InfeasibleError(
             f"target measure {delta} exceeds the witness density {_BASE_DENSITY}"
         )
-    if pad is None:
-        n = len(_BASE_BITS)
-        need = 0
-        while _BASE_DENSITY / (1 << need) > delta:
-            need += 1
-        pad = tuple(need // n + (1 if ax < need % n else 0) for ax in range(n))
     return tuple(int(p) for p in pad)
 
 
@@ -163,11 +157,12 @@ def replicate_configuration(
     m,
     eps,
     phi,
-    pad=None,
+    pad,
 ) -> StageRecord:
     """Build the tile witness for ``bases`` at amplitude ``amp`` and
-    truncation eps on the base tile diluted to measure <= delta, and tile
-    it over every coarse cell of resolution m.
+    truncation eps on the base tile diluted by ``pad`` (per-axis
+    exponents) to a measure in [delta / 4^n, delta], and tile it over
+    every coarse cell of resolution m.
 
     Each replicated set is checked once, where it is made: for uniform
     distribution over the coarse cells, and for containment in its basis's
@@ -299,7 +294,7 @@ def build_resonance_function(
     bases,
     phi,
     K: int,
-    pads=None,
+    pads,
     resolution_cap: int = 12,
 ) -> ResonancePlan:
     """Full staged construction against the basis family.
@@ -308,8 +303,10 @@ def build_resonance_function(
     amplitude h_k/k at truncation 1/k and target measure |A_k|;
     resolutions chain (the next coarse resolution is this stage's fine
     one), which is what makes the stages exactly independent.  Each stage
-    is one pass: its pad and fine resolution (checked against the cap),
-    one tile witness, and its replication with the checks made there.
+    is one pass: its pad ``pads[k - 1]`` and fine resolution (checked
+    against the cap), one tile witness, and its replication with the
+    checks made there.  ``synthetic_resonance_input`` ships the pads of
+    its inputs.
     """
     bases = list(bases)
     selection = build_divergent_sequences(phi, f, K)
@@ -317,7 +314,7 @@ def build_resonance_function(
     stages = []
     for A, h, k in selection:
         delta = A.relative_measure()
-        pad = _dilution_pad(delta, pads[k - 1] if pads else None)
+        pad = _dilution_pad(delta, pads[k - 1])
         j = tuple(mi + b + p for mi, b, p in zip(m, _BASE_BITS, pad))
         if max(j) > resolution_cap:
             raise ResolutionCapError(

@@ -101,6 +101,11 @@ class VerificationError(RuntimeError):
 _REFINE_EXTRA = 3
 _MARGIN = 1e-9
 
+# the ball witness's E: the cells within _BALL_CELLS cells of the center
+# of a grid with 2^_BALL_GRID_BITS cells per axis
+_BALL_GRID_BITS = 5
+_BALL_CELLS = 2
+
 
 def central_block(grid: DyadicGrid) -> GridSet:
     """The block of 2 cells per axis around the box center (per-axis shape
@@ -541,16 +546,14 @@ def mphi_witness_for_rotations(
     h,
     epsilon,
     phi,
-    grid_bits: int = 5,
-    r_cells: int = 2,
     k: int = 2,
 ) -> MPhiWitness:
     """Ball-centered witness for a finite family of rotations.
 
     E is the set of cells whose centers lie in the Euclidean ball of
-    ``r_cells`` cells about the box center, on a square grid scaled so the
-    box diameter stays below epsilon; certificate rectangles are capped at
-    the same epsilon.
+    ``_BALL_CELLS`` cells about the box center, on a square grid of
+    ``_BALL_GRID_BITS`` bits per axis scaled so the box diameter stays
+    below epsilon; certificate rectangles are capped at the same epsilon.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -559,9 +562,7 @@ def mphi_witness_for_rotations(
     side = Fraction(1)
     while 2 * side * side >= epsilon * epsilon:
         side /= 2
-    grid = DyadicGrid((grid_bits, grid_bits), side=(side, side))
-    E = discrete_ball(grid, r_cells)
-    if E.popcount < 4:
-        raise WitnessError("ball too small at this resolution")
+    grid = DyadicGrid((_BALL_GRID_BITS,) * 2, side=(side, side))
+    E = discrete_ball(grid, _BALL_CELLS)
     bases = [BasisSpec("rotated", k, float(g)) for g in gammas]
     return _witness(E, bases, Fraction(h), epsilon, epsilon, phi)

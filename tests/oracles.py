@@ -5,7 +5,7 @@ independent of the witness's disk certificates; ``step_function`` builds
 a step function from its per-cell values; ``load_step_function``
 reads a saved step function back exactly, and ``save_by_numerators``
 writes one from a sort of its numerators; ``field_values`` spells a max
-field out as per-cell Fractions; ``refine`` re-represents a cell set on
+field out as per-cell Fractions from its table and codes; ``refine`` re-represents a cell set on
 a finer grid; ``stage_sets_on_final_grid``,
 ``permutation_by_stage_sets`` and ``dominates_by_numerators`` rebuild the
 rearrangement from bool masks and cross-multiplied integers;
@@ -34,8 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from gridhalo import witness
-from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _repeat, _text_chunks, _value_table
-from gridhalo.maxop import BasisSpec, MaxField
+from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _repeat, _text_chunks
+from gridhalo.maxop import BasisSpec
 
 
 def polygon_area(poly: Sequence[tuple[float, float]]) -> float:
@@ -260,10 +260,9 @@ def dominates_by_numerators(f: StepFunction, g: StepFunction, perm) -> bool:
     return bool(np.all(moved * g.den >= g.num.ravel().astype(object) * f.den))
 
 
-def field_values(fld: MaxField) -> np.ndarray:
-    """The field as per-cell Fractions, num / (den * scale)."""
-    table, codes = _value_table(fld.num, fld.scale, fld.den)
-    return table[codes].reshape(fld.grid.shape)
+def field_values(fld: StepFunction) -> np.ndarray:
+    """The field as per-cell Fractions: each cell's entry of the table."""
+    return np.array(fld.table, dtype=object)[fld.codes]
 
 
 def boundary_touch(mask: np.ndarray) -> bool:

@@ -1,8 +1,10 @@
 """Every name a module exports resolves, so deletions leave no dead
-exports, no module imports a name it never reads, and every name the
-benchmark tracer reads is still there."""
+exports, no module imports a name it never reads, every name the
+benchmark tracer reads is still there, and every config field is read by
+a runner."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -15,6 +17,7 @@ import pytest
 
 import gridhalo
 from gridhalo import maxop
+from gridhalo.config import ExperimentConfig
 from gridhalo.grid import DyadicGrid, GridSet, StepFunction
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gridhalo.__path__))
@@ -71,3 +74,20 @@ def test_the_benchmark_tracer_finds_what_it_reads():
     hooked = {"f", "shapes", "basis", "r", "ladder"}
     for name in ("max_field_fast", "max_field_brute"):
         assert hooked <= set(inspect.signature(getattr(maxop, name)).parameters)
+
+
+def test_every_config_field_is_read_by_a_runner():
+    # a field that only _meta copies into report.json selects nothing; kind
+    # picks the runner in cli, and out is a path, not a setting
+    tree = ast.parse(Path(importlib.import_module("gridhalo.experiments").__file__).read_text())
+    read = {
+        node.attr
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name != "_meta"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "config"
+    }
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind", "out"}
+    assert not fields - read, f"config fields no runner reads: {sorted(fields - read)}"

@@ -11,7 +11,7 @@ import gridhalo
 from gridhalo import cli, experiments, maxop
 from gridhalo.cli import main
 from gridhalo.config import ConfigError, ExperimentConfig, read_config_file
-from gridhalo.grid import DyadicGrid
+from gridhalo.grid import DyadicGrid, StepFunction
 from gridhalo.reports import RunReport
 
 
@@ -246,7 +246,7 @@ class TestCli:
         outs = []
         for name in ("one", "two"):
             out = str(tmp_path / name)
-            assert _run(["maxfield", "--grid", "4", "--out", out, "--seed", "7"]) == 0
+            assert _run(["maxfield", "--grid", "4", "--out", out]) == 0
             outs.append(out)
         for fname in ("report.json", "rows.csv"):
             a = open(os.path.join(outs[0], fname), "rb").read()
@@ -368,6 +368,25 @@ class TestCli:
         assert doc["rows"][0]["grid"] == "x".join([str(2**bits)] * n)
         assert doc["rows"][0]["levelset_cells"] > 0
 
+    @pytest.mark.parametrize("tamper", ["codes", "table"])
+    def test_maxfield_routes_disagreeing_in_a_cell_exit_4(
+        self, tamper, tmp_path, monkeypatch, capsys
+    ):
+        # the brute field moved in its first cell: to another entry of the
+        # same table, or with the same codes into a table whose top differs
+        def tampered(f, *args, **kwargs):
+            fld = maxop.max_field_brute(f, *args, **kwargs)
+            table, codes = list(fld.table), fld.codes.copy()
+            if tamper == "codes":
+                codes.flat[0] = (int(codes.flat[0]) + 1) % len(table)
+            else:
+                table[-1] += 1
+            return StepFunction.from_table(fld.grid, table, codes)
+
+        monkeypatch.setattr(experiments, "max_field_brute", tampered)
+        assert _run(["maxfield", "--grid", "3", "--out", str(tmp_path)]) == 4
+        assert "FAIL routes_agree" in capsys.readouterr().out
+
     def test_failed_run_is_not_cached(self, tmp_path, monkeypatch, capsys):
         def failing(config):
             report = RunReport("maxfield", {})
@@ -443,7 +462,8 @@ _FLAGS = [
     (["--out", "o"], "out", "o"),
     # a negative value reads as an option unless it is joined by "="
     (["--rotations=-22.5"], "rotations", "-22.5"),
-    (["--seed", "3"], "seed", 3),
+    # any key passes the parser; ExperimentConfig refuses unknown ones
+    (["--set", "seed=1"], "set", ["seed=1"]),
     (["--depth", "2"], "depth", 2),
     (["--style", "square"], "style", "square"),
     (["--h-list", "4,8"], "h_list", "4,8"),
@@ -455,7 +475,7 @@ _FLAGS = [
     (["--set", "k=2", "--set", "n=2"], "set", ["k=2", "n=2"]),
 ]
 _UNSET = {
-    "config": None, "grid": None, "out": None, "seed": None,
+    "config": None, "grid": None, "out": None,
     "depth": None, "style": None, "h_list": None, "t_list": None,
     "r_list": None, "rotations": None, "resolution_cap": None,
     "use_cache": False, "set": [],
@@ -482,12 +502,19 @@ class TestParser:
             ["halo", "--grid", "x"],
             # every run is exact, so there is no arithmetic to choose
             ["halo", "--mode", "rational"],
+            # no run draws a random number, so there is no seed to set
+            ["halo", "--seed", "3"],
+            ["halo", "--set", "seed=1"],
         ],
     )
-    def test_bad_arguments_exit_2(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+    def test_bad_arguments_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser's own refusal
+            code = exc.code
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestHaloSampleLists:

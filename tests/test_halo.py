@@ -21,6 +21,7 @@ from gridhalo.halo import (
     lemma9_integral,
     lemma10_levelset_measure,
 )
+from gridhalo import maxop
 from gridhalo.maxop import BasisSpec, dyadic_ladder, level_set, max_field_brute, max_level_set
 from oracles import boundary_touch
 
@@ -271,6 +272,24 @@ class TestHaloEstimate:
         sweep = ([4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0], [2.0, 8.0, math.inf], [1, 2])
         want = halo_estimate(BasisSpec("axis", 2), 10, *sweep)
         assert halo_estimate(BasisSpec("axis", 2), bits, *sweep) == want
+
+    @pytest.mark.parametrize("bits", [33, 62])
+    def test_placement_pass_past_32_bits_stays_int64(self, bits, monkeypatch):
+        # a placement sum is bounded by the ball's mass, not by the grid's
+        # cell count, and every area kept past the mass skip fits int64, so
+        # each compare of the pass takes int64 operands and no product
+        # reaches its 2^62 guard
+        seen = []
+
+        def spy(num, q, den, c, num_max):
+            guard = max(num_max, 1) * q < 1 << 62 and c * int(np.max(den, initial=1)) < 1 << 62
+            seen.append((num.dtype, np.asarray(den).dtype, guard))
+            return real(num, q, den, c, num_max)
+
+        real = maxop._exceeds
+        monkeypatch.setattr(maxop, "_exceeds", spy)
+        halo_estimate(BasisSpec("axis", 2), bits, [4.0, 64.0, 256.0], [2.0, math.inf], [1, 2])
+        assert seen and set(seen) == {(np.dtype(np.int64), np.dtype(np.int64), True)}
 
 
 

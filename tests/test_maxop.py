@@ -218,7 +218,7 @@ class TestLevelSet:
         f = random_step(g, np.random.default_rng(9))
         E = GridSet(g, np.random.default_rng(9).random(g.shape) < 0.3)
         c = E.popcount
-        # on 16 cells the payload stays int64 while 16 * 1.01 * sum(f) < 2^61
+        # on 16 cells the kernels sum int64 while 16 * 1.01 * sum(f) < 2^61
         # (_prepare_values); heights h with h * c = 2^56 and > 2^57 straddle it;
         # a height of 2^63 does not fit the step function's own int64 payload
         cases = [(f, np.int64)]
@@ -226,12 +226,14 @@ class TestLevelSet:
             cases.append((StepFunction.indicator(E, h), dtype))
         for f, dtype in cases:
             assert f.num.dtype == (object if f.num.max() >= 2**63 else np.int64)
+            assert maxop._prepare_values(f.num, g.total_cells).dtype == dtype
             fld = max_field_fast(f, basis)
-            assert fld.num.dtype == dtype
-            assert np.array_equal(field_values(fld), field_values(max_field_brute(f, basis)))
-            top = max(field_values(fld).ravel())
-            # num * q and p * scale * den below and above level_set's 2^62
-            # guard: small p/q, q = 2^9 against num ~ 2^56, and p = 2^62
+            # brute shares _prepare_values, so the Fraction loop is the oracle
+            want = reference_field(f, basis)
+            assert np.array_equal(field_values(fld), want)
+            assert np.array_equal(field_values(max_field_brute(f, basis)), want)
+            top = max(want.ravel())
+            # thresholds of small and huge numerators and denominators
             for lam in (
                 Fraction(3, 2),
                 top / 2,
@@ -239,10 +241,27 @@ class TestLevelSet:
                 Fraction(1, 2**9),
                 Fraction(2**62),
             ):
-                fast_mask = level_set(fld, lam).mask
-                slow = np.array([v > lam for v in field_values(fld).ravel()]).reshape(g.shape)
-                assert np.array_equal(fast_mask, slow)
+                slow = np.array([v > lam for v in want.ravel()]).reshape(g.shape)
+                assert np.array_equal(level_set(fld, lam).mask, slow)
             assert 0 < level_set(fld, top / 2).popcount < g.total_cells
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cuts_the_table_like_the_fraction_compare(self, data):
+        # numerators and denominators past 2^63; thresholds at every table
+        # value, between two, below the least, 0 and above the top
+        g = DyadicGrid((data.draw(st.integers(0, 2)), data.draw(st.integers(0, 3))))
+        numerator = st.one_of(st.integers(0, 9), st.integers(0, 2**70))
+        value = st.builds(Fraction, numerator, st.one_of(st.integers(1, 4), st.integers(1, 2**66)))
+        values = data.draw(st.lists(value, min_size=g.total_cells, max_size=g.total_cells))
+        f = step_function(g, np.array(values, dtype=object).reshape(g.shape))
+        table = sorted(set(values))
+        between = [(a + b) / 2 for a, b in zip(table, table[1:])]
+        for lam in (*table, *between, table[0] / 2, 0, table[-1] + Fraction(1, 2**70)):
+            want = np.array([v > lam for v in values]).reshape(g.shape)
+            assert np.array_equal(level_set(f, lam).mask, want)
+        with pytest.raises(ValueError):
+            level_set(f, -Fraction(1, 2**70))
 
     def test_kernel_needs_no_scipy_ndimage(self):
         import gridhalo
@@ -574,7 +593,7 @@ class TestMaxLevelSet:
         def refuse(*args, **kwargs):
             raise AssertionError("a full max field was built")
 
-        monkeypatch.setattr(maxop.MaxField, "__init__", refuse)
+        monkeypatch.setattr(maxop, "_value_table", refuse)
         (est,) = halo.halo_estimate(BasisSpec("axis", 2), 6, [8.0], [math.inf, 2.0], [1, 2])
         assert est.phi_hat > 1
         (res,) = halo.lemma10_levelset_measure(AxisRect((30, 30), (34, 34)), [6.0], 2, DyadicGrid((6, 6)))

@@ -10,7 +10,7 @@ import pytest
 
 from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _counts, _repeat, save_step_function
 from gridhalo.growth import log_power_growth
-from gridhalo.maxop import BasisSpec, MaxField
+from gridhalo.maxop import BasisSpec
 from gridhalo.resonance import (
     InfeasibleError,
     ResolutionCapError,
@@ -118,7 +118,7 @@ class TestDivergentSequences:
 class TestReplication:
     def test_diluted_tiling_keeps_invariants(self):
         rep = replicate_configuration(
-            [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1, 8), (1, 1), Fraction(1), PHI
+            [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1, 8), (1, 1), Fraction(1), PHI, (1, 0)
         )
         assert rep.uniform_ok and all(rep.containment_ok.values())
         assert rep.j == (1 + 2 + rep.pad[0], 1 + 2 + rep.pad[1])
@@ -178,7 +178,9 @@ class TestReplication:
 
         monkeypatch.setattr(GridSet, "__post_init__", counted)
         bases = [BasisSpec("axis", 2), BasisSpec("rotated", 2, math.pi / 8)]
-        rep = replicate_configuration(bases, Fraction(9, 4), Fraction(1, 8), (1, 1), Fraction(1), PHI)
+        rep = replicate_configuration(
+            bases, Fraction(9, 4), Fraction(1, 8), (1, 1), Fraction(1), PHI, (1, 0)
+        )
         assert rep.tile.disk is not None and all(rep.containment_ok.values())
         assert copied == []
 
@@ -186,7 +188,8 @@ class TestReplication:
         # the central 2x2 block of the 4x4 base tile has density 1/4
         with pytest.raises(InfeasibleError):
             replicate_configuration(
-                [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1, 2), (0, 0), Fraction(1), PHI
+                [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1, 2), (0, 0), Fraction(1), PHI,
+                (1, 0),
             )
 
     def test_one_witness_and_one_recheck_per_stage(self, monkeypatch):
@@ -638,10 +641,11 @@ class TestSerialization:
 
 
 def test_pipeline_reads_no_per_cell_fractions(monkeypatch, tmp_path):
-    # every StepFunction payload passes through _set, every MaxField through
-    # __init__; record both, check that no MaxField is made at all (level
-    # sets come from max_level_set), that no step function built ``values``
-    # and that g, uint8 codes on the final grid, never built its numerators
+    # every StepFunction payload passes through _set, and a max field's
+    # table through maxop._value_table; record both, check that no max
+    # field is made at all (level sets come from max_level_set), that no
+    # step function built ``values`` and that g, uint8 codes on the final
+    # grid, never built its numerators
     made = []
 
     def recording(real):
@@ -652,7 +656,7 @@ def test_pipeline_reads_no_per_cell_fractions(monkeypatch, tmp_path):
         return wrapper
 
     monkeypatch.setattr(StepFunction, "_set", recording(StepFunction._set))
-    monkeypatch.setattr(MaxField, "__init__", recording(MaxField.__init__))
+    monkeypatch.setattr(maxop, "_value_table", recording(maxop._value_table))
     f, pads = synthetic_resonance_input(PHI, 2, style="square")
     plan = build_resonance_function(f, [BasisSpec("axis", 2)], PHI, 2, pads=pads)
     build_rearrangement(f, plan)
