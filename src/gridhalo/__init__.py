@@ -18,7 +18,7 @@ from .maxop import (
     max_field_fast,
     max_level_set,
 )
-from .halo import HaloEstimate, discrete_ball, halo_estimate, halo_fit
+from .halo import discrete_ball, halo_estimate, halo_fit
 from .witness import MPhiWitness, build_tile_witness, mphi_witness_for_rotations
 from .resonance import (
     Rearrangement,

@@ -1,8 +1,9 @@
 """Command-line front end: one experiment per invocation.
 
-Exit codes: 0 success, 2 invalid configuration, 3 infeasible construction
-at the configured resolution, 4 internal verification failure (an exact
-invariant re-check failed, which is always a bug).
+Exit codes: 0 success, 2 invalid configuration (``ConfigError``), 3
+infeasible construction at the configured resolution (``InfeasibleError``),
+4 internal verification failure (``VerificationError``: an exact invariant
+re-check failed, which is always a bug).
 """
 
 from __future__ import annotations
@@ -11,11 +12,8 @@ import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig, read_config_file
-from .halo import DomainTooSmallError, QuadratureError
-from .maxop import EmptyFamilyError
+from .grid import InfeasibleError, VerificationError
 from .reports import cache_key, cache_lookup, cache_store, write_report
-from .resonance import InfeasibleError, ResolutionCapError, VerificationError
-from .witness import WitnessError
 from . import experiments
 
 __all__ = ["main"]
@@ -28,15 +26,6 @@ _RUNNERS = {
     "rearrange": experiments.run_rearrangement_demo,
     "maxfield": experiments.run_maxfield,
 }
-
-_INFEASIBLE = (
-    InfeasibleError,
-    ResolutionCapError,
-    EmptyFamilyError,
-    WitnessError,
-    DomainTooSmallError,
-    QuadratureError,
-)
 
 # per-subcommand defaults on top of ExperimentConfig's
 _DEFAULTS = {
@@ -124,7 +113,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
-    except _INFEASIBLE as e:
+    except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
     except VerificationError as e:

@@ -16,16 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .grid import DyadicGrid, StepFunction, save_step_function
+from .grid import AxisRect, DyadicGrid, InfeasibleError, StepFunction, save_step_function
 from .growth import log_power_growth
-from .halo import (
-    DomainTooSmallError,
-    halo_estimate,
-    halo_fit,
-    lemma9_integral,
-    lemma10_levelset_measure,
-)
-from .grid import AxisRect
+from .halo import halo_estimate, halo_fit, lemma9_integral, lemma10_levelset_measure
 from .maxop import (
     BasisSpec,
     dyadic_ladder,
@@ -37,7 +30,6 @@ from .maxop import (
 )
 from .reports import RunReport
 from .resonance import (
-    InfeasibleError,
     build_rearrangement,
     build_resonance_function,
     save_plan,
@@ -77,21 +69,20 @@ def run_halo(config: ExperimentConfig) -> RunReport:
     basis = BasisSpec("axis", config.k)
     ests = halo_estimate(basis, config.grid_bits, config.h_list, config.t_list, config.r_list)
     phis = []
-    for h, est in zip(config.h_list, ests):
-        clipped = any(s.clipped for s in est.samples)
+    for h, (phi_hat, clipped) in zip(config.h_list, ests):
         if clipped:
             # a resolution limit of the sample, not an invariant failure
-            raise DomainTooSmallError(
+            raise InfeasibleError(
                 f"level set for h={h:g} reaches the boundary of the grid with "
                 f"2^{config.grid_bits} cells per axis; use a finer grid or smaller h"
             )
-        phis.append(est.phi_hat)
+        phis.append(phi_hat)
         report.rows.append(
             {
                 "h": float(h),
-                "phi_hat": est.phi_hat,
-                "phi_over_h": est.phi_hat / float(h),
-                "samples": len(est.samples),
+                "phi_hat": phi_hat,
+                "phi_over_h": phi_hat / float(h),
+                "samples": len(config.t_list) * len(config.r_list),
                 "clipped": clipped,
             }
         )
@@ -102,7 +93,7 @@ def run_halo(config: ExperimentConfig) -> RunReport:
     rises = [a < b for a, b in zip(ratios, ratios[1:])]
     if not all(rises):  # a flat estimate from balls of a few cells, not a bug
         h0, h1 = config.h_list[rises.index(False) :][:2]
-        raise DomainTooSmallError(
+        raise InfeasibleError(
             f"phi_hat/h does not increase from h={h0:g} to h={h1:g} on the grid "
             f"with 2^{config.grid_bits} cells per axis; use a finer grid"
         )
@@ -165,7 +156,7 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
     if not h_sweep:
         fallback = grid.shape[0] / (16 * w)
         if fallback <= 1:
-            raise DomainTooSmallError(
+            raise InfeasibleError(
                 f"the grid with 2^{config.grid_bits} cells per axis is too small for "
                 f"the level-set growth check: its sweep value h = {fallback:g} is not "
                 f"above 1; use a finer grid"
@@ -335,9 +326,9 @@ def run_rearrangement_demo(config: ExperimentConfig) -> RunReport:
 
 # Largest shapes x cells product a maxfield run may take: every shape costs
 # a few passes over the cells its placements cover.  At n = 2, k = 2 the
-# product is 2^28 for --grid 7 (12.5 s on a 2-vCPU Xeon VM) and grows
-# 16-fold per grid bit, so --grid 8 (2^32) and --grid 10 (2^40, about 14
-# hours by that growth) are refused.
+# product is 2^28 for --grid 7 (3-4 s on a 2-vCPU VM, with about half the
+# shapes skipped as dominated) and grows 16-fold per grid bit, so --grid 8
+# (2^32) and --grid 10 (2^40, about 4 hours by that growth) are refused.
 MAXFIELD_SHAPE_CELLS = 1 << 30
 
 

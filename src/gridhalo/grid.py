@@ -23,14 +23,21 @@ __all__ = [
     "GridSet",
     "StepFunction",
     "AxisRect",
-    "ResolutionMismatchError",
+    "InfeasibleError",
+    "VerificationError",
     "uniform_distribution_check",
     "save_step_function",
 ]
 
 
-class ResolutionMismatchError(ValueError):
-    """A coarse resolution does not divide the fine one."""
+class InfeasibleError(RuntimeError):
+    """The construction cannot be carried out at the configured resolution
+    or depth (CLI exit 3); the message says what is out of reach."""
+
+
+class VerificationError(RuntimeError):
+    """An exact invariant re-check failed; this always indicates a bug (CLI
+    exit 4)."""
 
 
 def _as_fraction_tuple(values: Sequence) -> tuple[Fraction, ...]:
@@ -160,7 +167,7 @@ def _coarse_counts(mask: np.ndarray, fine_res: Sequence[int], coarse_res: Sequen
     newshape = []
     for m, c in zip(fine_res, coarse_res):
         if c > m:
-            raise ResolutionMismatchError("coarse resolution exceeds grid resolution")
+            raise ValueError("coarse resolution exceeds grid resolution")
         newshape.extend([1 << c, 1 << (m - c)])
     # sum out every second (intra-block) axis, counting in int64 without
     # an int64 copy of the mask
@@ -176,7 +183,7 @@ def uniform_distribution_check(s: GridSet, m: Sequence[int]) -> bool:
     """
     m = tuple(int(x) for x in m)
     if len(m) != s.grid.n:
-        raise ResolutionMismatchError("dimension mismatch")
+        raise ValueError("dimension mismatch")
     counts = _coarse_counts(s.mask, s.grid.resolution, m)
     total = s.popcount
     n_coarse = int(np.prod([1 << c for c in m], dtype=object))

@@ -27,47 +27,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import DyadicGrid, GridSet
+from .grid import DyadicGrid, GridSet, InfeasibleError
 from .maxop import BasisSpec, _embed, _paint, _placement_pass, _support, dyadic_ladder
 
 __all__ = [
-    "HaloEstimate",
-    "HaloSample",
-    "DomainTooSmallError",
     "discrete_ball",
     "halo_estimate",
     "halo_fit",
     "lemma9_integral",
     "lemma10_levelset_measure",
     "Lemma10Result",
-    "QuadratureError",
 ]
-
-
-class DomainTooSmallError(RuntimeError):
-    """The grid is too small for the sample (a level set reaches its
-    boundary, or no sweep value fits); enlarge the domain."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class HaloSample:
-    t: float
-    r_cells: int
-    ball_cells: int
-    levelset_cells: int
-    ratio: float
-    clipped: bool  # level set touched the grid boundary
-
-
-@dataclass(frozen=True)
-class HaloEstimate:
-    h: float
-    samples: tuple[HaloSample, ...]
-    phi_hat: float
 
 
 def _ball_box(grid: DyadicGrid, r_cells: float, center=None):
@@ -133,10 +103,14 @@ def _level_set_box(grid: DyadicGrid, support, basis: BasisSpec, hs, r=None, ladd
     return out
 
 
-def halo_estimate(basis: BasisSpec, grid_bits: int, hs, t_list, r_list) -> tuple[HaloEstimate, ...]:
+def halo_estimate(
+    basis: BasisSpec, grid_bits: int, hs, t_list, r_list
+) -> tuple[tuple[float, bool], ...]:
     """Measured halo ratios of the axis ``basis`` on the grid with
-    2^grid_bits cells per axis, over a finite (t, r) lattice, aggregated by
-    max, one estimate per amplitude h of the sweep ``hs``.
+    2^grid_bits cells per axis, over a finite (t, r) lattice: per amplitude
+    h of the sweep ``hs``, ``(phi_hat, clipped)``, the largest ratio
+    |{M(h chi_ball) > 1}| / |ball| over the lattice and whether any of its
+    level sets reaches the grid boundary.
 
     Each sample runs on the ball's bounding box: the indicator chi_ball is
     a numerator crop of that box, one placement pass per (ball, t) serves
@@ -161,7 +135,7 @@ def halo_estimate(basis: BasisSpec, grid_bits: int, hs, t_list, r_list) -> tuple
         raise ValueError("ball radii must be at least 1 cell")
     grid = DyadicGrid((grid_bits,) * 2)
     ladder = dyadic_ladder(max(grid.shape))
-    samples = [[] for _ in hs]
+    best = [(0.0, False)] * len(hs)
     for r_cells in r_list:
         corner, inside = _ball_box(grid, r_cells)
         support, ball_cells = _support(inside, corner), int(inside.sum())
@@ -170,9 +144,11 @@ def halo_estimate(basis: BasisSpec, grid_bits: int, hs, t_list, r_list) -> tuple
             # the truncated level sets increase to the untruncated one)
             r_phys = None if math.isinf(t) else t * r_cells * float(grid.cell_size[0])
             sets = _level_set_box(grid, support, basis, hs, r_phys, ladder)
-            for out, (cells, clipped) in zip(samples, sets):
-                out.append(HaloSample(t, r_cells, ball_cells, cells, cells / ball_cells, clipped))
-    return tuple(HaloEstimate(h, tuple(s), max(x.ratio for x in s)) for h, s in zip(hs, samples))
+            best = [
+                (max(phi, cells / ball_cells), clipped or touch)
+                for (phi, clipped), (cells, touch) in zip(best, sets)
+            ]
+    return tuple(best)
 
 
 def halo_fit(h_samples, phi_values, model_exponent: int) -> tuple[float, float]:
@@ -207,7 +183,7 @@ def _log_region_integral(n: int, h: float) -> float:
 
     val, err = quad(integrand, 1.0, h, epsabs=_LEMMA9_TOL, epsrel=_LEMMA9_TOL, limit=200)
     if err > max(_LEMMA9_TOL * 100, abs(val) * 1e-6):
-        raise QuadratureError(f"estimated error {err} too large for tolerance {_LEMMA9_TOL}")
+        raise InfeasibleError(f"estimated error {err} too large for tolerance {_LEMMA9_TOL}")
     return val
 
 
@@ -260,7 +236,7 @@ def lemma10_levelset_measure(
     # basis with <= k distinct edge values (k = 1: cubes)
     sets = _level_set_box(grid, support, BasisSpec("axis", min(k, n)), hs, ladder=ladder)
     if any(touch for _, touch in sets):
-        raise DomainTooSmallError("level set reaches the grid boundary")
+        raise InfeasibleError("level set reaches the grid boundary")
     rect = I.volume(grid)
     out = []
     for h, (cells, _) in zip(hs, sets):

@@ -2,26 +2,28 @@
 
 Both kernels crop f to its support's bounding box and read placement sums
 from one summed-area table of the crop.  ``max_field_fast`` takes each
-shape's sums as strided views of the table (``_shape_sums``), spreads them
-to the cells the placements cover by a sparse-table sliding maximum and
-keeps the larger average per cell.  ``max_level_set`` computes
-{M f > lam} without the field, in one placement pass over a support, a
-numerator crop and its lower corner (``_placement_pass``; ``_winners``
-passes f's own and one threshold): it skips every shape whose average
-cannot exceed the smallest threshold even with the whole mass of f inside
-(exact, since f is nonnegative), lays the other shapes' placements out as
-flat index arrays in batches of a fixed size, decides each batch with one
-cross-multiplied integer compare per threshold, and paints the union of a
-threshold's winning runs once, on their bounding box (``_paint``), which
-it embeds in the grid.  Halo samples build their crop and count their
-cells on that box alone, every amplitude of a sweep a threshold of one
-pass.  The tile witness takes its certificates from the same winners.
-``max_field_brute`` (direct repeated-addition window sums and a linear
-placement scan on the whole grid) is the oracle.  Both compare averages
-cross-multiplied on common-denominator integers (int64, or Python ints
-when int64 could overflow) and convert the winners once, at the end, to
-a ``StepFunction``: M f at cell centers is cell-constant, so a field is a
-step function like f, and ``level_set`` cuts its sorted value table.
+shape's sums as strided views of the table (``_shape_sums``), skips a
+shape whose largest sum beats no kept average in the box it covers,
+spreads the others' sums to the cells the placements cover by a
+sparse-table sliding maximum and keeps the larger average per cell.
+``max_level_set`` computes {M f > lam} without the field, in one placement
+pass over a support, a numerator crop and its lower corner
+(``_placement_pass``; ``_winners`` passes f's own and one threshold): it
+skips every shape whose average cannot exceed the smallest threshold even
+with the whole mass of f inside (exact, since f is nonnegative), lays the
+other shapes' placements out as flat index arrays in batches of a fixed
+size, decides each batch with one cross-multiplied integer compare per
+threshold, and paints the union of a threshold's winning runs once, on
+their bounding box (``_paint``), which it embeds in the grid.  Halo
+samples build their crop and count their cells on that box alone, every
+amplitude of a sweep a threshold of one pass.  The tile witness takes its
+certificates from the same winners.  ``max_field_brute`` (direct
+repeated-addition window sums and a linear placement scan on the whole
+grid) is the oracle.  Both compare averages cross-multiplied on
+common-denominator integers (int64, or Python ints when int64 could
+overflow) and convert the winners once, at the end, to a ``StepFunction``:
+M f at cell centers is cell-constant, so a field is a step function like
+f, and ``level_set`` cuts its sorted value table.
 
 Evaluation point is the cell center; since admissible rectangles are
 cell-aligned, "contains the center" and "contains the cell" coincide.
@@ -41,11 +43,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import DyadicGrid, GridSet, StepFunction, _step_text, _value_table
+from .grid import DyadicGrid, GridSet, InfeasibleError, StepFunction, _step_text, _value_table
 
 __all__ = [
     "BasisSpec",
-    "EmptyFamilyError",
     "enumerate_shapes",
     "max_field_brute",
     "max_field_fast",
@@ -54,10 +55,6 @@ __all__ = [
     "dyadic_ladder",
     "save_max_field",
 ]
-
-
-class EmptyFamilyError(ValueError):
-    """No admissible rectangle exists (truncation too tight for the grid)."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ def enumerate_shapes(
     else:
         per_axis = [[w for w in ladder if 1 <= w <= s] for s in grid.shape]
     if not all(per_axis):
-        raise EmptyFamilyError("no admissible rectangle shape under this truncation")
+        raise InfeasibleError("no admissible rectangle shape under this truncation")
     top = sum((max(ws) * u) ** 2 for ws, u in zip(per_axis, units))
     # an integer diameter^2 is < r^2 exactly when it is < ceil(r^2)
     limit = top + 1 if r2 is None else min(top + 1, math.ceil(r2 * scale * scale))
@@ -147,7 +144,7 @@ def enumerate_shapes(
             ok &= np.isin(last_len, list(lengths))
         shapes.extend((*prefix, w) for w in last_w[ok].tolist())
     if not shapes:
-        raise EmptyFamilyError("no admissible rectangle shape under this truncation")
+        raise InfeasibleError("no admissible rectangle shape under this truncation")
     return shapes
 
 
@@ -272,23 +269,30 @@ def _shape_sums(crop: np.ndarray, corner, shapes):
         yield shape, S, corner
 
 
-def _spread(vals: np.ndarray, shape, corner, box) -> tuple[tuple[slice, ...], np.ndarray]:
-    """The slices of ``box`` that placements of ``shape`` cover, and per
-    cell the max of ``vals`` over the placements covering it: ``vals[i]``
-    is the placement whose last cell is ``corner + i``, and every other
-    placement counts as zero."""
+def _cover_box(placed, shape, corner, box) -> tuple[slice, ...]:
+    """The slices of ``box`` that the placements of ``shape`` cover, for a
+    ``placed``-shaped array of placements whose first has its last cell at
+    ``corner``: per axis from ``corner - w + 1`` over ``n + w - 1`` cells,
+    clipped to the box."""
+    return tuple(
+        slice(max(c - w + 1, 0), min(c + n, size))
+        for c, w, n, size in zip(corner, shape, placed, box)
+    )
+
+
+def _spread(vals: np.ndarray, shape, corner, dst) -> np.ndarray:
+    """The max of ``vals`` over the placements covering each cell of
+    ``dst``, the slices of ``_cover_box``: ``vals[i]`` is the placement
+    whose last cell is ``corner + i``, and every other placement counts as
+    zero."""
     # pad by w - 1 zeros (Python ints on the object path); the sliding max
     # over w placements then starts at cell corner - w + 1
     pad = np.zeros([n + 2 * (w - 1) for n, w in zip(vals.shape, shape)], dtype=vals.dtype)
     pad[tuple(slice(w - 1, w - 1 + n) for n, w in zip(vals.shape, shape))] = vals
     for ax, w in enumerate(shape):
         pad = _sliding_max_fast(pad, w, ax)
-    dst, src = [], []
-    for c, w, n, size in zip(corner, shape, box, pad.shape):
-        start = c - w + 1
-        dst.append(slice(max(start, 0), min(start + size, n)))
-        src.append(slice(max(start, 0) - start, min(start + size, n) - start))
-    return tuple(dst), pad[tuple(src)]
+    shift = [c - w + 1 for c, w in zip(corner, shape)]
+    return pad[tuple(slice(sl.start - s, sl.stop - s) for sl, s in zip(dst, shift))]
 
 
 def _family(grid: DyadicGrid, basis: BasisSpec, r, ladder, shapes) -> list:
@@ -302,7 +306,7 @@ def _family(grid: DyadicGrid, basis: BasisSpec, r, ladder, shapes) -> list:
     if shapes is None:
         return enumerate_shapes(basis, grid, r, ladder)
     if not shapes:
-        raise EmptyFamilyError("empty explicit shape list")
+        raise InfeasibleError("empty explicit shape list")
     return shapes
 
 
@@ -334,9 +338,12 @@ def max_field_fast(
 
     Each shape's placement maxima go to the cells its placements cover,
     where the larger average is kept, as a numerator and a shape area per
-    cell under a strict cross-multiplied compare.  The winners become the
-    field's value table once, at the end.  An explicit ``shapes`` list
-    restricts the family to those cell shapes.
+    cell under a strict cross-multiplied compare.  A shape whose largest
+    placement sum beats the kept average on no cell of that box is skipped
+    unspread: it would win no cell, so the kept numerators and areas are
+    the same, ties included.  The winners become the field's value table
+    once, at the end.  An explicit ``shapes`` list restricts the family to
+    those cell shapes.
     """
     shapes = _family(f.grid, basis, r, ladder, shapes)
     crop, corner = _support(f.num) or (np.zeros((0,) * f.grid.n, dtype=np.int64), None)
@@ -344,9 +351,14 @@ def max_field_fast(
     best_num = np.zeros(f.grid.shape, dtype=crop.dtype)
     best_den = np.ones(f.grid.shape, dtype=crop.dtype)
     for shape, S, corner in _shape_sums(crop, corner, shapes) if crop.size else ():
-        dst, top = _spread(S, shape, corner, f.grid.shape)
+        dst = _cover_box(S.shape, shape, corner, f.grid.shape)
         num, den = best_num[dst], best_den[dst]
         d = math.prod(shape)
+        # no cell of the box takes more than S.max(): where that cannot
+        # beat the kept average on any cell, the shape changes nothing
+        if not (S.max() * den > num * d).any():
+            continue
+        top = _spread(S, shape, corner, dst)
         better = top * den > num * d
         np.copyto(num, top, where=better)
         den[better] = d

@@ -36,19 +36,18 @@ import numpy as np
 from .grid import (
     DyadicGrid,
     GridSet,
+    InfeasibleError,
     StepFunction,
+    VerificationError,
     _counts,
     _repeat,
     _text_chunks,
     save_step_function,
     uniform_distribution_check,
 )
-from .witness import MPhiWitness, VerificationError, build_tile_witness
+from .witness import MPhiWitness, build_tile_witness
 
 __all__ = [
-    "InfeasibleError",
-    "ResolutionCapError",
-    "VerificationError",
     "build_divergent_sequences",
     "StageRecord",
     "replicate_configuration",
@@ -62,23 +61,6 @@ __all__ = [
     "save_plan",
     "save_rearrangement",
 ]
-
-
-class InfeasibleError(RuntimeError):
-    """The requested mass/depth cannot be supplied; carries what was achieved."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
-class ResolutionCapError(RuntimeError):
-    """The construction would exceed the configured grid resolution."""
-
-    def __init__(self, message, achievable_depth=None, required=None):
-        super().__init__(message)
-        self.achievable_depth = achievable_depth
-        self.required = required
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +89,7 @@ def build_divergent_sequences(phi, f: StepFunction, K: int) -> tuple:
         if mass < k:
             raise InfeasibleError(
                 f"stage {k} infeasible: its band has growth mass {mass:.6g} < {k}; "
-                f"largest achievable depth is {k - 1}",
-                achieved=k - 1,
+                f"largest achievable depth is {k - 1}"
             )
         entries.append((A, h, k))
     return tuple(entries)
@@ -317,11 +298,9 @@ def build_resonance_function(
         pad = _dilution_pad(delta, pads[k - 1])
         j = tuple(mi + b + p for mi, b, p in zip(m, _BASE_BITS, pad))
         if max(j) > resolution_cap:
-            raise ResolutionCapError(
+            raise InfeasibleError(
                 f"stage {k} needs resolution {j} beyond cap {resolution_cap}; "
-                f"achievable depth is {k - 1}",
-                achievable_depth=k - 1,
-                required=j,
+                f"achievable depth is {k - 1}"
             )
         stages.append(
             replicate_configuration(bases, h / k, delta, m, Fraction(1, k), phi, pad)
@@ -515,22 +494,21 @@ _INPUT_BITS = 3
 
 
 def _amp_for(phi, need: float) -> Fraction:
-    """Smallest multiple of 1/64 with phi(amp) >= need (amp > 1)."""
-    lo, hi = 1.0, 2.0
-    while phi(hi) < need:
-        hi *= 2
-        if hi > 1e9:
+    """Smallest multiple m/64 of 1/64 above 1 with phi(m/64) >= need, phi
+    increasing: the upper end m doubles from 128 until phi reaches need
+    there, then an integer bisection keeps phi(lo/64) < need <= phi(hi/64)."""
+    lo, hi = 64, 128
+    while phi(hi / 64) < need:
+        lo, hi = hi, 2 * hi
+        if hi > 64 * 10**9:
             raise InfeasibleError("growth function too flat for this target")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) >= need:
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if phi(mid / 64) >= need:
             hi = mid
         else:
             lo = mid
-    amp = Fraction(math.ceil(hi * 64), 64)
-    while phi(float(amp)) < need:
-        amp += Fraction(1, 64)
-    return amp
+    return Fraction(hi, 64)
 
 
 def synthetic_resonance_input(

@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import DyadicGrid, GridSet, StepFunction
+from .grid import DyadicGrid, GridSet, InfeasibleError, StepFunction, VerificationError
 from .maxop import (
     BasisSpec,
     _exceeds,
@@ -75,8 +75,6 @@ from .rotate import quarter_turns
 
 __all__ = [
     "MPhiWitness",
-    "VerificationError",
-    "WitnessError",
     "central_block",
     "inscribed_radius_sq",
     "disk_core",
@@ -85,14 +83,6 @@ __all__ = [
     "build_tile_witness",
     "mphi_witness_for_rotations",
 ]
-
-
-class WitnessError(RuntimeError):
-    """A witness construction could not satisfy its quantitative targets."""
-
-
-class VerificationError(RuntimeError):
-    """An exact invariant re-check failed; this always indicates a bug."""
 
 
 # the disk core K lives on a square-subcell refinement of the tile this
@@ -156,7 +146,7 @@ def inscribed_radius_sq(E: GridSet, center) -> Fraction:
     near, _, scale = _cell_distances_sq(E.grid, center)
     outside = near[~E.mask]
     if outside.size == 0 or outside.min() == 0:
-        raise WitnessError("no disk about the center fits inside E")
+        raise InfeasibleError("no disk about the center fits inside E")
     return Fraction(int(outside.min()), scale * scale)
 
 
@@ -184,7 +174,7 @@ def disk_core(grid: DyadicGrid, center, rho_sq: Fraction) -> GridSet:
     limit = min(math.floor(rho_sq * scale * scale), int(far.max()))
     out = GridSet._own(grid, far <= limit)
     if out.popcount == 0:
-        raise WitnessError("disk core is empty; refine deeper")
+        raise InfeasibleError("disk core is empty; refine deeper")
     return out
 
 
@@ -513,7 +503,7 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         if P.popcount == 0 and key not in generic and len(placements):
             raise VerificationError(f"the tile's own certificates fail for basis {key}")
         if P.popcount == 0:
-            raise WitnessError(f"empty P set for basis {key}")
+            raise InfeasibleError(f"empty P set for basis {key}")
     phi_h = phi(float(amp))
     c = min(float(P.measure()) / (phi_h * float(E.measure())) for P in p_sets.values())
     out = replace(w, p_sets=p_sets, c=c, phi_at_h=phi_h)

@@ -62,7 +62,7 @@ def _random_rational(grid: DyadicGrid, rng) -> StepFunction:
 def halo_sweep():
     """phi-hat over h = 4..256 on a 1024^2 grid, axis pairs basis."""
     hs = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
-    return hs, [est.phi_hat for est in halo_estimate(BasisSpec("axis", 2), 10, hs, [math.inf], [1])]
+    return hs, [phi for phi, _ in halo_estimate(BasisSpec("axis", 2), 10, hs, [math.inf], [1])]
 
 
 @pytest.fixture(scope="module")

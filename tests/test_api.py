@@ -1,9 +1,11 @@
 """Every name a module exports resolves, so deletions leave no dead
 exports, no module imports a name it never reads, every name the
-benchmark tracer reads is still there, and every config field is read by
-a runner."""
+benchmark tracer reads is still there, every config field is read by a
+runner, and the package raises three exception classes, one per CLI exit
+code, which the CLI catches by name."""
 
 import ast
+import builtins
 import dataclasses
 import importlib
 import importlib.util
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import gridhalo
-from gridhalo import maxop
+from gridhalo import cli, maxop
 from gridhalo.config import ExperimentConfig
 from gridhalo.grid import DyadicGrid, GridSet, StepFunction
 
@@ -91,3 +93,43 @@ def test_every_config_field_is_read_by_a_runner():
     }
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind", "out"}
     assert not fields - read, f"config fields no runner reads: {sorted(fields - read)}"
+
+
+# the CLI exits 2, 3 and 4 on these
+EXIT_CLASSES = {"ConfigError", "InfeasibleError", "VerificationError"}
+
+
+def test_the_package_defines_one_exception_class_per_exit_code():
+    # a class derives from an exception when one of its bases is a builtin
+    # exception or a class found so far; an infeasible condition raised
+    # under a class of its own would leave the CLI with a traceback
+    builtin = {
+        name
+        for name, obj in vars(builtins).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    classes = [
+        (f"{path.stem}.{node.name}", node.name, {ast.unparse(b).split(".")[-1] for b in node.bases})
+        for path in sorted(Path(gridhalo.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    found = []
+    while new := [c for c in classes if c not in found and c[2] & (builtin | {n for _, n, _ in found})]:
+        found += new
+    assert sorted(where for where, _, _ in found) == [
+        "config.ConfigError",
+        "grid.InfeasibleError",
+        "grid.VerificationError",
+    ]
+
+
+def test_cli_main_catches_exactly_the_three_classes():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    caught = {
+        ast.unparse(h.type) if h.type else "<bare>"
+        for h in ast.walk(main)
+        if isinstance(h, ast.ExceptHandler)
+    }
+    assert caught == EXIT_CLASSES

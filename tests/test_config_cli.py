@@ -140,6 +140,24 @@ class TestCli:
         assert "from h=3 to h=4" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # on 16x16 cells the h = 16 level set reaches the box edge
+            (
+                ["halo", "--grid", "4"],
+                "level set for h=16 reaches the boundary of the grid with 2^4 cells per "
+                "axis; use a finer grid or smaller h",
+            ),
+            # a one-cell ball truncated at 1.2 cells admits no rectangle
+            (["halo", "--t-list", "1.2"], "no admissible rectangle shape under this truncation"),
+        ],
+    )
+    def test_halo_out_of_reach_exits_3_with_its_message(self, argv, message, tmp_path, capsys):
+        assert _run([*argv, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"infeasible: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "rotations, named",
         [("22.5,22.50001", ("22.5 and 22.50001", "I^2(gamma=0.392699)")), ("0,0", ("0.0 and 0.0", "I^2(gamma=0)"))],
     )

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from gridhalo.config import ExperimentConfig
 from gridhalo.experiments import run_halo
-from gridhalo.grid import AxisRect, DyadicGrid, GridSet, StepFunction
+from gridhalo.grid import AxisRect, DyadicGrid, GridSet, InfeasibleError, StepFunction
 from gridhalo.halo import (
-    DomainTooSmallError,
     discrete_ball,
     halo_estimate,
     halo_fit,
@@ -120,12 +119,12 @@ class TestHaloEstimate:
     def test_exact_small_instance(self):
         # h=4, one-cell ball, untruncated: the level set is the plus-shaped
         # region of cells whose best dyadic rectangle still averages > 1
-        (est,) = halo_estimate(BasisSpec("axis", 2), 5, [4.0], [math.inf], [1])
-        assert est.phi_hat == pytest.approx(5.0)
+        ((phi_hat, clipped),) = halo_estimate(BasisSpec("axis", 2), 5, [4.0], [math.inf], [1])
+        assert phi_hat == pytest.approx(5.0) and not clipped
 
     def test_truncated_below_untruncated(self):
-        full = halo_estimate(BasisSpec("axis", 2), 5, [8.0], [math.inf], [1])[0].phi_hat
-        trunc = halo_estimate(BasisSpec("axis", 2), 5, [8.0], [2.0], [1])[0].phi_hat
+        ((full, _),) = halo_estimate(BasisSpec("axis", 2), 5, [8.0], [math.inf], [1])
+        ((trunc, _),) = halo_estimate(BasisSpec("axis", 2), 5, [8.0], [2.0], [1])
         assert trunc <= full
 
     def test_rotated_probe_rejected(self):
@@ -136,8 +135,8 @@ class TestHaloEstimate:
 
     def test_clipped_flag_when_levelset_hits_boundary(self):
         # huge h on a tiny grid: the level set floods to the boundary
-        (est,) = halo_estimate(BasisSpec("axis", 2), 3, [64.0], [math.inf], [1])
-        assert any(s.clipped for s in est.samples)
+        ((_, clipped),) = halo_estimate(BasisSpec("axis", 2), 3, [64.0], [math.inf], [1])
+        assert clipped
 
     def test_empty_sample_lists_rejected(self):
         with pytest.raises(ValueError):
@@ -176,7 +175,8 @@ class TestHaloEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(e.samples[0].levelset_cells > e.samples[0].ball_cells for e in ests)
+        # the level set holds the ball and more
+        assert all(phi_hat > 1 and not clipped for phi_hat, clipped in ests)
         assert peak < 2**20
 
     @given(
@@ -199,14 +199,13 @@ class TestHaloEstimate:
         # painted on the grid, its popcount and a scan of the grid's faces
         bits, r = bits_r
         basis = BasisSpec("axis", 2)
-        (sample,) = halo_estimate(basis, bits, [h], [t], [r])[0].samples
+        (sample,) = halo_estimate(basis, bits, [h], [t], [r])
         grid = DyadicGrid((bits, bits))
         ball = discrete_ball(grid, r)
         r_phys = None if math.isinf(t) else t * r * float(grid.cell_size[0])
         f = StepFunction.indicator(ball, h)
         ls = max_level_set(f, basis, 1, r=r_phys, ladder=dyadic_ladder(grid.shape[0]))
-        want = (ball.popcount, ls.popcount, ls.popcount / ball.popcount, boundary_touch(ls.mask))
-        assert (sample.ball_cells, sample.levelset_cells, sample.ratio, sample.clipped) == want
+        assert sample == (ls.popcount / ball.popcount, boundary_touch(ls.mask))
 
     @given(
         st.integers(3, 7),
@@ -218,20 +217,22 @@ class TestHaloEstimate:
     @example(5, [2.0, math.inf], [1, 3], [1e20, 4.0, 4.0])  # repeated h, and the object path
     @settings(max_examples=40, deadline=None)
     def test_sweep_equals_per_h_samples(self, bits, ts, rs, hs):
-        # the shared pass at thresholds 1/h against one pass per h, on the
-        # (t, r) lattice, clipped samples included
+        # the shared pass at thresholds 1/h against one pass per h and per
+        # (t, r) sample, clipped samples included: per h, the largest ratio
+        # and whether any sample clipped
         basis = BasisSpec("axis", 2)
         sweep = halo_estimate(basis, bits, hs, ts, rs)
-        assert [e.h for e in sweep] == hs
+        assert len(sweep) == len(hs)
         for h, est in zip(hs, sweep):
-            assert est == halo_estimate(basis, bits, [h], ts, rs)[0]
-            assert [(s.t, s.r_cells) for s in est.samples] == [(t, r) for r in rs for t in ts]
+            samples = [halo_estimate(basis, bits, [h], [t], [r])[0] for r in rs for t in ts]
+            assert est == (max(phi for phi, _ in samples), any(c for _, c in samples))
 
     def test_sweep_keeps_the_clipped_samples_apart(self):
         # on 32x32 cells h = 256 floods to the boundary and h = 4 does not
-        small, big = halo_estimate(BasisSpec("axis", 2), 5, (4.0, 256.0), [math.inf, 2.0], [1, 2])
-        assert not any(s.clipped for s in small.samples)
-        assert any(s.clipped for s in big.samples)
+        (_, small), (_, big) = halo_estimate(
+            BasisSpec("axis", 2), 5, (4.0, 256.0), [math.inf, 2.0], [1, 2]
+        )
+        assert not small and big
 
     @pytest.mark.parametrize(
         "bits, hs, named",
@@ -243,7 +244,7 @@ class TestHaloEstimate:
         config = ExperimentConfig.from_mapping(
             "halo", {"grid_bits": bits, "h_list": hs, "out": str(tmp_path)}
         )
-        with pytest.raises(DomainTooSmallError) as exc:
+        with pytest.raises(InfeasibleError) as exc:
             run_halo(config)
         assert str(exc.value) == (
             f"level set for {named} reaches the boundary of the grid with 2^{bits} cells "
@@ -348,7 +349,7 @@ class TestLevelsetGrowth:
     def test_boundary_clipping_rejected(self):
         grid = DyadicGrid((4, 4))
         rect = AxisRect((6, 6), (10, 10))
-        with pytest.raises(DomainTooSmallError):
+        with pytest.raises(InfeasibleError):
             lemma10_levelset_measure(rect, [64.0], 2, grid)
 
     @given(
@@ -374,7 +375,7 @@ class TestLevelsetGrowth:
         ladder = dyadic_ladder(grid.shape[0])
         ls = max_level_set(f, BasisSpec("axis", k), 1, ladder=ladder)
         if boundary_touch(ls.mask):
-            with pytest.raises(DomainTooSmallError):
+            with pytest.raises(InfeasibleError):
                 lemma10_levelset_measure(rect, [h], k, grid, ladder=ladder)
         else:
             (res,) = lemma10_levelset_measure(rect, [h], k, grid, ladder=ladder)

@@ -6,17 +6,17 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridhalo import halo, maxop
-from gridhalo.grid import AxisRect, DyadicGrid, GridSet, StepFunction
+from gridhalo.grid import AxisRect, DyadicGrid, GridSet, InfeasibleError, StepFunction
 from gridhalo.maxop import (
     BasisSpec,
-    EmptyFamilyError,
     _exceeds,
     dyadic_ladder,
     enumerate_shapes,
@@ -86,6 +86,30 @@ def loop_shapes(basis: BasisSpec, grid: DyadicGrid, r=None, ladder=None):
     return shapes
 
 
+@st.composite
+def dominance_cases(draw):
+    """A small grid of 2 or 3 axes, a few cells with values over a constant
+    floor (0 included), and a shape order, None for enumeration order."""
+    bits = draw(st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 3), (1, 1, 1), (1, 2, 1)]))
+    grid = DyadicGrid(bits)
+    cell = st.tuples(*(st.integers(0, s - 1) for s in grid.shape))
+    cells = draw(st.dictionaries(cell, st.integers(1, 9), max_size=4))
+    floor = draw(st.sampled_from([0, 0, 1, 3]))
+    order = draw(st.one_of(st.none(), st.randoms(use_true_random=False)))
+    return grid, cells, floor, order
+
+
+def dominance_function(grid, cells, floor, order):
+    """The step function and shape list of a ``dominance_cases`` draw."""
+    vals = np.full(grid.shape, Fraction(floor), dtype=object)
+    for idx, v in cells.items():
+        vals[idx] = Fraction(v)
+    shapes = enumerate_shapes(BasisSpec("axis", 2), grid)
+    if order is not None:
+        order.shuffle(shapes)
+    return step_function(grid, vals), shapes
+
+
 class TestShapeEnumeration:
     @pytest.mark.parametrize(
         "bits, side",
@@ -105,7 +129,7 @@ class TestShapeEnumeration:
             for ladder in (None, dyadic_ladder(32), [3, 1, 5]):
                 want = loop_shapes(basis, grid, r, ladder)
                 if not want:
-                    with pytest.raises(EmptyFamilyError):
+                    with pytest.raises(InfeasibleError):
                         enumerate_shapes(basis, grid, r, ladder)
                     continue
                 assert enumerate_shapes(basis, grid, r, ladder) == want
@@ -136,7 +160,7 @@ class TestShapeEnumeration:
         # a single cell has diameter sqrt(2)/4; r equal to that is excluded
         shapes = enumerate_shapes(BasisSpec("axis", 2), g, r=Fraction(1, 2))
         assert (1, 1) in shapes and (2, 1) not in shapes
-        with pytest.raises(EmptyFamilyError):
+        with pytest.raises(InfeasibleError):
             enumerate_shapes(BasisSpec("axis", 2), g, r=Fraction(1, 4))
 
     def test_ladder_restricts_widths(self):
@@ -200,8 +224,49 @@ class TestFieldRoutes:
         assert np.array_equal(
             field_values(only), field_values(max_field_brute(f, basis, shapes=[(2, 2)]))
         )
-        with pytest.raises(EmptyFamilyError):
+        with pytest.raises(InfeasibleError):
             max_field_fast(f, basis, shapes=[])
+
+    @given(dominance_cases())
+    @example((DyadicGrid((2, 2)), {}, 3, None))  # a tie on every cell after (1, 1)
+    @example((DyadicGrid((3, 3)), {(3, 3): 4, (3, 4): 4, (4, 3): 4, (4, 4): 4}, 0, None))
+    @settings(max_examples=100, deadline=None)
+    def test_dominance_prune_equals_the_brute_field(self, case):
+        # a shape is skipped unspread where its largest placement sum beats
+        # the kept average on no cell of its box; the brute route spreads
+        # every shape, so the fields agree only if no skipped shape could
+        # have won a cell
+        f, shapes = dominance_function(*case)
+        basis = BasisSpec("axis", 2)
+        fast = max_field_fast(f, basis, shapes=shapes)
+        brute = max_field_brute(f, basis, shapes=shapes)
+        assert fast.table == brute.table and np.array_equal(fast.codes, brute.codes)
+
+    @pytest.mark.parametrize("bits", [(2, 2), (3, 3), (1, 1, 1)])
+    def test_a_constant_function_ties_every_shape_after_the_first(self, bits):
+        # after (1, 1) every cell keeps 3, and every other shape's largest
+        # placement, inside the grid, averages exactly 3: at the tie the
+        # strict compare wins no cell, so only (1, 1) is spread
+        g = DyadicGrid(bits)
+        f = StepFunction.indicator(GridSet(g, np.ones(g.shape, dtype=bool)), 3)
+        basis = BasisSpec("axis", 2)
+        with mock.patch.object(maxop, "_spread", wraps=maxop._spread) as spread:
+            fast = max_field_fast(f, basis)
+        assert spread.call_count == 1
+        assert fast.table == (3,) and fast.table == max_field_brute(f, basis).table
+
+    def test_the_central_block_skips_shapes(self):
+        # the maxfield input: on 16x16 cells part of the family is
+        # dominated, and the field is brute's
+        g = DyadicGrid((4, 4))
+        f = StepFunction.indicator(central_block(g), 4)
+        basis = BasisSpec("axis", 2)
+        shapes = enumerate_shapes(basis, g)
+        with mock.patch.object(maxop, "_spread", wraps=maxop._spread) as spread:
+            fast = max_field_fast(f, basis, shapes=shapes)
+        brute = max_field_brute(f, basis, shapes=shapes)
+        assert fast.table == brute.table and np.array_equal(fast.codes, brute.codes)
+        assert 0 < spread.call_count < len(shapes)
 
 
 class TestLevelSet:
@@ -384,8 +449,8 @@ class TestMaxLevelSet:
         f, basis, r, shapes = case
         try:
             brute = max_field_brute(f, basis, r=r, shapes=shapes)
-        except EmptyFamilyError:
-            with pytest.raises(EmptyFamilyError):
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
                 max_level_set(f, basis, 1, r=r, shapes=shapes)
             return
         # a value the field takes is an exact tie on the cells that hold it
@@ -402,7 +467,7 @@ class TestMaxLevelSet:
         f, basis, r, shapes = case
         try:
             brute = max_field_brute(f, basis, r=r, shapes=shapes)
-        except EmptyFamilyError:
+        except InfeasibleError:
             return
         ties = sorted(set(field_values(brute).ravel()))
         lam = st.one_of(st.sampled_from(ties), st.fractions(0, 4 * int(f.num.max()) + 1))
@@ -480,10 +545,10 @@ class TestMaxLevelSet:
         family = dict(r=r, ladder=ladder, shapes=shapes)
         try:
             brute = max_field_brute(f, basis, **family)
-        except EmptyFamilyError:
-            with pytest.raises(EmptyFamilyError):
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
                 max_level_set(f, basis, lam, **family)
-            with pytest.raises(EmptyFamilyError):
+            with pytest.raises(InfeasibleError):
                 max_field_fast(f, basis, **family)
             return
         fast = max_field_fast(f, basis, **family)
@@ -594,8 +659,8 @@ class TestMaxLevelSet:
             raise AssertionError("a full max field was built")
 
         monkeypatch.setattr(maxop, "_value_table", refuse)
-        (est,) = halo.halo_estimate(BasisSpec("axis", 2), 6, [8.0], [math.inf, 2.0], [1, 2])
-        assert est.phi_hat > 1
+        ((phi_hat, _),) = halo.halo_estimate(BasisSpec("axis", 2), 6, [8.0], [math.inf, 2.0], [1, 2])
+        assert phi_hat > 1
         (res,) = halo.lemma10_levelset_measure(AxisRect((30, 30), (34, 34)), [6.0], 2, DyadicGrid((6, 6)))
         assert res.levelset_measure > res.rect_measure
         E = central_block(DyadicGrid((3, 3)))

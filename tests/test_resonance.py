@@ -8,14 +8,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridhalo.grid import DyadicGrid, GridSet, StepFunction, _counts, _repeat, save_step_function
+from gridhalo.grid import (
+    DyadicGrid,
+    GridSet,
+    InfeasibleError,
+    StepFunction,
+    VerificationError,
+    _counts,
+    _repeat,
+    save_step_function,
+)
 from gridhalo.growth import log_power_growth
 from gridhalo.maxop import BasisSpec
 from gridhalo.resonance import (
-    InfeasibleError,
-    ResolutionCapError,
     StageRecord,
-    VerificationError,
     build_divergent_sequences,
     build_rearrangement,
     build_resonance_function,
@@ -67,9 +73,8 @@ class TestSelectLevelSets:
         f = _banded_function((1, 8), (3, 8))
         (A, h, q), = build_divergent_sequences(PHI, f, 1)
         assert (h, q, A.popcount) == (3, 1, 8)
-        with pytest.raises(InfeasibleError, match="largest achievable depth is 1") as ei:
+        with pytest.raises(InfeasibleError, match="largest achievable depth is 1$"):
             build_divergent_sequences(PHI, f, 2)
-        assert ei.value.achieved == 1
 
     def test_values_no_cell_takes_are_skipped(self):
         # 2 and 4 sit in the table between the bands but on no cell; the
@@ -89,8 +94,7 @@ class TestSelectLevelSets:
         with pytest.raises(InfeasibleError) as ei:
             build_divergent_sequences(PHI, f, 1)
         assert f"growth mass {PHI(3.0) / 16:.6g} < 1" in str(ei.value)
-        assert "largest achievable depth is 0" in str(ei.value)
-        assert ei.value.achieved == 0
+        assert str(ei.value).endswith("largest achievable depth is 0")
 
 
 class TestDivergentSequences:
@@ -109,10 +113,8 @@ class TestDivergentSequences:
 
     def test_depth_failure_names_achievable_depth(self):
         f = _banded_function((3, 8))  # supplies stage 1 but not stage 4
-        with pytest.raises(InfeasibleError) as ei:
+        with pytest.raises(InfeasibleError, match="largest achievable depth is 1$"):
             build_divergent_sequences(PHI, f, 4)
-        assert isinstance(ei.value.achieved, int)
-        assert ei.value.achieved < 4
 
 
 class TestReplication:
@@ -464,11 +466,14 @@ class TestSquarePlan:
 
     def test_resolution_cap_names_achievable_depth(self):
         f, pads = synthetic_resonance_input(PHI, 2, style="square")
-        with pytest.raises(ResolutionCapError) as ei:
+        # stage 1 fits the cap on 4x4 cells; stage 2 needs 32x32
+        with pytest.raises(
+            InfeasibleError,
+            match=r"^stage 2 needs resolution \(5, 5\) beyond cap 2; achievable depth is 1$",
+        ):
             build_resonance_function(
                 f, [BasisSpec("axis", 2)], PHI, 2, pads=pads, resolution_cap=2
             )
-        assert ei.value.achievable_depth is not None
 
 
 class TestRearrangement:
@@ -613,6 +618,23 @@ class TestSyntheticInput:
         assert len(pads) == K
         sel = build_divergent_sequences(PHI, f, K)
         assert len(sel) == K
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "deltas", [resonance._DEEP_DELTAS, resonance._SQUARE_DELTAS], ids=["deep", "square"]
+    )
+    def test_amplitude_is_the_least_multiple_of_1_64_reaching_the_target(self, exponent, deltas):
+        # every stage of the shipped inputs asks for phi(amp) >= k / delta_k
+        phi = log_power_growth(exponent)
+        for k, delta in enumerate(deltas, start=1):
+            need = k / float(delta)
+            amp = resonance._amp_for(phi, need)
+            assert 64 % amp.denominator == 0 and amp > 1
+            assert phi(float(amp)) >= need > phi(float(amp - Fraction(1, 64)))
+
+    def test_a_flat_growth_function_is_refused(self):
+        with pytest.raises(InfeasibleError, match="too flat"):
+            resonance._amp_for(lambda t: min(t, 5.0), 6.0)
 
     def test_depth_beyond_shipping_rejected(self):
         with pytest.raises(InfeasibleError):

@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 
 from gridhalo import witness
-from gridhalo.grid import DyadicGrid, GridSet, StepFunction
+from gridhalo.grid import DyadicGrid, GridSet, InfeasibleError, StepFunction, VerificationError
 from gridhalo.growth import log_power_growth
 from gridhalo.maxop import BasisSpec, enumerate_shapes
 from gridhalo.resonance import build_resonance_function, synthetic_resonance_input
 from gridhalo.rotate import quarter_turns
 from gridhalo.witness import (
     _MARGIN,
-    VerificationError,
-    WitnessError,
     _box_center,
     _route,
     axis_level_set_exact,
@@ -179,7 +177,7 @@ class TestGeometryHelpers:
 
     def test_disk_core_empty_raises(self):
         g = DyadicGrid((1, 1))
-        with pytest.raises(WitnessError):
+        with pytest.raises(InfeasibleError):
             disk_core(g, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 100))
 
 
@@ -887,7 +885,7 @@ class TestFreshCertificates:
 
     def test_a_pass_with_no_winners_is_infeasible(self):
         E = GridSet(DyadicGrid((2, 2)), np.zeros((4, 4), dtype=bool))
-        with pytest.raises(WitnessError, match="empty P set"):
+        with pytest.raises(InfeasibleError, match="empty P set"):
             witness._witness(E, [BasisSpec("axis", 2)], Fraction(3), Fraction(1), Fraction(2), PHI)
 
     def test_bases_with_one_key_are_refused(self):
