@@ -1,7 +1,7 @@
 """Command-line front end: one experiment per invocation.
 
 Exit codes: 0 success, 2 invalid configuration (``ConfigError``), 3
-infeasible construction at the configured resolution (``InfeasibleError``),
+infeasible construction at the configured grid or depth (``InfeasibleError``),
 4 internal verification failure (``VerificationError``: an exact invariant
 re-check failed, which is always a bug).
 """
@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-list", help="comma-separated truncation multipliers")
     parser.add_argument("--r-list", help="comma-separated ball radii in cells")
     parser.add_argument("--rotations", help="comma-separated rotations in degrees")
-    parser.add_argument("--resolution-cap", type=int)
     parser.add_argument("--use-cache", action="store_true")
     parser.add_argument(
         "--set",
@@ -78,7 +77,6 @@ def _merged_mapping(args) -> dict:
         "t_list": args.t_list,
         "r_list": args.r_list,
         "rotations_deg": args.rotations,
-        "resolution_cap": args.resolution_cap,
     }
     for key, value in flat.items():
         if value is not None:

@@ -77,7 +77,6 @@ class ExperimentConfig:
     k: int = 2
     rotations_deg: tuple = (0.0, 22.5, 45.0, 67.5)
     grid_bits: int = 10
-    resolution_cap: int = 12
     h_list: tuple = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
     t_list: tuple = (float("inf"),)
     r_list: tuple = (1,)
@@ -116,17 +115,12 @@ class ExperimentConfig:
             raise ConfigError("growth_exponent must be >= 1")
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
-        if self.grid_bits < 2 or self.resolution_cap < 2:
+        if self.grid_bits < 2:
             raise ConfigError("grid resolution too small to hold one tile")
         if self.grid_bits > MAX_GRID_BITS:
             raise ConfigError(
                 f"grid {self.grid_bits} above {MAX_GRID_BITS} bits per axis: "
                 "cell indices are int64"
-            )
-        if self.resolution_cap < 2 + 3 * (self.depth - 1):
-            raise ConfigError(
-                f"resolution cap {self.resolution_cap} below the minimum "
-                f"feasible for depth {self.depth}"
             )
         if self.style not in ("deep", "square"):
             raise ConfigError("style must be deep or square")
@@ -139,7 +133,6 @@ class ExperimentConfig:
             "n": int,
             "k": int,
             "grid_bits": int,
-            "resolution_cap": int,
             "depth": int,
             "growth_exponent": int,
             "out": str,

@@ -188,9 +188,7 @@ def _staged_plan(config: ExperimentConfig, bases) -> tuple:
     staged plan against ``bases``."""
     phi = log_power_growth(config.growth_exponent)
     f, pads = synthetic_resonance_input(phi, config.depth, style=config.style)
-    plan = build_resonance_function(
-        f, bases, phi, config.depth, pads=pads, resolution_cap=config.resolution_cap
-    )
+    plan = build_resonance_function(f, bases, phi, config.depth, pads=pads)
     return f, plan
 
 

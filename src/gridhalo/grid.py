@@ -40,21 +40,17 @@ class VerificationError(RuntimeError):
     exit 4)."""
 
 
-def _as_fraction_tuple(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class DyadicGrid:
-    """A dyadic partition of an axis-aligned box.
+    """A dyadic partition of the box [0, side_1) x ... x [0, side_n).
 
     ``resolution[j]`` is the per-axis exponent: the box is split into
     ``2**resolution[j]`` cells along axis ``j``.  The default box is the
-    unit cube.
+    unit cube.  The bases are translation invariant, so every box is
+    anchored at 0.
     """
 
     resolution: tuple[int, ...]
-    origin: tuple[Fraction, ...] = None  # type: ignore[assignment]
     side: tuple[Fraction, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -62,16 +58,11 @@ class DyadicGrid:
         if not res or any(m < 0 for m in res):
             raise ValueError("resolution exponents must be non-negative")
         object.__setattr__(self, "resolution", res)
-        n = len(res)
-        origin = self.origin if self.origin is not None else (Fraction(0),) * n
-        side = self.side if self.side is not None else (Fraction(1),) * n
-        origin = _as_fraction_tuple(origin)
-        side = _as_fraction_tuple(side)
-        if len(origin) != n or len(side) != n:
-            raise ValueError("origin/side dimension mismatch")
+        side = tuple(Fraction(s) for s in ((1,) * len(res) if self.side is None else self.side))
+        if len(side) != len(res):
+            raise ValueError("side dimension mismatch")
         if any(s <= 0 for s in side):
             raise ValueError("box side lengths must be positive")
-        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "side", side)
 
     @property
@@ -107,11 +98,7 @@ class DyadicGrid:
     def refine(self, extra: Sequence[int]) -> "DyadicGrid":
         if len(extra) != self.n or any(e < 0 for e in extra):
             raise ValueError("bad refinement vector")
-        return DyadicGrid(
-            tuple(m + e for m, e in zip(self.resolution, extra)),
-            self.origin,
-            self.side,
-        )
+        return DyadicGrid(tuple(m + e for m, e in zip(self.resolution, extra)), self.side)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

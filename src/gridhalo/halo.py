@@ -40,32 +40,29 @@ __all__ = [
 ]
 
 
-def _ball_box(grid: DyadicGrid, r_cells: float, center=None):
+def _ball_box(grid: DyadicGrid, r_cells: float):
     """``discrete_ball`` on the ball's bounding box: the box's lower corner
     and its cells inside the ball, as a bool mask of the box.
 
     A float sum of nonnegative terms is at least each term, so a cell whose
     offset along one axis already squares to r^2 or more lies outside, and
-    only the cells within r + 2 of the center are looked at, so the work
-    does not grow with the grid.  A cell i's offset is (i - floor(c)) + 0.5
-    - (c - floor(c)): the same real number as i + 0.5 - c, rounded once,
-    so while i + 0.5 is exact in float64 it is the offset a whole-axis
-    array gives, and past that it is still the cell's true offset, rounded
-    once.  Inside the box the terms are summed in axis order, as a
-    whole-grid sum adds them, so the mask is the same bit for bit."""
+    only the cells within r + 2 of the box center c are looked at, so the
+    work does not grow with the grid.  A cell i's offset is (i - floor(c))
+    + 0.5 - (c - floor(c)): the same real number as i + 0.5 - c, rounded
+    once, so while i + 0.5 is exact in float64 it is the offset a
+    whole-axis array gives, and past that it is still the cell's true
+    offset, rounded once.  Inside the box the terms are summed in axis
+    order, as a whole-grid sum adds them, so the mask is the same bit for
+    bit."""
     if len(set(grid.cell_size)) != 1:
         raise ValueError("discrete balls need an isotropic grid")
-    if center is None:
-        center = tuple(s / 2.0 for s in grid.shape)
-    if len(center) != grid.n:
-        raise ValueError(f"center needs {grid.n} coordinates, got {len(center)}")
     r2 = float(r_cells) ** 2
     reach = math.ceil(abs(float(r_cells))) + 2
     corner, d2 = [], 0.0
-    for ax, (m, c) in enumerate(zip(grid.shape, center)):
-        c = float(c)
+    for ax, m in enumerate(grid.shape):
+        c = m / 2.0
         base = math.floor(c)
-        lo, hi = max(base - reach, 0), max(min(base + reach, m), 0)
+        lo, hi = max(base - reach, 0), min(base + reach, m)
         term = (np.arange(lo - base, hi - base, dtype=np.float64) + 0.5 - (c - base)) ** 2
         near = np.flatnonzero(term < r2)
         if not near.size:
@@ -75,12 +72,13 @@ def _ball_box(grid: DyadicGrid, r_cells: float, center=None):
     return tuple(corner), d2 < r2
 
 
-def discrete_ball(grid: DyadicGrid, r_cells: float, center=None) -> GridSet:
-    """Cells whose centers lie within Euclidean distance r of the center.
+def discrete_ball(grid: DyadicGrid, r_cells: float) -> GridSet:
+    """Cells whose centers lie within Euclidean distance r of the box
+    center.
 
     Distances are in cell units of axis 0; the grid must be isotropic.
     Only the ball's bounding box is computed (``_ball_box``)."""
-    corner, inside = _ball_box(grid, r_cells, center)
+    corner, inside = _ball_box(grid, r_cells)
     return GridSet._own(grid, _embed(grid.shape, inside, corner))
 
 

@@ -174,7 +174,7 @@ def _along(axis: int, start, stop) -> tuple:
 
 
 def _support(crop: np.ndarray, corner=None):
-    """``crop``, lying at ``corner`` (the origin when None), trimmed to the
+    """``crop``, lying at ``corner`` (0 on every axis when None), trimmed to the
     bounding box of its nonzero cells, and that box's lower corner; None
     when every cell is zero.
 
@@ -306,7 +306,7 @@ def _family(grid: DyadicGrid, basis: BasisSpec, r, ladder, shapes) -> list:
     if shapes is None:
         return enumerate_shapes(basis, grid, r, ladder)
     if not shapes:
-        raise InfeasibleError("empty explicit shape list")
+        raise ValueError("empty explicit shape list")
     return shapes
 
 

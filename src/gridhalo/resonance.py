@@ -7,11 +7,10 @@ exactly independent), assembles the resonance function g, certifies the
 union mass after every stage through the closed-form product formula, and
 finally produces the measure-preserving cell rearrangement with its proof.
 
-Each stage is one pass: its dilution pad and fine resolution come first
-(one resolution-cap check), then one tile witness is built on the diluted
-tile and replicated, and uniformity and level-set containment are checked
-once, where the replicated sets are made, with their verdicts recorded
-in the stage's record.
+Each stage is one pass: one tile witness is built on the base tile
+diluted by the stage's pad and replicated, and uniformity and level-set
+containment are checked once, where the replicated sets are made, with
+their verdicts recorded in the stage's record.
 
 All measures, containments, independence products and the union identity
 are checked in exact rational arithmetic; rotated-basis level sets are
@@ -120,17 +119,6 @@ class StageRecord:
     containment_ok: dict  # key -> containment verdict at resolution j
 
 
-def _dilution_pad(delta, pad) -> tuple:
-    """``pad``, the per-axis dilution exponents of the base tile, as ints,
-    once the target measure delta is checked to be one the base tile can
-    be diluted to."""
-    if not 0 < delta <= _BASE_DENSITY:
-        raise InfeasibleError(
-            f"target measure {delta} exceeds the witness density {_BASE_DENSITY}"
-        )
-    return tuple(int(p) for p in pad)
-
-
 def replicate_configuration(
     bases,
     amp,
@@ -155,7 +143,11 @@ def replicate_configuration(
     Returns the stage at the fine resolution j = m + base bits + pad.
     """
     delta = Fraction(delta)
-    pad = _dilution_pad(delta, pad)
+    if not 0 < delta <= _BASE_DENSITY:
+        raise InfeasibleError(
+            f"target measure {delta} exceeds the witness density {_BASE_DENSITY}"
+        )
+    pad = tuple(int(p) for p in pad)
     m = tuple(int(x) for x in m)
     n = len(_BASE_BITS)
     density = _BASE_DENSITY / (1 << sum(pad))
@@ -276,7 +268,6 @@ def build_resonance_function(
     phi,
     K: int,
     pads,
-    resolution_cap: int = 12,
 ) -> ResonancePlan:
     """Full staged construction against the basis family.
 
@@ -284,26 +275,19 @@ def build_resonance_function(
     amplitude h_k/k at truncation 1/k and target measure |A_k|;
     resolutions chain (the next coarse resolution is this stage's fine
     one), which is what makes the stages exactly independent.  Each stage
-    is one pass: its pad ``pads[k - 1]`` and fine resolution (checked
-    against the cap), one tile witness, and its replication with the
-    checks made there.  ``synthetic_resonance_input`` ships the pads of
-    its inputs.
+    is one pass: one tile witness diluted by its pad ``pads[k - 1]``, and
+    its replication with the checks made there.
+    ``synthetic_resonance_input`` ships the pads of its inputs.
     """
     bases = list(bases)
     selection = build_divergent_sequences(phi, f, K)
     m = (0,) * f.grid.n
     stages = []
     for A, h, k in selection:
-        delta = A.relative_measure()
-        pad = _dilution_pad(delta, pads[k - 1])
-        j = tuple(mi + b + p for mi, b, p in zip(m, _BASE_BITS, pad))
-        if max(j) > resolution_cap:
-            raise InfeasibleError(
-                f"stage {k} needs resolution {j} beyond cap {resolution_cap}; "
-                f"achievable depth is {k - 1}"
-            )
         stages.append(
-            replicate_configuration(bases, h / k, delta, m, Fraction(1, k), phi, pad)
+            replicate_configuration(
+                bases, h / k, A.relative_measure(), m, Fraction(1, k), phi, pads[k - 1]
+            )
         )
         m = stages[-1].j
     final_grid = DyadicGrid(stages[-1].j)

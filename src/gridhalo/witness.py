@@ -108,23 +108,22 @@ def central_block(grid: DyadicGrid) -> GridSet:
 
 
 def _box_center(grid: DyadicGrid) -> tuple[Fraction, ...]:
-    return tuple(o + s / 2 for o, s in zip(grid.origin, grid.side))
+    return tuple(s / 2 for s in grid.side)
 
 
-def _cell_distances_sq(grid: DyadicGrid, center):
-    """Squared distances from ``center`` to the nearest point and to the
-    farthest corner of every cell, in units of 1/scale^2, and the scale.
+def _cell_distances_sq(grid: DyadicGrid):
+    """Squared distances from the box center to the nearest point and to
+    the farthest corner of every cell, in units of 1/scale^2, and the scale.
 
     Scaled by the common denominator of the walls and the center (a power
     of two on a dyadic grid), a cell's walls sit at integer offsets lo < hi
     per axis: the nearest point is max(lo, -hi, 0) away, the farthest
     corner max(-lo, hi).  int64 while the largest sum fits, else Python ints."""
-    cs = grid.cell_size
-    center = [Fraction(c) for c in center]
-    scale = math.lcm(*(v.denominator for v in (*grid.origin, *cs, *center)))
+    cs, center = grid.cell_size, _box_center(grid)
+    scale = math.lcm(*(v.denominator for v in (*cs, *center)))
     walls = []
-    for o, c, x, s in zip(grid.origin, cs, center, grid.shape):
-        lo, step = int((o - x) * scale), int(c * scale)
+    for c, x, s in zip(cs, center, grid.shape):
+        lo, step = int(-x * scale), int(c * scale)
         walls.append([lo + i * step for i in range(s + 1)])
     top = sum(max(-w[0], w[-1]) ** 2 for w in walls)
     dtype = np.int64 if top < 1 << 63 else object
@@ -137,13 +136,14 @@ def _cell_distances_sq(grid: DyadicGrid, center):
     return near, far, scale
 
 
-def inscribed_radius_sq(E: GridSet, center) -> Fraction:
-    """Exact squared radius of the largest disk about ``center`` inside E.
+def inscribed_radius_sq(E: GridSet) -> Fraction:
+    """Exact squared radius of the largest disk about the box center inside
+    E.
 
     Computed as the minimum over cells outside E of the squared distance
     from the center to the nearest point of that cell.
     """
-    near, _, scale = _cell_distances_sq(E.grid, center)
+    near, _, scale = _cell_distances_sq(E.grid)
     outside = near[~E.mask]
     if outside.size == 0 or outside.min() == 0:
         raise InfeasibleError("no disk about the center fits inside E")
@@ -163,14 +163,14 @@ def _square_refine_bits(grid: DyadicGrid, extra: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def disk_core(grid: DyadicGrid, center, rho_sq: Fraction) -> GridSet:
+def disk_core(grid: DyadicGrid, rho_sq: Fraction) -> GridSet:
     """Cells of ``grid`` that lie entirely inside the disk of squared radius
-    rho_sq about ``center`` (exact corner test).
+    rho_sq about the box center c (exact corner test).
 
     A cell is inside when its farthest corner is: sum over axes of
     max(|lo - c|, |hi - c|)^2 <= rho_sq, on the scaled integers of
     ``_cell_distances_sq``."""
-    _, far, scale = _cell_distances_sq(grid, center)
+    _, far, scale = _cell_distances_sq(grid)
     limit = min(math.floor(rho_sq * scale * scale), int(far.max()))
     out = GridSet._own(grid, far <= limit)
     if out.popcount == 0:
@@ -189,17 +189,16 @@ def axis_level_set_exact(E: GridSet, amp, trunc, basis: BasisSpec, shapes) -> Gr
 
 def _cell_centres(grid: DyadicGrid, ax: int) -> np.ndarray:
     """The cell centres of ``grid`` along axis ``ax``, each its exact value
-    o + (i + 1/2) c rounded once to a float, as ``float(Fraction)`` rounds.
+    (i + 1/2) c rounded once to a float, as ``float(Fraction)`` rounds.
 
-    On the common denominator D of o and c/2 the centres are the integers
-    A + (2i + 1) B, exact in float64 while they and D stay below 2^53, so
-    one correctly rounded division per centre gives that float."""
-    o, half = grid.origin[ax], grid.cell_size[ax] / 2
-    den = math.lcm(o.denominator, half.denominator)
-    a, b = int(o * den), int(half * den)
+    On the denominator D of c/2 the centres are the integers (2i + 1) B,
+    exact in float64 while they and D stay below 2^53, so one correctly
+    rounded division per centre gives that float."""
+    half = grid.cell_size[ax] / 2
+    den, b = half.denominator, half.numerator
     odd = np.arange(1, 2 * grid.shape[ax], 2, dtype=np.int64)
-    assert max(abs(a), abs(a + b * int(odd[-1])), den) < 1 << 53, "centres past exact float64"
-    return (a + b * odd).astype(np.float64) / den
+    assert max(b * int(odd[-1]), den) < 1 << 53, "centres past exact float64"
+    return (b * odd).astype(np.float64) / den
 
 
 def rotation_preimage(tile_grid: DyadicGrid, U: GridSet, gamma: float) -> GridSet:
@@ -211,7 +210,6 @@ def rotation_preimage(tile_grid: DyadicGrid, U: GridSet, gamma: float) -> GridSe
     multiply-add), so the set is the one a cell-by-cell evaluation
     gives."""
     fine = U.grid
-    ox, oy = (float(v) for v in fine.origin)
     cw, ch = (float(v) for v in fine.cell_size)
     nx, ny = fine.shape
     ccx, ccy = (float(v) for v in _box_center(tile_grid))
@@ -220,13 +218,13 @@ def rotation_preimage(tile_grid: DyadicGrid, U: GridSet, gamma: float) -> GridSe
     dx, dy = (px - ccx)[:, None], (py - ccy)[None, :]
     x = ccx + cg * dx - sg * dy
     y = ccy + sg * dx + cg * dy
-    i = np.floor((x - ox) / cw)
-    j = np.floor((y - oy) / ch)
+    i = np.floor(x / cw)
+    j = np.floor(y / ch)
     inside = (0 <= i) & (i < nx) & (0 <= j) & (j < ny)
     hit = U.mask[np.where(inside, i, 0).astype(np.intp), np.where(inside, j, 0).astype(np.intp)]
     # stay clear of the subcell walls so float rounding cannot flip cells
-    inx = np.minimum(x - (ox + i * cw), ox + (i + 1) * cw - x)
-    iny = np.minimum(y - (oy + j * ch), oy + (j + 1) * ch - y)
+    inx = np.minimum(x - i * cw, (i + 1) * cw - x)
+    iny = np.minimum(y - j * ch, (j + 1) * ch - y)
     return GridSet._own(tile_grid, inside & hit & (inx > _MARGIN) & (iny > _MARGIN))
 
 
@@ -244,17 +242,16 @@ def _route(basis: BasisSpec) -> int | None:
 
 def _placement(tile: DyadicGrid, grid: DyadicGrid):
     """Per axis (refinement factor, replica count) taking the tile grid onto
-    ``grid``, or None unless ``grid`` covers whole copies of the tile box,
-    aligned with it, in cells that split the tile's evenly."""
+    ``grid``, or None unless ``grid`` covers whole copies of the tile box in
+    cells that split the tile's evenly.  Both boxes start at 0, so the
+    copies are aligned with the tile."""
     ratios = [
-        (c / gc, gs / s, (go - o) / s)
-        for o, s, c, go, gs, gc in zip(
-            tile.origin, tile.side, tile.cell_size, grid.origin, grid.side, grid.cell_size
-        )
+        (c / gc, gs / s)
+        for s, c, gs, gc in zip(tile.side, tile.cell_size, grid.side, grid.cell_size)
     ]
     if grid.n != tile.n or any(v.denominator != 1 for r in ratios for v in r):
         return None
-    return [(factor.numerator, reps.numerator) for factor, reps, _ in ratios]
+    return [(factor.numerator, reps.numerator) for factor, reps in ratios]
 
 
 def _fold(mask: np.ndarray, placement, tile_shape, op) -> np.ndarray:
@@ -478,10 +475,9 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     placements.setflags(write=False)
     U = None
     if generic:
-        center = _box_center(grid)
-        rho_sq = inscribed_radius_sq(E, center)
+        rho_sq = inscribed_radius_sq(E)
         fine = grid.refine(_square_refine_bits(grid, _REFINE_EXTRA))
-        K = disk_core(fine, center, rho_sq)
+        K = disk_core(fine, rho_sq)
         ladder = dyadic_ladder(max(fine.shape))
         fine_shapes = enumerate_shapes(axis, fine, r=trunc, ladder=ladder)
         U = axis_level_set_exact(K, amp, trunc, axis, fine_shapes)

@@ -117,22 +117,19 @@ def rotated_average(f: StepFunction, center, sides, gamma: float) -> float:
     poly = rotated_rect_polygon(center, sides, gamma)
     xs = [p[0] for p in poly]
     ys = [p[1] for p in poly]
-    ox, oy = (float(v) for v in f.grid.origin)
     cw, ch = (float(v) for v in f.grid.cell_size)
     nx, ny = f.grid.shape
-    i0 = max(int(math.floor((min(xs) - ox) / cw)), 0)
-    i1 = min(int(math.ceil((max(xs) - ox) / cw)), nx)
-    j0 = max(int(math.floor((min(ys) - oy) / ch)), 0)
-    j1 = min(int(math.ceil((max(ys) - oy) / ch)), ny)
+    i0 = max(int(math.floor(min(xs) / cw)), 0)
+    i1 = min(int(math.ceil(max(xs) / cw)), nx)
+    j0 = max(int(math.floor(min(ys) / ch)), 0)
+    j1 = min(int(math.ceil(max(ys) / ch)), ny)
     total = 0.0
     for i in range(i0, i1):
         for j in range(j0, j1):
             v = f.values[i, j]
             if v == 0:
                 continue
-            cell = clip_polygon_box(
-                poly, ox + i * cw, oy + j * ch, ox + (i + 1) * cw, oy + (j + 1) * ch
-            )
+            cell = clip_polygon_box(poly, i * cw, j * ch, (i + 1) * cw, (j + 1) * ch)
             if len(cell) >= 3:
                 total += float(v) * abs(polygon_area(cell))
     return total / (float(sides[0]) * float(sides[1]))

@@ -62,12 +62,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_mapping("halo", {"h_list": "1, 4"})
 
-    def test_depth_needs_room_in_the_cap(self):
-        with pytest.raises(ConfigError, match="resolution cap"):
-            ExperimentConfig.from_mapping(
-                "resonance", {"depth": "4", "resolution_cap": "8"}
-            )
-
     def test_bad_number_list(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_mapping("halo", {"h_list": "4, eight"})
@@ -102,22 +96,32 @@ class TestCli:
         assert rc == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
-    def test_infeasible_exits_3(self, tmp_path, capsys):
-        # depth 5 passes validation with a large cap but no shipped input
-        # reaches it
-        rc = _run(
-            [
-                "resonance",
-                "--depth",
-                "5",
-                "--resolution-cap",
-                "14",
-                "--out",
-                str(tmp_path),
-            ]
-        )
+    @pytest.mark.parametrize("command", ["resonance", "zygmund", "rearrange"])
+    @pytest.mark.parametrize("style", ["deep", "square"])
+    def test_infeasible_exits_3(self, command, style, tmp_path, capsys):
+        # depth 5 passes validation, but no shipped input reaches it
+        rc = _run([command, "--depth", "5", "--style", style, "--out", str(tmp_path)])
         assert rc == 3
-        assert "infeasible" in capsys.readouterr().err
+        assert capsys.readouterr().err == "infeasible: shipped inputs support depth 1..4\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--resolution-cap", "12"], "unrecognized arguments: --resolution-cap 12"),
+            (["--set", "resolution_cap=12"], "unknown config key(s): resolution_cap"),
+        ],
+    )
+    def test_resolution_cap_exits_2(self, argv, message, tmp_path, monkeypatch, capsys):
+        # a stage's resolution follows from its pad, so there is no cap to set
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(["resonance", *argv])
+        except SystemExit as exc:  # the parser's own refusal
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_union_mass_short_of_half_exits_3(self, tmp_path, capsys):
         # at depth 1 the rotated bases reach 7/16 and 1/4: too shallow, not a bug
@@ -488,14 +492,13 @@ _FLAGS = [
     (["--t-list", "2,inf"], "t_list", "2,inf"),
     (["--r-list", "1,2"], "r_list", "1,2"),
     (["--rotations", "0,45"], "rotations", "0,45"),
-    (["--resolution-cap", "12"], "resolution_cap", 12),
     (["--use-cache"], "use_cache", True),
     (["--set", "k=2", "--set", "n=2"], "set", ["k=2", "n=2"]),
 ]
 _UNSET = {
     "config": None, "grid": None, "out": None,
     "depth": None, "style": None, "h_list": None, "t_list": None,
-    "r_list": None, "rotations": None, "resolution_cap": None,
+    "r_list": None, "rotations": None,
     "use_cache": False, "set": [],
 }
 

@@ -38,25 +38,24 @@ def mc_log_region(n, h, n_samples, seed):
     return L**n * float(np.mean(u.sum(axis=1) < L))
 
 
-def dense_ball(grid, r_cells, center=None):
-    """Oracle: every cell's squared distance summed over the whole grid."""
+def dense_ball(grid, r_cells):
+    """Oracle: every cell's squared distance to the box center, summed over
+    the whole grid."""
     shape = grid.shape
-    if center is None:
-        center = tuple(s / 2.0 for s in shape)
     grids = np.indices(shape).astype(np.float64) + 0.5
     d2 = np.zeros(shape)
     for ax in range(grid.n):
-        d2 += (grids[ax] - center[ax]) ** 2
+        d2 += (grids[ax] - shape[ax] / 2.0) ** 2
     return d2 < float(r_cells) ** 2
 
 
 @st.composite
 def ball_cases(draw):
-    """An isotropic grid of 1-3 axes, a radius and a centre: the grid's
-    own, anywhere in or around the box, or one that puts a cell centre at
-    distance exactly r along one axis."""
+    """A grid of 1-3 axes with square cells, 2^0 up to 2^top cells per axis
+    (each box side follows its cell count), and a radius."""
     n = draw(st.integers(1, 3))
-    m = 1 << draw(st.integers(0, (6, 4, 3)[n - 1]))
+    bits = tuple(draw(st.integers(0, (6, 4, 3)[n - 1])) for _ in range(n))
+    m = 1 << max(bits)
     r = draw(
         st.one_of(
             st.sampled_from([0, 0.5]),
@@ -64,42 +63,29 @@ def ball_cases(draw):
             st.floats(0, 2 * m + 2, allow_nan=False),
         )
     )
-    where = draw(st.sampled_from(["grid", "free", "sphere"]))
-    center = None
-    if where == "free":
-        coord = st.floats(-m - 4, 2 * m + 4, allow_nan=False)
-        center = tuple(draw(coord) for _ in range(n))
-    elif where == "sphere":
-        center = [draw(st.integers(0, m - 1)) + 0.5 for _ in range(n)]
-        center[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1])) * r
-        center = tuple(center)
-    return DyadicGrid((m.bit_length() - 1,) * n), r, center
+    return DyadicGrid(bits, side=tuple(Fraction(1 << b, m) for b in bits)), r
+
+
+# 16 x 1 square cells: the box center is (8, 1/2), so cell (i, 0) lies
+# |i + 1/2 - 8| from it, exactly 5/2 for i = 5 and i = 10
+_STRIP = DyadicGrid((4, 0), side=(1, Fraction(1, 16)))
 
 
 class TestDiscreteBall:
     @given(ball_cases())
-    @example((DyadicGrid((4, 4)), 5, (3.5, 4.5)))  # cell (0, 0) at exactly 5 = |(3, 4)|
-    @example((DyadicGrid((3, 3)), 0, None))  # empty ball
-    @example((DyadicGrid((2, 2)), 40.5, (1.0, 2.0)))  # ball larger than the grid
-    @example((DyadicGrid((3,)), 2.5, (-2.0,)))  # centre off the grid, reaching in
-    @example((DyadicGrid((2, 2, 2)), 1.5, (9.0, 0.5, 0.5)))  # off the grid, empty
+    @example((_STRIP, 2.5))  # cells at exactly r
+    @example((DyadicGrid((3, 3)), 0))  # empty ball
+    @example((DyadicGrid((2, 2)), 40.5))  # ball larger than the grid
+    @example((DyadicGrid((0, 3, 1), side=(Fraction(1, 8), 1, Fraction(1, 4))), 1.5))
     @settings(max_examples=300, deadline=None)
     def test_box_ball_equals_the_dense_formula(self, case):
-        grid, r, center = case
-        assert np.array_equal(discrete_ball(grid, r, center).mask, dense_ball(grid, r, center))
+        grid, r = case
+        assert np.array_equal(discrete_ball(grid, r).mask, dense_ball(grid, r))
 
     def test_sphere_cells_are_left_out(self):
         # the compare is strict: centres at distance exactly r are outside
-        g = DyadicGrid((4, 4))
-        ball = discrete_ball(g, 5, (3.5, 4.5))
-        on_sphere = [(0, 0), (6, 0), (7, 1), (8, 4), (3, 9)]
-        assert not any(ball.mask[c] for c in on_sphere)
-        assert ball.mask[3, 0] and ball.mask[7, 2]
-
-    @pytest.mark.parametrize("center", [(1.0,), (1.0, 2.0, 3.0)])
-    def test_center_of_the_wrong_length_raises(self, center):
-        with pytest.raises(ValueError, match="center needs 2 coordinates"):
-            discrete_ball(DyadicGrid((3, 3)), 2, center)
+        ball = discrete_ball(_STRIP, 2.5)
+        assert np.flatnonzero(ball.mask).tolist() == [6, 7, 8, 9]
 
     def test_small_ball_is_symmetric_about_corner(self):
         g = DyadicGrid((4, 4))

@@ -224,7 +224,8 @@ class TestFieldRoutes:
         assert np.array_equal(
             field_values(only), field_values(max_field_brute(f, basis, shapes=[(2, 2)]))
         )
-        with pytest.raises(InfeasibleError):
+        # only a caller's bug passes an empty family: a bad argument
+        with pytest.raises(ValueError, match="empty explicit shape list"):
             max_field_fast(f, basis, shapes=[])
 
     @given(dominance_cases())

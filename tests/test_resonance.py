@@ -162,7 +162,8 @@ class TestReplication:
         # the disk certificate needs E to hold the tile's E in every copy
         empty = GridSet(P.grid, np.zeros(P.grid.shape, dtype=bool))
         assert stage.tile.containment(empty, {key: P}) == {key: False}
-        off = DyadicGrid(stage.j, origin=(Fraction(1, 3), Fraction(0)))
+        # a box of another side, which no copy of the tile fills
+        off = DyadicGrid(stage.j, side=(Fraction(3, 2), Fraction(1)))
         moved = {key: GridSet(off, P.mask)}
         assert stage.tile.containment(GridSet(off, stage.E.mask), moved) == {key: False}
         assert stage.tile.containment(stage.E, moved) == {key: False}
@@ -260,7 +261,7 @@ class TestReplication:
         for tile, *grids in stages:
             assert grids.count(tile) == 1 and len(grids) == 2
             for grid in grids:
-                assert (grid.origin, grid.side) == (tile.origin, tile.side)
+                assert grid.side == tile.side
                 assert all(g >= t for g, t in zip(grid.resolution, tile.resolution))
 
 
@@ -463,17 +464,6 @@ class TestSquarePlan:
             p_sets = {key: p_final[key][i] for key in plan.basis_keys}
             got = s.tile.containment(e_final[i], p_sets)
             assert got == dict.fromkeys(plan.basis_keys, True)
-
-    def test_resolution_cap_names_achievable_depth(self):
-        f, pads = synthetic_resonance_input(PHI, 2, style="square")
-        # stage 1 fits the cap on 4x4 cells; stage 2 needs 32x32
-        with pytest.raises(
-            InfeasibleError,
-            match=r"^stage 2 needs resolution \(5, 5\) beyond cap 2; achievable depth is 1$",
-        ):
-            build_resonance_function(
-                f, [BasisSpec("axis", 2)], PHI, 2, pads=pads, resolution_cap=2
-            )
 
 
 class TestRearrangement:

@@ -43,32 +43,35 @@ from oracles import (
 PHI = log_power_growth(2)
 
 
-def loop_disk_core(grid, center, rho_sq):
+def loop_disk_core(grid, rho_sq):
     """Oracle: the farthest-corner test cell by cell, in Fractions."""
     cs = grid.cell_size
+    center = [s / 2 for s in grid.side]
     mask = np.zeros(grid.shape, dtype=bool)
     for idx in np.ndindex(*grid.shape):
         d2 = Fraction(0)
         for j, i in enumerate(idx):
-            lo = grid.origin[j] + i * cs[j]
+            lo = i * cs[j]
             hi = lo + cs[j]
             d2 += max(abs(lo - center[j]), abs(hi - center[j])) ** 2
         mask[idx] = d2 <= rho_sq
     return mask
 
 
-def loop_inscribed_radius_sq(E, center):
-    """Oracle: the nearest-point distance cell by cell, in Fractions; the
-    least over cells outside E, or None when no cell is outside."""
+def loop_inscribed_radius_sq(E):
+    """Oracle: the nearest-point distance to the box center cell by cell,
+    in Fractions; the least over cells outside E, or None when no cell is
+    outside."""
     grid = E.grid
     cs = grid.cell_size
+    center = [s / 2 for s in grid.side]
     best = None
     for idx in np.ndindex(*grid.shape):
         if E.mask[idx]:
             continue
         d2 = Fraction(0)
         for j, i in enumerate(idx):
-            lo = grid.origin[j] + i * cs[j]
+            lo = i * cs[j]
             hi = lo + cs[j]
             if center[j] < lo:
                 d2 += (lo - center[j]) ** 2
@@ -81,14 +84,12 @@ def loop_inscribed_radius_sq(E, center):
 
 def _cell_center(grid, idx):
     """The cell's exact center, as floats."""
-    cells = zip(grid.origin, idx, grid.cell_size)
-    return [float(o + (i + Fraction(1, 2)) * c) for o, i, c in cells]
+    return [float((i + Fraction(1, 2)) * c) for i, c in zip(idx, grid.cell_size)]
 
 
 def loop_rotation_preimage(tile_grid, U, gamma, margin):
     """Oracle: the point location cell by cell, in Python floats."""
     fine = U.grid
-    ox, oy = (float(v) for v in fine.origin)
     cw, ch = (float(v) for v in fine.cell_size)
     nx, ny = fine.shape
     ccx, ccy = (float(v) for v in _box_center(tile_grid))
@@ -99,12 +100,12 @@ def loop_rotation_preimage(tile_grid, U, gamma, margin):
         dx, dy = px - ccx, py - ccy
         x = ccx + cg * dx - sg * dy
         y = ccy + sg * dx + cg * dy
-        i = math.floor((x - ox) / cw)
-        j = math.floor((y - oy) / ch)
+        i = math.floor(x / cw)
+        j = math.floor(y / ch)
         if not (0 <= i < nx and 0 <= j < ny) or not U.mask[i, j]:
             continue
-        inx = min(x - (ox + i * cw), ox + (i + 1) * cw - x)
-        iny = min(y - (oy + j * ch), oy + (j + 1) * ch - y)
+        inx = min(x - i * cw, (i + 1) * cw - x)
+        iny = min(y - j * ch, (j + 1) * ch - y)
         mask[idx] = inx > margin and iny > margin
     return mask
 
@@ -129,15 +130,14 @@ class TestGeometryHelpers:
     def test_inscribed_radius_exact(self):
         g = DyadicGrid((2, 2))
         E = central_block(g)
-        center = (Fraction(1, 2), Fraction(1, 2))
         # nearest non-E cell point is at distance 1/4 from the center
-        assert inscribed_radius_sq(E, center) == Fraction(1, 16)
+        assert inscribed_radius_sq(E) == Fraction(1, 16)
 
     def test_disk_core_is_inside_disk(self):
         g = DyadicGrid((4, 4))
         center = (Fraction(1, 2), Fraction(1, 2))
         rho_sq = Fraction(1, 16)
-        K = disk_core(g, center, rho_sq)
+        K = disk_core(g, rho_sq)
         assert K.popcount > 0
         # every corner of every core cell is within the radius
         for idx in __import__("numpy").argwhere(K.mask):
@@ -148,37 +148,35 @@ class TestGeometryHelpers:
                     assert x * x + y * y <= rho_sq
 
     @pytest.mark.parametrize(
-        "bits, origin, side, center, rho_sq",
+        "bits, side, rho_sq",
         [
-            # the witness case: square subcells about the box center
-            ((5, 5), None, None, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 16)),
-            # anisotropic, off-center, shifted box; rho^2 exactly at corners
-            ((3, 4), (Fraction(-1, 4), Fraction(3, 8)), (Fraction(1, 2), Fraction(2)),
-             (Fraction(1, 16), Fraction(11, 8)), Fraction(5, 16)),
-            # three axes, a center outside the box
-            ((2, 3, 1), None, (Fraction(1), Fraction(1, 2), Fraction(3, 4)),
-             (Fraction(5, 4), Fraction(0), Fraction(3, 8)), Fraction(2)),
+            # the witness case: square subcells of the unit box
+            ((5, 5), None, Fraction(1, 16)),
+            # anisotropic cells of a 1/2 x 2 box; rho^2 exactly at corners
+            # (1/8, 1/2) from the center
+            ((3, 4), (Fraction(1, 2), Fraction(2)), Fraction(17, 64)),
+            # three axes, an odd side
+            ((2, 3, 1), (Fraction(1), Fraction(1, 2), Fraction(3, 4)), Fraction(1, 4)),
             # coordinates far beyond int64 once scaled: object ints
-            ((2, 2), (Fraction(2**40), Fraction(0)), (Fraction(1, 2**30), Fraction(2**40)),
-             (Fraction(2**40), Fraction(2**39)), Fraction(2**78)),
+            ((2, 2), (Fraction(1, 2**30), Fraction(2**40)), Fraction(2**78)),
         ],
     )
-    def test_disk_core_matches_the_cell_loop(self, bits, origin, side, center, rho_sq):
-        g = DyadicGrid(bits, origin, side)
-        want = loop_disk_core(g, center, rho_sq)
-        assert want.any()
-        assert np.array_equal(disk_core(g, center, rho_sq).mask, want)
+    def test_disk_core_matches_the_cell_loop(self, bits, side, rho_sq):
+        g = DyadicGrid(bits, side=side)
+        want = loop_disk_core(g, rho_sq)
+        assert want.any() and not want.all()
+        assert np.array_equal(disk_core(g, rho_sq).mask, want)
         # the nearest-point distance shares the scaled walls: the largest
-        # disk about the same center that misses the box's corner cells
+        # disk about the center that misses the box's corner cells
         E = np.ones(g.shape, dtype=bool)
         E[np.ix_(*[[0, -1]] * g.n)] = False
         E = GridSet(g, E)
-        assert inscribed_radius_sq(E, center) == loop_inscribed_radius_sq(E, center) > 0
+        assert inscribed_radius_sq(E) == loop_inscribed_radius_sq(E) > 0
 
     def test_disk_core_empty_raises(self):
         g = DyadicGrid((1, 1))
         with pytest.raises(InfeasibleError):
-            disk_core(g, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 100))
+            disk_core(g, Fraction(1, 100))
 
 
 class TestAxisWitness:
@@ -268,8 +266,9 @@ class TestRotationCertificates:
         g = DyadicGrid((2, 2))
         w = build_tile_witness(g, [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1), PHI)
         assert w.verify(PHI)["containment_in_box"]
-        beside = DyadicGrid((2, 2), origin=(Fraction(1), Fraction(0)))
-        moved = dataclasses.replace(w, E=GridSet(beside, w.E.mask))
+        # a box of another side, which no copy of the tile fills
+        other = DyadicGrid((2, 2), side=(Fraction(3, 2), Fraction(1)))
+        moved = dataclasses.replace(w, E=GridSet(other, w.E.mask))
         checks = moved.verify(PHI)
         assert not checks["containment_in_box"]
         assert not checks["levelset_containment"]
@@ -311,13 +310,13 @@ class TestRotationCertificates:
         [
             DyadicGrid((5, 3)),
             DyadicGrid((3, 2), side=(Fraction(1, 4), Fraction(1, 8))),
-            DyadicGrid((4, 6), origin=(Fraction(-3, 8), Fraction(1, 3)), side=(Fraction(5, 7), 3)),
+            DyadicGrid((4, 6), side=(Fraction(5, 7), 3)),
         ],
     )
     def test_cell_centres_are_the_exact_centres_rounded_once(self, grid):
         # the vectorised centres against the Fraction of every centre
-        for ax, (o, c, s) in enumerate(zip(grid.origin, grid.cell_size, grid.shape)):
-            want = [float(o + (2 * i + 1) * c / 2) for i in range(s)]
+        for ax, (c, s) in enumerate(zip(grid.cell_size, grid.shape)):
+            want = [float((2 * i + 1) * c / 2) for i in range(s)]
             assert witness._cell_centres(grid, ax).tolist() == want
 
     def test_rotation_preimage_deterministic(self):
@@ -367,8 +366,8 @@ def _certificate_rectangle(K: GridSet, amp: Fraction, point):
     grid = K.grid
     nx, ny = grid.shape
     cw, ch = grid.cell_size
-    i = math.floor((point[0] - float(grid.origin[0])) / float(cw))
-    j = math.floor((point[1] - float(grid.origin[1])) / float(ch))
+    i = math.floor(point[0] / float(cw))
+    j = math.floor(point[1] / float(ch))
     S = np.zeros((nx + 1, ny + 1), dtype=np.int64)
     S[1:, 1:] = K.mask.cumsum(0).cumsum(1)
     widths = sorted(
@@ -405,11 +404,10 @@ def test_rotated_p_cells_pass_a_sampled_clipping_oracle(grid, amp):
     key = basis.describe()
     w = build_tile_witness(grid, [basis], amp, Fraction(1, 2), PHI)
     # the disk core the witness's U was computed from, rebuilt from E
-    center = _box_center(grid)
     fine = grid.refine(witness._square_refine_bits(grid, witness._REFINE_EXTRA))
-    K = disk_core(fine, center, inscribed_radius_sq(w.E, center))
+    K = disk_core(fine, inscribed_radius_sq(w.E))
     f = StepFunction.indicator(w.E, w.h)
-    cx, cy = (float(o + s / 2) for o, s in zip(grid.origin, grid.side))
+    cx, cy = (float(s / 2) for s in grid.side)
     cg, sg = math.cos(gamma), math.sin(gamma)
     cells = np.argwhere(w.p_sets[key].mask)
     assert len(cells) > 0
@@ -422,8 +420,8 @@ def test_rotated_p_cells_pass_a_sampled_clipping_oracle(grid, amp):
         (i0, j0), (a, b) = found
         sides = (a * K.grid.cell_size[0], b * K.grid.cell_size[1])
         assert sides[0] ** 2 + sides[1] ** 2 < w.trunc**2
-        ux = float(K.grid.origin[0] + (i0 + Fraction(a, 2)) * K.grid.cell_size[0]) - cx
-        uy = float(K.grid.origin[1] + (j0 + Fraction(b, 2)) * K.grid.cell_size[1]) - cy
+        ux = float((i0 + Fraction(a, 2)) * K.grid.cell_size[0]) - cx
+        uy = float((j0 + Fraction(b, 2)) * K.grid.cell_size[1]) - cy
         center = (cx + cg * ux - sg * uy, cy + sg * ux + cg * uy)
         assert rotated_average(f, center, sides, gamma) > 1 + 1e-9, tuple(idx)
 
@@ -717,7 +715,6 @@ def _replica(w, placement, E):
         return None
     grid = DyadicGrid(
         tuple(m + v.bit_length() - 1 for m, v in zip(w.grid.resolution, cells)),
-        w.grid.origin,
         tuple(s * r for s, (_, r) in zip(w.grid.side, placement)),
     )
     p_sets = {key: GridSet(grid, place(P.mask, placement)) for key, P in w.p_sets.items()}
