@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 invalid configuration (``ConfigError``), 3
 infeasible construction at the configured grid or depth (``InfeasibleError``),
 4 internal verification failure (``VerificationError``: an exact invariant
-re-check failed, which is always a bug).
+re-check failed, which is always a bug).  Every run computes afresh:
+there is no result cache, so exit 0 always means this run's artifacts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .config import ConfigError, ExperimentConfig, read_config_file
 from .grid import InfeasibleError, VerificationError
-from .reports import cache_key, cache_lookup, cache_store, write_report
+from .reports import write_report
 from . import experiments
 
 __all__ = ["main"]
@@ -27,18 +28,20 @@ _RUNNERS = {
     "maxfield": experiments.run_maxfield,
 }
 
-# per-subcommand defaults on top of ExperimentConfig's
+# per-subcommand defaults on top of ExperimentConfig's, each a field the
+# runner reads; zygmund and maxfield read one h sample
 _DEFAULTS = {
     "rearrange": {"style": "square", "depth": "2"},
     "zygmund": {"h_list": "4"},
     # a grid whose full field finishes in seconds; larger grids are bounded
     # by experiments.MAXFIELD_SHAPE_CELLS
-    "maxfield": {"grid_bits": "5"},
+    "maxfield": {"grid_bits": "5", "h_list": "4"},
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # one parser: every subcommand takes the same options
+    # one parser: every subcommand takes the same options, and
+    # ExperimentConfig refuses those its runner does not read
     parser = argparse.ArgumentParser(
         prog="gridhalo",
         description="Exact maximal-operator and resonance experiments on dyadic grids",
@@ -53,13 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-list", help="comma-separated truncation multipliers")
     parser.add_argument("--r-list", help="comma-separated ball radii in cells")
     parser.add_argument("--rotations", help="comma-separated rotations in degrees")
-    parser.add_argument("--use-cache", action="store_true")
     parser.add_argument(
         "--set",
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="override any config key",
+        help="set a config key the run reads",
     )
     return parser
 
@@ -97,15 +99,6 @@ def main(argv=None) -> int:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
 
-    # the cache is opt-in: a plain run computes no key and stores nothing
-    if args.use_cache:
-        key = cache_key(config.canonical_text())
-        cache_dir = f"{config.out}/.cache"
-        hit = cache_lookup(cache_dir, key, f"{config.out}/report.json")
-        if hit is not None:
-            print(f"cache hit {key[:12]}; report reused from {cache_dir}")
-            return 0
-
     try:
         report = _RUNNERS[args.command](config)
     except ConfigError as e:
@@ -125,9 +118,6 @@ def main(argv=None) -> int:
     if not report.all_verified():
         print("verification failure (bug): a checklist item failed", file=sys.stderr)
         return 4
-    # only verified reports are cached, so a hit never masks a failed run
-    if args.use_cache:
-        cache_store(cache_dir, key, paths["json"])
     return 0
 
 

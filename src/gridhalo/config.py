@@ -2,7 +2,9 @@
 
 Files hold ``key = value`` lines, ``#`` comments, and ``include PATH``
 lines (relative to the including file).  Later keys override earlier
-ones; command-line overrides are merged last.
+ones; command-line overrides are merged last.  A run takes only the
+fields its runner reads (``_READS``), plus ``out`` and ``n``: any other
+key is refused, so no setting is silently ignored.
 """
 
 from __future__ import annotations
@@ -13,7 +15,16 @@ from dataclasses import dataclass
 
 __all__ = ["ConfigError", "read_config_file", "ExperimentConfig"]
 
-_KINDS = ("halo", "lemmas", "zygmund", "resonance", "rearrange", "maxfield")
+# the fields each kind's runner reads; every kind also takes out, where its
+# artifacts go, and n, which the planar rule reads
+_READS = {
+    "halo": ("grid_bits", "h_list", "t_list", "r_list", "k", "growth_exponent"),
+    "lemmas": ("grid_bits", "h_list"),
+    "zygmund": ("depth", "style", "growth_exponent", "h_list", "k", "rotations_deg"),
+    "resonance": ("depth", "style", "growth_exponent", "k"),
+    "rearrange": ("depth", "style", "growth_exponent", "k"),
+    "maxfield": ("grid_bits", "h_list", "k"),
+}
 
 # the finest grid: cell indices along an axis, and the grid size 2^bits,
 # must fit int64
@@ -57,17 +68,27 @@ def _read_into(path: str, out: dict, seen: set) -> None:
 
 
 def _floats(text: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError as e:
-        raise ConfigError(f"bad number list: {text!r}") from e
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _ints(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError as e:
-        raise ConfigError(f"bad integer list: {text!r}") from e
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+# how each settable field parses from its text
+_PARSERS = {
+    "n": int,
+    "k": int,
+    "rotations_deg": _floats,
+    "grid_bits": int,
+    "h_list": _floats,
+    "t_list": _floats,
+    "r_list": _ints,
+    "depth": int,
+    "style": str,
+    "growth_exponent": int,
+    "out": str,
+}
 
 
 @dataclass(frozen=True)
@@ -86,7 +107,7 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _READS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.n < 1 or self.k < 1:
             raise ConfigError("n and k must be positive")
@@ -101,6 +122,10 @@ class ExperimentConfig:
             raise ConfigError("the halo band fit needs at least three h samples")
         if self.kind == "halo" and sorted(set(self.h_list)) != list(self.h_list):
             raise ConfigError("halo h samples must be strictly increasing")
+        if self.kind in ("zygmund", "maxfield") and len(self.h_list) > 1:
+            raise ConfigError(
+                f"{self.kind} reads one h sample, not the {len(self.h_list)} of h_list"
+            )
         for name in ("t_list", "r_list"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -127,39 +152,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, kind: str, mapping: dict) -> "ExperimentConfig":
-        mapping = dict(mapping)
+        """The configuration of a ``kind`` run from text values, refusing a
+        key that is no field and a field that the run would not read."""
+        if kind not in _READS:
+            raise ConfigError(f"unknown experiment kind {kind!r}")
+        unknown = sorted(set(mapping) - set(_PARSERS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        unread = sorted(set(mapping) - set(_READS[kind]) - {"out", "n"})
+        if unread:
+            raise ConfigError(f"{kind} runs do not read {', '.join(unread)}")
         kw = {"kind": kind}
-        simple = {
-            "n": int,
-            "k": int,
-            "grid_bits": int,
-            "depth": int,
-            "growth_exponent": int,
-            "out": str,
-            "style": str,
-        }
-        for name, conv in simple.items():
-            if name in mapping:
-                try:
-                    kw[name] = conv(mapping.pop(name))
-                except ValueError as e:
-                    raise ConfigError(f"bad value for {name}") from e
-        for name, conv in (
-            ("h_list", _floats),
-            ("t_list", _floats),
-            ("rotations_deg", _floats),
-            ("r_list", _ints),
-        ):
-            if name in mapping:
-                kw[name] = conv(str(mapping.pop(name)))
-        if mapping:
-            raise ConfigError(f"unknown config key(s): {', '.join(sorted(mapping))}")
+        for name, value in mapping.items():
+            try:
+                kw[name] = _PARSERS[name](str(value))
+            except ValueError as e:
+                raise ConfigError(f"bad value for {name}: {value!r}") from e
         return cls(**kw)
-
-    def canonical_text(self) -> str:
-        """Stable text form, used for content-hash caching."""
-        items = []
-        for name in sorted(self.__dataclass_fields__):
-            if name != "out":
-                items.append(f"{name}={getattr(self, name)!r}")
-        return "\n".join(items)

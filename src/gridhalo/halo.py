@@ -150,14 +150,28 @@ def halo_estimate(
 
 
 def halo_fit(h_samples, phi_values, model_exponent: int) -> tuple[float, float]:
-    """Band of Phi(h) / (h (1+ln h)^exponent) over the sweep."""
+    """Band of Phi(h) / (h (1+ln h)^exponent) over the sweep; an
+    ``InfeasibleError`` when the model's scale passes the float range."""
     hs = [float(h) for h in h_samples]
     ps = [float(p) for p in phi_values]
     if len(hs) != len(ps) or len(hs) < 3:
         raise ValueError("need at least three matched samples")
     if any(h <= 1 for h in hs):
         raise ValueError("samples need h > 1")
-    ratios = [p / (h * (1 + math.log(h)) ** model_exponent) for h, p in zip(hs, ps)]
+    ratios = []
+    for h, p in zip(hs, ps):
+        # past the float range the power raises OverflowError, or its
+        # product with h rounds to inf: either way the band is out of reach
+        try:
+            scale = h * (1 + math.log(h)) ** model_exponent
+        except OverflowError:
+            scale = math.inf
+        if scale == math.inf:
+            raise InfeasibleError(
+                f"the band model h (1 + ln h)^{model_exponent} overflows a float at "
+                f"h={h:g}; use a smaller growth_exponent"
+            )
+        ratios.append(p / scale)
     if min(ratios) <= 0:
         raise ValueError("non-positive halo estimate")
     return min(ratios), max(ratios)

@@ -2,12 +2,8 @@
 
 Given the same configuration, the CSV/JSON/gnuplot artifacts are
 byte-identical; wall-clock timings therefore go to a separate sidecar
-that carries no determinism guarantee.  The result cache is opt-in
-(``--use-cache``) and advisory: it is keyed on a sha256 of the package
-sources and the configuration, a hit is trusted only while the output
-directory still holds the cached report, and a stale or missing cache
-merely costs a recompute.  A run without the cache hashes nothing, so
-``hashlib`` (and the OpenSSL it loads) is imported only here, on use.
+that carries no determinism guarantee.  Every run writes its artifacts
+afresh; nothing is cached between runs.
 """
 
 from __future__ import annotations
@@ -17,13 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-__all__ = [
-    "RunReport",
-    "write_report",
-    "cache_key",
-    "cache_lookup",
-    "cache_store",
-]
+__all__ = ["RunReport", "write_report"]
 
 
 @dataclass
@@ -110,49 +100,3 @@ def _report_text(report: RunReport) -> str:
     doc = report.to_json_doc()
     return json.dumps(doc, indent=2, sort_keys=True, default=_stringify) + "\n"
 
-
-def _source_digest() -> str:
-    """sha256 over the package's Python sources, so other code never hits."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    root = os.path.dirname(os.path.abspath(__file__))
-    for name in sorted(os.listdir(root)):
-        if name.endswith(".py"):
-            with open(os.path.join(root, name), "rb") as fh:
-                digest.update(f"{name}\0".encode() + fh.read() + b"\0")
-    return digest.hexdigest()
-
-
-def cache_key(config_text: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(f"{_source_digest()}\n{config_text}".encode()).hexdigest()
-
-
-def _cache_path(cache_dir: str, key: str) -> str:
-    return os.path.join(cache_dir, f"{key}.json")
-
-
-def cache_lookup(cache_dir: str, key: str, report_path: str):
-    """The cached report text for ``key``, trusted only while the report at
-    ``report_path`` still equals it (another run into the same directory
-    rewrites the artifacts); None otherwise."""
-    texts = []
-    for path in (_cache_path(cache_dir, key), report_path):
-        try:
-            with open(path) as fh:
-                texts.append(fh.read())
-        except OSError:
-            return None
-    return texts[0] if texts[0] == texts[1] else None
-
-
-def cache_store(cache_dir: str, key: str, report_path: str) -> None:
-    """Cache the report ``write_report`` wrote to ``report_path`` under
-    ``key``, as its bytes, which is what ``cache_lookup`` compares."""
-    with open(report_path) as fh:
-        text = fh.read()
-    os.makedirs(cache_dir, exist_ok=True)
-    with open(_cache_path(cache_dir, key), "w") as fh:
-        fh.write(text)

@@ -1,8 +1,8 @@
 """Every name a module exports resolves, so deletions leave no dead
 exports, no module imports a name it never reads, every name the
-benchmark tracer reads is still there, every config field is read by a
-runner, and the package raises three exception classes, one per CLI exit
-code, which the CLI catches by name."""
+benchmark tracer reads is still there, each runner reads exactly the
+config fields its kind accepts, and the package raises three exception
+classes, one per CLI exit code, which the CLI catches by name."""
 
 import ast
 import builtins
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import gridhalo
-from gridhalo import cli, maxop
+from gridhalo import cli, config, experiments, maxop
 from gridhalo.config import ExperimentConfig
 from gridhalo.grid import DyadicGrid, GridSet, StepFunction
 
@@ -78,21 +78,42 @@ def test_the_benchmark_tracer_finds_what_it_reads():
         assert hooked <= set(inspect.signature(getattr(maxop, name)).parameters)
 
 
+def _fields_read(kind):
+    """The config fields the ``kind`` runner reads, in its own body and in
+    every private helper of ``experiments`` that it calls, transitively;
+    ``_meta`` only copies fields into report.json, which selects nothing."""
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    read, seen, todo = set(), {"_meta"}, [cli._RUNNERS[kind].__name__]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "config":
+                    read.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id.startswith("_") and node.id in defs:
+                todo.append(node.id)
+    return read
+
+
+@pytest.mark.parametrize("kind", sorted(cli._RUNNERS))
+def test_each_runner_reads_exactly_its_declared_fields(kind):
+    # the read table decides which keys a run accepts, so a field the
+    # runner reads but the table lacks could not be set, and one the table
+    # lists but the runner never reads would be silently ignored; out is a
+    # path, n every kind takes (the planar rule reads it), kind picks the
+    # runner in cli
+    assert _fields_read(kind) - {"kind", "out", "n"} == set(config._READS[kind])
+
+
 def test_every_config_field_is_read_by_a_runner():
-    # a field that only _meta copies into report.json selects nothing; kind
-    # picks the runner in cli, and out is a path, not a setting
-    tree = ast.parse(Path(importlib.import_module("gridhalo.experiments").__file__).read_text())
-    read = {
-        node.attr
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef) and fn.name != "_meta"
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "config"
-    }
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind", "out"}
-    assert not fields - read, f"config fields no runner reads: {sorted(fields - read)}"
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(config._PARSERS) == fields - {"kind"}
+    unread = fields - {"kind", "out", "n"} - set().union(*config._READS.values())
+    assert not unread, f"config fields no runner reads: {sorted(unread)}"
 
 
 # the CLI exits 2, 3 and 4 on these

@@ -8,11 +8,10 @@ import sys
 import pytest
 
 import gridhalo
-from gridhalo import cli, experiments, maxop
+from gridhalo import cli, config, experiments, maxop
 from gridhalo.cli import main
 from gridhalo.config import ConfigError, ExperimentConfig, read_config_file
 from gridhalo.grid import DyadicGrid, StepFunction
-from gridhalo.reports import RunReport
 
 
 class TestConfigFile:
@@ -52,7 +51,6 @@ class TestExperimentConfig:
     def test_defaults_and_round_trip(self):
         c = ExperimentConfig.from_mapping("halo", {"grid_bits": "6"})
         assert c.grid_bits == 6
-        assert "grid_bits=6" in c.canonical_text()
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -74,11 +72,6 @@ class TestExperimentConfig:
         assert "unknown config key(s): deph" in capsys.readouterr().err
         assert main(["halo", "--set", "use_ladder=false"]) == 2
         assert "unknown config key(s): use_ladder" in capsys.readouterr().err
-
-    def test_out_excluded_from_cache_identity(self):
-        a = ExperimentConfig.from_mapping("halo", {"out": "x"})
-        b = ExperimentConfig.from_mapping("halo", {"out": "y"})
-        assert a.canonical_text() == b.canonical_text()
 
 
 def _run(argv):
@@ -162,6 +155,24 @@ class TestCli:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
+        "exponent, h, overflow",
+        [(400, 256, "(1 + ln h)^399"), (376, 256, "(1 + ln h)^375")],
+    )
+    def test_halo_band_model_past_the_float_range_exits_3(
+        self, exponent, h, overflow, tmp_path, capsys
+    ):
+        # at h = 256 the power overflows (exponent 400: OverflowError), or
+        # the product with h rounds to inf and the band ratio to 0 (exponent
+        # 376: "non-positive halo estimate"); both exited 1 with a traceback
+        argv = ["halo", "--grid", "9", "--h-list", "4,64,256"]
+        assert _run([*argv, "--set", f"growth_exponent={exponent}", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"infeasible: the band model h {overflow} overflows a float at h={h}; "
+            "use a smaller growth_exponent\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "rotations, named",
         [("22.5,22.50001", ("22.5 and 22.50001", "I^2(gamma=0.392699)")), ("0,0", ("0.0 and 0.0", "I^2(gamma=0)"))],
     )
@@ -219,7 +230,7 @@ class TestCli:
             raise Reached(len(shapes) * f.grid.total_cells)
 
         monkeypatch.setattr(experiments, "max_field_fast", stop)
-        config = ExperimentConfig.from_mapping("maxfield", {"grid_bits": "7"})
+        config = ExperimentConfig.from_mapping("maxfield", {"grid_bits": "7", "h_list": "4"})
         with pytest.raises(Reached) as hit:
             experiments.run_maxfield(config)
         assert hit.value.args[0] == 2**28 <= experiments.MAXFIELD_SHAPE_CELLS
@@ -274,27 +285,6 @@ class TestCli:
             a = open(os.path.join(outs[0], fname), "rb").read()
             b = open(os.path.join(outs[1], fname), "rb").read()
             assert a == b, fname
-
-    def test_cache_hit_short_circuits(self, tmp_path, capsys):
-        out = str(tmp_path / "o")
-        assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 0
-        capsys.readouterr()
-        assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 0
-        assert "cache hit" in capsys.readouterr().out
-
-    def test_cache_hit_needs_the_cached_report_in_out(self, tmp_path, capsys):
-        # a run into the same --out rewrites the artifacts, so the grid 4
-        # report cached first is no longer what --out holds on the third run
-        out = str(tmp_path / "o")
-        for grid in ("4", "5", "4"):
-            capsys.readouterr()
-            assert _run(["maxfield", "--grid", grid, "--out", out, "--use-cache"]) == 0
-        assert "cache hit" not in capsys.readouterr().out
-        doc = json.loads(open(os.path.join(out, "report.json")).read())
-        assert doc["rows"][0]["grid"] == "16x16"
-        assert open(os.path.join(out, "field.txt")).readlines()[1] == "2 4 4\n"
-        assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 0
-        assert "cache hit" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
@@ -375,10 +365,17 @@ class TestCli:
 
     @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
     def test_grid_past_62_bits_exits_2(self, command, tmp_path, capsys):
-        # cell indices are int64; halo --grid 63 overflowed there (exit 1)
-        assert ExperimentConfig.from_mapping(command, {"grid_bits": "62"}).grid_bits == 62
+        # cell indices are int64; halo --grid 63 overflowed there (exit 1);
+        # the staged runs build their grids from the depth, so they refuse
+        # any --grid as a setting they would not read
         assert _run([command, "--grid", "63", "--out", str(tmp_path)]) == 2
-        assert "above 62 bits per axis" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if command in ("resonance", "zygmund", "rearrange"):
+            assert f"invalid config: {command} runs do not read grid_bits\n" == err
+        else:
+            mapping = dict(cli._DEFAULTS.get(command, {}), grid_bits="62")
+            assert ExperimentConfig.from_mapping(command, mapping).grid_bits == 62
+            assert "above 62 bits per axis" in err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("n,bits", [(1, 5), (3, 3)])
@@ -408,33 +405,6 @@ class TestCli:
         monkeypatch.setattr(experiments, "max_field_brute", tampered)
         assert _run(["maxfield", "--grid", "3", "--out", str(tmp_path)]) == 4
         assert "FAIL routes_agree" in capsys.readouterr().out
-
-    def test_failed_run_is_not_cached(self, tmp_path, monkeypatch, capsys):
-        def failing(config):
-            report = RunReport("maxfield", {})
-            report.check("always_fails", False)
-            return report
-
-        monkeypatch.setitem(cli._RUNNERS, "maxfield", failing)
-        out = str(tmp_path / "o")
-        assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 4
-        capsys.readouterr()
-        assert not os.path.exists(os.path.join(out, ".cache"))
-        assert _run(["maxfield", "--grid", "4", "--out", out, "--use-cache"]) == 4
-        assert "cache hit" not in capsys.readouterr().out
-
-    def test_cache_stores_then_hits_and_a_plain_run_stores_nothing(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        argv = ["maxfield", "--grid", "4", "--out", str(out)]
-        assert _run(argv) == 0
-        assert not (out / ".cache").exists()
-        capsys.readouterr()
-        assert _run([*argv, "--use-cache"]) == 0
-        assert "cache hit" not in capsys.readouterr().out
-        (stored,) = (out / ".cache").iterdir()
-        assert stored.read_bytes() == (out / "report.json").read_bytes()
-        assert _run([*argv, "--use-cache"]) == 0
-        assert f"cache hit {stored.stem[:12]}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("style", ["square", "deep"])
     def test_rearrange_depth_1_is_infeasible(self, style, tmp_path, capsys):
@@ -492,14 +462,12 @@ _FLAGS = [
     (["--t-list", "2,inf"], "t_list", "2,inf"),
     (["--r-list", "1,2"], "r_list", "1,2"),
     (["--rotations", "0,45"], "rotations", "0,45"),
-    (["--use-cache"], "use_cache", True),
     (["--set", "k=2", "--set", "n=2"], "set", ["k=2", "n=2"]),
 ]
 _UNSET = {
     "config": None, "grid": None, "out": None,
     "depth": None, "style": None, "h_list": None, "t_list": None,
-    "r_list": None, "rotations": None,
-    "use_cache": False, "set": [],
+    "r_list": None, "rotations": None, "set": [],
 }
 
 
@@ -526,6 +494,8 @@ class TestParser:
             # no run draws a random number, so there is no seed to set
             ["halo", "--seed", "3"],
             ["halo", "--set", "seed=1"],
+            # there is no result cache to use
+            ["maxfield", "--use-cache"],
         ],
     )
     def test_bad_arguments_exit_2(self, argv, tmp_path, monkeypatch, capsys):
@@ -536,6 +506,90 @@ class TestParser:
             code = exc.code
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+
+# a valid value for every field a run may refuse, and the flag that sets
+# it where there is one; k and growth_exponent are set by --set alone
+_VALUES = {
+    "k": "2",
+    "rotations_deg": "0,45",
+    "grid_bits": "5",
+    "h_list": "4",
+    "t_list": "inf",
+    "r_list": "1",
+    "depth": "2",
+    "style": "deep",
+    "growth_exponent": "2",
+}
+_FLAG_OF = {
+    "grid_bits": "--grid",
+    "depth": "--depth",
+    "style": "--style",
+    "h_list": "--h-list",
+    "t_list": "--t-list",
+    "r_list": "--r-list",
+    "rotations_deg": "--rotations",
+}
+_UNREAD = [
+    (kind, name, route)
+    for kind in sorted(cli._RUNNERS)
+    for name in sorted(set(_VALUES) - set(config._READS[kind]))
+    for route in ("flag", "set", "config")
+    if route != "flag" or name in _FLAG_OF
+]
+
+
+class TestReadFields:
+    def test_every_field_but_out_and_n_has_a_test_value(self):
+        assert set(_VALUES) == set(config._PARSERS) - {"out", "n"}
+
+    @pytest.mark.parametrize("kind, name, route", _UNREAD)
+    def test_a_field_the_runner_does_not_read_exits_2(self, kind, name, route, tmp_path, capsys):
+        # the run would ignore the setting, so it is refused by name
+        value = _VALUES[name]
+        if route == "flag":
+            argv = [_FLAG_OF[name], value]
+        elif route == "set":
+            argv = ["--set", f"{name}={value}"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{name} = {value}\n")
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "o"
+        assert main([kind, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid config: {kind} runs do not read {name}\n"
+        assert not out.exists()
+
+    def test_every_unread_field_is_named(self, capsys):
+        argv = ["resonance", "--grid", "4", "--h-list", "2", "--t-list", "3", "--rotations", "10"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "invalid config: resonance runs do not read grid_bits, h_list, rotations_deg, t_list\n"
+        )
+
+    @pytest.mark.parametrize("kind", sorted(cli._RUNNERS))
+    def test_every_read_field_is_accepted(self, kind):
+        # each read field set at once, out and n too
+        mapping = {name: _VALUES[name] for name in config._READS[kind]}
+        if kind == "halo":
+            mapping["h_list"] = "4,8,16"
+        c = ExperimentConfig.from_mapping(kind, dict(mapping, out="o", n="2"))
+        assert (c.kind, c.out, c.n) == (kind, "o", 2)
+
+    @pytest.mark.parametrize("kind", sorted(cli._DEFAULTS))
+    def test_each_default_is_read_and_runs(self, kind, tmp_path):
+        assert set(cli._DEFAULTS[kind]) <= set(config._READS[kind])
+        assert main([kind, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["zygmund", "--depth", "3", "--h-list", "4,8"], ["maxfield", "--h-list", "2,3"]]
+    )
+    def test_a_second_h_sample_exits_2(self, argv, tmp_path, capsys):
+        # zygmund and maxfield read h_list[0] alone, so a second sample
+        # would be silently ignored
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid config: {argv[0]} reads one h sample, not the 2 of h_list\n"
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestHaloSampleLists:
@@ -591,7 +645,7 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 
 def test_plain_run_imports_no_hashlib_and_writes_no_cache(tmp_path):
-    # only --use-cache hashes, and hashlib loads OpenSSL into every process
+    # no halo run hashes, and hashlib loads OpenSSL into every process
     code = (
         "import sys\nfrom gridhalo import cli\n"
         f"rc = cli.main(['halo', '--grid', '4', '--h-list', '2,4,8', '--out', {str(tmp_path)!r}])\n"
