@@ -29,9 +29,11 @@ _RUNNERS = {
 }
 
 # per-subcommand defaults on top of ExperimentConfig's, each a field the
-# runner reads; zygmund and maxfield read one h sample
+# runner reads; zygmund and maxfield read one h sample, and lemmas refuses
+# h >= 8 on every grid, its level set reaching too near the walls
 _DEFAULTS = {
     "rearrange": {"style": "square", "depth": "2"},
+    "lemmas": {"h_list": "4"},
     "zygmund": {"h_list": "4"},
     # a grid whose full field finishes in seconds; larger grids are bounded
     # by experiments.MAXFIELD_SHAPE_CELLS

@@ -129,6 +129,14 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
             f"axis needs a rectangle of {w}x{w} cells, above the bound "
             f"{LEMMAS_RECT_CELLS}; use a smaller --grid"
         )
+    # keep the level set, whose arms reach a few h rectangle-lengths, off the walls
+    too_big = [h for h in config.h_list if h * w * 8 >= grid.shape[0]]
+    if too_big:
+        raise InfeasibleError(
+            f"the grid with 2^{config.grid_bits} cells per axis is too small for "
+            f"the level-set growth check at h = {', '.join(f'{h:g}' for h in too_big)}: "
+            f"it needs h * {8 * w} < {grid.shape[0]}; use a finer grid or a smaller h"
+        )
     all_close = True
     for n, h in _L9_CASES:
         value = lemma9_integral(n, h)
@@ -150,19 +158,7 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
     lo = grid.shape[0] // 2 - w // 2
     rect = AxisRect((lo, lo), (lo + w, lo + w))
     ladder = dyadic_ladder(max(grid.shape))
-    # keep the level set well inside the box: its arms extend a few h
-    # rectangle-lengths from the center
-    h_sweep = [h for h in config.h_list if h * w * 8 < grid.shape[0]]
-    if not h_sweep:
-        fallback = grid.shape[0] / (16 * w)
-        if fallback <= 1:
-            raise InfeasibleError(
-                f"the grid with 2^{config.grid_bits} cells per axis is too small for "
-                f"the level-set growth check: its sweep value h = {fallback:g} is not "
-                f"above 1; use a finer grid"
-            )
-        h_sweep = [fallback]
-    h_sweep = [float(h) for h in h_sweep[:3]]
+    h_sweep = [float(h) for h in config.h_list]
     ok10 = True
     for h, res in zip(h_sweep, lemma10_levelset_measure(rect, h_sweep, 2, grid, ladder=ladder)):
         ok10 &= res.ratio_exponent_km1 > 0

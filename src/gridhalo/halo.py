@@ -21,6 +21,7 @@ evaluated, and only near the ball.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,22 +182,49 @@ def halo_fit(h_samples, phi_values, model_exponent: int) -> tuple[float, float]:
 _LEMMA9_TOL = 1e-10
 
 
+@functools.cache
+def _gauss_nodes():
+    """The (node, weight) pairs of the 7- and 15-point Gauss-Legendre rules on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss  # on first use: only lemmas needs it
+    return tuple(list(zip(x.tolist(), w.tolist())) for x, w in map(leggauss, (7, 15)))
+
+
+def _gauss_quad(f, a: float, b: float) -> float:
+    """Integral of f over [a, b] to ``_LEMMA9_TOL``, absolute or relative.
+
+    Each panel is integrated by the 7- and 15-point Gauss rules: its value
+    is the 15-point sum and its error estimate the difference of the two.
+    The panel with the largest estimate is bisected (the QAG scheme of
+    QUADPACK) until the total estimate meets the tolerance or 200 panels
+    are reached; an estimate still far above it is an ``InfeasibleError``."""
+    import heapq
+
+    def panel(lo: float, hi: float):
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        g7, g15 = (half * sum(w * f(mid + half * x) for x, w in rule) for rule in _gauss_nodes())
+        return -abs(g15 - g7), lo, hi, g15
+
+    heap = [panel(a, b)]
+    while True:
+        val, err = math.fsum(p[3] for p in heap), -math.fsum(p[0] for p in heap)
+        if err <= max(_LEMMA9_TOL, _LEMMA9_TOL * abs(val)) or len(heap) >= 200:
+            break
+        _, lo, hi, _ = heapq.heappop(heap)
+        heapq.heappush(heap, panel(lo, (lo + hi) / 2))
+        heapq.heappush(heap, panel((lo + hi) / 2, hi))
+    if err > max(_LEMMA9_TOL * 100, abs(val) * 1e-6):
+        raise InfeasibleError(f"estimated error {err} too large for tolerance {_LEMMA9_TOL}")
+    return val
+
+
 def _log_region_integral(n: int, h: float) -> float:
     """Integral of 1/(x_1...x_n) over {x_j > 1, prod x_j < h}, by the
     one-variable Fubini recursion, to ``_LEMMA9_TOL``."""
-    from scipy.integrate import quad  # on first use: most of the import time
     if n == 1:
         return math.log(h)
     if h <= 1:
         return 0.0
-
-    def integrand(t: float) -> float:
-        return _log_region_integral(n - 1, h / t) / t
-
-    val, err = quad(integrand, 1.0, h, epsabs=_LEMMA9_TOL, epsrel=_LEMMA9_TOL, limit=200)
-    if err > max(_LEMMA9_TOL * 100, abs(val) * 1e-6):
-        raise InfeasibleError(f"estimated error {err} too large for tolerance {_LEMMA9_TOL}")
-    return val
+    return _gauss_quad(lambda t: _log_region_integral(n - 1, h / t) / t, 1.0, h)
 
 
 def lemma9_integral(n: int, h: float) -> float:

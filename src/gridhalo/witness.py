@@ -63,7 +63,9 @@ import numpy as np
 from .grid import DyadicGrid, GridSet, InfeasibleError, StepFunction, VerificationError
 from .maxop import (
     BasisSpec,
+    _embed,
     _exceeds,
+    _paint,
     _summed_area,
     _winners,
     dyadic_ladder,
@@ -340,20 +342,11 @@ def _placements_hold(w) -> bool:
 
 
 def _cover(w) -> np.ndarray:
-    """The tile cells that w's placements cover, from a difference array on
-    the tile: each rectangle, clipped to the tile, adds +-1 at its 2^n
-    corners, and prefix sums along every axis count the rectangles over
-    each cell."""
-    n, shape = w.grid.n, w.grid.shape
-    index, low = w.placements[:, 0], w.placements[:, 1:]
-    size = np.array(w.shapes, dtype=np.int64).reshape(-1, n)[index]
-    walls = np.clip(low, 0, shape), np.clip(low + size, 0, shape)
-    diff = np.zeros([s + 1 for s in shape], dtype=np.int64)
-    for far in itertools.product((0, 1), repeat=n):
-        np.add.at(diff, tuple(walls[f][:, ax] for ax, f in enumerate(far)), (-1) ** sum(far))
-    for ax in range(n):
-        np.cumsum(diff, axis=ax, out=diff)
-    return diff[tuple(slice(0, s) for s in shape)] > 0
+    """The tile cells that w's placements cover: each placement is a run
+    of one for ``maxop._paint``, clipped to the tile."""
+    shape, index, low = w.grid.shape, w.placements[:, 0], w.placements[:, 1:]
+    widths = np.array(w.shapes, dtype=np.int64).reshape(-1, w.grid.n)
+    return _embed(shape, *_paint(shape, widths, index, low, np.ones(len(low), dtype=np.int64)))
 
 
 def _certified_sets(w) -> dict:

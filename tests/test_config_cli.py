@@ -323,7 +323,7 @@ class TestCli:
 
     @pytest.mark.parametrize("bits", [3, 4])
     def test_lemmas_on_a_small_grid_exits_3(self, bits, tmp_path, capsys):
-        # the fallback sweep value 2^bits / 16 is not above 1 there
+        # the default h = 4 needs 4 * 8 < 2^bits for the rectangle's level set
         assert _run(["lemmas", "--grid", str(bits), "--out", str(tmp_path)]) == 3
         assert f"grid with 2^{bits} cells per axis is too small" in capsys.readouterr().err
 
@@ -353,6 +353,37 @@ class TestCli:
         assert dat[0] == "# n h value closed_form rel_err ratio_exponent_km1"
         assert all(line.split()[-1] == "nan" for line in dat[1:10])
         assert all(line.split()[-1] != "nan" for line in dat[10:])
+
+    def test_lemmas_uses_every_h(self, tmp_path):
+        # one placement pass serves every h, so none is dropped
+        argv = ["lemmas", "--grid", "8", "--h-list", "2,3,4,5", "--out", str(tmp_path)]
+        assert _run(argv) == 0
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert [r["h"] for r in rows if r["check"] == "levelset_growth"] == [2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("h_list", ["4,100", "100"])
+    def test_lemmas_h_past_the_grid_exits_3(self, h_list, tmp_path, capsys):
+        # h = 100 on the 1024-cell axis needs 100 * 128 < 1024: it is refused
+        # by name before any work, not dropped or replaced
+        assert _run(["lemmas", "--h-list", h_list, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "grid with 2^10 cells per axis is too small" in err
+        assert "at h = 100:" in err and "h * 128 < 1024" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_default_lemmas_levelset_row(self, tmp_path):
+        assert _run(["lemmas", "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        (row,) = [r for r in rows if r["check"] == "levelset_growth"]
+        del row["closed_form"], row["rel_err"]  # nan
+        assert row == {
+            "check": "levelset_growth",
+            "n": 2,
+            "h": 4.0,
+            "value": 0.002559661865234375,
+            "ratio_exponent_km1": 1.0983949812335463,
+            "normalization_ok": False,
+        }
 
     @pytest.mark.parametrize("bits", ["32", "62"])
     def test_halo_past_32_bits_equals_the_10_bit_run(self, bits, tmp_path):
@@ -642,6 +673,36 @@ def test_cli_import_leaves_out_scipy_integrate():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_and_the_gauss_nodes():
+    # numpy.polynomial serves the lemmas quadrature alone
+    code = (
+        "import sys, gridhalo.cli\n"
+        "print(sorted(m for m in ('scipy', 'numpy.polynomial') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(gridhalo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_lemmas_run_imports_no_scipy_and_no_hashlib(tmp_path):
+    # the Gauss nodes come from numpy.polynomial, which loads neither
+    code = (
+        "import sys\nfrom gridhalo import cli\n"
+        f"rc = cli.main(['lemmas', '--grid', '8', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, 'numpy.polynomial' in sys.modules, 'scipy' in sys.modules,"
+        " '_hashlib' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gridhalo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 True False False"
 
 
 def test_plain_run_imports_no_hashlib_and_writes_no_cache(tmp_path):

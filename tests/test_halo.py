@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from gridhalo.config import ExperimentConfig
 from gridhalo.experiments import run_halo
 from gridhalo.grid import AxisRect, DyadicGrid, GridSet, InfeasibleError, StepFunction
 from gridhalo.halo import (
+    _gauss_quad,
     discrete_ball,
     halo_estimate,
     halo_fit,
@@ -307,6 +309,45 @@ class TestLogRegionIntegral:
                 value = lemma9_integral(n, h)
                 closed = math.log(h) ** n / math.factorial(n)
                 assert value == pytest.approx(closed, rel=1e-6)
+
+    def test_rule_agrees_with_scipy_quad(self):
+        # the same Fubini recursion on scipy's QUADPACK quad, the oracle
+        def quad(n, h):
+            if n == 1:
+                return math.log(h)
+            val, _ = scipy.integrate.quad(
+                lambda t: quad(n - 1, h / t) / t, 1.0, h, epsabs=1e-10, epsrel=1e-10, limit=200
+            )
+            return val
+
+        for n in (1, 2, 3):
+            for h in (math.e, math.e**2, 10.0):
+                assert lemma9_integral(n, h) == pytest.approx(quad(n, h), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "f, a, b, exact",
+        [
+            # x^6 / 2 - x^3 / 3 + 7 x from -1 to 2
+            (lambda x: 3 * x**5 - x**2 + 7, -1.0, 2.0, 49.5),
+            (math.exp, 0.0, 3.0, math.expm1(3.0)),
+            (lambda t: 1 / t, 1.0, 10.0, math.log(10.0)),
+            (lambda t: 1 / t, 1.0, 1e6, math.log(1e6)),
+            # a peak of height 1000 and width about 0.03 at 0.3
+            (
+                lambda x: 1 / (1e-3 + (x - 0.3) ** 2),
+                0.0,
+                1.0,
+                (math.atan(0.7 / 1e-3**0.5) + math.atan(0.3 / 1e-3**0.5)) / 1e-3**0.5,
+            ),
+        ],
+    )
+    def test_rule_reaches_the_tolerance_on_known_integrals(self, f, a, b, exact):
+        assert abs(_gauss_quad(f, a, b) - exact) <= 1e-10 * max(1.0, abs(exact))
+
+    def test_rule_refuses_an_integrand_it_cannot_resolve(self):
+        # 16 million periods: 200 panels leave an error estimate near 1e-2
+        with pytest.raises(InfeasibleError, match="estimated error"):
+            _gauss_quad(lambda x: math.sin(1e8 * x), 0.0, 1.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
