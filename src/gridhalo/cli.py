@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, ExperimentConfig, read_config_file
+from .config import ConfigError, ExperimentConfig
 from .grid import InfeasibleError, VerificationError
 from .reports import write_report
 from . import experiments
@@ -28,18 +28,6 @@ _RUNNERS = {
     "maxfield": experiments.run_maxfield,
 }
 
-# per-subcommand defaults on top of ExperimentConfig's, each a field the
-# runner reads; zygmund and maxfield read one h sample, and lemmas refuses
-# h >= 8 on every grid, its level set reaching too near the walls
-_DEFAULTS = {
-    "rearrange": {"style": "square", "depth": "2"},
-    "lemmas": {"h_list": "4"},
-    "zygmund": {"h_list": "4"},
-    # a grid whose full field finishes in seconds; larger grids are bounded
-    # by experiments.MAXFIELD_SHAPE_CELLS
-    "maxfield": {"grid_bits": "5", "h_list": "4"},
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     # one parser: every subcommand takes the same options, and
@@ -49,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact maximal-operator and resonance experiments on dyadic grids",
     )
     parser.add_argument("command", choices=_RUNNERS, help="experiment to run")
-    parser.add_argument("--config", help="key=value config file (supports include)")
     parser.add_argument("--grid", type=int, help="grid resolution exponent per axis")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--depth", type=int)
@@ -69,9 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_mapping(args) -> dict:
-    mapping = dict(_DEFAULTS.get(args.command, {}))
-    if args.config:
-        mapping.update(read_config_file(args.config))
     flat = {
         "grid_bits": args.grid,
         "out": args.out,
@@ -82,9 +66,7 @@ def _merged_mapping(args) -> dict:
         "r_list": args.r_list,
         "rotations_deg": args.rotations,
     }
-    for key, value in flat.items():
-        if value is not None:
-            mapping[key] = str(value)
+    mapping = {key: str(value) for key, value in flat.items() if value is not None}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
@@ -97,11 +79,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_mapping(args.command, _merged_mapping(args))
-    except ConfigError as e:
-        print(f"invalid config: {e}", file=sys.stderr)
-        return 2
-
-    try:
         report = _RUNNERS[args.command](config)
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)

@@ -526,9 +526,8 @@ def synthetic_resonance_input(
         if count.denominator != 1:
             raise ValueError("band measure is not a whole number of cells")
         amp = _amp_for(phi, k / float(delta))
+        # amp > 1, so h > k, and h rises by at least 1/64 per band
         h = max(amp * k, prev_h + Fraction(1, 64))
-        if not h > k:
-            h = Fraction(k) + Fraction(1, 64)
         prev_h = h
         codes[pos : pos + int(count)] = k
         table.append(h)

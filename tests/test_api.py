@@ -104,15 +104,14 @@ def test_each_runner_reads_exactly_its_declared_fields(kind):
     # the read table decides which keys a run accepts, so a field the
     # runner reads but the table lacks could not be set, and one the table
     # lists but the runner never reads would be silently ignored; out is a
-    # path, n every kind takes (the planar rule reads it), kind picks the
-    # runner in cli
-    assert _fields_read(kind) - {"kind", "out", "n"} == set(config._READS[kind])
+    # path every kind takes, kind picks the runner in cli
+    assert _fields_read(kind) - {"kind", "out"} == set(config._READ_DEFAULTS[kind])
 
 
 def test_every_config_field_is_read_by_a_runner():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert set(config._PARSERS) == fields - {"kind"}
-    unread = fields - {"kind", "out", "n"} - set().union(*config._READS.values())
+    unread = fields - {"kind", "out"} - set().union(*config._READ_DEFAULTS.values())
     assert not unread, f"config fields no runner reads: {sorted(unread)}"
 
 

@@ -1,50 +1,20 @@
 """Configuration parsing and the experiment command line."""
 
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import gridhalo
 from gridhalo import cli, config, experiments, maxop
 from gridhalo.cli import main
-from gridhalo.config import ConfigError, ExperimentConfig, read_config_file
+from gridhalo.config import ConfigError, ExperimentConfig
 from gridhalo.grid import DyadicGrid, StepFunction
-
-
-class TestConfigFile:
-    def test_key_value_comments_and_override(self, tmp_path):
-        p = tmp_path / "a.cfg"
-        p.write_text("# comment\ngrid_bits = 6\nstyle=square # trailing\ngrid_bits=7\n")
-        assert read_config_file(str(p)) == {"grid_bits": "7", "style": "square"}
-
-    def test_include_is_relative_to_including_file(self, tmp_path):
-        sub = tmp_path / "sub"
-        sub.mkdir()
-        (sub / "base.cfg").write_text("depth = 2\n")
-        top = tmp_path / "top.cfg"
-        top.write_text("include sub/base.cfg\nstyle = deep\n")
-        assert read_config_file(str(top)) == {"depth": "2", "style": "deep"}
-
-    def test_include_cycle_rejected(self, tmp_path):
-        a = tmp_path / "a.cfg"
-        b = tmp_path / "b.cfg"
-        a.write_text("include b.cfg\n")
-        b.write_text("include a.cfg\n")
-        with pytest.raises(ConfigError, match="cycle"):
-            read_config_file(str(a))
-
-    def test_malformed_line_rejected(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("just words\n")
-        with pytest.raises(ConfigError):
-            read_config_file(str(p))
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            read_config_file(str(tmp_path / "nope.cfg"))
 
 
 class TestExperimentConfig:
@@ -404,8 +374,7 @@ class TestCli:
         if command in ("resonance", "zygmund", "rearrange"):
             assert f"invalid config: {command} runs do not read grid_bits\n" == err
         else:
-            mapping = dict(cli._DEFAULTS.get(command, {}), grid_bits="62")
-            assert ExperimentConfig.from_mapping(command, mapping).grid_bits == 62
+            assert ExperimentConfig.from_mapping(command, {"grid_bits": "62"}).grid_bits == 62
             assert "above 62 bits per axis" in err
         assert not (tmp_path / "report.json").exists()
 
@@ -480,7 +449,6 @@ class TestCli:
 
 # every option once: its argv and the Namespace attribute it sets, typed
 _FLAGS = [
-    (["--config", "a.cfg"], "config", "a.cfg"),
     (["--grid", "9"], "grid", 9),
     (["--out", "o"], "out", "o"),
     # a negative value reads as an option unless it is joined by "="
@@ -496,7 +464,7 @@ _FLAGS = [
     (["--set", "k=2", "--set", "n=2"], "set", ["k=2", "n=2"]),
 ]
 _UNSET = {
-    "config": None, "grid": None, "out": None,
+    "grid": None, "out": None,
     "depth": None, "style": None, "h_list": None, "t_list": None,
     "r_list": None, "rotations": None, "set": [],
 }
@@ -538,10 +506,22 @@ class TestParser:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    def test_a_config_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        # settings come from the flags and --set alone: a config file,
+        # even an empty one, is refused
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--grid", "8", "--config", "run.cfg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config run.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 # a valid value for every field a run may refuse, and the flag that sets
-# it where there is one; k and growth_exponent are set by --set alone
+# it where there is one; n, k and growth_exponent are set by --set alone
 _VALUES = {
+    "n": "2",
     "k": "2",
     "rotations_deg": "0,45",
     "grid_bits": "5",
@@ -564,27 +544,21 @@ _FLAG_OF = {
 _UNREAD = [
     (kind, name, route)
     for kind in sorted(cli._RUNNERS)
-    for name in sorted(set(_VALUES) - set(config._READS[kind]))
-    for route in ("flag", "set", "config")
+    for name in sorted(set(_VALUES) - set(config._READ_DEFAULTS[kind]))
+    for route in ("flag", "set")
     if route != "flag" or name in _FLAG_OF
 ]
 
 
 class TestReadFields:
-    def test_every_field_but_out_and_n_has_a_test_value(self):
-        assert set(_VALUES) == set(config._PARSERS) - {"out", "n"}
+    def test_every_field_but_out_has_a_test_value(self):
+        assert set(_VALUES) == set(config._PARSERS) - {"out"}
 
     @pytest.mark.parametrize("kind, name, route", _UNREAD)
     def test_a_field_the_runner_does_not_read_exits_2(self, kind, name, route, tmp_path, capsys):
         # the run would ignore the setting, so it is refused by name
         value = _VALUES[name]
-        if route == "flag":
-            argv = [_FLAG_OF[name], value]
-        elif route == "set":
-            argv = ["--set", f"{name}={value}"]
-        else:
-            (tmp_path / "run.cfg").write_text(f"{name} = {value}\n")
-            argv = ["--config", str(tmp_path / "run.cfg")]
+        argv = [_FLAG_OF[name], value] if route == "flag" else ["--set", f"{name}={value}"]
         out = tmp_path / "o"
         assert main([kind, *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"invalid config: {kind} runs do not read {name}\n"
@@ -599,17 +573,52 @@ class TestReadFields:
 
     @pytest.mark.parametrize("kind", sorted(cli._RUNNERS))
     def test_every_read_field_is_accepted(self, kind):
-        # each read field set at once, out and n too
-        mapping = {name: _VALUES[name] for name in config._READS[kind]}
+        # each read field set at once, out too
+        mapping = {name: _VALUES[name] for name in config._READ_DEFAULTS[kind]}
         if kind == "halo":
             mapping["h_list"] = "4,8,16"
-        c = ExperimentConfig.from_mapping(kind, dict(mapping, out="o", n="2"))
-        assert (c.kind, c.out, c.n) == (kind, "o", 2)
+        c = ExperimentConfig.from_mapping(kind, dict(mapping, out="o"))
+        assert (c.kind, c.out) == (kind, "o")
 
-    @pytest.mark.parametrize("kind", sorted(cli._DEFAULTS))
+    @pytest.mark.parametrize("kind", sorted(cli._RUNNERS))
     def test_each_default_is_read_and_runs(self, kind, tmp_path):
-        assert set(cli._DEFAULTS[kind]) <= set(config._READS[kind])
         assert main([kind, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("kind", sorted(cli._RUNNERS))
+    def test_the_empty_mapping_is_the_bare_command(self, kind, monkeypatch):
+        # the config a bare ``gridhalo KIND`` hands its runner, caught there
+        class Reached(Exception):
+            pass
+
+        def catch(config):
+            raise Reached(config)
+
+        monkeypatch.setitem(cli._RUNNERS, kind, catch)
+        with pytest.raises(Reached) as hit:
+            main([kind])
+        assert hit.value.args[0] == ExperimentConfig.from_mapping(kind, {})
+
+    @pytest.mark.parametrize("kind", sorted(cli._RUNNERS))
+    def test_a_field_the_run_does_not_read_is_none(self, kind):
+        # no run takes another kind's default; report.json records n, k
+        # and grid_bits for every kind, so those keep one value
+        c = ExperimentConfig.from_mapping(kind, {})
+        recorded = {"n": 2, "k": 2, "grid_bits": 10}
+        for name in set(config._PARSERS) - set(config._READ_DEFAULTS[kind]) - {"out"}:
+            assert getattr(c, name) == recorded.get(name), name
+
+    def test_readme_table_lists_the_read_fields(self):
+        # the README's "fields it reads" table, row by row, against the code's
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| subcommand | fields it reads |") + 2
+        listed = {}
+        for line in itertools.takewhile(lambda s: s.startswith("|"), lines[start:]):
+            _, kinds, fields, _ = line.split("|")
+            for kind in re.findall(r"`([a-z]+)`", kinds):
+                assert kind not in listed, f"{kind} has two rows"
+                listed[kind] = set(re.findall(r"`([a-z_]+)`", fields))
+        assert listed == {kind: set(f) for kind, f in config._READ_DEFAULTS.items()}
 
     @pytest.mark.parametrize(
         "argv", [["zygmund", "--depth", "3", "--h-list", "4,8"], ["maxfield", "--h-list", "2,3"]]

@@ -622,6 +622,17 @@ class TestSyntheticInput:
             assert 64 % amp.denominator == 0 and amp > 1
             assert phi(float(amp)) >= need > phi(float(amp - Fraction(1, 64)))
 
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    @pytest.mark.parametrize("style", ["deep", "square"])
+    def test_band_heights_exceed_their_index_and_increase(self, style, K, exponent):
+        # h_k >= amp * k with amp > 1, and each band sits above the last
+        f, _ = synthetic_resonance_input(log_power_growth(exponent), K, style=style)
+        heights = f.table[1:]
+        assert len(heights) == K
+        assert all(h > k for k, h in enumerate(heights, start=1))
+        assert all(a < b for a, b in zip(heights, heights[1:]))
+
     def test_a_flat_growth_function_is_refused(self):
         with pytest.raises(InfeasibleError, match="too flat"):
             resonance._amp_for(lambda t: min(t, 5.0), 6.0)
