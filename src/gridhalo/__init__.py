@@ -2,7 +2,6 @@
 constructions on dyadic grids."""
 
 from .grid import (
-    AxisRect,
     DyadicGrid,
     GridSet,
     StepFunction,

@@ -22,7 +22,6 @@ __all__ = [
     "DyadicGrid",
     "GridSet",
     "StepFunction",
-    "AxisRect",
     "InfeasibleError",
     "VerificationError",
     "uniform_distribution_check",
@@ -278,37 +277,6 @@ class StepFunction:
     def integral(self) -> Fraction:
         counts = _counts(self.codes, len(self.table)).tolist()
         return sum((v * c for v, c in zip(self.table, counts)), Fraction(0)) * self.grid.cell_volume
-
-
-@dataclass(frozen=True)
-class AxisRect:
-    """Half-open per-axis cell index ranges ``[lo_j, hi_j)``.
-
-    Indices may run outside the grid: rectangles are allowed to overhang
-    the ambient box (the function is extended by zero there).
-    """
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi) or any(a >= b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("need lo_j < hi_j on every axis")
-        object.__setattr__(self, "lo", tuple(int(x) for x in self.lo))
-        object.__setattr__(self, "hi", tuple(int(x) for x in self.hi))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.lo, self.hi))
-
-    def edge_lengths(self, grid: DyadicGrid) -> tuple[Fraction, ...]:
-        return tuple(w * c for w, c in zip(self.shape, grid.cell_size))
-
-    def volume(self, grid: DyadicGrid) -> Fraction:
-        v = Fraction(1)
-        for e in self.edge_lengths(grid):
-            v *= e
-        return v
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Growth functions Phi used for mass accounting and halo models.
 
-The one family the constructions use: t -> t(1+ln+ t)^(k-1).
+The one family the constructions use: t -> t(1+ln+ t)^(k-1).  It is the
+Phi of the witness and resonance constructions, the halo band's scale
+(``halo.halo_fit``) and the model that Lemma 10's level-set measures are
+divided by (``experiments.run_lemma_checks``); the model is written here
+only.
 """
 
 from __future__ import annotations

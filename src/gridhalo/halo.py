@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .grid import DyadicGrid, GridSet, InfeasibleError
+from .growth import log_power_growth
 from .maxop import BasisSpec, _embed, _paint, _placement_pass, _support, dyadic_ladder
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "halo_fit",
     "lemma9_integral",
     "lemma10_levelset_measure",
-    "Lemma10Result",
 ]
 
 
@@ -151,20 +150,22 @@ def halo_estimate(
 
 
 def halo_fit(h_samples, phi_values, model_exponent: int) -> tuple[float, float]:
-    """Band of Phi(h) / (h (1+ln h)^exponent) over the sweep; an
-    ``InfeasibleError`` when the model's scale passes the float range."""
+    """Band of Phi(h) / (h (1+ln h)^exponent) over the sweep, the scale
+    being ``log_power_growth(exponent + 1)``; an ``InfeasibleError`` when
+    the model's scale passes the float range."""
     hs = [float(h) for h in h_samples]
     ps = [float(p) for p in phi_values]
     if len(hs) != len(ps) or len(hs) < 3:
         raise ValueError("need at least three matched samples")
     if any(h <= 1 for h in hs):
         raise ValueError("samples need h > 1")
+    model = log_power_growth(model_exponent + 1)
     ratios = []
     for h, p in zip(hs, ps):
         # past the float range the power raises OverflowError, or its
         # product with h rounds to inf: either way the band is out of reach
         try:
-            scale = h * (1 + math.log(h)) ** model_exponent
+            scale = model(h)
         except OverflowError:
             scale = math.inf
         if scale == math.inf:
@@ -238,58 +239,32 @@ def lemma9_integral(n: int, h: float) -> float:
     return _log_region_integral(n, float(h))
 
 
-@dataclass(frozen=True)
-class Lemma10Result:
-    levelset_measure: Fraction
-    rect_measure: Fraction
-    ratio_exponent_k: float  # |levelset| / (h (1+ln h)^k |I|)
-    ratio_exponent_km1: float  # same with exponent k-1
-    normalization_ok: bool  # whether h > 2^n held
-
-
 def lemma10_levelset_measure(
-    I,
-    hs,
-    k: int,
-    grid: DyadicGrid,
-    ladder=None,
-) -> tuple[Lemma10Result, ...]:
-    """Measured level sets {M(h chi_I) > 1} for the <=k-distinct-edges
-    basis, one result per amplitude h of ``hs``, all from one placement
-    pass (``_level_set_box``).
+    lo, hi, hs, k: int, grid: DyadicGrid, ladder=None
+) -> tuple[Fraction, ...]:
+    """Exact measures of the level sets {M(h chi_I) > 1} for the
+    <=k-distinct-edges basis, one per amplitude h of ``hs``, all from one
+    placement pass (``_level_set_box``); an ``InfeasibleError`` when any
+    of them reaches the grid boundary.
 
-    I must have equal physical edges on axes k..n.  Each result holds the
-    measured level-set measure and its ratios to both candidate growth
-    models.
+    I is the cell box ``[lo_j, hi_j)``, nonempty on every axis; it may
+    overhang the grid, past whose walls the function is zero.  I must have
+    equal physical edges on axes k..n.
     """
-    n = grid.n
     hs = list(hs)
-    edges = I.edge_lengths(grid)
+    if len(lo) != len(hi) or any(a >= b for a, b in zip(lo, hi)):
+        raise ValueError("need lo_j < hi_j on every axis")
+    edges = [(b - a) * c for a, b, c in zip(lo, hi, grid.cell_size)]
     if len(set(edges[k - 1 :])) != 1:
         raise ValueError("edges k..n of I must be equal")
     if not hs or any(h <= 1 for h in hs):
         raise ValueError("h > 1 required")
     # I's cells on the grid (the function is zero past its walls)
-    lo = [max(a, 0) for a in I.lo]
-    size = [max(min(b, m) - a, 0) for a, b, m in zip(lo, I.hi, grid.shape)]
+    lo = [max(a, 0) for a in lo]
+    size = [max(min(b, m) - a, 0) for a, b, m in zip(lo, hi, grid.shape)]
     support = _support(np.ones(size, dtype=bool), lo)
     # basis with <= k distinct edge values (k = 1: cubes)
-    sets = _level_set_box(grid, support, BasisSpec("axis", min(k, n)), hs, ladder=ladder)
+    sets = _level_set_box(grid, support, BasisSpec("axis", min(k, grid.n)), hs, ladder=ladder)
     if any(touch for _, touch in sets):
         raise InfeasibleError("level set reaches the grid boundary")
-    rect = I.volume(grid)
-    out = []
-    for h, (cells, _) in zip(hs, sets):
-        meas = cells * grid.cell_volume
-        model_k = float(h) * (1 + math.log(h)) ** k * float(rect)
-        model_km1 = float(h) * (1 + math.log(h)) ** (k - 1) * float(rect)
-        out.append(
-            Lemma10Result(
-                levelset_measure=meas,
-                rect_measure=rect,
-                ratio_exponent_k=float(meas) / model_k,
-                ratio_exponent_km1=float(meas) / model_km1,
-                normalization_ok=h > 2**n,
-            )
-        )
-    return tuple(out)
+    return tuple(cells * grid.cell_volume for cells, _ in sets)

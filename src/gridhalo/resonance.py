@@ -331,8 +331,8 @@ def build_resonance_function(
 
 @dataclass(frozen=True)
 class Rearrangement:
-    """A permutation of the cells of ``grid`` (identity off the box is
-    implicit: the grid is the whole domain), the verdicts of its proof by
+    """A permutation of the cells of ``grid``, int32 (identity off the box
+    is implicit: the grid is the whole domain), the verdicts of its proof by
     name, and per value of f its cell counts (value, before, after)."""
 
     grid: DyadicGrid
@@ -380,11 +380,23 @@ def _send(perm: np.ndarray, sources, targets, taken=None) -> None:
         free = free[n:]
 
 
+# cells of the largest final grid an int32 permutation can index, past
+# every supported depth (2^22 cells at depth 4)
+PERMUTATION_CELLS = 1 << 31
+
+
 def _permutation(stage_codes: np.ndarray, band_codes: np.ndarray, depth: int) -> np.ndarray:
     """Cells of E'_k = E_k minus all later E_j (g's code k) go into the
     band A_k (band code k), k = 1 .. depth, the displaced band cells into
-    the vacated ones; every other cell stays."""
-    perm = np.arange(stage_codes.size, dtype=np.int64)
+    the vacated ones; every other cell stays.  The permutation is int32,
+    half the memory of int64, so grids of ``PERMUTATION_CELLS`` or more
+    cells are refused."""
+    if stage_codes.size >= PERMUTATION_CELLS:
+        raise InfeasibleError(
+            f"the rearrangement of {stage_codes.size} cells needs an int32 permutation, "
+            f"which indexes fewer than {PERMUTATION_CELLS} cells"
+        )
+    perm = np.arange(stage_codes.size, dtype=np.int32)
     need = _counts(stage_codes, depth + 1).tolist()
     have = _counts(band_codes, depth + 1).tolist()
     taken = np.zeros(perm.size, dtype=bool)
@@ -595,9 +607,17 @@ def save_plan(plan: ResonancePlan, out_dir: str) -> str:
 
 
 def save_rearrangement(r: Rearrangement, out_dir: str) -> str:
+    """``permutation.npy``, the int64 file ``np.save`` writes, converted
+    from the int32 permutation a chunk at a time, and ``permutation.json``."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "permutation.npy")
-    np.save(path, r.perm)
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.int64))
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": descr, "fortran_order": False, "shape": r.perm.shape}
+        )
+        for sl in _slices(r.perm.size):
+            fh.write(r.perm[sl].astype(np.int64).tobytes())
     with open(os.path.join(out_dir, "permutation.json"), "w") as fh:
         json.dump(
             {

@@ -1,8 +1,9 @@
 """Every name a module exports resolves, so deletions leave no dead
-exports, no module imports a name it never reads, every name the
-benchmark tracer reads is still there, each runner reads exactly the
-config fields its kind accepts, and the package raises three exception
-classes, one per CLI exit code, which the CLI catches by name."""
+exports, no module imports a name it never reads, every record field is
+read, every name the benchmark tracer reads is still there, each runner
+reads exactly the config fields its kind accepts, and the package raises
+three exception classes, one per CLI exit code, which the CLI catches by
+name."""
 
 import ast
 import builtins
@@ -49,6 +50,29 @@ def test_every_imported_name_is_read(name):
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     unread = imported - read - set(getattr(module, "__all__", ()))
     assert not unread, f"gridhalo.{name} imports names it never reads: {sorted(unread)}"
+
+
+def test_every_record_field_is_read():
+    # a dataclass field must be read somewhere in the package: as an
+    # attribute load, or as a string constant naming it (ExperimentConfig's
+    # __post_init__ reads its fields through getattr); a field that is only
+    # ever set fails here
+    read = set()
+    for path in Path(gridhalo.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [
+        f"{cls.__module__}.{cls.__name__}.{field.name}"
+        for name in MODULES
+        for cls in vars(importlib.import_module(f"gridhalo.{name}")).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == f"gridhalo.{name}"
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    assert not unread, f"record fields nothing reads: {unread}"
 
 
 def _tracer():

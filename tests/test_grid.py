@@ -1,4 +1,4 @@
-"""Grid primitives: cells, sets, step functions, rectangles."""
+"""Grid primitives: cells, sets, step functions."""
 
 import tempfile
 from fractions import Fraction
@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridhalo.grid import (
-    AxisRect,
     DyadicGrid,
     GridSet,
     StepFunction,
@@ -275,15 +274,3 @@ class TestStepFunction:
         g2 = load_step_function(path)
         assert g2.grid == f.grid
         assert np.array_equal(g2.values, f.values)
-
-
-class TestAxisRectAndPrefixSums:
-    def test_rect_geometry(self):
-        g = DyadicGrid((2, 2))
-        r = AxisRect((0, 1), (2, 3))
-        assert r.shape == (2, 2)
-        assert r.volume(g) == Fraction(4, 16)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            AxisRect((0, 0), (0, 2))

@@ -1,5 +1,6 @@
 """Halo-ratio estimation and the log-region/level-set growth checks."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridhalo.config import ExperimentConfig
+from gridhalo.cli import main
 from gridhalo.experiments import run_halo
-from gridhalo.grid import AxisRect, DyadicGrid, GridSet, InfeasibleError, StepFunction
+from gridhalo.grid import DyadicGrid, GridSet, InfeasibleError, StepFunction
 from gridhalo.halo import (
     _gauss_quad,
     discrete_ball,
@@ -293,6 +295,19 @@ class TestHaloFit:
         with pytest.raises(ValueError):
             halo_fit([2, 4], [1, 2], 1)
 
+    @given(
+        st.lists(st.floats(1.0, 1e12, exclude_min=True), min_size=3, max_size=6),
+        st.floats(1e-3, 1e3),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_band_is_the_inline_model_bit_for_bit(self, hs, scale, e):
+        # the band's scale comes from growth.log_power_growth(e + 1); it must
+        # be the float h (1 + ln h)^e, not merely close to it
+        phis = [scale * h for h in hs]
+        ratios = [p / (h * (1 + math.log(h)) ** e) for h, p in zip(hs, phis)]
+        assert halo_fit(hs, phis, e) == (min(ratios), max(ratios))
+
 
 class TestLogRegionIntegral:
     def test_monte_carlo_oracle_confirms_closed_form(self):
@@ -356,28 +371,50 @@ class TestLogRegionIntegral:
             lemma9_integral(1, 0.5)
 
 
-class TestLevelsetGrowth:
-    def test_ratios_and_flags(self):
-        grid = DyadicGrid((7, 7))
-        rect = AxisRect((62, 62), (66, 66))
-        (res,) = lemma10_levelset_measure(rect, [6.0], 2, grid)
-        assert res.rect_measure == Fraction(16, 128 * 128)
-        assert res.normalization_ok  # 6 > 2^2
-        assert res.ratio_exponent_km1 > 0
-        model_ratio = res.ratio_exponent_k * (1 + math.log(6.0))
-        assert model_ratio == pytest.approx(res.ratio_exponent_km1)
+def _levelset_rows(tmp_path, h_list, bits=8):
+    """The ``levelset_growth`` rows of ``lemmas --grid bits --h-list h_list``."""
+    assert main(["lemmas", "--grid", str(bits), "--h-list", h_list, "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    return [r for r in rows if r["check"] == "levelset_growth"]
 
-    def test_small_h_flagged_not_rejected(self):
-        grid = DyadicGrid((6, 6))
-        rect = AxisRect((30, 30), (34, 34))
-        (res,) = lemma10_levelset_measure(rect, [3.0], 2, grid)
-        assert not res.normalization_ok
+
+class TestLevelsetGrowth:
+    def test_ratios_and_flags(self, tmp_path):
+        (row,) = _levelset_rows(tmp_path, "6", bits=7)
+        assert row["normalization_ok"]  # 6 > 2^2
+        assert row["ratio_exponent_km1"] > 0
+
+    def test_small_h_flagged_not_rejected(self, tmp_path):
+        (row,) = _levelset_rows(tmp_path, "3", bits=6)
+        assert not row["normalization_ok"]
+
+    def test_rows_are_the_brute_measure_over_the_model(self, tmp_path):
+        # --grid 8 puts I at cells [126, 130)^2; oracle: the brute route's
+        # field of chi_I, whose level set at 1/h is {M(h chi_I) > 1} (M is
+        # positively homogeneous), and Phi_2(h) |I| written out
+        rows = _levelset_rows(tmp_path, "2,3,4,5")
+        grid = DyadicGrid((8, 8))
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[126:130, 126:130] = True
+        f = StepFunction.indicator(GridSet(grid, mask))
+        brute = max_field_brute(f, BasisSpec("axis", 2), ladder=dyadic_ladder(256))
+        rect = float(16 * grid.cell_volume)
+        assert [row["h"] for row in rows] == [2.0, 3.0, 4.0, 5.0]
+        for row in rows:
+            h = row["h"]
+            meas = float(level_set(brute, 1 / Fraction(h)).measure())
+            assert row["value"] == meas
+            assert row["ratio_exponent_km1"] == meas / (h * (1 + math.log(h)) * rect)
 
     def test_boundary_clipping_rejected(self):
         grid = DyadicGrid((4, 4))
-        rect = AxisRect((6, 6), (10, 10))
         with pytest.raises(InfeasibleError):
-            lemma10_levelset_measure(rect, [64.0], 2, grid)
+            lemma10_levelset_measure((6, 6), (10, 10), [64.0], 2, grid)
+
+    @pytest.mark.parametrize("lo, hi", [((0, 0), (0, 2)), ((3, 1), (2, 2)), ((0,), (1, 1))])
+    def test_empty_box_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="need lo_j < hi_j on every axis"):
+            lemma10_levelset_measure(lo, hi, [6.0], 2, DyadicGrid((6, 6)))
 
     @given(
         st.integers(3, 6),
@@ -395,28 +432,27 @@ class TestLevelsetGrowth:
         # the function is zero past its walls), its indicator and the level
         # set painted on the grid; a face scan decides the boundary case
         grid = DyadicGrid((bits, bits))
-        rect = AxisRect(tuple(lo), (lo[0] + w0, lo[1] + (w0 if k == 1 else w1)))
+        hi = (lo[0] + w0, lo[1] + (w0 if k == 1 else w1))
         mask = np.zeros(grid.shape, dtype=bool)
-        mask[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(rect.lo, rect.hi))] = True
+        mask[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(lo, hi))] = True
         f = StepFunction.indicator(GridSet(grid, mask), h)
         ladder = dyadic_ladder(grid.shape[0])
         ls = max_level_set(f, BasisSpec("axis", k), 1, ladder=ladder)
         if boundary_touch(ls.mask):
             with pytest.raises(InfeasibleError):
-                lemma10_levelset_measure(rect, [h], k, grid, ladder=ladder)
+                lemma10_levelset_measure(lo, hi, [h], k, grid, ladder=ladder)
         else:
-            (res,) = lemma10_levelset_measure(rect, [h], k, grid, ladder=ladder)
-            assert res.levelset_measure == ls.measure()
+            (meas,) = lemma10_levelset_measure(lo, hi, [h], k, grid, ladder=ladder)
+            assert meas == ls.measure()
 
     def test_rational_mode_exact_measure(self):
         grid = DyadicGrid((6, 6))
-        rect = AxisRect((30, 30), (34, 34))
         ladder = dyadic_ladder(64)
-        (res,) = lemma10_levelset_measure(rect, [6.0], 2, grid, ladder=ladder)
-        assert isinstance(res.levelset_measure, Fraction)
+        (meas,) = lemma10_levelset_measure((30, 30), (34, 34), [6.0], 2, grid, ladder=ladder)
+        assert isinstance(meas, Fraction)
         # oracle: the brute route's level set of the same indicator
         mask = np.zeros(grid.shape, dtype=bool)
         mask[30:34, 30:34] = True
         f = StepFunction.indicator(GridSet(grid, mask), 6)
         brute = max_field_brute(f, BasisSpec("axis", 2), ladder=ladder)
-        assert res.levelset_measure == level_set(brute, 1).measure()
+        assert meas == level_set(brute, 1).measure()

@@ -538,7 +538,7 @@ class TestRearrangement:
         extra = [r - m for r, m in zip(plan.final_grid.resolution, f.grid.resolution)]
         bands = [_repeat(A.mask, extra) for A, _, _ in plan.selection]
         expected = permutation_by_stage_sets(stage_sets_on_final_grid(plan), bands)
-        assert omega.perm.dtype == np.int64
+        assert omega.perm.dtype == np.int32
         assert np.array_equal(omega.perm, expected)
         assert all(omega.checks.values())
 
@@ -599,6 +599,22 @@ class TestRearrangement:
         monkeypatch.setattr(resonance, "_dominance", flipped)
         with pytest.raises(VerificationError, match="fails rearranged_dominates_g$"):
             build_rearrangement(f, plan)
+
+    def test_a_grid_at_the_int32_bound_is_refused(self, square_plan, monkeypatch):
+        # the bound is moved to the plan's 2^10 final cells, so no grid of
+        # 2^31 cells is ever allocated: at the bound the run is refused by
+        # name, one cell below it the permutation is built
+        f, plan = square_plan
+        assert resonance.PERMUTATION_CELLS == 1 << 31
+        monkeypatch.setattr(resonance, "PERMUTATION_CELLS", 1024)
+        with pytest.raises(
+            InfeasibleError,
+            match="rearrangement of 1024 cells needs an int32 permutation, "
+            "which indexes fewer than 1024 cells$",
+        ):
+            build_rearrangement(f, plan)
+        monkeypatch.setattr(resonance, "PERMUTATION_CELLS", 1025)
+        assert build_rearrangement(f, plan).perm.dtype == np.int32
 
 
 class TestSyntheticInput:
@@ -661,6 +677,18 @@ class TestSerialization:
         assert np.array_equal(loaded, omega.perm)
         meta = json.loads((tmp_path / "permutation.json").read_text())
         assert meta["cells"] == plan.final_grid.total_cells
+
+    @pytest.mark.parametrize("chunk", [100, 256, 1 << 16])
+    def test_permutation_file_is_the_int64_save(self, square_plan, tmp_path, monkeypatch, chunk):
+        # converted from int32 a chunk at a time, the file is np.save of the
+        # int64 permutation byte for byte: chunks that do and do not divide
+        # its 1024 cells, and one past them
+        f, plan = square_plan
+        omega = build_rearrangement(f, plan)
+        monkeypatch.setattr(resonance, "_CHUNK", chunk)
+        save_rearrangement(omega, str(tmp_path))
+        np.save(tmp_path / "oracle.npy", omega.perm.astype(np.int64))
+        assert (tmp_path / "permutation.npy").read_bytes() == (tmp_path / "oracle.npy").read_bytes()
 
 
 def test_pipeline_reads_no_per_cell_fractions(monkeypatch, tmp_path):
