@@ -18,7 +18,7 @@ from .maxop import (
     max_level_set,
 )
 from .halo import discrete_ball, halo_estimate, halo_fit
-from .witness import MPhiWitness, build_tile_witness, mphi_witness_for_rotations
+from .witness import MPhiWitness, build_tile_witness
 from .resonance import (
     Rearrangement,
     ResonancePlan,

@@ -14,10 +14,11 @@ import math
 
 __all__ = ["ConfigError", "ExperimentConfig"]
 
-# the fields each kind's runner reads, each with its default; zygmund and
-# maxfield read one h sample, lemmas refuses h >= 8 on every grid (its
-# level set reaches too near the walls), and a 2^5 maxfield grid finishes
-# in seconds, larger ones being bounded by experiments.MAXFIELD_SHAPE_CELLS
+# the fields each kind's runner reads, each with its default; maxfield
+# reads one h sample, zygmund none (each stage of its plan picks its own
+# amplitude), lemmas refuses h >= 8 on every grid (its level set reaches
+# too near the walls), and a 2^5 maxfield grid finishes in seconds, larger
+# ones being bounded by experiments.MAXFIELD_SHAPE_CELLS
 _READ_DEFAULTS = {
     "halo": {
         "grid_bits": 10,
@@ -32,7 +33,6 @@ _READ_DEFAULTS = {
         "depth": 4,
         "style": "deep",
         "growth_exponent": 2,
-        "h_list": (4.0,),
         "k": 2,
         "rotations_deg": (0.0, 22.5, 45.0, 67.5),
     },
@@ -110,7 +110,7 @@ class ExperimentConfig:
             raise ConfigError("the halo band fit needs at least three h samples")
         if self.kind == "halo" and sorted(set(hs)) != list(hs):
             raise ConfigError("halo h samples must be strictly increasing")
-        if self.kind in ("zygmund", "maxfield") and len(hs) > 1:
+        if self.kind == "maxfield" and len(hs) > 1:
             raise ConfigError(f"{self.kind} reads one h sample, not the {len(hs)} of h_list")
         for name, values in (("t_list", ts), ("r_list", rs)):
             if len(set(values)) != len(values):

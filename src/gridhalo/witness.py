@@ -45,9 +45,12 @@ tile and never the level set of the whole grid.
 The refinement depth of K's grid and the point-location margin are fixed
 constants.  ``MPhiWitness.containment`` is the one containment check, on
 the tile, on replicas of it and on refinements of those; it alone knows
-the routes and the certified cells.  The staged
+the routes and the certified cells.  ``build_tile_witness`` is the one
+construction, with E the central 2x2 block of the tile: the staged
 construction (gridhalo.resonance) builds one witness per stage, directly
-on the diluted tile, and calls it once, where the replicated sets are made.
+on the diluted tile, and calls the check once, where the replicated sets
+are made, and the zygmund run verifies the six conditions on each of
+those stage tiles, the ones g is built from.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ from .maxop import (
     enumerate_shapes,
     max_level_set,
 )
-from .halo import discrete_ball
 from .rotate import quarter_turns
 
 __all__ = [
@@ -83,7 +85,6 @@ __all__ = [
     "axis_level_set_exact",
     "rotation_preimage",
     "build_tile_witness",
-    "mphi_witness_for_rotations",
 ]
 
 
@@ -92,11 +93,6 @@ __all__ = [
 # its subcell by _MARGIN before the cell is certified
 _REFINE_EXTRA = 3
 _MARGIN = 1e-9
-
-# the ball witness's E: the cells within _BALL_CELLS cells of the center
-# of a grid with 2^_BALL_GRID_BITS cells per axis
-_BALL_GRID_BITS = 5
-_BALL_CELLS = 2
 
 
 def central_block(grid: DyadicGrid) -> GridSet:
@@ -195,11 +191,12 @@ def _cell_centres(grid: DyadicGrid, ax: int) -> np.ndarray:
 
     On the denominator D of c/2 the centres are the integers (2i + 1) B,
     exact in float64 while they and D stay below 2^53, so one correctly
-    rounded division per centre gives that float."""
+    rounded division per centre gives that float; past that, ValueError."""
     half = grid.cell_size[ax] / 2
     den, b = half.denominator, half.numerator
     odd = np.arange(1, 2 * grid.shape[ax], 2, dtype=np.int64)
-    assert max(b * int(odd[-1]), den) < 1 << 53, "centres past exact float64"
+    if max(b * int(odd[-1]), den) >= 1 << 53:
+        raise ValueError("cell centres past exact float64")
     return (b * odd).astype(np.float64) / den
 
 
@@ -444,23 +441,36 @@ class MPhiWitness:
         return results
 
 
-def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
-    """The witness loop: each basis takes its certified level set as P.
+def build_tile_witness(
+    tile_grid: DyadicGrid,
+    bases,
+    amp,
+    trunc,
+    phi,
+) -> MPhiWitness:
+    """Witness with E = central 2x2 block and per-basis certified P sets.
 
-    All generic angles share one disk certificate: the inscribed disk of E,
-    its core K on a square-subcell refinement, and the axis level set U of
-    amp*chi_K over dyadic widths (a certified subset that keeps the family
-    small)."""
-    grid = E.grid
+    Each basis takes its certified level set as P.  All generic angles
+    share one disk certificate: the inscribed disk of E, its core K on a
+    square-subcell refinement, and the axis level set U of amp*chi_K over
+    dyadic widths (a certified subset that keeps the family small)."""
+    if tile_grid.n != 2:
+        raise ValueError("tile witnesses are planar")
+    amp = Fraction(amp)
+    trunc = Fraction(trunc)
+    if amp <= 1:
+        raise ValueError("amplitude must exceed 1")
+    bases = list(bases)
     if len({b.k for b in bases}) != 1:
         raise ValueError("witness bases must share k: they share one shape family")
     axis = BasisSpec("axis", bases[0].k)
     basis_map = {b.describe(): b for b in bases}
     if len(basis_map) < len(bases):
         raise ValueError("two bases share a key; their P sets would merge")
+    E = central_block(tile_grid)
     generic = [key for key, b in basis_map.items() if _route(b) is None]
-    shapes = enumerate_shapes(axis, grid, r=trunc)
-    placements = np.zeros((0, grid.n + 1), dtype=np.int64)
+    shapes = enumerate_shapes(axis, tile_grid, r=trunc)
+    placements = np.zeros((0, tile_grid.n + 1), dtype=np.int64)
     if len(generic) < len(basis_map):
         # one placement pass: its winners are the certificates, P their cover
         _, *runs = _winners(StepFunction.indicator(E, amp), axis, 1, r=trunc, shapes=shapes)
@@ -469,15 +479,16 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     U = None
     if generic:
         rho_sq = inscribed_radius_sq(E)
-        fine = grid.refine(_square_refine_bits(grid, _REFINE_EXTRA))
+        fine = tile_grid.refine(_square_refine_bits(tile_grid, _REFINE_EXTRA))
         K = disk_core(fine, rho_sq)
         ladder = dyadic_ladder(max(fine.shape))
         fine_shapes = enumerate_shapes(axis, fine, r=trunc, ladder=ladder)
         U = axis_level_set_exact(K, amp, trunc, axis, fine_shapes)
     w = MPhiWitness(
-        grid=grid,
+        grid=tile_grid,
         h=amp,
-        epsilon=epsilon,
+        # epsilon >= trunc and > diam Q: the l1 norm of the box sides dominates it
+        epsilon=max(trunc, sum(tile_grid.side, Fraction(0))),
         trunc=trunc,
         E=E,
         p_sets={},
@@ -485,9 +496,9 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
         shapes=tuple(tuple(s) for s in shapes),
         placements=placements,
         disk=U,
-        c_of_h=Fraction(E.popcount, grid.total_cells),
+        c_of_h=Fraction(E.popcount, tile_grid.total_cells),
     )
-    p_sets = {key: GridSet._own(grid, mask) for key, mask in w._certified.items()}
+    p_sets = {key: GridSet._own(tile_grid, mask) for key, mask in w._certified.items()}
     for key, P in p_sets.items():
         if P.popcount == 0 and key not in generic and len(placements):
             raise VerificationError(f"the tile's own certificates fail for basis {key}")
@@ -499,49 +510,3 @@ def _witness(E, bases, amp, trunc, epsilon, phi) -> MPhiWitness:
     # the certified masks read none of the fields replace changes
     vars(out)["_certified"] = w._certified
     return out
-
-
-def build_tile_witness(
-    tile_grid: DyadicGrid,
-    bases,
-    amp,
-    trunc,
-    phi,
-) -> MPhiWitness:
-    """Witness with E = central 2x2 block and per-basis certified P sets."""
-    if tile_grid.n != 2:
-        raise ValueError("tile witnesses are planar")
-    amp = Fraction(amp)
-    trunc = Fraction(trunc)
-    if amp <= 1:
-        raise ValueError("amplitude must exceed 1")
-    # epsilon >= trunc and > diam Q: the l1 norm of the box sides dominates it
-    epsilon = max(trunc, sum(tile_grid.side, Fraction(0)))
-    return _witness(central_block(tile_grid), list(bases), amp, trunc, epsilon, phi)
-
-
-def mphi_witness_for_rotations(
-    gammas,
-    h,
-    epsilon,
-    phi,
-    k: int = 2,
-) -> MPhiWitness:
-    """Ball-centered witness for a finite family of rotations.
-
-    E is the set of cells whose centers lie in the Euclidean ball of
-    ``_BALL_CELLS`` cells about the box center, on a square grid of
-    ``_BALL_GRID_BITS`` bits per axis scaled so the box diameter stays
-    below epsilon; certificate rectangles are capped at the same epsilon.
-    """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    # shrink the box until its diameter (= side * sqrt(2)) is below epsilon
-    side = Fraction(1)
-    while 2 * side * side >= epsilon * epsilon:
-        side /= 2
-    grid = DyadicGrid((_BALL_GRID_BITS,) * 2, side=(side, side))
-    E = discrete_ball(grid, _BALL_CELLS)
-    bases = [BasisSpec("rotated", k, float(g)) for g in gammas]
-    return _witness(E, bases, Fraction(h), epsilon, epsilon, phi)

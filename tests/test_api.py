@@ -1,9 +1,9 @@
 """Every name a module exports resolves, so deletions leave no dead
 exports, no module imports a name it never reads, every record field is
-read, every name the benchmark tracer reads is still there, each runner
-reads exactly the config fields its kind accepts, and the package raises
-three exception classes, one per CLI exit code, which the CLI catches by
-name."""
+read, no guard is an assert statement, every name the benchmark tracer
+reads is still there, each runner reads exactly the config fields its
+kind accepts, and the package raises three exception classes, one per CLI
+exit code, which the CLI catches by name."""
 
 import ast
 import builtins
@@ -73,6 +73,18 @@ def test_every_record_field_is_read():
         if field.name not in read
     ]
     assert not unread, f"record fields nothing reads: {unread}"
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips assert statements, so a guard written as one would
+    # let the run go on unchecked; the package raises instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(gridhalo.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in gridhalo: {found}"
 
 
 def _tracer():

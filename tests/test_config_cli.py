@@ -15,6 +15,9 @@ from gridhalo import cli, config, experiments, maxop
 from gridhalo.cli import main
 from gridhalo.config import ConfigError, ExperimentConfig
 from gridhalo.grid import DyadicGrid, StepFunction
+from gridhalo.growth import log_power_growth
+from gridhalo.maxop import BasisSpec
+from gridhalo.witness import MPhiWitness, build_tile_witness
 
 
 class TestExperimentConfig:
@@ -406,6 +409,29 @@ class TestCli:
         assert _run(["maxfield", "--grid", "3", "--out", str(tmp_path)]) == 4
         assert "FAIL routes_agree" in capsys.readouterr().out
 
+    def test_a_stage_tile_failing_a_condition_exits_4(self, tmp_path, monkeypatch, capsys):
+        # box_diameter forced False on the 8x8 tiles, which the deep
+        # depth-3 plan builds its last two stages on (its first is 4x8):
+        # every witness_* line reads the stage tiles g is built from, one
+        # line per condition of verify, in its order
+        verify = MPhiWitness.verify
+
+        def tampered(self, phi):
+            checks = verify(self, phi)
+            if self.grid.shape == (8, 8):
+                checks["box_diameter"] = False
+            return checks
+
+        monkeypatch.setattr(MPhiWitness, "verify", tampered)
+        assert _run(["zygmund", "--depth", "3", "--out", str(tmp_path)]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL witness_box_diameter" in lines
+        phi = log_power_growth(2)
+        tile = build_tile_witness(DyadicGrid((2, 2)), [BasisSpec("axis", 2)], 3, 1, phi)
+        names = [line.split()[-1] for line in lines if " witness_" in line]
+        assert names == [f"witness_{name}" for name in verify(tile, phi)]
+        assert [line for line in lines if line.startswith("FAIL")] == ["FAIL witness_box_diameter"]
+
     @pytest.mark.parametrize("style", ["square", "deep"])
     def test_rearrange_depth_1_is_infeasible(self, style, tmp_path, capsys):
         # a depth-1 plan ends on 4x4 (square) or 4x8 (deep) cells, coarser
@@ -621,14 +647,19 @@ class TestReadFields:
         assert listed == {kind: set(f) for kind, f in config._READ_DEFAULTS.items()}
 
     @pytest.mark.parametrize(
-        "argv", [["zygmund", "--depth", "3", "--h-list", "4,8"], ["maxfield", "--h-list", "2,3"]]
+        "argv, message",
+        [
+            # each stage of the zygmund plan picks its own amplitude, so
+            # h_list is refused outright
+            (["zygmund", "--depth", "3", "--h-list", "4,8"], "zygmund runs do not read h_list"),
+            # maxfield reads h_list[0] alone, so a second sample would be
+            # silently ignored
+            (["maxfield", "--h-list", "2,3"], "maxfield reads one h sample, not the 2 of h_list"),
+        ],
     )
-    def test_a_second_h_sample_exits_2(self, argv, tmp_path, capsys):
-        # zygmund and maxfield read h_list[0] alone, so a second sample
-        # would be silently ignored
+    def test_a_second_h_sample_exits_2(self, argv, message, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"invalid config: {argv[0]} reads one h sample, not the 2 of h_list\n"
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
         assert not (tmp_path / "report.json").exists()
 
 

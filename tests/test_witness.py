@@ -24,7 +24,6 @@ from gridhalo.witness import (
     central_block,
     disk_core,
     inscribed_radius_sq,
-    mphi_witness_for_rotations,
     rotation_preimage,
 )
 from oracles import (
@@ -204,15 +203,18 @@ class TestAxisWitness:
             build_tile_witness(g, bases, Fraction(9, 4), Fraction(1), PHI)
 
     def test_tile_witness_is_planar(self):
-        with pytest.raises(ValueError, match="planar"):
-            build_tile_witness(
-                DyadicGrid((2, 2, 2)), [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1), PHI
-            )
+        for bits in ((2,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="tile witnesses are planar"):
+                build_tile_witness(
+                    DyadicGrid(bits), [BasisSpec("axis", 2)], Fraction(9, 4), Fraction(1), PHI
+                )
 
     def test_amplitude_must_exceed_one(self):
+        # at amp = 1 no rectangle's average of amp*chi_E exceeds 1
         g = DyadicGrid((2, 2))
-        with pytest.raises(ValueError):
-            build_tile_witness(g, [BasisSpec("axis", 2)], Fraction(1, 2), Fraction(1), PHI)
+        for amp in (Fraction(1, 2), 1, 1.0):
+            with pytest.raises(ValueError, match="amplitude must exceed 1"):
+                build_tile_witness(g, [BasisSpec("axis", 2)], amp, Fraction(1), PHI)
 
 
 class TestRotationCertificates:
@@ -319,6 +321,14 @@ class TestRotationCertificates:
             want = [float((2 * i + 1) * c / 2) for i in range(s)]
             assert witness._cell_centres(grid, ax).tolist() == want
 
+    def test_cell_centres_past_exact_float64_raise(self):
+        # the centres' denominator 2 * 3^34 passes 2^53: a float centre
+        # would be rounded twice, so the guard raises (and, being no
+        # assert, still does under python -O)
+        grid = DyadicGrid((2, 2), side=(Fraction(1, 3**34),) * 2)
+        with pytest.raises(ValueError, match="past exact float64"):
+            witness._cell_centres(grid, 0)
+
     def test_rotation_preimage_deterministic(self):
         g = DyadicGrid((3, 3))
         E = central_block(g)
@@ -345,18 +355,32 @@ class TestRotationCertificates:
         assert all(w.verify(PHI).values())
 
 
-class TestRotationFamilyWitness:
-    def test_witness_for_rotation_sample(self):
-        gammas = [0.0, math.pi / 8, math.pi / 4]
-        w = mphi_witness_for_rotations(gammas, 4.0, 1.0, PHI)
-        checks = w.verify(PHI)
-        assert all(checks.values()), checks
-        assert len(w.p_sets) == len(gammas)
-        assert w.box_diam_sq() < w.epsilon**2
+_ROTATIONS = [BasisSpec("rotated", 2, math.radians(d)) for d in (0.0, 22.5, 45.0, 67.5)]
 
-    def test_epsilon_shrinks_the_box(self):
-        w = mphi_witness_for_rotations([0.0], 4.0, 0.25, PHI)
-        assert w.box_diam_sq() < Fraction(1, 16)
+
+@pytest.fixture(scope="module")
+def rotation_plan():
+    """The deep depth-3 plan against zygmund's four default angles (stage
+    tiles 4x8, 8x4 and 8x8)."""
+    f, pads = synthetic_resonance_input(PHI, 3, style="deep")
+    return build_resonance_function(f, _ROTATIONS, PHI, 3, pads=pads)
+
+
+class TestRotationFamilyWitness:
+    def test_stage_tiles_pass_all_six_conditions(self, rotation_plan):
+        assert [s.tile.grid.shape for s in rotation_plan.stages] == [(4, 8), (8, 4), (8, 8)]
+        for s in rotation_plan.stages:
+            checks = s.tile.verify(PHI)
+            assert len(checks) == 6 and all(checks.values()), checks
+            # one P per angle
+            assert list(s.tile.p_sets) == [b.describe() for b in _ROTATIONS]
+            assert all(P.popcount > 0 for P in s.tile.p_sets.values())
+
+    def test_stage_tile_boxes_stay_below_epsilon(self, rotation_plan):
+        for s in rotation_plan.stages:
+            w = s.tile
+            assert w.box_diam_sq() < w.epsilon**2
+            assert w.trunc <= w.epsilon
 
 
 def _certificate_rectangle(K: GridSet, amp: Fraction, point):
@@ -638,14 +662,16 @@ class TestCellCertificates:
         assert mutant.containment() == {"I^1": False}
         assert not certified_sets_on_grid(mutant, w.E.mask, [(1, 1), (1, 1)])["I^1"].any()
 
-    def test_certificate_for_a_cell_off_the_tile_fails(self):
+    def test_certificate_for_a_cell_off_the_tile_fails(self, monkeypatch):
         # a placement overhanging the tile may clear the threshold; the
         # cell it covers outside the tile must not stand in for a tile cell
-        # (row -1 wrapping round to row 3)
+        # (row -1 wrapping round to row 3); the tile E is one cell on the
+        # wall, where a central block would put row 3 in the level set too
         mask = np.zeros((4, 4), dtype=bool)
         mask[0, 1] = True
         E = GridSet(DyadicGrid((2, 2)), mask)
-        w = witness._witness(E, [BasisSpec("axis", 2)], Fraction(3), Fraction(1), Fraction(2), PHI)
+        monkeypatch.setattr(witness, "central_block", lambda grid: E)
+        w = build_tile_witness(E.grid, [BasisSpec("axis", 2)], Fraction(3), Fraction(1), PHI)
         P = w.p_sets["I^2"]
         assert not P.mask[3, 1] and w.containment() == {"I^2": True}
         grown = P.mask.copy()
@@ -671,13 +697,11 @@ class TestCellCertificates:
     def test_exact_route_p_is_the_kernel_level_set(self):
         # the tile cells the proved winning placements cover are the whole
         # level set of the tile E, on the deep depth-4 tiles (4x8, 8x4,
-        # 8x8, 8x8) and on zygmund's 32x32 ball witness
+        # 8x8, 8x8)
         f, pads = synthetic_resonance_input(PHI, 4, style="deep")
         plan = build_resonance_function(f, [BasisSpec("axis", 2)], PHI, 4, pads=pads)
-        gammas = [math.radians(d) for d in (0.0, 22.5, 45.0, 67.5)]
-        ball = mphi_witness_for_rotations(gammas, 4.0, 1.0, PHI)
-        tiles = [s.tile for s in plan.stages] + [ball]
-        assert [w.grid.shape for w in tiles] == [(4, 8), (8, 4), (8, 8), (8, 8), (32, 32)]
+        tiles = [s.tile for s in plan.stages]
+        assert [w.grid.shape for w in tiles] == [(4, 8), (8, 4), (8, 8), (8, 8)]
         for w in tiles:
             level = axis_level_set_exact(w.E, w.h, w.trunc, BasisSpec("axis", 2), w.shapes)
             assert np.array_equal(w.p_sets[_exact_keys(w)[0]].mask, level.mask)
@@ -855,11 +879,6 @@ class TestFreshCertificates:
         f, pads = synthetic_resonance_input(PHI, 2, style="deep")
         plan = build_resonance_function(f, _CERT_BASES, PHI, 2, pads=pads)
         assert calls == [math.pi / 8] * len(plan.stages) == [math.pi / 8] * 2
-        calls.clear()
-        gammas = [math.radians(d) for d in (0.0, 22.5, 45.0, 67.5)]
-        ball = mphi_witness_for_rotations(gammas, 4.0, 1.0, PHI)
-        assert ball.verify(PHI)["levelset_containment"]
-        assert calls == gammas[1:]
 
     def test_a_failing_fresh_certificate_is_a_bug(self, monkeypatch, tmp_path):
         # one corner moved 8 cells per axis, a whole tile or more away:
@@ -881,9 +900,21 @@ class TestFreshCertificates:
         assert main(["resonance", "--depth", "1", "--out", str(tmp_path)]) == 4
 
     def test_a_pass_with_no_winners_is_infeasible(self):
-        E = GridSet(DyadicGrid((2, 2)), np.zeros((4, 4), dtype=bool))
-        with pytest.raises(InfeasibleError, match="empty P set"):
-            witness._witness(E, [BasisSpec("axis", 2)], Fraction(3), Fraction(1), Fraction(2), PHI)
+        # cells of 1/4 x 1/16 with k = 1: the smallest square is 1x4 cells,
+        # which holds at most 2 cells of the central block, so amplitude
+        # 3/2 clears no rectangle; a limit of the amplitude, not a bug
+        g = DyadicGrid((2, 4))
+        with pytest.raises(InfeasibleError, match=r"empty P set for basis I\^1"):
+            build_tile_witness(g, [BasisSpec("axis", 1)], Fraction(3, 2), Fraction(1), PHI)
+
+    def test_a_generic_angle_with_no_certified_cell_is_infeasible(self):
+        # at 45 degrees and amplitude 11/10 the level set U hugs the disk
+        # core, and the central block's centres turn onto subcell walls,
+        # which the margin refuses: no cell is certified, a limit of the
+        # amplitude, not a bug
+        basis = BasisSpec("rotated", 2, math.pi / 4)
+        with pytest.raises(InfeasibleError, match=r"empty P set for basis I\^2\(gamma=0.785398\)"):
+            build_tile_witness(DyadicGrid((2, 2)), [basis], Fraction(11, 10), Fraction(1), PHI)
 
     def test_bases_with_one_key_are_refused(self):
         bases = [BasisSpec("rotated", 2, math.radians(d)) for d in (22.5, 22.50001)]
