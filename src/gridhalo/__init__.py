@@ -17,7 +17,7 @@ from .maxop import (
     max_field_fast,
     max_level_set,
 )
-from .halo import discrete_ball, halo_estimate, halo_fit
+from .halo import halo_estimate, halo_fit
 from .witness import MPhiWitness, build_tile_witness
 from .resonance import (
     Rearrangement,

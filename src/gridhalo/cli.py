@@ -1,5 +1,11 @@
 """Command-line front end: one experiment per invocation.
 
+``main`` is the frame every run shares: it parses the flags into an
+``ExperimentConfig``, builds the report with its meta, times the runner
+as the ``total`` span, and writes the report only once the runner has
+returned, so a refused or infeasible run writes nothing.  A runner in
+``experiments`` fills in its rows, checks and meta extras alone.
+
 Exit codes: 0 success, 2 invalid configuration (``ConfigError``), 3
 infeasible construction at the configured grid or depth (``InfeasibleError``),
 4 internal verification failure (``VerificationError``: an exact invariant
@@ -11,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .config import ConfigError, ExperimentConfig
 from .grid import InfeasibleError, VerificationError
-from .reports import write_report
+from .reports import RunReport, write_report
 from . import experiments
 
 __all__ = ["main"]
@@ -37,14 +44,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact maximal-operator and resonance experiments on dyadic grids",
     )
     parser.add_argument("command", choices=_RUNNERS, help="experiment to run")
-    parser.add_argument("--grid", type=int, help="grid resolution exponent per axis")
+    parser.add_argument("--grid", dest="grid_bits", type=int, help="grid resolution exponent per axis")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--depth", type=int)
     parser.add_argument("--style", choices=["deep", "square"])
     parser.add_argument("--h-list", help="comma-separated h samples")
     parser.add_argument("--t-list", help="comma-separated truncation multipliers")
     parser.add_argument("--r-list", help="comma-separated ball radii in cells")
-    parser.add_argument("--rotations", help="comma-separated rotations in degrees")
+    parser.add_argument("--rotations", dest="rotations_deg", help="comma-separated rotations in degrees")
     parser.add_argument(
         "--set",
         action="append",
@@ -56,17 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_mapping(args) -> dict:
-    flat = {
-        "grid_bits": args.grid,
-        "out": args.out,
-        "depth": args.depth,
-        "style": args.style,
-        "h_list": args.h_list,
-        "t_list": args.t_list,
-        "r_list": args.r_list,
-        "rotations_deg": args.rotations,
+    # each flag's dest is the config field it sets
+    mapping = {
+        key: str(value)
+        for key, value in vars(args).items()
+        if key not in ("command", "set") and value is not None
     }
-    mapping = {key: str(value) for key, value in flat.items() if value is not None}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
@@ -75,11 +77,27 @@ def _merged_mapping(args) -> dict:
     return mapping
 
 
+def _meta(config: ExperimentConfig) -> dict:
+    return {
+        "kind": config.kind,
+        "n": config.n,
+        "k": config.k,
+        # every run computes in exact rational arithmetic
+        "mode": "rational",
+        # no run draws a random number; the key keeps report.json stable
+        "seed": 0,
+        "grid_bits": config.grid_bits,
+    }
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_mapping(args.command, _merged_mapping(args))
-        report = _RUNNERS[args.command](config)
+        report = RunReport(_meta(config))
+        t0 = time.perf_counter()
+        _RUNNERS[args.command](config, report)
+        report.timings["total"] = time.perf_counter() - t0
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2

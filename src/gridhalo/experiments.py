@@ -1,16 +1,18 @@
 """Experiment orchestration behind the command-line front end.
 
-Each ``run_*`` function takes an ExperimentConfig, performs the
-computation with its exact re-checks, and returns a RunReport whose
-``verified`` checklist mirrors checks that the underlying modules can
-reproduce in isolation.
+Each ``run_*`` function takes an ExperimentConfig and the RunReport that
+``cli.main`` built for the run, performs the computation with its exact
+re-checks, and fills in the report's rows, meta extras and ``verified``
+checklist, which mirrors checks that the underlying modules can
+reproduce in isolation, and writes its own artifacts (``plan.json``,
+``g.txt``, ``field.txt``, the permutation).  The meta every report shares,
+the run's ``total`` span and the writing of the report are ``cli.main``'s.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -49,23 +51,8 @@ __all__ = [
 ]
 
 
-def _meta(config: ExperimentConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "n": config.n,
-        "k": config.k,
-        # every run computes in exact rational arithmetic
-        "mode": "rational",
-        # no run draws a random number; the key keeps report.json stable
-        "seed": 0,
-        "grid_bits": config.grid_bits,
-    }
-
-
-def run_halo(config: ExperimentConfig) -> RunReport:
+def run_halo(config: ExperimentConfig, report: RunReport) -> None:
     """Halo-function sweep over h with the growth-model band fit."""
-    report = RunReport("halo", _meta(config))
-    t0 = time.perf_counter()
     basis = BasisSpec("axis", config.k)
     ests = halo_estimate(basis, config.grid_bits, config.h_list, config.t_list, config.r_list)
     phis = []
@@ -100,8 +87,6 @@ def run_halo(config: ExperimentConfig) -> RunReport:
     report.check("phi_over_h_monotone", all(rises))
     report.check("no_boundary_clipping", not any(row["clipped"] for row in report.rows))
     report.check("band_positive", lo > 0)
-    report.timings["total"] = time.perf_counter() - t0
-    return report
 
 
 _L9_CASES = tuple(
@@ -117,10 +102,8 @@ _L9_CASES = tuple(
 LEMMAS_RECT_CELLS = 1 << 16
 
 
-def run_lemma_checks(config: ExperimentConfig) -> RunReport:
+def run_lemma_checks(config: ExperimentConfig, report: RunReport) -> None:
     """Log-region integral vs its closed form, and level-set growth ratios."""
-    report = RunReport("lemmas", _meta(config))
-    t0 = time.perf_counter()
     grid = DyadicGrid((config.grid_bits,) * 2)
     w = max(grid.shape[0] // 64, 1)
     if w * w > LEMMAS_RECT_CELLS:
@@ -179,8 +162,6 @@ def run_lemma_checks(config: ExperimentConfig) -> RunReport:
             }
         )
     report.check("levelset_growth_positive", ok10)
-    report.timings["total"] = time.perf_counter() - t0
-    return report
 
 
 def _staged_plan(config: ExperimentConfig, bases) -> tuple:
@@ -192,18 +173,18 @@ def _staged_plan(config: ExperimentConfig, bases) -> tuple:
     return f, plan
 
 
-def _require_half_union_mass(plan, depth: int) -> None:
-    """A union mass below 1/2 is a limit of the depth (exit 3), not a bug."""
+def _check_half_union_mass(report: RunReport, plan, depth: int, name: str) -> None:
+    """A union mass below 1/2 is a limit of the depth (exit 3), not a bug;
+    past that, the line ``name`` records that every basis reaches 1/2."""
     short = [f"{key} reaches {u}" for key, (u, _, _) in plan.union_masses.items() if u < 0.5]
     if short:
         raise InfeasibleError(f"union mass below 1/2 at depth {depth}: {', '.join(short)}")
+    report.check(name, all(u >= Fraction(1, 2) for u, _, _ in plan.union_masses.values()))
 
 
-def run_zygmund(config: ExperimentConfig) -> RunReport:
+def run_zygmund(config: ExperimentConfig, report: RunReport) -> None:
     """Staged divergence masses against Λ = {I(γ)}, with the six witness
     conditions checked on every stage tile that g is built from."""
-    report = RunReport("zygmund", _meta(config))
-    t0 = time.perf_counter()
     phi = log_power_growth(config.growth_exponent)
     bases = [BasisSpec("rotated", config.k, math.radians(d)) for d in config.rotations_deg]
     # every basis is keyed by its description, which rounds gamma
@@ -231,31 +212,16 @@ def run_zygmund(config: ExperimentConfig) -> RunReport:
                 }
             )
     report.check("plan_verified", plan.verified())
-    _require_half_union_mass(plan, config.depth)
-    report.check(
-        "final_masses_at_least_half",
-        all(u >= Fraction(1, 2) for u, _, _ in plan.union_masses.values()),
-    )
-    masses = {}
-    for row in report.rows:
-        masses.setdefault(row["gamma_deg"], []).append(row["union_mass_exact"])
+    _check_half_union_mass(report, plan, config.depth, "final_masses_at_least_half")
     report.check(
         "masses_nondecreasing_in_depth",
-        all(
-            Fraction(a) <= Fraction(b)
-            for seq in masses.values()
-            for a, b in zip(seq, seq[1:])
-        ),
+        all(a <= b for seq in plan.unions.values() for (a, _, _), (b, _, _) in zip(seq, seq[1:])),
     )
     save_plan(plan, config.out)
-    report.timings["total"] = time.perf_counter() - t0
-    return report
 
 
-def run_resonance(config: ExperimentConfig) -> RunReport:
+def run_resonance(config: ExperimentConfig, report: RunReport) -> None:
     """Full staged construction for the axis basis."""
-    report = RunReport("resonance", _meta(config))
-    t0 = time.perf_counter()
     _, plan = _staged_plan(config, [BasisSpec("axis", config.k)])
     for k, ((_, h, q), s) in enumerate(zip(plan.selection, plan.stages), start=1):
         row = {
@@ -278,25 +244,17 @@ def run_resonance(config: ExperimentConfig) -> RunReport:
         "union_identity",
         all(ok for seq in plan.unions.values() for _, _, ok in seq),
     )
-    _require_half_union_mass(plan, config.depth)
-    report.check(
-        "union_at_least_half",
-        all(u >= Fraction(1, 2) for u, _, _ in plan.union_masses.values()),
-    )
+    _check_half_union_mass(report, plan, config.depth, "union_at_least_half")
     report.check("mass_bounded_by_input", plan.integral_g <= plan.integral_f)
     report.meta["union_masses"] = {
         key: str(u) for key, (u, _, _) in plan.union_masses.items()
     }
     save_plan(plan, config.out)
-    report.timings["total"] = time.perf_counter() - t0
-    return report
 
 
-def run_rearrangement_demo(config: ExperimentConfig) -> RunReport:
+def run_rearrangement_demo(config: ExperimentConfig, report: RunReport) -> None:
     """Build the rearrangement for the shipped input and report the
     verdicts of its proof."""
-    report = RunReport("rearrange", _meta(config))
-    t0 = time.perf_counter()
     need = shipped_rearrangement_depth(config.style)
     if config.depth < need:
         raise InfeasibleError(
@@ -311,11 +269,8 @@ def run_rearrangement_demo(config: ExperimentConfig) -> RunReport:
         )
     for name, ok in omega.checks.items():
         report.check(name, ok)
-    os.makedirs(config.out, exist_ok=True)
     save_rearrangement(omega, config.out)
     save_step_function(plan.g, os.path.join(config.out, "g.txt"))
-    report.timings["total"] = time.perf_counter() - t0
-    return report
 
 
 # Largest shapes x cells product a maxfield run may take: every shape costs
@@ -337,10 +292,8 @@ def _shape_count(n: int, widths: int, k: int) -> int:
     return sum(math.comb(widths, j) * surjections(j) for j in range(1, min(k, n) + 1))
 
 
-def run_maxfield(config: ExperimentConfig) -> RunReport:
+def run_maxfield(config: ExperimentConfig, report: RunReport) -> None:
     """One maximal-operator field over a central-block indicator."""
-    report = RunReport("maxfield", _meta(config))
-    t0 = time.perf_counter()
     grid = DyadicGrid((config.grid_bits,) * config.n)
     basis = BasisSpec("axis", config.k)
     # counted, not listed, so a refused run lists no shape
@@ -375,5 +328,3 @@ def run_maxfield(config: ExperimentConfig) -> RunReport:
         )
     os.makedirs(config.out, exist_ok=True)
     save_max_field(fld, basis, None, os.path.join(config.out, "field.txt"))
-    report.timings["total"] = time.perf_counter() - t0
-    return report

@@ -27,12 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import DyadicGrid, GridSet, InfeasibleError
+from .grid import DyadicGrid, InfeasibleError
 from .growth import log_power_growth
-from .maxop import BasisSpec, _embed, _paint, _placement_pass, _support, dyadic_ladder
+from .maxop import BasisSpec, _paint, _placement_pass, _support, dyadic_ladder
 
 __all__ = [
-    "discrete_ball",
     "halo_estimate",
     "halo_fit",
     "lemma9_integral",
@@ -40,46 +39,18 @@ __all__ = [
 ]
 
 
-def _ball_box(grid: DyadicGrid, r_cells: float):
-    """``discrete_ball`` on the ball's bounding box: the box's lower corner
-    and its cells inside the ball, as a bool mask of the box.
+def _ball_box(grid: DyadicGrid, r: int):
+    """The cells whose centres lie less than ``r`` cells from the centre of
+    a square grid of an even number of cells per axis: the lower corner
+    of the ball's bounding box and its cells as a bool mask of the box.
 
-    A float sum of nonnegative terms is at least each term, so a cell whose
-    offset along one axis already squares to r^2 or more lies outside, and
-    only the cells within r + 2 of the box center c are looked at, so the
-    work does not grow with the grid.  A cell i's offset is (i - floor(c))
-    + 0.5 - (c - floor(c)): the same real number as i + 0.5 - c, rounded
-    once, so while i + 0.5 is exact in float64 it is the offset a
-    whole-axis array gives, and past that it is still the cell's true
-    offset, rounded once.  Inside the box the terms are summed in axis
-    order, as a whole-grid sum adds them, so the mask is the same bit for
-    bit."""
-    if len(set(grid.cell_size)) != 1:
-        raise ValueError("discrete balls need an isotropic grid")
-    r2 = float(r_cells) ** 2
-    reach = math.ceil(abs(float(r_cells))) + 2
-    corner, d2 = [], 0.0
-    for ax, m in enumerate(grid.shape):
-        c = m / 2.0
-        base = math.floor(c)
-        lo, hi = max(base - reach, 0), min(base + reach, m)
-        term = (np.arange(lo - base, hi - base, dtype=np.float64) + 0.5 - (c - base)) ** 2
-        near = np.flatnonzero(term < r2)
-        if not near.size:
-            return (0,) * grid.n, np.zeros((0,) * grid.n, dtype=bool)
-        corner.append(lo + int(near[0]))
-        d2 = d2 + term[near[0] : near[-1] + 1].reshape((-1,) + (1,) * (grid.n - 1 - ax))
-    return tuple(corner), d2 < r2
-
-
-def discrete_ball(grid: DyadicGrid, r_cells: float) -> GridSet:
-    """Cells whose centers lie within Euclidean distance r of the box
-    center.
-
-    Distances are in cell units of axis 0; the grid must be isotropic.
-    Only the ball's bounding box is computed (``_ball_box``)."""
-    corner, inside = _ball_box(grid, r_cells)
-    return GridSet._own(grid, _embed(grid.shape, inside, corner))
+    Cell m/2 + j of an axis of m cells lies (2j + 1)/2 cells from the
+    centre along it, so the ball is sum_j (2j + 1)^2 < 4 r^2, on integers,
+    and its box spans j in [-r, r) on each axis, clipped to the grid."""
+    half = grid.shape[0] // 2
+    reach = min(r, half)
+    odd2 = (2 * np.arange(-reach, reach) + 1) ** 2
+    return (half - reach,) * grid.n, sum(np.ix_(*(odd2,) * grid.n)) < 4 * r * r
 
 
 def _level_set_box(grid: DyadicGrid, support, basis: BasisSpec, hs, r=None, ladder=None):

@@ -18,15 +18,13 @@ __all__ = ["RunReport", "write_report"]
 
 @dataclass
 class RunReport:
-    kind: str
     meta: dict
     rows: list = field(default_factory=list)
     verified: list = field(default_factory=list)  # [{"name": str, "ok": bool}]
     timings: dict = field(default_factory=dict)
 
-    def check(self, name: str, ok: bool) -> bool:
+    def check(self, name: str, ok: bool) -> None:
         self.verified.append({"name": name, "ok": bool(ok)})
-        return bool(ok)
 
     def all_verified(self) -> bool:
         return all(item["ok"] for item in self.verified)

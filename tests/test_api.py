@@ -116,11 +116,10 @@ def test_the_benchmark_tracer_finds_what_it_reads():
 
 def _fields_read(kind):
     """The config fields the ``kind`` runner reads, in its own body and in
-    every private helper of ``experiments`` that it calls, transitively;
-    ``_meta`` only copies fields into report.json, which selects nothing."""
+    every private helper of ``experiments`` that it calls, transitively."""
     tree = ast.parse(Path(experiments.__file__).read_text())
     defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    read, seen, todo = set(), {"_meta"}, [cli._RUNNERS[kind].__name__]
+    read, seen, todo = set(), set(), [cli._RUNNERS[kind].__name__]
     while todo:
         name = todo.pop()
         if name in seen:
@@ -142,6 +141,24 @@ def test_each_runner_reads_exactly_its_declared_fields(kind):
     # lists but the runner never reads would be silently ignored; out is a
     # path every kind takes, kind picks the runner in cli
     assert _fields_read(kind) - {"kind", "out"} == set(config._READ_DEFAULTS[kind])
+
+
+def test_no_runner_repeats_the_run_frame():
+    # cli.main builds the report, times the runner call and writes the
+    # report; a runner that built its own or kept a span of its own would
+    # lose it or report a second total
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    runners = {fn.__name__ for fn in cli._RUNNERS.values()}
+    found = [
+        f"{fn.name}:{node.lineno}"
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in runners
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Attribute) and node.attr == "timings")
+        or (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("RunReport"))
+        or (isinstance(node, ast.Return) and node.value is not None)
+    ]
+    assert not found, f"runners that repeat the frame: {found}"
 
 
 def test_every_config_field_is_read_by_a_runner():

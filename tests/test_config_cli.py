@@ -17,6 +17,7 @@ from gridhalo.config import ConfigError, ExperimentConfig
 from gridhalo.grid import DyadicGrid, StepFunction
 from gridhalo.growth import log_power_growth
 from gridhalo.maxop import BasisSpec
+from gridhalo.reports import RunReport
 from gridhalo.witness import MPhiWitness, build_tile_witness
 
 
@@ -205,7 +206,7 @@ class TestCli:
         monkeypatch.setattr(experiments, "max_field_fast", stop)
         config = ExperimentConfig.from_mapping("maxfield", {"grid_bits": "7", "h_list": "4"})
         with pytest.raises(Reached) as hit:
-            experiments.run_maxfield(config)
+            experiments.run_maxfield(config, RunReport({}))
         assert hit.value.args[0] == 2**28 <= experiments.MAXFIELD_SHAPE_CELLS
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -475,10 +476,10 @@ class TestCli:
 
 # every option once: its argv and the Namespace attribute it sets, typed
 _FLAGS = [
-    (["--grid", "9"], "grid", 9),
+    (["--grid", "9"], "grid_bits", 9),
     (["--out", "o"], "out", "o"),
     # a negative value reads as an option unless it is joined by "="
-    (["--rotations=-22.5"], "rotations", "-22.5"),
+    (["--rotations=-22.5"], "rotations_deg", "-22.5"),
     # any key passes the parser; ExperimentConfig refuses unknown ones
     (["--set", "seed=1"], "set", ["seed=1"]),
     (["--depth", "2"], "depth", 2),
@@ -486,13 +487,13 @@ _FLAGS = [
     (["--h-list", "4,8"], "h_list", "4,8"),
     (["--t-list", "2,inf"], "t_list", "2,inf"),
     (["--r-list", "1,2"], "r_list", "1,2"),
-    (["--rotations", "0,45"], "rotations", "0,45"),
+    (["--rotations", "0,45"], "rotations_deg", "0,45"),
     (["--set", "k=2", "--set", "n=2"], "set", ["k=2", "n=2"]),
 ]
 _UNSET = {
-    "grid": None, "out": None,
+    "grid_bits": None, "out": None,
     "depth": None, "style": None, "h_list": None, "t_list": None,
-    "r_list": None, "rotations": None, "set": [],
+    "r_list": None, "rotations_deg": None, "set": [],
 }
 
 
@@ -506,6 +507,12 @@ class TestParser:
     @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
     def test_bare_command(self, command):
         assert vars(cli._build_parser().parse_args([command])) == dict(_UNSET, command=command)
+
+    def test_every_flag_is_named_after_its_config_field(self):
+        # _merged_mapping passes each flag on under its dest, so a dest
+        # that is no field would reach ExperimentConfig as an unknown key
+        dests = {action.dest for action in cli._build_parser()._actions}
+        assert dests - {"help", "command", "set"} <= set(config._PARSERS)
 
     @pytest.mark.parametrize(
         "argv",
@@ -609,6 +616,8 @@ class TestReadFields:
     @pytest.mark.parametrize("kind", sorted(cli._RUNNERS))
     def test_each_default_is_read_and_runs(self, kind, tmp_path):
         assert main([kind, "--out", str(tmp_path)]) == 0
+        # cli.main times the runner call; no runner adds a span of its own
+        assert re.fullmatch(r"total \d+\.\d{3}\n", (tmp_path / "timings.txt").read_text())
 
     @pytest.mark.parametrize("kind", sorted(cli._RUNNERS))
     def test_the_empty_mapping_is_the_bare_command(self, kind, monkeypatch):
@@ -616,7 +625,7 @@ class TestReadFields:
         class Reached(Exception):
             pass
 
-        def catch(config):
+        def catch(config, report):
             raise Reached(config)
 
         monkeypatch.setitem(cli._RUNNERS, kind, catch)

@@ -17,8 +17,8 @@ from gridhalo.cli import main
 from gridhalo.experiments import run_halo
 from gridhalo.grid import DyadicGrid, GridSet, InfeasibleError, StepFunction
 from gridhalo.halo import (
+    _ball_box,
     _gauss_quad,
-    discrete_ball,
     halo_estimate,
     halo_fit,
     lemma9_integral,
@@ -26,6 +26,7 @@ from gridhalo.halo import (
 )
 from gridhalo import maxop
 from gridhalo.maxop import BasisSpec, dyadic_ladder, level_set, max_field_brute, max_level_set
+from gridhalo.reports import RunReport
 from oracles import boundary_touch
 
 
@@ -53,56 +54,36 @@ def dense_ball(grid, r_cells):
     return d2 < float(r_cells) ** 2
 
 
-@st.composite
-def ball_cases(draw):
-    """A grid of 1-3 axes with square cells, 2^0 up to 2^top cells per axis
-    (each box side follows its cell count), and a radius."""
-    n = draw(st.integers(1, 3))
-    bits = tuple(draw(st.integers(0, (6, 4, 3)[n - 1])) for _ in range(n))
-    m = 1 << max(bits)
-    r = draw(
-        st.one_of(
-            st.sampled_from([0, 0.5]),
-            st.integers(0, 4 * m + 4).map(lambda k: k / 2),
-            st.floats(0, 2 * m + 2, allow_nan=False),
+def box_ball(grid, r):
+    """``_ball_box``'s mask, embedded in the grid."""
+    corner, inside = _ball_box(grid, r)
+    return maxop._embed(grid.shape, inside, corner)
+
+
+class TestBallBox:
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda bits: st.tuples(st.just(bits), st.integers(1, 2 ** (bits + 1) + 2))
         )
     )
-    return DyadicGrid(bits, side=tuple(Fraction(1 << b, m) for b in bits)), r
-
-
-# 16 x 1 square cells: the box center is (8, 1/2), so cell (i, 0) lies
-# |i + 1/2 - 8| from it, exactly 5/2 for i = 5 and i = 10
-_STRIP = DyadicGrid((4, 0), side=(1, Fraction(1, 16)))
-
-
-class TestDiscreteBall:
-    @given(ball_cases())
-    @example((_STRIP, 2.5))  # cells at exactly r
-    @example((DyadicGrid((3, 3)), 0))  # empty ball
-    @example((DyadicGrid((2, 2)), 40.5))  # ball larger than the grid
-    @example((DyadicGrid((0, 3, 1), side=(Fraction(1, 8), 1, Fraction(1, 4))), 1.5))
+    @example((2, 40))  # ball larger than the grid
+    @example((7, 64))  # ball reaching the grid edge
     @settings(max_examples=300, deadline=None)
     def test_box_ball_equals_the_dense_formula(self, case):
-        grid, r = case
-        assert np.array_equal(discrete_ball(grid, r).mask, dense_ball(grid, r))
-
-    def test_sphere_cells_are_left_out(self):
-        # the compare is strict: centres at distance exactly r are outside
-        ball = discrete_ball(_STRIP, 2.5)
-        assert np.flatnonzero(ball.mask).tolist() == [6, 7, 8, 9]
+        bits, r = case
+        grid = DyadicGrid((bits, bits))
+        assert np.array_equal(box_ball(grid, r), dense_ball(grid, r))
 
     def test_small_ball_is_symmetric_about_corner(self):
-        g = DyadicGrid((4, 4))
-        ball = discrete_ball(g, 1)
-        assert ball.popcount == 4
-        idx = np.argwhere(ball.mask)
+        ball = box_ball(DyadicGrid((4, 4)), 1)
+        assert ball.sum() == 4
+        idx = np.argwhere(ball)
         center = idx.mean(axis=0)
         assert np.allclose(idx.max(axis=0) - center, center - idx.min(axis=0))
 
     def test_radius_two_ball(self):
-        g = DyadicGrid((4, 4))
         # strictly-within-r centers: the 4x4 block minus its 4 corners
-        assert discrete_ball(g, 2).popcount == 12
+        assert box_ball(DyadicGrid((4, 4)), 2).sum() == 12
 
 
 class TestHaloEstimate:
@@ -191,7 +172,7 @@ class TestHaloEstimate:
         basis = BasisSpec("axis", 2)
         (sample,) = halo_estimate(basis, bits, [h], [t], [r])
         grid = DyadicGrid((bits, bits))
-        ball = discrete_ball(grid, r)
+        ball = GridSet(grid, dense_ball(grid, r))
         r_phys = None if math.isinf(t) else t * r * float(grid.cell_size[0])
         f = StepFunction.indicator(ball, h)
         ls = max_level_set(f, basis, 1, r=r_phys, ladder=dyadic_ladder(grid.shape[0]))
@@ -235,7 +216,7 @@ class TestHaloEstimate:
             "halo", {"grid_bits": bits, "h_list": hs, "out": str(tmp_path)}
         )
         with pytest.raises(InfeasibleError) as exc:
-            run_halo(config)
+            run_halo(config, RunReport({}))
         assert str(exc.value) == (
             f"level set for {named} reaches the boundary of the grid with 2^{bits} cells "
             "per axis; use a finer grid or smaller h"
