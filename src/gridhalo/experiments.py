@@ -51,8 +51,25 @@ __all__ = [
 ]
 
 
+# Largest ball box, in cells, of a halo sample: the placement pass costs
+# about 4 c^2 placements per shape on a c x c box, so r = 256 (a 512 x 512
+# box, 13 s and 410 MB as a process at --grid 24 on a 2-vCPU VM) is the
+# largest radius under the bound, each doubling of r costing about four
+# times the time; --r-list 100000 asked numpy for a 200000 x 200000 box.
+HALO_BALL_CELLS = 1 << 18
+
+
 def run_halo(config: ExperimentConfig, report: RunReport) -> None:
     """Halo-function sweep over h with the growth-model band fit."""
+    half = 1 << (config.grid_bits - 1)
+    for r in config.r_list:
+        side = 2 * min(r, half)
+        if side * side > HALO_BALL_CELLS:
+            raise InfeasibleError(
+                f"the ball of radius {r} cells on the grid with 2^{config.grid_bits} cells "
+                f"per axis has a box of {side}x{side} cells, above the bound "
+                f"{HALO_BALL_CELLS}; use a smaller --r-list"
+            )
     basis = BasisSpec("axis", config.k)
     ests = halo_estimate(basis, config.grid_bits, config.h_list, config.t_list, config.r_list)
     phis = []

@@ -12,11 +12,14 @@ Lemma 10's amplitudes on one rectangle) is one placement pass per ball
 and truncation.  Such a pass runs on the support box from input to
 verdict: chi_ball, or chi_I, is a numerator crop of its bounding box, one
 placement pass of ``maxop`` finds, for every h at once, the rectangles
-that average above 1/h, and one paint per h draws their union on the
-runs' bounding box, where the cells are counted and boundary contact is
-read off the box's walls.  No array spans the grid.  Only shapes small
-enough to average above the smallest threshold on the ball's mass are
-evaluated, and only near the ball.
+that average above 1/h, as runs, boxes of placements with a count per
+axis; a shape wider than the support costs what one as wide as it does,
+since its placements covering the support share one sum, evaluated once.
+One paint per h cuts the runs' bounding box into slabs at their walls:
+the set's cells are the painted slabs' volumes, and boundary contact is
+read off the outer walls.  No array spans the grid, nor the set.  Only
+shapes small enough to average above the smallest threshold on the
+ball's mass are evaluated, and only near the ball.
 """
 
 from __future__ import annotations
@@ -60,15 +63,22 @@ def _level_set_box(grid: DyadicGrid, support, basis: BasisSpec, hs, r=None, ladd
 
     M is positively homogeneous, so {M(h f) > 1} = {M f > 1/h}: one
     placement pass at the thresholds 1/h serves every h, and one paint per
-    h, on its winning runs' bounding box, which is tight, so the set
-    touches the boundary exactly when the box starts at 0 or ends at the
-    grid size on some axis.  The compare S * h_num > h_den * |R| is the
-    one a pass over the numerators h * f makes."""
+    h, in slab space, where the set's cells are the sum of its slabs'
+    volumes; its walls bound the set tightly, so the set touches the
+    boundary exactly when the first wall is 0 or the last the grid size on
+    some axis.  The compare S * h_num > h_den * |R| is the one a pass over
+    the numerators h * f makes."""
     out = []
     for runs in _placement_pass(grid, 1, support, basis, [1 / Fraction(h) for h in hs], r, ladder):
-        box, corner = _paint(grid.shape, *runs)
-        ends = zip(corner, box.shape, grid.shape)
-        out.append((int(box.sum()), box.size > 0 and any(c == 0 or c + s == m for c, s, m in ends)))
+        slabs, walls = _paint(grid.shape, *runs)
+        # Python ints once the box could hold 2^63 cells; einsum casts the
+        # slabs in buffered chunks, never the whole array at once
+        big = math.prod(int(cut[-1] - cut[0]) for cut in walls) >= 1 << 63
+        cells = slabs
+        for cut in reversed(walls):
+            cells = np.einsum("...j,j->...", cells, np.diff(cut).astype(object if big else np.int64))
+        touch = any(cut[0] == 0 or cut[-1] == m for cut, m in zip(walls, grid.shape))
+        out.append((int(cells), slabs.size > 0 and touch))
     return out
 
 
@@ -83,7 +93,7 @@ def halo_estimate(
 
     Each sample runs on the ball's bounding box: the indicator chi_ball is
     a numerator crop of that box, one placement pass per (ball, t) serves
-    every h, and each level set is counted on the bounding box of its
+    every h, and each level set is counted in the slab space of its
     winning runs, so no array spans the grid."""
     hs = [float(h) for h in hs]
     t_list = [float(t) for t in t_list]

@@ -11,13 +11,18 @@ pass over a support, a numerator crop and its lower corner
 (``_placement_pass``; ``_winners`` passes f's own and one threshold): it
 skips every shape whose average cannot exceed the smallest threshold even
 with the whole mass of f inside (exact, since f is nonnegative), lays the
-other shapes' placements out as flat index arrays in batches of a fixed
-size, decides each batch with one cross-multiplied integer compare per
-threshold, and paints the union of a threshold's winning runs once, on
-their bounding box (``_paint``), which it embeds in the grid.  Halo
-samples build their crop and count their cells on that box alone, every
-amplitude of a sweep a threshold of one pass.  The tile witness takes its
-certificates from the same winners.  ``max_field_brute`` (direct
+other shapes' placements out clipped to the crop, so that along an axis
+where a shape is at least as wide as the crop the plateau of placements
+covering it, which share one sum, is evaluated once, as flat index arrays
+in batches of a fixed size, decides each batch with one cross-multiplied
+integer compare per threshold, and returns a threshold's winners as runs,
+boxes of placements with a count per axis.  ``_paint`` draws a threshold's
+runs once in slab space, the boxes the runs' walls cut: halo samples count
+the set there, as the painted slabs' volumes, and ``max_level_set``
+stretches the slabs back to a mask of the grid (``_mask``).  Halo samples
+build their crop on the ball's box alone, every amplitude of a sweep a
+threshold of one pass.  The tile witness takes its certificates from the
+same winners, one placement each.  ``max_field_brute`` (direct
 repeated-addition window sums and a linear placement scan on the whole
 grid) is the oracle.  Both compare averages cross-multiplied on
 common-denominator integers (int64, or Python ints when int64 could
@@ -420,24 +425,31 @@ def _placement_pass(
     crop / den at ``support = (crop, corner)``, the nonzero bounding box of
     its numerators on ``grid`` and the box's lower corner (None when f is
     zero), zero elsewhere.  A threshold's placements come as runs
-    ``(widths, index, low, count)``: run i is row ``widths[index[i]]``
-    placed with lower corners ``low[i]`` to ``low[i]`` + ``count[i] - 1``
-    along the last axis (in cells; a placement may overhang the box), in
-    family order and, per shape, in row-major order of the corner.
+    ``(widths, index, low, counts)``: run i is the box of placements of
+    shape ``widths[index[i]]`` whose lower corners run from ``low[i]`` to
+    ``low[i] + counts[i] - 1`` per axis (in cells; a placement may overhang
+    the box), in family order and, per shape, in row-major order of the
+    corner; expanded, they are the winning placements in that order.
 
     A shape R can only win where some placement holds more than lam * |R|
     of the mass; no placement holds more than the total, so a shape with
     total * q <= p * |R| * den (lam = p/q the smallest threshold) is
-    skipped, and so is a row whose band holds too little.  The kept
-    shapes' placements that meet the support's bounding box are laid out
-    in rows along the last axis, whole rows to a batch of at most
-    ``_PLACEMENT_BUDGET`` placements (or one row).  Each placement sum is
-    2^n gathers from one summed-area table of the crop, and one
-    cross-multiplied compare per threshold decides a batch.  Both skips
-    only drop placements that no threshold can pass, so each threshold's
-    runs are those of a pass at that threshold alone.  M is positively
-    homogeneous, {M(h f) > lam} = {M f > lam / h}: a sweep over
-    amplitudes of one f is one pass over its thresholds.
+    skipped, and so is a row whose band holds too little.  Along an axis
+    where a shape is at least as wide as the crop, its placements that
+    cover the crop have one sum, the plateau, and each other placement sums
+    what a placement of the shape clipped to the crop width sums.  So the
+    pass lays out the clipped shapes' placements that meet the crop, in
+    rows along the last axis, whole rows to a batch of at most
+    ``_PLACEMENT_BUDGET`` placements (or one row); a clipped placement at
+    lower corner 0 stands for the w - c + 1 plateau placements, and one
+    below 0 for the placement w - c lower.  A shape then costs fewer than
+    2^n c_1 ... c_n placements, whatever its widths.  Each placement
+    sum is 2^n gathers from one summed-area table of the crop, and one
+    cross-multiplied compare per threshold, against the unclipped area,
+    decides a batch.  Both skips only drop placements that no threshold can
+    pass, so each threshold's runs are those of a pass at that threshold
+    alone.  M is positively homogeneous, {M(h f) > lam} = {M f > lam / h}:
+    a sweep over amplitudes of one f is one pass over its thresholds.
     """
     lams = [Fraction(lam) for lam in lams]
     if any(lam < 0 for lam in lams):
@@ -461,19 +473,23 @@ def _placement_pass(
         # past the mass skip every area is below total * q / (p * den)
         area = np.zeros(len(area), dtype=np.int64)
         area[kept] = widths[kept].astype(object).prod(axis=1)
+    # the pass lays out each shape clipped to the crop; skip is how much
+    # wider than the crop the shape is, per axis
+    reach = np.minimum(widths, crop.shape)
+    skip = widths - reach
     # a row is a kept shape with the lower corner of its placements on
     # every axis but the last; its placements meeting the crop follow
     # along the last axis
-    per = (widths[kept] + crop.shape - 1)[:, :-1].prod(axis=1)
+    per = (reach[kept] + crop.shape - 1)[:, :-1].prod(axis=1)
     k = np.repeat(kept, per)
     rest = np.arange(len(k)) - np.repeat(np.cumsum(per) - per, per)
-    w = widths[k]
+    w = reach[k]
     lo = np.zeros((len(k), n), dtype=np.int64)
     for ax in reversed(range(n - 1)):
         rest, lo[:, ax] = np.divmod(rest, w[:, ax] + crop.shape[ax] - 1)
     lo -= w - 1
-    # the table pads the last axis for the widest shape; the other axes
-    # clip per row, so a row's corner entries sit at fixed offsets
+    # the table pads the last axis for the widest clipped shape; the other
+    # axes clip per row, so a row's corner entries sit at fixed offsets
     pad = [0] * (n - 1) + [int(w[:, -1].max(initial=1)) - 1]
     table = _summed_area(crop, pad, pad)
     flat = table.ravel()
@@ -515,42 +531,45 @@ def _placement_pass(
             head[1:] &= ~link
             tail[:-1] &= ~link
             head, tail = np.flatnonzero(head), np.flatnonzero(tail)
-            out.append(np.stack([rows[head], at[head], tail - head + 1]))
+            out.append(np.stack([rows[head], at[head], at[tail]]))
         row = stop
     passes = []
     for out in runs:
-        run, at, count = np.concatenate(out, axis=1)
-        low = lo[run] + corner
-        low[:, -1] += at - starts[run]
-        passes.append((widths, k[run], low, count))
+        run, head, tail = np.concatenate(out, axis=1)
+        low, high = lo[run], lo[run]
+        low[:, -1] += head - starts[run]
+        high[:, -1] += tail - starts[run]
+        # back from the clipped shape: corner 0 opens the plateau, and the
+        # corners below it move down by the skip
+        wide = skip[k[run]]
+        low -= wide * (low <= 0)
+        high -= wide * (high < 0)
+        passes.append((widths, k[run], low + corner, high - low + 1))
     return passes
 
 
-def _paint(shape, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count: np.ndarray):
+def _paint(shape, widths: np.ndarray, index: np.ndarray, low: np.ndarray, counts: np.ndarray):
     """The union of the runs of ``_placement_pass`` on a grid of ``shape``,
-    as a bool mask of the union's bounding box and the box's lower corner:
-    run i covers the box from ``low[i]`` to ``low[i] + widths[index[i]]``,
-    stretched by ``count[i] - 1`` along the last axis, clipped to the grid.
-    Every run meets the support, so the box is tight.
+    in slab space: run i covers the box from ``low[i]`` to ``low[i] +
+    widths[index[i]] + counts[i] - 1``, clipped to the grid.  Per axis the
+    runs' walls cut the union's bounding box into slabs; returns which
+    slabs the union covers, as a bool array, and the walls, an array of
+    grid coordinates per axis, slab j lying between walls j and j + 1.
+    Every run meets the support, so the first and last walls bound the
+    union tightly.
 
-    Per axis the runs' walls cut the box into slabs, and the runs go into
-    one difference array over those slabs (int32 while fewer than 2^31
-    runs can cover a cell), whose prefix sums count the runs over each slab
-    cell; the painted slab cells are then stretched back to cells."""
+    The runs go into one difference array over the slabs (int32 while
+    fewer than 2^31 runs can cover a cell), whose prefix sums count the
+    runs over each slab.  ``_mask`` stretches the slabs back to cells."""
     if not len(low):
-        return np.zeros((0,) * len(shape), dtype=bool), (0,) * len(shape)
-    hi = low + widths[index]
-    hi[:, -1] += count - 1
+        return np.zeros((0,) * len(shape), dtype=bool), [np.zeros(1, dtype=np.int64)] * len(shape)
+    hi = low + widths[index] + counts - 1
     lo, hi = np.clip(low, 0, shape), np.clip(hi, 0, shape)
-    base = lo.min(axis=0)
-    sizes = (hi.max(axis=0) - base).tolist()
     walls, slab = [], []
-    for ax, size in enumerate(sizes):
-        bounds = np.stack([lo[:, ax], hi[:, ax]]) - base[ax]
-        mark = np.zeros(size + 1, dtype=bool)
-        mark[[0, size]] = mark[bounds] = True
-        walls.append(np.flatnonzero(mark))
-        slab.append(np.cumsum(mark)[bounds] - 1)
+    for ax in range(len(shape)):
+        cut, at = np.unique(np.concatenate([lo[:, ax], hi[:, ax]]), return_inverse=True)
+        walls.append(cut)
+        slab.append(at.reshape(2, -1))
     diff = np.zeros([len(cut) for cut in walls], dtype=np.int32 if len(lo) < 1 << 31 else np.int64)
     strides = [s // diff.itemsize for s in diff.strides]
     for far in itertools.product((0, 1), repeat=len(shape)):
@@ -558,27 +577,25 @@ def _paint(shape, widths: np.ndarray, index: np.ndarray, low: np.ndarray, count:
         np.add.at(diff.reshape(-1), at, diff.dtype.type(-1 if sum(far) % 2 else 1))
     for ax in reversed(range(diff.ndim)):
         np.add.accumulate(diff, axis=ax, out=diff)
-    cells = diff[tuple(slice(0, -1) for _ in shape)] > 0
+    return diff[tuple(slice(0, -1) for _ in shape)] > 0, walls
+
+
+def _mask(shape, slabs: np.ndarray, walls) -> np.ndarray:
+    """The bool mask of a grid of ``shape`` holding the union ``_paint``
+    returns as ``(slabs, walls)``: each slab stretched back to its cells."""
     for ax, cut in enumerate(walls):
-        if len(cut) <= sizes[ax]:
-            cells = np.repeat(cells, np.diff(cut), axis=ax)
-    return cells, tuple(base.tolist())
-
-
-def _embed(shape, box: np.ndarray, corner) -> np.ndarray:
-    """A bool mask of ``shape`` holding ``box`` at ``corner``, False
-    elsewhere."""
+        slabs = np.repeat(slabs, np.diff(cut), axis=ax)
     mask = np.zeros(shape, dtype=bool)
-    mask[tuple(slice(c, c + s) for c, s in zip(corner, box.shape))] = box
+    mask[tuple(slice(cut[0], cut[-1]) for cut in walls)] = slabs
     return mask
 
 
 def max_level_set(f: StepFunction, basis: BasisSpec, lam, r=None, ladder=None, shapes=None) -> GridSet:
     """{M f > lam} over the same family as ``max_field_fast``, without the
     field: equal to ``level_set(max_field_fast(...), lam)``.  The union of
-    the winning runs of ``_winners``, painted once on its bounding box."""
-    box, corner = _paint(f.grid.shape, *_winners(f, basis, lam, r, ladder, shapes))
-    return GridSet._own(f.grid, _embed(f.grid.shape, box, corner))
+    the winning runs of ``_winners``, painted once in slab space."""
+    shape = f.grid.shape
+    return GridSet._own(f.grid, _mask(shape, *_paint(shape, *_winners(f, basis, lam, r, ladder, shapes))))
 
 
 def save_max_field(field: StepFunction, basis: BasisSpec, r, path):

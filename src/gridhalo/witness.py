@@ -66,8 +66,8 @@ import numpy as np
 from .grid import DyadicGrid, GridSet, InfeasibleError, StepFunction, VerificationError
 from .maxop import (
     BasisSpec,
-    _embed,
     _exceeds,
+    _mask,
     _paint,
     _summed_area,
     _winners,
@@ -285,14 +285,20 @@ def _rect_counts(table: np.ndarray, start, size) -> np.ndarray | None:
     return np.tensordot(sign, table[tuple(at[..., ax] for ax in range(n))], axes=1)
 
 
-def _placements(index: np.ndarray, low: np.ndarray, count: np.ndarray) -> np.ndarray:
+def _placements(index: np.ndarray, low: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The winning runs of ``_winners`` a placement per row (shape index,
-    lower corner): run i is ``count[i]`` placements of shape ``index[i]``,
-    from ``low[i]`` on along the last axis."""
-    run = np.repeat(np.arange(len(low)), count)
+    lower corner), in the pass's order: by shape, then row-major by corner.
+    Run i is the box of placements of shape ``index[i]`` with lower corners
+    from ``low[i]`` to ``low[i] + counts[i] - 1`` per axis."""
+    size = counts.prod(axis=1)
+    run = np.repeat(np.arange(len(low)), size)
+    rest = np.arange(len(run)) - np.repeat(np.cumsum(size) - size, size)
     low = low[run]
-    low[:, -1] += np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
-    return np.column_stack([index[run], low])
+    for ax in reversed(range(low.shape[1])):
+        rest, step = np.divmod(rest, counts[run, ax])
+        low[:, ax] += step
+    order = np.lexsort([*low.T[::-1], index[run]])
+    return np.column_stack([index[run], low])[order]
 
 
 def _placements_hold(w) -> bool:
@@ -343,7 +349,7 @@ def _cover(w) -> np.ndarray:
     of one for ``maxop._paint``, clipped to the tile."""
     shape, index, low = w.grid.shape, w.placements[:, 0], w.placements[:, 1:]
     widths = np.array(w.shapes, dtype=np.int64).reshape(-1, w.grid.n)
-    return _embed(shape, *_paint(shape, widths, index, low, np.ones(len(low), dtype=np.int64)))
+    return _mask(shape, *_paint(shape, widths, index, low, np.ones_like(low)))
 
 
 def _certified_sets(w) -> dict:

@@ -12,7 +12,8 @@ rearrangement from bool masks and cross-multiplied integers;
 ``p_sets_on_final_grid``, ``independence_by_masks`` and
 ``unions_by_masks`` recheck exact independence and the union identity by
 ANDing and ORing the refined stage sets;
-``kernel_containment`` and
+``winning_placements`` lists every placement a level-set pass should
+find, one window sum at a time; ``kernel_containment`` and
 ``tile_certificate_ok`` recompute what a witness's winning placements
 claim, from the kernel's level set and from a direct count,
 ``placement_cover`` paints the tile cells they cover, and
@@ -275,6 +276,27 @@ def difference(a: GridSet, b: GridSet) -> GridSet:
     if a.grid != b.grid:
         raise ValueError("operands live on different grids")
     return GridSet(a.grid, a.mask & ~b.mask)
+
+
+def winning_placements(num: np.ndarray, corner, den: int, shapes, lam) -> np.ndarray:
+    """Oracle: every placement of ``shapes`` whose average of num / den,
+    num lying at ``corner`` and zero elsewhere, exceeds lam >= 0, as rows
+    (shape index, lower corner), by shape and then row-major by corner.
+    Each window sum is the repeated addition of shifted copies of a
+    zero-padded num, in Python ints; a placement that misses num sums 0
+    and cannot win."""
+    lam = Fraction(lam)
+    rows = [np.zeros((0, num.ndim + 1), dtype=np.int64)]
+    for i, shape in enumerate(shapes):
+        S = np.zeros([c + 2 * (w - 1) for c, w in zip(num.shape, shape)], dtype=object)
+        S[tuple(slice(w - 1, w - 1 + c) for c, w in zip(num.shape, shape))] = num.astype(object)
+        for ax, w in enumerate(shape):
+            length = S.shape[ax] - w + 1
+            S = sum(np.take(S, range(o, o + length), axis=ax) for o in range(w))
+        win = np.argwhere(S * lam.denominator > lam.numerator * math.prod(shape) * den)
+        low = win - np.array(shape) + 1 + np.array(corner)
+        rows.append(np.column_stack([np.full(len(win), i), low]).astype(np.int64))
+    return np.concatenate(rows)
 
 
 def kernel_containment(w, E, p_sets):

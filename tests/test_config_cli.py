@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,44 @@ class TestCli:
         assert f"rectangle of {side}x{side} cells, above the bound 65536" in err
         assert experiments.LEMMAS_RECT_CELLS == 65536
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "bits, radii, side",
+        [(40, "100000", 200000), (24, "1,257", 514), (62, "2,3,4,1025", 2050)],
+    )
+    def test_halo_ball_past_the_cell_bound_exits_3(self, bits, radii, side, tmp_path, monkeypatch, capsys):
+        # --grid 40 --r-list 100000 asked numpy for a 200000 x 200000 ball
+        # box (298 GiB); the run is refused before any sample, naming the
+        # first radius past the bound
+        calls = []
+        monkeypatch.setattr(experiments, "halo_estimate", lambda *a: calls.append(a))
+        tracemalloc.start()
+        try:
+            rc = _run(["halo", "--grid", str(bits), "--r-list", radii, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 3 and calls == [] and peak < 1 << 20
+        err = capsys.readouterr().err
+        assert f"radius {radii.split(',')[-1]} cells" in err
+        assert f"box of {side}x{side} cells, above the bound {experiments.HALO_BALL_CELLS}" in err
+        assert experiments.HALO_BALL_CELLS == 2**18
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("bits, radius", [(24, 256), (9, 100000)])
+    def test_halo_ball_at_the_cell_bound_runs(self, bits, radius, monkeypatch):
+        # a 512 x 512 box is at the bound: r = 256, or any r on a 2^9 grid,
+        # whose ball box is clipped to the grid
+        class Reached(Exception):
+            pass
+
+        def stop(basis, grid_bits, hs, t_list, r_list):
+            raise Reached(r_list)
+
+        monkeypatch.setattr(experiments, "halo_estimate", stop)
+        config = ExperimentConfig.from_mapping("halo", {"grid_bits": str(bits), "r_list": str(radius)})
+        with pytest.raises(Reached):
+            experiments.run_halo(config, RunReport({}))
 
     def test_lemmas_rows_keep_every_column(self, tmp_path):
         # the level-set rows carry two columns the integral rows lack;

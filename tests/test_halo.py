@@ -19,6 +19,7 @@ from gridhalo.grid import DyadicGrid, GridSet, InfeasibleError, StepFunction
 from gridhalo.halo import (
     _ball_box,
     _gauss_quad,
+    _level_set_box,
     halo_estimate,
     halo_fit,
     lemma9_integral,
@@ -57,7 +58,9 @@ def dense_ball(grid, r_cells):
 def box_ball(grid, r):
     """``_ball_box``'s mask, embedded in the grid."""
     corner, inside = _ball_box(grid, r)
-    return maxop._embed(grid.shape, inside, corner)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[tuple(slice(c, c + s) for c, s in zip(corner, inside.shape))] = inside
+    return mask
 
 
 class TestBallBox:
@@ -244,6 +247,17 @@ class TestHaloEstimate:
         sweep = ([4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0], [2.0, 8.0, math.inf], [1, 2])
         want = halo_estimate(BasisSpec("axis", 2), 10, *sweep)
         assert halo_estimate(BasisSpec("axis", 2), bits, *sweep) == want
+
+    def test_a_level_set_past_int64_cells_is_counted_exactly(self):
+        # one cell at the centre of the 2^62 grid and only the 2^61 square:
+        # at h = 2^123 every placement covering the cell wins, and their
+        # union is the cells 1 .. 2^62 - 1 on each axis, (2^62 - 1)^2 > 2^63
+        # cells, counted on Python ints from its slabs, touching the far
+        # walls; the same pass at h = 3 finds nothing
+        g = DyadicGrid((62, 62))
+        support = maxop._support(np.ones((1, 1), dtype=bool), (2**61, 2**61))
+        sets = _level_set_box(g, support, BasisSpec("axis", 2), [2.0**123, 3.0], ladder=[2**61])
+        assert sets == [((2**62 - 1) ** 2, True), (0, False)]
 
     @pytest.mark.parametrize("bits", [33, 62])
     def test_placement_pass_past_32_bits_stays_int64(self, bits, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridhalo import halo, maxop
+from gridhalo import halo, maxop, witness
 from gridhalo.grid import DyadicGrid, GridSet, InfeasibleError, StepFunction
 from gridhalo.maxop import (
     BasisSpec,
@@ -26,7 +26,7 @@ from gridhalo.maxop import (
     max_level_set,
 )
 from gridhalo.witness import axis_level_set_exact, central_block
-from oracles import difference, field_values, step_function
+from oracles import difference, field_values, step_function, winning_placements
 
 
 def reference_field(f: StepFunction, basis: BasisSpec, r=None):
@@ -443,6 +443,32 @@ def placement_pass_cases(draw):
     return f, basis, r, shapes
 
 
+@st.composite
+def plateau_cases(draw):
+    """f on a box of any size at any place in a grid of 1-3 axes (two
+    opposite corners of the box nonzero, so the box is f's support box),
+    payloads up to past the int64 guard, and 1-6 explicit shapes whose
+    widths are each narrower than, as wide as or wider than the box, up to
+    the grid's."""
+    n = draw(st.integers(1, 3))
+    grid = DyadicGrid(tuple(draw(st.integers(0, (6, 3, 2)[n - 1])) for _ in range(n)))
+    size = [draw(st.integers(1, m)) for m in grid.shape]
+    at = [draw(st.integers(0, m - c)) for m, c in zip(grid.shape, size)]
+    cells = math.prod(size)
+    box = np.array(draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells)), dtype=object)
+    box = box.reshape(size)
+    box[(0,) * n] = box[(-1,) * n] = draw(st.integers(1, 3))
+    values = np.zeros(grid.shape, dtype=object)
+    values[tuple(slice(a, a + c) for a, c in zip(at, size))] = box
+    values *= draw(st.sampled_from([1, 1, 2**40, 2**62]))
+    f = step_function(grid, values * Fraction(1, draw(st.integers(1, 4))))
+    width = st.tuples(
+        *(st.one_of(st.integers(1, c), st.integers(c, m)) for c, m in zip(size, grid.shape))
+    )
+    shapes = draw(st.lists(width, min_size=1, max_size=6))
+    return f, shapes
+
+
 class TestMaxLevelSet:
     @given(placement_pass_cases(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -459,6 +485,62 @@ class TestMaxLevelSet:
         lam = data.draw(st.one_of(st.sampled_from(ties), st.fractions(0, 4 * int(f.num.max()) + 1)))
         got = max_level_set(f, basis, lam, r=r, shapes=shapes)
         assert np.array_equal(got.mask, level_set(brute, lam).mask)
+
+    @given(plateau_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_plateau_runs_paint_the_brute_level_sets(self, case, data):
+        # shapes as wide as or wider than f's support box on some axes: one
+        # placement per plateau, emitted as a run with a count per axis
+        f, shapes = case
+        basis = BasisSpec("axis", f.grid.n)
+        brute = max_field_brute(f, basis, shapes=shapes)
+        ties = sorted(set(field_values(brute).ravel()))
+        lam = st.one_of(st.sampled_from(ties), st.fractions(0, 4 * int(f.num.max()) + 1))
+        lams = data.draw(st.lists(lam, min_size=1, max_size=4))
+        passes = maxop._placement_pass(f.grid, f.den, maxop._support(f.num), basis, lams, shapes=shapes)
+        for lam, runs in zip(lams, passes):
+            painted = maxop._mask(f.grid.shape, *maxop._paint(f.grid.shape, *runs))
+            assert np.array_equal(painted, level_set(brute, lam).mask)
+
+    @given(plateau_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_plateau_runs_are_the_reference_placements(self, case, data):
+        # expanded, the runs are every winning placement of the
+        # one-sum-at-a-time reference, each once and in its order
+        f, shapes = case
+        basis = BasisSpec("axis", f.grid.n)
+        lam = st.fractions(0, 2 * int(f.num.max()) + 1, max_denominator=int(f.den) * 8)
+        lams = data.draw(st.lists(lam, min_size=1, max_size=4))
+        passes = maxop._placement_pass(f.grid, f.den, maxop._support(f.num), basis, lams, shapes=shapes)
+        for lam, (_, index, low, counts) in zip(lams, passes):
+            want = winning_placements(f.num, (0,) * f.grid.n, f.den, shapes, lam)
+            assert np.array_equal(witness._placements(index, low, counts), want)
+
+    def test_a_shape_wider_than_the_crop_costs_the_crop(self, monkeypatch):
+        # a 3x2 support on a 4096 x 4096 grid and every ladder shape up to
+        # 2048 wide: each shape is laid out clipped to the crop, so it costs
+        # (min(w0, 3) + 2) * (min(w1, 2) + 1) <= 15 placements, where every
+        # placement meeting the crop would be (w0 + 2) * (w1 + 1), 4.2M for
+        # the widest
+        evaluated = []
+
+        def spy(flat, corners, rows, at):
+            if np.ndim(at):
+                evaluated.append(len(at))
+            return real(flat, corners, rows, at)
+
+        real = maxop._corner_sum
+        monkeypatch.setattr(maxop, "_corner_sum", spy)
+        g = DyadicGrid((12, 12))
+        support = maxop._support(np.ones((3, 2), dtype=bool), (100, 200))
+        ladder = maxop.dyadic_ladder(2048)
+        shapes = [(a, b) for a in ladder for b in ladder]
+        (runs,) = maxop._placement_pass(g, 1, support, BasisSpec("axis", 2), [Fraction(1, 2**30)], shapes=shapes)
+        assert sum(evaluated) == sum((min(a, 3) + 2) * (min(b, 2) + 1) for a, b in shapes)
+        # expanded, the widest shape's runs are its placements meeting the
+        # crop that win: all 2050 x 2049 of them at this threshold
+        counts = runs[3][runs[1] == len(shapes) - 1]
+        assert counts.prod(axis=1).sum() == (2048 + 2) * (2048 + 1)
 
     @given(placement_pass_cases(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -481,8 +563,15 @@ class TestMaxLevelSet:
         for lam, runs in zip(lams, passes):
             alone = maxop._winners(f, basis, lam, r=r, shapes=shapes)
             assert all(np.array_equal(a, b) for a, b in zip(runs, alone))
-            box, corner = maxop._paint(f.grid.shape, *runs)
-            painted = maxop._embed(f.grid.shape, box, corner)
+            # a count per axis; on an axis but the last, a count above 1 is
+            # a whole plateau, the w - c + 1 placements covering the crop
+            widths, index, low, counts = runs
+            assert counts.shape == low.shape and (counts >= 1).all()
+            if len(low):
+                plateau = widths[index] - support[0].shape + 1
+                wide = counts[:, :-1] > 1
+                assert np.array_equal(counts[:, :-1][wide], plateau[:, :-1][wide])
+            painted = maxop._mask(f.grid.shape, *maxop._paint(f.grid.shape, *runs))
             assert np.array_equal(painted, level_set(brute, lam).mask)
 
     @pytest.mark.parametrize("hs", [[1e20, 4.0], [2.0, 1e300, 1e20], [3.0, 1e300, 3.0]])
@@ -499,10 +588,10 @@ class TestMaxLevelSet:
         assert any(lam.denominator >= 2**62 for lam in lams)
         passes = maxop._placement_pass(g, 1, maxop._support(E), basis, lams)
         for h, runs in zip(hs, passes):
-            box, corner = maxop._paint(g.shape, *runs)
+            painted = maxop._mask(g.shape, *maxop._paint(g.shape, *runs))
             f = StepFunction.indicator(GridSet(g, E), h)
             want = level_set(max_field_brute(f, basis), 1).mask
-            assert np.array_equal(maxop._embed(g.shape, box, corner), want)
+            assert np.array_equal(painted, want)
             assert np.array_equal(max_level_set(f, basis, 1).mask, want)
 
     @pytest.mark.parametrize("bits", [33, 62])
@@ -514,15 +603,18 @@ class TestMaxLevelSet:
         E = np.ones((1, 2), dtype=bool)
         support = maxop._support(E, (2**bits // 2, 2**bits // 2))
         wide = 2**32 if bits == 33 else 2**61
-        shapes = [(1, 1), (1, 2), (2, 2), (wide, wide), (wide, 1)]
+        shapes = [(1, 1), (1, 2), (2, 2), (2, 3), (wide, wide), (wide, 1)]
         basis, lams = BasisSpec("axis", 2), [Fraction(1, 4)]
         (runs,) = maxop._placement_pass(g, 1, support, basis, lams, shapes=shapes)
         small = maxop._support(E, (4, 4))
-        (want,) = maxop._placement_pass(DyadicGrid((3, 3)), 1, small, basis, lams, shapes=shapes[:3])
-        widths, index, low, count = runs
-        assert set(index.tolist()) <= {0, 1, 2}
-        assert np.array_equal(index, want[1]) and np.array_equal(count, want[3])
+        (want,) = maxop._placement_pass(DyadicGrid((3, 3)), 1, small, basis, lams, shapes=shapes[:4])
+        widths, index, low, counts = runs
+        assert set(index.tolist()) <= {0, 1, 2, 3}
+        assert np.array_equal(index, want[1]) and np.array_equal(counts, want[3])
         assert np.array_equal(low - 2**bits // 2, want[2] - 4)
+        # (2, 2) and (2, 3) are wider than the 1x2 crop: plateau runs of two
+        # placements on axis 0, and on axis 1 for (2, 3)
+        assert (counts == 2).any(axis=0).all()
 
     def test_a_support_over_several_batches(self):
         g = DyadicGrid((4, 4))
@@ -626,21 +718,22 @@ class TestMaxLevelSet:
     @pytest.mark.parametrize("corner", list(product((0, -1), repeat=2)))
     @pytest.mark.parametrize("lam", [Fraction(1, 2), 2, Fraction(9, 2)])
     def test_runs_boxed_at_a_grid_corner(self, corner, lam):
-        # f on a 2x1 pair in one corner of a 16x8 grid: the runs' box, on
-        # which the set is painted, starts at 0 or ends at the grid size on
-        # both axes
+        # f on a 2x1 pair in one corner of a 16x8 grid: the walls of the
+        # slabs the set is painted on start at 0 or end at the grid size on
+        # both axes, and the painted slabs' volumes sum to the set's cells
         g = DyadicGrid((4, 3))
         pair = np.zeros(g.shape, dtype=bool)
         pair[corner] = True
         pair[corner[0] + (1 if corner[0] == 0 else -1), corner[1]] = True
         f = StepFunction.indicator(GridSet(g, pair), 5)
         basis = BasisSpec("axis", 2)
-        box, at = maxop._paint(g.shape, *maxop._winners(f, basis, lam))
-        for a, s, m, c in zip(at, box.shape, g.shape, corner):
-            assert (a == 0) if c == 0 else (a + s == m)
+        slabs, walls = maxop._paint(g.shape, *maxop._winners(f, basis, lam))
+        for cut, m, c in zip(walls, g.shape, corner):
+            assert (cut[0] == 0) if c == 0 else (cut[-1] == m)
         want = level_set(max_field_brute(f, basis), lam).mask
         assert np.array_equal(max_level_set(f, basis, lam).mask, want)
-        assert 0 < int(box.sum()) == want.sum()
+        volume = np.multiply.outer(*(np.diff(cut) for cut in walls))
+        assert 0 < int((slabs * volume).sum()) == want.sum()
 
     @pytest.mark.parametrize("lam", [0, Fraction(1, 3), 2])
     def test_all_zero_function(self, lam):

@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridhalo import witness
+from gridhalo import experiments, witness
+from gridhalo.config import ExperimentConfig
 from gridhalo.grid import DyadicGrid, GridSet, InfeasibleError, StepFunction, VerificationError
 from gridhalo.growth import log_power_growth
-from gridhalo.maxop import BasisSpec, enumerate_shapes
+from gridhalo.maxop import BasisSpec, dyadic_ladder, enumerate_shapes, level_set, max_field_brute
 from gridhalo.resonance import build_resonance_function, synthetic_resonance_input
 from gridhalo.rotate import quarter_turns
 from gridhalo.witness import (
@@ -37,6 +38,7 @@ from oracles import (
     rotated_average,
     stage_sets_on_final_grid,
     tile_certificate_ok,
+    winning_placements,
 )
 
 PHI = log_power_growth(2)
@@ -381,6 +383,51 @@ class TestRotationFamilyWitness:
             w = s.tile
             assert w.box_diam_sq() < w.epsilon**2
             assert w.trunc <= w.epsilon
+
+
+def _shipped_stage_tiles(kind, settings):
+    """The stage tiles of the plan a ``kind`` run builds at ``settings``."""
+    config = ExperimentConfig.from_mapping(kind, settings)
+    if kind == "zygmund":
+        bases = [BasisSpec("rotated", config.k, math.radians(d)) for d in config.rotations_deg]
+    else:
+        bases = [BasisSpec("axis", config.k)]
+    return [s.tile for s in experiments._staged_plan(config, bases)[1].stages]
+
+
+@pytest.mark.parametrize(
+    "kind, settings",
+    [
+        pytest.param("resonance", {"depth": str(d), "style": style}, id=f"resonance-{style}-{d}")
+        for style in ("deep", "square")
+        for d in range(1, 5)
+    ]
+    + [pytest.param("zygmund", {}, id="zygmund")],
+)
+def test_stage_tile_certificates_are_the_reference_placements(kind, settings):
+    # the witness's certificates are the winning placements of a
+    # one-sum-at-a-time reference, in its order, and its P sets are what
+    # the reference certifies: the cells those placements cover on the
+    # exact route, the preimage of the brute level set of amp chi_K on the
+    # disk route
+    for w in _shipped_stage_tiles(kind, settings):
+        want = winning_placements(w.E.mask, (0,) * w.grid.n, 1, w.shapes, 1 / w.h)
+        assert np.array_equal(w.placements, want)
+        cover = placement_cover(dataclasses.replace(w, placements=want))
+        U = None
+        for key, P in w.p_sets.items():
+            basis = w.bases[key]
+            if _route(basis) is not None:
+                assert np.array_equal(P.mask, cover)
+                continue
+            if U is None:
+                fine = w.grid.refine(witness._square_refine_bits(w.grid, witness._REFINE_EXTRA))
+                K = disk_core(fine, inscribed_radius_sq(w.E))
+                axis = BasisSpec("axis", basis.k)
+                shapes = enumerate_shapes(axis, fine, r=w.trunc, ladder=dyadic_ladder(max(fine.shape)))
+                U = level_set(max_field_brute(StepFunction.indicator(K, w.h), axis, shapes=shapes), 1)
+                assert np.array_equal(w.disk.mask, U.mask)
+            assert np.array_equal(P.mask, rotation_preimage(w.grid, U, basis.gamma).mask)
 
 
 def _certificate_rectangle(K: GridSet, amp: Fraction, point):
